@@ -84,18 +84,64 @@ pub enum Stop {
     Ops(usize),
 }
 
-/// Width of the intervals a window's completions are counted in.
-pub const BUCKET_NS: u64 = 100_000_000;
+/// Width of the intervals a window is accounted in.
+pub const INTERVAL_NS: u64 = 100_000_000;
 
-/// Counts `ops` completions moving `ids` IDs into the interval holding
-/// `elapsed_ns` (time since the window started).
-pub fn count_interval(buckets: &mut Vec<(u64, u128)>, elapsed_ns: u64, ops: u64, ids: u128) {
-    let k = (elapsed_ns / BUCKET_NS) as usize;
-    if buckets.len() <= k {
-        buckets.resize(k + 1, (0, 0));
+/// One `INTERVAL_NS` interval of a window: the ops that ended in it, and
+/// what the host did meanwhile.
+#[derive(Debug, Default, Clone)]
+pub struct Interval {
+    /// Latencies of the ops that ended in the interval; failures as
+    /// [`FAILED`].
+    pub lat_ns: Vec<u64>,
+    /// Ops completed in full, and the IDs they moved.
+    pub ops: u64,
+    pub ids: u128,
+    /// Share of the machine's CPU time the hypervisor stole, and the
+    /// process's CPU time (read for whole intervals only).
+    pub steal: f64,
+    pub cpu_ns: u64,
+}
+
+/// Records an op that ended `elapsed_ns` into its window, with latency
+/// `lat_ns`, completing `ops` ops that moved `ids` IDs (0 and 0 for a
+/// failure).
+pub fn count_interval(
+    intervals: &mut Vec<Interval>,
+    elapsed_ns: u64,
+    lat_ns: u64,
+    ops: u64,
+    ids: u128,
+) {
+    let k = (elapsed_ns / INTERVAL_NS) as usize;
+    if intervals.len() <= k {
+        intervals.resize_with(k + 1, Interval::default);
     }
-    buckets[k].0 += ops;
-    buckets[k].1 += ids;
+    let i = &mut intervals[k];
+    i.lat_ns.push(lat_ns);
+    i.ops += ops;
+    i.ids += ids;
+}
+
+/// Every op's latency in ns over `intervals`; failures as [`FAILED`].
+pub fn latencies(intervals: &[Interval]) -> Vec<u64> {
+    intervals
+        .iter()
+        .flat_map(|i| i.lat_ns.iter().copied())
+        .collect()
+}
+
+/// Stores a [`host::Sampler`]'s readings in the intervals they cover
+/// and returns how many intervals are whole (the ones read).
+pub fn read_host(intervals: &mut Vec<Interval>, readings: &[(f64, u64)]) -> usize {
+    if intervals.len() < readings.len() {
+        intervals.resize_with(readings.len(), Interval::default);
+    }
+    for (i, &(steal, cpu_ns)) in intervals.iter_mut().zip(readings) {
+        i.steal = steal;
+        i.cpu_ns = cpu_ns;
+    }
+    readings.len()
 }
 
 /// Where a driven window records spans: the tracer, the parent span,
@@ -105,8 +151,10 @@ pub type Trace<'a> = Option<(&'a Tracer, u64, &'static str)>;
 /// The caller-side account of one measured window.
 #[derive(Debug, Default)]
 pub struct Sample {
-    /// Per-lease latency in ns; failures as [`FAILED`].
-    pub lat_ns: Vec<u64>,
+    /// The window's `INTERVAL_NS` intervals, from its start.
+    pub intervals: Vec<Interval>,
+    /// Leading intervals that are whole (the last one usually is not).
+    pub whole: usize,
     /// Leases attempted.
     pub attempted: u64,
     /// Leases that returned an error or a short grant.
@@ -119,9 +167,6 @@ pub struct Sample {
     pub cpu_ns: u64,
     /// Share of the machine's CPU time the hypervisor stole meanwhile.
     pub steal: f64,
-    /// Leases completed and IDs granted in each `BUCKET_NS` interval
-    /// from the window's start.
-    pub buckets: Vec<(u64, u128)>,
     /// The first lease whose grant contradicted the request or its arcs.
     pub violation: Option<String>,
     /// The first lease error, for diagnostics.
@@ -130,12 +175,17 @@ pub struct Sample {
 
 impl Sample {
     fn absorb(&mut self, other: Sample) {
-        self.lat_ns.extend(other.lat_ns);
         self.attempted += other.attempted;
         self.failed += other.failed;
         self.ids += other.ids;
-        for (k, (ops, ids)) in other.buckets.into_iter().enumerate() {
-            count_interval(&mut self.buckets, k as u64 * BUCKET_NS, ops, ids);
+        if self.intervals.len() < other.intervals.len() {
+            self.intervals
+                .resize_with(other.intervals.len(), Interval::default);
+        }
+        for (mine, theirs) in self.intervals.iter_mut().zip(other.intervals) {
+            mine.lat_ns.extend(theirs.lat_ns);
+            mine.ops += theirs.ops;
+            mine.ids += theirs.ids;
         }
         self.violation = self.violation.take().or(other.violation);
         self.first_error = self.first_error.take().or(other.first_error);
@@ -157,6 +207,7 @@ pub fn drive(
     let (seq, cursor) = (feed.seq, &feed.cursor);
     let cpu0 = host::cpu_ns();
     let steal0 = host::steal_jiffies();
+    let sampler = host::Sampler::start(t0, INTERVAL_NS);
     let parts: Vec<std::thread::Result<Sample>> = std::thread::scope(|scope| {
         let handles: Vec<_> = callers
             .into_iter()
@@ -176,13 +227,12 @@ pub fn drive(
                         out.attempted += 1;
                         match result {
                             Ok(g) if g.granted == count && g.arc_sum == count => {
-                                out.lat_ns.push(b - a);
                                 out.ids += count;
-                                count_interval(&mut out.buckets, b - t0, 1, count);
+                                count_interval(&mut out.intervals, b - t0, b - a, 1, count);
                             }
                             Ok(g) => {
                                 out.failed += 1;
-                                out.lat_ns.push(FAILED);
+                                count_interval(&mut out.intervals, b - t0, FAILED, 0, 0);
                                 out.violation.get_or_insert_with(|| {
                                     format!(
                                         "lease {i} (tenant {tenant}, count {count}) granted {} \
@@ -193,7 +243,7 @@ pub fn drive(
                             }
                             Err(e) => {
                                 out.failed += 1;
-                                out.lat_ns.push(FAILED);
+                                count_interval(&mut out.intervals, b - t0, FAILED, 0, 0);
                                 out.first_error.get_or_insert_with(|| e.to_string());
                             }
                         }
@@ -207,10 +257,12 @@ pub fn drive(
             .collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
+    let readings = sampler.finish();
     let mut sample = Sample::default();
     for part in parts {
         sample.absorb(part.map_err(|_| "a caller thread panicked".to_string())?);
     }
+    sample.whole = read_host(&mut sample.intervals, &readings);
     sample.window_ns = clock::monotonic_ns() - t0;
     sample.cpu_ns = host::cpu_ns().saturating_sub(cpu0);
     sample.steal = host::steal_share(steal0);
@@ -393,9 +445,6 @@ pub fn inproc_round(
     let summary = service.summary();
     let drain_ns = clock::monotonic_ns() - last;
     sample.window_ns += drain_ns;
-    // The window now ends with the audit catching up, which the lease
-    // completion intervals do not see: rate it by its totals.
-    sample.buckets.clear();
     sample.cpu_ns = host::cpu_ns().saturating_sub(cpu0);
     check_sample(&sample)?;
     check_report(&summary, sample.ids, sample.failed)?;
@@ -582,7 +631,7 @@ mod tests {
         });
         let sample = drive(vec![short], &Feed::new(&seq, 0), Stop::Ops(3), None).unwrap();
         assert_eq!((sample.attempted, sample.failed), (3, 3));
-        assert!(sample.lat_ns.iter().all(|&ns| ns == FAILED));
+        assert!(latencies(&sample.intervals).iter().all(|&ns| ns == FAILED));
         assert!(check_sample(&sample).is_err());
     }
 }

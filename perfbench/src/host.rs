@@ -1,7 +1,13 @@
-//! Process readings (CPU time, peak RSS) and the provenance block every
-//! result carries.
+//! Process readings (CPU time, peak RSS), host readings (steal, speed)
+//! and the provenance block every result carries.
 
 use std::fs;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, JoinHandle};
+use std::time::Duration;
+
+use uuidp_core::clock;
 
 /// Kernel clock ticks per second behind `/proc/self/stat` CPU times
 /// (`USER_HZ`, 100 on every mainstream Linux build).
@@ -46,8 +52,132 @@ pub fn steal_jiffies() -> (u64, u64) {
 /// The share of all CPU time since `since` (a [`steal_jiffies`]
 /// reading) that the hypervisor stole.
 pub fn steal_share(since: (u64, u64)) -> f64 {
-    let now = steal_jiffies();
+    share(since, steal_jiffies())
+}
+
+fn share(since: (u64, u64), now: (u64, u64)) -> f64 {
     now.1.saturating_sub(since.1) as f64 / now.0.saturating_sub(since.0).max(1) as f64
+}
+
+/// A thread that reads the steal share and the process's CPU time over
+/// each fixed interval of a window, at the interval boundaries. It sleeps
+/// in between, so it takes next to nothing from the window.
+pub struct Sampler {
+    stop: Arc<AtomicBool>,
+    thread: JoinHandle<Vec<(f64, u64)>>,
+}
+
+impl Sampler {
+    /// Starts reading intervals of `interval_ns` from `t0_ns` (a
+    /// [`clock::monotonic_ns`] reading).
+    pub fn start(t0_ns: u64, interval_ns: u64) -> Sampler {
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let thread = thread::spawn(move || {
+            let mut readings = Vec::new();
+            let (mut steal, mut cpu) = (steal_jiffies(), cpu_ns());
+            loop {
+                let boundary = t0_ns + (readings.len() as u64 + 1) * interval_ns;
+                loop {
+                    if stopped.load(Ordering::Acquire) {
+                        // The interval under way is not whole: not read.
+                        return readings;
+                    }
+                    let now = clock::monotonic_ns();
+                    if now >= boundary {
+                        break;
+                    }
+                    thread::park_timeout(Duration::from_nanos(boundary - now));
+                }
+                let (s, c) = (steal_jiffies(), cpu_ns());
+                readings.push((share(steal, s), c.saturating_sub(cpu)));
+                (steal, cpu) = (s, c);
+            }
+        });
+        Sampler { stop, thread }
+    }
+
+    /// Stops the thread and returns its readings: the steal share and
+    /// process CPU ns of each whole interval, in order.
+    pub fn finish(self) -> Vec<(f64, u64)> {
+        self.stop.store(true, Ordering::Release);
+        self.thread.thread().unpark();
+        self.thread.join().unwrap_or_default()
+    }
+}
+
+/// Arithmetic steps and dependent loads of one calibration pass (about
+/// half a millisecond on the reference host), and passes per thread.
+const CALIBRATION_STEPS: u64 = 1 << 16;
+const CALIBRATION_LOADS: usize = 1 << 12;
+const CALIBRATION_PASSES: usize = 7;
+
+/// Entries of the calibration's pointer-chase table (4 MiB: past a
+/// core's private caches, so a neighbour crowding the shared cache or the
+/// memory bus shows).
+const CHASE_ENTRIES: usize = 1 << 20;
+
+/// One cycle through every entry (Sattolo's shuffle), built once.
+fn chase_table() -> &'static [u32] {
+    static TABLE: OnceLock<Vec<u32>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut t: Vec<u32> = (0..CHASE_ENTRIES as u32).collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in (1..CHASE_ENTRIES).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            t.swap(i, (x % i as u64) as usize);
+        }
+        t
+    })
+}
+
+/// How fast the host runs a fixed piece of work, in ns per pass: on
+/// every CPU at once, the slowest thread's fastest pass. A pass is
+/// arithmetic (four independent xorshift streams, which keep the ALUs
+/// busy) and then a chain of dependent loads over a 4 MiB table.
+/// Whatever slows the host for longer than a pass without showing up as
+/// steal (a busy hyperthread sibling, a neighbour crowding the shared
+/// cache, a throttled clock) slows every pass; a pass that lost a time
+/// slice is discarded as the slowest.
+pub fn calibrate_ns() -> u64 {
+    let table = chase_table();
+    let pass = |start: usize| {
+        let t0 = clock::monotonic_ns();
+        let mut x = [1u64, 2, 3, 4].map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for _ in 0..CALIBRATION_STEPS {
+            for v in x.iter_mut() {
+                *v ^= *v << 13;
+                *v ^= *v >> 7;
+                *v ^= *v << 17;
+            }
+        }
+        let mut at = start;
+        for _ in 0..CALIBRATION_LOADS {
+            at = table[at] as usize;
+        }
+        std::hint::black_box((x, at));
+        clock::monotonic_ns() - t0
+    };
+    std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..nproc())
+            .map(|t| {
+                scope.spawn(move || {
+                    (0..CALIBRATION_PASSES)
+                        .map(|p| {
+                            pass((t * CALIBRATION_PASSES + p) * CALIBRATION_LOADS % CHASE_ENTRIES)
+                        })
+                        .min()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().ok().flatten().unwrap_or(u64::MAX))
+            .max()
+            .unwrap_or(0)
+    })
 }
 
 /// Peak resident set size of the process (`VmHWM`), in MiB.
@@ -130,6 +260,7 @@ mod tests {
         }
         assert!(cpu_ns() >= before);
         assert!(peak_rss_mb() > 0.0);
+        assert!(calibrate_ns() > 0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use uuidp_core::id::IdSpace;
 use uuidp_service::net::TcpServer;
 use uuidp_service::service::ServiceConfig;
 
-use drive::{Feed, Readings, Round, Sample, Stop, Trace};
+use drive::{Feed, Interval, Readings, Round, Sample, Stop, Trace, INTERVAL_NS};
 use layers::Budget;
 use metrics::{Metrics, END_TO_END, PER_LAYER};
 use spans::Tracer;
@@ -42,14 +42,18 @@ const USAGE: &str =
 /// A run that has not finished by now is stuck: exit without a result.
 const WATCHDOG: Duration = Duration::from_secs(170);
 
-/// Measured windows of the time-boxed workloads. Each lease round sets
-/// its target up afresh, so each contributes one set-up sample.
+/// Measured windows of the time-boxed workloads.
 const ROUNDS: u64 = 24;
 
-/// Windows the end-to-end metrics are taken over: the least-stolen third
-/// of the time-boxed workloads' windows, and of `issue_bulk_inproc`'s
-/// rounds the same count.
-const KEPT_WINDOWS: usize = 8;
+/// The fewest slices the end-to-end metrics are taken over (see
+/// [`Tally::quietest`]).
+const MIN_KEPT: usize = 8;
+
+/// Set-ups timed before each window: on the lease workloads the window's
+/// own and the rest on targets torn down again unused, on
+/// `montecarlo_oblivious` algorithm builds. Spread over the whole run,
+/// they give `setup_s` a median that no one moment of the host decides.
+const SETUPS_PER_ROUND: usize = 8;
 
 /// The shortest measured window of a time-boxed lease round.
 const MIN_WINDOW_NS: u64 = 100_000_000;
@@ -66,10 +70,6 @@ const DIRECT_HALF: usize = 512;
 
 /// `issue_bulk_inproc` rounds run at least this often, however long.
 const MIN_BULK_ROUNDS: usize = 3;
-
-/// Set-up repetitions of the Monte-Carlo workload (its set-up is only
-/// an algorithm build, so one sample would be mostly noise).
-const MC_SETUPS: usize = 201;
 
 struct Args {
     workload: Workload,
@@ -176,21 +176,24 @@ fn run(args: &Args, work: &Path) -> Result<Outcome, String> {
             traced(args.workload, args.seed, budget_ns, work, &tracer)?;
         let names: Vec<&str> = PER_LAYER.iter().map(|l| l.name).collect();
         metrics.check_complete(&names)?;
+        let (kept, dropped) = tracer.counts();
+        if dropped > 0 {
+            return Err(format!(
+                "{dropped} spans over the per-name cap were dropped; the per-layer figures \
+                 would come from truncated samples"
+            ));
+        }
         let out = PathBuf::from(".bench_out");
         std::fs::create_dir_all(&out).map_err(|e| format!("{}: {e}", out.display()))?;
         let path = out.join(format!("spans-{}.tsv", args.workload.name()));
         tracer
             .write_tsv(&path, &provenance)
             .map_err(|e| format!("{}: {e}", path.display()))?;
-        let (kept, dropped) = tracer.counts();
-        println!(
-            "spans: {kept} kept, {dropped} dropped, written to {}",
-            path.display()
-        );
+        println!("spans: {kept} written to {}", path.display());
         (metrics, attempted, failed)
     } else {
         let tally = untraced(args.workload, args.seed, budget_ns, work)?;
-        let (attempted, failed) = tally.attempted();
+        let (attempted, failed) = (tally.attempted, tally.failed);
         (tally.metrics()?, attempted, failed)
     };
     Ok(Outcome {
@@ -213,105 +216,130 @@ fn net_backend() -> Result<String, String> {
     Ok(backend)
 }
 
-/// One measured window of an untraced run.
-struct Win {
-    /// Share of the machine's CPU time the hypervisor stole meanwhile.
-    steal: f64,
-    /// The set-up that preceded the window, when it had its own.
-    setup_ns: Option<u64>,
-    lat_ns: Vec<u64>,
+/// The smallest part of an untraced run the metrics are taken over: a
+/// whole interval of a time-boxed window, or a whole `issue_bulk_inproc`
+/// round (its clock runs on while the audit catches up, which no interval
+/// of lease completions sees).
+#[derive(Default)]
+struct Slice {
+    /// How much slower than usual the host ran the slice; see
+    /// [`slowdown`].
+    slowdown: f64,
+    ns: u64,
+    /// Ops completed in full, and the IDs they moved.
     ops: u64,
-    failed: u64,
-    ids: f64,
-    window_ns: u64,
+    ids: u128,
     cpu_ns: u64,
-    /// Completions per `drive::BUCKET_NS` interval (time-boxed windows).
-    buckets: Vec<(u64, u128)>,
+    /// Latencies of the ops that ended in the slice; failures as +∞.
+    lat_ns: Vec<u64>,
 }
 
-impl Win {
-    /// Ops and IDs per second: the median over the window's whole
-    /// intervals where it has at least four (so a stall of a few
-    /// milliseconds moves one interval, not the rate), else the window's
-    /// totals over its wall time.
-    fn rates(&self) -> (f64, f64) {
-        let whole = (self.window_ns / drive::BUCKET_NS) as usize;
-        if whole >= 4 && self.buckets.len() >= whole {
-            let secs = drive::BUCKET_NS as f64 / 1e9;
-            let b = &self.buckets[..whole];
-            let ops = median(&b.iter().map(|x| x.0 as f64 / secs).collect::<Vec<_>>());
-            let ids = median(&b.iter().map(|x| x.1 as f64 / secs).collect::<Vec<_>>());
-            (ops.unwrap_or(0.0), ids.unwrap_or(0.0))
-        } else {
-            let secs = self.window_ns.max(1) as f64 / 1e9;
-            ((self.ops - self.failed) as f64 / secs, self.ids / secs)
-        }
-    }
+/// How much slower than usual the host ran a slice: the calibration of
+/// its window ([`host::calibrate_ns`], taken between windows), stretched
+/// by the share of the slice itself the hypervisor stole.
+fn slowdown(calib_ns: u64, steal: f64) -> f64 {
+    calib_ns as f64 / (1.0 - steal).max(0.1)
 }
 
 /// The end-to-end account of an untraced run.
 #[derive(Default)]
 struct Tally {
-    windows: Vec<Win>,
-    /// Set-ups timed apart from the windows (Monte-Carlo).
+    slices: Vec<Slice>,
+    /// Every set-up the run timed.
     setup_ns: Vec<u64>,
+    /// Ops attempted and failed, over every window.
+    attempted: u64,
+    failed: u64,
 }
 
 impl Tally {
-    fn add(&mut self, win: Win) {
+    /// Counts a window's ops and logs it.
+    fn window(&mut self, attempted: u64, failed: u64, ns: u64, steal: f64, calib_ns: u64) {
         eprintln!(
-            "window: {} ops in {:.3} s, steal {:.4}",
-            win.ops,
-            win.window_ns as f64 / 1e9,
-            win.steal
+            "window: {attempted} ops in {:.3} s, steal {steal:.4}, calibration {:.3} ms",
+            ns as f64 / 1e9,
+            calib_ns as f64 / 1e6
         );
-        self.windows.push(win);
+        self.attempted += attempted;
+        self.failed += failed;
     }
 
-    fn round(&mut self, round: Round) {
+    /// Adds a time-boxed window's whole intervals, each as a slice.
+    fn intervals(&mut self, intervals: Vec<Interval>, whole: usize, calib_ns: u64) {
+        for i in intervals.into_iter().take(whole) {
+            self.slices.push(Slice {
+                slowdown: slowdown(calib_ns, i.steal),
+                ns: INTERVAL_NS,
+                ops: i.ops,
+                ids: i.ids,
+                cpu_ns: i.cpu_ns,
+                lat_ns: i.lat_ns,
+            });
+        }
+    }
+
+    /// Adds a lease round: by its window's intervals, or on
+    /// `issue_bulk_inproc` as one slice.
+    fn round(&mut self, w: Workload, round: Round, calib_ns: u64) {
         let s = round.sample;
-        self.add(Win {
-            steal: s.steal,
-            setup_ns: Some(round.setup_ns),
-            lat_ns: s.lat_ns,
-            ops: s.attempted,
-            failed: s.failed,
-            ids: s.ids as f64,
-            window_ns: s.window_ns,
-            cpu_ns: s.cpu_ns,
-            buckets: s.buckets,
-        });
+        self.setup_ns.push(round.setup_ns);
+        self.window(s.attempted, s.failed, s.window_ns, s.steal, calib_ns);
+        if w == Workload::IssueBulkInproc {
+            self.slices.push(Slice {
+                slowdown: slowdown(calib_ns, s.steal),
+                ns: s.window_ns,
+                ops: s.attempted - s.failed,
+                ids: s.ids,
+                cpu_ns: s.cpu_ns,
+                lat_ns: drive::latencies(&s.intervals),
+            });
+        } else {
+            self.intervals(s.intervals, s.whole, calib_ns);
+        }
     }
 
-    fn attempted(&self) -> (u64, u64) {
-        let ops = self.windows.iter().map(|w| w.ops).sum();
-        (ops, self.windows.iter().map(|w| w.failed).sum())
+    /// The slices the metrics are taken over: every slice slowed no more
+    /// than the least-slowed third (at least `MIN_KEPT`). On a shared host
+    /// the host's speed, not the program, drives most slice-to-slice
+    /// variation; ranking by it keeps the figures about the program. Ties
+    /// are all kept, so a host that never slows keeps every slice.
+    fn quietest(&self) -> Vec<&Slice> {
+        let n = self.slices.len();
+        let keep = (n / 3).max(MIN_KEPT).min(n);
+        let mut slowdowns: Vec<f64> = self.slices.iter().map(|s| s.slowdown).collect();
+        slowdowns.sort_by(f64::total_cmp);
+        let Some(&cut) = slowdowns.get(keep.saturating_sub(1)) else {
+            return Vec::new();
+        };
+        self.slices.iter().filter(|s| s.slowdown <= cut).collect()
     }
 
-    /// Each metric is a median over the run's `KEPT_WINDOWS` least-stolen
-    /// windows. On a shared host the hypervisor's steal, not the program,
-    /// drives most window-to-window variation; ranking by it keeps the
-    /// figures about the program. Failures count from every window.
-    fn metrics(mut self) -> Result<Metrics, String> {
-        let (attempted, failed) = self.attempted();
-        self.windows.sort_by(|a, b| a.steal.total_cmp(&b.steal));
-        self.windows.truncate(KEPT_WINDOWS);
-        let kept = &self.windows;
+    /// Each metric but `setup_s` and `completed_frac` is taken over the
+    /// [`Tally::quietest`] slices: percentiles and rates as the median of
+    /// the slices', CPU per op as their CPU over their ops. `setup_s` is
+    /// the median of every set-up, and failures count from every window.
+    fn metrics(self) -> Result<Metrics, String> {
+        let (attempted, failed) = (self.attempted, self.failed);
+        let kept = self.quietest();
+        eprintln!("kept {} of {} slices", kept.len(), self.slices.len());
         let none = || "the run measured nothing".to_string();
-        let per = |f: &dyn Fn(&Win) -> f64| median(&kept.iter().map(f).collect::<Vec<_>>());
-        let pct = |w: &Win, q: f64| percentile(&mut w.lat_ns.clone(), q).unwrap_or(f64::NAN);
-        let mut setups: Vec<u64> = kept.iter().filter_map(|w| w.setup_ns).collect();
-        setups.extend_from_slice(&self.setup_ns);
+        let per = |f: &dyn Fn(&Slice) -> Option<f64>| {
+            median(&kept.iter().filter_map(|s| f(s)).collect::<Vec<_>>()).ok_or_else(none)
+        };
+        let pct = |s: &Slice, q: f64| percentile(&mut s.lat_ns.clone(), q);
+        let secs = |s: &Slice| s.ns.max(1) as f64 / 1e9;
         let mut m = Metrics::default();
-        m.set("setup_s", median_u64(&setups).ok_or_else(none)? / 1e9);
-        m.set("op_p50_us", per(&|w| pct(w, 0.5)).ok_or_else(none)? / 1e3);
-        m.set("op_p90_us", per(&|w| pct(w, 0.9)).ok_or_else(none)? / 1e3);
-        m.set("ops_per_s", per(&|w| w.rates().0).ok_or_else(none)?);
-        m.set("ids_per_s", per(&|w| w.rates().1).ok_or_else(none)?);
         m.set(
-            "cpu_us_per_op",
-            per(&|w| w.cpu_ns as f64 / 1e3 / w.ops.max(1) as f64).ok_or_else(none)?,
+            "setup_s",
+            median_u64(&self.setup_ns).ok_or_else(none)? / 1e9,
         );
+        m.set("op_p50_us", per(&|s| pct(s, 0.5))? / 1e3);
+        m.set("op_p90_us", per(&|s| pct(s, 0.9))? / 1e3);
+        m.set("ops_per_s", per(&|s| Some(s.ops as f64 / secs(s)))?);
+        m.set("ids_per_s", per(&|s| Some(s.ids as f64 / secs(s)))?);
+        let cpu_ns: u64 = kept.iter().map(|s| s.cpu_ns).sum();
+        let ops: u64 = kept.iter().map(|s| s.ops).sum();
+        m.set("cpu_us_per_op", cpu_ns as f64 / 1e3 / ops.max(1) as f64);
         m.set(
             "completed_frac",
             (attempted - failed) as f64 / attempted.max(1) as f64,
@@ -335,9 +363,7 @@ fn lease_round(
     trace: Trace<'_>,
 ) -> Result<Round, String> {
     match w {
-        // Montecarlo has no lease loop of its own; its lease probes borrow
-        // lease_small_mux's shape.
-        Workload::LeaseSmallMux | Workload::MontecarloOblivious => {
+        Workload::LeaseSmallMux => {
             drive::mux_round(config, w.callers(), feed, WARM_NS, stop, trace)
         }
         Workload::IssueBulkInproc => drive::inproc_round(config, w.callers(), feed, stop, trace),
@@ -345,7 +371,22 @@ fn lease_round(
             let direct = trace.map(|_| DIRECT_HALF);
             drive::fleet_round(config, dir, feed, WARM_NS, stop, trace, direct)
         }
+        Workload::MontecarloOblivious => unreachable!("montecarlo_oblivious has no lease round"),
     }
+}
+
+/// Sets workload `w`'s target up and, on the lease workloads, tears it
+/// down again without serving a lease; returns the set-up time.
+fn setup_only(w: Workload, dir: &Path) -> Result<u64, String> {
+    let feed = Feed::new(&[], 0);
+    let (config, none) = (w.service_config(dir), Stop::Ops(0));
+    let round = match w {
+        Workload::LeaseSmallMux => drive::mux_round(config, w.callers(), &feed, 0, none, None),
+        Workload::IssueBulkInproc => drive::inproc_round(config, w.callers(), &feed, none, None),
+        Workload::LeaseDurableFleet => drive::fleet_round(config, dir, &feed, 0, none, None, None),
+        Workload::MontecarloOblivious => return Ok(mc::setup().2),
+    };
+    Ok(round?.setup_ns)
 }
 
 /// The stop rule of one measured lease window within `window_ns`.
@@ -358,15 +399,16 @@ fn lease_stop(w: Workload, window_ns: u64) -> Stop {
 
 fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally, String> {
     let mut tally = Tally::default();
+    let mut calib = host::calibrate_ns();
     if w == Workload::MontecarloOblivious {
         let (algorithm, profile, _) = mc::setup();
-        for _ in 0..MC_SETUPS {
-            tally.setup_ns.push(mc::setup().2);
-        }
         let mut next = 0u64;
         let mut pooled = mc::Window::default();
         for _ in 0..ROUNDS {
-            let win = mc::window(
+            for _ in 0..SETUPS_PER_ROUND {
+                tally.setup_ns.push(setup_only(w, work)?);
+            }
+            let mut win = mc::window(
                 algorithm.as_ref(),
                 &profile,
                 seed,
@@ -375,17 +417,15 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
                 budget_ns * 9 / 10 / ROUNDS,
                 None,
             );
-            tally.add(Win {
-                steal: win.steal,
-                setup_ns: None,
-                lat_ns: win.per_trial_ns.clone(),
-                ops: win.trials,
-                failed: win.exhausted,
-                ids: win.trials as f64 * profile.l1() as f64,
-                window_ns: win.window_ns,
-                cpu_ns: win.cpu_ns,
-                buckets: win.buckets.clone(),
-            });
+            let calib_ns = calibrated(&mut calib);
+            tally.window(
+                win.trials,
+                win.exhausted,
+                win.window_ns,
+                win.steal,
+                calib_ns,
+            );
+            tally.intervals(std::mem::take(&mut win.intervals), win.whole, calib_ns);
             pooled.absorb(win);
         }
         mc::check(algorithm.as_ref(), &profile, seed, &pooled)?;
@@ -404,6 +444,9 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
     let mut r = 0;
     loop {
         let dir = work.join(format!("round-{r}"));
+        for _ in 1..SETUPS_PER_ROUND {
+            tally.setup_ns.push(setup_only(w, &dir)?);
+        }
         let round = lease_round(
             w,
             w.service_config(&dir),
@@ -413,7 +456,7 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
             None,
         )?;
         report_errors(&round.sample);
-        tally.round(round);
+        tally.round(w, round, calibrated(&mut calib));
         r += 1;
         let done = match w {
             Workload::IssueBulkInproc => {
@@ -425,6 +468,16 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
             return Ok(tally);
         }
     }
+}
+
+/// The calibration of the window that just ended: the mean of the
+/// reading taken before it (`*last`) and a fresh one, which becomes
+/// `*last` for the next window.
+fn calibrated(last: &mut u64) -> u64 {
+    let after = host::calibrate_ns();
+    let mean = (*last + after) / 2;
+    *last = after;
+    mean
 }
 
 fn report_errors(sample: &Sample) {
@@ -491,7 +544,7 @@ fn traced(
             } else {
                 &mut halves.untraced
             };
-            half.extend_from_slice(&win.per_trial_ns);
+            half.extend(drive::latencies(&win.intervals));
             pooled.absorb(win);
         }
         mc::check(algorithm.as_ref(), &profile, seed, &pooled)?;
@@ -520,7 +573,7 @@ fn traced(
             } else {
                 &mut halves.untraced
             };
-            half.extend_from_slice(&round.sample.lat_ns);
+            half.extend(drive::latencies(&round.sample.intervals));
             if on {
                 serving.merge(&round.readings);
             }
@@ -697,9 +750,10 @@ fn traced(
 /// the loop wraps.
 fn loop_span(w: Workload) -> &'static str {
     match w {
-        Workload::LeaseSmallMux | Workload::MontecarloOblivious => "client.lease",
+        Workload::LeaseSmallMux => "client.lease",
         Workload::IssueBulkInproc => "service.lease",
         Workload::LeaseDurableFleet => "fleet.router_lease",
+        Workload::MontecarloOblivious => unreachable!("montecarlo_oblivious has no lease loop"),
     }
 }
 
@@ -728,9 +782,51 @@ fn obs_overhead(
             None,
         )?;
         let _ = std::fs::remove_dir_all(&dir);
-        if trace_on { &mut on } else { &mut off }.extend_from_slice(&round.sample.lat_ns);
+        if trace_on { &mut on } else { &mut off }.extend(drive::latencies(&round.sample.intervals));
     }
     let on = percentile(&mut on, 0.5).ok_or("no traced-service leases")?;
     let off = percentile(&mut off, 0.5).ok_or("no untraced-service leases")?;
     Ok(off / on)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tally(slowdowns: &[f64]) -> Tally {
+        Tally {
+            slices: slowdowns
+                .iter()
+                .map(|&slowdown| Slice {
+                    slowdown,
+                    ..Slice::default()
+                })
+                .collect(),
+            ..Tally::default()
+        }
+    }
+
+    fn kept(t: &Tally) -> Vec<f64> {
+        t.quietest().iter().map(|s| s.slowdown).collect()
+    }
+
+    #[test]
+    fn the_least_slowed_third_is_kept() {
+        let t = tally(&(1..=30).rev().map(f64::from).collect::<Vec<_>>());
+        assert_eq!(kept(&t), (1..=10).rev().map(f64::from).collect::<Vec<_>>());
+        // Few slices: at least MIN_KEPT of them.
+        let t = tally(&(1..=12).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(kept(&t).len(), MIN_KEPT);
+    }
+
+    #[test]
+    fn a_host_that_never_slows_keeps_every_slice() {
+        assert_eq!(kept(&tally(&[5.0; 30])).len(), 30);
+    }
+
+    #[test]
+    fn steal_counts_against_a_quick_calibration() {
+        assert!(slowdown(2, 0.9) > slowdown(10, 0.0));
+        assert_eq!(slowdown(10, 0.0), 10.0);
+    }
 }

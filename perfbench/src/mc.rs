@@ -9,7 +9,7 @@ use uuidp_core::traits::Algorithm;
 use uuidp_sim::montecarlo::{estimate_oblivious, TrialConfig};
 use uuidp_sim::stats::Estimate;
 
-use crate::drive::count_interval;
+use crate::drive::{count_interval, read_host, Interval, INTERVAL_NS};
 use crate::host;
 use crate::spans::Tracer;
 use crate::workload::{Workload, MC_DEMAND, MC_INSTANCES};
@@ -44,8 +44,11 @@ pub fn batch_seed(seed: u64, k: u64) -> u64 {
 /// One time window's batches.
 #[derive(Debug, Default)]
 pub struct Window {
-    /// Wall time per trial of each batch, in ns.
-    pub per_trial_ns: Vec<u64>,
+    /// The window's `INTERVAL_NS` intervals; an op is a trial, and each
+    /// batch adds its wall time per trial as one latency.
+    pub intervals: Vec<Interval>,
+    /// Leading intervals that are whole.
+    pub whole: usize,
     /// Trials run and collisions seen.
     pub trials: u64,
     pub successes: u64,
@@ -57,15 +60,11 @@ pub struct Window {
     pub cpu_ns: u64,
     /// Share of the machine's CPU time the hypervisor stole meanwhile.
     pub steal: f64,
-    /// Trials completed and IDs simulated in each `drive::BUCKET_NS`
-    /// interval from the window's start.
-    pub buckets: Vec<(u64, u128)>,
 }
 
 impl Window {
-    /// Pools `other` into this window's counts and latencies.
+    /// Pools `other`'s counts into this window's (not its intervals).
     pub fn absorb(&mut self, other: Window) {
-        self.per_trial_ns.extend(other.per_trial_ns);
         self.trials += other.trials;
         self.successes += other.successes;
         self.exhausted += other.exhausted;
@@ -90,18 +89,24 @@ pub fn window(
     let cpu0 = host::cpu_ns();
     let steal0 = host::steal_jiffies();
     let t0 = clock::monotonic_ns();
+    let sampler = host::Sampler::start(t0, INTERVAL_NS);
     while clock::monotonic_ns() - t0 < window_ns {
         let mut config = TrialConfig::new(BATCH_TRIALS, batch_seed(seed, *next_batch));
         config.threads = threads;
         let a = clock::monotonic_ns();
         let (est, diag) = estimate_oblivious(algorithm, profile, config);
         let b = clock::monotonic_ns();
-        out.per_trial_ns.push((b - a) / BATCH_TRIALS);
         out.trials += est.trials;
         out.successes += est.successes;
         out.exhausted += diag.exhausted_trials;
         let ids = est.trials as u128 * profile.l1();
-        count_interval(&mut out.buckets, b - t0, est.trials, ids);
+        count_interval(
+            &mut out.intervals,
+            b - t0,
+            (b - a) / BATCH_TRIALS,
+            est.trials,
+            ids,
+        );
         if *next_batch == 0 {
             out.batch0 = Some(est.successes);
         }
@@ -110,6 +115,7 @@ pub fn window(
         }
         *next_batch += 1;
     }
+    out.whole = read_host(&mut out.intervals, &sampler.finish());
     out.window_ns = clock::monotonic_ns() - t0;
     out.cpu_ns = host::cpu_ns().saturating_sub(cpu0);
     out.steal = host::steal_share(steal0);

@@ -6,6 +6,7 @@
 //! recorder adds no shared state to the measured path. The spans stay in
 //! memory until the run ends and are then written out as TSV.
 
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,9 +14,11 @@ use std::sync::Mutex;
 
 use uuidp_core::clock;
 
-/// Spans kept per run; later spans are counted but dropped, so a long
-/// traced run cannot grow without bound.
-const MAX_SPANS: usize = 200_000;
+/// Spans kept per name; later ones are counted but dropped, so a long
+/// traced run cannot grow without bound. The cap is per name, so one
+/// layer's spans never crowd out another's, and a run that drops any
+/// span fails rather than report a truncated sample.
+const MAX_SPANS_PER_NAME: usize = 1 << 20;
 
 /// One timed call.
 #[derive(Debug, Clone, Copy)]
@@ -45,8 +48,15 @@ impl Span {
 #[derive(Debug, Default)]
 pub struct Tracer {
     next_id: AtomicU64,
-    spans: Mutex<Vec<Span>>,
+    spans: Mutex<Store>,
     dropped: AtomicU64,
+}
+
+/// The kept spans and how many each name has.
+#[derive(Debug, Default)]
+struct Store {
+    spans: Vec<Span>,
+    per_name: HashMap<&'static str, usize>,
 }
 
 impl Tracer {
@@ -88,25 +98,35 @@ impl Tracer {
         }
     }
 
-    /// Appends `spans`, keeping at most `MAX_SPANS` in all. Never
-    /// panics: it also runs from `LocalSpans::drop`.
-    fn absorb(&self, mut spans: Vec<Span>) {
-        let Ok(mut all) = self.spans.lock() else {
+    /// Appends `spans`, keeping at most `MAX_SPANS_PER_NAME` of each
+    /// name. Never panics: it also runs from `LocalSpans::drop`.
+    fn absorb(&self, spans: Vec<Span>) {
+        self.absorb_capped(spans, MAX_SPANS_PER_NAME);
+    }
+
+    fn absorb_capped(&self, spans: Vec<Span>, cap: usize) {
+        let Ok(mut store) = self.spans.lock() else {
             return;
         };
-        let room = MAX_SPANS.saturating_sub(all.len());
-        if spans.len() > room {
-            self.dropped
-                .fetch_add((spans.len() - room) as u64, Ordering::Relaxed);
-            spans.truncate(room);
+        let mut dropped = 0;
+        for span in spans {
+            let n = store.per_name.entry(span.name).or_insert(0);
+            if *n < cap {
+                *n += 1;
+                store.spans.push(span);
+            } else {
+                dropped += 1;
+            }
         }
-        all.extend(spans);
+        self.dropped.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// Durations of every kept span named `name`, in nanoseconds.
     pub fn durations(&self, name: &str) -> Vec<u64> {
-        let all = self.spans.lock().expect("span store lock");
-        all.iter()
+        let store = self.spans.lock().expect("span store lock");
+        store
+            .spans
+            .iter()
             .filter(|s| s.name == name)
             .map(Span::ns)
             .collect()
@@ -114,13 +134,13 @@ impl Tracer {
 
     /// Spans kept and spans dropped.
     pub fn counts(&self) -> (usize, u64) {
-        let kept = self.spans.lock().expect("span store lock").len();
+        let kept = self.spans.lock().expect("span store lock").spans.len();
         (kept, self.dropped.load(Ordering::Relaxed))
     }
 
     /// Writes every kept span as TSV under a `#`-prefixed header line.
     pub fn write_tsv(&self, path: &Path, header: &str) -> io::Result<()> {
-        let all = self.spans.lock().expect("span store lock").clone();
+        let all = self.spans.lock().expect("span store lock").spans.clone();
         let mut out = io::BufWriter::new(std::fs::File::create(path)?);
         writeln!(out, "# {header}")?;
         writeln!(out, "id\tparent\tname\treq\tstart_ns\tend_ns")?;
@@ -178,5 +198,23 @@ mod tests {
         t.close(root);
         assert_eq!(t.durations("layer.call"), vec![15, 1]);
         assert_eq!(t.counts(), (3, 0));
+    }
+
+    #[test]
+    fn the_cap_is_per_name() {
+        let t = Tracer::new();
+        let span = |name| Span {
+            id: t.id(),
+            parent: 0,
+            name,
+            req: 0,
+            start_ns: 0,
+            end_ns: 1,
+        };
+        t.absorb_capped((0..5).map(|_| span("busy")).collect(), 3);
+        t.absorb_capped(vec![span("late")], 3);
+        assert_eq!(t.durations("busy").len(), 3);
+        assert_eq!(t.durations("late").len(), 1);
+        assert_eq!(t.counts(), (4, 2));
     }
 }
