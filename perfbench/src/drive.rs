@@ -88,7 +88,7 @@ pub enum Stop {
 pub const INTERVAL_NS: u64 = 100_000_000;
 
 /// One `INTERVAL_NS` interval of a window: the ops that ended in it, and
-/// what the host did meanwhile.
+/// the process's CPU time meanwhile.
 #[derive(Debug, Default, Clone)]
 pub struct Interval {
     /// Latencies of the ops that ended in the interval; failures as
@@ -97,9 +97,7 @@ pub struct Interval {
     /// Ops completed in full, and the IDs they moved.
     pub ops: u64,
     pub ids: u128,
-    /// Share of the machine's CPU time the hypervisor stole, and the
-    /// process's CPU time (read for whole intervals only).
-    pub steal: f64,
+    /// Process CPU time (read for whole intervals only).
     pub cpu_ns: u64,
 }
 
@@ -133,12 +131,11 @@ pub fn latencies(intervals: &[Interval]) -> Vec<u64> {
 
 /// Stores a [`host::Sampler`]'s readings in the intervals they cover
 /// and returns how many intervals are whole (the ones read).
-pub fn read_host(intervals: &mut Vec<Interval>, readings: &[(f64, u64)]) -> usize {
+pub fn read_host(intervals: &mut Vec<Interval>, readings: &[u64]) -> usize {
     if intervals.len() < readings.len() {
         intervals.resize_with(readings.len(), Interval::default);
     }
-    for (i, &(steal, cpu_ns)) in intervals.iter_mut().zip(readings) {
-        i.steal = steal;
+    for (i, &cpu_ns) in intervals.iter_mut().zip(readings) {
         i.cpu_ns = cpu_ns;
     }
     readings.len()
@@ -165,8 +162,6 @@ pub struct Sample {
     pub window_ns: u64,
     /// Process CPU time spent during the window.
     pub cpu_ns: u64,
-    /// Share of the machine's CPU time the hypervisor stole meanwhile.
-    pub steal: f64,
     /// The first lease whose grant contradicted the request or its arcs.
     pub violation: Option<String>,
     /// The first lease error, for diagnostics.
@@ -206,7 +201,6 @@ pub fn drive(
     };
     let (seq, cursor) = (feed.seq, &feed.cursor);
     let cpu0 = host::cpu_ns();
-    let steal0 = host::steal_jiffies();
     let sampler = host::Sampler::start(t0, INTERVAL_NS);
     let parts: Vec<std::thread::Result<Sample>> = std::thread::scope(|scope| {
         let handles: Vec<_> = callers
@@ -265,7 +259,6 @@ pub fn drive(
     sample.whole = read_host(&mut sample.intervals, &readings);
     sample.window_ns = clock::monotonic_ns() - t0;
     sample.cpu_ns = host::cpu_ns().saturating_sub(cpu0);
-    sample.steal = host::steal_share(steal0);
     Ok(sample)
 }
 

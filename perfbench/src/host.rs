@@ -1,70 +1,50 @@
-//! Process readings (CPU time, peak RSS), host readings (steal, speed)
-//! and the provenance block every result carries.
+//! Process readings (CPU time, peak RSS), the host's pace against the
+//! reference host, and the provenance block every result carries.
 
 use std::fs;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use uuidp_core::clock;
 
-/// Kernel clock ticks per second behind `/proc/self/stat` CPU times
-/// (`USER_HZ`, 100 on every mainstream Linux build).
-const USER_HZ: u64 = 100;
+use crate::stats::median_u64;
+
+/// `CLOCK_PROCESS_CPUTIME_ID` on Linux.
+const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+}
 
 /// User + system CPU time of the whole process so far, in nanoseconds
-/// (exited threads included). 0 where `/proc` is unavailable.
+/// (exited threads included), to the nanosecond rather than in
+/// scheduler ticks. 0 where the clock is unavailable.
 pub fn cpu_ns() -> u64 {
-    let Ok(stat) = fs::read_to_string("/proc/self/stat") else {
-        return 0;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
     };
-    // Fields after the parenthesised command name; utime and stime are
-    // fields 14 and 15 of the whole line, 12 and 13 after the name.
-    let Some((_, rest)) = stat.rsplit_once(')') else {
+    // SAFETY: `ts` is a valid, writable `struct timespec` for the call.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
         return 0;
-    };
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let tick = |i: usize| fields.get(i).and_then(|f| f.parse::<u64>().ok());
-    match (tick(11), tick(12)) {
-        (Some(user), Some(sys)) => (user + sys) * (1_000_000_000 / USER_HZ),
-        _ => 0,
     }
+    ts.tv_sec as u64 * 1_000_000_000 + ts.tv_nsec as u64
 }
 
-/// Jiffies of the machine's CPUs in all states, and of those the
-/// hypervisor stole, from `/proc/stat`'s aggregate line.
-pub fn steal_jiffies() -> (u64, u64) {
-    let Ok(stat) = fs::read_to_string("/proc/stat") else {
-        return (0, 0);
-    };
-    let Some(line) = stat.lines().next() else {
-        return (0, 0);
-    };
-    let v: Vec<u64> = line
-        .split_whitespace()
-        .skip(1)
-        .filter_map(|f| f.parse().ok())
-        .collect();
-    (v.iter().sum(), v.get(7).copied().unwrap_or(0))
-}
-
-/// The share of all CPU time since `since` (a [`steal_jiffies`]
-/// reading) that the hypervisor stole.
-pub fn steal_share(since: (u64, u64)) -> f64 {
-    share(since, steal_jiffies())
-}
-
-fn share(since: (u64, u64), now: (u64, u64)) -> f64 {
-    now.1.saturating_sub(since.1) as f64 / now.0.saturating_sub(since.0).max(1) as f64
-}
-
-/// A thread that reads the steal share and the process's CPU time over
-/// each fixed interval of a window, at the interval boundaries. It sleeps
-/// in between, so it takes next to nothing from the window.
+/// A thread that reads the process's CPU time over each fixed interval
+/// of a window, at the interval boundaries. It sleeps in between, so it
+/// takes next to nothing from the window.
 pub struct Sampler {
     stop: Arc<AtomicBool>,
-    thread: JoinHandle<Vec<(f64, u64)>>,
+    thread: JoinHandle<Vec<u64>>,
 }
 
 impl Sampler {
@@ -75,7 +55,7 @@ impl Sampler {
         let stopped = Arc::clone(&stop);
         let thread = thread::spawn(move || {
             let mut readings = Vec::new();
-            let (mut steal, mut cpu) = (steal_jiffies(), cpu_ns());
+            let mut cpu = cpu_ns();
             loop {
                 let boundary = t0_ns + (readings.len() as u64 + 1) * interval_ns;
                 loop {
@@ -89,30 +69,34 @@ impl Sampler {
                     }
                     thread::park_timeout(Duration::from_nanos(boundary - now));
                 }
-                let (s, c) = (steal_jiffies(), cpu_ns());
-                readings.push((share(steal, s), c.saturating_sub(cpu)));
-                (steal, cpu) = (s, c);
+                let c = cpu_ns();
+                readings.push(c.saturating_sub(cpu));
+                cpu = c;
             }
         });
         Sampler { stop, thread }
     }
 
-    /// Stops the thread and returns its readings: the steal share and
-    /// process CPU ns of each whole interval, in order.
-    pub fn finish(self) -> Vec<(f64, u64)> {
+    /// Stops the thread and returns its readings: the process CPU ns of
+    /// each whole interval, in order.
+    pub fn finish(self) -> Vec<u64> {
         self.stop.store(true, Ordering::Release);
         self.thread.thread().unpark();
         self.thread.join().unwrap_or_default()
     }
 }
 
-/// Arithmetic steps and dependent loads of one calibration pass (about
-/// half a millisecond on the reference host), and passes per thread.
-const CALIBRATION_STEPS: u64 = 1 << 16;
-const CALIBRATION_LOADS: usize = 1 << 12;
-const CALIBRATION_PASSES: usize = 7;
+/// Arithmetic steps and dependent loads of one reference pass, and the
+/// passes of one reading.
+const REFERENCE_STEPS: u64 = 1 << 13;
+const REFERENCE_LOADS: usize = 1 << 10;
+const REFERENCE_PASSES: usize = 8;
 
-/// Entries of the calibration's pointer-chase table (4 MiB: past a
+/// A [`reference_ns`] reading on the reference host (a shared 2-vCPU VM,
+/// see `README.md`), in ns: the unit [`pace`] reads the host against.
+pub const REFERENCE_NS: f64 = 137_000.0;
+
+/// Entries of the reference pass's pointer-chase table (4 MiB: past a
 /// core's private caches, so a neighbour crowding the shared cache or the
 /// memory bus shows).
 const CHASE_ENTRIES: usize = 1 << 20;
@@ -133,51 +117,47 @@ fn chase_table() -> &'static [u32] {
     })
 }
 
-/// How fast the host runs a fixed piece of work, in ns per pass: on
-/// every CPU at once, the slowest thread's fastest pass. A pass is
-/// arithmetic (four independent xorshift streams, which keep the ALUs
-/// busy) and then a chain of dependent loads over a 4 MiB table.
-/// Whatever slows the host for longer than a pass without showing up as
-/// steal (a busy hyperthread sibling, a neighbour crowding the shared
-/// cache, a throttled clock) slows every pass; a pass that lost a time
-/// slice is discarded as the slowest.
-pub fn calibrate_ns() -> u64 {
+/// Where the next reference pass picks up the chase: every pass walks on
+/// from where the last one stopped, so it loads lines no recent pass
+/// touched, and a reading does not depend on what the workload left in
+/// the caches.
+static CHASE_AT: AtomicUsize = AtomicUsize::new(0);
+
+/// How fast the host runs a fixed piece of the benchmark's own code right
+/// now, in ns: the fastest of a few passes on the calling thread, each
+/// arithmetic (four independent xorshift streams) and then a chain of
+/// dependent loads that miss the caches. A slowdown that lasts longer than
+/// a pass (a busy hyperthread sibling, a neighbour crowding the shared
+/// cache or the memory bus, a throttled clock) slows every pass; a pass
+/// that lost a time slice is discarded as the slowest.
+pub fn reference_ns() -> u64 {
     let table = chase_table();
-    let pass = |start: usize| {
+    let pass = || {
         let t0 = clock::monotonic_ns();
         let mut x = [1u64, 2, 3, 4].map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        for _ in 0..CALIBRATION_STEPS {
+        for _ in 0..REFERENCE_STEPS {
             for v in x.iter_mut() {
                 *v ^= *v << 13;
                 *v ^= *v >> 7;
                 *v ^= *v << 17;
             }
         }
-        let mut at = start;
-        for _ in 0..CALIBRATION_LOADS {
+        let mut at = CHASE_AT.load(Ordering::Relaxed);
+        for _ in 0..REFERENCE_LOADS {
             at = table[at] as usize;
         }
-        std::hint::black_box((x, at));
+        CHASE_AT.store(at, Ordering::Relaxed);
+        std::hint::black_box(x);
         clock::monotonic_ns() - t0
     };
-    std::thread::scope(|scope| {
-        let threads: Vec<_> = (0..nproc())
-            .map(|t| {
-                scope.spawn(move || {
-                    (0..CALIBRATION_PASSES)
-                        .map(|p| {
-                            pass((t * CALIBRATION_PASSES + p) * CALIBRATION_LOADS % CHASE_ENTRIES)
-                        })
-                        .min()
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|t| t.join().ok().flatten().unwrap_or(u64::MAX))
-            .max()
-            .unwrap_or(0)
-    })
+    (0..REFERENCE_PASSES).map(|_| pass()).min().unwrap_or(0)
+}
+
+/// How much slower than the reference host this host ran over a run:
+/// the median of the run's [`reference_ns`] readings over
+/// [`REFERENCE_NS`]; 1 without readings.
+pub fn pace(readings: &[u64]) -> f64 {
+    median_u64(readings).map_or(1.0, |ns| ns / REFERENCE_NS)
 }
 
 /// Peak resident set size of the process (`VmHWM`), in MiB.
@@ -258,9 +238,20 @@ mod tests {
         for i in 0..50_000_000u64 {
             x = std::hint::black_box(x.wrapping_add(i));
         }
-        assert!(cpu_ns() >= before);
+        assert!(
+            cpu_ns() - before >= 1_000_000,
+            "50M additions take over 1 ms of CPU"
+        );
         assert!(peak_rss_mb() > 0.0);
-        assert!(calibrate_ns() > 0);
+        assert!(reference_ns() > 0);
+    }
+
+    #[test]
+    fn pace_is_one_at_the_reference_speed() {
+        let r = REFERENCE_NS as u64;
+        assert_eq!(pace(&[r, 5 * r, r]), 1.0);
+        assert_eq!(pace(&[2 * r]), 2.0);
+        assert_eq!(pace(&[]), 1.0);
     }
 
     #[test]

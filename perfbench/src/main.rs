@@ -33,7 +33,7 @@ use drive::{Feed, Interval, Readings, Round, Sample, Stop, Trace, INTERVAL_NS};
 use layers::Budget;
 use metrics::{Metrics, END_TO_END, PER_LAYER};
 use spans::Tracer;
-use stats::{median, median_u64, percentile};
+use stats::{median_u64, percentile, quantile};
 use workload::Workload;
 
 const USAGE: &str =
@@ -45,9 +45,9 @@ const WATCHDOG: Duration = Duration::from_secs(170);
 /// Measured windows of the time-boxed workloads.
 const ROUNDS: u64 = 24;
 
-/// The fewest slices the end-to-end metrics are taken over (see
-/// [`Tally::quietest`]).
-const MIN_KEPT: usize = 8;
+/// Where in the run's slices each end-to-end metric is read, from the
+/// best end (see [`best`]).
+const BEST_SHARE: f64 = 0.1;
 
 /// Set-ups timed before each window: on the lease workloads the window's
 /// own and the rest on targets torn down again unused, on
@@ -62,8 +62,9 @@ const MIN_WINDOW_NS: u64 = 100_000_000;
 const WARM_NS: u64 = 100_000_000;
 
 /// Leases per `issue_bulk_inproc` round: the fixed work whose clock
-/// stops when the audit has caught up.
-const BULK_LEASES: usize = 1024;
+/// stops when the audit has caught up. Rounds this short (about 0.1 s)
+/// give a run a couple of hundred of them to read metrics over.
+const BULK_LEASES: usize = 256;
 
 /// Requests leased directly on each side of a traced fleet window.
 const DIRECT_HALF: usize = 512;
@@ -222,9 +223,6 @@ fn net_backend() -> Result<String, String> {
 /// of lease completions sees).
 #[derive(Default)]
 struct Slice {
-    /// How much slower than usual the host ran the slice; see
-    /// [`slowdown`].
-    slowdown: f64,
     ns: u64,
     /// Ops completed in full, and the IDs they moved.
     ops: u64,
@@ -234,11 +232,19 @@ struct Slice {
     lat_ns: Vec<u64>,
 }
 
-/// How much slower than usual the host ran a slice: the calibration of
-/// its window ([`host::calibrate_ns`], taken between windows), stretched
-/// by the share of the slice itself the hypervisor stole.
-fn slowdown(calib_ns: u64, steal: f64) -> f64 {
-    calib_ns as f64 / (1.0 - steal).max(0.1)
+/// The value the best `BEST_SHARE` of a run's slices reach: that
+/// quantile of `values` when lower is better, the `1 − BEST_SHARE`
+/// quantile when higher is. Whatever else runs on a shared host (steal, a
+/// busy hyperthread sibling, a crowded cache) only ever slows a slice, so
+/// the best slices are the ones that measure the program, and a run
+/// needs only a tenth of its slices to be undisturbed to read true.
+fn best(values: Vec<f64>, lower_is_better: bool) -> Option<f64> {
+    let q = if lower_is_better {
+        BEST_SHARE
+    } else {
+        1.0 - BEST_SHARE
+    };
+    quantile(values, q)
 }
 
 /// The end-to-end account of an untraced run.
@@ -247,6 +253,9 @@ struct Tally {
     slices: Vec<Slice>,
     /// Every set-up the run timed.
     setup_ns: Vec<u64>,
+    /// [`host::reference_ns`] readings, one before the first window and
+    /// one after each.
+    references: Vec<u64>,
     /// Ops attempted and failed, over every window.
     attempted: u64,
     failed: u64,
@@ -254,21 +263,16 @@ struct Tally {
 
 impl Tally {
     /// Counts a window's ops and logs it.
-    fn window(&mut self, attempted: u64, failed: u64, ns: u64, steal: f64, calib_ns: u64) {
-        eprintln!(
-            "window: {attempted} ops in {:.3} s, steal {steal:.4}, calibration {:.3} ms",
-            ns as f64 / 1e9,
-            calib_ns as f64 / 1e6
-        );
+    fn window(&mut self, attempted: u64, failed: u64, ns: u64) {
+        eprintln!("window: {attempted} ops in {:.3} s", ns as f64 / 1e9);
         self.attempted += attempted;
         self.failed += failed;
     }
 
     /// Adds a time-boxed window's whole intervals, each as a slice.
-    fn intervals(&mut self, intervals: Vec<Interval>, whole: usize, calib_ns: u64) {
+    fn intervals(&mut self, intervals: Vec<Interval>, whole: usize) {
         for i in intervals.into_iter().take(whole) {
             self.slices.push(Slice {
-                slowdown: slowdown(calib_ns, i.steal),
                 ns: INTERVAL_NS,
                 ops: i.ops,
                 ids: i.ids,
@@ -280,13 +284,12 @@ impl Tally {
 
     /// Adds a lease round: by its window's intervals, or on
     /// `issue_bulk_inproc` as one slice.
-    fn round(&mut self, w: Workload, round: Round, calib_ns: u64) {
+    fn round(&mut self, w: Workload, round: Round) {
         let s = round.sample;
         self.setup_ns.push(round.setup_ns);
-        self.window(s.attempted, s.failed, s.window_ns, s.steal, calib_ns);
+        self.window(s.attempted, s.failed, s.window_ns);
         if w == Workload::IssueBulkInproc {
             self.slices.push(Slice {
-                slowdown: slowdown(calib_ns, s.steal),
                 ns: s.window_ns,
                 ops: s.attempted - s.failed,
                 ids: s.ids,
@@ -294,52 +297,39 @@ impl Tally {
                 lat_ns: drive::latencies(&s.intervals),
             });
         } else {
-            self.intervals(s.intervals, s.whole, calib_ns);
+            self.intervals(s.intervals, s.whole);
         }
     }
 
-    /// The slices the metrics are taken over: every slice slowed no more
-    /// than the least-slowed third (at least `MIN_KEPT`). On a shared host
-    /// the host's speed, not the program, drives most slice-to-slice
-    /// variation; ranking by it keeps the figures about the program. Ties
-    /// are all kept, so a host that never slows keeps every slice.
-    fn quietest(&self) -> Vec<&Slice> {
-        let n = self.slices.len();
-        let keep = (n / 3).max(MIN_KEPT).min(n);
-        let mut slowdowns: Vec<f64> = self.slices.iter().map(|s| s.slowdown).collect();
-        slowdowns.sort_by(f64::total_cmp);
-        let Some(&cut) = slowdowns.get(keep.saturating_sub(1)) else {
-            return Vec::new();
-        };
-        self.slices.iter().filter(|s| s.slowdown <= cut).collect()
-    }
-
-    /// Each metric but `setup_s` and `completed_frac` is taken over the
-    /// [`Tally::quietest`] slices: percentiles and rates as the median of
-    /// the slices', CPU per op as their CPU over their ops. `setup_s` is
-    /// the median of every set-up, and failures count from every window.
+    /// Each metric but `setup_s`, `completed_frac` and `peak_rss_mb` is
+    /// read per slice, reported as the [`best`] tenth of slices reach it,
+    /// and brought to the reference host's speed: times divided by the
+    /// run's [`host::pace`], rates multiplied by it. `setup_s` is the
+    /// median of every set-up, and failures count from every window.
     fn metrics(self) -> Result<Metrics, String> {
         let (attempted, failed) = (self.attempted, self.failed);
-        let kept = self.quietest();
-        eprintln!("kept {} of {} slices", kept.len(), self.slices.len());
+        let pace = host::pace(&self.references);
+        eprintln!("{} slices; host pace {pace:.4}", self.slices.len());
         let none = || "the run measured nothing".to_string();
-        let per = |f: &dyn Fn(&Slice) -> Option<f64>| {
-            median(&kept.iter().filter_map(|s| f(s)).collect::<Vec<_>>()).ok_or_else(none)
+        let per = |f: &dyn Fn(&Slice) -> Option<f64>, lower_is_better: bool| {
+            best(self.slices.iter().filter_map(f).collect(), lower_is_better).ok_or_else(none)
         };
-        let pct = |s: &Slice, q: f64| percentile(&mut s.lat_ns.clone(), q);
-        let secs = |s: &Slice| s.ns.max(1) as f64 / 1e9;
+        let pct = |s: &Slice, q: f64| percentile(&mut s.lat_ns.clone(), q).map(|ns| ns / pace);
+        let secs = |s: &Slice| s.ns.max(1) as f64 / 1e9 / pace;
         let mut m = Metrics::default();
         m.set(
             "setup_s",
             median_u64(&self.setup_ns).ok_or_else(none)? / 1e9,
         );
-        m.set("op_p50_us", per(&|s| pct(s, 0.5))? / 1e3);
-        m.set("op_p90_us", per(&|s| pct(s, 0.9))? / 1e3);
-        m.set("ops_per_s", per(&|s| Some(s.ops as f64 / secs(s)))?);
-        m.set("ids_per_s", per(&|s| Some(s.ids as f64 / secs(s)))?);
-        let cpu_ns: u64 = kept.iter().map(|s| s.cpu_ns).sum();
-        let ops: u64 = kept.iter().map(|s| s.ops).sum();
-        m.set("cpu_us_per_op", cpu_ns as f64 / 1e3 / ops.max(1) as f64);
+        m.set("op_p50_us", per(&|s| pct(s, 0.5), true)? / 1e3);
+        m.set("op_p90_us", per(&|s| pct(s, 0.9), true)? / 1e3);
+        m.set("ops_per_s", per(&|s| Some(s.ops as f64 / secs(s)), false)?);
+        m.set("ids_per_s", per(&|s| Some(s.ids as f64 / secs(s)), false)?);
+        // A slice that completed nothing spent its CPU on no op: +∞.
+        m.set(
+            "cpu_us_per_op",
+            per(&|s| Some(s.cpu_ns as f64 / 1e3 / s.ops as f64 / pace), true)?,
+        );
         m.set(
             "completed_frac",
             (attempted - failed) as f64 / attempted.max(1) as f64,
@@ -399,7 +389,7 @@ fn lease_stop(w: Workload, window_ns: u64) -> Stop {
 
 fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally, String> {
     let mut tally = Tally::default();
-    let mut calib = host::calibrate_ns();
+    tally.references.push(host::reference_ns());
     if w == Workload::MontecarloOblivious {
         let (algorithm, profile, _) = mc::setup();
         let mut next = 0u64;
@@ -413,19 +403,12 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
                 &profile,
                 seed,
                 &mut next,
-                host::nproc(),
                 budget_ns * 9 / 10 / ROUNDS,
                 None,
             );
-            let calib_ns = calibrated(&mut calib);
-            tally.window(
-                win.trials,
-                win.exhausted,
-                win.window_ns,
-                win.steal,
-                calib_ns,
-            );
-            tally.intervals(std::mem::take(&mut win.intervals), win.whole, calib_ns);
+            tally.references.push(host::reference_ns());
+            tally.window(win.trials, win.exhausted, win.window_ns);
+            tally.intervals(std::mem::take(&mut win.intervals), win.whole);
             pooled.absorb(win);
         }
         mc::check(algorithm.as_ref(), &profile, seed, &pooled)?;
@@ -456,7 +439,8 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
             None,
         )?;
         report_errors(&round.sample);
-        tally.round(w, round, calibrated(&mut calib));
+        tally.references.push(host::reference_ns());
+        tally.round(w, round);
         r += 1;
         let done = match w {
             Workload::IssueBulkInproc => {
@@ -468,16 +452,6 @@ fn untraced(w: Workload, seed: u64, budget_ns: u64, work: &Path) -> Result<Tally
             return Ok(tally);
         }
     }
-}
-
-/// The calibration of the window that just ended: the mean of the
-/// reading taken before it (`*last`) and a fresh one, which becomes
-/// `*last` for the next window.
-fn calibrated(last: &mut u64) -> u64 {
-    let after = host::calibrate_ns();
-    let mean = (*last + after) / 2;
-    *last = after;
-    mean
 }
 
 fn report_errors(sample: &Sample) {
@@ -534,7 +508,6 @@ fn traced(
                 &profile,
                 seed,
                 &mut next,
-                host::nproc(),
                 window_ns,
                 on.then_some((tracer, root.id)),
             );
@@ -793,40 +766,29 @@ fn obs_overhead(
 mod tests {
     use super::*;
 
-    fn tally(slowdowns: &[f64]) -> Tally {
-        Tally {
-            slices: slowdowns
-                .iter()
-                .map(|&slowdown| Slice {
-                    slowdown,
-                    ..Slice::default()
-                })
-                .collect(),
-            ..Tally::default()
-        }
-    }
-
-    fn kept(t: &Tally) -> Vec<f64> {
-        t.quietest().iter().map(|s| s.slowdown).collect()
+    #[test]
+    fn the_best_tenth_reads_from_the_right_end() {
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(best(v.clone(), true), Some(10.0));
+        assert_eq!(best(v, false), Some(90.0));
+        assert_eq!(best(Vec::new(), true), None);
     }
 
     #[test]
-    fn the_least_slowed_third_is_kept() {
-        let t = tally(&(1..=30).rev().map(f64::from).collect::<Vec<_>>());
-        assert_eq!(kept(&t), (1..=10).rev().map(f64::from).collect::<Vec<_>>());
-        // Few slices: at least MIN_KEPT of them.
-        let t = tally(&(1..=12).map(f64::from).collect::<Vec<_>>());
-        assert_eq!(kept(&t).len(), MIN_KEPT);
+    fn slowed_slices_do_not_move_the_reading() {
+        // A fifth of the slices undisturbed at 10, the rest slowed by up
+        // to 4x: latency and rate still read the undisturbed value.
+        let mut lat: Vec<f64> = vec![10.0; 20];
+        lat.extend((0..80).map(|i| 11.0 + f64::from(i) * 0.4));
+        assert_eq!(best(lat.clone(), true), Some(10.0));
+        let rate: Vec<f64> = lat.iter().map(|l| 1.0 / l).collect();
+        assert_eq!(best(rate, false), Some(0.1));
     }
 
     #[test]
-    fn a_host_that_never_slows_keeps_every_slice() {
-        assert_eq!(kept(&tally(&[5.0; 30])).len(), 30);
-    }
-
-    #[test]
-    fn steal_counts_against_a_quick_calibration() {
-        assert!(slowdown(2, 0.9) > slowdown(10, 0.0));
-        assert_eq!(slowdown(10, 0.0), 10.0);
+    fn slices_that_completed_nothing_rank_last() {
+        let mut cpu_per_op = vec![f64::INFINITY; 50];
+        cpu_per_op.extend([3.0; 50]);
+        assert_eq!(best(cpu_per_op, true), Some(3.0));
     }
 }

@@ -17,6 +17,14 @@ use crate::workload::{Workload, MC_DEMAND, MC_INSTANCES};
 /// Trials per `estimate_oblivious` call: the unit a caller waits on.
 pub const BATCH_TRIALS: u64 = 64;
 
+/// Worker threads of the measured `estimate_oblivious` calls. One: a
+/// batch on every CPU waits for its slowest thread, so anything else on
+/// any CPU (another thread of the process, a busy hyperthread sibling)
+/// stalls the whole batch, while one thread leaves a CPU for the rest.
+/// Scaling over `nproc` threads is measured per layer
+/// (`sim.thread_scaling`).
+const THREADS: usize = 1;
+
 /// The workload's demand profile.
 pub fn profile() -> DemandProfile {
     DemandProfile::uniform(MC_INSTANCES, MC_DEMAND)
@@ -58,8 +66,6 @@ pub struct Window {
     pub batch0: Option<u64>,
     pub window_ns: u64,
     pub cpu_ns: u64,
-    /// Share of the machine's CPU time the hypervisor stole meanwhile.
-    pub steal: f64,
 }
 
 impl Window {
@@ -74,25 +80,23 @@ impl Window {
     }
 }
 
-/// Runs batches `next_batch..` on `threads` threads for `window_ns`.
+/// Runs batches `next_batch..` on [`THREADS`] threads for `window_ns`.
 pub fn window(
     algorithm: &dyn Algorithm,
     profile: &DemandProfile,
     seed: u64,
     next_batch: &mut u64,
-    threads: usize,
     window_ns: u64,
     tracer: Option<(&Tracer, u64)>,
 ) -> Window {
     let mut out = Window::default();
     let mut spans = tracer.map(|(t, parent)| t.local(parent));
     let cpu0 = host::cpu_ns();
-    let steal0 = host::steal_jiffies();
     let t0 = clock::monotonic_ns();
     let sampler = host::Sampler::start(t0, INTERVAL_NS);
     while clock::monotonic_ns() - t0 < window_ns {
         let mut config = TrialConfig::new(BATCH_TRIALS, batch_seed(seed, *next_batch));
-        config.threads = threads;
+        config.threads = THREADS;
         let a = clock::monotonic_ns();
         let (est, diag) = estimate_oblivious(algorithm, profile, config);
         let b = clock::monotonic_ns();
@@ -118,14 +122,13 @@ pub fn window(
     out.whole = read_host(&mut out.intervals, &sampler.finish());
     out.window_ns = clock::monotonic_ns() - t0;
     out.cpu_ns = host::cpu_ns().saturating_sub(cpu0);
-    out.steal = host::steal_share(steal0);
     out
 }
 
 /// The Monte-Carlo gates: the pooled estimate's interval reaches
 /// Lemma 16's optimum (no algorithm collides less), no trial exhausted
-/// an instance, and batch 0 replays to the same success count on one
-/// thread (the count is a pure function of the seed).
+/// an instance, and batch 0 replays to the same success count on another
+/// number of threads (the count is a pure function of the seed).
 pub fn check(
     algorithm: &dyn Algorithm,
     profile: &DemandProfile,
@@ -146,11 +149,12 @@ pub fn check(
     }
     let batch0 = pooled.batch0.ok_or("batch 0 never ran")?;
     let mut config = TrialConfig::new(BATCH_TRIALS, batch_seed(seed, 0));
-    config.threads = 1;
+    config.threads = THREADS + 1;
     let replay = estimate_oblivious(algorithm, profile, config).0.successes;
     if replay != batch0 {
         return Err(format!(
-            "batch 0 gave {batch0} collisions, its single-thread replay {replay}"
+            "batch 0 gave {batch0} collisions, its {}-thread replay {replay}",
+            THREADS + 1
         ));
     }
     Ok(())

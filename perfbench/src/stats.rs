@@ -21,6 +21,16 @@ pub fn percentile(samples: &mut [u64], q: f64) -> Option<f64> {
     Some(if v == FAILED { f64::INFINITY } else { v as f64 })
 }
 
+/// Nearest-rank quantile `q ∈ [0, 1]` of `values`; `None` when empty.
+pub fn quantile(mut values: Vec<f64>, q: f64) -> Option<f64> {
+    if values.is_empty() {
+        return None;
+    }
+    values.sort_by(f64::total_cmp);
+    let rank = (q.clamp(0.0, 1.0) * values.len() as f64).ceil() as usize;
+    Some(values[rank.clamp(1, values.len()) - 1])
+}
+
 /// Median of `values` (mean of the middle pair for an even count).
 pub fn median(values: &[f64]) -> Option<f64> {
     if values.is_empty() {
@@ -77,5 +87,15 @@ mod tests {
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
         assert_eq!(median(&[]), None);
         assert_eq!(median_u64(&[7, 1, 9]), Some(7.0));
+    }
+
+    #[test]
+    fn float_quantiles_by_nearest_rank() {
+        let v: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        assert_eq!(quantile(v.clone(), 0.1), Some(1.0));
+        assert_eq!(quantile(v.clone(), 0.9), Some(9.0));
+        assert_eq!(quantile(v, 0.0), Some(1.0));
+        assert_eq!(quantile(vec![f64::INFINITY, 2.0], 1.0), Some(f64::INFINITY));
+        assert_eq!(quantile(Vec::new(), 0.5), None);
     }
 }
