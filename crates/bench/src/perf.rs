@@ -472,18 +472,17 @@ pub fn bench_audit_pipeline() -> PerfResult {
 // ---------------------------------------------------------------------
 
 /// Remote lease round-trip cost: one persistent connection reused for
-/// every request vs the connect-per-request client shape (dial, lease,
-/// hang up — the churn the ROADMAP's thread-per-connection item is
-/// about, since every throwaway connection also costs the server a
-/// handler thread). Cost unit: ns per leased round trip.
+/// every request vs the connect-per-request client shape (dial,
+/// handshake, lease, hang up). Cost unit: ns per leased round trip.
 pub fn bench_remote_connection_reuse() -> PerfResult {
-    use uuidp_service::net::{RemoteClient, TcpServer};
+    use uuidp_client::Client;
+    use uuidp_service::net::TcpServer;
     let space = IdSpace::with_bits(48).unwrap();
     let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
     let server = TcpServer::bind("127.0.0.1:0", config).expect("bind loopback");
     let addr = server.local_addr();
     let mut tenant = 0u64;
-    let mut client = RemoteClient::connect(addr, space).expect("persistent client");
+    let client = Client::connect(addr, space).expect("persistent client");
     let new_cost = time_ns(|| {
         tenant = (tenant + 1) % 64;
         let lease = client.lease(tenant, 32).expect("persistent lease");
@@ -491,10 +490,9 @@ pub fn bench_remote_connection_reuse() -> PerfResult {
     });
     let baseline_cost = time_ns(|| {
         tenant = (tenant + 1) % 64;
-        let mut throwaway = RemoteClient::connect(addr, space).expect("throwaway client");
+        let throwaway = Client::connect(addr, space).expect("throwaway client");
         let lease = throwaway.lease(tenant, 32).expect("throwaway lease");
         std::hint::black_box(lease.granted);
-        let _ = throwaway.quit();
     });
     let _ = client.shutdown();
     let _ = server.join();
@@ -552,119 +550,6 @@ pub fn bench_fleet_issue() -> PerfResult {
 }
 
 // ---------------------------------------------------------------------
-// Baseline 6 (PR 5): the v1 text wire — per-line parsing and one
-// connection per concurrent client — vs protocol v2's binary frames
-// and multiplexing.
-// ---------------------------------------------------------------------
-
-/// Pure codec cost: encoding + decoding one lease reply as a v2 binary
-/// frame vs rendering + parsing the equivalent v1 text line. Same lease
-/// shape (4 arcs) on both sides; no sockets, so this isolates exactly
-/// what the wire format change buys per message. Cost unit: ns per
-/// reply encode+decode.
-pub fn bench_frame_codec_vs_text() -> PerfResult {
-    use uuidp_client::frame::{decode_frame, encode_frame, FrameBody};
-    use uuidp_service::protocol::{parse_lease_line, render_lease};
-    use uuidp_service::service::LeaseReply;
-    let space = IdSpace::with_bits(64).unwrap();
-    let arcs: Vec<Arc> = (0..4u128)
-        .map(|i| Arc::new(space, Id(i * (1 << 40) + 12345), 1 << 16))
-        .collect();
-    let reply = LeaseReply {
-        tenant: 42,
-        granted: 4 << 16,
-        arcs: arcs.clone(),
-        error: None,
-        halted: false,
-    };
-    let body = FrameBody::LeaseResp {
-        tenant: 42,
-        granted: 4 << 16,
-        arcs: arcs.iter().map(|a| (a.start.value(), a.len)).collect(),
-        error: None,
-    };
-    let new_cost = time_ns(|| {
-        let bytes = encode_frame(7, &body);
-        std::hint::black_box(decode_frame(&bytes).unwrap().unwrap());
-    });
-    let baseline_cost = time_ns(|| {
-        let line = render_lease(&reply);
-        std::hint::black_box(parse_lease_line(&line, space).unwrap());
-    });
-    PerfResult {
-        name: "wire_codec_v2_frame_vs_v1_text_4arc_lease".into(),
-        unit: "ns/reply",
-        new_cost,
-        baseline_cost,
-    }
-}
-
-/// End-to-end lease round trip over loopback: a persistent v2 binary
-/// client vs a persistent v1 text client against the same negotiating
-/// server. Cost unit: ns per leased round trip.
-pub fn bench_remote_roundtrip_v2_vs_v1() -> PerfResult {
-    use uuidp_client::Client;
-    use uuidp_service::net::{RemoteClient, TcpServer};
-    let space = IdSpace::with_bits(48).unwrap();
-    let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
-    let server = TcpServer::bind("127.0.0.1:0", config).expect("bind loopback");
-    let addr = server.local_addr();
-    let mut tenant = 0u64;
-    let v2 = Client::connect(addr, space).expect("v2 client");
-    let new_cost = time_ns(|| {
-        tenant = (tenant + 1) % 64;
-        std::hint::black_box(v2.lease(tenant, 32).expect("v2 lease").granted);
-    });
-    let mut v1 = RemoteClient::connect(addr, space).expect("v1 client");
-    let baseline_cost = time_ns(|| {
-        tenant = (tenant + 1) % 64;
-        std::hint::black_box(v1.lease(tenant, 32).expect("v1 lease").granted);
-    });
-    let _ = v2.shutdown();
-    let _ = v1.quit();
-    let _ = server.join();
-    PerfResult {
-        name: "remote_lease_roundtrip_v2_frames_vs_v1_text".into(),
-        unit: "ns/lease",
-        new_cost,
-        baseline_cost,
-    }
-}
-
-/// Full-lifecycle remote stress ns/ID for one pooled client shape.
-fn pooled_stress_ns_per_id(protocol: uuidp_client::ProtoVersion, workers: usize) -> f64 {
-    let space = IdSpace::with_bits(48).unwrap();
-    let mut samples: Vec<f64> = (0..3)
-        .map(|i| {
-            let mut service = ServiceConfig::new(AlgorithmKind::Cluster, space);
-            service.master_seed = 0x9E7 + i;
-            let mut cfg = StressConfig::new(service, 8, 2048, 128);
-            cfg.remote_workers = workers;
-            cfg.protocol = protocol;
-            let report =
-                uuidp_service::stress::run_stress_remote(cfg).expect("bench remote stress");
-            report.elapsed.as_nanos() as f64 / report.issued_ids as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN"));
-    samples[samples.len() / 2]
-}
-
-/// The multiplexing headline: the same 4-worker pooled stress run over
-/// **one multiplexed v2 connection** vs **four v1 connections** — equal
-/// client parallelism and throughput shape, 4× fewer sockets (and,
-/// server-side, zero per-connection threads vs four). Cost unit: ns per
-/// issued ID, full lifecycle; connection counts are in the name.
-pub fn bench_multiplexed_vs_pooled_connections() -> PerfResult {
-    PerfResult {
-        name: "stress_4workers_v2_mux_1conn_vs_v1_pool_4conns".into(),
-        unit: "ns/id",
-        new_cost: pooled_stress_ns_per_id(uuidp_client::ProtoVersion::V2, 4),
-        baseline_cost: pooled_stress_ns_per_id(uuidp_client::ProtoVersion::V1, 4),
-    }
-}
-
-// ---------------------------------------------------------------------
 // Baseline 7 (PR 6): the adversarial network layer — what a fault-free
 // chaos proxy costs on the hot path, and what a fixed fault mix does to
 // the tail.
@@ -718,7 +603,6 @@ fn stress_tail_p999_us(chaos: Option<uuidp_netchaos::ChaosSpec>) -> f64 {
             service.master_seed = 0xC405 + i;
             let mut cfg = StressConfig::new(service, 8, 1024, 128);
             cfg.remote_workers = 3;
-            cfg.protocol = uuidp_client::ProtoVersion::V2;
             cfg.chaos = chaos;
             cfg.chaos_seed = 0xC405;
             let report = uuidp_service::stress::run_stress_remote(cfg).expect("bench chaos stress");
@@ -814,7 +698,7 @@ pub fn bench_obs_overhead() -> PerfResult {
 /// round trip.
 pub fn bench_lease_under_scrape_load() -> PerfResult {
     use uuidp_client::Client;
-    use uuidp_service::net::{RemoteClient, TcpServer};
+    use uuidp_service::net::TcpServer;
     let space = IdSpace::with_bits(48).unwrap();
     let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
     let server = TcpServer::bind("127.0.0.1:0", config).expect("bind loopback");
@@ -825,13 +709,12 @@ pub fn bench_lease_under_scrape_load() -> PerfResult {
     let scraper = {
         let stop = std::sync::Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut scraper = RemoteClient::connect(addr, space).expect("scraper");
+            let scraper = Client::connect(addr, space).expect("scraper");
             let mut scrapes = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 std::hint::black_box(scraper.metrics().expect("scrape"));
                 scrapes += 1;
             }
-            let _ = scraper.quit();
             scrapes
         })
     };
@@ -1052,7 +935,8 @@ fn spawn_conn_holders(
 /// bench scales down in-process. Cost unit: reactor wakeups per idle
 /// second.
 pub fn bench_reactor_idle_wakeups() -> PerfResult {
-    use uuidp_service::net::{RemoteClient, ServerOptions, TcpServer};
+    use uuidp_client::Client;
+    use uuidp_service::net::{ServerOptions, TcpServer};
     use uuidp_service::reactor::{raise_nofile, NetBackend};
     let space = IdSpace::with_bits(48).unwrap();
     // Try for headroom anyway — some hosts do let root raise it.
@@ -1090,7 +974,7 @@ pub fn bench_reactor_idle_wakeups() -> PerfResult {
                 let _ = child.wait();
             }
         }
-        let ctl = RemoteClient::connect(server.local_addr(), space).expect("control conn");
+        let ctl = Client::connect(server.local_addr(), space).expect("control conn");
         let _ = ctl.shutdown();
         let _ = server.join();
         woke
@@ -1123,7 +1007,8 @@ pub fn bench_reactor_idle_wakeups() -> PerfResult {
 pub fn bench_reactor_replies_per_syscall() -> PerfResult {
     use std::io::Write as _;
     use uuidp_client::frame::{self, FrameBody};
-    use uuidp_service::net::{RemoteClient, TcpServer};
+    use uuidp_client::Client;
+    use uuidp_service::net::TcpServer;
     let space = IdSpace::with_bits(48).unwrap();
     let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
     let server = TcpServer::bind("127.0.0.1:0", config).expect("bind loopback");
@@ -1159,7 +1044,7 @@ pub fn bench_reactor_replies_per_syscall() -> PerfResult {
         1.0
     };
     drop(stream);
-    let ctl = RemoteClient::connect(server.local_addr(), space).expect("control conn");
+    let ctl = Client::connect(server.local_addr(), space).expect("control conn");
     let _ = ctl.shutdown();
     let _ = server.join();
     PerfResult {
@@ -1182,9 +1067,6 @@ pub fn run_all() -> Vec<PerfResult> {
         bench_audit_pipeline(),
         bench_remote_connection_reuse(),
         bench_fleet_issue(),
-        bench_frame_codec_vs_text(),
-        bench_remote_roundtrip_v2_vs_v1(),
-        bench_multiplexed_vs_pooled_connections(),
         bench_chaos_proxy_passthrough(),
         bench_chaos_tail_latency(),
         bench_obs_overhead(),

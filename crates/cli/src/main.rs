@@ -9,12 +9,10 @@
 //! uuidp serve --algorithm cluster --bits 64 --listen 127.0.0.1:7821 --audit-threads 4
 //! uuidp stress --algorithm "bins*" --bits 48 --tenants 32 --requests 100000 --count 512
 //! uuidp stress --algorithm cluster --trials-small --remote --remote-workers 4
-//! uuidp stress --algorithm cluster --trials-small --remote --protocol v2 --remote-workers 4
-//! uuidp stress --algorithm cluster --trials-small --remote --protocol v2 --chaos small --chaos-seed 7
+//! uuidp stress --algorithm cluster --trials-small --remote --chaos small --chaos-seed 7
 //! uuidp fleet --algorithm cluster --nodes 5 --tenants 20 --requests 20000 --placement skewed
 //! uuidp fleet --trials-small --nodes 3 --kill-every 2
-//! uuidp fleet --trials-small --protocol v2
-//! uuidp fleet --trials-small --protocol v2 --chaos small --chaos-seed 7 --kill-every 60
+//! uuidp fleet --trials-small --chaos small --chaos-seed 7 --kill-every 60
 //! uuidp doctor
 //! ```
 
@@ -71,25 +69,24 @@ fn print_usage() {
          \x20 uuidp plan     --scheme random|cluster --budget P --instances N [--bits N=128]\n\
          \x20 uuidp diagram  --algorithm SPEC [-m N=20] [--requests N=8] [--seed N]\n\
          \x20 uuidp serve    --algorithm SPEC [--bits N=64] [--shards N=2] [--audit-stripes N=16]\n\
-         \x20                [--audit-threads N=1] [--seed N] [--listen ADDR (TCP, e.g. 127.0.0.1:7821)]\n\
-         \x20                [--protocol v1|v2 (v1 = legacy text-only listener; default v2 negotiates both)]\n\
+         \x20                [--audit-threads N=1] [--seed N] [--listen ADDR (TCP protocol v2, e.g. 127.0.0.1:7821)]\n\
          \x20                [--metrics (expose the scrape surface; needs --listen)]\n\
          \x20                [--net-backend auto|epoll|poll (reactor readiness backend; needs --listen)]\n\
          \x20 uuidp stress   --algorithm SPEC [--bits N=48] [--shards N=2] [--tenants N=8] [--requests N=20000]\n\
          \x20                [--count N=256] [--mix uniform|skewed|flood|hunter] [--audit-threads N=1]\n\
          \x20                [--seed N] [--trials-small] [--remote (loopback TCP transport)]\n\
-         \x20                [--remote-workers N=1 (pool width)] [--protocol v1|v2 (v2 multiplexes one conn)]\n\
+         \x20                [--remote-workers N=1 (pool width, multiplexing one connection)]\n\
          \x20                [--chaos SPEC (fault-injecting proxy; needs --remote)] [--chaos-seed N=0]\n\
          \x20                [--scrape (live metrics scraper beside the load; needs --remote)]\n\
          \x20                [--net-backend auto|epoll|poll (server reactor backend; needs --remote)]\n\
          \x20 uuidp fleet    --algorithm SPEC [--bits N=48] [--nodes N=3] [--tenants N=6] [--requests N=600]\n\
          \x20                [--count N=32] [--placement uniform|skewed|hunter] [--shards N=2]\n\
          \x20                [--audit-threads N=1] [--seed N] [--kill-every K (chaos restarts)]\n\
-         \x20                [--reservation N=256] [--state-dir DIR] [--trials-small] [--protocol v1|v2]\n\
+         \x20                [--reservation N=256] [--state-dir DIR] [--trials-small]\n\
          \x20                [--chaos SPEC (per-node fault proxies)] [--chaos-seed N=0]\n\
          \x20                [--scrape (scrape every node's registry mid-run and at the end;\n\
          \x20                 also aggregates windowed time-series + burn-rate alerts into the report)]\n\
-         \x20 uuidp top      --connect ADDR[,ADDR...] [--bits N=48] [--protocol v1|v2=v2]\n\
+         \x20 uuidp top      --connect ADDR[,ADDR...] [--bits N=48]\n\
          \x20                [--interval-ms N=1000] [--windows N=60 (history ring)]\n\
          \x20                [--once (two polls, one JSON snapshot — the CI mode)]\n\
          \x20                live dashboard: ids/s, p50/p99/p999, audit backlog, wakeups,\n\
@@ -195,7 +192,6 @@ fn run_serve(args: &[String]) -> Result<String, String> {
         audit_threads: f.parse(&["--audit-threads"], 1usize)?,
         seed: f.parse(&["--seed", "-s"], 0x5EEDu64)?,
         listen: f.get(&["--listen"]).map(str::to_string),
-        protocol: f.get(&["--protocol"]).map(str::to_string),
         metrics: f.has("--metrics"),
         net_backend: f.get(&["--net-backend"]).unwrap_or("auto").to_string(),
     };
@@ -226,7 +222,6 @@ fn run_stress_cmd(args: &[String]) -> Result<String, String> {
             seed: 0x57E5,
             remote: false,
             remote_workers: 1,
-            protocol: "v1".into(),
             chaos: None,
             chaos_seed: 0,
             scrape: false,
@@ -254,10 +249,6 @@ fn run_stress_cmd(args: &[String]) -> Result<String, String> {
         seed: f.parse(&["--seed", "-s"], defaults.seed)?,
         remote: f.has("--remote") || defaults.remote,
         remote_workers: f.parse(&["--remote-workers"], defaults.remote_workers)?,
-        protocol: f
-            .get(&["--protocol"])
-            .unwrap_or(defaults.protocol.as_str())
-            .to_string(),
         chaos: f.get(&["--chaos"]).map(str::to_string),
         chaos_seed: f.parse(&["--chaos-seed"], 0u64)?,
         scrape: f.has("--scrape"),
@@ -306,10 +297,6 @@ fn run_fleet_cmd(args: &[String]) -> Result<String, String> {
         kill_every: f.parse_opt(&["--kill-every"])?,
         reservation: f.parse(&["--reservation"], defaults.reservation)?,
         state_dir: f.get(&["--state-dir"]).map(str::to_string),
-        protocol: f
-            .get(&["--protocol"])
-            .unwrap_or(defaults.protocol.as_str())
-            .to_string(),
         chaos: f.get(&["--chaos"]).map(str::to_string),
         chaos_seed: f.parse(&["--chaos-seed"], 0u64)?,
         scrape: f.has("--scrape"),
@@ -322,7 +309,6 @@ fn run_top_cmd(args: &[String]) -> Result<String, String> {
     let opts = TopOpts {
         connect: f.require(&["--connect"])?.to_string(),
         bits: f.parse(&["--bits", "-b"], 48u32)?,
-        protocol: f.get(&["--protocol"]).unwrap_or("v2").to_string(),
         interval_ms: f.parse(&["--interval-ms"], 1000u64)?,
         once: f.has("--once"),
         windows: f.parse(&["--windows"], 60usize)?,

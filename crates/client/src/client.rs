@@ -45,6 +45,21 @@ impl Default for ClientOptions {
     }
 }
 
+impl ClientOptions {
+    /// Every blocking phase — the dial, the handshake, and each reply —
+    /// bounded by `timeout`; `None` keeps the defaults. This is the dial
+    /// for paths a chaos proxy may sit on, where nothing may hang
+    /// forever.
+    pub fn bounded(timeout: Option<Duration>) -> ClientOptions {
+        let defaults = ClientOptions::default();
+        ClientOptions {
+            connect_timeout: timeout,
+            handshake_timeout: timeout.or(defaults.handshake_timeout),
+            request_timeout: timeout,
+        }
+    }
+}
+
 /// A reply as the demux delivers it: the typed body, or the text of a
 /// correlated server `Error` frame.
 type Reply = Result<FrameBody, String>;
@@ -80,8 +95,7 @@ impl Inner {
 /// `Arc<Inner>`, so `Inner`'s refcount alone can never tell when the
 /// *callers* are gone — this wrapper can. When the last [`Client`]
 /// clone drops, the socket is shut down, which unblocks the reader and
-/// lets the whole connection wind down (the server sees EOF, like a v1
-/// `quit`).
+/// lets the whole connection wind down (the server sees EOF).
 struct Handle {
     inner: StdArc<Inner>,
 }
@@ -104,7 +118,7 @@ impl Drop for Handle {
 /// requests concurrently over the one underlying connection, each
 /// parked on its own correlation id until the reader demux thread
 /// delivers its reply. Dropping the last clone closes the connection
-/// (the server sees EOF, like a v1 `quit`).
+/// (the server sees EOF).
 #[derive(Clone)]
 pub struct Client {
     handle: StdArc<Handle>,
@@ -124,8 +138,8 @@ fn proto_err(msg: String) -> io::Error {
 
 impl Client {
     /// Connects to `addr` and performs the v2 handshake. `space` must
-    /// match the server's universe — unlike v1, the handshake checks
-    /// this up front and fails with a typed error on mismatch.
+    /// match the server's universe — the handshake checks this up front
+    /// and fails with a typed error on mismatch.
     pub fn connect<A: ToSocketAddrs>(addr: A, space: IdSpace) -> io::Result<Client> {
         Client::connect_with(addr, space, ClientOptions::default())
     }
@@ -395,8 +409,7 @@ impl Client {
     }
 
     /// A live service summary: totals as of every request processed so
-    /// far, without stopping anything. (v1 only ever reports totals as
-    /// the service's dying words.)
+    /// far, without stopping anything.
     pub fn summary(&self) -> io::Result<Summary> {
         match self.request(FrameBody::SummaryReq)? {
             FrameBody::SummaryResp(summary) => Ok(summary),
@@ -408,8 +421,8 @@ impl Client {
     }
 
     /// A live metrics scrape: the server's observability registry as a
-    /// Prometheus-style text exposition (the same families the v1
-    /// `metrics` command renders). Parse scalars back out with
+    /// Prometheus-style text exposition (the same families the stdin
+    /// REPL's `metrics` command renders). Parse scalars back out with
     /// `uuidp_obs::parse_exposition`.
     pub fn metrics(&self) -> io::Result<String> {
         match self.request(FrameBody::MetricsReq)? {

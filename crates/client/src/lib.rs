@@ -19,21 +19,18 @@
 //!
 //! * [`Client::connect`] dials the server, performs the version
 //!   handshake (`Hello`/`HelloOk` — the server also validates that
-//!   client and server agree on the ID universe, which the v1 text
-//!   protocol could never check), and spawns the reader.
+//!   client and server agree on the ID universe), and spawns the reader.
 //! * [`Client`] is `Clone + Send + Sync`: clones share one connection.
 //!   Each request registers a correlation id, writes one frame under
 //!   the writer lock, and parks on its own reply channel; the reader
 //!   demux thread routes every incoming frame to the request that asked
-//!   for it. `N` worker threads need `N` connections under the v1 line
-//!   protocol — under v2 they need one.
+//!   for it. `N` worker threads need one connection, not `N`.
 //! * Typed surface: [`Client::lease`] → [`Lease`], [`Client::summary`] /
 //!   [`Client::shutdown`] → [`Summary`], plus [`Client::reset`],
 //!   [`Client::drain`], and [`Client::halt`] (the remote crash lever).
 //!
 //! The frame grammar itself lives in [`frame`]; servers reuse it from
-//! there. [`ProtoVersion`] is the workspace-wide `--protocol v1|v2`
-//! selector.
+//! there. Protocol v2 is the only wire protocol the service speaks.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -48,38 +45,15 @@ mod error;
 pub use client::{Client, ClientOptions};
 pub use error::{broken, broken_connection, classify, BrokenConnection, ErrorClass, RetryPolicy};
 
-/// Which wire protocol a client-side consumer speaks: the v1 text line
-/// protocol or the v2 binary framed protocol. Servers negotiate per
-/// connection and serve both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The wire protocol a caller dials with. Protocol v2 is the only one
+/// left, so this enum has a single variant; it is kept only because
+/// the out-of-workspace benchmark (`perfbench/`) still names it when
+/// building a fleet `Router`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtoVersion {
-    /// The newline-framed text protocol (`lease 7 100` → one reply
-    /// line), one request in flight per connection.
-    #[default]
-    V1,
     /// Length-prefixed binary frames with correlation ids; one
     /// connection multiplexes any number of in-flight requests.
     V2,
-}
-
-impl ProtoVersion {
-    /// Parses a protocol name (`v1 | v2`, bare digits accepted).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "v1" | "1" => Ok(ProtoVersion::V1),
-            "v2" | "2" => Ok(ProtoVersion::V2),
-            other => Err(format!("unknown protocol `{other}` (v1 | v2)")),
-        }
-    }
-}
-
-impl std::fmt::Display for ProtoVersion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ProtoVersion::V1 => "v1",
-            ProtoVersion::V2 => "v2",
-        })
-    }
 }
 
 /// A served lease, as seen by a client: the typed twin of the service's
@@ -133,21 +107,4 @@ pub struct Summary {
     pub mean_lag_ns: f64,
     /// Audit pipeline threads that produced the merged totals.
     pub audit_threads: usize,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn proto_versions_parse_and_display() {
-        assert_eq!(ProtoVersion::parse("v1").unwrap(), ProtoVersion::V1);
-        assert_eq!(ProtoVersion::parse("V2").unwrap(), ProtoVersion::V2);
-        assert_eq!(ProtoVersion::parse("1").unwrap(), ProtoVersion::V1);
-        assert_eq!(ProtoVersion::parse("2").unwrap(), ProtoVersion::V2);
-        assert!(ProtoVersion::parse("v3").is_err());
-        assert!(ProtoVersion::parse("").is_err());
-        assert_eq!(ProtoVersion::V2.to_string(), "v2");
-        assert_eq!(ProtoVersion::default(), ProtoVersion::V1);
-    }
 }

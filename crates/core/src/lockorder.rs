@@ -159,7 +159,7 @@ pub fn track(label: &'static str) -> Tracked {
     }
     #[cfg(not(debug_assertions))]
     {
-        let _ = location;
+        let _ = (label, location);
         Tracked {}
     }
 }

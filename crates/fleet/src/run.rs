@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use uuidp_core::clock;
 
-use uuidp_client::{ProtoVersion, RetryPolicy};
+use uuidp_client::{Client, ProtoVersion, RetryPolicy};
 use uuidp_core::codec::fnv1a;
 use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{uniform_below, Xoshiro256pp};
@@ -18,7 +18,6 @@ use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
 use uuidp_obs::families::REQUIRED as REQUIRED_FAMILIES;
 use uuidp_obs::{parse_exposition, AlertTransition, Snapshot, Stage};
 use uuidp_service::metrics::FaultCounters;
-use uuidp_service::net::RemoteClient;
 use uuidp_service::service::{AuditReport, AuditThreadReport, ServiceConfig, ServiceReport};
 use uuidp_sim::audit::AuditCounts;
 
@@ -53,9 +52,7 @@ fn attach_node_obs(fleet: &Fleet, proxy: &ChaosProxy, index: usize) {
 /// One direct (proxy-bypassing) exposition scrape of node `index`,
 /// asserting every required family is present.
 fn scrape_node(fleet: &Fleet, index: usize, space: IdSpace) -> io::Result<BTreeMap<String, f64>> {
-    let mut client = RemoteClient::connect(fleet.addr(index), space)?;
-    let families = parse_exposition(&client.metrics()?);
-    client.quit()?;
+    let families = parse_exposition(&Client::connect(fleet.addr(index), space)?.metrics()?);
     for family in REQUIRED_FAMILIES {
         assert!(
             families.contains_key(*family),
@@ -67,10 +64,8 @@ fn scrape_node(fleet: &Fleet, index: usize, space: IdSpace) -> io::Result<BTreeM
 
 /// One direct typed scrape of node `index` for time-series ingestion.
 fn scrape_node_snapshot(fleet: &Fleet, index: usize, space: IdSpace) -> io::Result<Snapshot> {
-    let mut client = RemoteClient::connect(fleet.addr(index), space)?;
-    let snap = Snapshot::parse_prometheus(&client.metrics()?);
-    client.quit()?;
-    Ok(snap)
+    let text = Client::connect(fleet.addr(index), space)?.metrics()?;
+    Ok(Snapshot::parse_prometheus(&text))
 }
 
 /// One fleet-series aggregation tick: scrape every node (a failed
@@ -144,9 +139,6 @@ pub struct FleetConfig {
     pub reservation: u128,
     /// Stripes of the router's global audits.
     pub audit_stripes: usize,
-    /// Wire protocol the router speaks to every node (the nodes
-    /// negotiate per connection, so mixed-protocol fleets are fine).
-    pub protocol: ProtoVersion,
     /// Scrape every node's metric registry over the wire — once at the
     /// halfway mark and once after the last drain — asserting the
     /// required families are present and `_total`/`_count` families
@@ -172,7 +164,6 @@ impl FleetConfig {
             chaos_seed: 0,
             reservation: 1024,
             audit_stripes: 16,
-            protocol: ProtoVersion::V1,
             scrape: false,
             state_dir: state_dir.into(),
         }
@@ -449,7 +440,7 @@ pub fn run_fleet(config: FleetConfig) -> io::Result<FleetReport> {
 /// fleet (split out so the caller owns error-path teardown).
 fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetReport> {
     let space = config.service.space;
-    let mut router = Router::new(space, config.nodes, config.audit_stripes, config.protocol);
+    let mut router = Router::new(space, config.nodes, config.audit_stripes, ProtoVersion::V2);
     // Adversarial-network mode: one deterministic proxy per node, the
     // router dials the proxies, and failures are retried (same node —
     // tenant affinity is what keeps retries duplicate-free).
@@ -804,13 +795,16 @@ mod tests {
 
     #[test]
     fn protocol_v2_fleet_matches_v1_totals_and_survives_chaos() {
-        // The cross-protocol fleet differential: the same scenario
-        // routed over v1 text connections and v2 multiplexed framed
-        // connections must produce bit-identical global audit totals —
-        // and under chaos, v2 recovery must stay duplicate-free too.
-        let run_with = |proto: ProtoVersion, chaos: bool, tag: &str| {
+        // The cross-protocol fleet differential, v1 side pinned: the
+        // totals the v1 text router produced for this twin scenario
+        // (240 leases × 32 IDs; the later twin's whole stream, one
+        // tenant in six, duplicated across nodes). The v2 multiplexed
+        // router must reproduce them bit-exactly — and under chaos, v2
+        // recovery must not count the twins' duplicates as re-emitted.
+        const V1_ISSUED: u128 = 7680;
+        const V1_DUPLICATES: u128 = 1280;
+        let run_with = |chaos: bool, tag: &str| {
             let mut cfg = base(AlgorithmKind::ClusterStar, 40, 3, tag);
-            cfg.protocol = proto;
             cfg.service.seed_alias = Some((0, 1)); // live duplicate counter
             if chaos {
                 cfg.kill_every = Some(40);
@@ -821,13 +815,12 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             report
         };
-        let v1 = run_with(ProtoVersion::V1, false, "diff-v1");
-        let v2 = run_with(ProtoVersion::V2, false, "diff-v2");
-        assert_eq!(v1.issued_ids, v2.issued_ids);
-        assert_eq!(v1.global.duplicate_ids, v2.global.duplicate_ids);
-        assert!(v2.global.duplicate_ids > 0, "twins must collide");
-        assert_eq!(v1.cross_tenant_duplicate_ids, v2.cross_tenant_duplicate_ids);
-        let chaotic = run_with(ProtoVersion::V2, true, "chaos-v2");
+        let v2 = run_with(false, "diff-v2");
+        assert_eq!(v2.issued_ids, V1_ISSUED);
+        assert_eq!(v2.global.recorded_ids, V1_ISSUED);
+        assert_eq!(v2.global.duplicate_ids, V1_DUPLICATES);
+        assert_eq!(v2.cross_tenant_duplicate_ids, V1_DUPLICATES);
+        let chaotic = run_with(true, "chaos-v2");
         assert!(chaotic.restarts > 0, "chaos must actually restart nodes");
         assert_eq!(
             chaotic.recovered_duplicate_ids, 0,
@@ -838,14 +831,13 @@ mod tests {
 
     #[test]
     fn adversarial_network_fleet_stays_duplicate_free_and_stamps_its_schedule() {
-        // The PR's acceptance scenario: 3 nodes over v2, partitions +
+        // The acceptance scenario: 3 nodes, partitions +
         // latency + torn frames + corrupted replies from the proxies,
         // AND --kill-every crash-restarts — the run completes, the
         // global audit is duplicate-free, and the same seed re-stamps
         // the same schedule fingerprint.
         let run = |seed: u64, tag: &str| {
             let mut cfg = base(AlgorithmKind::ClusterStar, 44, 3, tag);
-            cfg.protocol = ProtoVersion::V2;
             cfg.chaos = Some(uuidp_netchaos::ChaosSpec::small());
             cfg.chaos_seed = seed;
             cfg.kill_every = Some(60);
@@ -912,7 +904,6 @@ mod tests {
     #[test]
     fn chaos_fleet_scrapes_expose_netchaos_counters_per_node() {
         let mut cfg = base(AlgorithmKind::ClusterStar, 44, 3, "scrape-chaos");
-        cfg.protocol = ProtoVersion::V2;
         cfg.chaos = Some(uuidp_netchaos::ChaosSpec::small());
         cfg.chaos_seed = 0x0B5;
         cfg.scrape = true;
@@ -947,7 +938,6 @@ mod tests {
         // for the wall clock to leak in.
         let run = |tag: &str| {
             let mut cfg = base(AlgorithmKind::ClusterStar, 44, 3, tag);
-            cfg.protocol = ProtoVersion::V2;
             // Hostile enough that some retry budgets exhaust — the
             // availability burn must actually transition, or the
             // determinism claim compares two empty lists.

@@ -36,7 +36,7 @@
 //!   retained corr ids get full timelines fetched over the wire.
 //!
 //! Export surfaces: [`Snapshot::render_prometheus`] (text exposition,
-//! served by the service's v1 `metrics` command and v2 metrics frame)
+//! served by the v2 metrics frame and the `uuidp serve` stdin REPL)
 //! and [`Snapshot::render_json`] (consumed by `repro bench-json`).
 //! [`parse_exposition`] reads the text form back for monotonicity
 //! checks in smoke tests; [`Snapshot::parse_prometheus`] reconstructs

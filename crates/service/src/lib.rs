@@ -21,18 +21,14 @@
 //!   interleaving-invariant totals (bit-identical for every `(shards,
 //!   audit_stripes, audit_threads)` combination), and reporting
 //!   per-thread lag so a straggling stripe subset is visible.
-//! * [`protocol`] — the v1 newline-framed line protocol (`lease` /
-//!   `reset` / `drain` / `quit` / `shutdown`) with both the server-side
-//!   renderers and the client-side parsers; its wire types are the same
-//!   typed `uuidp_client` structs the v2 binary client returns.
-//! * [`net`] — [`net::TcpServer`]: the TCP front-end, **negotiating the
-//!   wire protocol per connection**: v1 text clients get the classic
-//!   thread-per-connection line loop; v2 binary-frame clients
-//!   (`uuidp_client::Client`) are served with no per-connection thread
-//!   at all — a nonblocking demux reads every v2 connection and a
-//!   fixed, tenant-keyed worker pool executes requests by correlation
-//!   id. Plus [`net::RemoteClient`] (the blocking v1 client) and
-//!   [`net::DialedClient`] (either protocol behind one surface).
+//! * [`protocol`] — the `uuidp serve` stdin REPL grammar (`lease` /
+//!   `reset` / `drain` / `metrics` / `quit`), plus the one projection of
+//!   a service report onto the v2 summary frame.
+//! * [`net`] — [`net::TcpServer`]: the TCP front-end, speaking **wire
+//!   protocol v2 only** to `uuidp_client::Client` callers, with no
+//!   per-connection thread at all — a readiness-driven reactor owns
+//!   every connection and a fixed, tenant-keyed worker pool executes
+//!   requests by correlation id.
 //! * [`stress`] — [`stress::run_stress`]: replays deterministic traffic
 //!   mixes (uniform, Zipf-skewed, flood, and the `adversary` crate's
 //!   adaptive RunHunter playing through the front door) and reports
@@ -67,8 +63,8 @@ pub mod sys;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::metrics::LatencyHistogram;
-    pub use crate::net::{DialedClient, RemoteClient, ServerOptions, TcpServer};
-    pub use crate::protocol::{Command, WireLease, WireSummary};
+    pub use crate::net::{ServerOptions, TcpServer};
+    pub use crate::protocol::Command;
     pub use crate::reactor::NetBackend;
     pub use crate::service::{
         AuditReport, AuditThreadReport, IdService, LeaseReply, ServiceConfig, ServiceReport,

@@ -1,15 +1,13 @@
-//! TCP front-end for the ID service, plus the matching clients.
+//! TCP front-end for the ID service.
 //!
-//! [`TcpServer`] speaks **both wire protocols** and negotiates per
-//! connection on the first byte: v1 text lines (the `uuidp serve`
-//! grammar, handled exactly as before — one blocking handler thread per
-//! connection) and **protocol v2**, the `uuidp_client` binary framed
-//! protocol, which is served without any per-connection thread at all:
+//! [`TcpServer`] speaks **wire protocol v2** only — the
+//! `uuidp_client` binary framed protocol — and serves it without any
+//! per-connection thread at all:
 //!
 //! ```text
-//!   accept ──► reactor thread (readiness-driven; owns every v2 conn)
-//!                 │  sniff first byte: 0x00 ⇒ v2, else hand off to a
-//!                 │  v1 line-protocol handler thread
+//!   accept ──► reactor thread (readiness-driven; owns every conn)
+//!                 │  first byte must be 0x00 (the v2 magic); anything
+//!                 │  else gets one `error:` text line, then close
 //!                 │  complete frames, dispatched by kind:
 //!                 ├── lease/reset ──► worker pool (tenant-keyed queues)
 //!                 └── drain/summary/shutdown/halt ──► control thread
@@ -18,8 +16,7 @@
 //!                        readiness, correlation ids intact
 //! ```
 //!
-//! The v2 accept path closes the ROADMAP's thread-per-connection item:
-//! however many v2 connections are open, the server runs one reactor
+//! However many connections are open, the server runs one reactor
 //! thread plus a fixed pool of `v2_workers` execution threads. The
 //! reactor ([`crate::reactor`]) takes readiness from epoll on Linux
 //! (raw syscalls, see [`crate::sys`]) or from a portable poll rotation
@@ -29,66 +26,54 @@
 //! requests stay FIFO end to end (the determinism the differential
 //! tests pin), while different tenants' requests from one multiplexed
 //! connection are served concurrently. Drain/summary/shutdown run on a
-//! dedicated control thread that first barriers the pool — "everything
-//! submitted before me" keeps its v1 meaning. Workers never block on a
-//! slow peer: replies queue on the owning connection inside the
-//! reactor, and a peer that stops reading is eventually severed
-//! (backpressure by disconnect, not by stalling a shared thread).
+//! dedicated control thread that first barriers the pool, so they mean
+//! "everything submitted before me". Workers never block on a slow
+//! peer: replies queue on the owning connection inside the reactor,
+//! and a peer that stops reading is eventually severed (backpressure by
+//! disconnect, not by stalling a shared thread).
 //!
-//! Shutdown is graceful and client-initiated in either protocol, and
-//! the numbers can never diverge: both the v1 `bye` line and the v2
-//! summary frame are projected from the same [`ServiceReport`] by
-//! [`wire_summary`]. [`TcpServer::halt`] remains the in-process crash
-//! lever, and the v2 `halt` frame is its remote twin; both discard the
-//! report and sever every connection mid-command. The durability
-//! layer's `halt_after_persists` hook arrives here too: a lease reply
-//! flagged `halted` makes the server die *instead of replying* —
-//! a crash dropped exactly between the write-ahead persist and the
-//! reply, which no external kill can aim that precisely.
+//! Shutdown is graceful and client-initiated: the summary frame is
+//! projected from the final [`ServiceReport`] by [`wire_summary`].
+//! [`TcpServer::halt`] remains the in-process crash lever, and the v2
+//! `halt` frame is its remote twin; both discard the report and sever
+//! every connection mid-command. The durability layer's
+//! `halt_after_persists` hook arrives here too: a lease reply flagged
+//! `halted` makes the server die *instead of replying* — a crash
+//! dropped exactly between the write-ahead persist and the reply, which
+//! no external kill can aim that precisely.
 //!
-//! [`RemoteClient`] is the v1 client half: newline-framed commands out,
-//! one reply line back per command. [`DialedClient`] wraps it together
-//! with the v2 [`Client`](uuidp_client::Client) behind one protocol-
-//! agnostic surface, so consumers (stress driver, fleet router, CLI)
-//! select a protocol with a flag instead of a code path.
+//! Clients live in `uuidp_client`: [`Client`](uuidp_client::Client) is
+//! the one remote caller type, from the stress driver and fleet router
+//! to `uuidp top`.
 
-use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use uuidp_client::frame::{self, FrameBody};
-use uuidp_client::{Client, ClientOptions, ProtoVersion};
 use uuidp_core::clock;
 use uuidp_core::id::IdSpace;
 use uuidp_core::lockorder;
 use uuidp_obs::{Registry, Stage, TraceRecorder};
 
-use crate::protocol::{
-    parse_lease_line, parse_summary, render_lease, render_summary, wire_summary, Command,
-    WireLease, WireSummary,
-};
+use crate::protocol::wire_summary;
 use crate::reactor::{NetBackend, Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
 use crate::service::{IdService, LeaseReply, ServiceConfig, ServiceReport};
 
 /// Front-end options, beyond the service's own configuration.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Accept v2 binary-frame connections (v1 text always works). Off,
-    /// the listener is a legacy-only front-end: a v2 hello is answered
-    /// with a fatal error frame.
-    pub accept_v2: bool,
     /// Execution threads in the shared v2 worker pool. Requests are
     /// pinned to workers by `tenant % v2_workers`.
     pub v2_workers: usize,
-    /// Serve metric scrapes (the v1 `metrics` command and the v2
-    /// metrics frame). Off, a scrape gets a typed error reply and the
-    /// connection stays up — the registry still records either way,
-    /// this only gates the *export* surface.
+    /// Serve metric scrapes (the v2 metrics and timeline frames). Off,
+    /// a scrape gets a typed error reply and the connection stays up —
+    /// the registry still records either way, this only gates the
+    /// *export* surface.
     pub metrics: bool,
     /// Readiness backend for the reactor ([`NetBackend::Auto`] resolves
     /// to epoll where compiled in, the poll rotation elsewhere).
@@ -98,7 +83,6 @@ pub struct ServerOptions {
 impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
-            accept_v2: true,
             v2_workers: 4,
             metrics: true,
             backend: NetBackend::Auto,
@@ -112,15 +96,10 @@ pub(crate) struct ServerState {
     pub(crate) service: RwLock<Option<IdService>>,
     /// Set before the accept loop is woken for the last time.
     pub(crate) stopping: AtomicBool,
-    /// Every *live* connection, keyed by connection id so a finished
-    /// handler can deregister its own entry (otherwise churning clients
-    /// would leak an entry each until shutdown). The value is a write
-    /// half **only for blocking v1 handlers** — shutdown must sever
-    /// those to unblock their reads. Reactor-owned connections are
-    /// counted as `None`: the reactor severs its own sockets on stop,
-    /// and cloning a second fd per connection here would double the
-    /// server's fd cost (10k idle conns → 20k fds, an EMFILE wall).
-    pub(crate) conns: Mutex<HashMap<u64, Option<TcpStream>>>,
+    /// Live connections: counted up when the reactor adopts a socket
+    /// and down when it disposes of one, so churning clients leave no
+    /// trace. The reactor owns and severs the sockets themselves.
+    pub(crate) live: AtomicUsize,
     /// Connection id source.
     pub(crate) next_conn: AtomicU64,
     /// The service's universe — validated against every v2 hello.
@@ -142,66 +121,21 @@ pub(crate) struct ServerState {
 }
 
 impl ServerState {
-    /// Severs every registered connection (shutdown-time unblocking)
-    /// and stops the reactor with them — every stop path funnels
-    /// through here, and a reactor without sockets has nothing left to
-    /// wait on.
-    pub(crate) fn sever_all(&self) {
-        self.reactor.stop();
-        let _order = lockorder::track("server.conns");
-        for (_, conn) in self.conns.lock().expect("conns lock").drain() {
-            if let Some(conn) = conn {
-                let _ = conn.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-
-    /// Registers a reactor-owned connection, returning its id — and
-    /// closes the register/sever race: a shutdown that drained `conns`
-    /// *before* this insert set `stopping` *before* draining, so the
-    /// check below catches exactly the registrations the drain missed.
-    /// Returns `None` (connection severed) when the server is stopping.
-    /// No fd is cloned here: the reactor severs its own sockets on
-    /// stop, so the entry only counts the connection.
+    /// Counts a newly adopted connection, returning its id — or `None`
+    /// (connection severed) when the server is already stopping, so a
+    /// socket accepted during shutdown is never served.
     pub(crate) fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let conn_id = self.next_conn.fetch_add(1, Ordering::SeqCst);
-        {
-            let _order = lockorder::track("server.conns");
-            self.conns.lock().expect("conns lock").insert(conn_id, None);
-        }
         if self.stopping.load(Ordering::SeqCst) {
-            self.deregister(conn_id);
             let _ = stream.shutdown(std::net::Shutdown::Both);
             return None;
         }
-        Some(conn_id)
+        self.live.fetch_add(1, Ordering::SeqCst);
+        Some(self.next_conn.fetch_add(1, Ordering::SeqCst))
     }
 
-    /// Upgrades a registered connection to a severable entry before its
-    /// blocking v1 handler takes over — once the socket leaves the
-    /// readiness set, only a stored write half can unblock its reads at
-    /// shutdown. Same race discipline as [`ServerState::register`]:
-    /// returns `false` (connection severed) when the server is
-    /// stopping, and the caller must not spawn the handler.
-    pub(crate) fn promote_v1(&self, conn_id: u64, stream: &TcpStream) -> bool {
-        if let Ok(write_half) = stream.try_clone() {
-            let _order = lockorder::track("server.conns");
-            self.conns
-                .lock()
-                .expect("conns lock")
-                .insert(conn_id, Some(write_half));
-        }
-        if self.stopping.load(Ordering::SeqCst) {
-            self.deregister(conn_id);
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return false;
-        }
-        true
-    }
-
-    pub(crate) fn deregister(&self, conn_id: u64) {
-        let _order = lockorder::track("server.conns");
-        self.conns.lock().expect("conns lock").remove(&conn_id);
+    /// Uncounts a connection the reactor has disposed of.
+    pub(crate) fn deregister(&self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -231,7 +165,8 @@ fn crash_server(
         service.dump_flight(reason, focus_corr);
         drop(service.shutdown());
     }
-    state.sever_all();
+    // The reactor owns every socket: stopping it severs them all.
+    state.reactor.stop();
     let _ = TcpStream::connect(local_addr);
 }
 
@@ -249,7 +184,7 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), boots
     /// the service, and starts accepting connections with default
-    /// [`ServerOptions`] (both protocols, a small v2 pool).
+    /// [`ServerOptions`] (a small v2 worker pool).
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<TcpServer> {
         TcpServer::bind_with(addr, config, ServerOptions::default())
     }
@@ -275,7 +210,7 @@ impl TcpServer {
         let state = Arc::new(ServerState {
             service: RwLock::new(Some(service)),
             stopping: AtomicBool::new(false),
-            conns: Mutex::new(HashMap::new()),
+            live: AtomicUsize::new(0),
             next_conn: AtomicU64::new(0),
             space,
             registry,
@@ -308,7 +243,8 @@ impl TcpServer {
                 control_worker(state, ctrl_rx, pool_txs, report_tx, local_addr)
             })
         };
-        // The reactor: sniffs every new connection, owns all v2 I/O.
+        // The reactor: checks every new connection's first byte and owns
+        // all connection I/O.
         let reactor = {
             let seed = ReactorSeed {
                 state: Arc::clone(&state),
@@ -317,9 +253,6 @@ impl TcpServer {
                 handle: reactor_handle.clone(),
                 pool_txs,
                 ctrl_tx,
-                accept_v2: options.accept_v2,
-                report_tx: report_tx.clone(),
-                local_addr,
             };
             // Built on this thread so its metric families are registered
             // before `bind_with` returns — a scraper that races the
@@ -343,12 +276,10 @@ impl TcpServer {
                         continue;
                     }
                 };
-                // One reply per command either way: Nagle + delayed ACK
-                // would add ~40ms to every round trip on loopback.
+                // One reply frame per request: Nagle + delayed ACK would
+                // add ~40ms to every round trip on loopback.
                 let _ = stream.set_nodelay(true);
-                // The reactor reads everything nonblocking until a
-                // connection proves to be v1 and is handed back to a
-                // blocking handler thread.
+                // The reactor reads and writes every socket nonblocking.
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
@@ -373,11 +304,10 @@ impl TcpServer {
         self.local_addr
     }
 
-    /// Currently registered (live) connections — departed clients are
-    /// deregistered by their handler (v1) or the demux (v2), so this
-    /// does not grow with connection churn.
+    /// Currently live connections — departed clients are uncounted by
+    /// the reactor, so this does not grow with connection churn.
     pub fn live_connections(&self) -> usize {
-        self.state.conns.lock().expect("conns lock").len()
+        self.state.live.load(Ordering::SeqCst)
     }
 
     /// The service's metric registry — in-process drivers (stress,
@@ -410,8 +340,7 @@ impl TcpServer {
         self.report_rx
     }
 
-    /// Blocks until a client issues `shutdown` (over either protocol),
-    /// then returns the server-side [`ServiceReport`] (`None` only if
+    /// Blocks until a client issues `shutdown`, then returns the server-side [`ServiceReport`] (`None` only if
     /// the accept loop died without a shutdown, which a well-formed run
     /// never does).
     pub fn join(self) -> Option<ServiceReport> {
@@ -442,7 +371,7 @@ impl TcpServer {
             service.dump_flight("halt", None);
             service.shutdown()
         });
-        self.state.sever_all();
+        self.state.reactor.stop();
         // Unblock the accept loop, then wait out every server thread.
         let _ = TcpStream::connect(self.local_addr);
         let report_rx = self.join_threads();
@@ -451,7 +380,7 @@ impl TcpServer {
 }
 
 // ---------------------------------------------------------------------
-// The v2 serving machinery: demux + pool + control.
+// The serving machinery: pool + control, fed by the reactor.
 // ---------------------------------------------------------------------
 
 /// The shared half of one v2 connection: its registry id and a handle
@@ -702,17 +631,17 @@ fn control_worker(
                     Some(service) => {
                         let report = service.shutdown();
                         // Wait for the summary to actually reach the
-                        // socket: sever_all is about to cut every
-                        // connection, and the requester must read its
-                        // final summary before the FIN.
+                        // socket: stopping the reactor is about to cut
+                        // every connection, and the requester must read
+                        // its final summary before the FIN.
                         let _ = conn.send_flushed(
                             corr,
                             &FrameBody::SummaryResp(wire_summary(&report)),
                             Duration::from_secs(5),
                         );
                         let _ = report_tx.send(report);
-                        // Unblock sibling connections and the accept loop.
-                        state.sever_all();
+                        // Sever sibling connections, unblock the accept loop.
+                        state.reactor.stop();
                         let _ = TcpStream::connect(local_addr);
                         return;
                     }
@@ -880,402 +809,11 @@ pub(crate) fn dispatch_frame(
     }
 }
 
-// ---------------------------------------------------------------------
-// The v1 line-protocol path (handed off by the demux after the sniff).
-// ---------------------------------------------------------------------
-
-/// One v1 connection: read command lines, reply per line, until quit,
-/// shutdown, disconnect, or server stop. `prefix` is whatever the
-/// demux read before deciding this was a text client.
-pub(crate) fn handle_v1_connection(
-    stream: TcpStream,
-    conn_id: u64,
-    prefix: Vec<u8>,
-    state: Arc<ServerState>,
-    report_tx: SyncSender<ServiceReport>,
-    local_addr: SocketAddr,
-) {
-    let Ok(mut out) = stream.try_clone() else {
-        state.deregister(conn_id);
-        return;
-    };
-    let reader = BufReader::new(io::Cursor::new(prefix).chain(stream));
-    run_connection(reader, &mut out, &state, &report_tx, local_addr);
-    // Deregister so long-lived servers don't accumulate one dup'd fd
-    // per departed client. (After a shutdown drain this is a no-op.)
-    state.deregister(conn_id);
-}
-
-/// The per-connection v1 command loop (split out so the caller can pair
-/// registration with guaranteed deregistration).
-fn run_connection<R: BufRead>(
-    reader: R,
-    out: &mut TcpStream,
-    state: &ServerState,
-    report_tx: &SyncSender<ServiceReport>,
-    local_addr: SocketAddr,
-) {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        let reply = match Command::parse(&line) {
-            Err(msg) => format!("error: {msg}"),
-            Ok(None) => continue,
-            Ok(Some(Command::Quit)) => break,
-            Ok(Some(Command::Lease { tenant, count })) => {
-                let reply = {
-                    let _order = lockorder::track("server.service");
-                    state
-                        .service
-                        .read()
-                        .expect("service lock")
-                        .as_ref()
-                        .map(|service| service.lease(tenant, count))
-                };
-                match reply {
-                    // The halt_after_persists hook: die instead of
-                    // replying (see the module docs).
-                    Some(reply) if reply.halted => {
-                        crash_server(state, local_addr, "halt-after-persists", None);
-                        return;
-                    }
-                    Some(reply) => render_lease(&reply),
-                    None => "error: shutting down".into(),
-                }
-            }
-            Ok(Some(Command::Reset { tenant })) => {
-                let _order = lockorder::track("server.service");
-                match state.service.read().expect("service lock").as_ref() {
-                    Some(service) => {
-                        service.reset_tenant(tenant);
-                        format!("reset tenant={tenant}")
-                    }
-                    None => "error: shutting down".into(),
-                }
-            }
-            Ok(Some(Command::Drain)) => {
-                let _order = lockorder::track("server.service");
-                match state.service.read().expect("service lock").as_ref() {
-                    Some(service) => {
-                        service.drain();
-                        "drained".into()
-                    }
-                    None => "error: shutting down".into(),
-                }
-            }
-            Ok(Some(Command::Metrics)) => {
-                if state.metrics {
-                    // The one multi-line reply in the grammar: the
-                    // exposition, then a `# EOF` sentinel line so a
-                    // line-at-a-time client knows where it ends.
-                    let text = state.registry.snapshot().render_prometheus();
-                    format!("{text}# EOF")
-                } else {
-                    "error: metrics are disabled on this listener".into()
-                }
-            }
-            Ok(Some(Command::Shutdown)) => {
-                state.stopping.store(true, Ordering::SeqCst);
-                // The write lock waits out every in-flight request.
-                let service = {
-                    let _order = lockorder::track("server.service");
-                    state.service.write().expect("service lock").take()
-                };
-                match service {
-                    Some(service) => {
-                        let report = service.shutdown();
-                        let _ = writeln!(out, "{}", render_summary(&report));
-                        let _ = report_tx.send(report);
-                        // Unblock sibling connections and the accept loop.
-                        state.sever_all();
-                        let _ = TcpStream::connect(local_addr);
-                        return;
-                    }
-                    None => "error: shutting down".into(),
-                }
-            }
-        };
-        if writeln!(out, "{reply}").is_err() {
-            break;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Clients.
-// ---------------------------------------------------------------------
-
-/// A blocking v1 line-protocol client for a [`TcpServer`] (or any
-/// process speaking the `uuidp serve` grammar).
-pub struct RemoteClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    space: IdSpace,
-}
-
-fn proto_err(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-impl RemoteClient {
-    /// Connects to `addr`. `space` must match the server's universe —
-    /// the wire carries arc start/len pairs, and the client rebuilds
-    /// typed [`Arc`](uuidp_core::interval::Arc)s over this space.
-    pub fn connect<A: ToSocketAddrs>(addr: A, space: IdSpace) -> io::Result<RemoteClient> {
-        RemoteClient::connect_with(addr, space, None)
-    }
-
-    /// Like [`RemoteClient::connect`], but every reply read is bounded
-    /// by `read_timeout` (`None` = block forever). A stalled or
-    /// partitioned server then surfaces as a timed-out [`io::Error`]
-    /// instead of hanging the caller; because v1 is strictly
-    /// request/reply, a timed-out read leaves the request's fate
-    /// unknown (lease-in-doubt) and the connection must be replaced.
-    pub fn connect_with<A: ToSocketAddrs>(
-        addr: A,
-        space: IdSpace,
-        read_timeout: Option<Duration>,
-    ) -> io::Result<RemoteClient> {
-        let writer = TcpStream::connect(addr)?;
-        // Command lines are tiny and latency-bound; never batch them
-        // behind Nagle (pairs with the server-side set_nodelay).
-        writer.set_nodelay(true)?;
-        writer.set_read_timeout(read_timeout)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(RemoteClient {
-            reader,
-            writer,
-            space,
-        })
-    }
-
-    /// Sends one command line and reads the one reply line.
-    fn roundtrip(&mut self, command: &str) -> io::Result<String> {
-        writeln!(self.writer, "{command}")?;
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            // A bounded read that expired: the command was sent, its
-            // reply never came — classify as lease-in-doubt so a chaos
-            // driver knows not to blindly replay it.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(uuidp_client::broken(
-                    "v1 reply read timed out",
-                    uuidp_client::ErrorClass::LeaseInDoubt,
-                ));
-            }
-            Err(e) => return Err(e),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            Ok(_) => {}
-        }
-        Ok(line.trim_end().to_string())
-    }
-
-    /// Leases `count` IDs for `tenant`.
-    pub fn lease(&mut self, tenant: u64, count: u128) -> io::Result<WireLease> {
-        let line = self.roundtrip(&format!("lease {tenant} {count}"))?;
-        parse_lease_line(&line, self.space).map_err(proto_err)
-    }
-
-    /// Recycles `tenant`'s generator into a fresh epoch.
-    pub fn reset(&mut self, tenant: u64) -> io::Result<()> {
-        let line = self.roundtrip(&format!("reset {tenant}"))?;
-        if line == format!("reset tenant={tenant}") {
-            Ok(())
-        } else {
-            Err(proto_err(format!("unexpected reset reply: `{line}`")))
-        }
-    }
-
-    /// Blocks until the server has processed every prior request.
-    pub fn drain(&mut self) -> io::Result<()> {
-        let line = self.roundtrip("drain")?;
-        if line == "drained" {
-            Ok(())
-        } else {
-            Err(proto_err(format!("unexpected drain reply: `{line}`")))
-        }
-    }
-
-    /// Scrapes the server's metric registry: the v1 `metrics` command,
-    /// whose reply is Prometheus text exposition terminated by a
-    /// `# EOF` sentinel line (stripped from the returned text).
-    pub fn metrics(&mut self) -> io::Result<String> {
-        writeln!(self.writer, "metrics")?;
-        let mut text = String::new();
-        loop {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Err(e) => return Err(e),
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "server closed the connection mid-scrape",
-                    ));
-                }
-                Ok(_) => {}
-            }
-            let trimmed = line.trim_end();
-            if trimmed == "# EOF" {
-                return Ok(text);
-            }
-            if text.is_empty() && trimmed.starts_with("error:") {
-                return Err(proto_err(trimmed.to_string()));
-            }
-            text.push_str(trimmed);
-            text.push('\n');
-        }
-    }
-
-    /// Closes this connection; the server keeps running.
-    pub fn quit(mut self) -> io::Result<()> {
-        writeln!(self.writer, "quit")?;
-        Ok(())
-    }
-
-    /// Stops the whole server and returns its parsed shutdown summary.
-    pub fn shutdown(mut self) -> io::Result<WireSummary> {
-        let line = self.roundtrip("shutdown")?;
-        parse_summary(&line).map_err(proto_err)
-    }
-}
-
-/// One client, either protocol: the v1 [`RemoteClient`] and the v2
-/// multiplexing [`Client`] behind a protocol-agnostic surface, so
-/// consumers select a wire protocol with a [`ProtoVersion`] flag. Both
-/// arms return the same typed [`WireLease`] / [`WireSummary`].
-pub enum DialedClient {
-    /// The v1 text line protocol.
-    V1(RemoteClient),
-    /// The v2 binary framed protocol (multiplexing-capable).
-    V2(Client),
-}
-
-impl DialedClient {
-    /// Connects to `addr` speaking `proto`.
-    pub fn connect(addr: SocketAddr, space: IdSpace, proto: ProtoVersion) -> io::Result<Self> {
-        Ok(match proto {
-            ProtoVersion::V1 => DialedClient::V1(RemoteClient::connect(addr, space)?),
-            ProtoVersion::V2 => DialedClient::V2(Client::connect(addr, space)?),
-        })
-    }
-
-    /// Connects to `addr` speaking `proto` with every blocking phase
-    /// bounded by `timeout`: the dial, the v2 handshake, and each
-    /// request's reply read (v1 maps the same bound onto its socket
-    /// read timeout). `None` keeps the unbounded [`DialedClient::connect`]
-    /// behavior. This is the dial used when a chaos proxy sits between
-    /// the client and the server — nothing may hang forever.
-    pub fn connect_with(
-        addr: SocketAddr,
-        space: IdSpace,
-        proto: ProtoVersion,
-        timeout: Option<Duration>,
-    ) -> io::Result<Self> {
-        Ok(match proto {
-            ProtoVersion::V1 => DialedClient::V1(RemoteClient::connect_with(addr, space, timeout)?),
-            ProtoVersion::V2 => {
-                let options = ClientOptions {
-                    connect_timeout: timeout,
-                    handshake_timeout: timeout.or(ClientOptions::default().handshake_timeout),
-                    request_timeout: timeout,
-                };
-                DialedClient::V2(Client::connect_with(addr, space, options)?)
-            }
-        })
-    }
-
-    /// Which protocol this client speaks.
-    pub fn protocol(&self) -> ProtoVersion {
-        match self {
-            DialedClient::V1(_) => ProtoVersion::V1,
-            DialedClient::V2(_) => ProtoVersion::V2,
-        }
-    }
-
-    /// Leases `count` IDs for `tenant`.
-    pub fn lease(&mut self, tenant: u64, count: u128) -> io::Result<WireLease> {
-        match self {
-            DialedClient::V1(c) => c.lease(tenant, count),
-            DialedClient::V2(c) => c.lease(tenant, count),
-        }
-    }
-
-    /// [`DialedClient::lease`], also surfacing the correlation id the
-    /// lease traveled under, for tail-latency samplers. The v1 text
-    /// protocol has no correlation ids, so v1 leases report corr 0 —
-    /// sampled, but with no fetchable story.
-    pub fn lease_with_corr(&mut self, tenant: u64, count: u128) -> io::Result<(WireLease, u64)> {
-        match self {
-            DialedClient::V1(c) => c.lease(tenant, count).map(|l| (l, 0)),
-            DialedClient::V2(c) => c.lease_with_corr(tenant, count),
-        }
-    }
-
-    /// Recycles `tenant`'s generator into a fresh epoch.
-    pub fn reset(&mut self, tenant: u64) -> io::Result<()> {
-        match self {
-            DialedClient::V1(c) => c.reset(tenant),
-            DialedClient::V2(c) => c.reset(tenant),
-        }
-    }
-
-    /// Blocks until the server has processed every prior request.
-    pub fn drain(&mut self) -> io::Result<()> {
-        match self {
-            DialedClient::V1(c) => c.drain(),
-            DialedClient::V2(c) => c.drain(),
-        }
-    }
-
-    /// Scrapes the server's metric registry (Prometheus text
-    /// exposition) over whichever protocol this client speaks.
-    pub fn metrics(&mut self) -> io::Result<String> {
-        match self {
-            DialedClient::V1(c) => c.metrics(),
-            DialedClient::V2(c) => c.metrics(),
-        }
-    }
-
-    /// Fetches the server's retained trace span for one correlation id
-    /// (protocol v2 only — v1 has no correlation ids to look up).
-    pub fn timeline(&mut self, corr: u64) -> io::Result<String> {
-        match self {
-            DialedClient::V1(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "timeline fetch requires protocol v2",
-            )),
-            DialedClient::V2(c) => c.timeline(corr),
-        }
-    }
-
-    /// Closes this connection; the server keeps running. (For a v2
-    /// clone this drops one handle; the connection closes with the
-    /// last.)
-    pub fn quit(self) -> io::Result<()> {
-        match self {
-            DialedClient::V1(c) => c.quit(),
-            DialedClient::V2(_) => Ok(()),
-        }
-    }
-
-    /// Stops the whole server and returns its final summary.
-    pub fn shutdown(self) -> io::Result<WireSummary> {
-        match self {
-            DialedClient::V1(c) => c.shutdown(),
-            DialedClient::V2(c) => c.shutdown(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
+    use uuidp_client::{Client, ClientOptions};
     use uuidp_core::algorithms::AlgorithmKind;
 
     fn server(bits: u32) -> (TcpServer, IdSpace) {
@@ -1287,20 +825,38 @@ mod tests {
         )
     }
 
+    /// Whether `err` is what a severed connection looks like.
+    fn is_severed(err: &io::Error) -> bool {
+        matches!(
+            err.kind(),
+            io::ErrorKind::UnexpectedEof
+                | io::ErrorKind::BrokenPipe
+                | io::ErrorKind::ConnectionReset
+                | io::ErrorKind::ConnectionAborted
+        ) || uuidp_client::broken_connection(err).is_some()
+    }
+
     #[test]
     fn lease_reset_drain_shutdown_over_loopback() {
+        // The lifecycle commands act on the service, not on the
+        // connection that sends them: a reset and a drain sent on a
+        // second connection govern the tenant leased on the first, and
+        // the shutdown summary covers both.
         let (server, space) = server(40);
-        let mut client = RemoteClient::connect(server.local_addr(), space).unwrap();
-        let lease = client.lease(3, 100).unwrap();
+        let addr = server.local_addr();
+        let first = Client::connect(addr, space).unwrap();
+        let second = Client::connect(addr, space).unwrap();
+        let lease = first.lease(3, 100).unwrap();
         assert_eq!(lease.tenant, 3);
         assert_eq!(lease.granted, 100);
         assert_eq!(lease.arcs.iter().map(|a| a.len).sum::<u128>(), 100);
         assert!(lease.error.is_none());
-        client.reset(3).unwrap();
-        let again = client.lease(3, 50).unwrap();
+        second.reset(3).unwrap();
+        let again = first.lease(3, 50).unwrap();
         assert_eq!(again.granted, 50);
-        client.drain().unwrap();
-        let summary = client.shutdown().unwrap();
+        second.drain().unwrap();
+        drop(second);
+        let summary = first.shutdown().unwrap();
         assert_eq!(summary.issued_ids, 150);
         assert_eq!(summary.leases, 2);
         assert_eq!(summary.errors, 0);
@@ -1372,47 +928,27 @@ mod tests {
     }
 
     #[test]
-    fn mixed_v1_and_v2_clients_share_one_server() {
-        // The negotiation acceptance scenario: a v1 text client and a
-        // v2 binary client served by the same TcpServer, their traffic
-        // audited into one consistent total.
-        let (server, space) = server(44);
+    fn text_lines_get_one_error_line_then_eof() {
+        // The server speaks only v2: a client that opens with a text
+        // command gets one plain-text diagnostic naming protocol v2 and
+        // an EOF — while a v2 client on the same server keeps leasing.
+        let (server, space) = server(40);
         let addr = server.local_addr();
-        let mut v1 = RemoteClient::connect(addr, space).unwrap();
-        let v2 = Client::connect(addr, space).unwrap();
-        let mut issued = 0u128;
-        for round in 0..10u128 {
-            issued += v1.lease(0, 10 + round).unwrap().granted;
-            issued += v2.lease(1, 20 + round).unwrap().granted;
-        }
-        // Both protocols see the same live totals.
-        v2.drain().unwrap();
-        let live = v2.summary().unwrap();
-        assert_eq!(live.issued_ids, issued);
-        assert_eq!(live.leases, 20);
-        assert_eq!(live.recorded_ids, issued);
-        // A v1 shutdown finalizes for everyone.
-        let summary = v1.shutdown().unwrap();
-        assert_eq!(summary.issued_ids, issued);
-        assert_eq!(summary.duplicate_ids, 0);
-        let report = server.join().expect("server report");
-        assert_eq!(report.issued_ids, issued);
-    }
-
-    #[test]
-    fn v1_read_timeout_turns_a_stalled_server_into_a_typed_error() {
-        // A listener that accepts and then never says anything — the
-        // pathological peer a partition window produces.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let hold = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
-        let space = IdSpace::with_bits(40).unwrap();
-        let mut client =
-            RemoteClient::connect_with(addr, space, Some(Duration::from_millis(50))).unwrap();
-        let err = client.lease(0, 10).unwrap_err();
-        let broken = uuidp_client::broken_connection(&err).expect("typed broken-connection error");
-        assert_eq!(broken.class, uuidp_client::ErrorClass::LeaseInDoubt);
-        drop(hold.join().unwrap());
+        let client = Client::connect(addr, space).unwrap();
+        assert_eq!(client.lease(0, 5).unwrap().granted, 5);
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        raw.write_all(b"lease 0 1\n").unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).expect("one line, then EOF");
+        let lines: Vec<&str> = reply.lines().collect();
+        assert_eq!(lines.len(), 1, "{reply:?}");
+        assert!(lines[0].starts_with("error:"), "{reply:?}");
+        assert!(lines[0].contains("protocol v2"), "{reply:?}");
+        assert!(reply.ends_with('\n'), "{reply:?}");
+        assert_eq!(client.lease(0, 5).unwrap().granted, 5);
+        assert_eq!(client.shutdown().unwrap().issued_ids, 10);
+        server.join().unwrap();
     }
 
     #[test]
@@ -1426,63 +962,29 @@ mod tests {
     }
 
     #[test]
-    fn v2_can_be_disabled_leaving_a_legacy_listener() {
-        let space = IdSpace::with_bits(40).unwrap();
-        let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
-        let options = ServerOptions {
-            accept_v2: false,
-            v2_workers: 2,
-            ..ServerOptions::default()
-        };
-        let server = TcpServer::bind_with("127.0.0.1:0", config, options).unwrap();
-        let err = Client::connect(server.local_addr(), space).unwrap_err();
-        assert!(err.to_string().contains("disabled"), "got: {err}");
-        // v1 still works fine.
-        let mut v1 = RemoteClient::connect(server.local_addr(), space).unwrap();
-        assert_eq!(v1.lease(0, 7).unwrap().granted, 7);
-        v1.shutdown().unwrap();
-        server.join().unwrap();
-    }
-
-    #[test]
     fn concurrent_connections_share_the_service() {
         let (server, space) = server(44);
         let addr = server.local_addr();
         let handles: Vec<_> = (0..4u64)
             .map(|tenant| {
                 std::thread::spawn(move || {
-                    let mut client = RemoteClient::connect(addr, space).unwrap();
+                    let client = Client::connect(addr, space).unwrap();
                     let mut total = 0u128;
                     for round in 0..10u128 {
                         total += client.lease(tenant, 32 + round).unwrap().granted;
                     }
-                    client.quit().unwrap();
                     total
                 })
             })
             .collect();
         let issued: u128 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        let mut closer = RemoteClient::connect(addr, space).unwrap();
+        let closer = Client::connect(addr, space).unwrap();
         closer.drain().unwrap();
         let summary = closer.shutdown().unwrap();
         assert_eq!(summary.issued_ids, issued);
         assert_eq!(summary.leases, 40);
         assert_eq!(summary.duplicate_ids, 0, "independent tenants collided");
         assert!(server.join().is_some());
-    }
-
-    #[test]
-    fn malformed_lines_get_error_replies_and_keep_the_connection() {
-        let (server, space) = server(32);
-        let mut client = RemoteClient::connect(server.local_addr(), space).unwrap();
-        let reply = client.roundtrip("utter gibberish here").unwrap();
-        assert!(reply.starts_with("error:"), "got `{reply}`");
-        let reply = client.roundtrip("reset nope").unwrap();
-        assert!(reply.starts_with("error:"), "got `{reply}`");
-        // Still serviceable afterwards.
-        assert_eq!(client.lease(0, 5).unwrap().granted, 5);
-        client.shutdown().unwrap();
-        server.join().unwrap();
     }
 
     #[test]
@@ -1505,30 +1007,25 @@ mod tests {
 
     #[test]
     fn departed_connections_are_deregistered() {
-        // Churning clients must not accumulate registered fds: after
-        // every client quits, the live-connection registry drains back
-        // to zero (v1 handlers and the v2 demux both deregister).
+        // Churning clients must not accumulate registry entries: after
+        // every client hangs up, the live-connection count drains back
+        // to zero.
         let (server, space) = server(32);
         let addr = server.local_addr();
-        for tenant in 0..5u64 {
-            let mut client = RemoteClient::connect(addr, space).unwrap();
-            assert_eq!(client.lease(tenant, 8).unwrap().granted, 8);
-            client.quit().unwrap();
-        }
-        for tenant in 0..5u64 {
+        for tenant in 0..10u64 {
             let client = Client::connect(addr, space).unwrap();
             assert_eq!(client.lease(tenant, 8).unwrap().granted, 8);
-            drop(client); // EOF: the demux reaps it
+            drop(client); // EOF: the reactor reaps it
         }
-        // Handlers deregister asynchronously after the quit/EOF.
+        // The reactor deregisters asynchronously after the EOF.
         for _ in 0..200 {
             if server.live_connections() == 0 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
-        assert_eq!(server.live_connections(), 0, "fd registry leaked");
-        let closer = RemoteClient::connect(addr, space).unwrap();
+        assert_eq!(server.live_connections(), 0, "connection registry leaked");
+        let closer = Client::connect(addr, space).unwrap();
         assert_eq!(closer.shutdown().unwrap().issued_ids, 80);
         server.join().unwrap();
     }
@@ -1537,20 +1034,14 @@ mod tests {
     fn halt_stops_the_server_without_a_client() {
         let (server, space) = server(36);
         let addr = server.local_addr();
-        let mut client = RemoteClient::connect(addr, space).unwrap();
+        let client = Client::connect(addr, space).unwrap();
         client.lease(0, 25).unwrap();
         // The crash lever: connected clients see EOF, not a summary.
         let report = server.halt().expect("halt yields the report");
         assert_eq!(report.issued_ids, 25);
         let err = client.lease(0, 1).unwrap_err();
         assert!(
-            matches!(
-                err.kind(),
-                std::io::ErrorKind::UnexpectedEof
-                    | std::io::ErrorKind::BrokenPipe
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::ConnectionAborted
-            ),
+            is_severed(&err),
             "halted server should sever the client, got {err:?}"
         );
         // The port is free again: a new server can bind-and-halt cleanly.
@@ -1571,13 +1062,7 @@ mod tests {
         // report to hand back — exactly like an in-process halt.
         let err = watcher.lease(0, 1).unwrap_err();
         assert!(
-            matches!(
-                err.kind(),
-                std::io::ErrorKind::UnexpectedEof
-                    | std::io::ErrorKind::BrokenPipe
-                    | std::io::ErrorKind::ConnectionReset
-                    | std::io::ErrorKind::ConnectionAborted
-            ),
+            is_severed(&err),
             "remote halt should sever siblings, got {err:?}"
         );
         assert!(server.join().is_none(), "halt must not produce a report");
@@ -1587,17 +1072,17 @@ mod tests {
     fn sibling_connections_are_unblocked_by_shutdown() {
         let (server, space) = server(36);
         let addr = server.local_addr();
-        let idle = RemoteClient::connect(addr, space).unwrap();
-        let idle_v2 = Client::connect(addr, space).unwrap();
-        let mut active = RemoteClient::connect(addr, space).unwrap();
+        let idle = Client::connect(addr, space).unwrap();
+        let idle_too = Client::connect(addr, space).unwrap();
+        let active = Client::connect(addr, space).unwrap();
         active.lease(0, 10).unwrap();
         active.shutdown().unwrap();
         // The idle connections were severed server-side; the server
         // joins without waiting on them.
         let report = server.join().expect("report despite idle siblings");
         assert_eq!(report.issued_ids, 10);
-        drop(idle);
-        drop(idle_v2);
+        assert!(is_severed(&idle.lease(0, 1).unwrap_err()));
+        drop(idle_too);
     }
 
     #[test]
@@ -1648,37 +1133,34 @@ mod tests {
     }
 
     #[test]
-    fn metrics_scrape_works_over_both_protocols() {
-        for proto in [ProtoVersion::V1, ProtoVersion::V2] {
-            let (server, space) = server(40);
-            let mut client = DialedClient::connect(server.local_addr(), space, proto).unwrap();
-            assert_eq!(client.lease(2, 64).unwrap().granted, 64, "{proto}");
-            let text = client.metrics().unwrap();
-            let families = uuidp_obs::parse_exposition(&text);
-            assert_eq!(
-                families.get("uuidp_ids_issued_total"),
-                Some(&64.0),
-                "{proto}: {text}"
-            );
-            assert_eq!(families.get("uuidp_leases_total"), Some(&1.0), "{proto}");
-            assert!(
-                families.contains_key("uuidp_lease_latency_ns_count"),
-                "{proto}: histogram family missing from scrape:\n{text}"
-            );
-            // Scrapes are monotone: more work, bigger counters.
-            assert_eq!(client.lease(2, 36).unwrap().granted, 36, "{proto}");
-            let again = uuidp_obs::parse_exposition(&client.metrics().unwrap());
-            assert_eq!(again.get("uuidp_ids_issued_total"), Some(&100.0), "{proto}");
-            client.shutdown().unwrap();
-            server.join().unwrap();
-        }
+    fn metrics_scrape_works_over_the_wire() {
+        let (server, space) = server(40);
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        assert_eq!(client.lease(2, 64).unwrap().granted, 64);
+        let text = client.metrics().unwrap();
+        let families = uuidp_obs::parse_exposition(&text);
+        assert_eq!(
+            families.get("uuidp_ids_issued_total"),
+            Some(&64.0),
+            "{text}"
+        );
+        assert_eq!(families.get("uuidp_leases_total"), Some(&1.0));
+        assert!(
+            families.contains_key("uuidp_lease_latency_ns_count"),
+            "histogram family missing from scrape:\n{text}"
+        );
+        // Scrapes are monotone: more work, bigger counters.
+        assert_eq!(client.lease(2, 36).unwrap().granted, 36);
+        let again = uuidp_obs::parse_exposition(&client.metrics().unwrap());
+        assert_eq!(again.get("uuidp_ids_issued_total"), Some(&100.0));
+        client.shutdown().unwrap();
+        server.join().unwrap();
     }
 
     #[test]
     fn timeline_fetch_assembles_a_lease_span_over_v2() {
         let (server, space) = server(40);
-        let mut client =
-            DialedClient::connect(server.local_addr(), space, ProtoVersion::V2).unwrap();
+        let client = Client::connect(server.local_addr(), space).unwrap();
         let (lease, corr) = client.lease_with_corr(5, 16).unwrap();
         assert_eq!(lease.granted, 16);
         assert_ne!(corr, 0, "v2 leases travel under a real corr id");
@@ -1689,19 +1171,12 @@ mod tests {
         assert!(span.contains("reply-sent"), "{span}");
         // An id nothing ever traced comes back as an empty story.
         assert_eq!(client.timeline(u64::MAX).unwrap(), "");
-        // v1 has no corr ids: the fetch is a typed refusal, and the
-        // lease path still reports corr 0 rather than failing.
-        let mut v1 = DialedClient::connect(server.local_addr(), space, ProtoVersion::V1).unwrap();
-        assert_eq!(v1.lease_with_corr(5, 4).unwrap().1, 0);
-        let err = v1.timeline(1).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-        v1.quit().unwrap();
         client.shutdown().unwrap();
         server.join().unwrap();
     }
 
     #[test]
-    fn disabled_metrics_surface_reports_typed_errors_on_both_protocols() {
+    fn disabled_metrics_surface_reports_typed_errors() {
         let space = IdSpace::with_bits(40).unwrap();
         let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
         let options = ServerOptions {
@@ -1709,64 +1184,14 @@ mod tests {
             ..ServerOptions::default()
         };
         let server = TcpServer::bind_with("127.0.0.1:0", config, options).unwrap();
-        let addr = server.local_addr();
-        let mut v1 = RemoteClient::connect(addr, space).unwrap();
-        let err = v1.metrics().unwrap_err();
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        let err = client.metrics().unwrap_err();
         assert!(err.to_string().contains("disabled"), "got: {err}");
-        let v2 = Client::connect(addr, space).unwrap();
-        let err = v2.metrics().unwrap_err();
+        let err = client.timeline(1).unwrap_err();
         assert!(err.to_string().contains("disabled"), "got: {err}");
-        // Both connections survived the refusal.
-        assert_eq!(v1.lease(0, 5).unwrap().granted, 5);
-        assert_eq!(v2.lease(1, 5).unwrap().granted, 5);
-        v1.shutdown().unwrap();
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn dialed_client_serves_both_protocols_identically() {
-        for proto in [ProtoVersion::V1, ProtoVersion::V2] {
-            let (server, space) = server(40);
-            let mut client = DialedClient::connect(server.local_addr(), space, proto).unwrap();
-            assert_eq!(client.protocol(), proto);
-            let lease = client.lease(5, 64).unwrap();
-            assert_eq!(lease.granted, 64, "{proto}");
-            client.reset(5).unwrap();
-            client.drain().unwrap();
-            let summary = client.shutdown().unwrap();
-            assert_eq!(summary.issued_ids, 64, "{proto}");
-            assert_eq!(summary.leases, 1, "{proto}");
-            server.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn v1_handler_threads_are_reaped_between_connections() {
-        // Regression: the old demux pushed one JoinHandle per v1
-        // connection and only joined them at shutdown — a slow leak on
-        // any long-lived server with v1 churn. The reactor reaps
-        // finished handlers every pass, so the live count must return
-        // to zero while the server keeps serving.
-        let (server, space) = server(40);
-        let registry = server.registry();
-        for tenant in 0..16 {
-            let mut client = RemoteClient::connect(server.local_addr(), space).unwrap();
-            assert_eq!(client.lease(tenant, 10).unwrap().granted, 10);
-            client.quit().unwrap();
-        }
-        let live = registry.gauge("uuidp_net_v1_handlers_live");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while live.get() != 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "{} v1 handler threads still alive after every client quit",
-                live.get()
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        // The server is still fully alive after all that churn.
-        let last = RemoteClient::connect(server.local_addr(), space).unwrap();
-        last.shutdown().unwrap();
+        // The connection survived both refusals.
+        assert_eq!(client.lease(0, 5).unwrap().granted, 5);
+        client.shutdown().unwrap();
         server.join().unwrap();
     }
 
@@ -1839,13 +1264,13 @@ mod tests {
             worst < Duration::from_millis(500),
             "probe starved behind the flooder: worst lease took {worst:?}"
         );
-        let ctl = RemoteClient::connect(addr, space).unwrap();
+        let ctl = Client::connect(addr, space).unwrap();
         ctl.shutdown().unwrap();
         server.join().unwrap();
     }
 
     #[test]
-    fn rotation_backend_serves_both_protocols() {
+    fn rotation_backend_carries_real_traffic() {
         // The portable fallback (and the `poll-fallback` build's only
         // backend) must carry real traffic, not just compile.
         let space = IdSpace::with_bits(40).unwrap();
@@ -1856,12 +1281,12 @@ mod tests {
         };
         let server = TcpServer::bind_with("127.0.0.1:0", config, options).unwrap();
         assert_eq!(server.net_backend(), "poll");
-        let v2 = Client::connect(server.local_addr(), space).unwrap();
-        assert_eq!(v2.lease(3, 100).unwrap().granted, 100);
-        let mut v1 = RemoteClient::connect(server.local_addr(), space).unwrap();
-        assert_eq!(v1.lease(4, 50).unwrap().granted, 50);
-        drop(v2);
-        let summary = v1.shutdown().unwrap();
+        let first = Client::connect(server.local_addr(), space).unwrap();
+        assert_eq!(first.lease(3, 100).unwrap().granted, 100);
+        let second = Client::connect(server.local_addr(), space).unwrap();
+        assert_eq!(second.lease(4, 50).unwrap().granted, 50);
+        drop(first);
+        let summary = second.shutdown().unwrap();
         assert_eq!(summary.issued_ids, 150);
         server.join().unwrap();
     }
@@ -1875,25 +1300,22 @@ mod tests {
             "poll"
         };
         assert_eq!(server.net_backend(), expected);
-        let client = RemoteClient::connect(server.local_addr(), space).unwrap();
+        let client = Client::connect(server.local_addr(), space).unwrap();
         client.shutdown().unwrap();
         server.join().unwrap();
     }
 
     #[test]
     fn timeout_bounded_clients_work_against_the_reactor() {
-        // `connect_with(.., Some(timeout))` bounds every reply read;
-        // the reactor's queued replies must land well inside it on
-        // both protocols.
-        for proto in [ProtoVersion::V1, ProtoVersion::V2] {
-            let (server, space) = server(40);
-            let timeout = Some(Duration::from_secs(5));
-            let mut client =
-                DialedClient::connect_with(server.local_addr(), space, proto, timeout).unwrap();
-            assert_eq!(client.lease(7, 32).unwrap().granted, 32, "{proto}");
-            let summary = client.shutdown().unwrap();
-            assert_eq!(summary.issued_ids, 32, "{proto}");
-            server.join().unwrap();
-        }
+        // `ClientOptions::bounded` bounds the dial, the handshake, and
+        // every reply read; the reactor's queued replies must land well
+        // inside it.
+        let (server, space) = server(40);
+        let options = ClientOptions::bounded(Some(Duration::from_secs(5)));
+        let client = Client::connect_with(server.local_addr(), space, options).unwrap();
+        assert_eq!(client.lease(7, 32).unwrap().granted, 32);
+        let summary = client.shutdown().unwrap();
+        assert_eq!(summary.issued_ids, 32);
+        server.join().unwrap();
     }
 }

@@ -1,6 +1,6 @@
-//! The readiness-driven v2 I/O core.
+//! The readiness-driven I/O core.
 //!
-//! One reactor thread owns **all** v2 connection state (the single-
+//! One reactor thread owns **all** connection state (the single-
 //! actor ownership shape of holochain's `kitsune_p2p` event loops):
 //! sockets, reassembly buffers, and per-connection reply queues all
 //! live here, and every other thread talks to the reactor exclusively
@@ -41,7 +41,6 @@ use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
@@ -50,11 +49,8 @@ use std::os::fd::AsRawFd;
 use uuidp_client::frame;
 use uuidp_obs::{AtomicHistogram, Counter, Gauge};
 
-use crate::net::{
-    dispatch_frame, handle_v1_connection, CtrlJob, Disposition, PoolJob, ServerState, V2Conn,
-};
+use crate::net::{dispatch_frame, CtrlJob, Disposition, PoolJob, ServerState, V2Conn};
 use crate::reassembly::{BufPool, ReadBuf};
-use crate::service::ServiceReport;
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
 use crate::sys;
 
@@ -66,8 +62,10 @@ const FRAME_CAP: usize = 128;
 const MAX_OUT_QUEUE: usize = 64 * 1024 * 1024;
 /// Reply buffers coalesced into one vectored write.
 const MAX_IOV: usize = 64;
-/// Poll timeout while finished v1 handler threads await reaping.
-const V1_REAP_MS: i32 = 100;
+/// The one line a connection whose first byte is not the v2 magic gets
+/// before the reactor closes it.
+const NOT_V2: &[u8] = b"error: this server speaks only protocol v2 (binary frames, \
+see uuidp_client); text commands are served by `uuidp serve` on stdin\n";
 /// The poller token reserved for the epoll waker's eventfd.
 #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
 const WAKER_TOKEN: u64 = u64::MAX;
@@ -432,8 +430,8 @@ struct NetConn {
     rbuf: Option<ReadBuf>,
     out: VecDeque<OutFrame>,
     out_bytes: usize,
-    /// First byte seen and judged to be v2.
-    sniffed: bool,
+    /// First byte seen and found to be the v2 magic.
+    magic_seen: bool,
     hello_done: bool,
     /// Write interest currently armed with the poller.
     write_interest: bool,
@@ -450,14 +448,11 @@ enum Fate {
         backlog: bool,
     },
     /// Sever — after best-effort writing `farewell` (a pre-encoded
-    /// fatal error frame), so protocol violations still get their
-    /// diagnostic before EOF.
+    /// fatal error frame, or the plain-text [`NOT_V2`] line), so
+    /// protocol violations still get their diagnostic before EOF.
     Remove {
         farewell: Option<Vec<u8>>,
     },
-    /// First byte says v1: hand socket + buffered prefix to a blocking
-    /// line-protocol handler thread.
-    HandOffV1(Vec<u8>),
 }
 
 /// Everything `bind_with` wires into the reactor thread.
@@ -468,9 +463,6 @@ pub(crate) struct ReactorSeed {
     pub handle: ReactorHandle,
     pub pool_txs: Vec<SyncSender<PoolJob>>,
     pub ctrl_tx: SyncSender<CtrlJob>,
-    pub accept_v2: bool,
-    pub report_tx: SyncSender<ServiceReport>,
-    pub local_addr: std::net::SocketAddr,
 }
 
 /// The reactor: see the module docs for the full shape.
@@ -481,9 +473,6 @@ pub(crate) struct Reactor {
     handle: ReactorHandle,
     pool_txs: Vec<SyncSender<PoolJob>>,
     ctrl_tx: SyncSender<CtrlJob>,
-    accept_v2: bool,
-    report_tx: SyncSender<ServiceReport>,
-    local_addr: std::net::SocketAddr,
     conns: HashMap<u64, NetConn>,
     /// Connections holding complete-but-undispatched frames (hit the
     /// per-pass frame cap); pumped again next pass with a 0 timeout.
@@ -492,11 +481,9 @@ pub(crate) struct Reactor {
     dirty: Vec<u64>,
     pool: BufPool,
     scratch: Vec<u8>,
-    v1_handlers: Vec<JoinHandle<()>>,
     pass: u64,
     wakeups: Arc<Counter>,
     replies_per_syscall: Arc<AtomicHistogram>,
-    v1_live: Arc<Gauge>,
     /// Reply bytes queued across all connections, awaiting flush.
     out_queue: Arc<Gauge>,
     /// Connections the reactor severed (backpressure cap, dead write,
@@ -509,7 +496,6 @@ impl Reactor {
         let registry = &seed.state.registry;
         let wakeups = registry.counter("uuidp_net_wakeups_total");
         let replies_per_syscall = registry.histogram("uuidp_net_replies_per_syscall");
-        let v1_live = registry.gauge("uuidp_net_v1_handlers_live");
         let out_queue = registry.gauge("uuidp_net_out_queue_bytes");
         let severed = registry.counter("uuidp_net_severed_total");
         Reactor {
@@ -519,19 +505,14 @@ impl Reactor {
             handle: seed.handle,
             pool_txs: seed.pool_txs,
             ctrl_tx: seed.ctrl_tx,
-            accept_v2: seed.accept_v2,
-            report_tx: seed.report_tx,
-            local_addr: seed.local_addr,
             conns: HashMap::new(),
             backlog: Vec::new(),
             dirty: Vec::new(),
             pool: BufPool::new(),
             scratch: vec![0u8; 16 * 1024],
-            v1_handlers: Vec::new(),
             pass: 0,
             wakeups,
             replies_per_syscall,
-            v1_live,
             out_queue,
             severed,
         }
@@ -541,12 +522,10 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            let timeout = if !self.backlog.is_empty() {
-                0 // parked frames to dispatch: come straight back
-            } else if !self.v1_handlers.is_empty() {
-                V1_REAP_MS // finished v1 handlers want reaping
-            } else {
+            let timeout = if self.backlog.is_empty() {
                 -1 // idle: block until a socket or a command stirs
+            } else {
+                0 // parked frames to dispatch: come straight back
             };
             self.poller.wait(&mut events, timeout);
             self.wakeups.inc();
@@ -554,7 +533,6 @@ impl Reactor {
             if self.drain_cmds() {
                 break;
             }
-            self.reap_v1();
             // Pump: readiness first, then the parked backlog.
             let parked = std::mem::take(&mut self.backlog);
             for ev in &events {
@@ -615,7 +593,7 @@ impl Reactor {
             return; // racing a shutdown; already severed
         };
         if self.poller.register(&stream, conn_id).is_err() {
-            self.state.deregister(conn_id);
+            self.state.deregister();
             return;
         }
         let shared = Arc::new(V2Conn::new(conn_id, self.handle.clone()));
@@ -628,7 +606,7 @@ impl Reactor {
                 rbuf: None,
                 out: VecDeque::new(),
                 out_bytes: 0,
-                sniffed: false,
+                magic_seen: false,
                 hello_done: false,
                 write_interest: false,
                 pumped_pass: 0,
@@ -667,16 +645,6 @@ impl Reactor {
         }
     }
 
-    /// Reaps finished v1 handler threads (the old demux held every
-    /// JoinHandle until shutdown — one leak per v1 connection).
-    fn reap_v1(&mut self) {
-        if self.v1_handlers.is_empty() {
-            return;
-        }
-        self.v1_handlers.retain(|h| !h.is_finished());
-        self.v1_live.set(self.v1_handlers.len() as i64);
-    }
-
     fn pump(&mut self, conn_id: u64) {
         let Some(mut conn) = self.conns.remove(&conn_id) else {
             return;
@@ -699,7 +667,6 @@ impl Reactor {
                 }
                 self.dispose(conn);
             }
-            Fate::HandOffV1(prefix) => self.handoff_v1(conn, prefix),
         }
     }
 
@@ -715,20 +682,14 @@ impl Reactor {
                 }
                 Ok(n) => {
                     read_bytes += n;
-                    if !conn.sniffed {
-                        // First bytes ever: negotiate the protocol.
+                    if !conn.magic_seen {
+                        // First byte ever: only the v2 magic is served.
                         if self.scratch[0] != frame::MAGIC[0] {
-                            return Fate::HandOffV1(self.scratch[..n].to_vec());
-                        }
-                        conn.sniffed = true;
-                        if !self.accept_v2 {
                             return Fate::Remove {
-                                farewell: Some(error_frame(
-                                    0,
-                                    "protocol v2 is disabled on this listener",
-                                )),
+                                farewell: Some(NOT_V2.to_vec()),
                             };
                         }
+                        conn.magic_seen = true;
                     }
                     let pool = &mut self.pool;
                     let rbuf = conn.rbuf.get_or_insert_with(|| pool.get());
@@ -877,7 +838,7 @@ impl Reactor {
     fn dispose(&mut self, conn: NetConn) {
         self.out_queue.add(-(conn.out_bytes as i64));
         self.poller.deregister(&conn.stream, conn.conn_id);
-        self.state.deregister(conn.conn_id);
+        self.state.deregister();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         for frame in conn.out {
             if let Some(done) = frame.done {
@@ -889,42 +850,13 @@ impl Reactor {
         }
     }
 
-    /// Hands a sniffed-as-v1 connection to a blocking handler thread.
-    fn handoff_v1(&mut self, conn: NetConn, prefix: Vec<u8>) {
-        self.poller.deregister(&conn.stream, conn.conn_id);
-        // Blocking reads can only be unblocked by a stored write half —
-        // store one (and bail if a shutdown races the promotion).
-        if !self.state.promote_v1(conn.conn_id, &conn.stream) {
-            if let Some(rbuf) = conn.rbuf {
-                self.pool.put(rbuf);
-            }
-            return;
-        }
-        // Back to blocking: the v1 handler thread owns it now.
-        let _ = conn.stream.set_nonblocking(false);
-        let state = Arc::clone(&self.state);
-        let report_tx = self.report_tx.clone();
-        let local_addr = self.local_addr;
-        let conn_id = conn.conn_id;
-        let stream = conn.stream;
-        self.v1_handlers.push(std::thread::spawn(move || {
-            handle_v1_connection(stream, conn_id, prefix, state, report_tx, local_addr);
-        }));
-        self.v1_live.set(self.v1_handlers.len() as i64);
-    }
-
     /// The abrupt exit every stop path funnels into: pending flush acks
-    /// fail, connections drop (the stop path already severed the
-    /// registered write halves), v1 handlers are joined out.
+    /// fail and every connection is severed.
     fn finish(mut self) {
         let conns: Vec<NetConn> = self.conns.drain().map(|(_, c)| c).collect();
         for conn in conns {
             self.dispose(conn);
         }
-        for handle in self.v1_handlers.drain(..) {
-            let _ = handle.join();
-        }
-        self.v1_live.set(0);
     }
 }
 

@@ -20,19 +20,16 @@
 //! The driver is transport-generic: every mix runs against a
 //! [`StressTarget`], either the in-process [`IdService`]
 //! ([`run_stress`]) or a loopback TCP server through the real
-//! [`RemoteClient`] socket path ([`run_stress_remote`]) — and because
-//! the audit totals are interleaving-invariant, the two transports must
+//! [`Client`] socket path ([`run_stress_remote`]) — and because the
+//! audit totals are interleaving-invariant, the two transports must
 //! report identical issued/duplicate counts for the same seed and mix.
 //!
-//! Remote runs can fan the client side out: with `remote_workers > 1`
-//! the driver keeps a pool of worker threads, **each owning one
-//! persistent connection for the whole run** ([`PooledRemoteTarget`]).
-//! Tenants are pinned to pool workers (`tenant % workers`), so every
-//! tenant's requests stay FIFO on one connection and the totals remain
-//! bit-identical to the single-connection and in-process paths. Against
-//! the thread-per-connection server this bounds the server's thread
-//! count at `workers` for the entire run — connection reuse instead of
-//! connection churn.
+//! Remote runs fan the client side out over `remote_workers ≥ 1` worker
+//! threads, **all multiplexing clones of one connection**
+//! ([`WireTarget`]). Tenants are pinned to pool workers
+//! (`tenant % workers`), so every tenant's requests stay FIFO and the
+//! totals remain bit-identical to the in-process path for every pool
+//! width.
 //!
 //! Chaos runs ([`StressConfig::chaos`]) interpose a deterministic
 //! [`ChaosProxy`] between the client pool and the server and swap the
@@ -61,13 +58,12 @@ use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::Arc;
 use uuidp_core::rng::{SeedDomain, SeedTree};
 
-use uuidp_client::{ProtoVersion, RetryPolicy};
+use uuidp_client::{Client, ClientOptions, Lease, RetryPolicy, Summary};
 use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
 use uuidp_obs::{SlowLease, Snapshot, TailSampler, TimeSeries};
 
 use crate::metrics::FaultCounters;
-use crate::net::{DialedClient, RemoteClient, ServerOptions, TcpServer};
-use crate::protocol::WireSummary;
+use crate::net::{ServerOptions, TcpServer};
 use crate::reactor::NetBackend;
 use crate::service::{AuditReport, IdService, ServiceConfig, ServiceReport};
 
@@ -145,14 +141,10 @@ pub struct StressConfig {
     pub count: u128,
     /// Traffic shape.
     pub mix: TrafficMix,
-    /// Client-side pool width for remote runs: worker threads, each
-    /// with one persistent connection reused for the whole run. `1`
-    /// keeps the classic single-connection driver.
+    /// Client-side pool width for remote runs: worker threads that
+    /// multiplex one persistent connection for the whole run (under
+    /// chaos, each worker dials its own).
     pub remote_workers: usize,
-    /// Which wire protocol remote runs speak: the v1 text line protocol
-    /// (one connection per pool worker) or the v2 binary framed
-    /// protocol, where the whole pool **multiplexes one connection**.
-    pub protocol: ProtoVersion,
     /// Fault schedule for remote runs: when set, a [`ChaosProxy`] built
     /// from this spec and [`StressConfig::chaos_seed`] sits between the
     /// clients and the server, and the driver switches to classified
@@ -162,7 +154,7 @@ pub struct StressConfig {
     /// seed replays the same fault schedule bit-for-bit.
     pub chaos_seed: u64,
     /// Scrape the metric registry during remote runs: a sidecar thread
-    /// scrapes the server over its own v1 connection while load flows
+    /// scrapes the server over its own connection while load flows
     /// (asserting the required families are present and every counter
     /// is monotone scrape-over-scrape), and the report gains the final
     /// server-side family values. Ignored by in-process runs.
@@ -185,7 +177,6 @@ impl StressConfig {
             count,
             mix: TrafficMix::Uniform,
             remote_workers: 1,
-            protocol: ProtoVersion::V1,
             chaos: None,
             chaos_seed: 0,
             scrape: false,
@@ -218,7 +209,7 @@ pub struct MetricsReport {
     pub families: std::collections::BTreeMap<String, f64>,
 }
 
-/// The scrape sidecar: one dedicated v1 connection hammering `metrics`
+/// The scrape sidecar: one dedicated connection hammering `metrics`
 /// while the run is live. Every scrape asserts the [`REQUIRED_FAMILIES`]
 /// are present and that no counter family went backwards — the
 /// monotonicity half of the export-surface contract — and is ingested
@@ -231,7 +222,8 @@ fn spawn_wire_scraper(addr: SocketAddr, space: IdSpace) -> JoinHandle<(u64, Time
         let mut scrapes = 0u64;
         let mut series = TimeSeries::new(1, 64);
         let mut last: std::collections::BTreeMap<String, f64> = Default::default();
-        let Ok(mut client) = RemoteClient::connect_with(addr, space, Some(CHAOS_TIMEOUT)) else {
+        let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
+        let Ok(client) = Client::connect_with(addr, space, options) else {
             return (0, series); // raced the shutdown before the first scrape
         };
         loop {
@@ -273,9 +265,7 @@ pub trait StressTarget {
     fn space(&self) -> IdSpace;
     /// Synchronously leases `count` IDs and returns the granted arcs.
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc>;
-    /// Lease-shaped load where the reply is not needed. (A remote
-    /// target still reads the reply to keep the line protocol in sync,
-    /// which is why this takes `&mut self`.)
+    /// Lease-shaped load where the reply is not needed.
     fn issue(&mut self, tenant: u64, count: u128);
     /// Blocks until every submitted request has been processed.
     fn drain(&mut self);
@@ -330,8 +320,8 @@ impl From<ServiceReport> for TargetReport {
     }
 }
 
-impl From<WireSummary> for TargetReport {
-    fn from(summary: WireSummary) -> TargetReport {
+impl From<Summary> for TargetReport {
+    fn from(summary: Summary) -> TargetReport {
         TargetReport {
             issued_ids: summary.issued_ids,
             leases: summary.leases,
@@ -394,10 +384,9 @@ impl StressTarget for LocalTarget {
     }
 }
 
-/// Fills in wire-fetched timelines for a sampler's retained leases.
-/// Only v2 samples carry a real corr id; everything else keeps its
-/// empty story (and an evicted span comes back empty too).
-fn fetch_timelines(client: &mut DialedClient, tail: &mut TailSampler) {
+/// Fills in wire-fetched timelines for a sampler's retained leases. An
+/// evicted span comes back empty, and so keeps its empty story.
+fn fetch_timelines(client: &Client, tail: &mut TailSampler) {
     for s in tail.worst_mut() {
         if s.corr != 0 {
             if let Ok(text) = client.timeline(s.corr) {
@@ -412,77 +401,6 @@ fn fetch_timelines(client: &mut DialedClient, tail: &mut TailSampler) {
 /// telemetry timestamp in the stack uses.
 fn elapsed_ns(started_ns: u64) -> u64 {
     clock::monotonic_ns().saturating_sub(started_ns)
-}
-
-/// The socket target: one [`DialedClient`] (either protocol) driving a
-/// TCP front-end. The report comes from the wire summary, so the whole
-/// client code path — not just the traffic — is exercised.
-pub struct RemoteTarget {
-    client: DialedClient,
-    space: IdSpace,
-    tail: TailSampler,
-}
-
-impl RemoteTarget {
-    /// Connects to a front-end serving `space` at `addr`, speaking
-    /// `protocol`.
-    pub fn connect(
-        addr: std::net::SocketAddr,
-        space: IdSpace,
-        protocol: ProtoVersion,
-    ) -> io::Result<RemoteTarget> {
-        Ok(RemoteTarget {
-            client: DialedClient::connect(addr, space, protocol)?,
-            space,
-            tail: TailSampler::new(TAIL_SAMPLES, 0),
-        })
-    }
-}
-
-impl StressTarget for RemoteTarget {
-    fn space(&self) -> IdSpace {
-        self.space
-    }
-
-    fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        let started = clock::monotonic_ns();
-        let (lease, corr) = self
-            .client
-            .lease_with_corr(tenant, count)
-            .expect("remote stress lease i/o");
-        self.tail.offer(corr, tenant, 0, elapsed_ns(started));
-        lease.arcs
-    }
-
-    fn issue(&mut self, tenant: u64, count: u128) {
-        // Same wire path as a lease; the reply is read (keeping the
-        // request/reply accounting in sync) and dropped.
-        let started = clock::monotonic_ns();
-        let (_, corr) = self
-            .client
-            .lease_with_corr(tenant, count)
-            .expect("remote stress issue i/o");
-        self.tail.offer(corr, tenant, 0, elapsed_ns(started));
-    }
-
-    fn drain(&mut self) {
-        self.client.drain().expect("remote stress drain i/o");
-    }
-
-    fn finish(self) -> TargetReport {
-        let RemoteTarget {
-            mut client,
-            mut tail,
-            ..
-        } = self;
-        fetch_timelines(&mut client, &mut tail);
-        let mut report: TargetReport = client
-            .shutdown()
-            .expect("remote stress shutdown i/o")
-            .into();
-        report.slow = tail.worst().to_vec();
-        report
-    }
 }
 
 /// One unit of work routed to a pool worker.
@@ -501,27 +419,34 @@ enum PoolMsg {
     Drain { done: SyncSender<()> },
 }
 
-/// The connection-reuse socket target: `workers` threads, each holding
-/// one persistent [`DialedClient`] for the entire run. Requests are
-/// pinned to workers by `tenant % workers`, preserving each tenant's
-/// request order (and therefore the run's deterministic totals) while
-/// the server sees a fixed, small set of long-lived connections
-/// instead of per-phase or per-request churn.
-///
-/// Under protocol v2 the pool goes one better: every worker holds a
-/// clone of **one multiplexed connection**, so the server sees a single
-/// connection carrying the whole pool's concurrent traffic — `workers`×
-/// fewer sockets at the same request parallelism.
-pub struct PooledRemoteTarget {
-    space: IdSpace,
-    txs: Vec<SyncSender<PoolMsg>>,
-    workers: Vec<JoinHandle<(DialedClient, TailSampler)>>,
+/// How a pool worker reaches the server. `None` is a lease the
+/// connection gave up on (only the chaos target's retry budget ever
+/// runs out; a clean run fails fast instead).
+trait Conn {
+    fn lease(&mut self, tenant: u64, count: u128) -> Option<(Lease, u64)>;
+    fn drain(&mut self);
 }
 
-/// A pool worker: drains its queue over its one persistent connection
-/// (or connection clone), then hands the still-open client back for the
-/// shutdown step along with its worst-lease samples.
-fn pool_worker(mut client: DialedClient, rx: Receiver<PoolMsg>) -> (DialedClient, TailSampler) {
+/// A clean run's connection: a clone of the shared multiplexed client.
+/// Any failure is a bug, so it panics the run.
+impl Conn for Client {
+    fn lease(&mut self, tenant: u64, count: u128) -> Option<(Lease, u64)> {
+        Some(
+            self.lease_with_corr(tenant, count)
+                .expect("wire stress lease i/o"),
+        )
+    }
+
+    fn drain(&mut self) {
+        Client::drain(self).expect("wire stress drain i/o");
+    }
+}
+
+/// A pool worker: serves its queue over its connection, then hands the
+/// connection back along with its worst-lease samples. Latency is
+/// measured around the whole request — retries and backoff included —
+/// because that is what the caller experienced.
+fn pool_worker<C: Conn>(mut conn: C, rx: Receiver<PoolMsg>) -> (C, TailSampler) {
     let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
     while let Ok(msg) = rx.recv() {
         match msg {
@@ -531,153 +456,165 @@ fn pool_worker(mut client: DialedClient, rx: Receiver<PoolMsg>) -> (DialedClient
                 reply,
             } => {
                 let started = clock::monotonic_ns();
-                let (lease, corr) = client
-                    .lease_with_corr(tenant, count)
-                    .expect("pooled stress lease i/o");
-                tail.offer(corr, tenant, 0, elapsed_ns(started));
-                let _ = reply.send(lease.arcs);
+                let arcs = match conn.lease(tenant, count) {
+                    Some((lease, corr)) => {
+                        tail.offer(corr, tenant, 0, elapsed_ns(started));
+                        lease.arcs
+                    }
+                    None => Vec::new(),
+                };
+                let _ = reply.send(arcs);
             }
             PoolMsg::Issue { tenant, count } => {
-                // The reply is read (keeping the stream in sync) and
-                // dropped, like the single-connection issue path.
                 let started = clock::monotonic_ns();
-                let (_, corr) = client
-                    .lease_with_corr(tenant, count)
-                    .expect("pooled stress issue i/o");
-                tail.offer(corr, tenant, 0, elapsed_ns(started));
+                if let Some((_, corr)) = conn.lease(tenant, count) {
+                    tail.offer(corr, tenant, 0, elapsed_ns(started));
+                }
             }
             PoolMsg::Barrier { done } => {
                 let _ = done.send(());
             }
             PoolMsg::Drain { done } => {
-                client.drain().expect("pooled stress drain i/o");
+                conn.drain();
                 let _ = done.send(());
             }
         }
     }
-    (client, tail)
+    (conn, tail)
 }
 
-impl PooledRemoteTarget {
-    /// Starts a pool of `workers ≥ 1` threads against the front-end at
-    /// `addr`: one persistent v1 connection per worker, or `workers`
-    /// clones of a single multiplexed v2 connection.
-    pub fn connect(
-        addr: std::net::SocketAddr,
-        space: IdSpace,
-        workers: usize,
-        protocol: ProtoVersion,
-    ) -> io::Result<PooledRemoteTarget> {
-        let workers = workers.max(1);
-        let shared = match protocol {
-            ProtoVersion::V1 => None,
-            ProtoVersion::V2 => Some(uuidp_client::Client::connect(addr, space)?),
-        };
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let client = match &shared {
-                None => DialedClient::connect(addr, space, ProtoVersion::V1)?,
-                Some(mux) => DialedClient::V2(mux.clone()),
-            };
-            let (tx, rx) = sync_channel::<PoolMsg>(1024);
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || pool_worker(client, rx)));
-        }
-        Ok(PooledRemoteTarget {
-            space,
-            txs,
-            workers: handles,
-        })
+/// Tenant-pinned pool workers, one queue each: requests go to worker
+/// `tenant % workers`, preserving each tenant's request order (and
+/// therefore the run's deterministic totals).
+struct Pool<C> {
+    txs: Vec<SyncSender<PoolMsg>>,
+    workers: Vec<JoinHandle<(C, TailSampler)>>,
+}
+
+impl<C: Conn + Send + 'static> Pool<C> {
+    /// One worker thread per connection.
+    fn spawn(conns: impl IntoIterator<Item = C>) -> Pool<C> {
+        let (txs, workers) = conns
+            .into_iter()
+            .map(|conn| {
+                let (tx, rx) = sync_channel::<PoolMsg>(1024);
+                (tx, std::thread::spawn(move || pool_worker(conn, rx)))
+            })
+            .unzip();
+        Pool { txs, workers }
     }
 
-    /// Pool width.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
+    fn send(&self, tenant: u64, msg: PoolMsg) {
+        self.txs[(tenant % self.txs.len() as u64) as usize]
+            .send(msg)
+            .expect("pool worker alive");
     }
 
-    fn tx_of(&self, tenant: u64) -> &SyncSender<PoolMsg> {
-        &self.txs[(tenant % self.txs.len() as u64) as usize]
+    fn lease_arcs(&self, tenant: u64, count: u128) -> Vec<Arc> {
+        let (reply, rx) = sync_channel(1);
+        self.send(
+            tenant,
+            PoolMsg::Lease {
+                tenant,
+                count,
+                reply,
+            },
+        );
+        rx.recv().expect("pool worker replies")
     }
 
-    /// Acks from every worker once all previously routed messages have
-    /// been fully served (each worker reads every reply before taking
-    /// its next message, so an ack implies server-side completion).
-    fn barrier_all(&self) {
-        let barriers: Vec<Receiver<()>> = self
-            .txs
-            .iter()
-            .map(|tx| {
+    fn issue(&self, tenant: u64, count: u128) {
+        self.send(tenant, PoolMsg::Issue { tenant, count });
+    }
+
+    /// A local barrier first (every worker has fully served everything
+    /// routed before it), then one protocol drain, so the contract
+    /// matches the in-process target.
+    fn drain(&self) {
+        let barriers: Vec<Receiver<()>> = (0..self.txs.len() as u64)
+            .map(|worker| {
                 let (done, rx) = sync_channel(1);
-                tx.send(PoolMsg::Barrier { done })
-                    .expect("pool worker alive");
+                self.send(worker, PoolMsg::Barrier { done });
                 rx
             })
             .collect();
         for rx in barriers {
             rx.recv().expect("pool worker alive");
         }
-    }
-}
-
-impl StressTarget for PooledRemoteTarget {
-    fn space(&self) -> IdSpace {
-        self.space
-    }
-
-    fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        let (reply, rx) = sync_channel(1);
-        self.tx_of(tenant)
-            .send(PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            })
-            .expect("pool worker alive");
-        rx.recv().expect("pool worker replies")
-    }
-
-    fn issue(&mut self, tenant: u64, count: u128) {
-        self.tx_of(tenant)
-            .send(PoolMsg::Issue { tenant, count })
-            .expect("pool worker alive");
-    }
-
-    fn drain(&mut self) {
-        // Local barrier first (all pooled requests fully replied), then
-        // one protocol drain so the contract matches the other targets.
-        self.barrier_all();
         let (done, rx) = sync_channel(1);
-        self.txs[0]
-            .send(PoolMsg::Drain { done })
-            .expect("pool worker alive");
+        self.send(0, PoolMsg::Drain { done });
         rx.recv().expect("pool worker drains");
     }
 
-    fn finish(self) -> TargetReport {
-        drop(self.txs); // workers exit their loops and return their clients
+    /// Closes the queues and joins every worker, returning their
+    /// connections and their merged worst-lease samples.
+    fn join(self) -> (Vec<C>, TailSampler) {
+        drop(self.txs);
         let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-        let mut clients = Vec::with_capacity(self.workers.len());
-        for handle in self.workers {
-            let (client, worker_tail) = handle.join().expect("pool worker panicked");
-            tail.merge(&worker_tail);
-            clients.push(client);
-        }
-        let mut closer = clients.remove(0);
-        for client in clients {
-            let _ = client.quit();
-        }
-        fetch_timelines(&mut closer, &mut tail);
-        let mut report: TargetReport = closer
+        let conns = self
+            .workers
+            .into_iter()
+            .map(|handle| {
+                let (conn, worker_tail) = handle.join().expect("pool worker panicked");
+                tail.merge(&worker_tail);
+                conn
+            })
+            .collect();
+        (conns, tail)
+    }
+}
+
+/// The socket target: `workers ≥ 1` pool threads, each holding a clone
+/// of **one multiplexed [`Client`]** for the entire run, so the server
+/// sees a single connection carrying the whole pool's concurrent
+/// traffic. The report comes from the wire summary, so the whole client
+/// code path — not just the traffic — is exercised.
+pub struct WireTarget {
+    client: Client,
+    pool: Pool<Client>,
+}
+
+impl WireTarget {
+    /// Connects to the front-end serving `space` at `addr` and starts
+    /// `workers` pool threads on clones of the one connection.
+    pub fn connect(addr: SocketAddr, space: IdSpace, workers: usize) -> io::Result<WireTarget> {
+        let client = Client::connect(addr, space)?;
+        let pool = Pool::spawn((0..workers.max(1)).map(|_| client.clone()));
+        Ok(WireTarget { client, pool })
+    }
+}
+
+impl StressTarget for WireTarget {
+    fn space(&self) -> IdSpace {
+        self.client.space()
+    }
+
+    fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
+        self.pool.lease_arcs(tenant, count)
+    }
+
+    fn issue(&mut self, tenant: u64, count: u128) {
+        self.pool.issue(tenant, count);
+    }
+
+    fn drain(&mut self) {
+        self.pool.drain();
+    }
+
+    fn finish(self) -> TargetReport {
+        let (_clones, mut tail) = self.pool.join();
+        fetch_timelines(&self.client, &mut tail);
+        let mut report: TargetReport = self
+            .client
             .shutdown()
-            .expect("pooled stress shutdown i/o")
+            .expect("wire stress shutdown i/o")
             .into();
         report.slow = tail.worst().to_vec();
         report
     }
 }
 
-/// A [`DialedClient`] wrapped in classified retries: every failure is
+/// A [`Client`] wrapped in classified retries: every failure is
 /// observed into a [`FaultCounters`], the (possibly poisoned)
 /// connection is replaced, and the request is retried under the seeded
 /// [`RetryPolicy`] until it succeeds or the budget is exhausted.
@@ -689,19 +626,17 @@ impl StressTarget for PooledRemoteTarget {
 struct ResilientClient {
     addr: SocketAddr,
     space: IdSpace,
-    protocol: ProtoVersion,
     policy: RetryPolicy,
-    client: Option<DialedClient>,
+    client: Option<Client>,
     ever_connected: bool,
     faults: FaultCounters,
 }
 
 impl ResilientClient {
-    fn new(addr: SocketAddr, space: IdSpace, protocol: ProtoVersion, policy: RetryPolicy) -> Self {
+    fn new(addr: SocketAddr, space: IdSpace, policy: RetryPolicy) -> Self {
         ResilientClient {
             addr,
             space,
-            protocol,
             policy,
             client: None,
             ever_connected: false,
@@ -709,27 +644,23 @@ impl ResilientClient {
         }
     }
 
-    fn client(&mut self) -> io::Result<&mut DialedClient> {
+    fn client(&mut self) -> io::Result<&Client> {
         if self.client.is_none() {
-            let dialed = DialedClient::connect_with(
-                self.addr,
-                self.space,
-                self.protocol,
-                Some(CHAOS_TIMEOUT),
-            )?;
+            let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
+            let dialed = Client::connect_with(self.addr, self.space, options)?;
             if self.ever_connected {
                 self.faults.reconnects += 1;
             }
             self.ever_connected = true;
             self.client = Some(dialed);
         }
-        Ok(self.client.as_mut().expect("just dialed"))
+        Ok(self.client.as_ref().expect("just dialed"))
     }
 
     /// Runs `f` against a live connection, retrying per the policy.
     /// Returns `None` when the retry budget is exhausted (the request
     /// is abandoned and counted against the error budget).
-    fn attempt<T>(&mut self, f: impl Fn(&mut DialedClient) -> io::Result<T>) -> Option<T> {
+    fn attempt<T>(&mut self, f: impl Fn(&Client) -> io::Result<T>) -> Option<T> {
         for attempt in 0.. {
             let result = self.client().and_then(&f);
             match result {
@@ -754,62 +685,26 @@ impl ResilientClient {
     }
 }
 
-/// A resilient pool worker: like [`pool_worker`], but failures are
-/// classified, retried, and counted instead of panicking. Hands its
-/// fault ledger and worst-lease samples back when the queue closes.
-/// Latency here is measured around the whole attempt — retries and
-/// backoff included — because that is what the caller experienced.
-fn resilient_pool_worker(
-    mut client: ResilientClient,
-    rx: Receiver<PoolMsg>,
-) -> (FaultCounters, TailSampler) {
-    let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            } => {
-                let started = clock::monotonic_ns();
-                let arcs = match client.attempt(|c| c.lease_with_corr(tenant, count)) {
-                    Some((lease, corr)) => {
-                        tail.offer(corr, tenant, 0, elapsed_ns(started));
-                        lease.arcs
-                    }
-                    None => Vec::new(),
-                };
-                let _ = reply.send(arcs);
-            }
-            PoolMsg::Issue { tenant, count } => {
-                let started = clock::monotonic_ns();
-                if let Some((_, corr)) = client.attempt(|c| c.lease_with_corr(tenant, count)) {
-                    tail.offer(corr, tenant, 0, elapsed_ns(started));
-                }
-            }
-            PoolMsg::Barrier { done } => {
-                let _ = done.send(());
-            }
-            PoolMsg::Drain { done } => {
-                let _ = client.attempt(|c| c.drain());
-                let _ = done.send(());
-            }
-        }
+/// A chaos run's connection: failures are classified, retried, and
+/// counted instead of panicking.
+impl Conn for ResilientClient {
+    fn lease(&mut self, tenant: u64, count: u128) -> Option<(Lease, u64)> {
+        self.attempt(|c| c.lease_with_corr(tenant, count))
     }
-    (client.faults, tail)
+
+    fn drain(&mut self) {
+        let _ = self.attempt(|c| c.drain());
+    }
 }
 
 /// The chaos socket target: a pool of [`ResilientClient`] workers
-/// talking through a shared [`ChaosProxy`]. Unlike
-/// [`PooledRemoteTarget`], every worker owns an independent connection
-/// even under protocol v2 — a severed mux must not take the whole pool
-/// down with it.
+/// talking through a shared [`ChaosProxy`]. Unlike [`WireTarget`],
+/// every worker owns an independent connection — a severed mux must
+/// not take the whole pool down with it.
 pub struct ChaosRemoteTarget {
     space: IdSpace,
-    protocol: ProtoVersion,
     proxy: SyncArc<ChaosProxy>,
-    txs: Vec<SyncSender<PoolMsg>>,
-    workers: Vec<JoinHandle<(FaultCounters, TailSampler)>>,
+    pool: Pool<ResilientClient>,
 }
 
 impl ChaosRemoteTarget {
@@ -821,36 +716,17 @@ impl ChaosRemoteTarget {
         proxy: SyncArc<ChaosProxy>,
         space: IdSpace,
         workers: usize,
-        protocol: ProtoVersion,
         policy: RetryPolicy,
     ) -> ChaosRemoteTarget {
-        let workers = workers.max(1);
-        let mut txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
+        let pool = Pool::spawn((0..workers.max(1)).map(|worker| {
             // Distinct jitter streams per worker, still seed-determined.
             let policy = RetryPolicy {
                 seed: policy.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 ..policy
             };
-            let client = ResilientClient::new(proxy.addr(), space, protocol, policy);
-            let (tx, rx) = sync_channel::<PoolMsg>(1024);
-            txs.push(tx);
-            handles.push(std::thread::spawn(move || {
-                resilient_pool_worker(client, rx)
-            }));
-        }
-        ChaosRemoteTarget {
-            space,
-            protocol,
-            proxy,
-            txs,
-            workers: handles,
-        }
-    }
-
-    fn tx_of(&self, tenant: u64) -> &SyncSender<PoolMsg> {
-        &self.txs[(tenant % self.txs.len() as u64) as usize]
+            ResilientClient::new(proxy.addr(), space, policy)
+        }));
+        ChaosRemoteTarget { space, proxy, pool }
     }
 }
 
@@ -860,42 +736,15 @@ impl StressTarget for ChaosRemoteTarget {
     }
 
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        let (reply, rx) = sync_channel(1);
-        self.tx_of(tenant)
-            .send(PoolMsg::Lease {
-                tenant,
-                count,
-                reply,
-            })
-            .expect("chaos pool worker alive");
-        rx.recv().expect("chaos pool worker replies")
+        self.pool.lease_arcs(tenant, count)
     }
 
     fn issue(&mut self, tenant: u64, count: u128) {
-        self.tx_of(tenant)
-            .send(PoolMsg::Issue { tenant, count })
-            .expect("chaos pool worker alive");
+        self.pool.issue(tenant, count);
     }
 
     fn drain(&mut self) {
-        let barriers: Vec<Receiver<()>> = self
-            .txs
-            .iter()
-            .map(|tx| {
-                let (done, rx) = sync_channel(1);
-                tx.send(PoolMsg::Barrier { done })
-                    .expect("chaos pool worker alive");
-                rx
-            })
-            .collect();
-        for rx in barriers {
-            rx.recv().expect("chaos pool worker alive");
-        }
-        let (done, rx) = sync_channel(1);
-        self.txs[0]
-            .send(PoolMsg::Drain { done })
-            .expect("chaos pool worker alive");
-        rx.recv().expect("chaos pool worker drains");
+        self.pool.drain();
     }
 
     fn finish(self) -> TargetReport {
@@ -903,28 +752,21 @@ impl StressTarget for ChaosRemoteTarget {
         // proxy to passthrough so the shutdown travels a clean path
         // (new connections are unscheduled from here on).
         self.proxy.set_passthrough(true);
-        drop(self.txs); // workers exit and hand back their ledgers
+        let (clients, mut tail) = self.pool.join();
         let mut faults = FaultCounters::default();
-        let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-        for handle in self.workers {
-            let (worker_faults, worker_tail) = handle.join().expect("chaos pool worker panicked");
-            faults.merge(&worker_faults);
-            tail.merge(&worker_tail);
+        for client in clients {
+            faults.merge(&client.faults);
         }
         let mut last_err: Option<io::Error> = None;
         for _ in 0..10 {
-            let attempt = DialedClient::connect_with(
-                self.proxy.addr(),
-                self.space,
-                self.protocol,
-                Some(CHAOS_TIMEOUT),
-            )
-            .and_then(|mut client| {
-                // The proxy is passthrough now, so the timeline fetches
-                // ride the same clean path as the shutdown.
-                fetch_timelines(&mut client, &mut tail);
-                client.shutdown()
-            });
+            let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
+            let attempt =
+                Client::connect_with(self.proxy.addr(), self.space, options).and_then(|client| {
+                    // The proxy is passthrough now, so the timeline
+                    // fetches ride the same clean path as the shutdown.
+                    fetch_timelines(&client, &mut tail);
+                    client.shutdown()
+                });
             match attempt {
                 Ok(summary) => {
                     let mut report = TargetReport::from(summary);
@@ -981,7 +823,7 @@ pub struct StressReport {
     /// registry families (only for `scrape`-enabled remote runs).
     pub metrics: Option<MetricsReport>,
     /// The worst leases the run produced, with their end-to-end span
-    /// timelines when the target spoke protocol v2 (empty otherwise).
+    /// timelines (remote runs only; empty in process).
     pub slow: Vec<SlowLease>,
 }
 
@@ -1132,8 +974,8 @@ pub fn run_stress(config: StressConfig) -> StressReport {
 /// Runs one stress phase over a loopback TCP server: the service is
 /// fronted by a [`TcpServer`] on an ephemeral port and every request —
 /// including the shutdown that yields the report — travels through the
-/// [`RemoteClient`] socket path. With `remote_workers > 1` the client
-/// side is the persistent-connection pool ([`PooledRemoteTarget`]).
+/// [`Client`] socket path ([`WireTarget`], or [`ChaosRemoteTarget`]
+/// when [`StressConfig::chaos`] is set).
 pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
     let server = TcpServer::bind_with(
         "127.0.0.1:0",
@@ -1175,7 +1017,6 @@ pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
             SyncArc::clone(&proxy),
             config.service.space,
             config.remote_workers,
-            config.protocol,
             RetryPolicy {
                 seed,
                 ..RetryPolicy::default()
@@ -1192,19 +1033,12 @@ pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
         let _ = server.join();
         return Ok(report);
     }
-    let mut report = if config.remote_workers > 1 {
-        let target = PooledRemoteTarget::connect(
-            server.local_addr(),
-            config.service.space,
-            config.remote_workers,
-            config.protocol,
-        )?;
-        run_stress_with(target, config)
-    } else {
-        let target =
-            RemoteTarget::connect(server.local_addr(), config.service.space, config.protocol)?;
-        run_stress_with(target, config)
-    };
+    let target = WireTarget::connect(
+        server.local_addr(),
+        config.service.space,
+        config.remote_workers,
+    )?;
+    let mut report = run_stress_with(target, config);
     report.metrics = finish_metrics(scraper);
     // Join the server threads; the driver-side report already carries
     // the (identical) totals parsed off the wire.
@@ -1401,11 +1235,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pooled_remote_transport_reproduces_in_process_totals() {
-        // Connection reuse must be invisible in the numbers: for every
-        // pool width the audit totals equal the in-process run's (the
-        // tenant→worker pinning keeps each tenant's stream FIFO).
+    /// The wire differential: one multiplexed connection, driven by each
+    /// pool width in `widths`, must reproduce the in-process audit totals
+    /// bit-exactly (the tenant→worker pinning keeps each tenant's stream
+    /// FIFO).
+    fn assert_wire_reproduces_in_process_totals(widths: &[usize]) {
         let make = || {
             let mut cfg = base(AlgorithmKind::ClusterStar, 40);
             cfg.mix = TrafficMix::Skewed;
@@ -1415,43 +1249,8 @@ mod tests {
         };
         let local = run_stress(make());
         assert!(local.audit.counts.collided(), "twins must collide");
-        for workers in [2usize, 4] {
+        for &workers in widths {
             let mut cfg = make();
-            cfg.remote_workers = workers;
-            let pooled = run_stress_remote(cfg).expect("pooled loopback stress");
-            assert_eq!(
-                (
-                    local.issued_ids,
-                    local.audit.counts.duplicate_ids,
-                    local.audit.counts.recorded_ids,
-                ),
-                (
-                    pooled.issued_ids,
-                    pooled.audit.counts.duplicate_ids,
-                    pooled.audit.counts.recorded_ids,
-                ),
-                "{workers} pool workers changed the totals"
-            );
-        }
-    }
-
-    #[test]
-    fn v2_transport_reproduces_in_process_totals_single_and_pooled() {
-        // The protocol-v2 differential: the binary framed transport —
-        // single multiplexed connection or a pool of clones of one —
-        // must reproduce the in-process audit totals bit-exactly.
-        let make = || {
-            let mut cfg = base(AlgorithmKind::ClusterStar, 40);
-            cfg.mix = TrafficMix::Skewed;
-            cfg.requests = 200;
-            cfg.service.seed_alias = Some((0, 5)); // live duplicate counter
-            cfg
-        };
-        let local = run_stress(make());
-        assert!(local.audit.counts.collided(), "twins must collide");
-        for workers in [1usize, 3] {
-            let mut cfg = make();
-            cfg.protocol = ProtoVersion::V2;
             cfg.remote_workers = workers;
             let remote = run_stress_remote(cfg).expect("v2 loopback stress");
             assert_eq!(
@@ -1465,35 +1264,49 @@ mod tests {
                     remote.audit.counts.duplicate_ids,
                     remote.audit.counts.recorded_ids,
                 ),
-                "protocol v2 with {workers} pool workers changed the totals"
+                "{workers} pool workers changed the totals"
             );
         }
     }
 
     #[test]
-    fn v2_hunter_mix_observes_arcs_over_the_mux() {
+    fn v2_transport_reproduces_in_process_totals_single_and_pooled() {
+        assert_wire_reproduces_in_process_totals(&[1, 3]);
+    }
+
+    #[test]
+    fn pooled_remote_transport_reproduces_in_process_totals() {
+        // Connection reuse must be invisible in the numbers at even pool
+        // widths too.
+        assert_wire_reproduces_in_process_totals(&[2, 4]);
+    }
+
+    /// The hunter mix over the wire with `workers` pool workers: every
+    /// single-ID lease's arc comes back to the adversary, and the audit
+    /// records every issued ID.
+    fn assert_hunter_observes_arcs_over_the_wire(workers: usize) {
         let mut cfg = base(AlgorithmKind::Cluster, 20);
         cfg.mix = TrafficMix::Hunter;
         cfg.tenants = 4;
         cfg.requests = 120;
-        cfg.protocol = ProtoVersion::V2;
+        cfg.remote_workers = workers;
         let report = run_stress_remote(cfg).expect("v2 hunter stress");
-        assert!(report.requests >= 4, "probe phase never ran");
+        assert!(
+            report.requests >= 4,
+            "{workers} workers: probe phase never ran"
+        );
         assert_eq!(report.issued_ids, report.requests as u128);
         assert_eq!(report.audit.counts.recorded_ids, report.issued_ids);
     }
 
     #[test]
+    fn v2_hunter_mix_observes_arcs_over_the_mux() {
+        assert_hunter_observes_arcs_over_the_wire(1);
+    }
+
+    #[test]
     fn pooled_hunter_mix_observes_arcs_through_the_pool() {
-        let mut cfg = base(AlgorithmKind::Cluster, 20);
-        cfg.mix = TrafficMix::Hunter;
-        cfg.tenants = 4;
-        cfg.requests = 120;
-        cfg.remote_workers = 3;
-        let report = run_stress_remote(cfg).expect("pooled hunter stress");
-        assert!(report.requests >= 4, "probe phase never ran");
-        assert_eq!(report.issued_ids, report.requests as u128);
-        assert_eq!(report.audit.counts.recorded_ids, report.issued_ids);
+        assert_hunter_observes_arcs_over_the_wire(3);
     }
 
     #[test]
@@ -1529,7 +1342,6 @@ mod tests {
         let mut cfg = base(AlgorithmKind::Cluster, 48);
         cfg.requests = 300;
         cfg.remote_workers = 3;
-        cfg.protocol = ProtoVersion::V2;
         cfg.chaos = Some(ChaosSpec::heavy());
         cfg.chaos_seed = 0xC4A05;
         let report = run_stress_remote(cfg).expect("chaos stress run");
@@ -1594,7 +1406,6 @@ mod tests {
         let mut cfg = base(AlgorithmKind::Cluster, 48);
         cfg.requests = 200;
         cfg.remote_workers = 3;
-        cfg.protocol = ProtoVersion::V2;
         cfg.chaos = Some(ChaosSpec::heavy());
         cfg.chaos_seed = 0xB0B0;
         cfg.scrape = true;
@@ -1622,7 +1433,6 @@ mod tests {
             let mut cfg = base(AlgorithmKind::Cluster, 48);
             cfg.requests = 60;
             cfg.remote_workers = 2;
-            cfg.protocol = ProtoVersion::V2;
             cfg.chaos = Some(ChaosSpec::small());
             cfg.chaos_seed = seed;
             run_stress_remote(cfg)

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use uuidp::client::frame::{read_frame, write_frame, FrameBody, VERSION};
-use uuidp::client::{broken_connection, Client, ErrorClass, ProtoVersion};
+use uuidp::client::{broken_connection, Client, ErrorClass};
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
 use uuidp::fleet::run::{run_fleet, FleetConfig, FleetReport};
@@ -41,7 +41,6 @@ fn chaos_fleet(tag: &str, chaos_seed: u64) -> FleetReport {
     cfg.tenants = 6;
     cfg.requests = 240;
     cfg.count = 32;
-    cfg.protocol = ProtoVersion::V2;
     cfg.kill_every = Some(60);
     cfg.reservation = 64;
     // Every fault class the proxy knows, plus slow-peer throttling.

@@ -1,9 +1,9 @@
 //! Integration tests for the observability layer, pinning the PR's
 //! acceptance stories end to end:
 //!
-//! * **scrape surface** — the same registry is scrapeable over the v1
-//!   text command and the v2 metrics frame, and the exported totals
-//!   match the traffic that actually flowed;
+//! * **scrape surface** — every connection scrapes the same registry
+//!   over the v2 metrics frame, and the exported totals match the
+//!   traffic that actually flowed;
 //! * **flight recorder under chaos** — a `halt_after_persists` crash
 //!   behind a netchaos proxy leaves a postmortem dump in the node's
 //!   state dir containing the registry snapshot, the last trace
@@ -23,7 +23,7 @@ use uuidp::core::clock;
 use uuidp::core::id::IdSpace;
 use uuidp::netchaos::{ChaosProxy, ChaosSpec};
 use uuidp::obs::{parse_exposition, Stage};
-use uuidp::service::net::{RemoteClient, TcpServer};
+use uuidp::service::net::TcpServer;
 use uuidp::service::service::{DurabilityConfig, IdService, ServiceConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -54,33 +54,33 @@ fn find_flight(dir: &PathBuf, reason: &str) -> PathBuf {
 }
 
 #[test]
-fn both_wire_protocols_scrape_the_same_registry() {
+fn every_connection_scrapes_the_same_registry() {
     let space = IdSpace::with_bits(44).unwrap();
     let mut cfg = ServiceConfig::new(AlgorithmKind::Cluster, space);
     cfg.shards = 2;
     let server = TcpServer::bind("127.0.0.1:0", cfg).unwrap();
     let addr = server.local_addr();
 
-    let v2 = Client::connect(addr, space).unwrap();
+    let first = Client::connect(addr, space).unwrap();
     for tenant in 0..4u64 {
-        assert_eq!(v2.lease(tenant, 32).unwrap().granted, 32);
+        assert_eq!(first.lease(tenant, 32).unwrap().granted, 32);
     }
-    let from_v2 = parse_exposition(&v2.metrics().unwrap());
-    assert_eq!(from_v2["uuidp_leases_total"], 4.0);
-    assert_eq!(from_v2["uuidp_ids_issued_total"], 128.0);
+    let from_first = parse_exposition(&first.metrics().unwrap());
+    assert_eq!(from_first["uuidp_leases_total"], 4.0);
+    assert_eq!(from_first["uuidp_ids_issued_total"], 128.0);
 
-    let mut v1 = RemoteClient::connect(addr, space).unwrap();
-    assert_eq!(v1.lease(9, 16).unwrap().granted, 16);
-    let from_v1 = parse_exposition(&v1.metrics().unwrap());
-    assert_eq!(from_v1["uuidp_leases_total"], 5.0);
-    assert_eq!(from_v1["uuidp_ids_issued_total"], 144.0);
+    let second = Client::connect(addr, space).unwrap();
+    assert_eq!(second.lease(9, 16).unwrap().granted, 16);
+    let from_second = parse_exposition(&second.metrics().unwrap());
+    assert_eq!(from_second["uuidp_leases_total"], 5.0);
+    assert_eq!(from_second["uuidp_ids_issued_total"], 144.0);
     assert!(
-        from_v1.contains_key("uuidp_lease_latency_ns_count"),
+        from_second.contains_key("uuidp_lease_latency_ns_count"),
         "histogram families must export"
     );
 
-    let _ = v1.quit();
-    v2.shutdown().unwrap();
+    drop(second);
+    first.shutdown().unwrap();
     server.join().unwrap();
 }
 
