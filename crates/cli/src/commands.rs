@@ -15,7 +15,7 @@ use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{SplitMix64, Xoshiro256pp};
 use uuidp_sim::montecarlo::{estimate_oblivious, TrialConfig};
 
-use uuidp_client::{Client, ClientOptions};
+use uuidp_client::{ClientOptions, RetryPolicy, Session};
 use uuidp_fleet::router::Placement;
 use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
 use uuidp_netchaos::ChaosSpec;
@@ -790,30 +790,26 @@ pub struct TopOpts {
     pub windows: usize,
 }
 
-/// One watched node: a persistent metrics connection (redialed after
-/// any failure), its windowed series, and its burn-rate evaluator.
+/// One watched node: a metrics session (one persistent connection,
+/// redialed after any failure), its windowed series, and its burn-rate
+/// evaluator.
 struct TopNode {
-    addr: std::net::SocketAddr,
     label: String,
-    client: Option<Client>,
+    session: Session,
     series: uuidp_obs::TimeSeries,
     alerts: uuidp_obs::BurnRateAlerts,
     last: Option<uuidp_obs::Snapshot>,
-    healthy: bool,
-    scrape_errors: u64,
 }
 
 impl TopNode {
-    fn new(addr: std::net::SocketAddr, windows: usize) -> TopNode {
+    fn new(addr: std::net::SocketAddr, space: IdSpace, windows: usize) -> TopNode {
+        let options = ClientOptions::bounded(Some(std::time::Duration::from_secs(2)));
         TopNode {
-            addr,
             label: addr.to_string(),
-            client: None,
+            session: Session::new(addr, space, options, RetryPolicy::none()),
             series: uuidp_obs::TimeSeries::new(1, windows.max(2)),
             alerts: uuidp_obs::BurnRateAlerts::new(vec![uuidp_obs::AlertRule::availability()]),
             last: None,
-            healthy: false,
-            scrape_errors: 0,
         }
     }
 
@@ -821,30 +817,20 @@ impl TopNode {
     /// with the window's `(lease errors, leases)` delta. A failed
     /// scrape drops the connection (redialed next tick), marks the
     /// node down, and counts — it never kills the dashboard.
-    fn poll(&mut self, tick: u64, space: IdSpace) {
-        let text = (|| -> std::io::Result<String> {
-            if self.client.is_none() {
-                let options = ClientOptions::bounded(Some(std::time::Duration::from_secs(2)));
-                self.client = Some(Client::connect_with(self.addr, space, options)?);
-            }
-            self.client.as_ref().expect("dialed above").metrics()
-        })();
-        match text {
-            Ok(text) => {
-                let snap = uuidp_obs::Snapshot::parse_prometheus(&text);
-                self.series.ingest(tick, &snap);
-                let bad = self.window_counter(tick, "uuidp_lease_errors_total");
-                let total = self.window_counter(tick, "uuidp_leases_total");
-                self.alerts.observe(bad, total);
-                self.last = Some(snap);
-                self.healthy = true;
-            }
-            Err(_) => {
-                self.client = None;
-                self.healthy = false;
-                self.scrape_errors += 1;
-            }
+    fn poll(&mut self, tick: u64) {
+        if let Ok(text) = self.session.call(|c| c.metrics()) {
+            let snap = uuidp_obs::Snapshot::parse_prometheus(&text);
+            self.series.ingest(tick, &snap);
+            let bad = self.window_counter(tick, "uuidp_lease_errors_total");
+            let total = self.window_counter(tick, "uuidp_leases_total");
+            self.alerts.observe(bad, total);
+            self.last = Some(snap);
         }
+    }
+
+    /// Whether the latest poll succeeded.
+    fn healthy(&self) -> bool {
+        self.last.is_some() && self.session.failure_streak() == 0
     }
 
     fn window_counter(&self, tick: u64, family: &str) -> u64 {
@@ -867,7 +853,7 @@ impl TopNode {
         };
         TopRow {
             label: self.label.clone(),
-            healthy: self.healthy,
+            healthy: self.healthy(),
             ids_per_sec: self.series.rate("uuidp_ids_issued_total", 1) * per_sec,
             p50_ns: q(0.50),
             p99_ns: q(0.99),
@@ -877,7 +863,7 @@ impl TopNode {
             wakeups_per_sec: self.series.rate("uuidp_net_wakeups_total", 1) * per_sec,
             alerts: self.alerts.firing_rules(),
             spark: self.series.sparkline("uuidp_ids_issued_total", 32),
-            scrape_errors: self.scrape_errors,
+            scrape_errors: self.session.faults().failed_attempts(),
         }
     }
 }
@@ -994,7 +980,7 @@ pub fn top(opts: &TopOpts) -> Result<String, ParseError> {
             .trim()
             .parse()
             .map_err(|e| ParseError(format!("bad --connect address `{part}`: {e}")))?;
-        nodes.push(TopNode::new(addr, opts.windows.max(2)));
+        nodes.push(TopNode::new(addr, space, opts.windows.max(2)));
     }
     if nodes.is_empty() {
         return Err(ParseError("--connect needs at least one HOST:PORT".into()));
@@ -1003,7 +989,7 @@ pub fn top(opts: &TopOpts) -> Result<String, ParseError> {
         // Two polls bracket one interval, so every rate has a delta.
         for tick in 0..2u64 {
             for node in &mut nodes {
-                node.poll(tick, space);
+                node.poll(tick);
             }
             if tick == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(interval_ms));
@@ -1034,7 +1020,7 @@ pub fn top(opts: &TopOpts) -> Result<String, ParseError> {
     let mut tick = 0u64;
     loop {
         for node in &mut nodes {
-            node.poll(tick, space);
+            node.poll(tick);
         }
         let rows: Vec<TopRow> = nodes.iter().map(|n| n.stats(per_sec)).collect();
         let frame = render_top_frame(&rows, tick, interval_ms);
@@ -1114,6 +1100,7 @@ pub fn rng_smoke() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uuidp_client::Client;
 
     #[test]
     fn generate_mints_the_requested_count() {

@@ -176,33 +176,10 @@ impl Client {
                 }
             }
         };
-        // Frames are small and latency-bound; never batch them behind
-        // Nagle (pairs with the server-side set_nodelay).
-        stream.set_nodelay(true)?;
-        write_frame(
-            &mut stream,
-            0,
-            &FrameBody::Hello {
-                version: VERSION,
-                space: space.size(),
-            },
-        )?;
-        // The handshake is the one synchronous read on the caller's
-        // thread; after it, the reader demux owns the read half. A
-        // stalled accept/hello must not hang the caller forever, so
-        // the read is bounded while the handshake lasts.
-        stream.set_read_timeout(options.handshake_timeout)?;
-        let hello = read_frame(&mut stream).map_err(|e| {
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) {
-                broken("handshake timed out", ErrorClass::RetrySafe)
-            } else {
-                e
-            }
-        })?;
-        stream.set_read_timeout(None)?;
+        // No request exists until the handshake completes, so a hello
+        // that is lost, torn, corrupt or late is always safe to retry.
+        let hello = handshake(&mut stream, space, options.handshake_timeout)
+            .map_err(|e| broken(format!("handshake failed: {e}"), ErrorClass::RetrySafe))?;
         match hello.body {
             FrameBody::HelloOk { version, space: m } => {
                 if version != VERSION {
@@ -479,6 +456,34 @@ impl Client {
             Ok(Err(message)) => Err(proto_err(format!("server error: {message}"))),
         }
     }
+}
+
+/// Sends `Hello` and reads the server's answer to it, bounding the read
+/// by `timeout`.
+fn handshake(
+    stream: &mut TcpStream,
+    space: IdSpace,
+    timeout: Option<Duration>,
+) -> io::Result<crate::frame::Frame> {
+    // Frames are small and latency-bound; never batch them behind
+    // Nagle (pairs with the server-side set_nodelay).
+    stream.set_nodelay(true)?;
+    write_frame(
+        stream,
+        0,
+        &FrameBody::Hello {
+            version: VERSION,
+            space: space.size(),
+        },
+    )?;
+    // The handshake is the one synchronous read on the caller's
+    // thread; after it, the reader demux owns the read half. A
+    // stalled accept/hello must not hang the caller forever, so
+    // the read is bounded while the handshake lasts.
+    stream.set_read_timeout(timeout)?;
+    let hello = read_frame(stream)?;
+    stream.set_read_timeout(None)?;
+    Ok(hello)
 }
 
 /// The reader demux: decodes frames off the read half and hands each to

@@ -22,6 +22,8 @@
 //! route on it. [`RetryPolicy`] is the matching deterministic
 //! exponential-backoff schedule: jitter is derived from a seed, so a
 //! replayed chaos run waits the same nanoseconds in the same places.
+//! [`FaultCounters`] is the ledger a [`Session`](crate::Session) keeps
+//! of every classified failure and every recovery action.
 
 use std::io;
 use std::time::Duration;
@@ -115,6 +117,100 @@ pub fn classify(err: &io::Error) -> ErrorClass {
             ErrorClass::Fatal
         }
         _ => ErrorClass::LeaseInDoubt,
+    }
+}
+
+/// Per-fault-class outcome counters for a chaos-exposed caller: every
+/// failed attempt is classified by what it implies about server-side
+/// effects (see [`ErrorClass`]) and every recovery action is counted,
+/// so a report can say not just *how many* requests suffered but *how*
+/// they suffered and what it cost to absorb them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultCounters {
+    /// Attempts that failed before the request could have been
+    /// processed (refused dials, failed handshakes, torn writes).
+    pub retry_safe: u64,
+    /// Attempts whose reply was lost after the request may have been
+    /// processed — each one is a potential leaked lease.
+    pub lease_in_doubt: u64,
+    /// Protocol-level failures where retrying the same bytes is
+    /// pointless.
+    pub fatal: u64,
+    /// Retries actually performed (every one a recovered attempt).
+    pub retries: u64,
+    /// Successful dials by a session that had been connected before:
+    /// connections replaced mid-run.
+    pub reconnects: u64,
+    /// Requests abandoned: a fatal failure, or an exhausted retry
+    /// budget.
+    pub exhausted: u64,
+}
+
+impl FaultCounters {
+    /// Classifies `err` and bumps the matching class counter.
+    pub fn observe(&mut self, err: &io::Error) {
+        match classify(err) {
+            ErrorClass::RetrySafe => self.retry_safe += 1,
+            ErrorClass::LeaseInDoubt => self.lease_in_doubt += 1,
+            ErrorClass::Fatal => self.fatal += 1,
+        }
+    }
+
+    /// Total failed attempts across all classes.
+    pub fn failed_attempts(&self) -> u64 {
+        self.retry_safe + self.lease_in_doubt + self.fatal
+    }
+
+    /// Folds `other` into `self`.
+    pub fn merge(&mut self, other: &FaultCounters) {
+        self.retry_safe += other.retry_safe;
+        self.lease_in_doubt += other.lease_in_doubt;
+        self.fatal += other.fatal;
+        self.retries += other.retries;
+        self.reconnects += other.reconnects;
+        self.exhausted += other.exhausted;
+    }
+
+    /// Renders the SLO / error-budget section shared by the stress and
+    /// fleet reports: availability against a 99.9% success objective,
+    /// with the per-fault-class breakdown underneath.
+    ///
+    /// `requests` is the number of *logical* requests the driver
+    /// submitted; a request that succeeded on retry still counts as
+    /// served — that is the whole point of graceful degradation.
+    pub fn render_slo(&self, requests: u64) -> String {
+        use std::fmt::Write as _;
+        let served = requests.saturating_sub(self.exhausted);
+        let success_pm = if requests == 0 {
+            1000.0
+        } else {
+            served as f64 / requests as f64 * 1000.0
+        };
+        // The 99.9% objective expressed as an error budget of failed
+        // requests; consumed = abandoned requests against it.
+        let budget = requests as f64 * 0.001;
+        let consumed = if budget == 0.0 {
+            0.0
+        } else {
+            self.exhausted as f64 / budget * 100.0
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "  slo:         {served}/{requests} served ({:.2}‰), error budget (99.9%) {consumed:.0}% consumed",
+            success_pm
+        );
+        let _ = writeln!(
+            out,
+            "  fault-class: retry-safe {} | lease-in-doubt {} | fatal {}",
+            self.retry_safe, self.lease_in_doubt, self.fatal
+        );
+        let _ = write!(
+            out,
+            "  recovery:    {} retries, {} reconnects, {} abandoned",
+            self.retries, self.reconnects, self.exhausted
+        );
+        out
     }
 }
 
@@ -241,5 +337,51 @@ mod tests {
         assert!(p.allows(1));
         assert!(!p.allows(2));
         assert!(!RetryPolicy::none().allows(0));
+    }
+
+    #[test]
+    fn fault_counters_classify_and_merge() {
+        let mut c = FaultCounters::default();
+        c.observe(&io::Error::new(io::ErrorKind::ConnectionRefused, "refused"));
+        c.observe(&broken("reply lost", ErrorClass::LeaseInDoubt));
+        c.observe(&io::Error::new(io::ErrorKind::InvalidData, "bad"));
+        assert_eq!(c.retry_safe, 1);
+        assert_eq!(c.lease_in_doubt, 1);
+        assert_eq!(c.fatal, 1);
+        assert_eq!(c.failed_attempts(), 3);
+        let mut d = FaultCounters {
+            retries: 5,
+            exhausted: 1,
+            ..FaultCounters::default()
+        };
+        d.merge(&c);
+        assert_eq!(d.failed_attempts(), 3);
+        assert_eq!(d.retries, 5);
+        let slo = d.render_slo(1000);
+        assert!(slo.contains("999/1000"), "{slo}");
+        assert!(slo.contains("lease-in-doubt 1"), "{slo}");
+        assert!(slo.contains("5 retries"), "{slo}");
+    }
+
+    #[test]
+    fn slo_rendering_survives_zero_request_windows() {
+        // `requests == 0` (every connect refused before a single
+        // logical request) must not divide by zero.
+        let c = FaultCounters {
+            retry_safe: 5,
+            exhausted: 0,
+            ..FaultCounters::default()
+        };
+        let slo = c.render_slo(0);
+        assert!(slo.contains("0/0 served"), "{slo}");
+        assert!(!slo.contains("NaN") && !slo.contains("inf"), "{slo}");
+        // And an all-abandoned window stays finite too.
+        let c = FaultCounters {
+            exhausted: 3,
+            ..FaultCounters::default()
+        };
+        let slo = c.render_slo(3);
+        assert!(slo.contains("0/3 served"), "{slo}");
+        assert!(!slo.contains("NaN") && !slo.contains("inf"), "{slo}");
     }
 }

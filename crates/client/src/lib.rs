@@ -28,6 +28,12 @@
 //! * Typed surface: [`Client::lease`] → [`Lease`], [`Client::summary`] /
 //!   [`Client::shutdown`] → [`Summary`], plus [`Client::reset`],
 //!   [`Client::drain`], and [`Client::halt`] (the remote crash lever).
+//! * Failure handling: every error a call returns classifies as
+//!   retry-safe, lease-in-doubt or fatal ([`classify`]). A [`Session`]
+//!   is the one retry loop over a `Client` — dial, attempt, classify,
+//!   drop the connection, back off under a [`RetryPolicy`] — and keeps
+//!   a [`FaultCounters`] ledger. The fleet router, the stress pool and
+//!   `uuidp top` all reach servers through it.
 //!
 //! The frame grammar itself lives in [`frame`]; servers reuse it from
 //! there. Protocol v2 is the only wire protocol the service speaks.
@@ -41,9 +47,13 @@ pub mod frame;
 
 mod client;
 mod error;
+mod session;
 
 pub use client::{Client, ClientOptions};
-pub use error::{broken, broken_connection, classify, BrokenConnection, ErrorClass, RetryPolicy};
+pub use error::{
+    broken, broken_connection, classify, BrokenConnection, ErrorClass, FaultCounters, RetryPolicy,
+};
+pub use session::{Session, CHAOS_TIMEOUT};
 
 /// The wire protocol a caller dials with. Protocol v2 is the only one
 /// left, so this enum has a single variant; it is kept only because

@@ -3,13 +3,14 @@
 //! The [`Router`] plays two roles at once:
 //!
 //! * **Placement + transport** — every tenant is pinned to one node
-//!   (`tenant % nodes`), and the router keeps **one persistent
-//!   [`Client`] connection per node** for the whole run
-//!   (re-established only when chaos kills the node). The pinning is
-//!   what makes the whole fleet deterministic: a tenant's stream is a
-//!   function of its seed alone, and no tenant is ever served by two
-//!   nodes, so changing the node count only re-partitions the same set
-//!   of per-tenant streams.
+//!   (`tenant % nodes`), and the router keeps **one [`Session`] per
+//!   node**: one persistent connection for the whole run, redialed
+//!   only after a failure or a crash-restart, with the session's retry
+//!   loop and failure streak behind every request and the node's
+//!   health. The pinning is what makes the whole fleet deterministic:
+//!   a tenant's stream is a function of its seed alone, and no tenant
+//!   is ever served by two nodes, so changing the node count only
+//!   re-partitions the same set of per-tenant streams.
 //! * **Global collision audit** — per-node audits die with their node
 //!   and, worse, can never see a duplicate that spans two nodes (the
 //!   cross-node same-seed twin, the paper's headline hazard). The
@@ -46,11 +47,11 @@ use uuidp_core::clock;
 use uuidp_adversary::adaptive::{Action, AdaptiveAdversary, AdversarySpec, GameView};
 use uuidp_adversary::profile::power_law;
 use uuidp_adversary::run_hunter::RunHunter;
-use uuidp_client::{classify, Client, ClientOptions, ErrorClass, Lease, ProtoVersion, RetryPolicy};
+use uuidp_client::{ClientOptions, FaultCounters, ProtoVersion, RetryPolicy, Session};
 use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::Arc;
 use uuidp_core::rng::{SeedDomain, SeedTree, Xoshiro256pp};
-use uuidp_service::metrics::{FaultCounters, LatencyHistogram};
+use uuidp_service::metrics::LatencyHistogram;
 use uuidp_sim::audit::{AuditCounts, LeaseAudit};
 
 /// Tenants must fit under the incarnation tag in the global audit's
@@ -231,12 +232,14 @@ pub fn owner_key(tenant: u64, incarnation: u32) -> u64 {
     ((incarnation as u64) << INCARNATION_SHIFT) | tenant
 }
 
-/// A node's health as the router sees it.
+/// A node's health as the router sees it, read off the node session's
+/// failure streak.
 ///
-/// `Healthy → Suspect` on the first failure, `Suspect → Down` after
-/// [`DOWN_AFTER`] consecutive failures, and any state `→ Healthy` the
-/// moment a request (which doubles as the recovery probe — every
-/// attempt against a disconnected node redials it first) succeeds.
+/// `Healthy → Suspect` on the first failed attempt, `Suspect → Down`
+/// after [`DOWN_AFTER`] consecutive failed attempts, and any state
+/// `→ Healthy` the moment a request (which doubles as the recovery
+/// probe — every attempt against a disconnected node redials it first)
+/// succeeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeHealth {
     /// The last request succeeded.
@@ -263,26 +266,12 @@ impl fmt::Display for NodeHealth {
 /// Consecutive failures that demote a suspect node to down.
 pub const DOWN_AFTER: u32 = 3;
 
-/// The router's view of one node: where it listens, the persistent
-/// connection (if live), and the health bookkeeping.
+/// The router's view of one node: its session (none until an address
+/// is known) and the incarnation its leases audit under.
+#[derive(Default)]
 struct NodeLink {
-    addr: Option<SocketAddr>,
-    client: Option<Client>,
+    session: Option<Session>,
     incarnation: u32,
-    health: NodeHealth,
-    consecutive_failures: u32,
-}
-
-impl NodeLink {
-    fn new() -> NodeLink {
-        NodeLink {
-            addr: None,
-            client: None,
-            incarnation: 0,
-            health: NodeHealth::Healthy,
-            consecutive_failures: 0,
-        }
-    }
 }
 
 /// The tenant-affine fleet router (see the module docs).
@@ -291,7 +280,8 @@ pub struct Router {
     links: Vec<NodeLink>,
     policy: RetryPolicy,
     dial_timeout: Option<Duration>,
-    faults: FaultCounters,
+    /// The ledgers of sessions replaced by `connect` / `set_addr`.
+    retired: FaultCounters,
     latency: LatencyHistogram,
     audit: LeaseAudit,
     audit_by_tenant: LeaseAudit,
@@ -315,10 +305,10 @@ impl Router {
         assert!(nodes >= 1, "at least one node");
         Router {
             space,
-            links: (0..nodes).map(|_| NodeLink::new()).collect(),
+            links: (0..nodes).map(|_| NodeLink::default()).collect(),
             policy: RetryPolicy::none(),
             dial_timeout: None,
-            faults: FaultCounters::default(),
+            retired: FaultCounters::default(),
             latency: LatencyHistogram::new(),
             audit: LeaseAudit::new(space, audit_stripes),
             audit_by_tenant: LeaseAudit::new(space, audit_stripes),
@@ -338,27 +328,33 @@ impl Router {
     /// network is supposed to be clean and an error means a bug.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
+        for session in self.links.iter_mut().filter_map(|l| l.session.as_mut()) {
+            session.set_policy(policy);
+        }
     }
 
     /// Bounds every dial and reply read (`None` = block forever). Set
     /// this whenever a chaos proxy sits on the path.
     pub fn set_dial_timeout(&mut self, timeout: Option<Duration>) {
         self.dial_timeout = timeout;
+        for session in self.links.iter_mut().filter_map(|l| l.session.as_mut()) {
+            session.set_options(ClientOptions::bounded(timeout));
+        }
     }
 
-    /// Dials `addr` with this router's timeout bound.
-    fn dial(&self, addr: SocketAddr) -> io::Result<Client> {
-        Client::connect_with(addr, self.space, ClientOptions::bounded(self.dial_timeout))
+    /// Installs `session` as node `index`'s, keeping the replaced
+    /// session's ledger.
+    fn install(&mut self, index: usize, session: Session) {
+        if let Some(old) = self.links[index].session.replace(session) {
+            self.retired.merge(&old.faults());
+        }
     }
 
     /// Opens (or replaces) the persistent connection to node `index`.
     pub fn connect(&mut self, index: usize, addr: SocketAddr) -> io::Result<()> {
-        self.links[index].addr = Some(addr);
-        let client = self.dial(addr)?;
-        let link = &mut self.links[index];
-        link.client = Some(client);
-        link.health = NodeHealth::Healthy;
-        link.consecutive_failures = 0;
+        let options = ClientOptions::bounded(self.dial_timeout);
+        let session = Session::connect(addr, self.space, options, self.policy)?;
+        self.install(index, session);
         Ok(())
     }
 
@@ -367,9 +363,9 @@ impl Router {
     /// against a chaotic network, where even the first dial may be
     /// inside a partition window.
     pub fn set_addr(&mut self, index: usize, addr: SocketAddr) {
-        let link = &mut self.links[index];
-        link.addr = Some(addr);
-        link.client = None;
+        let options = ClientOptions::bounded(self.dial_timeout);
+        let session = Session::new(addr, self.space, options, self.policy);
+        self.install(index, session);
     }
 
     /// Reconnects to a crash-restarted node: fresh connection, and all
@@ -389,8 +385,9 @@ impl Router {
     pub fn mark_restarted(&mut self, index: usize) {
         let link = &mut self.links[index];
         link.incarnation += 1;
-        link.client = None;
-        link.health = NodeHealth::Suspect;
+        if let Some(session) = link.session.as_mut() {
+            session.disconnect();
+        }
     }
 
     /// The incarnation the router currently attributes to node `index`.
@@ -400,13 +397,22 @@ impl Router {
 
     /// Node `index`'s health as of the last request routed to it.
     pub fn health(&self, index: usize) -> NodeHealth {
-        self.links[index].health
+        let session = self.links[index].session.as_ref();
+        match session.map_or(0, Session::failure_streak) {
+            0 => NodeHealth::Healthy,
+            streak if streak < DOWN_AFTER => NodeHealth::Suspect,
+            _ => NodeHealth::Down,
+        }
     }
 
-    /// The per-fault-class ledger of everything [`Router::lease`]
+    /// The per-fault-class ledger of everything the node sessions
     /// absorbed (all-zero under a clean network).
     pub fn fault_counters(&self) -> FaultCounters {
-        self.faults
+        let mut faults = self.retired;
+        for session in self.links.iter().filter_map(|l| l.session.as_ref()) {
+            faults.merge(&session.faults());
+        }
+        faults
     }
 
     /// Client-side lease latency through this router (includes retry
@@ -415,82 +421,39 @@ impl Router {
         &self.latency
     }
 
-    /// One lease attempt against node `index`, redialing first if the
-    /// connection is down (the probe half of probed recovery).
-    fn try_lease_once(&mut self, node: usize, tenant: u64, count: u128) -> io::Result<Lease> {
-        if self.links[node].client.is_none() {
-            let addr = self.links[node].addr.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotConnected,
-                    format!("router has no address for node {node}"),
-                )
-            })?;
-            let client = self.dial(addr)?;
-            self.links[node].client = Some(client);
-            self.faults.reconnects += 1;
-        }
-        self.links[node]
-            .client
-            .as_ref()
-            .expect("just dialed")
-            .lease(tenant, count)
-    }
-
     /// Routes one lease to the tenant's node over the persistent
     /// connection and records the granted arcs in both global audits.
     ///
-    /// Failures are classified and retried under the installed
-    /// [`RetryPolicy`] — always against the tenant's *own* node. There
-    /// is no cross-node failover, by design: every node derives the
-    /// same per-tenant streams from the shared master seed, so serving
-    /// a tenant from a second node would manufacture the exact
-    /// duplicates this whole system exists to prevent. A lost reply
-    /// means the granted IDs leak; a retry gets fresh ones
-    /// (leak-not-duplicate, pinned by the global audit).
+    /// Failures are classified and retried by the node's [`Session`]
+    /// under the installed [`RetryPolicy`] — always against the
+    /// tenant's *own* node. There is no cross-node failover, by design:
+    /// every node derives the same per-tenant streams from the shared
+    /// master seed, so serving a tenant from a second node would
+    /// manufacture the exact duplicates this whole system exists to
+    /// prevent. A lost reply means the granted IDs leak; a retry gets
+    /// fresh ones (leak-not-duplicate, pinned by the global audit).
     pub fn lease(&mut self, tenant: u64, count: u128) -> io::Result<Vec<Arc>> {
         let node = self.node_of(tenant);
         let started_ns = clock::monotonic_ns();
-        let mut attempt = 0u32;
-        loop {
-            match self.try_lease_once(node, tenant, count) {
-                Ok(lease) => {
-                    let link = &mut self.links[node];
-                    link.health = NodeHealth::Healthy;
-                    link.consecutive_failures = 0;
-                    self.latency.record(Duration::from_nanos(
-                        clock::monotonic_ns().saturating_sub(started_ns),
-                    ));
-                    self.leases += 1;
-                    self.issued += lease.granted;
-                    self.errors += lease.error.is_some() as u64;
-                    let owner = owner_key(tenant, link.incarnation);
-                    for &arc in &lease.arcs {
-                        self.audit.record(owner, arc);
-                        self.audit_by_tenant.record(tenant, arc);
-                    }
-                    return Ok(lease.arcs);
-                }
-                Err(e) => {
-                    self.faults.observe(&e);
-                    let link = &mut self.links[node];
-                    link.client = None; // poisoned either way
-                    link.consecutive_failures += 1;
-                    link.health = if link.consecutive_failures >= DOWN_AFTER {
-                        NodeHealth::Down
-                    } else {
-                        NodeHealth::Suspect
-                    };
-                    let fatal = classify(&e) == ErrorClass::Fatal;
-                    if fatal || !self.policy.allows(attempt) {
-                        self.faults.exhausted += 1;
-                        return Err(e);
-                    }
-                    self.faults.retries += 1;
-                    std::thread::sleep(self.policy.delay(attempt));
-                    attempt += 1;
-                }
-            }
+        let session = self.links[node].session.as_mut().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::NotConnected,
+                format!("router has no address for node {node}"),
+            )
+        })?;
+        let lease = session.call(|c| c.lease(tenant, count))?;
+        self.latency.record(Duration::from_nanos(
+            clock::monotonic_ns().saturating_sub(started_ns),
+        ));
+        self.leases += 1;
+        self.issued += lease.granted;
+        self.errors += lease.error.is_some() as u64;
+        let owner = owner_key(tenant, self.links[node].incarnation);
+        for &arc in &lease.arcs {
+            self.audit.record(owner, arc);
+            self.audit_by_tenant.record(tenant, arc);
         }
+        Ok(lease.arcs)
     }
 
     /// Total IDs issued through this router.
@@ -526,42 +489,19 @@ impl Router {
         self.audit.counts().duplicate_ids - self.audit_by_tenant.counts().duplicate_ids
     }
 
-    /// Sends `shutdown` over node `index`'s connection, consuming it.
-    /// The node's own summary frame is dropped — the caller
-    /// collects the richer server-side report via
+    /// Sends `shutdown` over node `index`'s connection. The node's own
+    /// summary frame is dropped — the caller collects the richer
+    /// server-side report via
     /// [`Fleet::join_node`](crate::cluster::Fleet::join_node).
     ///
-    /// Like [`Router::lease`], the shutdown survives a poisoned
-    /// connection: on failure a fresh connection is dialed (up to the
-    /// retry budget) so the run's accounting is never lost to a fault
-    /// that was scheduled mid-teardown.
+    /// Like [`Router::lease`], the shutdown runs in the node's session,
+    /// so it survives a poisoned connection: on failure a fresh
+    /// connection is dialed (up to the retry budget) and the run's
+    /// accounting is never lost to a fault scheduled mid-teardown.
     pub fn shutdown_node(&mut self, index: usize) -> io::Result<()> {
-        let mut client = self.links[index].client.take();
-        if client.is_none() && self.links[index].addr.is_none() {
-            return Ok(()); // never connected, nothing to shut down
-        }
-        let mut attempt = 0u32;
-        loop {
-            let result = match client.take() {
-                Some(c) => c.shutdown().map(|_| ()),
-                None => {
-                    let addr = self.links[index].addr.expect("checked above");
-                    self.dial(addr).and_then(|c| c.shutdown()).map(|_| ())
-                }
-            };
-            match result {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    self.faults.observe(&e);
-                    if !self.policy.allows(attempt) {
-                        self.faults.exhausted += 1;
-                        return Err(e);
-                    }
-                    self.faults.retries += 1;
-                    std::thread::sleep(self.policy.delay(attempt));
-                    attempt += 1;
-                }
-            }
+        match self.links[index].session.as_mut() {
+            None => Ok(()), // never connected, nothing to shut down
+            Some(session) => session.call(|c| c.clone().shutdown()).map(drop),
         }
     }
 }

@@ -10,23 +10,19 @@ use std::time::Duration;
 
 use uuidp_core::clock;
 
-use uuidp_client::{Client, ProtoVersion, RetryPolicy};
+use uuidp_client::{Client, FaultCounters, ProtoVersion, RetryPolicy, CHAOS_TIMEOUT};
 use uuidp_core::codec::fnv1a;
 use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{uniform_below, Xoshiro256pp};
 use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
 use uuidp_obs::families::REQUIRED as REQUIRED_FAMILIES;
 use uuidp_obs::{parse_exposition, AlertTransition, Snapshot, Stage};
-use uuidp_service::metrics::FaultCounters;
 use uuidp_service::service::{AuditReport, AuditThreadReport, ServiceConfig, ServiceReport};
 use uuidp_sim::audit::AuditCounts;
 
 use crate::cluster::Fleet;
 use crate::router::{Placement, Router, Scheduler};
 use crate::series::FleetSeries;
-
-/// Per-request bound on every router dial/read when chaos is on.
-const CHAOS_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Connection plans covered by each node's schedule fingerprint (a
 /// fixed count, so the pin depends only on the spec and seed).

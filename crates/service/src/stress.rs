@@ -25,20 +25,23 @@
 //! report identical issued/duplicate counts for the same seed and mix.
 //!
 //! Remote runs fan the client side out over `remote_workers ≥ 1` worker
-//! threads, **all multiplexing clones of one connection**
-//! ([`WireTarget`]). Tenants are pinned to pool workers
-//! (`tenant % workers`), so every tenant's requests stay FIFO and the
-//! totals remain bit-identical to the in-process path for every pool
-//! width.
+//! threads of one [`WireTarget`], each holding a [`Session`]. Tenants
+//! are pinned to pool workers (`tenant % workers`), so every tenant's
+//! requests stay FIFO and the totals remain bit-identical to the
+//! in-process path for every pool width.
 //!
-//! Chaos runs ([`StressConfig::chaos`]) interpose a deterministic
-//! [`ChaosProxy`] between the client pool and the server and swap the
-//! fail-fast targets for a retrying one ([`ChaosRemoteTarget`]): every
-//! request failure is classified (retry-safe / lease-in-doubt / fatal),
-//! retried under a seeded [`RetryPolicy`], and accounted into the
-//! report's SLO section. The shutdown that yields the authoritative
-//! totals travels over the proxy in passthrough mode, so the report
-//! itself is never a casualty of the faults it describes.
+//! * **Clean runs** give every worker a clone of one session, so the
+//!   whole pool multiplexes one connection. The sessions never retry:
+//!   the first wire error fails the run.
+//! * **Chaos runs** ([`StressConfig::chaos`]) interpose a deterministic
+//!   [`ChaosProxy`] between the pool and the server and give every
+//!   worker its own lazily dialed session — a severed connection must
+//!   not take the whole pool down with it. Every request failure is
+//!   classified (retry-safe / lease-in-doubt / fatal), retried under a
+//!   seeded [`RetryPolicy`] unless fatal, and accounted into the
+//!   report's SLO section. The shutdown that yields the authoritative
+//!   totals travels over the proxy in passthrough mode, so the report
+//!   itself is never a casualty of the faults it describes.
 //!
 //! [`RunHunter`]: uuidp_adversary::run_hunter::RunHunter
 
@@ -58,19 +61,15 @@ use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::Arc;
 use uuidp_core::rng::{SeedDomain, SeedTree};
 
-use uuidp_client::{Client, ClientOptions, Lease, RetryPolicy, Summary};
+use uuidp_client::{
+    Client, ClientOptions, FaultCounters, RetryPolicy, Session, Summary, CHAOS_TIMEOUT,
+};
 use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
 use uuidp_obs::{SlowLease, Snapshot, TailSampler, TimeSeries};
 
-use crate::metrics::FaultCounters;
 use crate::net::{ServerOptions, TcpServer};
 use crate::reactor::NetBackend;
 use crate::service::{AuditReport, IdService, ServiceConfig, ServiceReport};
-
-/// Per-request bound for every blocking client phase in a chaos run:
-/// long enough that a throttled-but-alive peer gets through, short
-/// enough that a truncated reply cannot hang the driver.
-const CHAOS_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How many connection plans the report's schedule fingerprint covers.
 /// Fixed (rather than "however many connections this run happened to
@@ -141,9 +140,9 @@ pub struct StressConfig {
     pub count: u128,
     /// Traffic shape.
     pub mix: TrafficMix,
-    /// Client-side pool width for remote runs: worker threads that
-    /// multiplex one persistent connection for the whole run (under
-    /// chaos, each worker dials its own).
+    /// Client-side pool width for remote runs: worker threads, each
+    /// with a [`Session`]. Clean runs share one persistent connection
+    /// for the whole run; under chaos each worker dials its own.
     pub remote_workers: usize,
     /// Fault schedule for remote runs: when set, a [`ChaosProxy`] built
     /// from this spec and [`StressConfig::chaos_seed`] sits between the
@@ -419,35 +418,31 @@ enum PoolMsg {
     Drain { done: SyncSender<()> },
 }
 
-/// How a pool worker reaches the server. `None` is a lease the
-/// connection gave up on (only the chaos target's retry budget ever
-/// runs out; a clean run fails fast instead).
-trait Conn {
-    fn lease(&mut self, tenant: u64, count: u128) -> Option<(Lease, u64)>;
-    fn drain(&mut self);
-}
-
-/// A clean run's connection: a clone of the shared multiplexed client.
-/// Any failure is a bug, so it panics the run.
-impl Conn for Client {
-    fn lease(&mut self, tenant: u64, count: u128) -> Option<(Lease, u64)> {
-        Some(
-            self.lease_with_corr(tenant, count)
-                .expect("wire stress lease i/o"),
-        )
-    }
-
-    fn drain(&mut self) {
-        Client::drain(self).expect("wire stress drain i/o");
-    }
-}
-
-/// A pool worker: serves its queue over its connection, then hands the
-/// connection back along with its worst-lease samples. Latency is
-/// measured around the whole request — retries and backoff included —
-/// because that is what the caller experienced.
-fn pool_worker<C: Conn>(mut conn: C, rx: Receiver<PoolMsg>) -> (C, TailSampler) {
+/// A pool worker: serves its queue through its session, then hands
+/// back the session's ledger along with its worst-lease samples.
+/// Latency is measured around the whole request — retries and backoff
+/// included — because that is what the caller experienced. With
+/// `abandon`, a request whose session gives up is dropped (the session
+/// counted it); without, it fails the run.
+fn pool_worker(
+    mut session: Session,
+    abandon: bool,
+    rx: Receiver<PoolMsg>,
+) -> (FaultCounters, TailSampler) {
     let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
+    let mut lease = |session: &mut Session, tenant: u64, count: u128| {
+        let started = clock::monotonic_ns();
+        match session.call(|c| c.lease_with_corr(tenant, count)) {
+            Ok((lease, corr)) => {
+                tail.offer(corr, tenant, 0, elapsed_ns(started));
+                Some(lease)
+            }
+            Err(e) => {
+                assert!(abandon, "wire stress lease i/o: {e}");
+                None
+            }
+        }
+    };
     while let Ok(msg) = rx.recv() {
         match msg {
             PoolMsg::Lease {
@@ -455,50 +450,43 @@ fn pool_worker<C: Conn>(mut conn: C, rx: Receiver<PoolMsg>) -> (C, TailSampler) 
                 count,
                 reply,
             } => {
-                let started = clock::monotonic_ns();
-                let arcs = match conn.lease(tenant, count) {
-                    Some((lease, corr)) => {
-                        tail.offer(corr, tenant, 0, elapsed_ns(started));
-                        lease.arcs
-                    }
-                    None => Vec::new(),
-                };
+                let arcs = lease(&mut session, tenant, count).map_or_else(Vec::new, |l| l.arcs);
                 let _ = reply.send(arcs);
             }
             PoolMsg::Issue { tenant, count } => {
-                let started = clock::monotonic_ns();
-                if let Some((_, corr)) = conn.lease(tenant, count) {
-                    tail.offer(corr, tenant, 0, elapsed_ns(started));
-                }
+                lease(&mut session, tenant, count);
             }
             PoolMsg::Barrier { done } => {
                 let _ = done.send(());
             }
             PoolMsg::Drain { done } => {
-                conn.drain();
+                if let Err(e) = session.call(|c| c.drain()) {
+                    assert!(abandon, "wire stress drain i/o: {e}");
+                }
                 let _ = done.send(());
             }
         }
     }
-    (conn, tail)
+    (session.faults(), tail)
 }
 
 /// Tenant-pinned pool workers, one queue each: requests go to worker
 /// `tenant % workers`, preserving each tenant's request order (and
 /// therefore the run's deterministic totals).
-struct Pool<C> {
+struct Pool {
     txs: Vec<SyncSender<PoolMsg>>,
-    workers: Vec<JoinHandle<(C, TailSampler)>>,
+    workers: Vec<JoinHandle<(FaultCounters, TailSampler)>>,
 }
 
-impl<C: Conn + Send + 'static> Pool<C> {
-    /// One worker thread per connection.
-    fn spawn(conns: impl IntoIterator<Item = C>) -> Pool<C> {
-        let (txs, workers) = conns
+impl Pool {
+    /// One worker thread per session.
+    fn spawn(sessions: impl IntoIterator<Item = Session>, abandon: bool) -> Pool {
+        let (txs, workers) = sessions
             .into_iter()
-            .map(|conn| {
+            .map(|session| {
                 let (tx, rx) = sync_channel::<PoolMsg>(1024);
-                (tx, std::thread::spawn(move || pool_worker(conn, rx)))
+                let worker = std::thread::spawn(move || pool_worker(session, abandon, rx));
+                (tx, worker)
             })
             .unzip();
         Pool { txs, workers }
@@ -546,191 +534,90 @@ impl<C: Conn + Send + 'static> Pool<C> {
         rx.recv().expect("pool worker drains");
     }
 
-    /// Closes the queues and joins every worker, returning their
-    /// connections and their merged worst-lease samples.
-    fn join(self) -> (Vec<C>, TailSampler) {
+    /// Closes the queues and joins every worker, returning their merged
+    /// ledgers and worst-lease samples.
+    fn join(self) -> (FaultCounters, TailSampler) {
         drop(self.txs);
+        let mut faults = FaultCounters::default();
         let mut tail = TailSampler::new(TAIL_SAMPLES, 0);
-        let conns = self
-            .workers
-            .into_iter()
-            .map(|handle| {
-                let (conn, worker_tail) = handle.join().expect("pool worker panicked");
-                tail.merge(&worker_tail);
-                conn
-            })
-            .collect();
-        (conns, tail)
+        for handle in self.workers {
+            let (worker_faults, worker_tail) = handle.join().expect("pool worker panicked");
+            faults.merge(&worker_faults);
+            tail.merge(&worker_tail);
+        }
+        (faults, tail)
     }
 }
 
-/// The socket target: `workers ≥ 1` pool threads, each holding a clone
-/// of **one multiplexed [`Client`]** for the entire run, so the server
-/// sees a single connection carrying the whole pool's concurrent
-/// traffic. The report comes from the wire summary, so the whole client
-/// code path — not just the traffic — is exercised.
+/// The socket target: `workers ≥ 1` pool threads, each with a
+/// [`Session`] (see the module docs for the clean and chaos shapes).
+/// The report comes from the wire summary, so the whole client code
+/// path — not just the traffic — is exercised.
 pub struct WireTarget {
-    client: Client,
-    pool: Pool<Client>,
+    space: IdSpace,
+    /// Carries the post-run timeline fetches and the shutdown.
+    session: Session,
+    /// The chaos proxy the pool dials through, if any.
+    proxy: Option<SyncArc<ChaosProxy>>,
+    pool: Pool,
 }
 
 impl WireTarget {
     /// Connects to the front-end serving `space` at `addr` and starts
-    /// `workers` pool threads on clones of the one connection.
+    /// `workers` pool threads on clones of the one connection. No
+    /// session retries: the first wire error fails the run.
     pub fn connect(addr: SocketAddr, space: IdSpace, workers: usize) -> io::Result<WireTarget> {
-        let client = Client::connect(addr, space)?;
-        let pool = Pool::spawn((0..workers.max(1)).map(|_| client.clone()));
-        Ok(WireTarget { client, pool })
-    }
-}
-
-impl StressTarget for WireTarget {
-    fn space(&self) -> IdSpace {
-        self.client.space()
-    }
-
-    fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
-        self.pool.lease_arcs(tenant, count)
-    }
-
-    fn issue(&mut self, tenant: u64, count: u128) {
-        self.pool.issue(tenant, count);
-    }
-
-    fn drain(&mut self) {
-        self.pool.drain();
-    }
-
-    fn finish(self) -> TargetReport {
-        let (_clones, mut tail) = self.pool.join();
-        fetch_timelines(&self.client, &mut tail);
-        let mut report: TargetReport = self
-            .client
-            .shutdown()
-            .expect("wire stress shutdown i/o")
-            .into();
-        report.slow = tail.worst().to_vec();
-        report
-    }
-}
-
-/// A [`Client`] wrapped in classified retries: every failure is
-/// observed into a [`FaultCounters`], the (possibly poisoned)
-/// connection is replaced, and the request is retried under the seeded
-/// [`RetryPolicy`] until it succeeds or the budget is exhausted.
-///
-/// Retrying a lease-in-doubt failure is deliberate and *correct* for
-/// this service: the generator never re-emits an ID, so the retried
-/// lease yields fresh IDs and the abandoned grant merely leaks
-/// server-side — leak-not-duplicate, pinned by the global audit.
-struct ResilientClient {
-    addr: SocketAddr,
-    space: IdSpace,
-    policy: RetryPolicy,
-    client: Option<Client>,
-    ever_connected: bool,
-    faults: FaultCounters,
-}
-
-impl ResilientClient {
-    fn new(addr: SocketAddr, space: IdSpace, policy: RetryPolicy) -> Self {
-        ResilientClient {
-            addr,
+        let session = Session::connect(addr, space, ClientOptions::default(), RetryPolicy::none())?;
+        let pool = Pool::spawn(vec![session.clone(); workers.max(1)], false);
+        Ok(WireTarget {
             space,
-            policy,
-            client: None,
-            ever_connected: false,
-            faults: FaultCounters::default(),
-        }
+            session,
+            proxy: None,
+            pool,
+        })
     }
 
-    fn client(&mut self) -> io::Result<&Client> {
-        if self.client.is_none() {
-            let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
-            let dialed = Client::connect_with(self.addr, self.space, options)?;
-            if self.ever_connected {
-                self.faults.reconnects += 1;
-            }
-            self.ever_connected = true;
-            self.client = Some(dialed);
-        }
-        Ok(self.client.as_ref().expect("just dialed"))
-    }
-
-    /// Runs `f` against a live connection, retrying per the policy.
-    /// Returns `None` when the retry budget is exhausted (the request
-    /// is abandoned and counted against the error budget).
-    fn attempt<T>(&mut self, f: impl Fn(&Client) -> io::Result<T>) -> Option<T> {
-        for attempt in 0.. {
-            let result = self.client().and_then(&f);
-            match result {
-                Ok(v) => return Some(v),
-                Err(e) => {
-                    self.faults.observe(&e);
-                    // Any failure poisons the connection (a timed-out
-                    // request's late reply must never be read as the
-                    // next request's answer): replace it.
-                    self.client = None;
-                    if self.policy.allows(attempt) {
-                        self.faults.retries += 1;
-                        std::thread::sleep(self.policy.delay(attempt));
-                    } else {
-                        self.faults.exhausted += 1;
-                        return None;
-                    }
-                }
-            }
-        }
-        unreachable!("the retry loop returns from within")
-    }
-}
-
-/// A chaos run's connection: failures are classified, retried, and
-/// counted instead of panicking.
-impl Conn for ResilientClient {
-    fn lease(&mut self, tenant: u64, count: u128) -> Option<(Lease, u64)> {
-        self.attempt(|c| c.lease_with_corr(tenant, count))
-    }
-
-    fn drain(&mut self) {
-        let _ = self.attempt(|c| c.drain());
-    }
-}
-
-/// The chaos socket target: a pool of [`ResilientClient`] workers
-/// talking through a shared [`ChaosProxy`]. Unlike [`WireTarget`],
-/// every worker owns an independent connection — a severed mux must
-/// not take the whole pool down with it.
-pub struct ChaosRemoteTarget {
-    space: IdSpace,
-    proxy: SyncArc<ChaosProxy>,
-    pool: Pool<ResilientClient>,
-}
-
-impl ChaosRemoteTarget {
-    /// Starts `workers ≥ 1` resilient workers dialing through `proxy`.
-    /// Connections are lazy — the first request dials (and the dial
-    /// itself is inside the retry loop, so a refused connection window
-    /// is survivable).
-    pub fn connect(
+    /// Starts `workers ≥ 1` pool threads dialing through `proxy`, each
+    /// with its own session retrying under `policy` with a distinct,
+    /// still seed-determined jitter stream. Connections are lazy — the
+    /// first request dials, inside the retry loop, so a refused
+    /// connection window is survivable.
+    pub fn through_proxy(
         proxy: SyncArc<ChaosProxy>,
         space: IdSpace,
         workers: usize,
         policy: RetryPolicy,
-    ) -> ChaosRemoteTarget {
-        let pool = Pool::spawn((0..workers.max(1)).map(|worker| {
-            // Distinct jitter streams per worker, still seed-determined.
-            let policy = RetryPolicy {
-                seed: policy.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ..policy
-            };
-            ResilientClient::new(proxy.addr(), space, policy)
-        }));
-        ChaosRemoteTarget { space, proxy, pool }
+    ) -> WireTarget {
+        let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
+        let pool = Pool::spawn(
+            (0..workers.max(1)).map(|worker| {
+                let policy = RetryPolicy {
+                    seed: policy.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    ..policy
+                };
+                Session::new(proxy.addr(), space, options, policy)
+            }),
+            true,
+        );
+        // The shutdown dials only once the proxy is passthrough: ten
+        // tries, 20 ms apart.
+        let every_20ms = RetryPolicy {
+            max_retries: 9,
+            base: Duration::from_millis(20),
+            max: Duration::from_millis(20),
+            jitter_per_mille: 0,
+            seed: 0,
+        };
+        WireTarget {
+            space,
+            session: Session::new(proxy.addr(), space, options, every_20ms),
+            proxy: Some(proxy),
+            pool,
+        }
     }
 }
 
-impl StressTarget for ChaosRemoteTarget {
+impl StressTarget for WireTarget {
     fn space(&self) -> IdSpace {
         self.space
     }
@@ -747,43 +634,25 @@ impl StressTarget for ChaosRemoteTarget {
         self.pool.drain();
     }
 
-    fn finish(self) -> TargetReport {
+    fn finish(mut self) -> TargetReport {
         // The report must survive the chaos that produced it: flip the
         // proxy to passthrough so the shutdown travels a clean path
         // (new connections are unscheduled from here on).
-        self.proxy.set_passthrough(true);
-        let (clients, mut tail) = self.pool.join();
-        let mut faults = FaultCounters::default();
-        for client in clients {
-            faults.merge(&client.faults);
+        if let Some(proxy) = &self.proxy {
+            proxy.set_passthrough(true);
         }
-        let mut last_err: Option<io::Error> = None;
-        for _ in 0..10 {
-            let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
-            let attempt =
-                Client::connect_with(self.proxy.addr(), self.space, options).and_then(|client| {
-                    // The proxy is passthrough now, so the timeline
-                    // fetches ride the same clean path as the shutdown.
-                    fetch_timelines(&client, &mut tail);
-                    client.shutdown()
-                });
-            match attempt {
-                Ok(summary) => {
-                    let mut report = TargetReport::from(summary);
-                    report.faults = faults;
-                    report.slow = tail.worst().to_vec();
-                    return report;
-                }
-                Err(e) => {
-                    last_err = Some(e);
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-        panic!(
-            "shutdown over a passthrough proxy kept failing: {:?}",
-            last_err
-        );
+        let (faults, mut tail) = self.pool.join();
+        let summary = self
+            .session
+            .call(|client| {
+                fetch_timelines(client, &mut tail);
+                client.clone().shutdown()
+            })
+            .expect("wire stress shutdown i/o");
+        let mut report = TargetReport::from(summary);
+        report.faults = faults;
+        report.slow = tail.worst().to_vec();
+        report
     }
 }
 
@@ -974,8 +843,8 @@ pub fn run_stress(config: StressConfig) -> StressReport {
 /// Runs one stress phase over a loopback TCP server: the service is
 /// fronted by a [`TcpServer`] on an ephemeral port and every request —
 /// including the shutdown that yields the report — travels through the
-/// [`Client`] socket path ([`WireTarget`], or [`ChaosRemoteTarget`]
-/// when [`StressConfig::chaos`] is set).
+/// [`Client`] socket path of a [`WireTarget`], through a [`ChaosProxy`]
+/// when [`StressConfig::chaos`] is set.
 pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
     let server = TcpServer::bind_with(
         "127.0.0.1:0",
@@ -1007,38 +876,40 @@ pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
             }
         })
     };
-    if let Some(spec) = config.chaos {
-        let seed = config.chaos_seed;
-        let proxy = SyncArc::new(ChaosProxy::launch(server.local_addr(), spec, seed)?);
-        // Mirror every injected fault into the node's own registry, so
-        // the scrape shows ground truth next to the service's counters.
-        proxy.attach_obs(&registry, server.trace());
-        let target = ChaosRemoteTarget::connect(
-            SyncArc::clone(&proxy),
-            config.service.space,
-            config.remote_workers,
-            RetryPolicy {
+    let space = config.service.space;
+    let (target, chaos) = match config.chaos {
+        Some(spec) => {
+            let seed = config.chaos_seed;
+            let proxy = SyncArc::new(ChaosProxy::launch(server.local_addr(), spec, seed)?);
+            // Mirror every injected fault into the node's own registry,
+            // so the scrape shows ground truth next to the service's
+            // counters.
+            proxy.attach_obs(&registry, server.trace());
+            let policy = RetryPolicy {
                 seed,
                 ..RetryPolicy::default()
-            },
-        );
-        let mut report = run_stress_with(target, config);
-        report.chaos = Some(ChaosReport {
-            spec,
-            seed,
-            fingerprint: schedule_fingerprint(&spec, seed, FINGERPRINT_CONNS),
-            injected: proxy.counts(),
-        });
-        report.metrics = finish_metrics(scraper);
-        let _ = server.join();
-        return Ok(report);
-    }
-    let target = WireTarget::connect(
-        server.local_addr(),
-        config.service.space,
-        config.remote_workers,
-    )?;
+            };
+            let target = WireTarget::through_proxy(
+                SyncArc::clone(&proxy),
+                space,
+                config.remote_workers,
+                policy,
+            );
+            (target, Some((spec, proxy)))
+        }
+        None => {
+            let target = WireTarget::connect(server.local_addr(), space, config.remote_workers)?;
+            (target, None)
+        }
+    };
+    let seed = config.chaos_seed;
     let mut report = run_stress_with(target, config);
+    report.chaos = chaos.map(|(spec, proxy)| ChaosReport {
+        spec,
+        seed,
+        fingerprint: schedule_fingerprint(&spec, seed, FINGERPRINT_CONNS),
+        injected: proxy.counts(),
+    });
     report.metrics = finish_metrics(scraper);
     // Join the server threads; the driver-side report already carries
     // the (identical) totals parsed off the wire.

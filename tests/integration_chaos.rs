@@ -9,15 +9,21 @@
 //!   schedule fingerprint and audit totals;
 //! * **demux-death regression** — when a v2 connection dies with many
 //!   requests in flight, every pending waiter must fail promptly with a
-//!   typed broken-connection error instead of hanging forever.
+//!   typed broken-connection error instead of hanging forever;
+//! * **failed handshakes are retry-safe** — no request exists before
+//!   the `HelloOk` arrives, so a peer that hangs up or answers with a
+//!   corrupt frame must never read as lease-in-doubt or fatal.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use uuidp::client::frame::{read_frame, write_frame, FrameBody, VERSION};
-use uuidp::client::{broken_connection, Client, ErrorClass};
+use uuidp::client::frame::{
+    encode_frame, read_frame, write_frame, FrameBody, TRAILER_LEN, VERSION,
+};
+use uuidp::client::{broken_connection, classify, Client, ErrorClass};
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
 use uuidp::fleet::run::{run_fleet, FleetConfig, FleetReport};
@@ -152,4 +158,41 @@ fn demux_death_fails_all_pending_waiters_promptly() {
         "a lost reply is lease-in-doubt for every waiter"
     );
     server.join().unwrap();
+}
+
+#[test]
+fn failed_handshakes_are_retry_safe() {
+    // (a) the peer accepts and hangs up; (b) it answers with a HelloOk
+    // whose payload has one bit flipped (in the universe field, so a
+    // decoder that skipped the checksum would report a fatal universe
+    // mismatch instead).
+    for corrupt in [false, true] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            if corrupt {
+                let hello = read_frame(&mut conn).unwrap();
+                let FrameBody::Hello { space, .. } = hello.body else {
+                    panic!("expected hello");
+                };
+                let hello_ok = FrameBody::HelloOk {
+                    version: VERSION,
+                    space,
+                };
+                let mut bytes = encode_frame(hello.corr, &hello_ok);
+                let last_payload_byte = bytes.len() - TRAILER_LEN - 1;
+                bytes[last_payload_byte] ^= 0x01;
+                conn.write_all(&bytes).unwrap();
+            }
+        });
+        let err = Client::connect(addr, IdSpace::with_bits(24).unwrap())
+            .expect_err("no handshake can complete");
+        assert_eq!(
+            classify(&err),
+            ErrorClass::RetrySafe,
+            "corrupt={corrupt}: {err}"
+        );
+        server.join().unwrap();
+    }
 }

@@ -10,12 +10,17 @@
 //! * **multiplexed audit visibility** — same-seed twin tenants driven
 //!   concurrently through clones of one connection are counted exactly
 //!   by the audit, and the client can watch the totals live via
-//!   `summary` without stopping the service.
+//!   `summary` without stopping the service;
+//! * **the session's retry ledger** — a `Session` spends exactly its
+//!   budget on a dead server, never retries a fatal reply, and counts a
+//!   redial only once it has been connected before.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
+use std::time::Duration;
 
-use uuidp::client::Client;
+use uuidp::client::frame::{read_frame, write_frame, FrameBody, VERSION};
+use uuidp::client::{broken, Client, ClientOptions, ErrorClass, RetryPolicy, Session};
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::{Id, IdSpace};
 use uuidp::core::rng::{SeedDomain, SeedTree};
@@ -143,5 +148,105 @@ fn twin_tenants_over_one_multiplexed_connection_are_counted_exactly() {
     let final_summary = client.shutdown().unwrap();
     assert_eq!(final_summary.issued_ids, live.issued_ids + 3);
     assert_eq!(final_summary.duplicate_ids, live.duplicate_ids);
+    server.join().unwrap();
+}
+
+/// A session to `addr` retrying up to `max_retries` times on a fast
+/// schedule.
+fn fast_session(addr: std::net::SocketAddr, space: IdSpace, max_retries: u32) -> Session {
+    let policy = RetryPolicy {
+        max_retries,
+        base: Duration::from_micros(100),
+        max: Duration::from_micros(200),
+        ..RetryPolicy::default()
+    };
+    Session::new(addr, space, ClientOptions::default(), policy)
+}
+
+#[test]
+fn session_spends_its_whole_budget_on_a_halted_server() {
+    let space = IdSpace::with_bits(40).unwrap();
+    let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
+    let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    assert!(server.halt().is_some());
+
+    let mut session = fast_session(addr, space, 2);
+    session
+        .call(|c| c.lease(0, 10))
+        .expect_err("nothing listens");
+    let faults = session.faults();
+    assert_eq!(faults.failed_attempts(), 3, "{faults:?}");
+    assert_eq!(faults.retries, 2, "{faults:?}");
+    assert_eq!(faults.exhausted, 1, "{faults:?}");
+    assert_eq!(session.failure_streak(), 3);
+    assert_eq!(faults.reconnects, 0, "it never connected: {faults:?}");
+}
+
+#[test]
+fn session_never_retries_a_fatal_reply() {
+    // A stub that completes the handshake, then answers the lease with
+    // the wrong frame kind: a protocol disagreement no retry can fix.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut conn).unwrap();
+        let FrameBody::Hello { space, .. } = hello.body else {
+            panic!("expected hello");
+        };
+        let hello_ok = FrameBody::HelloOk {
+            version: VERSION,
+            space,
+        };
+        write_frame(&mut conn, hello.corr, &hello_ok).unwrap();
+        let lease = read_frame(&mut conn).unwrap();
+        write_frame(&mut conn, lease.corr, &FrameBody::DrainResp).unwrap();
+    });
+
+    let mut session = fast_session(addr, IdSpace::with_bits(24).unwrap(), 3);
+    let err = session
+        .call(|c| c.lease(0, 8))
+        .expect_err("a drain reply is no lease");
+    assert!(err.to_string().contains("expected lease-resp"), "{err}");
+    let faults = session.faults();
+    assert_eq!(faults.failed_attempts(), 1, "{faults:?}");
+    assert_eq!(faults.fatal, 1, "{faults:?}");
+    assert_eq!(faults.retries, 0, "{faults:?}");
+    assert_eq!(faults.exhausted, 1, "{faults:?}");
+    stub.join().unwrap();
+}
+
+#[test]
+fn session_counts_a_redial_after_success_as_one_reconnect() {
+    let space = IdSpace::with_bits(40).unwrap();
+    let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
+    let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+    let mut session = fast_session(server.local_addr(), space, 1);
+    assert_eq!(session.call(|c| c.lease(0, 10)).unwrap().granted, 10);
+    assert_eq!(
+        session.faults().reconnects,
+        0,
+        "the first dial is no reconnect"
+    );
+
+    // One failed attempt on the live connection, then the retry redials.
+    let mut fail_once = true;
+    let lease = session
+        .call(|c| {
+            if std::mem::take(&mut fail_once) {
+                return Err(broken("injected", ErrorClass::RetrySafe));
+            }
+            c.lease(0, 10)
+        })
+        .unwrap();
+    assert_eq!(lease.granted, 10);
+    let faults = session.faults();
+    assert_eq!(faults.retry_safe, 1, "{faults:?}");
+    assert_eq!(faults.retries, 1, "{faults:?}");
+    assert_eq!(faults.reconnects, 1, "{faults:?}");
+    assert_eq!(faults.exhausted, 0, "{faults:?}");
+    assert_eq!(session.failure_streak(), 0);
+    session.call(|c| c.clone().shutdown()).unwrap();
     server.join().unwrap();
 }
