@@ -6,8 +6,6 @@
 //! repro --quick all       # ~10× fewer trials (CI smoke)
 //! repro --seed 7 e2       # change the master seed
 //! repro --list            # list experiments
-//! repro bench-json [PATH] # measure hot paths, write JSON (default
-//!                         # BENCH_PR<N>.json) for the perf trajectory
 //! ```
 //!
 //! Output is Markdown: one section per experiment with its tables and
@@ -16,33 +14,6 @@
 use std::process::ExitCode;
 
 use uuidp_bench::experiments::{registry, Ctx};
-use uuidp_bench::perf;
-
-/// The stacked-PR index stamped into bench JSON artifacts.
-const PR_NUMBER: u32 = 9;
-
-fn run_bench_json(path: &str) -> ExitCode {
-    eprintln!("measuring hot paths (optimized vs reference baselines)...");
-    let results = perf::run_all();
-    for r in &results {
-        println!(
-            "{:<44} new {:>10.1} {:<9} baseline {:>10.1} {:<9} speedup {:>6.2}x",
-            r.name,
-            r.new_cost,
-            r.unit,
-            r.baseline_cost,
-            r.unit,
-            r.speedup()
-        );
-    }
-    let json = perf::to_json(PR_NUMBER, &results);
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("error: could not write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {path}");
-    ExitCode::SUCCESS
-}
 
 fn main() -> ExitCode {
     let mut quick = false;
@@ -50,28 +21,7 @@ fn main() -> ExitCode {
     let mut selected: Vec<String> = Vec::new();
     let mut list_only = false;
 
-    let mut args = std::env::args().skip(1).peekable();
-    // Hidden helper mode for the reactor idle bench: hold N idle v2
-    // connections in THIS process (its own fd budget — setrlimit is
-    // often denied in containers) until the parent closes our stdin.
-    if args.peek().map(String::as_str) == Some("hold-conns") {
-        args.next();
-        let addr = args
-            .next()
-            .unwrap_or_else(|| usage("hold-conns needs ADDR N"));
-        let n = args
-            .next()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| usage("hold-conns needs a numeric N"));
-        return perf::hold_conns_main(&addr, n);
-    }
-    if args.peek().map(String::as_str) == Some("bench-json") {
-        args.next();
-        let path = args
-            .next()
-            .unwrap_or_else(|| format!("BENCH_PR{PR_NUMBER}.json"));
-        return run_bench_json(&path);
-    }
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" | "-q" => quick = true,
@@ -145,11 +95,7 @@ fn main() -> ExitCode {
 fn print_usage() {
     println!(
         "usage: repro [--quick] [--seed N] [--list] <all | e1 e2 ... e15>\n\
-         \x20      repro bench-json [PATH]\n\
-         Regenerates the paper's results; see DESIGN.md for the experiment index.\n\
-         bench-json measures the simulation hot paths against reference\n\
-         baselines and writes the JSON perf record (default BENCH_PR<N>.json\n\
-         for this tree's PR number)."
+         Regenerates the paper's results; `repro --list` prints the experiment index."
     );
 }
 

@@ -13,7 +13,7 @@
 //! hundreds of colliding IDs at once — while Random's many failures are
 //! isolated singletons. Both views are reported.
 //!
-//! **Scaling substitution** (documented in DESIGN.md): production runs at
+//! **Scaling substitution:** production runs at
 //! `m = 2¹²⁸` with exabyte-scale object counts we cannot simulate, so the
 //! whole system is scaled down *preserving the dimensionless ratios* the
 //! bounds depend on: `m = 2²⁴` with `d ≈ 2¹⁵` files across 16 instances

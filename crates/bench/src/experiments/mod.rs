@@ -86,7 +86,7 @@ impl Check {
 pub struct ExperimentReport {
     /// Experiment id, e.g. `"E5"`.
     pub id: &'static str,
-    /// Title matching DESIGN.md's index.
+    /// Title, printed in the report's heading.
     pub title: &'static str,
     /// Rendered markdown sections (tables, diagrams, notes).
     pub sections: Vec<String>,

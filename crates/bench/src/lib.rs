@@ -1,7 +1,8 @@
 //! # uuidp-bench — the reproduction harness
 //!
-//! One module per paper result (see DESIGN.md's experiment index E1–E13,
-//! plus ablations E14 and the collision-time extension E15).
+//! One module per experiment, E1–E15 (`repro --list` prints the index):
+//! the paper's results, plus ablations (E14) and the collision-time
+//! extension (E15).
 //! Each module exposes `run(&Ctx) -> ExperimentReport`: it executes the
 //! sweep, prints the paper-shaped rows next to the theory prediction, and
 //! records pass/fail *shape checks* (slopes, bounded ratios, orderings).
@@ -13,6 +14,5 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod perf;
 
 pub use experiments::{Ctx, ExperimentReport};

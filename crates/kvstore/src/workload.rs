@@ -1,6 +1,6 @@
 //! Synthetic workload generator for the deployment.
 //!
-//! **Substitution note (per DESIGN.md):** the paper's evidence for
+//! **Substitution note:** the paper's evidence for
 //! Cluster came from Meta production RocksDB deployments, which we cannot
 //! replay. Collision exposure, however, depends only on (a) how many IDs
 //! each instance draws (flush/compaction volume) and (b) which instances'

@@ -37,7 +37,7 @@
 //!
 //! Export surfaces: [`Snapshot::render_prometheus`] (text exposition,
 //! served by the v2 metrics frame and the `uuidp serve` stdin REPL)
-//! and [`Snapshot::render_json`] (consumed by `repro bench-json`).
+//! and [`Snapshot::render_json`] (a JSON object of the same families).
 //! [`parse_exposition`] reads the text form back for monotonicity
 //! checks in smoke tests; [`Snapshot::parse_prometheus`] reconstructs
 //! a *typed* snapshot (histogram buckets included) for time-series

@@ -561,8 +561,7 @@ impl Snapshot {
         Snapshot { metrics }
     }
 
-    /// JSON object rendering for `repro bench-json` consumers:
-    /// counters/gauges as numbers, histograms as
+    /// JSON object rendering: counters/gauges as numbers, histograms as
     /// `{count, sum_ns, max_ns, p50_ns, p99_ns, p999_ns}`.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");

@@ -41,9 +41,9 @@
 //!   quantiles.
 //!
 //! The CLI surfaces this as `uuidp serve` (stdin, or `--listen` for
-//! TCP) and `uuidp stress` (`--remote` for the socket path); `repro
-//! bench-json` records the issuance and audit-pipeline numbers in
-//! `BENCH_PR<N>.json`.
+//! TCP) and `uuidp stress` (`--remote` for the socket path); the
+//! repository benchmark (`perfbench/`) measures its lease path end to
+//! end and per layer.
 //!
 //! [`IdGenerator`]: uuidp_core::traits::IdGenerator
 

@@ -825,6 +825,25 @@ mod tests {
         )
     }
 
+    /// A raw v2 socket past its handshake, for tests that pipeline
+    /// frames by hand instead of through a `Client`.
+    fn raw_v2_conn(addr: SocketAddr, space: IdSpace) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        frame::write_frame(
+            &mut stream,
+            0,
+            &FrameBody::Hello {
+                version: frame::VERSION,
+                space: space.size(),
+            },
+        )
+        .unwrap();
+        let hello = frame::read_frame(&mut stream).unwrap();
+        assert!(matches!(hello.body, FrameBody::HelloOk { .. }));
+        stream
+    }
+
     /// Whether `err` is what a severed connection looks like.
     fn is_severed(err: &io::Error) -> bool {
         matches!(
@@ -1208,19 +1227,7 @@ mod tests {
         // The flooder: a raw v2 socket blasting pipelined single-ID
         // leases, replies discarded by a second thread so the server
         // never has to apply backpressure.
-        let mut flood = TcpStream::connect(addr).unwrap();
-        flood.set_nodelay(true).unwrap();
-        frame::write_frame(
-            &mut flood,
-            0,
-            &FrameBody::Hello {
-                version: frame::VERSION,
-                space: space.size(),
-            },
-        )
-        .unwrap();
-        let hello = frame::read_frame(&mut flood).unwrap();
-        assert!(matches!(hello.body, FrameBody::HelloOk { .. }));
+        let mut flood = raw_v2_conn(addr, space);
         let flood_ctl = flood.try_clone().unwrap();
         let mut sink = flood.try_clone().unwrap();
         let drain_stop = Arc::clone(&stop);
@@ -1267,6 +1274,68 @@ mod tests {
         let ctl = Client::connect(addr, space).unwrap();
         ctl.shutdown().unwrap();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn pipelined_replies_leave_in_vectored_writes() {
+        // A client that keeps 256 leases in flight leaves a queue of
+        // replies on its connection; the vectored flush must retire
+        // more than one of them per write syscall, and still answer
+        // every corr id exactly once.
+        const BATCHES: u64 = 64;
+        const DEPTH: u64 = 256;
+        let (server, space) = server(48);
+        let registry = server.registry();
+        let mut stream = raw_v2_conn(server.local_addr(), space);
+        // Replies per corr id; corr 0 is connection-level and never sent.
+        let mut answers = vec![0u32; (BATCHES * DEPTH + 1) as usize];
+        for batch_no in 0..BATCHES {
+            let mut batch = Vec::new();
+            for corr in batch_no * DEPTH + 1..=(batch_no + 1) * DEPTH {
+                batch.extend_from_slice(&frame::encode_frame(
+                    corr,
+                    &FrameBody::LeaseReq {
+                        tenant: corr % 8,
+                        count: 1,
+                    },
+                ));
+            }
+            stream.write_all(&batch).unwrap();
+            for _ in 0..DEPTH {
+                let reply = frame::read_frame(&mut stream).unwrap();
+                assert!(
+                    matches!(reply.body, FrameBody::LeaseResp { granted: 1, .. }),
+                    "corr {}: {:?}",
+                    reply.corr,
+                    reply.body
+                );
+                answers[reply.corr as usize] += 1;
+            }
+        }
+        assert!(
+            answers[1..].iter().all(|&n| n == 1),
+            "a corr id was not answered exactly once"
+        );
+        drop(stream);
+        Client::connect(server.local_addr(), space)
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        // Joined, the reactor has recorded every flush it made.
+        server.join().unwrap();
+        let per_syscall = registry
+            .histogram("uuidp_net_replies_per_syscall")
+            .snapshot();
+        assert!(
+            per_syscall.max_ns() >= 2,
+            "every write syscall carried a single reply"
+        );
+        assert!(
+            per_syscall.sum_ns() >= u128::from(BATCHES * DEPTH),
+            "flushes retired {} replies, fewer than the {} answered",
+            per_syscall.sum_ns(),
+            BATCHES * DEPTH
+        );
     }
 
     #[test]

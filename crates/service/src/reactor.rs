@@ -113,22 +113,6 @@ impl std::fmt::Display for NetBackend {
     }
 }
 
-/// Raises this process's open-file soft limit toward `target` (the
-/// 10k-connection bench needs ~3 fds per connection). Returns the
-/// resulting limit, or `None` where unsupported (non-Linux builds and
-/// the `poll-fallback` feature, which compile out the syscall surface).
-pub fn raise_nofile(target: u64) -> Option<u64> {
-    #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-    {
-        sys::raise_nofile(target).ok()
-    }
-    #[cfg(not(all(target_os = "linux", not(feature = "poll-fallback"))))]
-    {
-        let _ = target;
-        None
-    }
-}
-
 /// Wakes a possibly blocked reactor from another thread. The epoll
 /// backend blocks in `epoll_wait`, so the waker is an eventfd
 /// registered like any other fd; the rotation backend sleeps in short
@@ -389,8 +373,8 @@ impl Poller {
                 } else {
                     // One backoff slice per wait: the reactor calls
                     // again immediately, so quiet periods settle into a
-                    // 200µs cadence — the cost the epoll backend (and
-                    // BENCH_PR8) measures against.
+                    // 200µs cadence, the idle cost the epoll backend
+                    // avoids by blocking.
                     *idle_passes = idle_passes.saturating_add(1);
                     if !self.waker.take() {
                         if *idle_passes < 64 {

@@ -3,8 +3,8 @@
 //! The build environment has no crate registry, so the usual `mio` /
 //! `libc` route is closed — instead this module declares the handful of
 //! symbols the reactor needs (`epoll_create1`, `epoll_ctl`,
-//! `epoll_wait`, `eventfd`, plus `setrlimit` for the bench's fd
-//! budget) directly against the C library that `std` already links.
+//! `epoll_wait`, `eventfd`) directly against the C library that `std`
+//! already links.
 //! Everything is wrapped in owned-fd types so a leaked or double-closed
 //! descriptor is unrepresentable, and every fallible call reports
 //! through `io::Error::last_os_error()` like `std` itself would.
@@ -48,13 +48,6 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
-const RLIMIT_NOFILE: c_int = 7;
-
-#[repr(C)]
-struct Rlimit {
-    rlim_cur: u64,
-    rlim_max: u64,
-}
 
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
@@ -63,8 +56,6 @@ extern "C" {
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
     fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-    fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -179,38 +170,6 @@ impl EventFd {
     }
 }
 
-/// Raises `RLIMIT_NOFILE`'s soft limit toward `target` (capped at the
-/// hard limit, which root may also raise). Returns the resulting soft
-/// limit. The 10k-connection bench needs ~3 fds per connection in one
-/// process; everything else in the repo fits any default limit.
-pub fn raise_nofile(target: u64) -> io::Result<u64> {
-    let mut lim = Rlimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-    if lim.rlim_cur >= target {
-        return Ok(lim.rlim_cur);
-    }
-    if lim.rlim_max < target {
-        // Root can lift the hard limit too; a non-root process keeps
-        // whatever ceiling it was given.
-        let lifted = Rlimit {
-            rlim_cur: target,
-            rlim_max: target,
-        };
-        if unsafe { setrlimit(RLIMIT_NOFILE, &lifted) } == 0 {
-            return Ok(target);
-        }
-    }
-    let raised = Rlimit {
-        rlim_cur: target.min(lim.rlim_max),
-        rlim_max: lim.rlim_max,
-    };
-    cvt(unsafe { setrlimit(RLIMIT_NOFILE, &raised) })?;
-    Ok(raised.rlim_cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,14 +213,5 @@ mod tests {
         assert_eq!(n, 1, "level-triggered readiness must persist");
         ep.del(rx.as_raw_fd()).unwrap();
         assert_eq!(ep.wait(&mut events, 0).unwrap(), 0);
-    }
-
-    #[test]
-    fn raise_nofile_is_monotone() {
-        // Whatever the starting limits, asking for a modest target must
-        // succeed and never lower the soft limit.
-        let before = raise_nofile(0).unwrap();
-        let after = raise_nofile(before).unwrap();
-        assert!(after >= before);
     }
 }

@@ -270,6 +270,7 @@ mod tests {
     use super::*;
     use uuidp_core::id::IdSpace;
     use uuidp_core::interval::{Arc, IntervalSet};
+    use uuidp_core::rng::{uniform_below, Xoshiro256pp};
 
     fn arcs(space: IdSpace, list: &[(u128, u128)]) -> IntervalSet {
         let mut set = IntervalSet::new(space);
@@ -394,6 +395,66 @@ mod tests {
             Footprint::Arcs(&b),
             Footprint::Points(&boundary),
         ]));
+    }
+
+    /// The naive detector: an owner-per-ID table over the whole
+    /// universe, claimed one ID at a time. It shares nothing with either
+    /// phase of [`footprints_collide`] (no segment table, no sweep, no
+    /// binary search, no point map).
+    fn owner_table_collides(universe: u128, members: &[Vec<u128>]) -> bool {
+        let mut owner_of = vec![usize::MAX; universe as usize];
+        for (owner, ids) in members.iter().enumerate() {
+            for &v in ids {
+                let prev = std::mem::replace(&mut owner_of[v as usize], owner);
+                if prev != usize::MAX && prev != owner {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn naive_and_fast_detectors_agree_on_random_inputs() {
+        const UNIVERSE: u128 = 1 << 16;
+        let space = IdSpace::new(UNIVERSE).unwrap();
+        let mut rng = Xoshiro256pp::new(11);
+        let mut collisions = 0;
+        for _ in 0..200 {
+            // Three random arc sets (arcs may wrap past the top of the
+            // universe) and a random point list; overlap is common at
+            // this density, so both outcomes get exercised.
+            let mut sets = Vec::new();
+            let mut members = Vec::new();
+            for _ in 0..3 {
+                let mut set = IntervalSet::new(space);
+                let mut ids = Vec::new();
+                for _ in 0..8 {
+                    let start = uniform_below(&mut rng, UNIVERSE);
+                    let len = 1 + uniform_below(&mut rng, 1 << 7);
+                    set.insert(Arc::new(space, Id(start), len));
+                    ids.extend((start..start + len).map(|v| v % UNIVERSE));
+                }
+                sets.push(set);
+                members.push(ids);
+            }
+            let points: Vec<Id> = (0..32)
+                .map(|_| Id(uniform_below(&mut rng, UNIVERSE)))
+                .collect();
+            members.push(points.iter().map(|id| id.value()).collect());
+            let fps: Vec<Footprint<'_>> = sets
+                .iter()
+                .map(Footprint::Arcs)
+                .chain(std::iter::once(Footprint::Points(&points)))
+                .collect();
+            let naive = owner_table_collides(UNIVERSE, &members);
+            assert_eq!(footprints_collide(&fps), naive, "detectors disagree");
+            collisions += usize::from(naive);
+        }
+        assert!(
+            (1..200).contains(&collisions),
+            "{collisions}/200 cases collided: one outcome never ran"
+        );
     }
 
     #[test]
