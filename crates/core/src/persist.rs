@@ -36,7 +36,7 @@
 //! it the collision exposure) and exact resume (which is only safe if
 //! nothing was emitted after the snapshot).
 //!
-//! ## On-disk format (version 1)
+//! ## Record format (version 1)
 //!
 //! ```text
 //! magic    8 bytes   "UUIDSNP1"-independent tag: b"UUIDSNAP"
@@ -49,13 +49,39 @@
 //! All integers are little-endian; variable-length sequences carry a
 //! `u64` count prefix (the shared [`codec`](crate::codec) vocabulary —
 //! the same primitives the `uuidp-client` wire frames are built from).
-//! Records are written to a temporary file and atomically renamed into
-//! place, so a torn write leaves the previous record intact; any
-//! corruption (truncation, bit flips, unknown versions) is reported as
-//! a typed [`PersistError`], never a panic.
+//! Any corruption (truncation, bit flips, unknown versions) is reported
+//! as a typed [`PersistError`], never a panic.
+//!
+//! ## Log format
+//!
+//! A [`SnapshotStore`] is one append-only file, `snapshots.log`, of
+//! entries that each wrap one encoded record:
+//!
+//! ```text
+//! tenant   u64 LE    the record's tenant
+//! length   u64 LE    body byte count
+//! check    u64 LE    FNV-1a over tenant + length
+//! body     ...       the record, encoded as above
+//! ```
+//!
+//! Every byte is under a checksum: the header under `check`, the body
+//! under its own. Opening the store replays the log, and the last entry
+//! per tenant wins. A log that ends inside an entry (a header cut short,
+//! or a valid header whose body is short) was torn by a crash
+//! mid-append: it is truncated to its last whole entry. Any other
+//! damage, a header checksum mismatch or a body that fails to decode,
+//! is a [`PersistError::Damaged`] naming the entry's byte offset, so a
+//! bit flip never silently drops the entries after it.
+//!
+//! Once the log outgrows both 64 KiB and four times its live entries
+//! (each tenant's newest), it is compacted: the live entries are
+//! written to `snapshots.log.tmp`, which is renamed over the log. A temp
+//! file left by a crash mid-compaction is never read.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{
@@ -66,11 +92,31 @@ use crate::id::IdSpace;
 use crate::state::{restore, GeneratorState, StateError};
 use crate::traits::IdGenerator;
 
-/// Magic bytes opening every snapshot file.
+/// Magic bytes opening every snapshot record.
 pub const MAGIC: [u8; 8] = *b"UUIDSNAP";
 
 /// Current on-disk format version.
 pub const VERSION: u32 = 1;
+
+/// The log file in a store's directory.
+const LOG_FILE: &str = "snapshots.log";
+
+/// Where compaction writes the live entries before renaming them over
+/// the log.
+const COMPACT_FILE: &str = "snapshots.log.tmp";
+
+/// Header bytes under the header checksum: tenant and body length.
+const ENTRY_FIELDS: usize = 16;
+
+/// A log entry's header: its fields plus their checksum.
+const ENTRY_HEADER: usize = ENTRY_FIELDS + 8;
+
+/// The log is never compacted below this size ...
+const COMPACT_MIN_BYTES: u64 = 64 * 1024;
+
+/// ... and is compacted once it exceeds this multiple of its live
+/// entries.
+const COMPACT_RATIO: u64 = 4;
 
 /// A persisted generator snapshot plus its write-ahead reservation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,9 +140,9 @@ pub struct SnapshotRecord {
 pub enum PersistError {
     /// Filesystem failure.
     Io(io::Error),
-    /// The file does not start with [`MAGIC`].
+    /// The record does not start with [`MAGIC`].
     BadMagic,
-    /// The file's format version is not supported.
+    /// The record's format version is not supported.
     UnsupportedVersion(u32),
     /// The stored checksum does not match the content.
     ChecksumMismatch,
@@ -106,6 +152,14 @@ pub enum PersistError {
     Corrupt(String),
     /// The decoded state failed generator-level validation.
     State(StateError),
+    /// A log entry failed its header checksum or its record failed to
+    /// decode; `offset` is the entry's byte position in the log.
+    Damaged {
+        /// Byte offset of the damaged entry.
+        offset: u64,
+        /// What was wrong with it.
+        error: Box<PersistError>,
+    },
 }
 
 impl std::fmt::Display for PersistError {
@@ -120,6 +174,9 @@ impl std::fmt::Display for PersistError {
             PersistError::Truncated => write!(f, "snapshot truncated"),
             PersistError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
             PersistError::State(e) => write!(f, "snapshot state rejected: {e}"),
+            PersistError::Damaged { offset, error } => {
+                write!(f, "snapshot log entry at byte {offset}: {error}")
+            }
         }
     }
 }
@@ -287,7 +344,7 @@ fn decode_state(c: &mut Cursor<'_>) -> Result<GeneratorState, PersistError> {
     })
 }
 
-/// Serializes `record` into the versioned, checksummed file format.
+/// Serializes `record` into the versioned, checksummed record format.
 pub fn encode_record(record: &SnapshotRecord) -> Vec<u8> {
     let mut payload = Vec::with_capacity(128);
     put_u64(&mut payload, record.seq);
@@ -373,36 +430,140 @@ pub fn recover(record: &SnapshotRecord) -> Result<Box<dyn IdGenerator>, PersistE
 }
 
 // ---------------------------------------------------------------------
-// Directory-backed store
+// Append-only log store
 // ---------------------------------------------------------------------
 
-/// A directory of per-tenant snapshot files (`tenant-<id>.snap`),
-/// written atomically (temp file + rename) so crashes mid-write leave
-/// the previous record readable.
+/// Encodes `record` as one log entry for `tenant`.
+fn encode_entry(tenant: u64, record: &SnapshotRecord) -> Vec<u8> {
+    let body = encode_record(record);
+    let mut entry = Vec::with_capacity(ENTRY_HEADER + body.len());
+    put_u64(&mut entry, tenant);
+    put_u64(&mut entry, body.len() as u64);
+    let check = fnv1a(&entry);
+    put_u64(&mut entry, check);
+    entry.extend_from_slice(&body);
+    entry
+}
+
+/// The record inside a log entry.
+fn entry_record(entry: &[u8]) -> Result<SnapshotRecord, PersistError> {
+    decode_record(entry.get(ENTRY_HEADER..).unwrap_or_default())
+}
+
+/// Replays a log image into `latest`, the last entry per tenant
+/// winning, and returns the byte length of its whole entries: anything
+/// past that is a torn tail.
+fn replay(bytes: &[u8], latest: &mut BTreeMap<u64, Vec<u8>>) -> Result<usize, PersistError> {
+    let mut at = 0;
+    while let Some(rest) = bytes.get(at..).filter(|rest| rest.len() >= ENTRY_HEADER) {
+        let damaged = |error| PersistError::Damaged {
+            offset: at as u64,
+            error: Box::new(error),
+        };
+        let mut header = Cursor::new(rest);
+        let fields = header.take(ENTRY_FIELDS)?;
+        if fnv1a(fields) != header.u64()? {
+            return Err(damaged(PersistError::ChecksumMismatch));
+        }
+        let mut fields = Cursor::new(fields);
+        let tenant = fields.u64()?;
+        let body_len = fields.u64()?;
+        let Some(entry) = usize::try_from(body_len)
+            .ok()
+            .and_then(|len| len.checked_add(ENTRY_HEADER))
+            .and_then(|end| rest.get(..end))
+        else {
+            break;
+        };
+        entry_record(entry).map_err(damaged)?;
+        latest.insert(tenant, entry.to_vec());
+        at += entry.len();
+    }
+    Ok(at)
+}
+
+/// Fsyncs a directory, making a file's creation or rename in it
+/// durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    fs::File::open(dir)?.sync_all()
+}
+
+/// A directory holding one append-only log of snapshot records (see
+/// the module's log format). Each save appends one entry to the open
+/// log with one `write`; the store keeps every tenant's newest entry in
+/// memory, so loads never touch the disk.
 ///
-/// By default writes are *not* fsynced: rename atomicity alone covers
-/// every crash where the OS survives (process kills, the fleet chaos
-/// harness), and write-ahead records are on the issue path. Deployments
-/// that must survive power loss should enable
-/// [`with_sync`](SnapshotStore::with_sync).
-#[derive(Debug, Clone)]
+/// Opening a store creates nothing on disk: the first save creates the
+/// directory and the log. A log has one writer, the store that holds it
+/// open.
+///
+/// By default appends are *not* fsynced: an append that returned is in
+/// the OS's page cache, which covers every crash the OS survives
+/// (process kills, the fleet chaos harness), and write-ahead records
+/// are on the issue path. Deployments that must survive power loss
+/// should enable [`with_sync`](SnapshotStore::with_sync).
+#[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
     sync: bool,
+    log: RefCell<Log>,
+}
+
+/// A store's mutable state: the open log and its in-memory index.
+#[derive(Debug, Default)]
+struct Log {
+    /// The log, open for appending; `None` until the first save.
+    file: Option<fs::File>,
+    /// The log's length in bytes.
+    len: u64,
+    /// Each tenant's newest entry, exactly as compaction rewrites it.
+    latest: BTreeMap<u64, Vec<u8>>,
+    /// Total bytes of the entries in `latest`.
+    live: u64,
 }
 
 impl SnapshotStore {
-    /// Opens (creating if necessary) the store rooted at `dir`.
+    /// Opens the store rooted at `dir`, replaying its log if one
+    /// exists.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SnapshotStore, PersistError> {
         SnapshotStore::with_sync(dir, false)
     }
 
-    /// Opens the store, choosing whether every save fsyncs before the
-    /// rename (power-loss durability at per-record fsync cost).
+    /// Opens the store, choosing whether every save fsyncs its entry
+    /// (power-loss durability at per-record `fdatasync` cost).
+    ///
+    /// A torn tail is truncated to the log's last whole entry; any
+    /// other damage is a [`PersistError::Damaged`].
     pub fn with_sync(dir: impl Into<PathBuf>, sync: bool) -> Result<SnapshotStore, PersistError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(SnapshotStore { dir, sync })
+        let mut log = Log::default();
+        match fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(dir.join(LOG_FILE))
+        {
+            Ok(mut file) => {
+                let mut bytes = Vec::new();
+                file.read_to_end(&mut bytes)?;
+                let whole = replay(&bytes, &mut log.latest)?;
+                if whole < bytes.len() {
+                    file.set_len(whole as u64)?;
+                    if sync {
+                        file.sync_data()?;
+                    }
+                }
+                log.len = whole as u64;
+                log.live = log.latest.values().map(|e| e.len() as u64).sum();
+                log.file = Some(file);
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        Ok(SnapshotStore {
+            dir,
+            sync,
+            log: RefCell::new(log),
+        })
     }
 
     /// The store's root directory.
@@ -410,67 +571,85 @@ impl SnapshotStore {
         &self.dir
     }
 
-    fn path(&self, tenant: u64) -> PathBuf {
-        self.dir.join(format!("tenant-{tenant}.snap"))
+    /// Opens the log for appending, creating the directory and the log
+    /// if needed. With sync on, the directory is fsynced, so the log's
+    /// name (or a compaction's rename) is durable before any append.
+    fn open_log(&self) -> io::Result<fs::File> {
+        fs::create_dir_all(&self.dir)?;
+        let file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.dir.join(LOG_FILE))?;
+        if self.sync {
+            sync_dir(&self.dir)?;
+        }
+        Ok(file)
     }
 
-    /// Atomically replaces `tenant`'s record: write to a temp file,
-    /// rename over the live name. With sync on, both the file *and the
-    /// directory* are fsynced — a durable record behind a non-durable
-    /// rename would recover stale state after power loss, which is the
-    /// exact hazard the write-ahead discipline exists to close.
+    /// Makes `record` `tenant`'s newest record: one appended entry,
+    /// fsynced with sync on. A failed append is cut back off the log,
+    /// so a later save never lands behind a partial entry.
     pub fn save(&self, tenant: u64, record: &SnapshotRecord) -> Result<(), PersistError> {
-        let bytes = encode_record(record);
-        let tmp = self.dir.join(format!("tenant-{tenant}.snap.tmp"));
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            if self.sync {
-                file.sync_all()?;
-            }
+        let entry = encode_entry(tenant, record);
+        let mut log = self.log.borrow_mut();
+        let log = &mut *log;
+        let file = match log.file.take() {
+            Some(file) => log.file.insert(file),
+            None => log.file.insert(self.open_log()?),
+        };
+        if let Err(e) = file.write_all(&entry) {
+            let _ = file.set_len(log.len);
+            return Err(e.into());
         }
-        fs::rename(&tmp, self.path(tenant))?;
+        let added = entry.len() as u64;
+        log.len += added;
         if self.sync {
-            fs::File::open(&self.dir)?.sync_all()?;
+            file.sync_data()?;
+        }
+        log.live += added;
+        if let Some(old) = log.latest.insert(tenant, entry) {
+            log.live -= old.len() as u64;
+        }
+        if log.len > COMPACT_MIN_BYTES.max(COMPACT_RATIO.saturating_mul(log.live)) {
+            self.compact(log)?;
         }
         Ok(())
     }
 
-    /// Loads `tenant`'s record, `Ok(None)` if none was ever saved.
-    pub fn load(&self, tenant: u64) -> Result<Option<SnapshotRecord>, PersistError> {
-        match fs::read(self.path(tenant)) {
-            Ok(bytes) => decode_record(&bytes).map(Some),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
+    /// Rewrites the log as its live entries: a temp file, fsynced with
+    /// sync on, renamed over the log, which is then reopened.
+    fn compact(&self, log: &mut Log) -> Result<(), PersistError> {
+        let tmp = self.dir.join(COMPACT_FILE);
+        let mut image = Vec::with_capacity(log.live as usize);
+        for entry in log.latest.values() {
+            image.extend_from_slice(entry);
         }
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(&image)?;
+        if self.sync {
+            file.sync_data()?;
+        }
+        fs::rename(&tmp, self.dir.join(LOG_FILE))?;
+        log.file = None;
+        log.len = log.live;
+        log.file = Some(self.open_log()?);
+        Ok(())
     }
 
-    /// Deletes `tenant`'s record if present.
-    pub fn remove(&self, tenant: u64) -> Result<(), PersistError> {
-        match fs::remove_file(self.path(tenant)) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+    /// Loads `tenant`'s newest record, `Ok(None)` if none was ever
+    /// saved.
+    pub fn load(&self, tenant: u64) -> Result<Option<SnapshotRecord>, PersistError> {
+        self.log
+            .borrow()
+            .latest
+            .get(&tenant)
+            .map(|entry| entry_record(entry))
+            .transpose()
     }
 
     /// Tenants with a saved record, in ascending order.
     pub fn tenants(&self) -> Result<Vec<u64>, PersistError> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(id) = name
-                .strip_prefix("tenant-")
-                .and_then(|r| r.strip_suffix(".snap"))
-            {
-                if let Ok(id) = id.parse() {
-                    out.push(id);
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        Ok(self.log.borrow().latest.keys().copied().collect())
     }
 }
 
@@ -551,10 +730,156 @@ mod tests {
             .to_str()
             .unwrap()
             .ends_with(".tmp")));
-        store.remove(3).unwrap();
-        store.remove(3).unwrap(); // idempotent
-        assert_eq!(store.tenants().unwrap(), vec![9]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Saves three entries for two tenants (tenant 3 twice) into a fresh
+    /// store at `dir`. Returns the log image, the saves in order, and
+    /// each entry's end offset.
+    fn three_entry_log(dir: &Path) -> (Vec<u8>, Vec<(u64, SnapshotRecord)>, Vec<usize>) {
+        let space = IdSpace::new(1 << 12).unwrap();
+        let mut newer = record_for(&AlgorithmKind::ClusterStar, space, 30);
+        newer.seq = 8;
+        let saves = vec![
+            (3, record_for(&AlgorithmKind::ClusterStar, space, 5)),
+            (9, record_for(&AlgorithmKind::ClusterStar, space, 11)),
+            (3, newer),
+        ];
+        let store = SnapshotStore::open(dir).unwrap();
+        let mut ends = Vec::new();
+        for (tenant, record) in &saves {
+            store.save(*tenant, record).unwrap();
+            ends.push(fs::metadata(dir.join(LOG_FILE)).unwrap().len() as usize);
+        }
+        (fs::read(dir.join(LOG_FILE)).unwrap(), saves, ends)
+    }
+
+    #[test]
+    fn a_torn_tail_is_trimmed_to_the_last_whole_entry() {
+        let dir = temp_dir("torn");
+        let (image, saves, ends) = three_entry_log(&dir);
+        let log = dir.join(LOG_FILE);
+        for cut in 0..=image.len() {
+            fs::write(&log, &image[..cut]).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let mut expected = BTreeMap::new();
+            for (tenant, record) in &saves[..whole] {
+                expected.insert(*tenant, record);
+            }
+            let store = SnapshotStore::open(&dir).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(
+                store.tenants().unwrap(),
+                expected.keys().copied().collect::<Vec<_>>(),
+                "cut at {cut}"
+            );
+            for (tenant, record) in &expected {
+                assert_eq!(
+                    store.load(*tenant).unwrap().as_ref(),
+                    Some(*record),
+                    "cut at {cut}"
+                );
+            }
+            let kept = whole.checked_sub(1).map_or(0, |last| ends[last]);
+            assert_eq!(
+                fs::metadata(&log).unwrap().len() as usize,
+                kept,
+                "cut at {cut}: torn tail left in place"
+            );
+        }
+        // A save after a trimmed torn tail reopens cleanly.
+        fs::write(&log, &image[..ends[1] + 5]).unwrap();
+        let store = SnapshotStore::open(&dir).unwrap();
+        store.save(9, &saves[2].1).unwrap();
+        drop(store);
+        let store = SnapshotStore::open(&dir).unwrap();
+        assert_eq!(store.load(3).unwrap().as_ref(), Some(&saves[0].1));
+        assert_eq!(store.load(9).unwrap().as_ref(), Some(&saves[2].1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_byte_flip_in_the_log_is_a_typed_error() {
+        // Mirrors `corruption_is_detected_not_panicked` one level up:
+        // no flip, in a header or a body, of the last entry or an
+        // earlier one, may open as a torn tail or a clean log.
+        let dir = temp_dir("flip");
+        let (image, _, ends) = three_entry_log(&dir);
+        for i in 0..image.len() {
+            let mut bad = image.clone();
+            bad[i] ^= 0x41;
+            fs::write(dir.join(LOG_FILE), &bad).unwrap();
+            let start = ends
+                .iter()
+                .filter(|&&end| end <= i)
+                .max()
+                .copied()
+                .unwrap_or(0);
+            match SnapshotStore::open(&dir) {
+                Err(PersistError::Damaged { offset, .. }) => {
+                    assert_eq!(offset, start as u64, "flip at byte {i}")
+                }
+                other => panic!("flip at byte {i} gave {other:?}"),
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_bounds_the_log_and_keeps_each_tenants_newest_record() {
+        let space = IdSpace::new(1 << 16).unwrap();
+        for sync in [false, true] {
+            let dir = temp_dir(&format!("compact-{sync}"));
+            let store = SnapshotStore::with_sync(&dir, sync).unwrap();
+            let mut newest = BTreeMap::new();
+            let mut largest = 0;
+            let mut compactions = 0;
+            let mut last_len = 0;
+            for i in 0..5_000u64 {
+                let mut record = record_for(&AlgorithmKind::Cluster, space, (i % 97) as u128);
+                record.seq = i;
+                let tenant = i % 8;
+                store.save(tenant, &record).unwrap();
+                largest = largest.max(encode_entry(tenant, &record).len() as u64);
+                newest.insert(tenant, record);
+                let live: u64 = newest
+                    .iter()
+                    .map(|(&t, r)| encode_entry(t, r).len() as u64)
+                    .sum();
+                let len = fs::metadata(dir.join(LOG_FILE)).unwrap().len();
+                assert!(
+                    len <= COMPACT_MIN_BYTES.max(COMPACT_RATIO * live) + largest,
+                    "sync {sync}: save {i} left a {len}-byte log over {live} live bytes"
+                );
+                if len < last_len {
+                    // Just compacted: the log alone must hold every
+                    // tenant's newest record.
+                    compactions += 1;
+                    let reopened = SnapshotStore::open(&dir).unwrap();
+                    for (tenant, record) in &newest {
+                        assert_eq!(
+                            reopened.load(*tenant).unwrap().as_ref(),
+                            Some(record),
+                            "sync {sync}: compaction at save {i} lost tenant {tenant}'s newest"
+                        );
+                    }
+                }
+                last_len = len;
+            }
+            assert!(compactions > 0, "sync {sync}: never compacted");
+            drop(store);
+            // A crash mid-compaction leaves a temp file; open ignores it.
+            fs::write(dir.join(COMPACT_FILE), b"torn compaction").unwrap();
+            let store = SnapshotStore::open(&dir).unwrap();
+            assert_eq!(store.tenants().unwrap(), (0..8).collect::<Vec<_>>());
+            for (tenant, record) in &newest {
+                assert_eq!(
+                    store.load(*tenant).unwrap().as_ref(),
+                    Some(record),
+                    "sync {sync}"
+                );
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
@@ -673,5 +998,10 @@ mod tests {
             .to_string()
             .contains('9'));
         assert!(PersistError::Truncated.to_string().contains("truncated"));
+        let damaged = PersistError::Damaged {
+            offset: 137,
+            error: Box::new(PersistError::ChecksumMismatch),
+        };
+        assert!(damaged.to_string().contains("byte 137"));
     }
 }

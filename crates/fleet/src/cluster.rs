@@ -153,9 +153,10 @@ impl Fleet {
     }
 
     /// Boots a fresh incarnation of a crashed node on a new ephemeral
-    /// port. Its tenants are rebuilt lazily from the write-ahead
-    /// records in the node's state directory — restored and advanced
-    /// past each abandoned reservation window.
+    /// port. Boot replays the shard logs in the node's state directory,
+    /// and each tenant is rebuilt on first use from its newest
+    /// write-ahead record — restored and advanced past the abandoned
+    /// reservation window.
     pub fn restart(&mut self, index: usize) -> io::Result<SocketAddr> {
         assert!(
             self.nodes[index].server.is_none(),
@@ -220,12 +221,17 @@ mod tests {
         let addrs: Vec<_> = (0..3).map(|i| fleet.addr(i)).collect();
         assert!(addrs.windows(2).all(|w| w[0] != w[1]), "ports must differ");
         assert!(fleet.nodes().iter().all(|n| n.is_up()));
-        // Serving creates the per-node snapshot layout.
+        // Serving creates the per-node snapshot layout: tenant 7 lives
+        // in shard 1 of 2 (7 % 2), which appends to its own log.
         let space = IdSpace::with_bits(40).unwrap();
         let client = Client::connect(fleet.addr(1), space).unwrap();
         assert_eq!(client.lease(7, 10).unwrap().granted, 10);
         client.drain().unwrap();
-        assert!(dir.join("node-1").join("tenant-7.snap").is_file());
+        assert!(dir
+            .join("node-1")
+            .join("shard-1")
+            .join("snapshots.log")
+            .is_file());
         fleet.teardown();
         let _ = std::fs::remove_dir_all(&dir);
     }

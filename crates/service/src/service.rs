@@ -38,7 +38,7 @@
 //!
 //! [`IdGenerator::next_ids`]: uuidp_core::traits::IdGenerator::next_ids
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -81,16 +81,16 @@ const EPOCH_SHIFT: u32 = 40;
 /// IDs per tenant per crash.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory of per-tenant snapshot files (shared across shards —
-    /// tenants are pinned to one shard, so files have one writer).
+    /// State directory: shard `i` appends its tenants' records to its
+    /// own log under `dir/shard-<i>/`, so every log has one writer.
     pub dir: PathBuf,
     /// Minimum reservation window per persist. Each persist reserves
     /// `max(reservation, lease count)` IDs; larger windows persist less
     /// often but leak more IDs per crash.
     pub reservation: u128,
-    /// Fsync every record before renaming it live (power-loss
-    /// durability; process-crash safety needs only the default
-    /// rename atomicity).
+    /// Fsync every appended record before the lease that wrote it
+    /// emits (power-loss durability; process-crash safety needs only
+    /// the append to reach the OS).
     pub sync: bool,
     /// Crash-injection test hook: when the `N`th write-ahead persist
     /// (counted across all shards) lands, the lease that triggered it
@@ -362,57 +362,31 @@ impl IdService {
     /// # Panics
     ///
     /// Panics if `config.durability` is set but the chosen algorithm
-    /// has no snapshot support (SetAside, Snowflake), if the snapshot
-    /// directory cannot be created, or if any existing snapshot record
-    /// is unreadable — corruption must surface as a boot error, not a
-    /// mid-traffic worker panic that would wedge a whole shard.
+    /// has no snapshot support (SetAside, Snowflake), or if the state
+    /// directory cannot be read or holds a damaged or foreign record
+    /// (see `open_shard_stores`) — corruption must surface as a boot
+    /// error, not a mid-traffic worker panic that would wedge a whole
+    /// shard.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.shards >= 1, "at least one shard");
         assert!(config.queue_depth >= 1, "channels must hold a message");
-        if let Some(durability) = &config.durability {
-            assert!(
-                config
-                    .kind
-                    .build(config.space)
-                    .spawn(0)
-                    .snapshot()
-                    .is_some(),
-                "durability requires a snapshot-capable algorithm, got {:?}",
-                config.kind
-            );
-            let store = SnapshotStore::open(&durability.dir).expect("snapshot directory");
-            for tenant in store.tenants().expect("snapshot directory listing") {
-                match store.load(tenant) {
-                    Err(e) => panic!(
-                        "refusing to start over a damaged snapshot store: \
-                         tenant {tenant}: {e} (repair or remove the record in {:?})",
-                        durability.dir
-                    ),
-                    Ok(Some(record)) => {
-                        // A record from a different universe or algorithm
-                        // means the state dir belongs to another
-                        // deployment: recovering it would emit IDs
-                        // outside this service's space (wedging the
-                        // audit) or from the wrong permutation family.
-                        assert_eq!(
-                            record.space, config.space,
-                            "snapshot store {:?} was written for universe {}, \
-                             this service is configured for {} (tenant {tenant})",
-                            durability.dir, record.space, config.space
-                        );
-                        assert!(
-                            snapshot_matches_kind(&config.kind, &record.state),
-                            "snapshot store {:?} holds {:?} state for tenant \
-                             {tenant}, incompatible with configured {:?}",
-                            durability.dir,
-                            record.state,
-                            config.kind
-                        );
-                    }
-                    Ok(None) => {}
-                }
+        let mut stores = match &config.durability {
+            Some(durability) => {
+                assert!(
+                    config
+                        .kind
+                        .build(config.space)
+                        .spawn(0)
+                        .snapshot()
+                        .is_some(),
+                    "durability requires a snapshot-capable algorithm, got {:?}",
+                    config.kind
+                );
+                open_shard_stores(&config, durability)
             }
+            None => Vec::new(),
         }
+        .into_iter();
         let registry = std::sync::Arc::new(Registry::new());
         let trace = std::sync::Arc::new(if config.obs_trace {
             TraceRecorder::new(TRACE_CAPACITY)
@@ -451,8 +425,9 @@ impl IdService {
             let taps = audit_txs.clone();
             let persists = std::sync::Arc::clone(&persists);
             let obs = WorkerObs::new(&registry, std::sync::Arc::clone(&trace));
+            let store = stores.next();
             workers.push(std::thread::spawn(move || {
-                worker_loop(cfg, rx, taps, plan, persists, obs)
+                worker_loop(cfg, rx, taps, plan, store, persists, obs)
             }));
         }
         // The service keeps its own tap clones for summary probes; they
@@ -703,6 +678,96 @@ impl IdService {
     }
 }
 
+/// Opens the shard logs under `durability.dir` and returns one store
+/// per shard, store `i` for shard `i` (`shard-<i>/`).
+///
+/// Every log in the directory is read, including logs left by a run
+/// with another shard count, and every record is validated against the
+/// configured universe and algorithm. When a tenant's owner log lacks
+/// its highest-`seq` record, boot appends that record there, so each
+/// worker recovers its tenants from its own store. No log is deleted.
+///
+/// # Panics
+///
+/// On an unreadable log, a damaged entry, a foreign record, or a
+/// per-tenant `tenant-*.snap` file from the older one-file-per-tenant
+/// layout (booting over one as if the directory were empty would
+/// re-issue its IDs).
+fn open_shard_stores(config: &ServiceConfig, durability: &DurabilityConfig) -> Vec<SnapshotStore> {
+    let dir = &durability.dir;
+    let open = |path: PathBuf| {
+        SnapshotStore::with_sync(&path, durability.sync).unwrap_or_else(|e| {
+            panic!("refusing to start over a damaged snapshot store: {path:?}: {e}")
+        })
+    };
+    let mut found: BTreeMap<usize, SnapshotStore> = BTreeMap::new();
+    match std::fs::read_dir(dir) {
+        Ok(entries) => {
+            for entry in entries {
+                let name = entry.expect("state directory listing").file_name();
+                let name = name.to_string_lossy();
+                assert!(
+                    !(name.starts_with("tenant-") && name.ends_with(".snap")),
+                    "refusing to start over {:?}: a per-tenant snapshot from the \
+                     one-file-per-tenant layout, which this service does not read \
+                     (it keeps one log per shard under shard-<i>/)",
+                    dir.join(&*name)
+                );
+                if let Some(shard) = name.strip_prefix("shard-").and_then(|i| i.parse().ok()) {
+                    found.insert(shard, open(dir.join(&*name)));
+                }
+            }
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => panic!("snapshot directory {dir:?}: {e}"),
+    }
+    let mut newest: BTreeMap<u64, SnapshotRecord> = BTreeMap::new();
+    for store in found.values() {
+        for tenant in store.tenants().expect("in-memory tenant list") {
+            let Some(record) = store.load(tenant).expect("open decoded every entry") else {
+                continue;
+            };
+            // A record from a different universe or algorithm means the
+            // state dir belongs to another deployment: recovering it
+            // would emit IDs outside this service's space (wedging the
+            // audit) or from the wrong permutation family.
+            assert_eq!(
+                record.space, config.space,
+                "snapshot store {dir:?} was written for universe {}, \
+                 this service is configured for {} (tenant {tenant})",
+                record.space, config.space
+            );
+            assert!(
+                snapshot_matches_kind(&config.kind, &record.state),
+                "snapshot store {dir:?} holds {:?} state for tenant \
+                 {tenant}, incompatible with configured {:?}",
+                record.state,
+                config.kind
+            );
+            if newest.get(&tenant).is_none_or(|held| held.seq < record.seq) {
+                newest.insert(tenant, record);
+            }
+        }
+    }
+    let stores: Vec<SnapshotStore> = (0..config.shards)
+        .map(|shard| {
+            found
+                .remove(&shard)
+                .unwrap_or_else(|| open(dir.join(format!("shard-{shard}"))))
+        })
+        .collect();
+    for (tenant, record) in newest {
+        let owner = &stores[(tenant % config.shards as u64) as usize];
+        let held = owner.load(tenant).ok().flatten().map(|held| held.seq);
+        if held < Some(record.seq) {
+            owner.save(tenant, &record).unwrap_or_else(|e| {
+                panic!("re-homing tenant {tenant} into {:?}: {e}", owner.dir())
+            });
+        }
+    }
+    stores
+}
+
 /// Whether a persisted state could have been produced by an instance of
 /// `kind` — the boot-time guard against pointing a service at another
 /// deployment's state directory. Parameterized kinds must match their
@@ -820,7 +885,7 @@ impl AuditTap {
     }
 }
 
-/// One shard's durability state: the shared snapshot store plus the
+/// One shard's durability state: the shard's own snapshot log plus the
 /// configured minimum reservation window and the cross-shard
 /// write-ahead persist counter behind the crash-injection hook.
 struct Durability {
@@ -908,6 +973,7 @@ fn worker_loop(
     rx: Receiver<ShardMsg>,
     taps: Vec<SyncSender<AuditMsg>>,
     plan: StripePlan,
+    store: Option<SnapshotStore>,
     persists: std::sync::Arc<AtomicU64>,
     obs: WorkerObs,
 ) -> WorkerStats {
@@ -915,12 +981,16 @@ fn worker_loop(
     let roots = SeedTree::new(config.master_seed);
     let mut tenants: HashMap<u64, TenantSlot> = HashMap::new();
     let mut stats = WorkerStats::default();
-    let durability = config.durability.as_ref().map(|d| Durability {
-        store: SnapshotStore::with_sync(&d.dir, d.sync).expect("snapshot directory"),
-        reservation: d.reservation,
-        persists,
-        halt_after: d.halt_after_persists,
-    });
+    let durability = config
+        .durability
+        .as_ref()
+        .zip(store)
+        .map(|(d, store)| Durability {
+            store,
+            reservation: d.reservation,
+            persists,
+            halt_after: d.halt_after_persists,
+        });
     let mut tap = AuditTap {
         batches: vec![Vec::new(); taps.len()],
         taps,
@@ -975,6 +1045,23 @@ fn worker_loop(
                 );
             }
             ShardMsg::Reset { tenant } => {
+                // A tenant recovered from disk has no slot until its
+                // first lease; the reset must still move it past its
+                // record into a new epoch.
+                if !tenants.contains_key(&tenant)
+                    && durability
+                        .as_ref()
+                        .is_some_and(|d| matches!(d.store.load(tenant), Ok(Some(_))))
+                {
+                    slot_for(
+                        &config,
+                        &roots,
+                        &mut tenants,
+                        algorithm.as_ref(),
+                        durability.as_ref(),
+                        tenant,
+                    );
+                }
                 if let Some(slot) = tenants.get_mut(&tenant) {
                     slot.epoch += 1;
                     slot.generator
@@ -1453,19 +1540,22 @@ mod tests {
         // operation but never checkpoints its final state. Run 2 must
         // recover past everything run 1 can have emitted.
         let dir = temp_state_dir("crash");
-        for kind in [
+        for (kind, sync) in [
             AlgorithmKind::Cluster,
             AlgorithmKind::ClusterStar,
             AlgorithmKind::BinsStar,
             AlgorithmKind::Bins { k: 64 },
             AlgorithmKind::Random,
-        ] {
+        ]
+        .into_iter()
+        .flat_map(|kind| [(kind.clone(), false), (kind, true)])
+        {
             let _ = std::fs::remove_dir_all(&dir);
             let mut cfg = config(kind.clone(), 20); // m = 2^20: reuse is *likely* if unsafe
             cfg.durability = Some(DurabilityConfig {
                 dir: dir.clone(),
                 reservation: 128,
-                sync: false,
+                sync,
                 halt_after_persists: None,
             });
             cfg.shards = 2;
@@ -1491,7 +1581,7 @@ mod tests {
                 for id in lease_ids(&service, tenant, 300) {
                     assert!(
                         !first_run[&tenant].contains(&id),
-                        "{kind:?}: tenant {tenant} re-issued {id} after restart"
+                        "{kind:?} (sync {sync}): tenant {tenant} re-issued {id} after restart"
                     );
                 }
             }
@@ -1571,6 +1661,34 @@ mod tests {
     }
 
     #[test]
+    fn reset_after_restart_opens_a_new_epoch() {
+        // A recovered tenant has no in-memory slot until its first
+        // lease; a reset sent before that must still open epoch 1.
+        let dir = temp_state_dir("reset-after-restart");
+        let mut cfg = config(AlgorithmKind::Cluster, 24);
+        cfg.shards = 1;
+        cfg.durability = Some(DurabilityConfig {
+            dir: dir.clone(),
+            reservation: 64,
+            sync: false,
+            halt_after_persists: None,
+        });
+        let service = IdService::start(cfg.clone());
+        lease_ids(&service, 0, 50);
+        drop(service.shutdown());
+
+        let service = IdService::start(cfg.clone());
+        service.reset_tenant(0);
+        let after_reset = lease_ids(&service, 0, 10);
+        drop(service.shutdown());
+        let alg = cfg.kind.build(cfg.space);
+        let roots = SeedTree::new(cfg.master_seed);
+        let mut epoch1 = alg.spawn(roots.trial(1).seed(SeedDomain::Instance(0)));
+        assert_eq!(after_reset[0], epoch1.next_id().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     #[should_panic(expected = "was written for universe")]
     fn foreign_universe_snapshots_are_rejected_at_boot() {
         // Rebinding a state dir to a different --bits must fail fast:
@@ -1607,11 +1725,60 @@ mod tests {
         // A bad record must stop the service from booting — not panic a
         // shard worker at first-lease time and wedge the whole shard.
         let dir = temp_state_dir("corrupt-boot");
+        let mut cfg = config(AlgorithmKind::Cluster, 20);
+        cfg.durability = Some(DurabilityConfig::new(&dir));
+        let service = IdService::start(cfg.clone());
+        service.lease(3, 10);
+        drop(service.shutdown());
+        // Tenant 3 lives in shard 1's log (3 % 2); damage its record.
+        let log = dir.join("shard-1").join("snapshots.log");
+        let mut bytes = std::fs::read(&log).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x41;
+        std::fs::write(&log, bytes).unwrap();
+        let _ = IdService::start(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant-3.snap")]
+    fn per_tenant_snapshot_files_refuse_boot() {
+        // A state dir in the one-file-per-tenant layout must not boot as
+        // if it were empty: its tenants would re-issue their IDs.
+        let dir = temp_state_dir("old-layout");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("tenant-3.snap"), b"not a snapshot").unwrap();
+        std::fs::write(dir.join("tenant-3.snap"), b"a record").unwrap();
         let mut cfg = config(AlgorithmKind::Cluster, 20);
         cfg.durability = Some(DurabilityConfig::new(&dir));
         let _ = IdService::start(cfg);
+    }
+
+    #[test]
+    fn restarts_across_shard_counts_never_reissue() {
+        // A tenant's record stays in the log of the shard that wrote it;
+        // a restart with another shard count must still recover it.
+        let dir = temp_state_dir("reshard");
+        let mut issued: HashMap<u64, std::collections::HashSet<Id>> = HashMap::new();
+        for (run, shards) in [2usize, 3, 1].into_iter().enumerate() {
+            let mut cfg = config(AlgorithmKind::Cluster, 20);
+            cfg.shards = shards;
+            cfg.durability = Some(DurabilityConfig {
+                dir: dir.clone(),
+                reservation: 64,
+                sync: false,
+                halt_after_persists: None,
+            });
+            let service = IdService::start(cfg);
+            for tenant in 0..8u64 {
+                for id in lease_ids(&service, tenant, 40) {
+                    assert!(
+                        issued.entry(tenant).or_default().insert(id),
+                        "run {run} ({shards} shards): tenant {tenant} re-issued {id}"
+                    );
+                }
+            }
+            drop(service.shutdown()); // no checkpoint
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
