@@ -21,7 +21,6 @@ use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
 use uuidp_netchaos::ChaosSpec;
 use uuidp_service::net::{ServerOptions, TcpServer};
 use uuidp_service::protocol::{render_lease, Command};
-use uuidp_service::reactor::NetBackend;
 use uuidp_service::service::{IdService, ServiceConfig, ServiceReport};
 use uuidp_service::stress::{
     run_stress, run_stress_remote, StressConfig, StressReport, TrafficMix,
@@ -234,10 +233,6 @@ pub struct ServeOpts {
     /// Expose the metric registry for scraping (v2 metrics and timeline
     /// frames). Only meaningful with `--listen`.
     pub metrics: bool,
-    /// Readiness backend for the TCP reactor (`auto | epoll | poll`).
-    /// `auto` picks epoll where compiled in; `poll` forces the portable
-    /// rotation fallback. Only meaningful with `--listen`.
-    pub net_backend: String,
 }
 
 /// Runs `uuidp serve`: the sharded batch-leasing service, driven by the
@@ -269,15 +264,6 @@ pub fn serve(
             "--metrics only applies with --listen (stdin serve has no scrape surface)".into(),
         ));
     }
-    let backend: NetBackend = opts
-        .net_backend
-        .parse()
-        .map_err(|e| ParseError(format!("bad --net-backend: {e}")))?;
-    if backend != NetBackend::Auto && opts.listen.is_none() {
-        return Err(ParseError(
-            "--net-backend only applies with --listen (stdin serve has no reactor)".into(),
-        ));
-    }
     let mut config = ServiceConfig::new(kind, space);
     config.shards = opts.shards.max(1);
     config.audit_stripes = opts.audit_stripes.max(1);
@@ -288,8 +274,6 @@ pub fn serve(
     if let Some(addr) = &opts.listen {
         let options = ServerOptions {
             metrics: opts.metrics,
-            backend,
-            ..ServerOptions::default()
         };
         let server = TcpServer::bind_with(addr, config, options)
             .map_err(|e| ParseError(format!("bind {addr}: {e}")))?;
@@ -399,10 +383,6 @@ pub struct StressOpts {
     /// dedicated connection scrapes the registry throughout the run,
     /// asserting required families stay present and monotone.
     pub scrape: bool,
-    /// Readiness backend for the `--remote` server's reactor
-    /// (`auto | epoll | poll`); `poll` forces the portable rotation
-    /// fallback so CI can smoke it.
-    pub net_backend: String,
 }
 
 impl StressOpts {
@@ -425,7 +405,6 @@ impl StressOpts {
             chaos: None,
             chaos_seed: 0,
             scrape: false,
-            net_backend: "auto".into(),
         }
     }
 }
@@ -484,22 +463,12 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
                 .into(),
         ));
     }
-    let net_backend: NetBackend = opts
-        .net_backend
-        .parse()
-        .map_err(|e| ParseError(format!("bad --net-backend: {e}")))?;
-    if net_backend != NetBackend::Auto && !opts.remote {
-        return Err(ParseError(
-            "--net-backend only applies with --remote (the in-process path has no reactor)".into(),
-        ));
-    }
     let mut cfg = StressConfig::new(service, opts.tenants, opts.requests, opts.count);
     cfg.mix = mix;
     cfg.remote_workers = opts.remote_workers;
     cfg.chaos = chaos;
     cfg.chaos_seed = opts.chaos_seed;
     cfg.scrape = opts.scrape;
-    cfg.net_backend = net_backend;
     let mut transport = if !opts.remote {
         String::new()
     } else if cfg.remote_workers > 1 && cfg.chaos.is_none() {
@@ -1215,7 +1184,6 @@ mod tests {
             seed: 9,
             listen: None,
             metrics: false,
-            net_backend: "auto".into(),
         }
     }
 
@@ -1548,40 +1516,6 @@ mod tests {
         let err = stress(&opts).unwrap_err();
         assert!(err.0.contains("--scrape"), "{}", err.0);
         assert!(err.0.contains("--remote"), "{}", err.0);
-    }
-
-    #[test]
-    fn stress_rejects_net_backend_without_remote() {
-        let opts = StressOpts {
-            net_backend: "poll".into(),
-            ..StressOpts::trials_small("cluster")
-        };
-        let err = stress(&opts).unwrap_err();
-        assert!(err.0.contains("--net-backend"), "{}", err.0);
-        assert!(err.0.contains("--remote"), "{}", err.0);
-    }
-
-    #[test]
-    fn stress_rejects_unknown_net_backend() {
-        let opts = StressOpts {
-            remote: true,
-            net_backend: "kqueue".into(),
-            ..StressOpts::trials_small("cluster")
-        };
-        let err = stress(&opts).unwrap_err();
-        assert!(err.0.contains("kqueue"), "{}", err.0);
-    }
-
-    #[test]
-    fn stress_remote_runs_on_the_poll_backend() {
-        let opts = StressOpts {
-            requests: 200,
-            remote: true,
-            net_backend: "poll".into(),
-            ..StressOpts::trials_small("cluster")
-        };
-        let out = stress(&opts).unwrap();
-        assert!(out.contains("validation:  ok"), "{out}");
     }
 
     #[test]

@@ -71,14 +71,12 @@ fn print_usage() {
          \x20 uuidp serve    --algorithm SPEC [--bits N=64] [--shards N=2] [--audit-stripes N=16]\n\
          \x20                [--audit-threads N=1] [--seed N] [--listen ADDR (TCP protocol v2, e.g. 127.0.0.1:7821)]\n\
          \x20                [--metrics (expose the scrape surface; needs --listen)]\n\
-         \x20                [--net-backend auto|epoll|poll (reactor readiness backend; needs --listen)]\n\
          \x20 uuidp stress   --algorithm SPEC [--bits N=48] [--shards N=2] [--tenants N=8] [--requests N=20000]\n\
          \x20                [--count N=256] [--mix uniform|skewed|flood|hunter] [--audit-threads N=1]\n\
          \x20                [--seed N] [--trials-small] [--remote (loopback TCP transport)]\n\
          \x20                [--remote-workers N=1 (pool width, multiplexing one connection)]\n\
          \x20                [--chaos SPEC (fault-injecting proxy; needs --remote)] [--chaos-seed N=0]\n\
          \x20                [--scrape (live metrics scraper beside the load; needs --remote)]\n\
-         \x20                [--net-backend auto|epoll|poll (server reactor backend; needs --remote)]\n\
          \x20 uuidp fleet    --algorithm SPEC [--bits N=48] [--nodes N=3] [--tenants N=6] [--requests N=600]\n\
          \x20                [--count N=32] [--placement uniform|skewed|hunter] [--shards N=2]\n\
          \x20                [--audit-threads N=1] [--seed N] [--kill-every K (chaos restarts)]\n\
@@ -193,7 +191,6 @@ fn run_serve(args: &[String]) -> Result<String, String> {
         seed: f.parse(&["--seed", "-s"], 0x5EEDu64)?,
         listen: f.get(&["--listen"]).map(str::to_string),
         metrics: f.has("--metrics"),
-        net_backend: f.get(&["--net-backend"]).unwrap_or("auto").to_string(),
     };
     let stdin = std::io::stdin();
     let mut input = stdin.lock();
@@ -225,7 +222,6 @@ fn run_stress_cmd(args: &[String]) -> Result<String, String> {
             chaos: None,
             chaos_seed: 0,
             scrape: false,
-            net_backend: "auto".into(),
         }
     };
     let algorithm = match f.get(&["--algorithm", "-a"]) {
@@ -252,10 +248,6 @@ fn run_stress_cmd(args: &[String]) -> Result<String, String> {
         chaos: f.get(&["--chaos"]).map(str::to_string),
         chaos_seed: f.parse(&["--chaos-seed"], 0u64)?,
         scrape: f.has("--scrape"),
-        net_backend: f
-            .get(&["--net-backend"])
-            .unwrap_or(defaults.net_backend.as_str())
-            .to_string(),
     };
     stress(&opts).map_err(|e| e.0)
 }

@@ -47,7 +47,7 @@ const BLOCKING: &[&str] = &[
 /// This workspace's own blocking wrappers, called as free functions
 /// (`write_frame(&mut *w, ..)`), which a method-only list would see
 /// straight through.
-const BLOCKING_WRAPPERS: &[&str] = &["write_frame", "read_frame", "pool_barrier"];
+const BLOCKING_WRAPPERS: &[&str] = &["write_frame", "read_frame"];
 
 /// One live guard.
 #[derive(Debug)]

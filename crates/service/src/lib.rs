@@ -26,9 +26,10 @@
 //!   a service report onto the v2 summary frame.
 //! * [`net`] — [`net::TcpServer`]: the TCP front-end, speaking **wire
 //!   protocol v2 only** to `uuidp_client::Client` callers, with no
-//!   per-connection thread at all — a readiness-driven reactor owns
-//!   every connection and a fixed, tenant-keyed worker pool executes
-//!   requests by correlation id.
+//!   per-connection thread at all — an epoll reactor owns every
+//!   connection and hands each lease straight to its tenant's shard,
+//!   which queues the reply frame back on the reactor under the
+//!   request's correlation id.
 //! * [`stress`] — [`stress::run_stress`]: replays deterministic traffic
 //!   mixes (uniform, Zipf-skewed, flood, and the `adversary` crate's
 //!   adaptive RunHunter playing through the front door) and reports
@@ -57,7 +58,6 @@ pub mod reactor;
 pub mod reassembly;
 pub mod service;
 pub mod stress;
-#[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
 pub mod sys;
 
 /// One-stop imports for typical use.
@@ -65,7 +65,6 @@ pub mod prelude {
     pub use crate::metrics::LatencyHistogram;
     pub use crate::net::{ServerOptions, TcpServer};
     pub use crate::protocol::Command;
-    pub use crate::reactor::NetBackend;
     pub use crate::service::{
         AuditReport, AuditThreadReport, IdService, LeaseReply, ServiceConfig, ServiceReport,
     };

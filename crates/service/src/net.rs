@@ -5,32 +5,35 @@
 //! per-connection thread at all:
 //!
 //! ```text
-//!   accept ──► reactor thread (readiness-driven; owns every conn)
+//!   accept ──► reactor thread (epoll; owns every conn)
 //!                 │  first byte must be 0x00 (the v2 magic); anything
 //!                 │  else gets one `error:` text line, then close
 //!                 │  complete frames, dispatched by kind:
-//!                 ├── lease/reset ──► worker pool (tenant-keyed queues)
+//!                 ├── lease/reset ──► shard worker (tenant % shards)
 //!                 └── drain/summary/shutdown/halt ──► control thread
 //!                        reply frames are *queued* back to the reactor
-//!                        and flushed with vectored writes on write
-//!                        readiness, correlation ids intact
+//!                        (by the shard itself for a lease) and flushed
+//!                        with vectored writes on write readiness,
+//!                        correlation ids intact
 //! ```
 //!
-//! However many connections are open, the server runs one reactor
-//! thread plus a fixed pool of `v2_workers` execution threads. The
-//! reactor ([`crate::reactor`]) takes readiness from epoll on Linux
-//! (raw syscalls, see [`crate::sys`]) or from a portable poll rotation
-//! elsewhere — [`ServerOptions::backend`] picks, and an idle epoll
-//! server costs ~zero CPU regardless of connection count. Requests are
-//! routed to pool workers by `tenant % workers`, so each tenant's
-//! requests stay FIFO end to end (the determinism the differential
-//! tests pin), while different tenants' requests from one multiplexed
-//! connection are served concurrently. Drain/summary/shutdown run on a
-//! dedicated control thread that first barriers the pool, so they mean
-//! "everything submitted before me". Workers never block on a slow
-//! peer: replies queue on the owning connection inside the reactor,
-//! and a peer that stops reading is eventually severed (backpressure by
-//! disconnect, not by stalling a shared thread).
+//! However many connections are open, the front-end runs one reactor
+//! thread and one control thread beside the service's own shards. The
+//! reactor ([`crate::reactor`]) takes readiness from epoll (raw
+//! syscalls, see [`crate::sys`]), so an idle server costs ~zero CPU
+//! regardless of connection count. A lease goes straight from the
+//! reactor to its tenant's shard, and the shard queues the reply frame
+//! on the reactor: two thread handoffs per wire lease. Shard queues are
+//! FIFO, so each tenant's requests stay in order end to end (the
+//! determinism the differential tests pin), while different tenants'
+//! requests from one multiplexed connection are served concurrently.
+//! Drain/summary/shutdown run on the control thread behind the
+//! service's own shard barrier, which covers every lease the reactor
+//! dispatched before them, so they mean "everything submitted before
+//! me". Shards never block on a slow peer: replies queue on the owning
+//! connection inside the reactor, and a peer that stops reading is
+//! eventually severed (backpressure by disconnect, not by stalling a
+//! shared thread).
 //!
 //! Shutdown is graceful and client-initiated: the summary frame is
 //! projected from the final [`ServiceReport`] by [`wire_summary`].
@@ -49,7 +52,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -61,32 +64,22 @@ use uuidp_core::lockorder;
 use uuidp_obs::{Registry, Stage, TraceRecorder};
 
 use crate::protocol::wire_summary;
-use crate::reactor::{NetBackend, Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
+use crate::reactor::{Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
 use crate::service::{IdService, LeaseReply, ServiceConfig, ServiceReport};
 
 /// Front-end options, beyond the service's own configuration.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Execution threads in the shared v2 worker pool. Requests are
-    /// pinned to workers by `tenant % v2_workers`.
-    pub v2_workers: usize,
     /// Serve metric scrapes (the v2 metrics and timeline frames). Off,
     /// a scrape gets a typed error reply and the connection stays up —
     /// the registry still records either way, this only gates the
     /// *export* surface.
     pub metrics: bool,
-    /// Readiness backend for the reactor ([`NetBackend::Auto`] resolves
-    /// to epoll where compiled in, the poll rotation elsewhere).
-    pub backend: NetBackend,
 }
 
 impl Default for ServerOptions {
     fn default() -> Self {
-        ServerOptions {
-            v2_workers: 4,
-            metrics: true,
-            backend: NetBackend::Auto,
-        }
+        ServerOptions { metrics: true }
     }
 }
 
@@ -96,6 +89,9 @@ pub(crate) struct ServerState {
     pub(crate) service: RwLock<Option<IdService>>,
     /// Set before the accept loop is woken for the last time.
     pub(crate) stopping: AtomicBool,
+    /// Set by [`crash_server`] before it takes the service: a crashed
+    /// node answers nothing more, not even "shutting down".
+    crashed: AtomicBool,
     /// Live connections: counted up when the reactor adopts a socket
     /// and down when it disposes of one, so churning clients leave no
     /// trace. The reactor owns and severs the sockets themselves.
@@ -116,8 +112,6 @@ pub(crate) struct ServerState {
     /// Command surface into the reactor thread (stop paths use it to
     /// bring the reactor down with the sockets).
     pub(crate) reactor: ReactorHandle,
-    /// The resolved readiness backend ("epoll" or "poll").
-    pub(crate) backend: &'static str,
 }
 
 impl ServerState {
@@ -137,14 +131,33 @@ impl ServerState {
     pub(crate) fn deregister(&self) {
         self.live.fetch_sub(1, Ordering::SeqCst);
     }
+
+    /// Runs `f` on the service under its read lock; `None` once a stop
+    /// path has taken the service.
+    fn with_service<R>(&self, f: impl FnOnce(&IdService) -> R) -> Option<R> {
+        let _order = lockorder::track("server.service");
+        let service = self.service.read().expect("service lock");
+        service.as_ref().map(f)
+    }
+
+    /// Answers a request that found the service taken: the typed
+    /// "shutting down" error after a graceful shutdown, and nothing
+    /// after a crash, whose connections are about to be severed.
+    fn refuse(&self, conn: &V2Conn, corr: u64) {
+        if !self.crashed.load(Ordering::SeqCst) {
+            conn.send_error(corr, "shutting down");
+        }
+    }
 }
 
-/// Kills the server from inside: stop accepting, tear the service down
-/// **discarding its report**, sever every live connection mid-command,
-/// and wake the accept loop. This is the shared crash fiction behind
-/// [`TcpServer::halt`], the v2 `halt` frame, and the
-/// `halt_after_persists` hook — clients see an abrupt EOF, and what
-/// survives is only what the durability layer persisted write-ahead.
+/// Kills the server from inside: stop accepting, tear the service down,
+/// sever every live connection mid-command, and wake the accept loop.
+/// This is the shared crash fiction behind [`TcpServer::halt`], the v2
+/// `halt` frame, and the `halt_after_persists` hook — clients see an
+/// abrupt EOF, and what survives is only what the durability layer
+/// persisted write-ahead. The service's report goes only to an
+/// in-process caller ([`TcpServer::halt`]); `None` means a shutdown or
+/// another crash took the service first.
 ///
 /// When the service has a durable state dir, the flight recorder dumps
 /// its last events + a registry snapshot there first (`reason` names
@@ -155,19 +168,21 @@ fn crash_server(
     local_addr: SocketAddr,
     reason: &str,
     focus_corr: Option<u64>,
-) {
+) -> Option<ServiceReport> {
+    state.crashed.store(true, Ordering::SeqCst);
     state.stopping.store(true, Ordering::SeqCst);
     let service = {
         let _order = lockorder::track("server.service");
         state.service.write().expect("service lock").take()
     };
-    if let Some(service) = service {
+    let report = service.map(|service| {
         service.dump_flight(reason, focus_corr);
-        drop(service.shutdown());
-    }
+        service.shutdown()
+    });
     // The reactor owns every socket: stopping it severs them all.
     state.reactor.stop();
     let _ = TcpStream::connect(local_addr);
+    report
 }
 
 /// A running TCP front-end over one [`IdService`].
@@ -176,7 +191,6 @@ pub struct TcpServer {
     accept: JoinHandle<()>,
     reactor: JoinHandle<()>,
     control: JoinHandle<()>,
-    pool: Vec<JoinHandle<()>>,
     report_rx: Receiver<ServiceReport>,
     state: Arc<ServerState>,
 }
@@ -184,7 +198,9 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), boots
     /// the service, and starts accepting connections with default
-    /// [`ServerOptions`] (a small v2 worker pool).
+    /// [`ServerOptions`] (scrapes served). Beside the service's shard
+    /// and audit threads, the server runs three: accept, reactor and
+    /// control.
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<TcpServer> {
         TcpServer::bind_with(addr, config, ServerOptions::default())
     }
@@ -197,10 +213,7 @@ impl TcpServer {
     ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // The readiness backend resolves here so an explicit `Epoll`
-        // request fails the bind (typed) where it is not compiled in.
-        let poller = Poller::new(options.backend)?;
-        let backend = poller.name();
+        let poller = Poller::new()?;
         let (cmd_tx, cmd_rx) = channel::<ReactorCmd>();
         let reactor_handle = ReactorHandle::new(cmd_tx, poller.waker());
         let space = config.space;
@@ -210,6 +223,7 @@ impl TcpServer {
         let state = Arc::new(ServerState {
             service: RwLock::new(Some(service)),
             stopping: AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
             live: AtomicUsize::new(0),
             next_conn: AtomicU64::new(0),
             space,
@@ -217,31 +231,15 @@ impl TcpServer {
             trace,
             metrics: options.metrics,
             reactor: reactor_handle.clone(),
-            backend,
         });
         let (report_tx, report_rx) = sync_channel::<ServiceReport>(1);
 
-        // The shared v2 worker pool: tenant-keyed queues, fixed width.
-        let workers = options.v2_workers.max(1);
-        let mut pool_txs = Vec::with_capacity(workers);
-        let mut pool = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = sync_channel::<PoolJob>(1024);
-            pool_txs.push(tx);
-            let state = Arc::clone(&state);
-            pool.push(std::thread::spawn(move || {
-                pool_worker(state, rx, local_addr)
-            }));
-        }
         // The v2 control lane (drain / summary / shutdown / halt).
-        let (ctrl_tx, ctrl_rx) = sync_channel::<CtrlJob>(64);
+        // Unbounded, so a shard handing it a halted lease never waits.
+        let (ctrl_tx, ctrl_rx) = channel::<CtrlJob>();
         let control = {
             let state = Arc::clone(&state);
-            let pool_txs = pool_txs.clone();
-            let report_tx = report_tx.clone();
-            std::thread::spawn(move || {
-                control_worker(state, ctrl_rx, pool_txs, report_tx, local_addr)
-            })
+            std::thread::spawn(move || control_worker(state, ctrl_rx, report_tx, local_addr))
         };
         // The reactor: checks every new connection's first byte and owns
         // all connection I/O.
@@ -251,7 +249,6 @@ impl TcpServer {
                 poller,
                 cmd_rx,
                 handle: reactor_handle.clone(),
-                pool_txs,
                 ctrl_tx,
             };
             // Built on this thread so its metric families are registered
@@ -293,7 +290,6 @@ impl TcpServer {
             accept,
             reactor,
             control,
-            pool,
             report_rx,
             state,
         })
@@ -324,19 +320,16 @@ impl TcpServer {
         Arc::clone(&self.state.trace)
     }
 
-    /// The readiness backend the reactor resolved to: `"epoll"` or
-    /// `"poll"` (tests and benches gate wakeup assertions on this).
+    /// The reactor's readiness backend, always `"epoll"` (bench
+    /// provenance records it).
     pub fn net_backend(&self) -> &'static str {
-        self.state.backend
+        "epoll"
     }
 
     fn join_threads(self) -> Receiver<ServiceReport> {
         let _ = self.accept.join();
         let _ = self.reactor.join();
         let _ = self.control.join();
-        for handle in self.pool {
-            let _ = handle.join();
-        }
         self.report_rx
     }
 
@@ -359,52 +352,44 @@ impl TcpServer {
     /// boundary where it matters. Returns `None` if a client shutdown
     /// raced this call and won.
     pub fn halt(self) -> Option<ServiceReport> {
-        self.state.stopping.store(true, Ordering::SeqCst);
-        let service = {
-            let _order = lockorder::track("server.service");
-            self.state.service.write().expect("service lock").take()
-        };
-        let report = service.map(|service| {
-            // A halt is a staged crash: leave the post-mortem (last
-            // trace events + registry snapshot) in the state dir, the
-            // same evidence a real power cut would be diagnosed from.
-            service.dump_flight("halt", None);
-            service.shutdown()
-        });
-        self.state.reactor.stop();
-        // Unblock the accept loop, then wait out every server thread.
-        let _ = TcpStream::connect(self.local_addr);
+        // A halt is a staged crash: it leaves the post-mortem (last
+        // trace events + registry snapshot) in the state dir, the same
+        // evidence a real power cut would be diagnosed from.
+        let report = crash_server(&self.state, self.local_addr, "halt", None);
         let report_rx = self.join_threads();
         report.or_else(|| report_rx.try_recv().ok())
     }
 }
 
 // ---------------------------------------------------------------------
-// The serving machinery: pool + control, fed by the reactor.
+// The serving machinery: shards + control, fed by the reactor.
 // ---------------------------------------------------------------------
 
-/// The shared half of one v2 connection: its registry id and a handle
-/// to the reactor that owns the socket. A send *queues* the encoded
-/// frame on the connection's reply queue — it never touches the socket
-/// and never blocks, so a slow peer backpressures only its own queue
-/// (severed at the reactor's cap), not the pool worker that served it.
-/// The old implementation held a per-connection writer lock and
-/// spin/slept through `WouldBlock`, stalling a whole worker behind one
-/// unread socket.
+/// The shared half of one v2 connection: its registry id, a handle to
+/// the reactor that owns the socket, and the server's control lane. A
+/// send *queues* the encoded frame on the connection's reply queue — it
+/// never touches the socket and never blocks, so a slow peer
+/// backpressures only its own queue (severed at the reactor's cap), not
+/// the shard that served it.
 pub(crate) struct V2Conn {
     conn_id: u64,
     reactor: ReactorHandle,
+    ctrl: Sender<CtrlJob>,
 }
 
 impl V2Conn {
-    pub(crate) fn new(conn_id: u64, reactor: ReactorHandle) -> V2Conn {
-        V2Conn { conn_id, reactor }
+    pub(crate) fn new(conn_id: u64, reactor: ReactorHandle, ctrl: Sender<CtrlJob>) -> V2Conn {
+        V2Conn {
+            conn_id,
+            reactor,
+            ctrl,
+        }
     }
 
     /// Queues one whole reply frame (flushed by the reactor on write
     /// readiness). Frames are queued whole, so replies from different
-    /// pool workers never interleave mid-frame. Errs only when the
-    /// reactor is already gone.
+    /// shards never interleave mid-frame. Errs only when the reactor is
+    /// already gone.
     pub(crate) fn send(&self, corr: u64, body: &FrameBody) -> io::Result<()> {
         self.reactor
             .reply(self.conn_id, frame::encode_frame(corr, body), None)
@@ -441,31 +426,57 @@ impl V2Conn {
             },
         );
     }
-}
 
-/// Work routed to the tenant-keyed pool.
-pub(crate) enum PoolJob {
-    Lease {
-        conn: Arc<V2Conn>,
-        corr: u64,
-        tenant: u64,
-        count: u128,
-    },
-    Reset {
-        conn: Arc<V2Conn>,
-        corr: u64,
-        tenant: u64,
-    },
-    /// Ack once every prior job on this worker is fully served.
-    Barrier { done: SyncSender<()> },
+    /// Answers a wire lease, on the shard that served it. A lease that
+    /// tripped the `halt_after_persists` hook is not answered: the
+    /// crash goes to the control lane instead, because tearing the
+    /// service down joins the shards and so cannot run on one. The
+    /// flight dump stays focused on the lease that was cut off
+    /// mid-exchange.
+    pub(crate) fn answer_lease(&self, corr: u64, reply: &LeaseReply, trace: &TraceRecorder) {
+        if reply.halted {
+            self.control(CtrlJob::Halt {
+                reason: "halt-after-persists",
+                focus_corr: Some(corr),
+            });
+            return;
+        }
+        let _ = self.send(corr, &lease_resp(reply));
+        trace.record(
+            corr,
+            reply.tenant,
+            Stage::ReplySent,
+            "lease-resp",
+            clock::monotonic_ns(),
+        );
+    }
+
+    /// Hands one job to the control lane.
+    fn control(&self, job: CtrlJob) {
+        let _ = self.ctrl.send(job);
+    }
 }
 
 /// Work routed to the control lane.
 pub(crate) enum CtrlJob {
-    Drain { conn: Arc<V2Conn>, corr: u64 },
-    Summary { conn: Arc<V2Conn>, corr: u64 },
-    Shutdown { conn: Arc<V2Conn>, corr: u64 },
-    Halt,
+    Drain {
+        conn: Arc<V2Conn>,
+        corr: u64,
+    },
+    Summary {
+        conn: Arc<V2Conn>,
+        corr: u64,
+    },
+    Shutdown {
+        conn: Arc<V2Conn>,
+        corr: u64,
+    },
+    /// Crash the node ([`crash_server`]), naming the crash path and the
+    /// in-flight request it cut off, if any.
+    Halt {
+        reason: &'static str,
+        focus_corr: Option<u64>,
+    },
 }
 
 /// Arcs that fit one v2 lease-reply frame: the fixed fields plus 32
@@ -499,130 +510,39 @@ fn lease_resp(reply: &LeaseReply) -> FrameBody {
     }
 }
 
-/// One pool worker: executes tenant-keyed jobs against the shared
-/// service, writing each reply frame straight to its connection.
-fn pool_worker(state: Arc<ServerState>, rx: Receiver<PoolJob>, local_addr: SocketAddr) {
-    while let Ok(job) = rx.recv() {
-        match job {
-            PoolJob::Lease {
-                conn,
-                corr,
-                tenant,
-                count,
-            } => {
-                let reply = {
-                    let _order = lockorder::track("server.service");
-                    state
-                        .service
-                        .read()
-                        .expect("service lock")
-                        .as_ref()
-                        .map(|service| service.lease_traced(tenant, count, corr))
-                };
-                match reply {
-                    // The halt_after_persists hook fired: die between
-                    // the write-ahead persist and the reply — and leave
-                    // the flight dump focused on the lease that was cut
-                    // off mid-exchange.
-                    Some(reply) if reply.halted => {
-                        crash_server(&state, local_addr, "halt-after-persists", Some(corr))
-                    }
-                    Some(reply) => {
-                        let _ = conn.send(corr, &lease_resp(&reply));
-                        state.trace.record(
-                            corr,
-                            tenant,
-                            Stage::ReplySent,
-                            "lease-resp",
-                            clock::monotonic_ns(),
-                        );
-                    }
-                    None => conn.send_error(corr, "shutting down"),
-                }
-            }
-            PoolJob::Reset { conn, corr, tenant } => {
-                let served = {
-                    let _order = lockorder::track("server.service");
-                    let service = state.service.read().expect("service lock");
-                    service.as_ref().map(|s| s.reset_tenant(tenant)).is_some()
-                };
-                if served {
-                    let _ = conn.send(corr, &FrameBody::ResetResp { tenant });
-                } else {
-                    conn.send_error(corr, "shutting down");
-                }
-            }
-            PoolJob::Barrier { done } => {
-                let _ = done.send(());
-            }
-        }
-    }
-}
-
-/// Acks from every pool worker once all previously routed jobs are
-/// fully served (each worker replies before taking its next job).
-fn pool_barrier(pool_txs: &[SyncSender<PoolJob>]) {
-    let barriers: Vec<Receiver<()>> = pool_txs
-        .iter()
-        .map(|tx| {
-            let (done, rx) = sync_channel(1);
-            // A closed queue means the pool is already gone (server
-            // coming down); nothing left to wait for on that worker.
-            let _ = tx.send(PoolJob::Barrier { done });
-            rx
-        })
-        .collect();
-    for rx in barriers {
-        let _ = rx.recv();
-    }
-}
-
-/// The control lane: pool-barriered drain/summary, graceful shutdown,
-/// and the remote crash lever. One thread, so these serializing
-/// operations cannot deadlock each other on the pool barrier.
+/// The control lane: drain/summary, graceful shutdown, and the crash
+/// lever. The service's shard barrier (inside `drain`, `summary` and
+/// `shutdown`) covers every lease the reactor dispatched before the
+/// control frame: the reactor queues a lease on its shard before it
+/// passes any later frame here, shard queues are FIFO, and a shard
+/// queues each lease's reply before it acks a later barrier. One
+/// thread, so these serializing operations never overlap.
 fn control_worker(
     state: Arc<ServerState>,
     rx: Receiver<CtrlJob>,
-    pool_txs: Vec<SyncSender<PoolJob>>,
     report_tx: SyncSender<ServiceReport>,
     local_addr: SocketAddr,
 ) {
     while let Ok(job) = rx.recv() {
         match job {
             CtrlJob::Drain { conn, corr } => {
-                // "Everything submitted before me": queued pool jobs
-                // first, then the service's own shard barrier.
-                pool_barrier(&pool_txs);
-                let drained = {
-                    let _order = lockorder::track("server.service");
-                    let service = state.service.read().expect("service lock");
-                    service.as_ref().map(|s| s.drain()).is_some()
-                };
-                if drained {
+                if state.with_service(IdService::drain).is_some() {
                     let _ = conn.send(corr, &FrameBody::DrainResp);
                 } else {
-                    conn.send_error(corr, "shutting down");
+                    state.refuse(&conn, corr);
                 }
             }
-            CtrlJob::Summary { conn, corr } => {
-                pool_barrier(&pool_txs);
-                let report = {
-                    let _order = lockorder::track("server.service");
-                    let service = state.service.read().expect("service lock");
-                    service.as_ref().map(|s| s.summary())
-                };
-                match report {
-                    Some(report) => {
-                        let _ = conn.send(corr, &FrameBody::SummaryResp(wire_summary(&report)));
-                    }
-                    None => conn.send_error(corr, "shutting down"),
+            CtrlJob::Summary { conn, corr } => match state.with_service(IdService::summary) {
+                Some(report) => {
+                    let _ = conn.send(corr, &FrameBody::SummaryResp(wire_summary(&report)));
                 }
-            }
+                None => state.refuse(&conn, corr),
+            },
             CtrlJob::Shutdown { conn, corr } => {
                 state.stopping.store(true, Ordering::SeqCst);
-                // Serve what the pool already holds, then take the
-                // service (the write lock waits out in-flight leases).
-                pool_barrier(&pool_txs);
+                // Take the service (the write lock waits out a reactor
+                // mid-dispatch); its shutdown serves and answers every
+                // lease its shards already hold before it joins them.
                 let service = {
                     let _order = lockorder::track("server.service");
                     state.service.write().expect("service lock").take()
@@ -645,11 +565,12 @@ fn control_worker(
                         let _ = TcpStream::connect(local_addr);
                         return;
                     }
-                    None => conn.send_error(corr, "shutting down"),
+                    None => state.refuse(&conn, corr),
                 }
             }
-            CtrlJob::Halt => {
-                crash_server(&state, local_addr, "halt", None);
+            CtrlJob::Halt { reason, focus_corr } => {
+                // Over the wire a crash discards the report.
+                drop(crash_server(&state, local_addr, reason, focus_corr));
                 return;
             }
         }
@@ -683,8 +604,6 @@ pub(crate) fn dispatch_frame(
     hello_done: &mut bool,
     f: frame::Frame,
     state: &ServerState,
-    pool_txs: &[SyncSender<PoolJob>],
-    ctrl_tx: &SyncSender<CtrlJob>,
 ) -> Disposition {
     if !*hello_done {
         // Version negotiation: the first frame must be a hello naming a
@@ -734,13 +653,13 @@ pub(crate) fn dispatch_frame(
                 "lease-req",
                 clock::monotonic_ns(),
             );
-            let worker = (tenant % pool_txs.len() as u64) as usize;
-            let _ = pool_txs[worker].send(PoolJob::Lease {
-                conn: Arc::clone(shared),
-                corr,
-                tenant,
-                count,
-            });
+            // The shard answers the connection itself; a full shard queue
+            // blocks the reactor here until that shard catches up.
+            let queued =
+                state.with_service(|s| s.lease_wire(tenant, count, corr, Arc::clone(shared)));
+            if queued.is_none() {
+                state.refuse(shared, corr);
+            }
             Disposition::Keep
         }
         FrameBody::MetricsReq => {
@@ -769,37 +688,41 @@ pub(crate) fn dispatch_frame(
             Disposition::Keep
         }
         FrameBody::ResetReq { tenant } => {
-            let worker = (tenant % pool_txs.len() as u64) as usize;
-            let _ = pool_txs[worker].send(PoolJob::Reset {
-                conn: Arc::clone(shared),
-                corr,
-                tenant,
-            });
+            // The reply follows the enqueue; the shard's FIFO queue puts
+            // the reset behind the tenant's earlier leases.
+            if state.with_service(|s| s.reset_tenant(tenant)).is_some() {
+                let _ = shared.send(corr, &FrameBody::ResetResp { tenant });
+            } else {
+                state.refuse(shared, corr);
+            }
             Disposition::Keep
         }
         FrameBody::DrainReq => {
-            let _ = ctrl_tx.send(CtrlJob::Drain {
+            shared.control(CtrlJob::Drain {
                 conn: Arc::clone(shared),
                 corr,
             });
             Disposition::Keep
         }
         FrameBody::SummaryReq => {
-            let _ = ctrl_tx.send(CtrlJob::Summary {
+            shared.control(CtrlJob::Summary {
                 conn: Arc::clone(shared),
                 corr,
             });
             Disposition::Keep
         }
         FrameBody::ShutdownReq => {
-            let _ = ctrl_tx.send(CtrlJob::Shutdown {
+            shared.control(CtrlJob::Shutdown {
                 conn: Arc::clone(shared),
                 corr,
             });
             Disposition::Keep
         }
         FrameBody::HaltReq => {
-            let _ = ctrl_tx.send(CtrlJob::Halt);
+            shared.control(CtrlJob::Halt {
+                reason: "halt",
+                focus_corr: None,
+            });
             Disposition::Keep
         }
         other => sever_with(
@@ -1198,10 +1121,7 @@ mod tests {
     fn disabled_metrics_surface_reports_typed_errors() {
         let space = IdSpace::with_bits(40).unwrap();
         let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
-        let options = ServerOptions {
-            metrics: false,
-            ..ServerOptions::default()
-        };
+        let options = ServerOptions { metrics: false };
         let server = TcpServer::bind_with("127.0.0.1:0", config, options).unwrap();
         let client = Client::connect(server.local_addr(), space).unwrap();
         let err = client.metrics().unwrap_err();
@@ -1255,7 +1175,7 @@ mod tests {
             }
         });
         // The probe: an ordinary v2 client on another tenant (another
-        // pool worker too), timing full round trips under the flood.
+        // shard too), timing full round trips under the flood.
         let probe = Client::connect(addr, space).unwrap();
         let mut worst = Duration::ZERO;
         for _ in 0..100 {
@@ -1339,38 +1259,68 @@ mod tests {
     }
 
     #[test]
-    fn rotation_backend_carries_real_traffic() {
-        // The portable fallback (and the `poll-fallback` build's only
-        // backend) must carry real traffic, not just compile.
+    fn a_pipelined_drain_covers_every_earlier_lease() {
+        // Drain and summary barrier the shards, not the connection: the
+        // reactor queues each lease on its shard before it hands a later
+        // frame to the control lane, shard queues are FIFO, and a shard
+        // queues each reply before it acks a later barrier. So a drain
+        // pipelined behind leases is answered after all of them, and
+        // the summary behind it covers every one.
+        const LEASES: u64 = 120;
         let space = IdSpace::with_bits(40).unwrap();
-        let config = ServiceConfig::new(AlgorithmKind::Cluster, space);
-        let options = ServerOptions {
-            backend: NetBackend::Poll,
-            ..ServerOptions::default()
-        };
-        let server = TcpServer::bind_with("127.0.0.1:0", config, options).unwrap();
-        assert_eq!(server.net_backend(), "poll");
-        let first = Client::connect(server.local_addr(), space).unwrap();
-        assert_eq!(first.lease(3, 100).unwrap().granted, 100);
-        let second = Client::connect(server.local_addr(), space).unwrap();
-        assert_eq!(second.lease(4, 50).unwrap().granted, 50);
-        drop(first);
-        let summary = second.shutdown().unwrap();
-        assert_eq!(summary.issued_ids, 150);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn auto_backend_resolves_to_the_compiled_poller() {
-        let (server, space) = server(40);
-        let expected = if NetBackend::epoll_compiled() {
-            "epoll"
-        } else {
-            "poll"
-        };
-        assert_eq!(server.net_backend(), expected);
-        let client = Client::connect(server.local_addr(), space).unwrap();
-        client.shutdown().unwrap();
+        let mut config = ServiceConfig::new(AlgorithmKind::Cluster, space);
+        config.shards = 3;
+        config.audit_threads = 2;
+        let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+        let mut sent_leases = 0u64;
+        let mut sent_ids = 0u128;
+        for round in 0..20u64 {
+            let mut stream = raw_v2_conn(server.local_addr(), space);
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut batch = Vec::new();
+            for corr in 1..=LEASES {
+                let count = u128::from(1 + (corr * 7 + round) % 64);
+                sent_ids += count;
+                batch.extend_from_slice(&frame::encode_frame(
+                    corr,
+                    &FrameBody::LeaseReq {
+                        tenant: corr % 12,
+                        count,
+                    },
+                ));
+            }
+            sent_leases += LEASES;
+            batch.extend_from_slice(&frame::encode_frame(LEASES + 1, &FrameBody::DrainReq));
+            batch.extend_from_slice(&frame::encode_frame(LEASES + 2, &FrameBody::SummaryReq));
+            stream.write_all(&batch).unwrap();
+            let mut answered = 0u64;
+            let mut drained = false;
+            let summary = loop {
+                let reply = frame::read_frame(&mut stream).unwrap();
+                match reply.body {
+                    FrameBody::LeaseResp { error: None, .. } => {
+                        assert!(!drained, "round {round}: corr {} after drain", reply.corr);
+                        answered += 1;
+                    }
+                    FrameBody::DrainResp => {
+                        assert_eq!(answered, LEASES, "round {round}: drain overtook leases");
+                        drained = true;
+                    }
+                    FrameBody::SummaryResp(summary) => break summary,
+                    other => panic!("round {round}: unexpected {other:?}"),
+                }
+            };
+            assert!(drained, "round {round}: summary overtook the drain");
+            assert_eq!(summary.leases, sent_leases, "round {round}");
+            assert_eq!(summary.issued_ids, sent_ids, "round {round}");
+            assert_eq!(summary.recorded_ids, summary.issued_ids, "round {round}");
+        }
+        Client::connect(server.local_addr(), space)
+            .unwrap()
+            .shutdown()
+            .unwrap();
         server.join().unwrap();
     }
 

@@ -5,29 +5,24 @@
 //! sockets, reassembly buffers, and per-connection reply queues all
 //! live here, and every other thread talks to the reactor exclusively
 //! through [`ReactorCmd`] messages — the accept loop adopts new
-//! connections, pool/control workers queue reply frames, stop paths
-//! send [`ReactorCmd::Stop`]. No locks guard connection state because
-//! nothing else can reach it.
+//! connections, shard workers and the control lane queue reply frames,
+//! stop paths send [`ReactorCmd::Stop`]. No locks guard connection
+//! state because nothing else can reach it.
 //!
-//! Readiness comes from one of two interchangeable [`Poller`] backends:
-//!
-//! * **epoll** (Linux, default): level-triggered `epoll_wait` via the
-//!   raw-syscall [`crate::sys`] module, with an `eventfd` waker so
-//!   command senders can interrupt an indefinite block. An idle server
-//!   — however many thousands of connections it holds — makes **zero**
-//!   wakeups until a socket or command stirs.
-//! * **poll rotation** (the `poll-fallback` feature, and every
-//!   non-Linux target): the previous demux shape — treat every
-//!   connection as ready each pass, yield while traffic flows, back
-//!   off to 200µs sleeps when quiet. Portable, but idle cost scales
-//!   with connection count.
+//! Readiness comes from level-triggered `epoll_wait` via the
+//! raw-syscall [`crate::sys`] module, with an `eventfd` waker so
+//! command senders can interrupt an indefinite block. An idle server —
+//! however many thousands of connections it holds — makes **zero**
+//! wakeups until a socket or command stirs. A non-Linux target would
+//! need its own [`Poller`] behind the same registration and wait
+//! surface.
 //!
 //! Reads are capped per connection per pass (bytes *and* dispatched
 //! frames), so a firehosing peer cannot starve its siblings: leftover
 //! socket bytes re-report under level-triggered readiness, and
 //! leftover *decoded-but-buffered* frames park the connection in the
 //! reactor's backlog, which is pumped again on the next pass with a
-//! zero timeout. Replies never block a pool worker: they queue on the
+//! zero timeout. Replies never block a shard worker: they queue on the
 //! owning connection and are flushed with **vectored writes** on write
 //! readiness, so a batch of replies to one multiplexing client retires
 //! in one syscall (`uuidp_net_replies_per_syscall` histograms exactly
@@ -38,20 +33,16 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::AsRawFd;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
-#[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-use std::os::fd::AsRawFd;
-
 use uuidp_client::frame;
 use uuidp_obs::{AtomicHistogram, Counter, Gauge};
 
-use crate::net::{dispatch_frame, CtrlJob, Disposition, PoolJob, ServerState, V2Conn};
+use crate::net::{dispatch_frame, CtrlJob, Disposition, ServerState, V2Conn};
 use crate::reassembly::{BufPool, ReadBuf};
-#[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
 use crate::sys;
 
 /// Socket bytes one connection may read per pump pass.
@@ -66,83 +57,18 @@ const MAX_IOV: usize = 64;
 /// before the reactor closes it.
 const NOT_V2: &[u8] = b"error: this server speaks only protocol v2 (binary frames, \
 see uuidp_client); text commands are served by `uuidp serve` on stdin\n";
-/// The poller token reserved for the epoll waker's eventfd.
-#[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
+/// The poller token reserved for the waker's eventfd.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-/// Which readiness backend a server runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetBackend {
-    /// epoll when compiled in (Linux without `poll-fallback`),
-    /// otherwise the poll rotation.
-    Auto,
-    /// epoll, failing `bind` where it is not compiled in.
-    Epoll,
-    /// The portable poll rotation, everywhere.
-    Poll,
-}
-
-impl NetBackend {
-    /// Whether the epoll backend exists in this build.
-    pub fn epoll_compiled() -> bool {
-        cfg!(all(target_os = "linux", not(feature = "poll-fallback")))
-    }
-}
-
-impl std::str::FromStr for NetBackend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(NetBackend::Auto),
-            "epoll" => Ok(NetBackend::Epoll),
-            "poll" => Ok(NetBackend::Poll),
-            other => Err(format!(
-                "unknown net backend `{other}` (expected auto, epoll, or poll)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for NetBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            NetBackend::Auto => "auto",
-            NetBackend::Epoll => "epoll",
-            NetBackend::Poll => "poll",
-        })
-    }
-}
-
-/// Wakes a possibly blocked reactor from another thread. The epoll
-/// backend blocks in `epoll_wait`, so the waker is an eventfd
-/// registered like any other fd; the rotation backend sleeps in short
-/// slices and checks the flag between them.
+/// Wakes a possibly blocked reactor from another thread: an eventfd
+/// registered with epoll like any other fd.
 pub(crate) struct Waker {
-    flag: AtomicBool,
-    #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-    efd: Option<sys::EventFd>,
+    efd: sys::EventFd,
 }
 
 impl Waker {
-    fn flag_only() -> Waker {
-        Waker {
-            flag: AtomicBool::new(false),
-            #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-            efd: None,
-        }
-    }
-
     pub(crate) fn wake(&self) {
-        self.flag.store(true, Ordering::Release);
-        #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-        if let Some(efd) = &self.efd {
-            efd.signal();
-        }
-    }
-
-    /// Consumes a pending wake, returning whether one was set.
-    fn take(&self) -> bool {
-        self.flag.swap(false, Ordering::Acquire)
+        self.efd.signal();
     }
 }
 
@@ -215,76 +141,24 @@ struct Event {
     writable: bool,
 }
 
-enum PollerImpl {
-    #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-    Epoll {
-        ep: sys::Epoll,
-        buf: Vec<sys::EpollEvent>,
-    },
-    Rotation {
-        tokens: Vec<u64>,
-        idle_passes: u32,
-    },
-}
-
-/// The readiness source, either backend behind one registration and
-/// wait surface.
+/// The readiness source: one epoll instance plus its waker.
 pub(crate) struct Poller {
-    imp: PollerImpl,
+    ep: sys::Epoll,
+    buf: Vec<sys::EpollEvent>,
     waker: Arc<Waker>,
 }
 
 impl Poller {
-    /// Builds the poller (and its waker) for `backend`.
-    pub(crate) fn new(backend: NetBackend) -> io::Result<Poller> {
-        let rotation = || Poller {
-            imp: PollerImpl::Rotation {
-                tokens: Vec::new(),
-                idle_passes: 0,
-            },
-            waker: Arc::new(Waker::flag_only()),
-        };
-        match backend {
-            NetBackend::Poll => Ok(rotation()),
-            NetBackend::Auto | NetBackend::Epoll => {
-                #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-                {
-                    let ep = sys::Epoll::new()?;
-                    let efd = sys::EventFd::new()?;
-                    ep.add(efd.raw(), WAKER_TOKEN, false)?;
-                    Ok(Poller {
-                        imp: PollerImpl::Epoll {
-                            ep,
-                            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
-                        },
-                        waker: Arc::new(Waker {
-                            flag: AtomicBool::new(false),
-                            efd: Some(efd),
-                        }),
-                    })
-                }
-                #[cfg(not(all(target_os = "linux", not(feature = "poll-fallback"))))]
-                {
-                    match backend {
-                        NetBackend::Auto => Ok(rotation()),
-                        _ => Err(io::Error::new(
-                            io::ErrorKind::Unsupported,
-                            "the epoll backend is not compiled into this build \
-                             (non-Linux target or the poll-fallback feature)",
-                        )),
-                    }
-                }
-            }
-        }
-    }
-
-    /// The resolved backend, for logs/tests/benches.
-    pub(crate) fn name(&self) -> &'static str {
-        match self.imp {
-            #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-            PollerImpl::Epoll { .. } => "epoll",
-            PollerImpl::Rotation { .. } => "poll",
-        }
+    /// Builds the epoll instance and registers its waker.
+    pub(crate) fn new() -> io::Result<Poller> {
+        let ep = sys::Epoll::new()?;
+        let efd = sys::EventFd::new()?;
+        ep.add(efd.raw(), WAKER_TOKEN, false)?;
+        Ok(Poller {
+            ep,
+            buf: vec![sys::EpollEvent { events: 0, data: 0 }; 1024],
+            waker: Arc::new(Waker { efd }),
+        })
     }
 
     pub(crate) fn waker(&self) -> Arc<Waker> {
@@ -292,107 +166,38 @@ impl Poller {
     }
 
     fn register(&mut self, stream: &TcpStream, token: u64) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-            PollerImpl::Epoll { ep, .. } => ep.add(stream.as_raw_fd(), token, false),
-            PollerImpl::Rotation { tokens, .. } => {
-                let _ = stream;
-                tokens.push(token);
-                Ok(())
-            }
-        }
+        self.ep.add(stream.as_raw_fd(), token, false)
     }
 
-    /// Toggles write interest (a no-op for the rotation, which reports
-    /// every connection writable each pass).
+    /// Toggles write interest.
     fn set_writable(&mut self, stream: &TcpStream, token: u64, writable: bool) {
-        match &mut self.imp {
-            #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-            PollerImpl::Epoll { ep, .. } => {
-                let _ = ep.modify(stream.as_raw_fd(), token, writable);
-            }
-            PollerImpl::Rotation { .. } => {
-                let _ = (stream, token, writable);
-            }
-        }
+        let _ = self.ep.modify(stream.as_raw_fd(), token, writable);
     }
 
-    fn deregister(&mut self, stream: &TcpStream, token: u64) {
-        match &mut self.imp {
-            #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-            PollerImpl::Epoll { ep, .. } => {
-                let _ = ep.del(stream.as_raw_fd());
-                let _ = token;
-            }
-            PollerImpl::Rotation { tokens, .. } => {
-                let _ = stream;
-                tokens.retain(|t| *t != token);
-            }
-        }
+    fn deregister(&mut self, stream: &TcpStream) {
+        let _ = self.ep.del(stream.as_raw_fd());
     }
 
     /// Blocks (bounded by `timeout_ms`; `-1` = forever) for readiness,
-    /// filling `out`. The epoll arm translates kernel events — errors
-    /// and hangups count as readable so the pump observes the failure;
-    /// the rotation arm reports every registered token read+write
-    /// ready, yielding while passes are productive (`timeout_ms == 0`)
-    /// and backing off to 200µs sleep slices — waker-interruptible —
-    /// when idle.
+    /// filling `out` with the kernel's events. Errors and hangups count
+    /// as readable so the pump observes the failure; a waker event is
+    /// consumed here and reported as nothing.
     fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) {
         out.clear();
-        match &mut self.imp {
-            #[cfg(all(target_os = "linux", not(feature = "poll-fallback")))]
-            PollerImpl::Epoll { ep, buf } => {
-                let n = ep.wait(buf, timeout_ms).unwrap_or(0);
-                for ev in buf.iter().take(n) {
-                    let bits = { ev.events };
-                    let token = { ev.data };
-                    if token == WAKER_TOKEN {
-                        if let Some(efd) = &self.waker.efd {
-                            efd.drain();
-                        }
-                        self.waker.take();
-                        continue;
-                    }
-                    out.push(Event {
-                        token,
-                        readable: bits
-                            & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP)
-                            != 0,
-                        writable: bits & sys::EPOLLOUT != 0,
-                    });
-                }
+        let n = self.ep.wait(&mut self.buf, timeout_ms).unwrap_or(0);
+        for ev in self.buf.iter().take(n) {
+            let bits = { ev.events };
+            let token = { ev.data };
+            if token == WAKER_TOKEN {
+                self.waker.efd.drain();
+                continue;
             }
-            PollerImpl::Rotation {
-                tokens,
-                idle_passes,
-            } => {
-                if timeout_ms == 0 {
-                    *idle_passes = 0;
-                    std::thread::yield_now();
-                } else {
-                    // One backoff slice per wait: the reactor calls
-                    // again immediately, so quiet periods settle into a
-                    // 200µs cadence, the idle cost the epoll backend
-                    // avoids by blocking.
-                    *idle_passes = idle_passes.saturating_add(1);
-                    if !self.waker.take() {
-                        if *idle_passes < 64 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    }
-                }
-                self.waker.take();
-                for token in tokens.iter() {
-                    out.push(Event {
-                        token: *token,
-                        readable: true,
-                        writable: true,
-                    });
-                }
-            }
+            out.push(Event {
+                token,
+                readable: bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP | sys::EPOLLRDHUP)
+                    != 0,
+                writable: bits & sys::EPOLLOUT != 0,
+            });
         }
     }
 }
@@ -406,7 +211,6 @@ struct OutFrame {
 
 /// One connection, as the reactor owns it.
 struct NetConn {
-    conn_id: u64,
     stream: TcpStream,
     shared: Arc<V2Conn>,
     /// Reassembly buffer; `None` while nothing is pending (the buffer
@@ -445,8 +249,7 @@ pub(crate) struct ReactorSeed {
     pub poller: Poller,
     pub cmd_rx: Receiver<ReactorCmd>,
     pub handle: ReactorHandle,
-    pub pool_txs: Vec<SyncSender<PoolJob>>,
-    pub ctrl_tx: SyncSender<CtrlJob>,
+    pub ctrl_tx: Sender<CtrlJob>,
 }
 
 /// The reactor: see the module docs for the full shape.
@@ -455,8 +258,7 @@ pub(crate) struct Reactor {
     poller: Poller,
     cmd_rx: Receiver<ReactorCmd>,
     handle: ReactorHandle,
-    pool_txs: Vec<SyncSender<PoolJob>>,
-    ctrl_tx: SyncSender<CtrlJob>,
+    ctrl_tx: Sender<CtrlJob>,
     conns: HashMap<u64, NetConn>,
     /// Connections holding complete-but-undispatched frames (hit the
     /// per-pass frame cap); pumped again next pass with a 0 timeout.
@@ -487,7 +289,6 @@ impl Reactor {
             poller: seed.poller,
             cmd_rx: seed.cmd_rx,
             handle: seed.handle,
-            pool_txs: seed.pool_txs,
             ctrl_tx: seed.ctrl_tx,
             conns: HashMap::new(),
             backlog: Vec::new(),
@@ -534,7 +335,7 @@ impl Reactor {
                 }
             }
             // Replies dispatched above (hello-ok, metrics, errors) and
-            // anything pool workers finished meanwhile.
+            // anything shards answered meanwhile.
             if self.drain_cmds() {
                 break;
             }
@@ -580,11 +381,14 @@ impl Reactor {
             self.state.deregister();
             return;
         }
-        let shared = Arc::new(V2Conn::new(conn_id, self.handle.clone()));
+        let shared = Arc::new(V2Conn::new(
+            conn_id,
+            self.handle.clone(),
+            self.ctrl_tx.clone(),
+        ));
         self.conns.insert(
             conn_id,
             NetConn {
-                conn_id,
                 stream,
                 shared,
                 rbuf: None,
@@ -698,14 +502,7 @@ impl Reactor {
                     Ok(Some((f, used))) => {
                         rbuf.consume(used);
                         frames += 1;
-                        match dispatch_frame(
-                            &conn.shared,
-                            &mut conn.hello_done,
-                            f,
-                            &self.state,
-                            &self.pool_txs,
-                            &self.ctrl_tx,
-                        ) {
+                        match dispatch_frame(&conn.shared, &mut conn.hello_done, f, &self.state) {
                             Disposition::Keep => {}
                             Disposition::Sever { farewell } => {
                                 return Fate::Remove {
@@ -821,7 +618,7 @@ impl Reactor {
 
     fn dispose(&mut self, conn: NetConn) {
         self.out_queue.add(-(conn.out_bytes as i64));
-        self.poller.deregister(&conn.stream, conn.conn_id);
+        self.poller.deregister(&conn.stream);
         self.state.deregister();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         for frame in conn.out {
@@ -892,32 +689,6 @@ fn has_complete_frame(pending: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_names_parse_and_render() {
-        for (s, b) in [
-            ("auto", NetBackend::Auto),
-            ("epoll", NetBackend::Epoll),
-            ("poll", NetBackend::Poll),
-        ] {
-            assert_eq!(s.parse::<NetBackend>().unwrap(), b);
-            assert_eq!(b.to_string(), s);
-        }
-        assert!("select".parse::<NetBackend>().is_err());
-    }
-
-    #[test]
-    fn poller_resolution_matches_the_build() {
-        let auto = Poller::new(NetBackend::Auto).unwrap();
-        if NetBackend::epoll_compiled() {
-            assert_eq!(auto.name(), "epoll");
-            assert_eq!(Poller::new(NetBackend::Epoll).unwrap().name(), "epoll");
-        } else {
-            assert_eq!(auto.name(), "poll");
-            assert!(Poller::new(NetBackend::Epoll).is_err());
-        }
-        assert_eq!(Poller::new(NetBackend::Poll).unwrap().name(), "poll");
-    }
 
     #[test]
     fn complete_frame_peek_agrees_with_the_decoder() {

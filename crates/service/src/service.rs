@@ -57,6 +57,7 @@ use uuidp_obs::{AtomicHistogram, Counter, Gauge, Registry, Stage, TraceRecorder}
 use uuidp_sim::audit::{AuditCounts, LeaseAudit, StripePlan};
 
 use crate::metrics::LatencyHistogram;
+use crate::net::V2Conn;
 
 /// Events the service-wide trace recorder retains (split across its
 /// per-thread ring shards).
@@ -184,14 +185,23 @@ pub struct LeaseReply {
     pub halted: bool,
 }
 
+/// Where a shard sends a served lease.
+enum LeaseTo {
+    /// An in-process caller, blocked on the channel's other end.
+    Caller(SyncSender<LeaseReply>),
+    /// A wire connection: the shard encodes the reply frame and queues
+    /// it on the reactor itself (see [`V2Conn::answer_lease`]).
+    Wire(std::sync::Arc<V2Conn>),
+}
+
 enum ShardMsg {
-    /// Serve a lease and reply with its arcs. `corr` is the wire
+    /// Serve a lease and send it to `to`. `corr` is the wire
     /// correlation id for trace spans (0 = uncorrelated/in-process).
     Lease {
         tenant: u64,
         count: u128,
         corr: u64,
-        reply: SyncSender<LeaseReply>,
+        to: LeaseTo,
     },
     /// Serve a lease, fire-and-forget (stress traffic).
     Issue { tenant: u64, count: u128 },
@@ -502,23 +512,37 @@ impl IdService {
 
     /// Synchronously leases `count` IDs for `tenant`.
     pub fn lease(&self, tenant: u64, count: u128) -> LeaseReply {
-        self.lease_traced(tenant, count, 0)
-    }
-
-    /// [`IdService::lease`] carrying the wire correlation id, so the
-    /// worker/audit trace events join the request's span. In-process
-    /// callers use `corr = 0` (via [`IdService::lease`]).
-    pub fn lease_traced(&self, tenant: u64, count: u128, corr: u64) -> LeaseReply {
         let (reply, rx) = sync_channel(1);
         self.shard_of(tenant)
             .send(ShardMsg::Lease {
                 tenant,
                 count,
-                corr,
-                reply,
+                corr: 0,
+                to: LeaseTo::Caller(reply),
             })
             .expect("shard alive");
         rx.recv().expect("shard replies")
+    }
+
+    /// Queues a wire lease on its tenant's shard and returns at once:
+    /// the shard answers `conn` itself, under `corr`, so the worker and
+    /// audit trace events join the request's span. Blocks only while
+    /// the shard's queue is full.
+    pub(crate) fn lease_wire(
+        &self,
+        tenant: u64,
+        count: u128,
+        corr: u64,
+        conn: std::sync::Arc<V2Conn>,
+    ) {
+        self.shard_of(tenant)
+            .send(ShardMsg::Lease {
+                tenant,
+                count,
+                corr,
+                to: LeaseTo::Wire(conn),
+            })
+            .expect("shard alive");
     }
 
     /// Fire-and-forget lease (stress traffic): the IDs are issued,
@@ -997,14 +1021,23 @@ fn worker_loop(
         plan,
     };
 
+    // Set once a wire lease trips the halt hook. The node is dying on
+    // the control lane (see `V2Conn::answer_lease`), and the crash cut
+    // the connection off at that lease: this shard serves and answers
+    // no wire lease queued behind it.
+    let mut wire_halted = false;
+
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Lease {
                 tenant,
                 count,
                 corr,
-                reply,
+                to,
             } => {
+                if wire_halted && matches!(to, LeaseTo::Wire(_)) {
+                    continue;
+                }
                 let (granted, error, arcs, halted) = serve(
                     &config,
                     &roots,
@@ -1020,13 +1053,22 @@ fn worker_loop(
                     true,
                 );
                 // Client delivery is off the issue-latency clock.
-                let _ = reply.send(LeaseReply {
+                let reply = LeaseReply {
                     tenant,
                     arcs: arcs.unwrap_or_default(),
                     granted,
                     error,
                     halted,
-                });
+                };
+                match to {
+                    LeaseTo::Caller(tx) => {
+                        let _ = tx.send(reply);
+                    }
+                    LeaseTo::Wire(conn) => {
+                        wire_halted = halted;
+                        conn.answer_lease(corr, &reply, &obs.trace);
+                    }
+                }
             }
             ShardMsg::Issue { tenant, count } => {
                 serve(

@@ -67,8 +67,7 @@ use uuidp_client::{
 use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
 use uuidp_obs::{SlowLease, Snapshot, TailSampler, TimeSeries};
 
-use crate::net::{ServerOptions, TcpServer};
-use crate::reactor::NetBackend;
+use crate::net::TcpServer;
 use crate::service::{AuditReport, IdService, ServiceConfig, ServiceReport};
 
 /// How many connection plans the report's schedule fingerprint covers.
@@ -158,11 +157,6 @@ pub struct StressConfig {
     /// is monotone scrape-over-scrape), and the report gains the final
     /// server-side family values. Ignored by in-process runs.
     pub scrape: bool,
-    /// Which readiness backend the remote run's server uses (see
-    /// [`NetBackend`]): `Auto` picks epoll where compiled in, `Poll`
-    /// forces the portable rotation fallback so CI can exercise it.
-    /// Ignored by in-process runs.
-    pub net_backend: NetBackend,
 }
 
 impl StressConfig {
@@ -179,7 +173,6 @@ impl StressConfig {
             chaos: None,
             chaos_seed: 0,
             scrape: false,
-            net_backend: NetBackend::Auto,
         }
     }
 }
@@ -846,14 +839,7 @@ pub fn run_stress(config: StressConfig) -> StressReport {
 /// [`Client`] socket path of a [`WireTarget`], through a [`ChaosProxy`]
 /// when [`StressConfig::chaos`] is set.
 pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
-    let server = TcpServer::bind_with(
-        "127.0.0.1:0",
-        config.service.clone(),
-        ServerOptions {
-            backend: config.net_backend,
-            ..ServerOptions::default()
-        },
-    )?;
+    let server = TcpServer::bind("127.0.0.1:0", config.service.clone())?;
     let registry = server.registry();
     // The scrape sidecar dials the server directly (not through any
     // chaos proxy): the export surface is probed while load flows, but

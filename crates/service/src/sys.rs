@@ -9,10 +9,8 @@
 //! descriptor is unrepresentable, and every fallible call reports
 //! through `io::Error::last_os_error()` like `std` itself would.
 //!
-//! The whole module is compiled only on Linux without the
-//! `poll-fallback` feature; every consumer goes through
-//! [`crate::reactor`], which falls back to a portable poll rotation
-//! when this module is absent.
+//! The module is Linux-only, and so is the reactor built on it; every
+//! consumer goes through [`crate::reactor`].
 
 use std::ffi::{c_int, c_uint};
 use std::io;

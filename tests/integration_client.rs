@@ -6,7 +6,8 @@
 //!   window no external kill can aim at); the client observes a dead
 //!   connection, and after a restart the recovered tenant must never
 //!   repeat anything the pre-crash instance could have emitted —
-//!   acknowledged or not;
+//!   acknowledged or not; leases pipelined behind the cut-off one get
+//!   no reply either;
 //! * **multiplexed audit visibility** — same-seed twin tenants driven
 //!   concurrently through clones of one connection are counted exactly
 //!   by the audit, and the client can watch the totals live via
@@ -19,7 +20,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use uuidp::client::frame::{read_frame, write_frame, FrameBody, VERSION};
+use uuidp::client::frame::{encode_frame, read_frame, write_frame, FrameBody, VERSION};
 use uuidp::client::{broken, Client, ClientOptions, ErrorClass, RetryPolicy, Session};
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::{Id, IdSpace};
@@ -105,6 +106,79 @@ fn crash_between_persist_and_reply_never_reissues_an_id() {
     }
     client.shutdown().unwrap();
     server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn pipelined_leases_past_the_halt_hook_get_no_reply() {
+    // The crash above, pipelined: ten leases in one write, the third of
+    // which trips the hook. The node dies instead of answering it, and
+    // no lease queued behind it is answered either, even though they
+    // already sit in the shard's queue when the crash begins.
+    let dir = temp_dir("pipelined-halt");
+    let space = IdSpace::with_bits(24).unwrap();
+    let mut cfg = ServiceConfig::new(AlgorithmKind::Cluster, space);
+    cfg.shards = 1;
+    cfg.durability = Some(DurabilityConfig {
+        dir: dir.clone(),
+        reservation: 32,
+        sync: false,
+        halt_after_persists: Some(3),
+    });
+    let server = TcpServer::bind("127.0.0.1:0", cfg).unwrap();
+    let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write_frame(
+        &mut conn,
+        0,
+        &FrameBody::Hello {
+            version: VERSION,
+            space: space.size(),
+        },
+    )
+    .unwrap();
+    let hello = read_frame(&mut conn).unwrap();
+    assert!(matches!(hello.body, FrameBody::HelloOk { .. }), "{hello:?}");
+
+    let mut batch = Vec::new();
+    for corr in 1..=10u64 {
+        batch.extend_from_slice(&encode_frame(
+            corr,
+            &FrameBody::LeaseReq {
+                tenant: 0,
+                count: 20,
+            },
+        ));
+    }
+    std::io::Write::write_all(&mut conn, &batch).unwrap();
+    // Persists land on leases 1, 2 and 3; the third is the crash.
+    let mut answered = Vec::new();
+    let end = loop {
+        match read_frame(&mut conn) {
+            Ok(reply) => {
+                assert!(
+                    matches!(reply.body, FrameBody::LeaseResp { granted: 20, .. }),
+                    "{reply:?}"
+                );
+                answered.push(reply.corr);
+            }
+            Err(err) => break err,
+        }
+    };
+    assert!(
+        !matches!(
+            end.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the connection must end in EOF, not a read timeout: {end:?}"
+    );
+    assert_eq!(
+        answered,
+        [1, 2],
+        "only the leases before the crash are answered"
+    );
+    assert!(server.join().is_none(), "a halt is a crash, not a shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -224,8 +224,7 @@ fn remote_hunter_mix_observes_real_arcs_over_the_wire() {
 fn idle_v2_connections_cost_near_zero_wakeups() {
     // PR 8's reactor promise: parked v2 connections are free. A soak of
     // 256 idle connections must (a) leave the epoll reactor asleep —
-    // the wakeup counter barely moves over two idle seconds, where the
-    // poll-rotation fallback would spin thousands of passes — and
+    // the wakeup counter barely moves over two idle seconds — and
     // (b) leave every connection fully alive afterwards.
     use std::net::TcpStream;
     use uuidp::client::frame::{self, FrameBody};
@@ -259,14 +258,11 @@ fn idle_v2_connections_cost_near_zero_wakeups() {
     let before = wakeups.get();
     std::thread::sleep(std::time::Duration::from_secs(2));
     let woke = wakeups.get() - before;
-    if server.net_backend() == "epoll" {
-        // The rotation fallback burns ~5000 passes/s at this backoff;
-        // a sleeping epoll reactor wakes for nothing at all.
-        assert!(
-            woke < 500,
-            "epoll reactor woke {woke} times over an idle 2s soak"
-        );
-    }
+    // A sleeping epoll reactor wakes for nothing at all.
+    assert!(
+        woke < 500,
+        "epoll reactor woke {woke} times over an idle 2s soak"
+    );
 
     // Liveness: every soaked connection still leases.
     for (i, stream) in conns.iter_mut().enumerate() {
