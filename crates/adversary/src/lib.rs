@@ -22,6 +22,9 @@
 //! quantify over: `D1(n, d)`, `D∞(n, h)`, uniform profiles, the rounding
 //! `D⁻` with rank distributions (Section 7.2), ε-goodness (Lemma 18), and
 //! the hard distribution `Φ` (Theorem 10).
+//!
+//! [`schedule`] replays that taxonomy against live services: one
+//! [`schedule::Scheduler`] drives both the stress driver and the fleet.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -32,6 +35,7 @@ pub mod nearest_pair;
 pub mod oblivious;
 pub mod profile;
 pub mod run_hunter;
+pub mod schedule;
 pub mod semi_adaptive;
 
 /// One-stop imports for typical use.

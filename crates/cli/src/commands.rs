@@ -7,6 +7,7 @@
 use std::fmt::Write as _;
 
 use uuidp_adversary::profile::DemandProfile;
+use uuidp_adversary::schedule::TrafficMix;
 use uuidp_analysis::exact::{cluster_union_bounds, random_exact};
 use uuidp_analysis::planning::{self, Scheme};
 use uuidp_analysis::theory;
@@ -16,15 +17,12 @@ use uuidp_core::rng::{SplitMix64, Xoshiro256pp};
 use uuidp_sim::montecarlo::{estimate_oblivious, TrialConfig};
 
 use uuidp_client::{ClientOptions, RetryPolicy, Session};
-use uuidp_fleet::router::Placement;
 use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
 use uuidp_netchaos::ChaosSpec;
 use uuidp_service::net::{ServerOptions, TcpServer};
 use uuidp_service::protocol::{render_lease, Command};
 use uuidp_service::service::{IdService, ServiceConfig, ServiceReport};
-use uuidp_service::stress::{
-    run_stress, run_stress_remote, StressConfig, StressReport, TrafficMix,
-};
+use uuidp_service::stress::{run_stress, run_stress_remote, StressConfig, StressReport};
 
 use crate::spec::{parse_algorithm, parse_algorithm_kind, IdFormat, ParseError};
 
@@ -463,7 +461,7 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
                 .into(),
         ));
     }
-    let mut cfg = StressConfig::new(service, opts.tenants, opts.requests, opts.count);
+    let mut cfg = StressConfig::new(service, opts.tenants.max(1), opts.requests, opts.count);
     cfg.mix = mix;
     cfg.remote_workers = opts.remote_workers;
     cfg.chaos = chaos;
@@ -491,48 +489,82 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
         main.render()
     );
 
-    // Validation phase: tenants 0 and 1 share a seed, in uniform rotation
-    // so each tenant gets exactly `per_tenant` leases — the twin's whole
-    // stream duplicates the victim's, so the audit must report exactly
-    // `per_tenant × count` duplicate IDs (zero false negatives).
+    let gate = TwinGate::new(cfg.tenants, cfg.requests, cfg.count);
     let mut check = cfg;
     check.mix = TrafficMix::Uniform;
     // The twin-stream count is exact only on a clean network: a dropped
     // or truncated request would shorten one twin's stream and turn the
     // gate into noise, so validation always runs chaos-free.
     check.chaos = None;
-    check.tenants = check.tenants.max(2);
-    let per_tenant = (check.requests.clamp(16, 512) / check.tenants).max(1);
-    check.requests = per_tenant * check.tenants;
+    (check.tenants, check.requests, check.count) = (gate.tenants, gate.requests(), gate.count);
     check.service.seed_alias = Some((0, 1));
     let injected = run(check)?;
-    // The exact count holds only when no generator exhausted: a partial
-    // grant shortens the twin streams by an amount the aggregate report
-    // cannot attribute per tenant, so fall back to requiring detection.
-    let expected = if injected.errors == 0 {
-        per_tenant as u128 * opts.count
-    } else {
-        1
-    };
-    out.push_str(&format!(
-        "\n# audit validation (injected same-seed twin tenants)\n\n\
-         duplicates:  {} detected, {} injected{}\n",
+    out.push_str(&gate.check(
+        "audit validation (injected same-seed twin tenants)",
         injected.audit.counts.duplicate_ids,
-        expected,
-        if injected.errors > 0 {
-            " (lower bound: generators exhausted mid-phase)"
-        } else {
-            ""
-        }
-    ));
-    if injected.audit.counts.duplicate_ids < expected {
-        return Err(ParseError(format!(
-            "audit false negative: {} duplicate IDs detected, {expected} injected",
-            injected.audit.counts.duplicate_ids
-        )));
-    }
-    out.push_str("validation:  ok (no audit false negatives)\n");
+        injected.errors,
+        "",
+    )?);
     Ok(out)
+}
+
+/// The injected-twin phase `stress` and `fleet` both end with: tenants 0
+/// and 1 share a seed and lease in uniform rotation, `per_tenant` leases
+/// each of `count` IDs, so the later-audited twin's whole stream
+/// duplicates the other's.
+struct TwinGate {
+    tenants: u64,
+    per_tenant: u64,
+    count: u128,
+}
+
+impl TwinGate {
+    /// The phase for a run of `requests` leases of `count` IDs over
+    /// `tenants`. It leases at least one ID per request, or the gate
+    /// would pass with nothing injected.
+    fn new(tenants: u64, requests: u64, count: u128) -> TwinGate {
+        let tenants = tenants.max(2);
+        let per_tenant = (requests.clamp(16, 512) / tenants).max(1);
+        TwinGate {
+            tenants,
+            per_tenant,
+            count: count.max(1),
+        }
+    }
+
+    /// Leases the phase submits.
+    fn requests(&self) -> u64 {
+        self.per_tenant * self.tenants
+    }
+
+    /// The phase's report section, with `note` under the duplicate
+    /// count; an error when the audit counted fewer duplicate IDs than
+    /// the `per_tenant × count` injected (a false negative).
+    fn check(
+        &self,
+        title: &str,
+        detected: u128,
+        errors: u64,
+        note: &str,
+    ) -> Result<String, ParseError> {
+        // The exact count holds only when no generator exhausted: a
+        // partial grant shortens the twin streams by an amount the
+        // aggregate report cannot attribute per tenant, so fall back to
+        // requiring detection.
+        let (expected, bound) = match errors {
+            0 => ((self.per_tenant as u128).saturating_mul(self.count), ""),
+            _ => (1, " (lower bound: generators exhausted mid-phase)"),
+        };
+        if detected < expected {
+            return Err(ParseError(format!(
+                "audit false negative: {detected} duplicate IDs detected, {expected} injected"
+            )));
+        }
+        Ok(format!(
+            "\n# {title}\n\nduplicates:  {detected} detected, {expected} injected{bound}\n{note}\
+             validation:  ok (no audit false negatives)\n"
+        ))
+    }
 }
 
 /// Options for `uuidp fleet`.
@@ -550,7 +582,8 @@ pub struct FleetOpts {
     pub requests: u64,
     /// IDs per lease.
     pub count: u128,
-    /// Cross-node placement (`uniform | skewed | hunter`).
+    /// The request schedule's mix (`uniform | skewed | flood | hunter`);
+    /// tenants are node-pinned, so this is also the cross-node placement.
     pub placement: String,
     /// Worker shards per node.
     pub shards: usize,
@@ -614,7 +647,7 @@ pub fn fleet(opts: &FleetOpts) -> Result<String, ParseError> {
     let space =
         IdSpace::with_bits(opts.bits).map_err(|e| ParseError(format!("bad --bits: {e}")))?;
     let kind = parse_algorithm_kind(&opts.algorithm, space)?;
-    let placement = Placement::parse(&opts.placement).map_err(ParseError)?;
+    let placement = TrafficMix::parse(&opts.placement).map_err(ParseError)?;
     if opts.kill_every == Some(0) {
         return Err(ParseError(
             "--kill-every must be at least 1 (omit the flag to disable chaos)".into(),
@@ -648,7 +681,7 @@ fn fleet_phases(
     opts: &FleetOpts,
     kind: uuidp_core::algorithms::AlgorithmKind,
     space: IdSpace,
-    placement: Placement,
+    placement: TrafficMix,
     state_root: &std::path::Path,
 ) -> Result<String, ParseError> {
     let mut service = ServiceConfig::new(kind, space);
@@ -678,7 +711,6 @@ fn fleet_phases(
     cfg.placement = placement;
     cfg.kill_every = opts.kill_every;
     cfg.reservation = opts.reservation.max(1);
-    cfg.audit_stripes = opts.audit_stripes.max(1);
     cfg.chaos = match &opts.chaos {
         None => None,
         Some(s) => Some(ChaosSpec::parse(s).map_err(|e| ParseError(format!("bad --chaos: {e}")))?),
@@ -702,44 +734,26 @@ fn fleet_phases(
         main.render()
     );
 
-    // Validation phase: tenants 0 and 1 share a seed. With ≥ 2 nodes
-    // they live on *different* nodes, so only the global audit can see
-    // their duplicates. Runs without chaos so the twin streams stay
-    // aligned and the expected count is exact.
+    // With ≥ 2 nodes the twins live on *different* nodes, so only the
+    // global audit can see their duplicates. No chaos, so the twin
+    // streams stay aligned and the expected count is exact.
+    let gate = TwinGate::new(cfg.tenants, cfg.requests, cfg.count);
     let mut check = cfg;
-    check.placement = Placement::Uniform;
+    check.placement = TrafficMix::Uniform;
     check.kill_every = None;
     check.chaos = None;
-    check.tenants = check.tenants.max(2);
-    let per_tenant = (check.requests.clamp(16, 512) / check.tenants).max(1);
-    check.requests = per_tenant * check.tenants;
+    (check.tenants, check.requests, check.count) = (gate.tenants, gate.requests(), gate.count);
     check.service.seed_alias = Some((0, 1));
     let injected = run(check, "validate")?;
-    let expected = if injected.errors == 0 {
-        per_tenant as u128 * opts.count
-    } else {
-        1
-    };
-    out.push_str(&format!(
-        "\n# global audit validation (same-seed twins across nodes)\n\n\
-         duplicates:  {} detected by the global audit, {} injected{}\n\
-         node-local:  {} (cross-node duplicates are invisible to node audits)\n",
+    out.push_str(&gate.check(
+        "global audit validation (same-seed twins across nodes)",
         injected.cross_tenant_duplicate_ids,
-        expected,
-        if injected.errors > 0 {
-            " (lower bound: generators exhausted mid-phase)"
-        } else {
-            ""
-        },
-        injected.merged_nodes.counts.duplicate_ids,
-    ));
-    if injected.cross_tenant_duplicate_ids < expected {
-        return Err(ParseError(format!(
-            "global audit false negative: {} duplicate IDs detected, {expected} injected",
-            injected.cross_tenant_duplicate_ids
-        )));
-    }
-    out.push_str("validation:  ok (cross-node twins detected, zero recovered duplicates)\n");
+        injected.errors,
+        &format!(
+            "node-local:  {} (cross-node duplicates are invisible to node audits)\n",
+            injected.merged_nodes.counts.duplicate_ids
+        ),
+    )?);
     Ok(out)
 }
 
@@ -1295,6 +1309,37 @@ mod tests {
     }
 
     #[test]
+    fn stress_twin_gate_injects_at_least_one_id_per_lease() {
+        // `--count 0` leases nothing in the main phase; the twins still
+        // lease one ID per request, 200 / 8 = 25 each, so the gate has
+        // duplicates to find instead of passing over none.
+        let opts = StressOpts {
+            requests: 200,
+            count: 0,
+            ..StressOpts::trials_small("cluster")
+        };
+        let out = stress(&opts).unwrap();
+        assert!(out.contains("0 IDs issued"), "{out}");
+        assert!(
+            out.contains("duplicates:  25 detected, 25 injected"),
+            "{out}"
+        );
+        assert!(out.contains("validation:  ok"), "{out}");
+    }
+
+    #[test]
+    fn stress_clamps_zero_tenants_to_one() {
+        let opts = StressOpts {
+            requests: 200,
+            tenants: 0,
+            ..StressOpts::trials_small("cluster")
+        };
+        let out = stress(&opts).unwrap();
+        assert!(out.contains("requests:    200 leases"), "{out}");
+        assert!(out.contains("validation:  ok"), "{out}");
+    }
+
+    #[test]
     fn stress_remote_replays_over_loopback_tcp() {
         // The same preset over the socket transport: the validation
         // phase (injected twins) must still catch every duplicate, and
@@ -1335,6 +1380,24 @@ mod tests {
         let out = fleet(&opts).unwrap();
         assert!(out.contains("nodes:        3"), "{out}");
         assert!(out.contains("cross-node duplicates are invisible"), "{out}");
+        assert!(out.contains("validation:  ok"), "{out}");
+    }
+
+    #[test]
+    fn fleet_twin_gate_injects_at_least_one_id_per_lease() {
+        // As for stress: 120 / 6 = 20 twin leases of one ID each, which
+        // only the global audit can see across nodes.
+        let opts = FleetOpts {
+            requests: 120,
+            count: 0,
+            ..FleetOpts::trials_small("cluster")
+        };
+        let out = fleet(&opts).unwrap();
+        assert!(out.contains("0 IDs issued"), "{out}");
+        assert!(
+            out.contains("duplicates:  20 detected, 20 injected"),
+            "{out}"
+        );
         assert!(out.contains("validation:  ok"), "{out}");
     }
 

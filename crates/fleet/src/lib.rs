@@ -3,13 +3,15 @@
 //! Everything below `uuidp-fleet` simulates *n uncoordinated instances*
 //! inside one process, or serves one node over TCP. This crate
 //! exercises the paper's actual deployment shape: **many independent
-//! nodes**, a router playing the adversary *across* them, and instances
-//! that must survive crash-restarts without ever repeating an ID — the
-//! RocksDB motivation (SST unique IDs, PRs #8990/#9126) made literal.
+//! nodes**, a request schedule playing the adversary *across* them
+//! through a router, and instances that must survive crash-restarts
+//! without ever repeating an ID — the RocksDB motivation (SST unique
+//! IDs, PRs #8990/#9126) made literal.
 //!
 //! ```text
-//!                       Scheduler (uniform / skewed / adaptive hunter)
-//!                            │ tenant t
+//!           uuidp_adversary::schedule::Scheduler
+//!       (uniform / skewed / flood / adaptive hunter)
+//!                            │ tenant t, count
 //!                            ▼
 //!    ┌──────────────────── Router ────────────────────┐
 //!    │  tenant-affine: node = t mod N                 │
@@ -28,10 +30,11 @@
 //!
 //! * [`cluster`] — booting, crashing, and restarting loopback nodes,
 //!   each with a durable per-node state directory;
-//! * [`router`] — tenant-affine placement, persistent connections, the
-//!   cross-node request schedulers (reusing the `uuidp-adversary`
-//!   strategies), and the crash-surviving **global collision audit**;
-//! * [`run`] — the end-to-end runner and [`run::FleetReport`];
+//! * [`router`] — tenant-affine placement, persistent connections, and
+//!   the crash-surviving **global collision audit**;
+//! * [`run`] — the end-to-end runner, which routes the request schedule
+//!   the stress driver walks too (`uuidp_adversary::schedule`), and
+//!   [`run::FleetReport`];
 //! * [`series`] — per-`(node, incarnation)` time-series aggregation,
 //!   the merged cluster windows and their same-seed fingerprint, and
 //!   the multi-window burn-rate alert evaluators.
@@ -61,7 +64,7 @@ pub mod series;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::cluster::{Fleet, FleetNode};
-    pub use crate::router::{owner_key, Placement, Router, Scheduler};
+    pub use crate::router::{owner_key, Router};
     pub use crate::run::{run_fleet, FleetConfig, FleetReport, NodeReport};
     pub use crate::series::FleetSeries;
 }

@@ -1,4 +1,4 @@
-//! The tenant-affine router: the fleet's front door and its adversary.
+//! The tenant-affine router: the fleet's front door.
 //!
 //! The [`Router`] plays two roles at once:
 //!
@@ -30,12 +30,9 @@
 //! *exactly* the IDs a tenant re-emitted across its own restarts —
 //! the quantity chaos mode hard-fails on (see [`crate::run`]).
 //!
-//! The request *schedulers* ([`Placement`]) reuse the repository's
-//! adversary taxonomy across nodes: uniform rotation (the oblivious
-//! uniform profile), a power-law profile from
-//! [`uuidp_adversary::profile::power_law`], and the adaptive
-//! [`RunHunter`] choosing each next victim from the IDs the fleet
-//! actually returned — the cross-node adaptive game.
+//! Which tenant leases next is not the router's decision: the runner
+//! walks `uuidp_adversary::schedule::Scheduler` and routes each step
+//! here, so the adaptive hunter plays across nodes.
 
 use std::fmt;
 use std::io;
@@ -44,184 +41,15 @@ use std::time::Duration;
 
 use uuidp_core::clock;
 
-use uuidp_adversary::adaptive::{Action, AdaptiveAdversary, AdversarySpec, GameView};
-use uuidp_adversary::profile::power_law;
-use uuidp_adversary::run_hunter::RunHunter;
 use uuidp_client::{ClientOptions, FaultCounters, ProtoVersion, RetryPolicy, Session};
-use uuidp_core::id::{Id, IdSpace};
+use uuidp_core::id::IdSpace;
 use uuidp_core::interval::Arc;
-use uuidp_core::rng::{SeedDomain, SeedTree, Xoshiro256pp};
-use uuidp_service::metrics::LatencyHistogram;
+use uuidp_obs::Histogram;
 use uuidp_sim::audit::{AuditCounts, LeaseAudit};
 
 /// Tenants must fit under the incarnation tag in the global audit's
 /// owner key.
 pub const INCARNATION_SHIFT: u32 = 40;
-
-/// How lease requests are scheduled across tenants (and therefore
-/// across nodes — tenants are node-pinned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Round-robin over tenants: the uniform demand profile.
-    #[default]
-    Uniform,
-    /// Power-law tenant choice (`α = 1.2` like the stress driver's
-    /// skewed mix), weights from the adversary crate's profile
-    /// machinery.
-    Skewed,
-    /// The adaptive [`RunHunter`] plays across the fleet: single-ID
-    /// requests, each chosen from every ID observed so far.
-    Hunter,
-}
-
-impl Placement {
-    /// Parses a placement name (`uniform | skewed | hunter`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "uniform" => Ok(Placement::Uniform),
-            "skewed" | "zipf" => Ok(Placement::Skewed),
-            "hunter" | "adaptive" => Ok(Placement::Hunter),
-            other => Err(format!(
-                "unknown placement `{other}` (uniform | skewed | hunter)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for Placement {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Placement::Uniform => "uniform",
-            Placement::Skewed => "skewed",
-            Placement::Hunter => "hunter",
-        })
-    }
-}
-
-/// Per-request tenant scheduler for one fleet run. Deterministic given
-/// `(placement, tenants, master seed)` — and for the hunter, the
-/// observed IDs, which are themselves deterministic — so fleet totals
-/// are reproducible and node-count-invariant.
-pub struct Scheduler {
-    tenants: u64,
-    kind: SchedulerKind,
-}
-
-enum SchedulerKind {
-    Uniform,
-    Skewed {
-        /// Prefix-sum CDF over tenant weights.
-        cdf: Vec<f64>,
-        rng: Xoshiro256pp,
-    },
-    Hunter {
-        adversary: Box<dyn AdaptiveAdversary>,
-        histories: Vec<Vec<Id>>,
-        space: IdSpace,
-    },
-}
-
-impl Scheduler {
-    /// A scheduler for `requests` leases over `tenants` tenants.
-    pub fn new(
-        placement: Placement,
-        tenants: u64,
-        requests: u64,
-        space: IdSpace,
-        master_seed: u64,
-    ) -> Scheduler {
-        assert!(tenants >= 1, "at least one tenant");
-        let kind = match placement {
-            Placement::Uniform => SchedulerKind::Uniform,
-            Placement::Skewed => {
-                // The α = 1.2 power-law profile; `power_law` yields the
-                // integer demand profile, used here as sampling weights.
-                let profile = power_law(tenants as usize, (tenants as u128) * 1000, 1.2);
-                let total: u128 = profile.demands().iter().sum();
-                let mut acc = 0.0;
-                let cdf = profile
-                    .demands()
-                    .iter()
-                    .map(|&d| {
-                        acc += d as f64 / total as f64;
-                        acc
-                    })
-                    .collect();
-                SchedulerKind::Skewed {
-                    cdf,
-                    rng: SeedTree::new(master_seed).rng(SeedDomain::Workload),
-                }
-            }
-            Placement::Hunter => {
-                // The hunt needs at least two instances to pit against
-                // each other; with `tenants = 1` a second tenant is
-                // conscripted (it still routes to a valid node).
-                let n = tenants.max(2) as usize;
-                let budget = (requests as u128).max(n as u128);
-                SchedulerKind::Hunter {
-                    adversary: RunHunter::new(n, budget).spawn(master_seed),
-                    histories: Vec::new(),
-                    space,
-                }
-            }
-        };
-        Scheduler { tenants, kind }
-    }
-
-    /// The tenant for request number `submitted`, or `None` when an
-    /// adaptive scheduler stops early.
-    pub fn next(&mut self, submitted: u64) -> Option<u64> {
-        match &mut self.kind {
-            SchedulerKind::Uniform => Some(submitted % self.tenants),
-            SchedulerKind::Skewed { cdf, rng } => {
-                let u = (rng.next_value() >> 11) as f64 / (1u64 << 53) as f64;
-                Some(cdf.partition_point(|&c| c < u).min(cdf.len() - 1) as u64)
-            }
-            SchedulerKind::Hunter {
-                adversary,
-                histories,
-                space,
-            } => {
-                let action = adversary.next_action(&GameView {
-                    space: *space,
-                    histories,
-                    // The global audit runs as the IDs come back; the
-                    // attacker plays its budget out rather than
-                    // stopping at first blood.
-                    collision: false,
-                    total_requests: submitted as u128,
-                });
-                let tenant = match action {
-                    Action::Stop => return None,
-                    Action::Activate => {
-                        histories.push(Vec::new());
-                        histories.len() - 1
-                    }
-                    Action::Request(i) => i,
-                };
-                Some(tenant as u64)
-            }
-        }
-    }
-
-    /// The per-lease ID count this scheduler imposes, if any (the
-    /// hunter plays single-ID requests).
-    pub fn forced_count(&self) -> Option<u128> {
-        match self.kind {
-            SchedulerKind::Hunter { .. } => Some(1),
-            _ => None,
-        }
-    }
-
-    /// Feeds an observed ID back to adaptive schedulers.
-    pub fn observe(&mut self, tenant: u64, id: Id) {
-        if let SchedulerKind::Hunter { histories, .. } = &mut self.kind {
-            if let Some(h) = histories.get_mut(tenant as usize) {
-                h.push(id);
-            }
-        }
-    }
-}
 
 /// The global audit owner key: incarnation tag above the tenant number.
 pub fn owner_key(tenant: u64, incarnation: u32) -> u64 {
@@ -282,7 +110,7 @@ pub struct Router {
     dial_timeout: Option<Duration>,
     /// The ledgers of sessions replaced by `connect` / `set_addr`.
     retired: FaultCounters,
-    latency: LatencyHistogram,
+    latency: Histogram,
     audit: LeaseAudit,
     audit_by_tenant: LeaseAudit,
     issued: u128,
@@ -309,7 +137,7 @@ impl Router {
             policy: RetryPolicy::none(),
             dial_timeout: None,
             retired: FaultCounters::default(),
-            latency: LatencyHistogram::new(),
+            latency: Histogram::new(),
             audit: LeaseAudit::new(space, audit_stripes),
             audit_by_tenant: LeaseAudit::new(space, audit_stripes),
             issued: 0,
@@ -417,7 +245,7 @@ impl Router {
 
     /// Client-side lease latency through this router (includes retry
     /// and backoff time — the latency a caller actually experienced).
-    pub fn latency(&self) -> &LatencyHistogram {
+    pub fn latency(&self) -> &Histogram {
         &self.latency
     }
 
@@ -564,66 +392,5 @@ mod tests {
     #[should_panic(expected = "too wide")]
     fn oversized_tenants_are_rejected() {
         owner_key(1 << INCARNATION_SHIFT, 0);
-    }
-
-    #[test]
-    fn placement_parses_and_displays() {
-        for (name, want) in [
-            ("uniform", Placement::Uniform),
-            ("skewed", Placement::Skewed),
-            ("zipf", Placement::Skewed),
-            ("hunter", Placement::Hunter),
-            ("adaptive", Placement::Hunter),
-        ] {
-            assert_eq!(Placement::parse(name).unwrap(), want);
-        }
-        assert!(Placement::parse("mesh").is_err());
-        assert_eq!(Placement::Skewed.to_string(), "skewed");
-    }
-
-    #[test]
-    fn uniform_and_skewed_schedules_are_deterministic() {
-        let space = IdSpace::with_bits(32).unwrap();
-        for placement in [Placement::Uniform, Placement::Skewed] {
-            let mut a = Scheduler::new(placement, 6, 100, space, 42);
-            let mut b = Scheduler::new(placement, 6, 100, space, 42);
-            for r in 0..100 {
-                let (x, y) = (a.next(r), b.next(r));
-                assert_eq!(x, y, "{placement} diverged at {r}");
-                assert!(x.unwrap() < 6);
-            }
-        }
-    }
-
-    #[test]
-    fn skewed_schedule_actually_skews() {
-        let space = IdSpace::with_bits(32).unwrap();
-        let mut s = Scheduler::new(Placement::Skewed, 8, 4000, space, 7);
-        let mut counts = [0u32; 8];
-        for r in 0..4000 {
-            counts[s.next(r).unwrap() as usize] += 1;
-        }
-        assert!(
-            counts[0] > counts[7] * 2,
-            "power law should favor tenant 0: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn hunter_schedule_respects_the_tenant_budget_shape() {
-        let space = IdSpace::with_bits(24).unwrap();
-        let mut s = Scheduler::new(Placement::Hunter, 4, 50, space, 3);
-        assert_eq!(s.forced_count(), Some(1));
-        let mut submitted = 0u64;
-        while submitted < 50 {
-            let Some(tenant) = s.next(submitted) else {
-                break;
-            };
-            assert!(tenant < 4, "hunter chose tenant {tenant} of 4");
-            // Feed a fabricated observation to keep the game moving.
-            s.observe(tenant, Id(submitted as u128 * 17 % (1 << 24)));
-            submitted += 1;
-        }
-        assert!(submitted >= 4, "probe phase must run");
     }
 }

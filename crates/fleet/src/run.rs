@@ -1,6 +1,7 @@
-//! The fleet runner: drive a whole cluster through a placement
-//! schedule, optionally crash-restarting nodes along the way, and
-//! aggregate everything into one [`FleetReport`].
+//! The fleet runner: route a whole cluster through one request
+//! schedule (the [`Scheduler`] the stress driver walks too), optionally
+//! crash-restarting nodes along the way, and aggregate everything into
+//! one [`FleetReport`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -10,23 +11,22 @@ use std::time::Duration;
 
 use uuidp_core::clock;
 
+use uuidp_adversary::schedule::{Scheduler, TrafficMix};
 use uuidp_client::{Client, FaultCounters, ProtoVersion, RetryPolicy, CHAOS_TIMEOUT};
 use uuidp_core::codec::fnv1a;
 use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{uniform_below, Xoshiro256pp};
-use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
+use uuidp_netchaos::{
+    schedule_fingerprint, ChaosProxy, ChaosReport, ChaosSpec, FaultCounts, FINGERPRINT_CONNS,
+};
 use uuidp_obs::families::REQUIRED as REQUIRED_FAMILIES;
 use uuidp_obs::{parse_exposition, AlertTransition, Snapshot, Stage};
 use uuidp_service::service::{AuditReport, AuditThreadReport, ServiceConfig, ServiceReport};
 use uuidp_sim::audit::AuditCounts;
 
 use crate::cluster::Fleet;
-use crate::router::{Placement, Router, Scheduler};
+use crate::router::Router;
 use crate::series::FleetSeries;
-
-/// Connection plans covered by each node's schedule fingerprint (a
-/// fixed count, so the pin depends only on the spec and seed).
-const FINGERPRINT_CONNS: u64 = 64;
 
 /// The seed lane for node `index`'s chaos proxy.
 fn node_chaos_seed(chaos_seed: u64, index: usize) -> u64 {
@@ -109,8 +109,10 @@ fn series_tick(
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The per-node service template (algorithm, universe, shards,
-    /// audit pipeline, master seed, fault injection). `durability` is
-    /// managed by the fleet — per node, under `state_dir`.
+    /// audit pipeline, master seed, fault injection); its
+    /// `audit_stripes` also stripe the router's global audits.
+    /// `durability` is managed by the fleet — per node, under
+    /// `state_dir`.
     pub service: ServiceConfig,
     /// Number of nodes.
     pub nodes: usize,
@@ -118,10 +120,11 @@ pub struct FleetConfig {
     pub tenants: u64,
     /// Lease requests to route.
     pub requests: u64,
-    /// IDs per lease (the hunter placement overrides this with 1).
+    /// IDs per lease (Flood's hot tenant leases 4×, the hunter 1).
     pub count: u128,
-    /// Cross-node request scheduling.
-    pub placement: Placement,
+    /// The request schedule's mix; tenants are node-pinned, so this is
+    /// also the cross-node placement.
+    pub placement: TrafficMix,
     /// Chaos mode: crash-restart a random node every `K` requests.
     pub kill_every: Option<u64>,
     /// Adversarial-network mode: when set, every node gets a
@@ -133,8 +136,6 @@ pub struct FleetConfig {
     pub chaos_seed: u64,
     /// Write-ahead reservation window for node durability.
     pub reservation: u128,
-    /// Stripes of the router's global audits.
-    pub audit_stripes: usize,
     /// Scrape every node's metric registry over the wire — once at the
     /// halfway mark and once after the last drain — asserting the
     /// required families are present and `_total`/`_count` families
@@ -154,12 +155,11 @@ impl FleetConfig {
             tenants: 8,
             requests: 1000,
             count: 64,
-            placement: Placement::Uniform,
+            placement: TrafficMix::Uniform,
             kill_every: None,
             chaos: None,
             chaos_seed: 0,
             reservation: 1024,
-            audit_stripes: 16,
             scrape: false,
             state_dir: state_dir.into(),
         }
@@ -184,8 +184,8 @@ pub struct NodeReport {
 pub struct FleetReport {
     /// Nodes in the fleet.
     pub nodes: usize,
-    /// Placement schedule that drove the run.
-    pub placement: Placement,
+    /// The mix that drove the run.
+    pub placement: TrafficMix,
     /// Leases routed.
     pub requests: u64,
     /// Total IDs issued (router-side count; authoritative across
@@ -207,7 +207,7 @@ pub struct FleetReport {
     /// The router's per-fault-class ledger (all-zero without chaos).
     pub faults: FaultCounters,
     /// The adversarial-network stamp, when proxies were interposed.
-    pub chaos: Option<FleetChaosReport>,
+    pub chaos: Option<ChaosReport>,
     /// Per-node wire scrapes of the metric registries, when enabled.
     pub metrics: Option<FleetMetricsReport>,
     /// Windowed time-series aggregation and burn-rate alert history,
@@ -231,21 +231,6 @@ pub struct FleetReport {
     pub merged_nodes: AuditReport,
     /// Per-node breakdown.
     pub per_node: Vec<NodeReport>,
-}
-
-/// What the fleet's chaos proxies did, stamped into the report.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetChaosReport {
-    /// The fault intensities every proxy was built from.
-    pub spec: ChaosSpec,
-    /// The seed the per-node schedules were derived from.
-    pub seed: u64,
-    /// FNV-1a over each node's [`schedule_fingerprint`] (first
-    /// [`FINGERPRINT_CONNS`] plans) — a pure function of
-    /// `(spec, seed, nodes)`, identical on every same-seed rerun.
-    pub fingerprint: u64,
-    /// What the proxies injected, summed across nodes.
-    pub injected: FaultCounts,
 }
 
 /// The fleet's windowed time-series aggregation, summarized.
@@ -377,22 +362,7 @@ impl FleetReport {
             }
         }
         if let Some(chaos) = &self.chaos {
-            let _ = writeln!(
-                out,
-                "chaos:        spec `{}`, seed {}, schedule fingerprint {:016x}\n  injected:     \
-                 {} conns: {} refused, {} req-drops, {} reply-truncs, {} reply-corrupts, \
-                 {} resealed, {} upstream-failures",
-                chaos.spec,
-                chaos.seed,
-                chaos.fingerprint,
-                chaos.injected.connections,
-                chaos.injected.refused,
-                chaos.injected.dropped_requests,
-                chaos.injected.truncated_replies,
-                chaos.injected.corrupted_replies,
-                chaos.injected.resealed_replies,
-                chaos.injected.upstream_failures,
-            );
+            out.push_str(&chaos.render(14));
         }
         if self.chaos.is_some() || self.faults != FaultCounters::default() {
             out.push_str(&self.faults.render_slo(self.requests));
@@ -403,7 +373,7 @@ impl FleetReport {
 }
 
 /// Runs one fleet scenario end to end: launch `nodes` durable nodes,
-/// route `requests` leases per the placement schedule (crash-restarting
+/// route `requests` leases per the request schedule (crash-restarting
 /// victims if chaos is on), then shut every node down gracefully and
 /// merge the accounting. On any mid-run error the surviving nodes are
 /// torn down before the error propagates — no leaked accept threads or
@@ -436,7 +406,12 @@ pub fn run_fleet(config: FleetConfig) -> io::Result<FleetReport> {
 /// fleet (split out so the caller owns error-path teardown).
 fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetReport> {
     let space = config.service.space;
-    let mut router = Router::new(space, config.nodes, config.audit_stripes, ProtoVersion::V2);
+    let mut router = Router::new(
+        space,
+        config.nodes,
+        config.service.audit_stripes,
+        ProtoVersion::V2,
+    );
     // Adversarial-network mode: one deterministic proxy per node, the
     // router dials the proxies, and failures are retried (same node —
     // tenant affinity is what keeps retries duplicate-free).
@@ -473,6 +448,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         config.placement,
         config.tenants,
         config.requests,
+        config.count,
         space,
         config.service.master_seed,
     );
@@ -522,10 +498,9 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
                 restarts += 1;
             }
         }
-        let Some(tenant) = scheduler.next(submitted) else {
+        let Some((tenant, count)) = scheduler.next(submitted) else {
             break;
         };
-        let count = scheduler.forced_count().unwrap_or(config.count);
         match router.lease(tenant, count) {
             Ok(arcs) => {
                 if let Some(arc) = arcs.first() {
@@ -657,7 +632,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
             );
             pin_bytes.extend_from_slice(&node_pin.to_le_bytes());
         }
-        FleetChaosReport {
+        ChaosReport {
             spec,
             seed: config.chaos_seed,
             fingerprint: fnv1a(&pin_bytes),
@@ -771,7 +746,7 @@ mod tests {
 
     #[test]
     fn skewed_and_hunter_placements_route_and_audit_cleanly() {
-        for placement in [Placement::Skewed, Placement::Hunter] {
+        for placement in [TrafficMix::Skewed, TrafficMix::Flood, TrafficMix::Hunter] {
             let mut cfg = base(
                 AlgorithmKind::ClusterStar,
                 40,

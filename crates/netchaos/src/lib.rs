@@ -50,5 +50,5 @@ mod schedule;
 mod spec;
 
 pub use proxy::{ChaosProxy, FaultCounts};
-pub use schedule::{schedule_fingerprint, ConnPlan, Fault};
+pub use schedule::{schedule_fingerprint, ChaosReport, ConnPlan, Fault, FINGERPRINT_CONNS};
 pub use spec::ChaosSpec;

@@ -11,7 +11,7 @@
 use uuidp_core::codec::fnv1a;
 use uuidp_core::rng::{uniform_below, SeedDomain, SeedTree, Xoshiro256pp};
 
-use crate::ChaosSpec;
+use crate::{ChaosSpec, FaultCounts};
 
 /// The at-most-one mid-stream fault a connection draws.
 ///
@@ -195,6 +195,52 @@ pub fn schedule_fingerprint(spec: &ChaosSpec, seed: u64, conns: u64) -> u64 {
         ConnPlan::derive(spec, seed, conn).fingerprint_bytes(&mut bytes);
     }
     fnv1a(&bytes)
+}
+
+/// Connection plans a [`ChaosReport`]'s fingerprint covers: a fixed
+/// count rather than however many connections a run happened to make,
+/// so the pin is a pure function of `(spec, seed)` and two runs of one
+/// seed print the same fingerprint even when retry timing differs.
+pub const FINGERPRINT_CONNS: u64 = 64;
+
+/// What a chaos run did to the wire, stamped into its report.
+#[derive(Debug, Clone, Copy)]
+pub struct ChaosReport {
+    /// The fault intensities every proxy was built from.
+    pub spec: ChaosSpec,
+    /// The seed the schedules (and retry jitter) were derived from.
+    pub seed: u64,
+    /// The schedule pin: [`schedule_fingerprint`] over the first
+    /// [`FINGERPRINT_CONNS`] plans (a fleet folds its per-node pins with
+    /// FNV-1a), so every same-seed rerun prints the same value.
+    pub fingerprint: u64,
+    /// What the proxies actually injected, summed.
+    pub injected: FaultCounts,
+}
+
+impl ChaosReport {
+    /// The report's `chaos:` and `injected:` lines, each label padded to
+    /// `width` columns to line up with the report around it.
+    pub fn render(&self, width: usize) -> String {
+        let i = &self.injected;
+        format!(
+            "{:<width$}spec `{}`, seed {}, schedule fingerprint {:016x}\n  {:<width$}\
+             {} conns: {} refused, {} req-drops, {} reply-truncs, {} reply-corrupts, \
+             {} resealed, {} upstream-failures\n",
+            "chaos:",
+            self.spec,
+            self.seed,
+            self.fingerprint,
+            "injected:",
+            i.connections,
+            i.refused,
+            i.dropped_requests,
+            i.truncated_replies,
+            i.corrupted_replies,
+            i.resealed_replies,
+            i.upstream_failures,
+        )
+    }
 }
 
 #[cfg(test)]

@@ -44,9 +44,10 @@ pub struct AlertRule {
 
 impl AlertRule {
     /// Availability pager over the service SLO math
-    /// (`service::metrics` renders the same 99.9% objective): a sharp
-    /// 2-window spike burning ≥ 10 budgets plus an 8-window burn ≥ 2
-    /// budgets pages; one clean fast lookback resolves it.
+    /// (`uuidp_client::FaultCounters::render_slo` renders the same 99.9%
+    /// objective): a sharp 2-window spike burning ≥ 10 budgets plus an
+    /// 8-window burn ≥ 2 budgets pages; one clean fast lookback resolves
+    /// it.
     pub fn availability() -> AlertRule {
         AlertRule {
             name: "availability-burn",

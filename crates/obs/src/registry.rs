@@ -735,6 +735,21 @@ mod tests {
     }
 
     #[test]
+    fn quantiles_bracket_the_data() {
+        let mut h = Histogram::new();
+        for ns in [100u64, 200, 300, 400, 100_000] {
+            h.record_ns(ns);
+        }
+        assert_eq!(h.count(), 5);
+        let p50 = h.quantile_ns(0.5);
+        assert!((128.0..=512.0).contains(&p50), "p50 = {p50}");
+        let p99 = h.quantile_ns(0.99);
+        assert!(p99 >= 65_536.0, "p99 = {p99}");
+        assert!(h.mean_ns() > 0.0);
+        assert_eq!(h.max_ns(), 100_000);
+    }
+
+    #[test]
     fn empty_and_single_sample_histograms_stay_finite() {
         let h = Histogram::new();
         assert_eq!(h.quantile_ns(0.5), 0.0);
@@ -746,5 +761,29 @@ mod tests {
             assert!(v.is_finite() && v > 0.0, "q={q} -> {v}");
         }
         assert!((h.mean_ns() - 777.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_window_percentiles_are_finite_zeros() {
+        // A chaos-heavy run can end with zero recorded samples; every
+        // derived number must stay finite (no NaN in reports).
+        let h = Histogram::new();
+        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+            assert_eq!(h.quantile_ns(q), 0.0, "q={q}");
+        }
+        assert_eq!(h.mean_ns(), 0.0);
+        assert_eq!(h.max_ns(), 0);
+    }
+
+    #[test]
+    fn single_sample_windows_never_produce_nan() {
+        let mut h = Histogram::new();
+        h.record_ns(4096);
+        for q in [0.0, 0.5, 0.99, 0.999, 1.0] {
+            let v = h.quantile_ns(q);
+            assert!(v.is_finite(), "q={q} -> {v}");
+            assert!((4096.0..=8192.0).contains(&v), "q={q} -> {v}");
+        }
+        assert!((h.mean_ns() - 4096.0).abs() < 1e-9);
     }
 }

@@ -30,16 +30,14 @@
 //!   connection and hands each lease straight to its tenant's shard,
 //!   which queues the reply frame back on the reactor under the
 //!   request's correlation id.
-//! * [`stress`] — [`stress::run_stress`]: replays deterministic traffic
-//!   mixes (uniform, Zipf-skewed, flood, and the `adversary` crate's
-//!   adaptive RunHunter playing through the front door) and reports
-//!   throughput, p50/p99 issue latency, and audit lag. The driver is
-//!   transport-generic ([`stress::StressTarget`]);
-//!   [`stress::run_stress_remote`] replays the same mixes through a
-//!   loopback TCP server and must reproduce the in-process audit totals
-//!   exactly.
-//! * [`metrics`] — the allocation-free latency histogram behind those
-//!   quantiles.
+//! * [`stress`] — [`stress::run_stress`]: replays the deterministic
+//!   request schedule of `uuidp_adversary::schedule` (uniform,
+//!   Zipf-skewed, flood, and the adaptive RunHunter playing through the
+//!   front door) and reports throughput, p50/p99 issue latency, and
+//!   audit lag. The driver is transport-generic
+//!   ([`stress::StressTarget`]); [`stress::run_stress_remote`] replays
+//!   the same schedule through a loopback TCP server and must reproduce
+//!   the in-process audit totals exactly.
 //!
 //! The CLI surfaces this as `uuidp serve` (stdin, or `--listen` for
 //! TCP) and `uuidp stress` (`--remote` for the socket path); the
@@ -51,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod metrics;
 pub mod net;
 pub mod protocol;
 pub mod reactor;
@@ -62,13 +59,12 @@ pub mod sys;
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use crate::metrics::LatencyHistogram;
     pub use crate::net::{ServerOptions, TcpServer};
     pub use crate::protocol::Command;
     pub use crate::service::{
         AuditReport, AuditThreadReport, IdService, LeaseReply, ServiceConfig, ServiceReport,
     };
     pub use crate::stress::{
-        run_stress, run_stress_remote, StressConfig, StressReport, StressTarget, TrafficMix,
+        run_stress, run_stress_remote, StressConfig, StressReport, StressTarget,
     };
 }

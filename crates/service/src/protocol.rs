@@ -125,12 +125,12 @@ pub fn wire_summary(report: &ServiceReport) -> uuidp_client::Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::LatencyHistogram;
     use crate::service::AuditReport;
     use std::time::Duration;
     use uuidp_client::frame::{decode_frame, encode_frame, FrameBody};
     use uuidp_core::id::{Id, IdSpace};
     use uuidp_core::interval::Arc;
+    use uuidp_obs::Histogram;
     use uuidp_sim::audit::AuditCounts;
 
     #[test]
@@ -214,7 +214,7 @@ mod tests {
     fn summaries_round_trip() {
         // The projection picks the report's totals, and they cross the
         // v2 summary frame bit-exactly.
-        let mut latency = LatencyHistogram::new();
+        let mut latency = Histogram::new();
         latency.record_ns(1000);
         latency.record_ns(3000);
         let report = ServiceReport {

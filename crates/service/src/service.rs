@@ -53,11 +53,13 @@ use uuidp_core::lease::Lease;
 use uuidp_core::persist::{self, SnapshotRecord, SnapshotStore};
 use uuidp_core::rng::{SeedDomain, SeedTree};
 use uuidp_core::traits::{GeneratorError, IdGenerator};
-use uuidp_obs::{AtomicHistogram, Counter, Gauge, Registry, Stage, TraceRecorder};
+use uuidp_obs::{AtomicHistogram, Counter, Gauge, Histogram, Registry, Stage, TraceRecorder};
 use uuidp_sim::audit::{AuditCounts, LeaseAudit, StripePlan};
 
-use crate::metrics::LatencyHistogram;
 use crate::net::V2Conn;
+
+/// Depth of each bounded shard request and audit channel.
+const QUEUE_DEPTH: usize = 1024;
 
 /// Events the service-wide trace recorder retains (split across its
 /// per-thread ring shards).
@@ -129,8 +131,6 @@ pub struct ServiceConfig {
     /// Audit pipeline threads; thread `t` owns stripes `s ≡ t (mod
     /// audit_threads)`. Clamped to the stripe count at startup.
     pub audit_threads: usize,
-    /// Depth of each bounded request/audit channel.
-    pub queue_depth: usize,
     /// Root of the per-tenant seed tree.
     pub master_seed: u64,
     /// Fault injection: `(victim, twin)` makes tenant `twin` draw its
@@ -156,7 +156,6 @@ impl ServiceConfig {
             shards: 2,
             audit_stripes: 16,
             audit_threads: 1,
-            queue_depth: 1024,
             master_seed: 0x5EED,
             seed_alias: None,
             durability: None,
@@ -322,7 +321,7 @@ pub struct ServiceReport {
     /// Leases that ended in a generator error (exhaustion).
     pub errors: u64,
     /// Per-lease issue cost (measured at the worker, fill + audit tap).
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
     /// The audit pipeline's findings.
     pub audit: AuditReport,
     /// Wall-clock service lifetime.
@@ -345,7 +344,7 @@ struct WorkerStats {
     issued_ids: u128,
     leases: u64,
     errors: u64,
-    latency: LatencyHistogram,
+    latency: Histogram,
 }
 
 /// A running service: worker shards + audit pipeline behind channels.
@@ -379,7 +378,6 @@ impl IdService {
     /// shard.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.shards >= 1, "at least one shard");
-        assert!(config.queue_depth >= 1, "channels must hold a message");
         let mut stores = match &config.durability {
             Some(durability) => {
                 assert!(
@@ -409,7 +407,7 @@ impl IdService {
         let mut audit_txs = Vec::with_capacity(audit_threads);
         let mut audit = Vec::with_capacity(audit_threads);
         for _ in 0..audit_threads {
-            let (tx, rx) = sync_channel::<AuditMsg>(config.queue_depth);
+            let (tx, rx) = sync_channel::<AuditMsg>(QUEUE_DEPTH);
             audit_txs.push(tx);
             let space = config.space;
             let stripes = config.audit_stripes;
@@ -429,7 +427,7 @@ impl IdService {
         let mut shard_txs = Vec::with_capacity(config.shards);
         let mut workers = Vec::with_capacity(config.shards);
         for _ in 0..config.shards {
-            let (tx, rx) = sync_channel::<ShardMsg>(config.queue_depth);
+            let (tx, rx) = sync_channel::<ShardMsg>(QUEUE_DEPTH);
             shard_txs.push(tx);
             let cfg = config.clone();
             let taps = audit_txs.clone();
@@ -620,7 +618,7 @@ impl IdService {
         let mut issued_ids = 0u128;
         let mut leases = 0u64;
         let mut errors = 0u64;
-        let mut latency = LatencyHistogram::new();
+        let mut latency = Histogram::new();
         for rx in stats {
             let s = rx.recv().expect("shard alive");
             issued_ids += s.issued_ids;
@@ -660,7 +658,7 @@ impl IdService {
         let mut issued_ids = 0u128;
         let mut leases = 0u64;
         let mut errors = 0u64;
-        let mut latency = LatencyHistogram::new();
+        let mut latency = Histogram::new();
         for handle in self.workers {
             let stats = handle.join().expect("worker panicked");
             issued_ids += stats.issued_ids;

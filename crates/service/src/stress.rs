@@ -1,21 +1,14 @@
-//! The stress driver: replay `kvstore::workload`-shaped traffic mixes
-//! against a live [`IdService`] and report end-to-end issue throughput,
-//! per-lease latency quantiles, and audit health.
+//! The stress driver: replay a traffic mix against a live [`IdService`]
+//! and report end-to-end issue throughput, per-lease latency quantiles,
+//! and audit health.
 //!
-//! Four mixes, mirroring the repository's adversary taxonomy:
-//!
-//! * [`TrafficMix::Uniform`] — every tenant leases equally (the uniform
-//!   profile, Cluster's oblivious worst case);
-//! * [`TrafficMix::Skewed`] — tenants lease by a power-law (the skewed
-//!   profiles where Bins★'s competitive ratio shines);
-//! * [`TrafficMix::Flood`] — one hot tenant takes most of the volume in
-//!   oversized batches (the `SkewedFlood` shape);
-//! * [`TrafficMix::Hunter`] — the `adversary` crate's [`RunHunter`]
-//!   plays its adaptive game *through the service front door*, choosing
-//!   each next request from the IDs the service actually returned.
-//!
-//! Every mix is generated deterministically from the service's master
-//! seed, so stress runs are reproducible end to end.
+//! The driver walks one [`Scheduler`], the same request schedule the
+//! fleet runner routes across nodes, built from the run's
+//! [`TrafficMix`] and the service's master seed, so stress runs are
+//! reproducible end to end. The oblivious mixes (uniform, skewed,
+//! flood) fire and forget; the hunter plays the `adversary` crate's
+//! adaptive `RunHunter` *through the service front door*, leasing
+//! synchronously and feeding every returned ID back to the schedule.
 //!
 //! The driver is transport-generic: every mix runs against a
 //! [`StressTarget`], either the in-process [`IdService`]
@@ -42,10 +35,7 @@
 //!   report's SLO section. The shutdown that yields the authoritative
 //!   totals travels over the proxy in passthrough mode, so the report
 //!   itself is never a casualty of the faults it describes.
-//!
-//! [`RunHunter`]: uuidp_adversary::run_hunter::RunHunter
 
-use std::fmt;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -55,75 +45,22 @@ use std::time::Duration;
 
 use uuidp_core::clock;
 
-use uuidp_adversary::adaptive::{Action, AdversarySpec, GameView};
-use uuidp_adversary::run_hunter::RunHunter;
-use uuidp_core::id::{Id, IdSpace};
+use uuidp_adversary::schedule::{Scheduler, TrafficMix};
+use uuidp_core::id::IdSpace;
 use uuidp_core::interval::Arc;
-use uuidp_core::rng::{SeedDomain, SeedTree};
 
 use uuidp_client::{
     Client, ClientOptions, FaultCounters, RetryPolicy, Session, Summary, CHAOS_TIMEOUT,
 };
-use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosSpec, FaultCounts};
+use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosReport, ChaosSpec, FINGERPRINT_CONNS};
 use uuidp_obs::{SlowLease, Snapshot, TailSampler, TimeSeries};
 
 use crate::net::TcpServer;
 use crate::service::{AuditReport, IdService, ServiceConfig, ServiceReport};
 
-/// How many connection plans the report's schedule fingerprint covers.
-/// Fixed (rather than "however many connections this run happened to
-/// make") so the pin is a pure function of `(spec, seed)` and two runs
-/// of the same seed print the same fingerprint even when retry timing
-/// differs.
-const FINGERPRINT_CONNS: u64 = 64;
-
 /// Worst-K leases each remote run samples end to end; the sampled corr
 /// ids get their span timelines fetched back over the wire post-run.
 const TAIL_SAMPLES: usize = 4;
-
-/// The request-mix shapes the driver can replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrafficMix {
-    /// Round-robin, equal batches: the uniform demand profile.
-    #[default]
-    Uniform,
-    /// Power-law tenant choice (`weight(t) ∝ 1/(t+1)^1.2`): Zipf-shaped
-    /// load, the skewed profiles of the competitive analysis.
-    Skewed,
-    /// One hot tenant takes 3 of every 4 requests at 4× batch size;
-    /// the rest round-robin, the `SkewedFlood` shape.
-    Flood,
-    /// The adaptive `RunHunter` attacker drives single-ID requests
-    /// through the synchronous lease path, observing returned IDs.
-    Hunter,
-}
-
-impl TrafficMix {
-    /// Parses a mix name (`uniform | skewed | flood | hunter`).
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "uniform" => Ok(TrafficMix::Uniform),
-            "skewed" | "zipf" => Ok(TrafficMix::Skewed),
-            "flood" => Ok(TrafficMix::Flood),
-            "hunter" | "adaptive" => Ok(TrafficMix::Hunter),
-            other => Err(format!(
-                "unknown mix `{other}` (uniform | skewed | flood | hunter)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for TrafficMix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            TrafficMix::Uniform => "uniform",
-            TrafficMix::Skewed => "skewed",
-            TrafficMix::Flood => "flood",
-            TrafficMix::Hunter => "hunter",
-        };
-        f.write_str(name)
-    }
-}
 
 /// Configuration of one stress run.
 #[derive(Debug, Clone)]
@@ -137,7 +74,7 @@ pub struct StressConfig {
     /// IDs per lease (the batch size; Flood multiplies it for the hot
     /// tenant, Hunter ignores it and requests single IDs).
     pub count: u128,
-    /// Traffic shape.
+    /// Traffic shape, replayed through a [`Scheduler`].
     pub mix: TrafficMix,
     /// Client-side pool width for remote runs: worker threads, each
     /// with a [`Session`]. Clean runs share one persistent connection
@@ -253,8 +190,6 @@ fn spawn_wire_scraper(addr: SocketAddr, space: IdSpace) -> JoinHandle<(u64, Time
 /// needs to lease (observing arcs, for the adaptive mix), fire
 /// lease-shaped load, drain, and collect the final accounting.
 pub trait StressTarget {
-    /// The target's ID universe.
-    fn space(&self) -> IdSpace;
     /// Synchronously leases `count` IDs and returns the granted arcs.
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc>;
     /// Lease-shaped load where the reply is not needed.
@@ -355,10 +290,6 @@ impl LocalTarget {
 }
 
 impl StressTarget for LocalTarget {
-    fn space(&self) -> IdSpace {
-        self.service.space()
-    }
-
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
         self.service.lease(tenant, count).arcs
     }
@@ -547,7 +478,6 @@ impl Pool {
 /// The report comes from the wire summary, so the whole client code
 /// path — not just the traffic — is exercised.
 pub struct WireTarget {
-    space: IdSpace,
     /// Carries the post-run timeline fetches and the shutdown.
     session: Session,
     /// The chaos proxy the pool dials through, if any.
@@ -563,7 +493,6 @@ impl WireTarget {
         let session = Session::connect(addr, space, ClientOptions::default(), RetryPolicy::none())?;
         let pool = Pool::spawn(vec![session.clone(); workers.max(1)], false);
         Ok(WireTarget {
-            space,
             session,
             proxy: None,
             pool,
@@ -602,7 +531,6 @@ impl WireTarget {
             seed: 0,
         };
         WireTarget {
-            space,
             session: Session::new(proxy.addr(), space, options, every_20ms),
             proxy: Some(proxy),
             pool,
@@ -611,10 +539,6 @@ impl WireTarget {
 }
 
 impl StressTarget for WireTarget {
-    fn space(&self) -> IdSpace {
-        self.space
-    }
-
     fn lease_arcs(&mut self, tenant: u64, count: u128) -> Vec<Arc> {
         self.pool.lease_arcs(tenant, count)
     }
@@ -689,21 +613,6 @@ pub struct StressReport {
     pub slow: Vec<SlowLease>,
 }
 
-/// What a chaos run did to the wire, stamped into the report.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosReport {
-    /// The fault intensities that scheduled this run.
-    pub spec: ChaosSpec,
-    /// The seed the schedule (and retry jitter) was derived from.
-    pub seed: u64,
-    /// [`schedule_fingerprint`] over the first [`FINGERPRINT_CONNS`]
-    /// connection plans — a pure function of `(spec, seed)`, so two
-    /// runs of the same seed print the same pin.
-    pub fingerprint: u64,
-    /// What the proxy actually injected.
-    pub injected: FaultCounts,
-}
-
 impl StressReport {
     /// Renders the human-readable summary block.
     pub fn render(&self) -> String {
@@ -748,21 +657,7 @@ impl StressReport {
             ));
         }
         if let Some(chaos) = &self.chaos {
-            out.push_str(&format!(
-                "chaos:       spec `{}`, seed {}, schedule fingerprint {:016x}\n  injected:    \
-                 {} conns: {} refused, {} req-drops, {} reply-truncs, {} reply-corrupts, \
-                 {} resealed, {} upstream-failures\n",
-                chaos.spec,
-                chaos.seed,
-                chaos.fingerprint,
-                chaos.injected.connections,
-                chaos.injected.refused,
-                chaos.injected.dropped_requests,
-                chaos.injected.truncated_replies,
-                chaos.injected.corrupted_replies,
-                chaos.injected.resealed_replies,
-                chaos.injected.upstream_failures,
-            ));
+            out.push_str(&chaos.render(13));
         }
         if self.chaos.is_some() || self.faults != FaultCounters::default() {
             out.push_str(&self.faults.render_slo(self.requests));
@@ -907,13 +802,28 @@ pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
 pub fn run_stress_with<T: StressTarget>(mut target: T, config: StressConfig) -> StressReport {
     let mix = config.mix;
     let shards = config.service.shards;
+    let mut schedule = Scheduler::new(
+        mix,
+        config.tenants,
+        config.requests,
+        config.count,
+        config.service.space,
+        config.service.master_seed,
+    );
     let started = clock::monotonic_ns();
-    let submitted = match mix {
-        TrafficMix::Uniform => drive_uniform(&mut target, &config),
-        TrafficMix::Skewed => drive_skewed(&mut target, &config),
-        TrafficMix::Flood => drive_flood(&mut target, &config),
-        TrafficMix::Hunter => drive_hunter(&mut target, &config),
-    };
+    let mut submitted = 0u64;
+    while let Some((tenant, count)) = schedule.next(submitted) {
+        if mix == TrafficMix::Hunter {
+            // Every move is a real, synchronous lease, and every
+            // observation a real returned ID.
+            if let Some(arc) = target.lease_arcs(tenant, count).first() {
+                schedule.observe(tenant, arc.start);
+            }
+        } else {
+            target.issue(tenant, count);
+        }
+        submitted += 1;
+    }
     target.drain();
     let elapsed = Duration::from_nanos(elapsed_ns(started));
     let report = target.finish();
@@ -936,88 +846,6 @@ pub fn run_stress_with<T: StressTarget>(mut target: T, config: StressConfig) -> 
         metrics: None,
         slow: report.slow,
     }
-}
-
-fn drive_uniform<T: StressTarget>(target: &mut T, cfg: &StressConfig) -> u64 {
-    for r in 0..cfg.requests {
-        target.issue(r % cfg.tenants, cfg.count);
-    }
-    cfg.requests
-}
-
-fn drive_skewed<T: StressTarget>(target: &mut T, cfg: &StressConfig) -> u64 {
-    // Power-law tenant weights, sampled by inverse CDF over prefix sums.
-    let alpha = 1.2f64;
-    let weights: Vec<f64> = (0..cfg.tenants)
-        .map(|t| 1.0 / ((t + 1) as f64).powf(alpha))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut cdf = Vec::with_capacity(weights.len());
-    let mut acc = 0.0;
-    for w in &weights {
-        acc += w / total;
-        cdf.push(acc);
-    }
-    let mut rng = SeedTree::new(cfg.service.master_seed).rng(SeedDomain::Workload);
-    for _ in 0..cfg.requests {
-        let u = (rng.next_value() >> 11) as f64 / (1u64 << 53) as f64;
-        let tenant = cdf
-            .partition_point(|&c| c < u)
-            .min(cfg.tenants as usize - 1);
-        target.issue(tenant as u64, cfg.count);
-    }
-    cfg.requests
-}
-
-fn drive_flood<T: StressTarget>(target: &mut T, cfg: &StressConfig) -> u64 {
-    for r in 0..cfg.requests {
-        if r % 4 != 3 {
-            target.issue(0, cfg.count * 4);
-        } else {
-            target.issue(1 + r % (cfg.tenants.max(2) - 1), cfg.count);
-        }
-    }
-    cfg.requests
-}
-
-fn drive_hunter<T: StressTarget>(target: &mut T, cfg: &StressConfig) -> u64 {
-    // The adaptive attacker plays through the front door: every move is
-    // a real (synchronous) lease, every observation a real returned ID.
-    let n = (cfg.tenants.max(2) as usize).min(64);
-    let budget = cfg.requests as u128;
-    let spec = RunHunter::new(n, budget.max(n as u128));
-    let mut adv = spec.spawn(cfg.service.master_seed);
-    let mut histories: Vec<Vec<Id>> = Vec::new();
-    let mut submitted = 0u64;
-    loop {
-        if submitted as u128 >= budget {
-            break;
-        }
-        let action = {
-            let view = GameView {
-                space: target.space(),
-                histories: &histories,
-                // The audit runs asynchronously; the attacker plays the
-                // budget out rather than stopping at first blood.
-                collision: false,
-                total_requests: submitted as u128,
-            };
-            adv.next_action(&view)
-        };
-        let tenant = match action {
-            Action::Stop => break,
-            Action::Activate => {
-                histories.push(Vec::new());
-                histories.len() - 1
-            }
-            Action::Request(i) => i,
-        };
-        let arcs = target.lease_arcs(tenant as u64, 1);
-        submitted += 1;
-        let Some(arc) = arcs.first() else { break };
-        histories[tenant].push(arc.start);
-    }
-    submitted
 }
 
 #[cfg(test)]

@@ -9,15 +9,19 @@
 //!   twins still detects the twins while recovered nodes contribute
 //!   exactly zero duplicates — the acceptance criterion;
 //! * node-local audits provably cannot see cross-node twins (the gap
-//!   the global audit exists to close).
+//!   the global audit exists to close);
+//! * the stress driver and the fleet runner replay one request
+//!   schedule: a one-node fleet reproduces an in-process stress run's
+//!   totals for every mix.
 
 use proptest::prelude::*;
 
+use uuidp::adversary::schedule::TrafficMix;
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
-use uuidp::fleet::router::Placement;
 use uuidp::fleet::run::{run_fleet, FleetConfig};
 use uuidp::service::service::ServiceConfig;
+use uuidp::service::stress::{run_stress, StressConfig};
 
 fn state_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("uuidp-it-fleet-{}-{tag}", std::process::id()))
@@ -48,7 +52,7 @@ fn replay(
     cfg.tenants = tenants;
     cfg.requests = requests;
     cfg.count = count;
-    cfg.placement = Placement::Skewed;
+    cfg.placement = TrafficMix::Skewed;
     let report = run_fleet(cfg).expect("fleet run");
     let _ = std::fs::remove_dir_all(&dir);
     (
@@ -169,4 +173,55 @@ fn clean_and_chaos_runs_issue_identical_per_tenant_volumes() {
     assert_eq!(clean_errors, 0);
     assert_eq!(chaos_errors, 0);
     assert_eq!(clean_issued, chaos_issued, "chaos changed issuance volume");
+}
+
+#[test]
+fn stress_and_fleet_replay_one_schedule() {
+    // Both runners walk one `Scheduler`, and a one-node fleet's global
+    // audit sees what a lone service's audit sees, so every mix must
+    // give both the same totals. Twins 0 and 3 keep the duplicate
+    // counter live; under Flood, tenant 3 is one of the cold tenants.
+    for mix in [
+        TrafficMix::Uniform,
+        TrafficMix::Skewed,
+        TrafficMix::Flood,
+        TrafficMix::Hunter,
+    ] {
+        let mut service =
+            ServiceConfig::new(AlgorithmKind::Cluster, IdSpace::with_bits(20).unwrap());
+        service.master_seed = 0x5C4E;
+        service.seed_alias = Some((0, 3));
+        let mut stress = StressConfig::new(service.clone(), 5, 160, 24);
+        stress.mix = mix;
+        let local = run_stress(stress);
+
+        let dir = state_dir(&format!("one-schedule-{mix}"));
+        let mut fleet = FleetConfig::new(service, 1, &dir);
+        fleet.tenants = 5;
+        fleet.requests = 160;
+        fleet.count = 24;
+        fleet.placement = mix;
+        let routed = run_fleet(fleet).expect("fleet run");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert!(
+            local.audit.counts.duplicate_ids > 0,
+            "{mix}: twins must collide"
+        );
+        assert_eq!(
+            (
+                local.requests,
+                local.issued_ids,
+                local.audit.counts.duplicate_ids,
+                local.audit.counts.recorded_ids,
+            ),
+            (
+                routed.requests,
+                routed.issued_ids,
+                routed.global.duplicate_ids,
+                routed.global.recorded_ids,
+            ),
+            "{mix}: stress and fleet replayed different schedules"
+        );
+    }
 }

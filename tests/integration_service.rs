@@ -12,10 +12,11 @@
 
 use proptest::prelude::*;
 
+use uuidp::adversary::schedule::TrafficMix;
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
 use uuidp::service::service::{IdService, ServiceConfig};
-use uuidp::service::stress::{run_stress, run_stress_remote, StressConfig, TrafficMix};
+use uuidp::service::stress::{run_stress, run_stress_remote, StressConfig};
 
 /// Replays `script` (tenant, count, reset?) against a fresh service and
 /// returns the interleaving-invariant totals.
