@@ -21,7 +21,7 @@ use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
 use uuidp_netchaos::ChaosSpec;
 use uuidp_service::net::{ServerOptions, TcpServer};
 use uuidp_service::protocol::{render_lease, Command};
-use uuidp_service::service::{IdService, ServiceConfig, ServiceReport};
+use uuidp_service::service::{check_tenant, IdService, ServiceConfig, ServiceReport, TENANT_BITS};
 use uuidp_service::stress::{run_stress, run_stress_remote, StressConfig, StressReport};
 
 use crate::spec::{parse_algorithm, parse_algorithm_kind, IdFormat, ParseError};
@@ -293,7 +293,15 @@ pub fn serve(
         if input.read_line(&mut line).map_err(io_err)? == 0 {
             break; // EOF
         }
-        match Command::parse(&line) {
+        // A tenant id must fit under the audit owner key: the service
+        // panics its caller on a wider one, so refuse it here.
+        let command = Command::parse(&line).and_then(|command| match command {
+            Some(Command::Lease { tenant, .. } | Command::Reset { tenant }) => {
+                check_tenant(tenant).map(|()| command)
+            }
+            _ => Ok(command),
+        });
+        match command {
             Err(msg) => writeln!(out, "error: {msg}").map_err(io_err)?,
             Ok(None) => continue,
             // Process-local: the service stops with this loop either way.
@@ -461,7 +469,12 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
                 .into(),
         ));
     }
-    let mut cfg = StressConfig::new(service, opts.tenants.max(1), opts.requests, opts.count);
+    let mut cfg = StressConfig::new(
+        service,
+        tenant_count(opts.tenants)?,
+        opts.requests,
+        opts.count,
+    );
     cfg.mix = mix;
     cfg.remote_workers = opts.remote_workers;
     cfg.chaos = chaos;
@@ -508,6 +521,17 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
     Ok(out)
 }
 
+/// `--tenants`, at least 1 and at most 2^[`TENANT_BITS`] (tenant ids
+/// must stay below that to fit an audit owner key).
+fn tenant_count(tenants: u64) -> Result<u64, ParseError> {
+    if tenants > 1 << TENANT_BITS {
+        return Err(ParseError(format!(
+            "--tenants {tenants} is above 2^{TENANT_BITS} (tenant ids must stay below 2^{TENANT_BITS})"
+        )));
+    }
+    Ok(tenants.max(1))
+}
+
 /// The injected-twin phase `stress` and `fleet` both end with: tenants 0
 /// and 1 share a seed and lease in uniform rotation, `per_tenant` leases
 /// each of `count` IDs, so the later-audited twin's whole stream
@@ -521,9 +545,11 @@ struct TwinGate {
 impl TwinGate {
     /// The phase for a run of `requests` leases of `count` IDs over
     /// `tenants`. It leases at least one ID per request, or the gate
-    /// would pass with nothing injected.
+    /// would pass with nothing injected. Only tenants 0 and 1 are
+    /// twins, so it spans at most 512 tenants and submits at most 512
+    /// leases, however many tenants the run has.
     fn new(tenants: u64, requests: u64, count: u128) -> TwinGate {
-        let tenants = tenants.max(2);
+        let tenants = tenants.clamp(2, 512);
         let per_tenant = (requests.clamp(16, 512) / tenants).max(1);
         TwinGate {
             tenants,
@@ -705,7 +731,7 @@ fn fleet_phases(
     };
 
     let mut cfg = FleetConfig::new(service.clone(), opts.nodes.max(1), state_root);
-    cfg.tenants = opts.tenants.max(1);
+    cfg.tenants = tenant_count(opts.tenants)?;
     cfg.requests = opts.requests;
     cfg.count = opts.count;
     cfg.placement = placement;
@@ -1219,6 +1245,22 @@ mod tests {
         assert!(text.contains("+5"), "arc rendering: {text}");
     }
 
+    #[test]
+    fn serve_refuses_a_tenant_above_the_owner_key_width() {
+        let opts = serve_opts("cluster", 40);
+        let script = b"1099511627776 5\nreset 1099511627776\n0 4\nquit\n";
+        let mut input = &script[..];
+        let mut output = Vec::new();
+        let summary = serve(&opts, &mut input, &mut output).unwrap();
+        let text = String::from_utf8(output).unwrap();
+        assert_eq!(text.matches("is not below 2^40").count(), 2, "{text}");
+        assert!(text.contains("lease tenant=0 granted=4"), "{text}");
+        assert!(
+            summary.contains("served:      1 leases, 4 IDs"),
+            "{summary}"
+        );
+    }
+
     /// A writer that, on seeing the `listening on ADDR` announcement,
     /// spawns a client thread to drive the TCP front-end and shut it
     /// down — which is what unblocks the `serve` call under test.
@@ -1340,6 +1382,26 @@ mod tests {
     }
 
     #[test]
+    fn stress_rejects_tenants_above_the_owner_key_width() {
+        let opts = StressOpts {
+            requests: 16,
+            tenants: (1 << TENANT_BITS) + 1,
+            ..StressOpts::trials_small("cluster")
+        };
+        let err = stress(&opts).unwrap_err();
+        assert!(err.0.contains("--tenants"), "{}", err.0);
+    }
+
+    #[test]
+    fn twin_gate_spans_at_most_512_tenants() {
+        assert!(TwinGate::new(200_000, 16, 8).requests() <= 512);
+        assert!(TwinGate::new(1 << TENANT_BITS, 16, 8).requests() <= 512);
+        // Up to 512 tenants the phase keeps its shape.
+        assert_eq!(TwinGate::new(8, 200, 1).requests(), 200);
+        assert_eq!(TwinGate::new(512, 16, 1).requests(), 512);
+    }
+
+    #[test]
     fn stress_remote_replays_over_loopback_tcp() {
         // The same preset over the socket transport: the validation
         // phase (injected twins) must still catch every duplicate, and
@@ -1399,6 +1461,17 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("validation:  ok"), "{out}");
+    }
+
+    #[test]
+    fn fleet_rejects_tenants_above_the_owner_key_width() {
+        let opts = FleetOpts {
+            requests: 16,
+            tenants: (1 << TENANT_BITS) + 1,
+            ..FleetOpts::trials_small("cluster")
+        };
+        let err = fleet(&opts).unwrap_err();
+        assert!(err.0.contains("--tenants"), "{}", err.0);
     }
 
     #[test]

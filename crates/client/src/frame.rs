@@ -163,7 +163,7 @@ pub enum FrameBody {
         /// Correlation id whose span events are wanted.
         corr: u64,
     },
-    /// A span timeline: [`TraceRecorder::timeline`] output for the
+    /// A span timeline: `uuidp_obs::TraceRecorder::timeline` output for the
     /// queried id — empty when the ring no longer retains it.
     TimelineResp {
         /// The rendered causal timeline.

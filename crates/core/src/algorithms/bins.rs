@@ -11,12 +11,15 @@
 //! Bins(h) is the *optimal* algorithm for the uniform demand profile
 //! `(h, …, h)` — which makes it the reference point (`p*`) for the paper's
 //! lower bounds.
+//!
+//! The `j`-th bin is `π(j)`, where `π` is the seed's [`KeyedPermutation`]
+//! of the bins, so the stream's `g`-th ID is a function of `g` alone: the
+//! state is the seed and the number of IDs emitted, and `skip` is O(1).
 
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
-use crate::rng::Xoshiro256pp;
-use crate::shuffle::LazyShuffle;
-use crate::state::{check, rng_from, GeneratorState, StateError};
+use crate::permute::KeyedPermutation;
+use crate::state::{check, GeneratorState, StateError};
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`BinsGenerator`] instances.
@@ -59,26 +62,18 @@ impl Algorithm for Bins {
 
 /// One instance of Bins(k).
 ///
-/// The emitted footprint is lazy: `next_id` only advances counters; the
-/// open bin's (and leftover tail's) emitted prefix is folded into the
-/// interval set when the bin closes or on [`IdGenerator::footprint`].
+/// The emitted footprint is lazy: emitting only advances `generated`,
+/// and [`IdGenerator::footprint`] folds the IDs emitted since its last
+/// call into the interval set, one arc per bin.
 #[derive(Debug)]
 pub struct BinsGenerator {
     space: IdSpace,
     k: u128,
-    num_bins: u128,
-    rng: Xoshiro256pp,
-    bin_order: LazyShuffle,
-    /// Start of the bin currently being emitted, and how many of its IDs
-    /// have been emitted.
-    current: Option<(u128, u128)>,
-    /// How many of the current bin's emitted IDs are in `emitted`.
-    current_flushed: u128,
-    /// IDs of the leftover tail emitted so far.
-    leftover_emitted: u128,
-    /// How many leftover IDs are in `emitted`.
-    leftover_flushed: u128,
+    seed: u64,
+    bin_order: KeyedPermutation,
     generated: u128,
+    /// How many of the first `generated` IDs are in `emitted`.
+    folded: u128,
     emitted: IntervalSet,
 }
 
@@ -86,120 +81,67 @@ impl BinsGenerator {
     /// A fresh instance seeded with `seed`.
     pub fn new(space: IdSpace, k: u128, seed: u64) -> Self {
         assert!(k >= 1 && k <= space.size(), "Bins(k) requires k in [m]");
-        let num_bins = space.size() / k;
         BinsGenerator {
             space,
             k,
-            num_bins,
-            rng: Xoshiro256pp::new(seed),
-            bin_order: LazyShuffle::new(num_bins),
-            current: None,
-            current_flushed: 0,
-            leftover_emitted: 0,
-            leftover_flushed: 0,
+            seed,
+            bin_order: KeyedPermutation::new(space.size() / k, seed),
             generated: 0,
+            folded: 0,
             emitted: IntervalSet::new(space),
         }
     }
 
-    /// Folds unflushed emitted IDs (open-bin prefix, leftover prefix)
-    /// into the interval set.
-    fn flush(&mut self) {
-        if let Some((start, used)) = self.current {
-            if used > self.current_flushed {
-                self.emitted.insert(Arc::new(
-                    self.space,
-                    Id(start + self.current_flushed),
-                    used - self.current_flushed,
-                ));
-                self.current_flushed = used;
-            }
-        }
-        if self.leftover_emitted > self.leftover_flushed {
-            self.emitted.insert(Arc::new(
-                self.space,
-                Id(self.leftover_start() + self.leftover_flushed),
-                self.leftover_emitted - self.leftover_flushed,
-            ));
-            self.leftover_flushed = self.leftover_emitted;
-        }
-    }
-
-    /// First ID of the leftover region `{⌊m/k⌋·k, …, m−1}`.
-    fn leftover_start(&self) -> u128 {
-        self.num_bins * self.k
-    }
-
-    /// Number of leftover IDs, `m mod k`.
-    fn leftover_len(&self) -> u128 {
-        self.space.size() - self.leftover_start()
-    }
-
     /// Rebuilds an instance from a [`GeneratorState::Bins`] snapshot.
     pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::Bins {
-            k,
-            rng,
-            order_drawn,
-            order_displacements,
-            current,
-            leftover_emitted,
-            generated,
-            emitted,
-        } = state
-        else {
+        let GeneratorState::Bins { k, seed, generated } = *state else {
             return Err(StateError("not a Bins state".into()));
         };
-        let m = space.size();
-        check(*k >= 1 && *k <= m, "bin size out of range")?;
-        let num_bins = m / k;
-        check(*order_drawn <= num_bins, "drawn bins exceed bin count")?;
-        check(
-            order_displacements
-                .iter()
-                .all(|&(key, x)| key >= *order_drawn && key < num_bins && x < num_bins),
-            "bin displacement out of range",
-        )?;
-        if let Some((start, used)) = current {
-            check(
-                start % k == 0 && *start < num_bins * k,
-                "unaligned open bin",
-            )?;
-            check(*used <= *k, "open bin overfull")?;
-        }
-        check(*leftover_emitted <= m - num_bins * k, "leftover overdrawn")?;
-        check(*generated <= m, "generated exceeds universe")?;
-        check(
-            emitted.iter().all(|&(lo, hi)| lo < hi && hi <= m),
-            "bad emitted segment",
-        )?;
-        let emitted_set = IntervalSet::from_segments(space, emitted.iter().copied());
-        check(
-            emitted_set.measure() == *generated,
-            "emitted measure != generated",
-        )?;
+        check(k >= 1 && k <= space.size(), "bin size out of range")?;
+        check(generated <= space.size(), "generated exceeds universe")?;
         Ok(BinsGenerator {
-            space,
-            k: *k,
-            num_bins,
-            rng: rng_from(*rng)?,
-            bin_order: LazyShuffle::from_parts(num_bins, *order_drawn, order_displacements.clone()),
-            current: *current,
-            current_flushed: current.map(|(_, used)| used).unwrap_or(0),
-            leftover_emitted: *leftover_emitted,
-            leftover_flushed: *leftover_emitted,
-            generated: *generated,
-            emitted: emitted_set,
+            generated,
+            ..BinsGenerator::new(space, k, seed)
         })
     }
 
-    /// Opens the next bin, if any remain, retiring the finished one.
-    fn open_next_bin(&mut self) -> Option<u128> {
-        let next = self.bin_order.draw(&mut self.rng).map(|bin| bin * self.k)?;
-        self.flush();
-        self.current = Some((next, 0));
-        self.current_flushed = 0;
-        Some(next)
+    /// Takes the next `count` stream positions, or as many as are left,
+    /// and returns the first and how many were taken.
+    fn take(&mut self, count: u128) -> (u128, u128) {
+        let from = self.generated;
+        let taken = count.min(self.space.size() - from);
+        self.generated += taken;
+        (from, taken)
+    }
+
+    fn exhausted(&self) -> GeneratorError {
+        GeneratorError::Exhausted {
+            generated: self.generated,
+        }
+    }
+}
+
+/// Sends the stream positions `[from, from + count)` of the Bins(k)
+/// instance whose bin order is `bins` to `sink` as arcs: one per bin
+/// touched, then one for the leftover tail `{⌊m/k⌋·k, …, m−1}`, which
+/// comes last in increasing order (so a position there is its own ID).
+fn emit(
+    space: IdSpace,
+    k: u128,
+    bins: &KeyedPermutation,
+    mut from: u128,
+    mut count: u128,
+    sink: &mut dyn FnMut(Arc),
+) {
+    while count > 0 && from < bins.size() * k {
+        let offset = from % k;
+        let take = count.min(k - offset);
+        sink(Arc::new(space, Id(bins.at(from / k) * k + offset), take));
+        from += take;
+        count -= take;
+    }
+    if count > 0 {
+        sink(Arc::new(space, Id(from), count));
     }
 }
 
@@ -209,30 +151,9 @@ impl IdGenerator for BinsGenerator {
     }
 
     fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        // Continue the open bin if it has IDs left.
-        if let Some((start, used)) = self.current {
-            if used < self.k {
-                self.current = Some((start, used + 1));
-                self.generated += 1;
-                return Ok(Id(start + used));
-            }
-        }
-        // Open a fresh bin.
-        if let Some(start) = self.open_next_bin() {
-            self.current = Some((start, 1));
-            self.generated += 1;
-            return Ok(Id(start));
-        }
-        // All bins exhausted: serve the leftover tail in increasing order.
-        if self.leftover_emitted < self.leftover_len() {
-            let id = Id(self.leftover_start() + self.leftover_emitted);
-            self.leftover_emitted += 1;
-            self.generated += 1;
-            return Ok(id);
-        }
-        Err(GeneratorError::Exhausted {
-            generated: self.generated,
-        })
+        let mut id = Id(0);
+        self.next_ids(1, &mut |arc| id = arc.start)?;
+        Ok(id)
     }
 
     fn generated(&self) -> u128 {
@@ -240,57 +161,25 @@ impl IdGenerator for BinsGenerator {
     }
 
     fn footprint(&mut self) -> Footprint<'_> {
-        self.flush();
+        let (from, count) = (self.folded, self.generated - self.folded);
+        let emitted = &mut self.emitted;
+        emit(
+            self.space,
+            self.k,
+            &self.bin_order,
+            from,
+            count,
+            &mut |arc| emitted.insert(arc),
+        );
+        self.folded = self.generated;
         Footprint::Arcs(&self.emitted)
     }
 
-    fn next_ids(
-        &mut self,
-        mut count: u128,
-        sink: &mut dyn FnMut(Arc),
-    ) -> Result<(), GeneratorError> {
-        // Finish the currently open bin.
-        if let Some((start, used)) = self.current {
-            if count > 0 && used < self.k {
-                let take = count.min(self.k - used);
-                sink(Arc::new(self.space, Id(start + used), take));
-                self.current = Some((start, used + take));
-                self.generated += take;
-                count -= take;
-            }
-        }
-        // Consume whole and partial fresh bins, one arc per bin.
-        while count > 0 {
-            match self.open_next_bin() {
-                Some(start) => {
-                    let take = count.min(self.k);
-                    sink(Arc::new(self.space, Id(start), take));
-                    self.current = Some((start, take));
-                    self.generated += take;
-                    count -= take;
-                }
-                None => break,
-            }
-        }
-        // Spill into the leftover tail.
-        if count > 0 {
-            let available = self.leftover_len() - self.leftover_emitted;
-            let take = count.min(available);
-            if take > 0 {
-                sink(Arc::new(
-                    self.space,
-                    Id(self.leftover_start() + self.leftover_emitted),
-                    take,
-                ));
-                self.leftover_emitted += take;
-                self.generated += take;
-                count -= take;
-            }
-            if count > 0 {
-                return Err(GeneratorError::Exhausted {
-                    generated: self.generated,
-                });
-            }
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        let (from, taken) = self.take(count);
+        emit(self.space, self.k, &self.bin_order, from, taken, sink);
+        if taken < count {
+            return Err(self.exhausted());
         }
         Ok(())
     }
@@ -300,86 +189,26 @@ impl IdGenerator for BinsGenerator {
         true
     }
 
-    fn skip(&mut self, mut count: u128) -> Result<(), GeneratorError> {
-        // Finish the currently open bin.
-        if let Some((start, used)) = self.current {
-            if used < self.k {
-                let take = count.min(self.k - used);
-                self.current = Some((start, used + take));
-                self.generated += take;
-                count -= take;
-            }
-        }
-        // Consume whole and partial fresh bins.
-        while count > 0 {
-            match self.open_next_bin() {
-                Some(start) => {
-                    let take = count.min(self.k);
-                    self.current = Some((start, take));
-                    self.generated += take;
-                    count -= take;
-                }
-                None => break,
-            }
-        }
-        // Spill into the leftover tail.
-        if count > 0 {
-            let available = self.leftover_len() - self.leftover_emitted;
-            let take = count.min(available);
-            self.leftover_emitted += take;
-            self.generated += take;
-            count -= take;
-            if count > 0 {
-                return Err(GeneratorError::Exhausted {
-                    generated: self.generated,
-                });
-            }
+    fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
+        if self.take(count).1 < count {
+            return Err(self.exhausted());
         }
         Ok(())
     }
 
-    fn supports_fast_skip(&self) -> bool {
-        // Fast in the number of bins touched: O(count / k) bin draws. True
-        // speedups require k reasonably large, which is exactly when the
-        // experiments need it.
-        true
-    }
-
     fn reset(&mut self, seed: u64) {
-        self.rng = Xoshiro256pp::new(seed);
-        self.bin_order.reset(self.num_bins);
-        self.current = None;
-        self.current_flushed = 0;
-        self.leftover_emitted = 0;
-        self.leftover_flushed = 0;
+        self.seed = seed;
+        self.bin_order = KeyedPermutation::new(self.bin_order.size(), seed);
         self.generated = 0;
+        self.folded = 0;
         self.emitted.clear();
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        // The snapshot's emitted list is the flushed interval set plus the
-        // still-pending prefixes; `from_state` re-normalizes the union.
-        let mut emitted: Vec<(u128, u128)> = self.emitted.segments().collect();
-        if let Some((start, used)) = self.current {
-            if used > self.current_flushed {
-                emitted.push((start + self.current_flushed, start + used));
-            }
-        }
-        if self.leftover_emitted > self.leftover_flushed {
-            emitted.push((
-                self.leftover_start() + self.leftover_flushed,
-                self.leftover_start() + self.leftover_emitted,
-            ));
-        }
         Some(GeneratorState::Bins {
             k: self.k,
-            rng: self.rng.state(),
-            order_drawn: self.bin_order.drawn(),
-            order_displacements: self.bin_order.displacements(),
-            current: self.current,
-            leftover_emitted: self.leftover_emitted,
+            seed: self.seed,
             generated: self.generated,
-            emitted,
         })
     }
 }
@@ -436,6 +265,16 @@ mod tests {
             assert!(seen.insert(g.next_id().unwrap().value()));
         }
         assert_eq!(seen.len(), 16);
+    }
+
+    #[test]
+    fn bins_1_is_random_under_the_same_seed() {
+        let space = IdSpace::new(1000).unwrap();
+        let mut bins = BinsGenerator::new(space, 1, 9);
+        let mut random = crate::algorithms::RandomGenerator::new(space, 9);
+        for _ in 0..1000 {
+            assert_eq!(bins.next_id().unwrap(), random.next_id().unwrap());
+        }
     }
 
     #[test]

@@ -389,10 +389,6 @@ impl IdGenerator for BinsStarGenerator {
         Ok(())
     }
 
-    fn supports_fast_skip(&self) -> bool {
-        true
-    }
-
     fn reset(&mut self, seed: u64) {
         self.rng = Xoshiro256pp::new(seed);
         self.next_chunk = 1;

@@ -170,10 +170,6 @@ impl IdGenerator for ClusterGenerator {
         Ok(())
     }
 
-    fn supports_fast_skip(&self) -> bool {
-        true
-    }
-
     fn reset(&mut self, seed: u64) {
         let mut rng = Xoshiro256pp::new(seed);
         self.start = Id(uniform_below(&mut rng, self.space.size()));
@@ -279,7 +275,6 @@ mod tests {
         g.skip(1 << 60).unwrap();
         assert_eq!(g.generated(), 1 << 60);
         assert_eq!(g.footprint().measure(), 1 << 60);
-        assert!(g.supports_fast_skip());
     }
 
     #[test]

@@ -316,11 +316,6 @@ impl IdGenerator for ClusterStarGenerator {
         Ok(())
     }
 
-    fn supports_fast_skip(&self) -> bool {
-        // O(log d) runs opened for d requests, so skip is O(log d · log log d).
-        true
-    }
-
     fn reset(&mut self, seed: u64) {
         self.rng = Xoshiro256pp::new(seed);
         self.reserved.clear();

@@ -9,13 +9,14 @@
 //! bound — which is why Random is only safe while the total demand stays
 //! far below `√m`.
 //!
-//! Implemented with a lazy Fisher–Yates shuffle ([`crate::shuffle`]), so a
-//! draw is O(1) for any `m` up to 2¹²⁷.
+//! The `i`-th ID is `π(i)`, where `π` is the seed's
+//! [`KeyedPermutation`] of `[m]`: the state is the seed and the number
+//! of IDs drawn, a draw costs the same at any `m` up to 2¹²⁷ and any
+//! demand, and `skip` is O(1).
 
 use crate::id::{Id, IdSpace};
-use crate::rng::Xoshiro256pp;
-use crate::shuffle::LazyShuffle;
-use crate::state::{check, rng_from, GeneratorState, StateError};
+use crate::permute::KeyedPermutation;
+use crate::state::{check, GeneratorState, StateError};
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`RandomGenerator`] instances.
@@ -45,12 +46,16 @@ impl Algorithm for Random {
     }
 }
 
-/// One instance of Random: a uniform permutation of `[m]`, revealed lazily.
+/// One instance of Random: a keyed permutation of `[m]`, revealed one
+/// position at a time.
 #[derive(Debug)]
 pub struct RandomGenerator {
     space: IdSpace,
-    rng: Xoshiro256pp,
-    shuffle: LazyShuffle,
+    seed: u64,
+    order: KeyedPermutation,
+    drawn: u128,
+    /// `π(0), π(1), …`: the IDs drawn so far that
+    /// [`footprint`](IdGenerator::footprint) has materialized.
     emitted: Vec<Id>,
 }
 
@@ -59,38 +64,22 @@ impl RandomGenerator {
     pub fn new(space: IdSpace, seed: u64) -> Self {
         RandomGenerator {
             space,
-            rng: Xoshiro256pp::new(seed),
-            shuffle: LazyShuffle::new(space.size()),
+            seed,
+            order: KeyedPermutation::new(space.size(), seed),
+            drawn: 0,
             emitted: Vec::new(),
         }
     }
 
     /// Rebuilds an instance from a [`GeneratorState::Random`] snapshot.
     pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::Random {
-            rng,
-            drawn,
-            displacements,
-            emitted,
-        } = state
-        else {
+        let GeneratorState::Random { seed, drawn } = *state else {
             return Err(StateError("not a Random state".into()));
         };
-        let m = space.size();
-        check(*drawn <= m, "drawn exceeds universe")?;
-        check(emitted.len() as u128 == *drawn, "emitted count != drawn")?;
-        check(emitted.iter().all(|&v| v < m), "emitted ID out of universe")?;
-        check(
-            displacements
-                .iter()
-                .all(|&(k, x)| k >= *drawn && k < m && x < m),
-            "displacement out of range",
-        )?;
+        check(drawn <= space.size(), "drawn exceeds universe")?;
         Ok(RandomGenerator {
-            space,
-            rng: rng_from(*rng)?,
-            shuffle: LazyShuffle::from_parts(m, *drawn, displacements.clone()),
-            emitted: emitted.iter().map(|&v| Id(v)).collect(),
+            drawn,
+            ..RandomGenerator::new(space, seed)
         })
     }
 }
@@ -101,38 +90,50 @@ impl IdGenerator for RandomGenerator {
     }
 
     fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        match self.shuffle.draw(&mut self.rng) {
-            Some(v) => {
-                let id = Id(v);
-                self.emitted.push(id);
-                Ok(id)
-            }
-            None => Err(GeneratorError::Exhausted {
-                generated: self.shuffle.drawn(),
-            }),
+        if self.drawn == self.space.size() {
+            return Err(GeneratorError::Exhausted {
+                generated: self.drawn,
+            });
         }
+        let id = Id(self.order.at(self.drawn));
+        self.drawn += 1;
+        Ok(id)
     }
 
     fn generated(&self) -> u128 {
-        self.shuffle.drawn()
+        self.drawn
     }
 
     fn footprint(&mut self) -> Footprint<'_> {
+        let order = &self.order;
+        let from = self.emitted.len() as u128;
+        self.emitted
+            .extend((from..self.drawn).map(|i| Id(order.at(i))));
         Footprint::Points(&self.emitted)
     }
 
+    fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
+        let left = self.space.size() - self.drawn;
+        self.drawn += count.min(left);
+        if count > left {
+            return Err(GeneratorError::Exhausted {
+                generated: self.drawn,
+            });
+        }
+        Ok(())
+    }
+
     fn reset(&mut self, seed: u64) {
-        self.rng = Xoshiro256pp::new(seed);
-        self.shuffle.reset(self.space.size());
+        self.seed = seed;
+        self.order = KeyedPermutation::new(self.space.size(), seed);
+        self.drawn = 0;
         self.emitted.clear();
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
         Some(GeneratorState::Random {
-            rng: self.rng.state(),
-            drawn: self.shuffle.drawn(),
-            displacements: self.shuffle.displacements(),
-            emitted: self.emitted.iter().map(|id| id.value()).collect(),
+            seed: self.seed,
+            drawn: self.drawn,
         })
     }
 }
@@ -190,6 +191,28 @@ mod tests {
             _ => panic!("Random must report a point footprint"),
         }
         assert_eq!(g.footprint().measure(), 10);
+    }
+
+    #[test]
+    fn skip_matches_materialized_emission() {
+        let space = IdSpace::new(1 << 16).unwrap();
+        let mut a = RandomGenerator::new(space, 6);
+        let mut b = RandomGenerator::new(space, 6);
+        a.skip(1000).unwrap();
+        for _ in 0..1000 {
+            b.next_id().unwrap();
+        }
+        assert_eq!(a.generated(), b.generated());
+        match (a.footprint(), b.footprint()) {
+            (Footprint::Points(pa), Footprint::Points(pb)) => assert_eq!(pa, pb),
+            _ => panic!("Random must report a point footprint"),
+        }
+        assert_eq!(a.next_id().unwrap(), b.next_id().unwrap());
+        // Skipping past the end stops at m, as the scalar loop does.
+        let mut c = RandomGenerator::new(IdSpace::new(10).unwrap(), 6);
+        c.skip(4).unwrap();
+        assert_eq!(c.skip(7), Err(GeneratorError::Exhausted { generated: 10 }));
+        assert_eq!(c.footprint().measure(), 10);
     }
 
     #[test]

@@ -302,10 +302,6 @@ impl IdGenerator for SessionCounterGenerator {
         Ok(())
     }
 
-    fn supports_fast_skip(&self) -> bool {
-        true
-    }
-
     fn reset(&mut self, seed: u64) {
         self.rng = Xoshiro256pp::new(seed);
         self.used_sessions.clear();

@@ -107,18 +107,6 @@ pub fn put_opt_u128(out: &mut Vec<u8>, v: &Option<u128>) {
     }
 }
 
-/// Appends an optional `u128` pair (presence byte + values).
-pub fn put_opt_pair(out: &mut Vec<u8>, v: &Option<(u128, u128)>) {
-    match v {
-        None => out.push(0),
-        Some((a, b)) => {
-            out.push(1);
-            put_u128(out, *a);
-            put_u128(out, *b);
-        }
-    }
-}
-
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
@@ -237,15 +225,6 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads an optional `u128` pair.
-    pub fn opt_pair(&mut self) -> Result<Option<(u128, u128)>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some((self.u128()?, self.u128()?))),
-            t => Err(CodecError::Corrupt(format!("bad option tag {t}"))),
-        }
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CodecError> {
         let len = self.seq_len()?;
@@ -293,7 +272,6 @@ mod tests {
         put_pair_seq(&mut out, &[(1, 2), (3, 4)]);
         put_opt_u128(&mut out, &None);
         put_opt_u128(&mut out, &Some(5));
-        put_opt_pair(&mut out, &Some((6, 7)));
         put_str(&mut out, "héllo");
         put_opt_str(&mut out, &Some("x".into()));
         put_opt_str(&mut out, &None);
@@ -308,7 +286,6 @@ mod tests {
         assert_eq!(c.pair_seq().unwrap(), vec![(1, 2), (3, 4)]);
         assert_eq!(c.opt_u128().unwrap(), None);
         assert_eq!(c.opt_u128().unwrap(), Some(5));
-        assert_eq!(c.opt_pair().unwrap(), Some((6, 7)));
         assert_eq!(c.str().unwrap(), "héllo");
         assert_eq!(c.opt_str().unwrap(), Some("x".into()));
         assert_eq!(c.opt_str().unwrap(), None);

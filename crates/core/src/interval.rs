@@ -429,21 +429,6 @@ impl IntervalSet {
         unreachable!("sample index exceeded counted fitting starts");
     }
 
-    /// Rebuilds a set from persisted `[lo, hi)` segments (any order; they
-    /// are re-normalized on insertion).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a segment is degenerate or exceeds the universe.
-    pub fn from_segments(space: IdSpace, segments: impl IntoIterator<Item = (u128, u128)>) -> Self {
-        let mut set = IntervalSet::new(space);
-        for (lo, hi) in segments {
-            assert!(lo < hi && hi <= space.size(), "bad segment [{lo}, {hi})");
-            set.insert(Arc::new(space, Id(lo), hi - lo));
-        }
-        set
-    }
-
     /// Iterates the normalized half-open segments `[lo, hi)` in increasing
     /// order. Wrapping arcs appear as two segments. This is the raw view
     /// collision detectors use for k-way sweeps across many instances.

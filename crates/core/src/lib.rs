@@ -49,8 +49,9 @@
 //! * [`rng`] — reproducible randomness (SplitMix64, xoshiro256++);
 //! * [`interval`] — circular interval sets (run placement, symbolic
 //!   footprints);
-//! * [`shuffle`] — lazy Fisher–Yates (sampling without replacement at
-//!   `m = 2¹²⁷` scale);
+//! * [`permute`] — a keyed permutation of `[n]` evaluated at a counter
+//!   (Random's IDs and Bins(k)'s bins at `m = 2¹²⁷` scale, from
+//!   constant state);
 //! * [`traits`] — [`traits::IdGenerator`] / [`traits::Algorithm`];
 //! * [`lease`] — reusable bulk-lease buffers over
 //!   [`traits::IdGenerator::next_ids`] (service/kvstore batching);
@@ -76,9 +77,9 @@ pub mod id;
 pub mod interval;
 pub mod lease;
 pub mod lockorder;
+pub mod permute;
 pub mod persist;
 pub mod rng;
-pub mod shuffle;
 pub mod state;
 pub mod traits;
 

@@ -36,11 +36,11 @@
 //! it the collision exposure) and exact resume (which is only safe if
 //! nothing was emitted after the snapshot).
 //!
-//! ## Record format (version 1)
+//! ## Record format (version 2)
 //!
 //! ```text
 //! magic    8 bytes   "UUIDSNP1"-independent tag: b"UUIDSNAP"
-//! version  u32 LE    1
+//! version  u32 LE    2
 //! length   u64 LE    payload byte count
 //! payload  ...       seq, epoch, reservation, universe, GeneratorState
 //! checksum u64 LE    FNV-1a over magic + version + length + payload
@@ -50,7 +50,9 @@
 //! `u64` count prefix (the shared [`codec`](crate::codec) vocabulary —
 //! the same primitives the `uuidp-client` wire frames are built from).
 //! Any corruption (truncation, bit flips, unknown versions) is reported
-//! as a typed [`PersistError`], never a panic.
+//! as a typed [`PersistError`], never a panic. Random and Bins(k)
+//! records have a constant size (a seed and counters), so a save costs
+//! the same after any number of IDs.
 //!
 //! ## Log format
 //!
@@ -85,8 +87,8 @@ use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::codec::{
-    fnv1a, put_opt_pair, put_opt_u128, put_pair_seq, put_rng, put_u128, put_u128_seq, put_u32,
-    put_u64, CodecError, Cursor,
+    fnv1a, put_opt_u128, put_pair_seq, put_rng, put_u128, put_u128_seq, put_u32, put_u64,
+    CodecError, Cursor,
 };
 use crate::id::IdSpace;
 use crate::state::{restore, GeneratorState, StateError};
@@ -96,7 +98,7 @@ use crate::traits::IdGenerator;
 pub const MAGIC: [u8; 8] = *b"UUIDSNAP";
 
 /// Current on-disk format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// The log file in a store's directory.
 const LOG_FILE: &str = "snapshots.log";
@@ -200,42 +202,21 @@ impl From<CodecError> for PersistError {
 
 fn encode_state(out: &mut Vec<u8>, state: &GeneratorState) {
     match state {
-        GeneratorState::Random {
-            rng,
-            drawn,
-            displacements,
-            emitted,
-        } => {
+        GeneratorState::Random { seed, drawn } => {
             out.push(0);
-            put_rng(out, rng);
+            put_u64(out, *seed);
             put_u128(out, *drawn);
-            put_pair_seq(out, displacements);
-            put_u128_seq(out, emitted);
         }
         GeneratorState::Cluster { start, generated } => {
             out.push(1);
             put_u128(out, *start);
             put_u128(out, *generated);
         }
-        GeneratorState::Bins {
-            k,
-            rng,
-            order_drawn,
-            order_displacements,
-            current,
-            leftover_emitted,
-            generated,
-            emitted,
-        } => {
+        GeneratorState::Bins { k, seed, generated } => {
             out.push(2);
             put_u128(out, *k);
-            put_rng(out, rng);
-            put_u128(out, *order_drawn);
-            put_pair_seq(out, order_displacements);
-            put_opt_pair(out, current);
-            put_u128(out, *leftover_emitted);
+            put_u64(out, *seed);
             put_u128(out, *generated);
-            put_pair_seq(out, emitted);
         }
         GeneratorState::ClusterStar {
             rng,
@@ -295,10 +276,8 @@ fn encode_state(out: &mut Vec<u8>, state: &GeneratorState) {
 fn decode_state(c: &mut Cursor<'_>) -> Result<GeneratorState, PersistError> {
     Ok(match c.u8()? {
         0 => GeneratorState::Random {
-            rng: c.rng()?,
+            seed: c.u64()?,
             drawn: c.u128()?,
-            displacements: c.pair_seq()?,
-            emitted: c.u128_seq()?,
         },
         1 => GeneratorState::Cluster {
             start: c.u128()?,
@@ -306,13 +285,8 @@ fn decode_state(c: &mut Cursor<'_>) -> Result<GeneratorState, PersistError> {
         },
         2 => GeneratorState::Bins {
             k: c.u128()?,
-            rng: c.rng()?,
-            order_drawn: c.u128()?,
-            order_displacements: c.pair_seq()?,
-            current: c.opt_pair()?,
-            leftover_emitted: c.u128()?,
+            seed: c.u64()?,
             generated: c.u128()?,
-            emitted: c.pair_seq()?,
         },
         3 => GeneratorState::ClusterStar {
             rng: c.rng()?,
@@ -706,6 +680,56 @@ mod tests {
                 decode_record(&encode_record(&record)).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             assert_eq!(decoded, record, "{kind:?}");
         }
+    }
+
+    #[test]
+    fn random_and_bins_records_have_a_constant_size() {
+        let space = IdSpace::new(1 << 20).unwrap();
+        for (kind, bytes) in [
+            (AlgorithmKind::Random, 97),
+            (AlgorithmKind::Bins { k: 16 }, 113),
+        ] {
+            for emitted in [0, 1 << 10, 1 << 16] {
+                let record = record_for(&kind, space, emitted);
+                assert_eq!(
+                    encode_record(&record).len(),
+                    bytes,
+                    "{kind:?} after {emitted} IDs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_version_1_log_is_a_typed_error() {
+        let dir = temp_dir("v1");
+        let space = IdSpace::new(1 << 12).unwrap();
+        let store = SnapshotStore::open(&dir).unwrap();
+        store
+            .save(3, &record_for(&AlgorithmKind::Random, space, 5))
+            .unwrap();
+        drop(store);
+        // The entry's record re-stamped as version 1 under a valid
+        // checksum: a log written before the format went to version 2.
+        let log = dir.join(LOG_FILE);
+        let mut image = fs::read(&log).unwrap();
+        let record = &mut image[ENTRY_HEADER..];
+        record[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let end = record.len() - 8;
+        let sum = fnv1a(&record[..end]);
+        record[end..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&log, &image).unwrap();
+        let err = SnapshotStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(&err, PersistError::Damaged { offset: 0, error }
+                if matches!(**error, PersistError::UnsupportedVersion(1))),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string().contains("unsupported snapshot version 1"),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

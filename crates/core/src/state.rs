@@ -14,10 +14,12 @@
 //!
 //! [`GeneratorState`] is a plain serde-serializable value capturing
 //! everything a generator needs to continue exactly where it stopped:
-//! RNG state, structural position, and the emitted footprint. Every
-//! algorithm whose state is bounded supports it (`Random`'s state grows
-//! with the number of draws — inherent to sampling without replacement —
-//! and is still supported, just not O(1)-sized).
+//! its seed or RNG state, its structural position, and whatever of its
+//! footprint the position does not determine. Random and Bins(k) are a
+//! seed plus counters, since their streams are a
+//! [keyed permutation](crate::permute) evaluated at a counter; Cluster
+//! is a start plus a counter; Cluster★, Bins★ and SessionCounter keep
+//! the runs, bins or sessions they have opened.
 //!
 //! ```
 //! use uuidp_core::prelude::*;
@@ -51,16 +53,12 @@ use crate::traits::IdGenerator;
 /// normalized `[lo, hi)` segments.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GeneratorState {
-    /// Random: virtual-shuffle position plus the emitted IDs in order.
+    /// Random: the permutation's seed and how far it has been revealed.
     Random {
-        /// xoshiro256++ state.
-        rng: [u64; 4],
-        /// Elements drawn from the virtual permutation.
+        /// Seed of the keyed permutation of `[m]`.
+        seed: u64,
+        /// IDs drawn: positions `0..drawn` of the permutation.
         drawn: u128,
-        /// Sparse Fisher–Yates displacements (sorted by key).
-        displacements: Vec<(u128, u128)>,
-        /// Emitted IDs, in emission order.
-        emitted: Vec<u128>,
     },
     /// Cluster: fully determined by the start and the count.
     Cluster {
@@ -69,25 +67,14 @@ pub enum GeneratorState {
         /// IDs emitted so far.
         generated: u128,
     },
-    /// Bins(k).
+    /// Bins(k): the bin order's seed and how far the stream has gone.
     Bins {
         /// Bin size.
         k: u128,
-        /// xoshiro256++ state.
-        rng: [u64; 4],
-        /// Bin-order shuffle position.
-        order_drawn: u128,
-        /// Bin-order shuffle displacements.
-        order_displacements: Vec<(u128, u128)>,
-        /// Open bin: (start, ids used).
-        current: Option<(u128, u128)>,
-        /// Leftover-tail IDs emitted.
-        leftover_emitted: u128,
+        /// Seed of the keyed permutation of the bins.
+        seed: u64,
         /// Total IDs emitted.
         generated: u128,
-        /// Emitted footprint as `[lo, hi)` segments (the shuffle does not
-        /// remember which bins it handed out, so the footprint is stored).
-        emitted: Vec<(u128, u128)>,
     },
     /// Cluster★.
     ClusterStar {
@@ -285,24 +272,17 @@ mod tests {
             generated: 0,
         };
         assert!(restore(space, &bad).is_err());
-        // All-zero RNG.
+        // Random drawn past the universe.
         let bad = GeneratorState::Random {
-            rng: [0; 4],
-            drawn: 0,
-            displacements: vec![],
-            emitted: vec![],
+            seed: 1,
+            drawn: (1 << 10) + 1,
         };
         assert!(restore(space, &bad).is_err());
         // Bins bin size out of range.
         let bad = GeneratorState::Bins {
             k: 1 << 20,
-            rng: [1, 0, 0, 0],
-            order_drawn: 0,
-            order_displacements: vec![],
-            current: None,
-            leftover_emitted: 0,
+            seed: 1,
             generated: 0,
-            emitted: vec![],
         };
         assert!(restore(space, &bad).is_err());
     }

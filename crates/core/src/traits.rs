@@ -150,13 +150,6 @@ pub trait IdGenerator: Send {
         Ok(())
     }
 
-    /// Whether [`skip`](Self::skip) is sublinear in `count` for this
-    /// algorithm (true for the arc-structured algorithms, false for
-    /// Random-like ones).
-    fn supports_fast_skip(&self) -> bool {
-        false
-    }
-
     /// Captures a serializable snapshot for exact resume after a restart
     /// (see [`crate::state`]). `None` when the algorithm does not support
     /// persistence (SetAside, Snowflake — both stateful on externals).
@@ -237,7 +230,6 @@ mod tests {
         g.skip(4).unwrap();
         assert_eq!(g.generated(), 4);
         assert_eq!(g.footprint().measure(), 4);
-        assert!(!g.supports_fast_skip());
     }
 
     #[test]

@@ -45,19 +45,20 @@ use uuidp_client::{ClientOptions, FaultCounters, ProtoVersion, RetryPolicy, Sess
 use uuidp_core::id::IdSpace;
 use uuidp_core::interval::Arc;
 use uuidp_obs::Histogram;
+use uuidp_service::service::TENANT_BITS;
 use uuidp_sim::audit::{AuditCounts, LeaseAudit};
 
-/// Tenants must fit under the incarnation tag in the global audit's
-/// owner key.
-pub const INCARNATION_SHIFT: u32 = 40;
-
 /// The global audit owner key: incarnation tag above the tenant number.
+///
+/// # Panics
+///
+/// Panics unless `tenant < 2^`[`TENANT_BITS`].
 pub fn owner_key(tenant: u64, incarnation: u32) -> u64 {
     assert!(
-        tenant < 1 << INCARNATION_SHIFT,
+        tenant < 1 << TENANT_BITS,
         "tenant id too wide for incarnation tagging"
     );
-    ((incarnation as u64) << INCARNATION_SHIFT) | tenant
+    ((incarnation as u64) << TENANT_BITS) | tenant
 }
 
 /// A node's health as the router sees it, read off the node session's
@@ -385,12 +386,12 @@ mod tests {
         assert_eq!(owner_key(7, 0), 7);
         assert_ne!(owner_key(7, 1), owner_key(7, 0));
         assert_ne!(owner_key(7, 1), owner_key(8, 1));
-        assert_eq!(owner_key(7, 1) & ((1 << INCARNATION_SHIFT) - 1), 7);
+        assert_eq!(owner_key(7, 1) & ((1 << TENANT_BITS) - 1), 7);
     }
 
     #[test]
     #[should_panic(expected = "too wide")]
     fn oversized_tenants_are_rejected() {
-        owner_key(1 << INCARNATION_SHIFT, 0);
+        owner_key(1 << TENANT_BITS, 0);
     }
 }

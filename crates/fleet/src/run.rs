@@ -21,7 +21,9 @@ use uuidp_netchaos::{
 };
 use uuidp_obs::families::REQUIRED as REQUIRED_FAMILIES;
 use uuidp_obs::{parse_exposition, AlertTransition, Snapshot, Stage};
-use uuidp_service::service::{AuditReport, AuditThreadReport, ServiceConfig, ServiceReport};
+use uuidp_service::service::{
+    AuditReport, AuditThreadReport, ServiceConfig, ServiceReport, TENANT_BITS,
+};
 use uuidp_sim::audit::AuditCounts;
 
 use crate::cluster::Fleet;
@@ -380,7 +382,7 @@ impl FleetReport {
 /// listeners in long-lived embedders.
 pub fn run_fleet(config: FleetConfig) -> io::Result<FleetReport> {
     assert!(
-        config.tenants < 1 << crate::router::INCARNATION_SHIFT,
+        config.tenants <= 1 << TENANT_BITS,
         "tenant space too wide for incarnation tagging"
     );
     // A zero interval would silently disable chaos while the report

@@ -65,7 +65,7 @@ use uuidp_obs::{Registry, Stage, TraceRecorder};
 
 use crate::protocol::wire_summary;
 use crate::reactor::{Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
-use crate::service::{IdService, LeaseReply, ServiceConfig, ServiceReport};
+use crate::service::{check_tenant, IdService, LeaseReply, ServiceConfig, ServiceReport};
 
 /// Front-end options, beyond the service's own configuration.
 #[derive(Debug, Clone)]
@@ -646,6 +646,10 @@ pub(crate) fn dispatch_frame(
     let corr = f.corr;
     match f.body {
         FrameBody::LeaseReq { tenant, count } => {
+            if let Err(message) = check_tenant(tenant) {
+                shared.send_error(corr, message);
+                return Disposition::Keep;
+            }
             state.trace.record(
                 corr,
                 tenant,
@@ -690,7 +694,9 @@ pub(crate) fn dispatch_frame(
         FrameBody::ResetReq { tenant } => {
             // The reply follows the enqueue; the shard's FIFO queue puts
             // the reset behind the tenant's earlier leases.
-            if state.with_service(|s| s.reset_tenant(tenant)).is_some() {
+            if let Err(message) = check_tenant(tenant) {
+                shared.send_error(corr, message);
+            } else if state.with_service(|s| s.reset_tenant(tenant)).is_some() {
                 let _ = shared.send(corr, &FrameBody::ResetResp { tenant });
             } else {
                 state.refuse(shared, corr);
@@ -735,6 +741,7 @@ pub(crate) fn dispatch_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::TENANT_BITS;
     use std::io::{Read, Write};
     use uuidp_client::{Client, ClientOptions};
     use uuidp_core::algorithms::AlgorithmKind;
@@ -811,6 +818,51 @@ mod tests {
             report.audit.counts.duplicate_ids, summary.duplicate_ids,
             "wire summary diverged from the server report"
         );
+    }
+
+    #[test]
+    fn an_out_of_range_tenant_gets_an_error_frame_on_a_live_connection() {
+        // A tenant id must fit under the audit owner key's epoch tag. A
+        // wider one gets a typed error frame; neither the shard nor the
+        // reactor dies, and the connection goes on serving.
+        let (server, space) = server(32);
+        let mut stream = raw_v2_conn(server.local_addr(), space);
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut ask = |corr, body| {
+            frame::write_frame(&mut stream, corr, &body).unwrap();
+            let reply = frame::read_frame(&mut stream).unwrap();
+            assert_eq!(reply.corr, corr);
+            reply.body
+        };
+        let (tenant, count) = (1 << TENANT_BITS, 1);
+        let refused = [
+            FrameBody::LeaseReq { tenant, count },
+            FrameBody::ResetReq { tenant },
+        ];
+        for (corr, body) in (1..).zip(refused) {
+            let reply = ask(corr, body);
+            let message = format!("{reply:?}");
+            assert!(matches!(reply, FrameBody::Error { .. }), "{message}");
+            assert!(message.contains("not below 2^40"), "{message}");
+        }
+        let reply = ask(
+            3,
+            FrameBody::LeaseReq {
+                tenant: 0,
+                count: 16,
+            },
+        );
+        assert!(
+            matches!(reply, FrameBody::LeaseResp { granted: 16, .. }),
+            "{reply:?}"
+        );
+        drop(stream);
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        let summary = client.shutdown().unwrap();
+        assert_eq!((summary.leases, summary.issued_ids), (1, 16));
+        assert!(server.join().is_some());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! actor ownership shape of holochain's `kitsune_p2p` event loops):
 //! sockets, reassembly buffers, and per-connection reply queues all
 //! live here, and every other thread talks to the reactor exclusively
-//! through [`ReactorCmd`] messages — the accept loop adopts new
+//! through `ReactorCmd` messages — the accept loop adopts new
 //! connections, shard workers and the control lane queue reply frames,
-//! stop paths send [`ReactorCmd::Stop`]. No locks guard connection
+//! stop paths send `ReactorCmd::Stop`. No locks guard connection
 //! state because nothing else can reach it.
 //!
 //! Readiness comes from level-triggered `epoll_wait` via the
@@ -14,7 +14,7 @@
 //! command senders can interrupt an indefinite block. An idle server —
 //! however many thousands of connections it holds — makes **zero**
 //! wakeups until a socket or command stirs. A non-Linux target would
-//! need its own [`Poller`] behind the same registration and wait
+//! need its own `Poller` behind the same registration and wait
 //! surface.
 //!
 //! Reads are capped per connection per pass (bytes *and* dispatched
@@ -27,7 +27,7 @@
 //! readiness, so a batch of replies to one multiplexing client retires
 //! in one syscall (`uuidp_net_replies_per_syscall` histograms exactly
 //! that ratio). A peer that stops reading accumulates queued replies
-//! until [`MAX_OUT_QUEUE`] and is then severed — queued-reply
+//! until `MAX_OUT_QUEUE` and is then severed — queued-reply
 //! backpressure replaces the old lock-held spin/sleep send.
 
 use std::collections::{HashMap, VecDeque};

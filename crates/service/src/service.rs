@@ -20,7 +20,7 @@
 //! * **Bulk leases**: a request for `count` IDs is served by one
 //!   [`IdGenerator::next_ids`] call — `O(touched runs)` interval pushes,
 //!   not `count` scalar calls — buffered in a recycled
-//!   [`Lease`](uuidp_core::lease::Lease) per tenant.
+//!   [`Lease`] per tenant.
 //! * **Online audit**: every lease's arcs are tee'd into a pool of
 //!   [`LeaseAudit`] pipeline threads. Each audit thread owns the disjoint
 //!   stripe subset `{s : s ≡ t (mod audit_threads)}` of the audit's
@@ -65,11 +65,22 @@ const QUEUE_DEPTH: usize = 1024;
 /// per-thread ring shards).
 const TRACE_CAPACITY: usize = 4096;
 
-/// Tenants and epochs are packed into one audit owner key, so a tenant
-/// recycled via [`IdService::reset_tenant`] is audited as a *new* owner —
-/// overlap between its pre- and post-reset streams (the re-seeded
-/// instance hazard) is then caught like any cross-tenant duplicate.
-const EPOCH_SHIFT: u32 = 40;
+/// Tenant ids are below `1 << TENANT_BITS`. An audit owner key packs
+/// the tenant under its epoch here (so a tenant recycled via
+/// [`IdService::reset_tenant`] is audited as a *new* owner, and overlap
+/// between its pre- and post-reset streams is caught like any
+/// cross-tenant duplicate) and under its node's incarnation in a fleet.
+pub const TENANT_BITS: u32 = 40;
+
+/// `Err` with the message a request for `tenant` is refused with,
+/// unless `tenant < 2^`[`TENANT_BITS`].
+pub fn check_tenant(tenant: u64) -> Result<(), String> {
+    if tenant >> TENANT_BITS == 0 {
+        Ok(())
+    } else {
+        Err(format!("tenant id {tenant} is not below 2^{TENANT_BITS}"))
+    }
+}
 
 /// Durable-state configuration: where tenant snapshots live and how
 /// wide the write-ahead reservation window is.
@@ -505,10 +516,17 @@ impl IdService {
     }
 
     fn shard_of(&self, tenant: u64) -> &SyncSender<ShardMsg> {
+        if let Err(e) = check_tenant(tenant) {
+            panic!("{e}");
+        }
         &self.shard_txs[(tenant % self.shard_txs.len() as u64) as usize]
     }
 
     /// Synchronously leases `count` IDs for `tenant`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tenant < 2^`[`TENANT_BITS`].
     pub fn lease(&self, tenant: u64, count: u128) -> LeaseReply {
         let (reply, rx) = sync_channel(1);
         self.shard_of(tenant)
@@ -545,6 +563,10 @@ impl IdService {
 
     /// Fire-and-forget lease (stress traffic): the IDs are issued,
     /// audited, and counted, but not shipped back.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tenant < 2^`[`TENANT_BITS`].
     pub fn issue(&self, tenant: u64, count: u128) {
         self.shard_of(tenant)
             .send(ShardMsg::Issue { tenant, count })
@@ -554,6 +576,10 @@ impl IdService {
     /// Recycles `tenant`'s generator into a fresh epoch (allocation-free
     /// [`IdGenerator::reset`] under a fresh seed). The audit treats the
     /// new epoch as a new owner, so pre/post-reset overlap is flagged.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tenant < 2^`[`TENANT_BITS`].
     ///
     /// [`IdGenerator::reset`]: uuidp_core::traits::IdGenerator::reset
     pub fn reset_tenant(&self, tenant: u64) {
@@ -824,8 +850,7 @@ fn snapshot_matches_kind(kind: &AlgorithmKind, state: &uuidp_core::state::Genera
 }
 
 fn owner_key(tenant: u64, epoch: u32) -> u64 {
-    debug_assert!(tenant < 1 << EPOCH_SHIFT, "tenant id too wide for epoching");
-    ((epoch as u64) << EPOCH_SHIFT) | tenant
+    ((epoch as u64) << TENANT_BITS) | tenant
 }
 
 fn tenant_seed(roots: &SeedTree, config: &ServiceConfig, tenant: u64, epoch: u32) -> u64 {
@@ -1775,6 +1800,31 @@ mod tests {
         let mut bytes = std::fs::read(&log).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x41;
+        std::fs::write(&log, bytes).unwrap();
+        let _ = IdService::start(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "unsupported snapshot version 1")]
+    fn a_version_1_snapshot_log_refuses_boot() {
+        // Version 1 records held Random's whole shuffle state; nothing
+        // reads them, so a state dir written by that format must not
+        // boot as if its tenants were new.
+        let dir = temp_state_dir("v1-boot");
+        let mut cfg = config(AlgorithmKind::Random, 20);
+        cfg.durability = Some(DurabilityConfig::new(&dir));
+        let service = IdService::start(cfg.clone());
+        service.lease(3, 10);
+        drop(service.shutdown());
+        // Tenant 3's one entry, in shard 1's log (3 % 2), re-stamped as
+        // version 1 under a valid checksum.
+        let log = dir.join("shard-1").join("snapshots.log");
+        let mut bytes = std::fs::read(&log).unwrap();
+        let record = &mut bytes[24..];
+        record[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let end = record.len() - 8;
+        let sum = uuidp_core::codec::fnv1a(&record[..end]);
+        record[end..].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&log, bytes).unwrap();
         let _ = IdService::start(cfg);
     }

@@ -14,7 +14,7 @@
 //! ([`AdaptiveScratch`], [`SymbolicScratch`]) so a Monte-Carlo worker can
 //! play millions of games without re-boxing generators or re-growing
 //! detector maps: instances are recycled through
-//! [`IdGenerator::reset`](uuidp_core::traits::IdGenerator::reset), which
+//! [`IdGenerator::reset`], which
 //! is observationally identical to a fresh spawn.
 
 use uuidp_adversary::adaptive::{Action, AdaptiveAdversary, GameView};

@@ -10,8 +10,7 @@ use uuidp_analysis::inequalities::{lemma13_bounds, lemma15_compare, lemma21_side
 use uuidp_core::algorithms::AlgorithmKind;
 use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::{Arc, IntervalSet};
-use uuidp_core::rng::Xoshiro256pp;
-use uuidp_core::shuffle::LazyShuffle;
+use uuidp_core::permute::KeyedPermutation;
 
 // ---------------------------------------------------------------------
 // IntervalSet vs a naive HashSet model.
@@ -80,19 +79,28 @@ proptest! {
     }
 
     // -----------------------------------------------------------------
-    // LazyShuffle is a permutation.
+    // The keyed permutation is injective into [n] at large n (every
+    // n ≤ 1024 is checked exhaustively in `uuidp_core::permute`).
     // -----------------------------------------------------------------
 
     #[test]
-    fn lazy_shuffle_is_a_permutation(n in 1u128..200, seed in any::<u64>()) {
-        let mut rng = Xoshiro256pp::new(seed);
-        let mut shuffle = LazyShuffle::new(n);
+    fn keyed_permutation_is_injective_at_large_n(
+        bits in 11u32..=127,
+        below in any::<u128>(),
+        start in any::<u128>(),
+        seed in any::<u64>(),
+    ) {
+        // n is uniform over (2^(bits−1), 2^bits], so every network width
+        // and both ends of its cycle-walking range come up.
+        let n = (1u128 << (bits - 1)) + below % (1u128 << (bits - 1)) + 1;
+        let pi = KeyedPermutation::new(n, seed);
+        let from = start % (n - 256);
         let mut seen = HashSet::new();
-        while let Some(x) = shuffle.draw(&mut rng) {
+        for i in from..from + 256 {
+            let x = pi.at(i);
             prop_assert!(x < n);
             prop_assert!(seen.insert(x));
         }
-        prop_assert_eq!(seen.len() as u128, n);
     }
 
     // -----------------------------------------------------------------
