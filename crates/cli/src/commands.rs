@@ -509,7 +509,7 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
     // or truncated request would shorten one twin's stream and turn the
     // gate into noise, so validation always runs chaos-free.
     check.chaos = None;
-    (check.tenants, check.requests, check.count) = (gate.tenants, gate.requests(), gate.count);
+    (check.tenants, check.requests, check.count) = (TwinGate::TENANTS, gate.requests(), gate.count);
     check.service.seed_alias = Some((0, 1));
     let injected = run(check)?;
     out.push_str(&gate.check(
@@ -532,40 +532,39 @@ fn tenant_count(tenants: u64) -> Result<u64, ParseError> {
     Ok(tenants.max(1))
 }
 
-/// The injected-twin phase `stress` and `fleet` both end with: tenants 0
-/// and 1 share a seed and lease in uniform rotation, `per_tenant` leases
-/// each of `count` IDs, so the later-audited twin's whole stream
-/// duplicates the other's.
+/// The injected-twin phase `stress` and `fleet` both end with: only
+/// tenants 0 and 1 lease, sharing a seed, in uniform rotation,
+/// `per_twin` leases each of `count` IDs, so the later-audited twin's
+/// whole stream duplicates the other's, and no other duplicate can
+/// occur.
 struct TwinGate {
-    tenants: u64,
-    per_tenant: u64,
+    per_twin: u64,
     count: u128,
 }
 
 impl TwinGate {
+    /// The tenants the phase leases: the twins 0 and 1.
+    const TENANTS: u64 = 2;
+
     /// The phase for a run of `requests` leases of `count` IDs over
-    /// `tenants`. It leases at least one ID per request, or the gate
-    /// would pass with nothing injected. Only tenants 0 and 1 are
-    /// twins, so it spans at most 512 tenants and submits at most 512
-    /// leases, however many tenants the run has.
+    /// `tenants`. Each twin leases as often as a tenant of a rotation of
+    /// at most 512 leases over at most 512 tenants would, and at least
+    /// one ID per lease, or the gate would pass with nothing injected.
     fn new(tenants: u64, requests: u64, count: u128) -> TwinGate {
-        let tenants = tenants.clamp(2, 512);
-        let per_tenant = (requests.clamp(16, 512) / tenants).max(1);
         TwinGate {
-            tenants,
-            per_tenant,
+            per_twin: (requests.clamp(16, 512) / tenants.clamp(2, 512)).max(1),
             count: count.max(1),
         }
     }
 
     /// Leases the phase submits.
     fn requests(&self) -> u64 {
-        self.per_tenant * self.tenants
+        Self::TENANTS * self.per_twin
     }
 
     /// The phase's report section, with `note` under the duplicate
-    /// count; an error when the audit counted fewer duplicate IDs than
-    /// the `per_tenant × count` injected (a false negative).
+    /// count; an error when the audit counted other than the
+    /// `per_twin × count` injected duplicate IDs.
     fn check(
         &self,
         title: &str,
@@ -578,12 +577,17 @@ impl TwinGate {
         // aggregate report cannot attribute per tenant, so fall back to
         // requiring detection.
         let (expected, bound) = match errors {
-            0 => ((self.per_tenant as u128).saturating_mul(self.count), ""),
+            0 => ((self.per_twin as u128).saturating_mul(self.count), ""),
             _ => (1, " (lower bound: generators exhausted mid-phase)"),
         };
         if detected < expected {
             return Err(ParseError(format!(
                 "audit false negative: {detected} duplicate IDs detected, {expected} injected"
+            )));
+        }
+        if errors == 0 && detected > expected {
+            return Err(ParseError(format!(
+                "audit over-count: {detected} duplicate IDs detected, {expected} injected"
             )));
         }
         Ok(format!(
@@ -768,7 +772,7 @@ fn fleet_phases(
     check.placement = TrafficMix::Uniform;
     check.kill_every = None;
     check.chaos = None;
-    (check.tenants, check.requests, check.count) = (gate.tenants, gate.requests(), gate.count);
+    (check.tenants, check.requests, check.count) = (TwinGate::TENANTS, gate.requests(), gate.count);
     check.service.seed_alias = Some((0, 1));
     let injected = run(check, "validate")?;
     out.push_str(&gate.check(
@@ -1396,9 +1400,40 @@ mod tests {
     fn twin_gate_spans_at_most_512_tenants() {
         assert!(TwinGate::new(200_000, 16, 8).requests() <= 512);
         assert!(TwinGate::new(1 << TENANT_BITS, 16, 8).requests() <= 512);
-        // Up to 512 tenants the phase keeps its shape.
-        assert_eq!(TwinGate::new(8, 200, 1).requests(), 200);
-        assert_eq!(TwinGate::new(512, 16, 1).requests(), 512);
+        // Only the twins lease, each as often as a tenant of the run's
+        // rotation over up to 512 tenants.
+        assert_eq!(TwinGate::new(8, 200, 1).requests(), 2 * 25);
+        assert_eq!(TwinGate::new(512, 16, 1).requests(), 2);
+    }
+
+    #[test]
+    fn stress_twin_gate_counts_only_the_twins() {
+        // Random over 2^16 collides by chance; with every tenant leasing
+        // in the phase, those collisions padded the gate to 607 detected
+        // against 512 injected.
+        let opts = StressOpts {
+            bits: 16,
+            count: 8,
+            ..StressOpts::trials_small("random")
+        };
+        let out = stress(&opts).unwrap();
+        assert!(
+            out.contains("duplicates:  512 detected, 512 injected\n"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn twin_gate_fails_an_over_count() {
+        // 64 leases of 8 IDs per twin: 512 injected.
+        let gate = TwinGate::new(8, 2000, 8);
+        assert!(gate.check("t", 512, 0, "").is_ok());
+        let over = gate.check("t", 513, 0, "").unwrap_err();
+        assert!(over.0.contains("over-count"), "{}", over.0);
+        assert!(gate.check("t", 511, 0, "").is_err(), "false negative");
+        // Exhaustion keeps only the lower bound.
+        assert!(gate.check("t", 513, 1, "").is_ok());
+        assert!(gate.check("t", 0, 1, "").is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::permute::KeyedPermutation;
-use crate::state::{check, GeneratorState, StateError};
+use crate::state::GeneratorState;
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`BinsGenerator`] instances.
@@ -92,19 +92,6 @@ impl BinsGenerator {
         }
     }
 
-    /// Rebuilds an instance from a [`GeneratorState::Bins`] snapshot.
-    pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::Bins { k, seed, generated } = *state else {
-            return Err(StateError("not a Bins state".into()));
-        };
-        check(k >= 1 && k <= space.size(), "bin size out of range")?;
-        check(generated <= space.size(), "generated exceeds universe")?;
-        Ok(BinsGenerator {
-            generated,
-            ..BinsGenerator::new(space, k, seed)
-        })
-    }
-
     /// Takes the next `count` stream positions, or as many as are left,
     /// and returns the first and how many were taken.
     fn take(&mut self, count: u128) -> (u128, u128) {
@@ -150,12 +137,6 @@ impl IdGenerator for BinsGenerator {
         self.space
     }
 
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        let mut id = Id(0);
-        self.next_ids(1, &mut |arc| id = arc.start)?;
-        Ok(id)
-    }
-
     fn generated(&self) -> u128 {
         self.generated
     }
@@ -182,11 +163,6 @@ impl IdGenerator for BinsGenerator {
             return Err(self.exhausted());
         }
         Ok(())
-    }
-
-    fn supports_bulk_lease(&self) -> bool {
-        // One arc per touched bin: O(count / k) arcs per lease.
-        true
     }
 
     fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {

@@ -25,7 +25,7 @@
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::{uniform_below, Xoshiro256pp};
-use crate::state::{check, rng_from, GeneratorState, StateError};
+use crate::state::GeneratorState;
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// How the number of chunks `C` is chosen.
@@ -79,11 +79,15 @@ impl BinsStarGeometry {
                 c
             }
         };
-        debug_assert!(fits(chunks, m), "chunk layout must fit in the universe");
-        BinsStarGeometry {
+        Self::with_chunks(space, chunks).expect("chunk layout must fit in the universe")
+    }
+
+    /// The layout of `chunks` chunks over `space`, if it fits.
+    pub(crate) fn with_chunks(space: IdSpace, chunks: u32) -> Option<Self> {
+        (chunks >= 1 && fits(chunks, space.size())).then(|| BinsStarGeometry {
             chunks,
             chunk_size: 1u128 << (chunks - 1),
-        }
+        })
     }
 
     /// First ID of chunk `i` (1-based).
@@ -161,7 +165,7 @@ impl Algorithm for BinsStar {
 
 /// One instance of Bins★.
 ///
-/// The emitted footprint is lazy, like Cluster★'s: `next_id` only
+/// The emitted footprint is lazy, like Cluster★'s: emitting only
 /// advances the open bin's counter; the emitted prefix is folded into
 /// the interval set when the bin closes or on
 /// [`IdGenerator::footprint`].
@@ -169,6 +173,7 @@ impl Algorithm for BinsStar {
 pub struct BinsStarGenerator {
     space: IdSpace,
     geometry: BinsStarGeometry,
+    seed: u64,
     rng: Xoshiro256pp,
     /// 1-based index of the *next* chunk to open a bin in.
     next_chunk: u32,
@@ -195,6 +200,7 @@ impl BinsStarGenerator {
         BinsStarGenerator {
             space,
             geometry,
+            seed,
             rng: Xoshiro256pp::new(seed),
             next_chunk: 1,
             current: None,
@@ -202,86 +208,6 @@ impl BinsStarGenerator {
             emitted: IntervalSet::new(space),
             generated: 0,
         }
-    }
-
-    /// Rebuilds an instance from a [`GeneratorState::BinsStar`] snapshot.
-    /// The emitted set is reconstructed from the bin list (bins are
-    /// emitted fully, in order, except the last).
-    pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::BinsStar {
-            rng,
-            chunks,
-            chunk_size,
-            next_chunk,
-            bins,
-            current_used,
-            generated,
-        } = state
-        else {
-            return Err(StateError("not a BinsStar state".into()));
-        };
-        check(*chunks >= 1 && *chunks < 127, "chunk count out of range")?;
-        check(
-            *chunk_size == 1u128 << (chunks - 1),
-            "chunk size inconsistent with chunk count",
-        )?;
-        check(
-            (*chunks as u128) * chunk_size <= space.size(),
-            "layout exceeds universe",
-        )?;
-        let geometry = BinsStarGeometry {
-            chunks: *chunks,
-            chunk_size: *chunk_size,
-        };
-        check(
-            *next_chunk >= 1 && *next_chunk <= chunks + 1,
-            "next chunk out of range",
-        )?;
-        check(
-            bins.len() as u32 == next_chunk - 1,
-            "bin count inconsistent with next chunk",
-        )?;
-        let mut arcs = Vec::with_capacity(bins.len());
-        for (idx, &(start, len)) in bins.iter().enumerate() {
-            let chunk = idx as u32 + 1;
-            let lo = geometry.chunk_start(chunk);
-            let hi = lo + geometry.chunk_size;
-            check(len == geometry.bin_size(chunk), "bin size mismatch")?;
-            check(
-                start >= lo && start + len <= hi && (start - lo).is_multiple_of(len),
-                "bin not aligned within its chunk",
-            )?;
-            arcs.push(Arc::new(space, Id(start), len));
-        }
-        let mut emitted = IntervalSet::new(space);
-        for bin in arcs.iter().take(arcs.len().saturating_sub(1)) {
-            emitted.insert(*bin);
-        }
-        let current = match (arcs.last(), current_used) {
-            (Some(last), Some(used)) => {
-                check(*used <= last.len, "current bin overdrawn")?;
-                if *used > 0 {
-                    emitted.insert(Arc::new(space, last.start, *used));
-                }
-                Some((*last, *used, *used))
-            }
-            (None, None) => None,
-            _ => return Err(StateError("current_used inconsistent with bins".into())),
-        };
-        check(
-            emitted.measure() == *generated,
-            "emitted measure != generated",
-        )?;
-        Ok(BinsStarGenerator {
-            space,
-            geometry,
-            rng: rng_from(*rng)?,
-            next_chunk: *next_chunk,
-            current,
-            bins: arcs,
-            emitted,
-            generated: *generated,
-        })
     }
 
     /// The bins chosen so far, in choice order.
@@ -318,24 +244,35 @@ impl BinsStarGenerator {
         self.next_chunk += 1;
         Ok(bin)
     }
+
+    /// Emits the next `count` IDs to `sink`, one arc per touched bin,
+    /// opening bins as the walk reaches them.
+    fn walk(&mut self, mut count: u128, mut sink: impl FnMut(Arc)) -> Result<(), GeneratorError> {
+        while count > 0 {
+            let (bin, used) = match self.current {
+                Some((bin, used, _)) if used < bin.len => (bin, used),
+                _ => (self.open_next_bin()?, 0),
+            };
+            let take = count.min(bin.len - used);
+            // A literal, as in Cluster★'s walk: 1 ≤ take ≤ bin.len holds
+            // by construction.
+            sink(Arc {
+                start: self.space.add(bin.start, used),
+                len: take,
+            });
+            if let Some((_, u, _)) = &mut self.current {
+                *u = used + take;
+            }
+            self.generated += take;
+            count -= take;
+        }
+        Ok(())
+    }
 }
 
 impl IdGenerator for BinsStarGenerator {
     fn space(&self) -> IdSpace {
         self.space
-    }
-
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        let (bin, used) = match self.current {
-            Some((bin, used, _)) if used < bin.len => (bin, used),
-            _ => (self.open_next_bin()?, 0),
-        };
-        let id = bin.nth(self.space, used);
-        if let Some((_, u, _)) = &mut self.current {
-            *u = used + 1;
-        }
-        self.generated += 1;
-        Ok(id)
     }
 
     fn generated(&self) -> u128 {
@@ -347,49 +284,16 @@ impl IdGenerator for BinsStarGenerator {
         Footprint::Arcs(&self.emitted)
     }
 
-    fn next_ids(
-        &mut self,
-        mut count: u128,
-        sink: &mut dyn FnMut(Arc),
-    ) -> Result<(), GeneratorError> {
-        while count > 0 {
-            let (bin, used) = match self.current {
-                Some((bin, used, _)) if used < bin.len => (bin, used),
-                _ => (self.open_next_bin()?, 0),
-            };
-            let take = count.min(bin.len - used);
-            sink(Arc::new(self.space, self.space.add(bin.start, used), take));
-            if let Some((_, u, _)) = &mut self.current {
-                *u = used + take;
-            }
-            self.generated += take;
-            count -= take;
-        }
-        Ok(())
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        self.walk(count, sink)
     }
 
-    fn supports_bulk_lease(&self) -> bool {
-        // One arc per touched chunk bin: O(log count) arcs per lease.
-        true
-    }
-
-    fn skip(&mut self, mut count: u128) -> Result<(), GeneratorError> {
-        while count > 0 {
-            let (bin, used) = match self.current {
-                Some((bin, used, _)) if used < bin.len => (bin, used),
-                _ => (self.open_next_bin()?, 0),
-            };
-            let take = count.min(bin.len - used);
-            if let Some((_, u, _)) = &mut self.current {
-                *u = used + take;
-            }
-            self.generated += take;
-            count -= take;
-        }
-        Ok(())
+    fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
+        self.walk(count, |_| {})
     }
 
     fn reset(&mut self, seed: u64) {
+        self.seed = seed;
         self.rng = Xoshiro256pp::new(seed);
         self.next_chunk = 1;
         self.current = None;
@@ -400,12 +304,8 @@ impl IdGenerator for BinsStarGenerator {
 
     fn snapshot(&self) -> Option<GeneratorState> {
         Some(GeneratorState::BinsStar {
-            rng: self.rng.state(),
             chunks: self.geometry.chunks,
-            chunk_size: self.geometry.chunk_size,
-            next_chunk: self.next_chunk,
-            bins: self.bins.iter().map(|b| (b.start.value(), b.len)).collect(),
-            current_used: self.current.map(|(_, used, _)| used),
+            seed: self.seed,
             generated: self.generated,
         })
     }

@@ -15,7 +15,7 @@
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::{uniform_below, Xoshiro256pp};
-use crate::state::{check, GeneratorState, StateError};
+use crate::state::GeneratorState;
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`ClusterGenerator`] instances.
@@ -47,12 +47,13 @@ impl Algorithm for Cluster {
 
 /// One instance of Cluster: a random start, then sequential IDs mod `m`.
 ///
-/// The footprint is lazy: `next_id`/`skip` only move the `generated`
-/// counter, and the emitted arc is folded into the interval set when
+/// The footprint is lazy: emitting only moves the `generated` counter,
+/// and the emitted arc is folded into the interval set when
 /// [`IdGenerator::footprint`] is called.
 #[derive(Debug)]
 pub struct ClusterGenerator {
     space: IdSpace,
+    seed: u64,
     start: Id,
     generated: u128,
     emitted: IntervalSet,
@@ -63,11 +64,10 @@ pub struct ClusterGenerator {
 impl ClusterGenerator {
     /// A fresh instance seeded with `seed`.
     pub fn new(space: IdSpace, seed: u64) -> Self {
-        let mut rng = Xoshiro256pp::new(seed);
-        let start = Id(uniform_below(&mut rng, space.size()));
         ClusterGenerator {
             space,
-            start,
+            seed,
+            start: start_of(space, seed),
             generated: 0,
             emitted: IntervalSet::new(space),
             flushed: 0,
@@ -89,41 +89,34 @@ impl ClusterGenerator {
         self.start
     }
 
-    /// Rebuilds an instance from a [`GeneratorState::Cluster`] snapshot.
-    pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::Cluster { start, generated } = state else {
-            return Err(StateError("not a Cluster state".into()));
-        };
-        check(*start < space.size(), "start outside the universe")?;
-        check(*generated <= space.size(), "generated exceeds universe")?;
-        let mut emitted = IntervalSet::new(space);
-        if *generated > 0 {
-            emitted.insert(Arc::new(space, Id(*start), *generated));
+    /// Emits the next `count` IDs to `sink`: one arc of the cluster.
+    fn walk(&mut self, count: u128, mut sink: impl FnMut(Arc)) -> Result<(), GeneratorError> {
+        let take = count.min(self.space.size() - self.generated);
+        if take > 0 {
+            sink(Arc::new(
+                self.space,
+                self.space.add(self.start, self.generated),
+                take,
+            ));
+            self.generated += take;
         }
-        Ok(ClusterGenerator {
-            space,
-            start: Id(*start),
-            generated: *generated,
-            emitted,
-            flushed: *generated,
-        })
+        if take < count {
+            return Err(GeneratorError::Exhausted {
+                generated: self.generated,
+            });
+        }
+        Ok(())
     }
+}
+
+/// The uniform random start `x` that `seed` picks.
+fn start_of(space: IdSpace, seed: u64) -> Id {
+    Id(uniform_below(&mut Xoshiro256pp::new(seed), space.size()))
 }
 
 impl IdGenerator for ClusterGenerator {
     fn space(&self) -> IdSpace {
         self.space
-    }
-
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        if self.generated >= self.space.size() {
-            return Err(GeneratorError::Exhausted {
-                generated: self.generated,
-            });
-        }
-        let id = self.space.add(self.start, self.generated);
-        self.generated += 1;
-        Ok(id)
     }
 
     fn generated(&self) -> u128 {
@@ -136,43 +129,16 @@ impl IdGenerator for ClusterGenerator {
     }
 
     fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
-        let available = self.space.size() - self.generated;
-        let take = count.min(available);
-        if take > 0 {
-            let first = self.space.add(self.start, self.generated);
-            self.generated += take;
-            sink(Arc::new(self.space, first, take));
-        }
-        if take < count {
-            return Err(GeneratorError::Exhausted {
-                generated: self.generated,
-            });
-        }
-        Ok(())
-    }
-
-    fn supports_bulk_lease(&self) -> bool {
-        // The whole lease is one arc of the instance's single cluster.
-        true
+        self.walk(count, sink)
     }
 
     fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
-        let available = self.space.size() - self.generated;
-        if count > available {
-            // Advance past what fits so the footprint reflects a maximal
-            // attempt, mirroring what repeated next_id calls would do.
-            self.generated += available;
-            return Err(GeneratorError::Exhausted {
-                generated: self.generated,
-            });
-        }
-        self.generated += count;
-        Ok(())
+        self.walk(count, |_| {})
     }
 
     fn reset(&mut self, seed: u64) {
-        let mut rng = Xoshiro256pp::new(seed);
-        self.start = Id(uniform_below(&mut rng, self.space.size()));
+        self.seed = seed;
+        self.start = start_of(self.space, seed);
         self.generated = 0;
         self.flushed = 0;
         self.emitted.clear();
@@ -180,7 +146,7 @@ impl IdGenerator for ClusterGenerator {
 
     fn snapshot(&self) -> Option<GeneratorState> {
         Some(GeneratorState::Cluster {
-            start: self.start.value(),
+            seed: self.seed,
             generated: self.generated,
         })
     }

@@ -24,10 +24,10 @@
 //! runs of size at most `m / (2 log m)`). We surface the out-of-space
 //! condition as [`GeneratorError::Exhausted`].
 
-use crate::id::{Id, IdSpace};
+use crate::id::IdSpace;
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::Xoshiro256pp;
-use crate::state::{check, rng_from, GeneratorState, StateError};
+use crate::state::GeneratorState;
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`ClusterStarGenerator`] instances.
@@ -94,13 +94,14 @@ impl Algorithm for ClusterStar {
 
 /// One instance of Cluster★.
 ///
-/// The emitted footprint is lazy: `next_id` only advances the open run's
+/// The emitted footprint is lazy: emitting only advances the open run's
 /// counter, and the emitted prefix is folded into `emitted` when a run
 /// closes or when [`IdGenerator::footprint`] is called. This makes
 /// emission O(1) per ID; the only per-run cost is the placement draw.
 #[derive(Debug)]
 pub struct ClusterStarGenerator {
     space: IdSpace,
+    seed: u64,
     rng: Xoshiro256pp,
     /// Union of all runs this instance has opened (whether fully emitted or
     /// not). New runs must be disjoint from this set.
@@ -130,6 +131,7 @@ impl ClusterStarGenerator {
         assert!(growth >= 2, "run growth factor must be at least 2");
         ClusterStarGenerator {
             space,
+            seed,
             rng: Xoshiro256pp::new(seed),
             reserved: IntervalSet::new(space),
             emitted: IntervalSet::new(space),
@@ -139,65 +141,6 @@ impl ClusterStarGenerator {
             runs: Vec::new(),
             generated: 0,
         }
-    }
-
-    /// Rebuilds an instance from a [`GeneratorState::ClusterStar`]
-    /// snapshot. The reserved and emitted sets are reconstructed from the
-    /// run list (runs are emitted fully, in order, except the last).
-    pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::ClusterStar {
-            rng,
-            growth,
-            next_len,
-            runs,
-            current_used,
-            generated,
-        } = state
-        else {
-            return Err(StateError("not a ClusterStar state".into()));
-        };
-        check(*growth >= 2, "growth factor below 2")?;
-        check(*next_len >= 1, "next run length must be positive")?;
-        let m = space.size();
-        let mut reserved = IntervalSet::new(space);
-        let mut arcs = Vec::with_capacity(runs.len());
-        for &(start, len) in runs {
-            check(start < m && len >= 1 && len <= m, "run out of universe")?;
-            let run = Arc::new(space, Id(start), len);
-            check(!reserved.intersects_arc(run), "overlapping runs")?;
-            reserved.insert(run);
-            arcs.push(run);
-        }
-        let mut emitted = IntervalSet::new(space);
-        for run in arcs.iter().take(arcs.len().saturating_sub(1)) {
-            emitted.insert(*run);
-        }
-        let current = match (arcs.last(), current_used) {
-            (Some(last), Some(used)) => {
-                check(*used <= last.len, "current run overdrawn")?;
-                if *used > 0 {
-                    emitted.insert(Arc::new(space, last.start, *used));
-                }
-                Some((*last, *used, *used))
-            }
-            (None, None) => None,
-            _ => return Err(StateError("current_used inconsistent with runs".into())),
-        };
-        check(
-            emitted.measure() == *generated,
-            "emitted measure != generated",
-        )?;
-        Ok(ClusterStarGenerator {
-            space,
-            rng: rng_from(*rng)?,
-            reserved,
-            emitted,
-            current,
-            next_len: *next_len,
-            growth: *growth,
-            runs: arcs,
-            generated: *generated,
-        })
     }
 
     /// The runs opened so far, in opening order.
@@ -245,24 +188,35 @@ impl ClusterStarGenerator {
         self.next_len = len.saturating_mul(self.growth as u128);
         Ok(run)
     }
+
+    /// Emits the next `count` IDs to `sink`, one arc per touched run,
+    /// opening runs as the walk reaches them.
+    fn walk(&mut self, mut count: u128, mut sink: impl FnMut(Arc)) -> Result<(), GeneratorError> {
+        while count > 0 {
+            let (run, used) = match self.current {
+                Some((run, used, _)) if used < run.len => (run, used),
+                _ => (self.open_run()?, 0),
+            };
+            let take = count.min(run.len - used);
+            // A literal, not `Arc::new`: 1 ≤ take ≤ run.len ≤ m holds by
+            // construction, and `skip`'s no-op sink then costs nothing.
+            sink(Arc {
+                start: self.space.add(run.start, used),
+                len: take,
+            });
+            if let Some((_, u, _)) = &mut self.current {
+                *u = used + take;
+            }
+            self.generated += take;
+            count -= take;
+        }
+        Ok(())
+    }
 }
 
 impl IdGenerator for ClusterStarGenerator {
     fn space(&self) -> IdSpace {
         self.space
-    }
-
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        let (run, used) = match self.current {
-            Some((run, used, _)) if used < run.len => (run, used),
-            _ => (self.open_run()?, 0),
-        };
-        let id = run.nth(self.space, used);
-        if let Some((_, u, _)) = &mut self.current {
-            *u = used + 1;
-        }
-        self.generated += 1;
-        Ok(id)
     }
 
     fn generated(&self) -> u128 {
@@ -274,49 +228,16 @@ impl IdGenerator for ClusterStarGenerator {
         Footprint::Arcs(&self.emitted)
     }
 
-    fn next_ids(
-        &mut self,
-        mut count: u128,
-        sink: &mut dyn FnMut(Arc),
-    ) -> Result<(), GeneratorError> {
-        while count > 0 {
-            let (run, used) = match self.current {
-                Some((run, used, _)) if used < run.len => (run, used),
-                _ => (self.open_run()?, 0),
-            };
-            let take = count.min(run.len - used);
-            sink(Arc::new(self.space, self.space.add(run.start, used), take));
-            if let Some((_, u, _)) = &mut self.current {
-                *u = used + take;
-            }
-            self.generated += take;
-            count -= take;
-        }
-        Ok(())
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        self.walk(count, sink)
     }
 
-    fn supports_bulk_lease(&self) -> bool {
-        // One arc per touched run: O(log(d + count) − log d) per lease.
-        true
-    }
-
-    fn skip(&mut self, mut count: u128) -> Result<(), GeneratorError> {
-        while count > 0 {
-            let (run, used) = match self.current {
-                Some((run, used, _)) if used < run.len => (run, used),
-                _ => (self.open_run()?, 0),
-            };
-            let take = count.min(run.len - used);
-            if let Some((_, u, _)) = &mut self.current {
-                *u = used + take;
-            }
-            self.generated += take;
-            count -= take;
-        }
-        Ok(())
+    fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
+        self.walk(count, |_| {})
     }
 
     fn reset(&mut self, seed: u64) {
+        self.seed = seed;
         self.rng = Xoshiro256pp::new(seed);
         self.reserved.clear();
         self.emitted.clear();
@@ -328,11 +249,8 @@ impl IdGenerator for ClusterStarGenerator {
 
     fn snapshot(&self) -> Option<GeneratorState> {
         Some(GeneratorState::ClusterStar {
-            rng: self.rng.state(),
             growth: self.growth,
-            next_len: self.next_len,
-            runs: self.runs.iter().map(|r| (r.start.value(), r.len)).collect(),
-            current_used: self.current.map(|(_, used, _)| used),
+            seed: self.seed,
             generated: self.generated,
         })
     }
@@ -341,6 +259,7 @@ impl IdGenerator for ClusterStarGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::Id;
     use std::collections::HashSet;
 
     #[test]

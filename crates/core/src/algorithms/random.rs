@@ -15,8 +15,9 @@
 //! demand, and `skip` is O(1).
 
 use crate::id::{Id, IdSpace};
+use crate::interval::Arc;
 use crate::permute::KeyedPermutation;
-use crate::state::{check, GeneratorState, StateError};
+use crate::state::GeneratorState;
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`RandomGenerator`] instances.
@@ -70,18 +71,6 @@ impl RandomGenerator {
             emitted: Vec::new(),
         }
     }
-
-    /// Rebuilds an instance from a [`GeneratorState::Random`] snapshot.
-    pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::Random { seed, drawn } = *state else {
-            return Err(StateError("not a Random state".into()));
-        };
-        check(drawn <= space.size(), "drawn exceeds universe")?;
-        Ok(RandomGenerator {
-            drawn,
-            ..RandomGenerator::new(space, seed)
-        })
-    }
 }
 
 impl IdGenerator for RandomGenerator {
@@ -89,15 +78,12 @@ impl IdGenerator for RandomGenerator {
         self.space
     }
 
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        if self.drawn == self.space.size() {
-            return Err(GeneratorError::Exhausted {
-                generated: self.drawn,
-            });
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        let end = self.drawn + count.min(self.space.size() - self.drawn);
+        for i in self.drawn..end {
+            sink(Arc::point(self.space, Id(self.order.at(i))));
         }
-        let id = Id(self.order.at(self.drawn));
-        self.drawn += 1;
-        Ok(id)
+        self.skip(count)
     }
 
     fn generated(&self) -> u128 {
@@ -133,7 +119,7 @@ impl IdGenerator for RandomGenerator {
     fn snapshot(&self) -> Option<GeneratorState> {
         Some(GeneratorState::Random {
             seed: self.seed,
-            drawn: self.drawn,
+            generated: self.drawn,
         })
     }
 }

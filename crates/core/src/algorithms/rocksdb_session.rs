@@ -27,7 +27,7 @@ use std::collections::HashSet;
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::{uniform_below, Xoshiro256pp};
-use crate::state::{check, rng_from, GeneratorState, StateError};
+use crate::state::GeneratorState;
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Factory for [`SessionCounterGenerator`] instances.
@@ -87,6 +87,7 @@ pub struct SessionCounterGenerator {
     space: IdSpace,
     counter_bits: u32,
     sessions_total: u128,
+    seed: u64,
     rng: Xoshiro256pp,
     used_sessions: HashSet<u128>,
     current_session: Option<u128>,
@@ -100,17 +101,19 @@ pub struct SessionCounterGenerator {
 impl SessionCounterGenerator {
     /// A fresh instance seeded with `seed`.
     pub fn new(session_bits: u32, counter_bits: u32, seed: u64) -> Self {
+        let space = IdSpace::with_bits(session_bits + counter_bits).expect("checked width");
         SessionCounterGenerator {
-            space: IdSpace::with_bits(session_bits + counter_bits).expect("checked width"),
+            space,
             counter_bits,
             sessions_total: 1u128 << session_bits,
+            seed,
             rng: Xoshiro256pp::new(seed),
             used_sessions: HashSet::new(),
             current_session: None,
             counter: 0,
             flushed: 0,
             generated: 0,
-            emitted: IntervalSet::new(self_space(session_bits, counter_bits)),
+            emitted: IntervalSet::new(space),
         }
     }
 
@@ -129,75 +132,6 @@ impl SessionCounterGenerator {
     /// The session prefix currently in use, if any ID has been issued.
     pub fn current_session(&self) -> Option<u128> {
         self.current_session
-    }
-
-    /// Rebuilds an instance from a [`GeneratorState::SessionCounter`]
-    /// snapshot. The emitted set is reconstructed: closed sessions are
-    /// full, the open session holds a counter-length prefix.
-    pub fn from_state(space: IdSpace, state: &GeneratorState) -> Result<Self, StateError> {
-        let GeneratorState::SessionCounter {
-            rng,
-            session_bits,
-            counter_bits,
-            used_sessions,
-            current_session,
-            counter,
-            generated,
-        } = state
-        else {
-            return Err(StateError("not a SessionCounter state".into()));
-        };
-        check(
-            *session_bits > 0 && *counter_bits > 0 && session_bits + counter_bits <= 127,
-            "bad bit layout",
-        )?;
-        check(
-            space.size() == 1u128 << (session_bits + counter_bits),
-            "layout inconsistent with universe",
-        )?;
-        let sessions_total = 1u128 << session_bits;
-        let cap = 1u128 << counter_bits;
-        check(
-            used_sessions.iter().all(|&s| s < sessions_total),
-            "session out of range",
-        )?;
-        check(*counter <= cap, "counter exceeds capacity")?;
-        let used: HashSet<u128> = used_sessions.iter().copied().collect();
-        check(used.len() == used_sessions.len(), "duplicate used sessions")?;
-        let mut emitted = IntervalSet::new(space);
-        match current_session {
-            Some(cur) => {
-                check(used.contains(cur), "current session not in used set")?;
-                for &s in &used {
-                    if s == *cur {
-                        if *counter > 0 {
-                            emitted.insert(Arc::new(space, Id(s << counter_bits), *counter));
-                        }
-                    } else {
-                        emitted.insert(Arc::new(space, Id(s << counter_bits), cap));
-                    }
-                }
-            }
-            None => {
-                check(used.is_empty(), "used sessions without a current one")?;
-            }
-        }
-        check(
-            emitted.measure() == *generated,
-            "emitted measure != generated",
-        )?;
-        Ok(SessionCounterGenerator {
-            space,
-            counter_bits: *counter_bits,
-            sessions_total,
-            rng: rng_from(*rng)?,
-            used_sessions: used,
-            current_session: *current_session,
-            counter: *counter,
-            flushed: *counter,
-            generated: *generated,
-            emitted,
-        })
     }
 
     /// The session-prefix width in bits (for snapshots).
@@ -227,26 +161,33 @@ impl SessionCounterGenerator {
             }
         }
     }
-}
 
-fn self_space(session_bits: u32, counter_bits: u32) -> IdSpace {
-    IdSpace::with_bits(session_bits + counter_bits).expect("checked width")
+    /// Emits the next `count` IDs to `sink`, one arc per touched
+    /// session, opening sessions as the walk reaches them.
+    fn walk(&mut self, mut count: u128, mut sink: impl FnMut(Arc)) -> Result<(), GeneratorError> {
+        while count > 0 {
+            let session = match self.current_session {
+                Some(s) if self.counter < self.counter_capacity() => s,
+                _ => self.open_session()?,
+            };
+            let take = count.min(self.counter_capacity() - self.counter);
+            // A literal, as in Cluster★'s walk: the range stays inside
+            // the session by construction.
+            sink(Arc {
+                start: Id((session << self.counter_bits) | self.counter),
+                len: take,
+            });
+            self.counter += take;
+            self.generated += take;
+            count -= take;
+        }
+        Ok(())
+    }
 }
 
 impl IdGenerator for SessionCounterGenerator {
     fn space(&self) -> IdSpace {
         self.space
-    }
-
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        let session = match self.current_session {
-            Some(s) if self.counter < self.counter_capacity() => s,
-            _ => self.open_session()?,
-        };
-        let id = Id((session << self.counter_bits) | self.counter);
-        self.counter += 1;
-        self.generated += 1;
-        Ok(id)
     }
 
     fn generated(&self) -> u128 {
@@ -258,51 +199,16 @@ impl IdGenerator for SessionCounterGenerator {
         Footprint::Arcs(&self.emitted)
     }
 
-    fn next_ids(
-        &mut self,
-        mut count: u128,
-        sink: &mut dyn FnMut(Arc),
-    ) -> Result<(), GeneratorError> {
-        while count > 0 {
-            let session = match self.current_session {
-                Some(s) if self.counter < self.counter_capacity() => s,
-                _ => self.open_session()?,
-            };
-            let take = count.min(self.counter_capacity() - self.counter);
-            sink(Arc::new(
-                self.space,
-                Id((session << self.counter_bits) | self.counter),
-                take,
-            ));
-            self.counter += take;
-            self.generated += take;
-            count -= take;
-        }
-        Ok(())
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        self.walk(count, sink)
     }
 
-    fn supports_bulk_lease(&self) -> bool {
-        // One arc per touched session range: O(count / 2^counter_bits).
-        true
-    }
-
-    fn skip(&mut self, mut count: u128) -> Result<(), GeneratorError> {
-        while count > 0 {
-            match self.current_session {
-                Some(_) if self.counter < self.counter_capacity() => {}
-                _ => {
-                    self.open_session()?;
-                }
-            };
-            let take = count.min(self.counter_capacity() - self.counter);
-            self.counter += take;
-            self.generated += take;
-            count -= take;
-        }
-        Ok(())
+    fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
+        self.walk(count, |_| {})
     }
 
     fn reset(&mut self, seed: u64) {
+        self.seed = seed;
         self.rng = Xoshiro256pp::new(seed);
         self.used_sessions.clear();
         self.current_session = None;
@@ -313,15 +219,10 @@ impl IdGenerator for SessionCounterGenerator {
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        let mut used: Vec<u128> = self.used_sessions.iter().copied().collect();
-        used.sort_unstable();
         Some(GeneratorState::SessionCounter {
-            rng: self.rng.state(),
             session_bits: self.session_bits(),
             counter_bits: self.counter_bits,
-            used_sessions: used,
-            current_session: self.current_session,
-            counter: self.counter,
+            seed: self.seed,
             generated: self.generated,
         })
     }

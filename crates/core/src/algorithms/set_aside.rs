@@ -103,25 +103,29 @@ impl IdGenerator for SetAsideGenerator {
         self.space
     }
 
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        let id = if self.generated < self.head_demand {
-            // Head: Bins(i) on the reduced space; IDs carry over unchanged.
-            self.head.next_id().map_err(|_| GeneratorError::Exhausted {
-                generated: self.generated,
-            })?
-        } else if self.tail_emitted < self.tail_len {
-            // Tail: hard-wired IDs {m − (j−i), …, m − 1} in increasing order.
-            let id = Id(self.space.size() - self.tail_len + self.tail_emitted);
-            self.tail_emitted += 1;
-            id
-        } else {
-            return Err(GeneratorError::Exhausted {
-                generated: self.generated,
-            });
-        };
-        self.emitted.insert(Arc::point(self.space, id));
-        self.generated += 1;
-        Ok(id)
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        for _ in 0..count {
+            let id = if self.generated < self.head_demand {
+                // Head: Bins(i) on the reduced space; IDs carry over unchanged.
+                self.head.next_id().map_err(|_| GeneratorError::Exhausted {
+                    generated: self.generated,
+                })?
+            } else if self.tail_emitted < self.tail_len {
+                // Tail: hard-wired IDs {m − (j−i), …, m − 1} in increasing order.
+                let id = Id(self.space.size() - self.tail_len + self.tail_emitted);
+                self.tail_emitted += 1;
+                id
+            } else {
+                return Err(GeneratorError::Exhausted {
+                    generated: self.generated,
+                });
+            };
+            let arc = Arc::point(self.space, id);
+            self.emitted.insert(arc);
+            self.generated += 1;
+            sink(arc);
+        }
+        Ok(())
     }
 
     fn generated(&self) -> u128 {

@@ -21,6 +21,7 @@
 //! exists here as the practical comparator for experiment E13.
 
 use crate::id::{Id, IdSpace};
+use crate::interval::Arc;
 use crate::rng::{uniform_below, Xoshiro256pp};
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
@@ -168,27 +169,30 @@ impl IdGenerator for SnowflakeGenerator {
         self.space
     }
 
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        let logical = self.skew + self.served / self.config.requests_per_tick;
-        if logical > self.tick {
-            self.tick = logical;
-            self.seq = 0;
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        for _ in 0..count {
+            let logical = self.skew + self.served / self.config.requests_per_tick;
+            if logical > self.tick {
+                self.tick = logical;
+                self.seq = 0;
+            }
+            if self.seq >= 1u128 << self.config.sequence_bits {
+                // Sequence exhausted within this tick: bump the tick.
+                self.tick += 1;
+                self.seq = 0;
+            }
+            let ts_mask = (1u128 << self.config.timestamp_bits) - 1;
+            let id = ((self.tick as u128 & ts_mask)
+                << (self.config.worker_bits + self.config.sequence_bits))
+                | (self.worker << self.config.sequence_bits)
+                | self.seq;
+            self.seq += 1;
+            self.served += 1;
+            let id = Id(id);
+            self.emitted.push(id);
+            sink(Arc::point(self.space, id));
         }
-        if self.seq >= 1u128 << self.config.sequence_bits {
-            // Sequence exhausted within this tick: bump the tick.
-            self.tick += 1;
-            self.seq = 0;
-        }
-        let ts_mask = (1u128 << self.config.timestamp_bits) - 1;
-        let id = ((self.tick as u128 & ts_mask)
-            << (self.config.worker_bits + self.config.sequence_bits))
-            | (self.worker << self.config.sequence_bits)
-            | self.seq;
-        self.seq += 1;
-        self.served += 1;
-        let id = Id(id);
-        self.emitted.push(id);
-        Ok(id)
+        Ok(())
     }
 
     fn generated(&self) -> u128 {

@@ -72,38 +72,12 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-/// Appends a 4-word RNG state.
-pub fn put_rng(out: &mut Vec<u8>, rng: &[u64; 4]) {
-    for &w in rng {
-        put_u64(out, w);
-    }
-}
-
-/// Appends a count-prefixed sequence of `u128`s.
-pub fn put_u128_seq(out: &mut Vec<u8>, seq: &[u128]) {
-    put_u64(out, seq.len() as u64);
-    for &v in seq {
-        put_u128(out, v);
-    }
-}
-
 /// Appends a count-prefixed sequence of `u128` pairs.
 pub fn put_pair_seq(out: &mut Vec<u8>, seq: &[(u128, u128)]) {
     put_u64(out, seq.len() as u64);
     for &(a, b) in seq {
         put_u128(out, a);
         put_u128(out, b);
-    }
-}
-
-/// Appends an optional `u128` (presence byte + value).
-pub fn put_opt_u128(out: &mut Vec<u8>, v: &Option<u128>) {
-    match v {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u128(out, *v);
-        }
     }
 }
 
@@ -188,11 +162,6 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// Reads a 4-word RNG state.
-    pub fn rng(&mut self) -> Result<[u64; 4], CodecError> {
-        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
-    }
-
     /// Reads a sequence length prefix. A length prefix can never exceed
     /// the remaining bytes (each element is at least one byte), so
     /// absurd counts are rejected before they become pre-allocations.
@@ -204,25 +173,10 @@ impl<'a> Cursor<'a> {
         Ok(len as usize)
     }
 
-    /// Reads a count-prefixed `u128` sequence.
-    pub fn u128_seq(&mut self) -> Result<Vec<u128>, CodecError> {
-        let len = self.seq_len()?;
-        (0..len).map(|_| self.u128()).collect()
-    }
-
     /// Reads a count-prefixed `u128`-pair sequence.
     pub fn pair_seq(&mut self) -> Result<Vec<(u128, u128)>, CodecError> {
         let len = self.seq_len()?;
         (0..len).map(|_| Ok((self.u128()?, self.u128()?))).collect()
-    }
-
-    /// Reads an optional `u128`.
-    pub fn opt_u128(&mut self) -> Result<Option<u128>, CodecError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u128()?)),
-            t => Err(CodecError::Corrupt(format!("bad option tag {t}"))),
-        }
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -267,11 +221,7 @@ mod tests {
         put_u64(&mut out, u64::MAX - 1);
         put_u128(&mut out, u128::MAX / 3);
         put_f64(&mut out, -1234.5678e-9);
-        put_rng(&mut out, &[1, 2, 3, 4]);
-        put_u128_seq(&mut out, &[9, 8, 7]);
         put_pair_seq(&mut out, &[(1, 2), (3, 4)]);
-        put_opt_u128(&mut out, &None);
-        put_opt_u128(&mut out, &Some(5));
         put_str(&mut out, "héllo");
         put_opt_str(&mut out, &Some("x".into()));
         put_opt_str(&mut out, &None);
@@ -281,11 +231,7 @@ mod tests {
         assert_eq!(c.u64().unwrap(), u64::MAX - 1);
         assert_eq!(c.u128().unwrap(), u128::MAX / 3);
         assert_eq!(c.f64().unwrap().to_bits(), (-1234.5678e-9f64).to_bits());
-        assert_eq!(c.rng().unwrap(), [1, 2, 3, 4]);
-        assert_eq!(c.u128_seq().unwrap(), vec![9, 8, 7]);
         assert_eq!(c.pair_seq().unwrap(), vec![(1, 2), (3, 4)]);
-        assert_eq!(c.opt_u128().unwrap(), None);
-        assert_eq!(c.opt_u128().unwrap(), Some(5));
         assert_eq!(c.str().unwrap(), "héllo");
         assert_eq!(c.opt_str().unwrap(), Some("x".into()));
         assert_eq!(c.opt_str().unwrap(), None);
@@ -302,7 +248,7 @@ mod tests {
         // A crafted near-MAX sequence length must not pre-allocate.
         let mut huge = Vec::new();
         put_u64(&mut huge, u64::MAX - 3);
-        assert_eq!(Cursor::new(&huge).u128_seq(), Err(CodecError::Truncated));
+        assert_eq!(Cursor::new(&huge).pair_seq(), Err(CodecError::Truncated));
     }
 
     #[test]

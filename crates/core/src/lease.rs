@@ -151,7 +151,6 @@ mod tests {
         lease.fill(gen.as_mut(), 4096).unwrap();
         assert_eq!(lease.arcs().len(), 1, "Cluster leases one arc");
         assert_eq!(lease.granted(), 4096);
-        assert!(gen.supports_bulk_lease());
     }
 
     #[test]

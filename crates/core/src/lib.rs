@@ -58,7 +58,8 @@
 //! * [`clock`] — the process-wide monotonic nanosecond clock stamping
 //!   observability events;
 //! * [`algorithms`] — the five paper algorithms plus practical baselines;
-//! * [`state`] — snapshot/restore for exact crash-resume;
+//! * [`state`] — snapshot/restore for exact crash-resume (a snapshot
+//!   is parameters, seed and count; restore replays the walk);
 //! * [`persist`] — versioned, checksummed on-disk snapshots with the
 //!   write-ahead reservation discipline and crash-safe recovery;
 //! * [`diagram`] — the paper's illustration diagrams, reproduced.

@@ -21,8 +21,7 @@
 //! 3. [`recover`] restores the recorded state and then **skips the
 //!    entire reserved window** — abandoning the in-flight run/bin
 //!    segment the crashed process may have been emitting from, and
-//!    letting every later placement be re-drawn from the persisted RNG
-//!    stream.
+//!    letting every later placement be re-drawn from the seed.
 //!
 //! Because each instance's ID stream is a deterministic permutation
 //! prefix of its seed, the recovered instance continues that same
@@ -36,11 +35,11 @@
 //! it the collision exposure) and exact resume (which is only safe if
 //! nothing was emitted after the snapshot).
 //!
-//! ## Record format (version 2)
+//! ## Record format (version 3)
 //!
 //! ```text
 //! magic    8 bytes   "UUIDSNP1"-independent tag: b"UUIDSNAP"
-//! version  u32 LE    2
+//! version  u32 LE    3
 //! length   u64 LE    payload byte count
 //! payload  ...       seq, epoch, reservation, universe, GeneratorState
 //! checksum u64 LE    FNV-1a over magic + version + length + payload
@@ -50,9 +49,10 @@
 //! `u64` count prefix (the shared [`codec`](crate::codec) vocabulary —
 //! the same primitives the `uuidp-client` wire frames are built from).
 //! Any corruption (truncation, bit flips, unknown versions) is reported
-//! as a typed [`PersistError`], never a panic. Random and Bins(k)
-//! records have a constant size (a seed and counters), so a save costs
-//! the same after any number of IDs.
+//! as a typed [`PersistError`], never a panic. Every record has a
+//! constant size, since a generator's state is its parameters, seed
+//! and count (see [`crate::state`]), so a save costs the same after any
+//! number of IDs.
 //!
 //! ## Log format
 //!
@@ -86,10 +86,7 @@ use std::fs;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{
-    fnv1a, put_opt_u128, put_pair_seq, put_rng, put_u128, put_u128_seq, put_u32, put_u64,
-    CodecError, Cursor,
-};
+use crate::codec::{fnv1a, put_u128, put_u32, put_u64, CodecError, Cursor};
 use crate::id::IdSpace;
 use crate::state::{restore, GeneratorState, StateError};
 use crate::traits::IdGenerator;
@@ -98,7 +95,7 @@ use crate::traits::IdGenerator;
 pub const MAGIC: [u8; 8] = *b"UUIDSNAP";
 
 /// Current on-disk format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// The log file in a store's directory.
 const LOG_FILE: &str = "snapshots.log";
@@ -200,87 +197,64 @@ impl From<CodecError> for PersistError {
     }
 }
 
+/// Writes the state's tag and parameters, then its seed and count.
 fn encode_state(out: &mut Vec<u8>, state: &GeneratorState) {
-    match state {
-        GeneratorState::Random { seed, drawn } => {
+    let (seed, generated) = match *state {
+        GeneratorState::Random { seed, generated } => {
             out.push(0);
-            put_u64(out, *seed);
-            put_u128(out, *drawn);
+            (seed, generated)
         }
-        GeneratorState::Cluster { start, generated } => {
+        GeneratorState::Cluster { seed, generated } => {
             out.push(1);
-            put_u128(out, *start);
-            put_u128(out, *generated);
+            (seed, generated)
         }
         GeneratorState::Bins { k, seed, generated } => {
             out.push(2);
-            put_u128(out, *k);
-            put_u64(out, *seed);
-            put_u128(out, *generated);
+            put_u128(out, k);
+            (seed, generated)
         }
         GeneratorState::ClusterStar {
-            rng,
             growth,
-            next_len,
-            runs,
-            current_used,
+            seed,
             generated,
         } => {
             out.push(3);
-            put_rng(out, rng);
-            put_u32(out, *growth);
-            put_u128(out, *next_len);
-            put_pair_seq(out, runs);
-            put_opt_u128(out, current_used);
-            put_u128(out, *generated);
+            put_u32(out, growth);
+            (seed, generated)
         }
         GeneratorState::BinsStar {
-            rng,
             chunks,
-            chunk_size,
-            next_chunk,
-            bins,
-            current_used,
+            seed,
             generated,
         } => {
             out.push(4);
-            put_rng(out, rng);
-            put_u32(out, *chunks);
-            put_u128(out, *chunk_size);
-            put_u32(out, *next_chunk);
-            put_pair_seq(out, bins);
-            put_opt_u128(out, current_used);
-            put_u128(out, *generated);
+            put_u32(out, chunks);
+            (seed, generated)
         }
         GeneratorState::SessionCounter {
-            rng,
             session_bits,
             counter_bits,
-            used_sessions,
-            current_session,
-            counter,
+            seed,
             generated,
         } => {
             out.push(5);
-            put_rng(out, rng);
-            put_u32(out, *session_bits);
-            put_u32(out, *counter_bits);
-            put_u128_seq(out, used_sessions);
-            put_opt_u128(out, current_session);
-            put_u128(out, *counter);
-            put_u128(out, *generated);
+            put_u32(out, session_bits);
+            put_u32(out, counter_bits);
+            (seed, generated)
         }
-    }
+    };
+    put_u64(out, seed);
+    put_u128(out, generated);
 }
 
 fn decode_state(c: &mut Cursor<'_>) -> Result<GeneratorState, PersistError> {
     Ok(match c.u8()? {
         0 => GeneratorState::Random {
             seed: c.u64()?,
-            drawn: c.u128()?,
+            generated: c.u128()?,
         },
         1 => GeneratorState::Cluster {
-            start: c.u128()?,
+            seed: c.u64()?,
             generated: c.u128()?,
         },
         2 => GeneratorState::Bins {
@@ -289,29 +263,19 @@ fn decode_state(c: &mut Cursor<'_>) -> Result<GeneratorState, PersistError> {
             generated: c.u128()?,
         },
         3 => GeneratorState::ClusterStar {
-            rng: c.rng()?,
             growth: c.u32()?,
-            next_len: c.u128()?,
-            runs: c.pair_seq()?,
-            current_used: c.opt_u128()?,
+            seed: c.u64()?,
             generated: c.u128()?,
         },
         4 => GeneratorState::BinsStar {
-            rng: c.rng()?,
             chunks: c.u32()?,
-            chunk_size: c.u128()?,
-            next_chunk: c.u32()?,
-            bins: c.pair_seq()?,
-            current_used: c.opt_u128()?,
+            seed: c.u64()?,
             generated: c.u128()?,
         },
         5 => GeneratorState::SessionCounter {
-            rng: c.rng()?,
             session_bits: c.u32()?,
             counter_bits: c.u32()?,
-            used_sessions: c.u128_seq()?,
-            current_session: c.opt_u128()?,
-            counter: c.u128()?,
+            seed: c.u64()?,
             generated: c.u128()?,
         },
         t => return Err(PersistError::Corrupt(format!("unknown state tag {t}"))),
@@ -684,12 +648,24 @@ mod tests {
 
     #[test]
     fn random_and_bins_records_have_a_constant_size() {
-        let space = IdSpace::new(1 << 20).unwrap();
+        // Every snapshot-capable algorithm's record is its parameters,
+        // seed and count, so its size does not grow with demand.
+        let space = IdSpace::with_bits(48).unwrap();
         for (kind, bytes) in [
             (AlgorithmKind::Random, 97),
+            (AlgorithmKind::Cluster, 97),
             (AlgorithmKind::Bins { k: 16 }, 113),
+            (AlgorithmKind::ClusterStar, 101),
+            (AlgorithmKind::BinsStar, 101),
+            (
+                AlgorithmKind::SessionCounter {
+                    session_bits: 40,
+                    counter_bits: 8,
+                },
+                105,
+            ),
         ] {
-            for emitted in [0, 1 << 10, 1 << 16] {
+            for emitted in [0, 1 << 10, 1 << 16, 1 << 20] {
                 let record = record_for(&kind, space, emitted);
                 assert_eq!(
                     encode_record(&record).len(),
@@ -702,34 +678,41 @@ mod tests {
 
     #[test]
     fn a_version_1_log_is_a_typed_error() {
-        let dir = temp_dir("v1");
-        let space = IdSpace::new(1 << 12).unwrap();
-        let store = SnapshotStore::open(&dir).unwrap();
-        store
-            .save(3, &record_for(&AlgorithmKind::Random, space, 5))
-            .unwrap();
-        drop(store);
-        // The entry's record re-stamped as version 1 under a valid
-        // checksum: a log written before the format went to version 2.
-        let log = dir.join(LOG_FILE);
-        let mut image = fs::read(&log).unwrap();
-        let record = &mut image[ENTRY_HEADER..];
-        record[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let end = record.len() - 8;
-        let sum = fnv1a(&record[..end]);
-        record[end..].copy_from_slice(&sum.to_le_bytes());
-        fs::write(&log, &image).unwrap();
-        let err = SnapshotStore::open(&dir).unwrap_err();
-        assert!(
-            matches!(&err, PersistError::Damaged { offset: 0, error }
-                if matches!(**error, PersistError::UnsupportedVersion(1))),
-            "{err:?}"
-        );
-        assert!(
-            err.to_string().contains("unsupported snapshot version 1"),
-            "{err}"
-        );
-        let _ = fs::remove_dir_all(&dir);
+        // Version 1 (Random's shuffle state) and version 2 (the runs,
+        // bins and sessions Cluster★, Bins★ and SessionCounter opened)
+        // are not read: each re-stamped log is a typed error.
+        for version in [1u32, 2] {
+            let dir = temp_dir(&format!("v{version}"));
+            let space = IdSpace::new(1 << 12).unwrap();
+            let store = SnapshotStore::open(&dir).unwrap();
+            store
+                .save(3, &record_for(&AlgorithmKind::Random, space, 5))
+                .unwrap();
+            drop(store);
+            // The entry's record re-stamped as `version` under a valid
+            // checksum: a log written before the format went to
+            // version 3.
+            let log = dir.join(LOG_FILE);
+            let mut image = fs::read(&log).unwrap();
+            let record = &mut image[ENTRY_HEADER..];
+            record[8..12].copy_from_slice(&version.to_le_bytes());
+            let end = record.len() - 8;
+            let sum = fnv1a(&record[..end]);
+            record[end..].copy_from_slice(&sum.to_le_bytes());
+            fs::write(&log, &image).unwrap();
+            let err = SnapshotStore::open(&dir).unwrap_err();
+            assert!(
+                matches!(&err, PersistError::Damaged { offset: 0, error }
+                    if matches!(**error, PersistError::UnsupportedVersion(v) if v == version)),
+                "{err:?}"
+            );
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported snapshot version {version}")),
+                "{err}"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

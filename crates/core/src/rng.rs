@@ -105,21 +105,6 @@ impl Xoshiro256pp {
     pub fn next_u128(&mut self) -> u128 {
         ((self.next_value() as u128) << 64) | self.next_value() as u128
     }
-
-    /// The raw 256-bit state, for persistence ([`crate::state`]).
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a previously captured state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the all-zero state, which xoshiro cannot leave.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro state must be nonzero");
-        Xoshiro256pp { s }
-    }
 }
 
 impl RngCore for Xoshiro256pp {

@@ -14,12 +14,13 @@
 //!
 //! [`GeneratorState`] is a plain serde-serializable value capturing
 //! everything a generator needs to continue exactly where it stopped:
-//! its seed or RNG state, its structural position, and whatever of its
-//! footprint the position does not determine. Random and Bins(k) are a
-//! seed plus counters, since their streams are a
-//! [keyed permutation](crate::permute) evaluated at a counter; Cluster
-//! is a start plus a counter; Cluster★, Bins★ and SessionCounter keep
-//! the runs, bins or sessions they have opened.
+//! the algorithm's parameters, the seed, and the number of IDs it has
+//! generated, so every snapshot has a constant size. An instance is a
+//! seeded walk along one permutation of `[m]`, so [`restore`] spawns
+//! the same instance and walks it forward by that count with
+//! [`skip`](IdGenerator::skip): O(1) for Random, Cluster and Bins(k),
+//! O(runs, bins or sessions opened) for Cluster★, Bins★ and
+//! SessionCounter.
 //!
 //! ```
 //! use uuidp_core::prelude::*;
@@ -40,89 +41,68 @@
 use serde::{Deserialize, Serialize};
 
 use crate::algorithms::{
-    BinsGenerator, BinsStarGenerator, ClusterGenerator, ClusterStarGenerator, RandomGenerator,
-    SessionCounterGenerator,
+    BinsGenerator, BinsStarGenerator, BinsStarGeometry, ClusterGenerator, ClusterStarGenerator,
+    RandomGenerator, SessionCounterGenerator,
 };
 use crate::id::IdSpace;
 use crate::traits::IdGenerator;
 
-/// A serializable snapshot of a running generator.
+/// A serializable snapshot of a running generator: its algorithm's
+/// parameters, its seed, and how many IDs it has generated.
 ///
-/// Produced by [`IdGenerator::snapshot`]; consumed by [`restore`]. The
-/// variants mirror the algorithms; all interval data is stored as
-/// normalized `[lo, hi)` segments.
+/// Produced by [`IdGenerator::snapshot`]; consumed by [`restore`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GeneratorState {
-    /// Random: the permutation's seed and how far it has been revealed.
+    /// Random.
     Random {
         /// Seed of the keyed permutation of `[m]`.
         seed: u64,
-        /// IDs drawn: positions `0..drawn` of the permutation.
-        drawn: u128,
-    },
-    /// Cluster: fully determined by the start and the count.
-    Cluster {
-        /// The random starting ID `x`.
-        start: u128,
         /// IDs emitted so far.
         generated: u128,
     },
-    /// Bins(k): the bin order's seed and how far the stream has gone.
+    /// Cluster.
+    Cluster {
+        /// Seed the random start is drawn from.
+        seed: u64,
+        /// IDs emitted so far.
+        generated: u128,
+    },
+    /// Bins(k).
     Bins {
         /// Bin size.
         k: u128,
         /// Seed of the keyed permutation of the bins.
         seed: u64,
-        /// Total IDs emitted.
+        /// IDs emitted so far.
         generated: u128,
     },
     /// Cluster★.
     ClusterStar {
-        /// xoshiro256++ state.
-        rng: [u64; 4],
         /// Run growth factor.
         growth: u32,
-        /// Length of the next run to open.
-        next_len: u128,
-        /// Opened runs as (start, len), in opening order.
-        runs: Vec<(u128, u128)>,
-        /// IDs used from the currently open (= last) run.
-        current_used: Option<u128>,
-        /// Total IDs emitted.
+        /// Seed of the run placements.
+        seed: u64,
+        /// IDs emitted so far.
         generated: u128,
     },
     /// Bins★.
     BinsStar {
-        /// xoshiro256++ state.
-        rng: [u64; 4],
         /// Chunk count C.
         chunks: u32,
-        /// IDs per chunk.
-        chunk_size: u128,
-        /// 1-based index of the next chunk to open.
-        next_chunk: u32,
-        /// Chosen bins as (start, len), in choice order.
-        bins: Vec<(u128, u128)>,
-        /// IDs used from the currently open (= last) bin.
-        current_used: Option<u128>,
-        /// Total IDs emitted.
+        /// Seed of the bin choices.
+        seed: u64,
+        /// IDs emitted so far.
         generated: u128,
     },
     /// SessionCounter.
     SessionCounter {
-        /// xoshiro256++ state.
-        rng: [u64; 4],
         /// Session-prefix width.
         session_bits: u32,
         /// Counter width.
         counter_bits: u32,
-        /// Session prefixes already used (sorted).
-        used_sessions: Vec<u128>,
-        /// The open session prefix, if any.
-        current_session: Option<u128>,
-        /// Counter position within the open session.
-        counter: u128,
-        /// Total IDs emitted.
+        /// Seed of the session draws.
+        seed: u64,
+        /// IDs emitted so far.
         generated: u128,
     },
 }
@@ -139,37 +119,73 @@ impl std::fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// Rebuilds a live generator from a snapshot over `space`.
+/// Rebuilds a live generator from a snapshot over `space`: spawns the
+/// instance the parameters and seed describe, then walks it forward by
+/// `generated` IDs.
 ///
 /// Validation is defensive — snapshots typically come back from disk —
-/// so structurally impossible states return [`StateError`] instead of
-/// panicking.
+/// so parameters out of range for `space`, and a count the walk cannot
+/// reach, return [`StateError`] instead of panicking.
 pub fn restore(space: IdSpace, state: &GeneratorState) -> Result<Box<dyn IdGenerator>, StateError> {
-    Ok(match state {
-        GeneratorState::Random { .. } => Box::new(RandomGenerator::from_state(space, state)?),
-        GeneratorState::Cluster { .. } => Box::new(ClusterGenerator::from_state(space, state)?),
-        GeneratorState::Bins { .. } => Box::new(BinsGenerator::from_state(space, state)?),
-        GeneratorState::ClusterStar { .. } => {
-            Box::new(ClusterStarGenerator::from_state(space, state)?)
+    let m = space.size();
+    let (mut generator, generated): (Box<dyn IdGenerator>, u128) = match *state {
+        GeneratorState::Random { seed, generated } => {
+            (Box::new(RandomGenerator::new(space, seed)), generated)
         }
-        GeneratorState::BinsStar { .. } => Box::new(BinsStarGenerator::from_state(space, state)?),
-        GeneratorState::SessionCounter { .. } => {
-            Box::new(SessionCounterGenerator::from_state(space, state)?)
+        GeneratorState::Cluster { seed, generated } => {
+            (Box::new(ClusterGenerator::new(space, seed)), generated)
         }
-    })
+        GeneratorState::Bins { k, seed, generated } => {
+            check(k >= 1 && k <= m, "bin size out of range")?;
+            (Box::new(BinsGenerator::new(space, k, seed)), generated)
+        }
+        GeneratorState::ClusterStar {
+            growth,
+            seed,
+            generated,
+        } => {
+            check(growth >= 2, "growth factor below 2")?;
+            let g = ClusterStarGenerator::with_growth(space, growth, seed);
+            (Box::new(g), generated)
+        }
+        GeneratorState::BinsStar {
+            chunks,
+            seed,
+            generated,
+        } => {
+            let geometry = BinsStarGeometry::with_chunks(space, chunks)
+                .ok_or_else(|| StateError("chunk layout does not fit the universe".into()))?;
+            let g = BinsStarGenerator::with_geometry(space, geometry, seed);
+            (Box::new(g), generated)
+        }
+        GeneratorState::SessionCounter {
+            session_bits,
+            counter_bits,
+            seed,
+            generated,
+        } => {
+            let bits = session_bits.saturating_add(counter_bits);
+            check(
+                session_bits > 0 && counter_bits > 0 && bits <= 127 && m == 1 << bits,
+                "bit layout inconsistent with the universe",
+            )?;
+            let g = SessionCounterGenerator::new(session_bits, counter_bits, seed);
+            (Box::new(g), generated)
+        }
+    };
+    check(generated <= m, "generated exceeds the universe")?;
+    generator
+        .skip(generated)
+        .map_err(|e| StateError(format!("the walk cannot reach {generated} IDs: {e}")))?;
+    Ok(generator)
 }
 
-pub(crate) fn check(cond: bool, msg: &str) -> Result<(), StateError> {
+fn check(cond: bool, msg: &str) -> Result<(), StateError> {
     if cond {
         Ok(())
     } else {
         Err(StateError(msg.to_string()))
     }
-}
-
-pub(crate) fn rng_from(state: [u64; 4]) -> Result<crate::rng::Xoshiro256pp, StateError> {
-    check(state.iter().any(|&w| w != 0), "all-zero RNG state")?;
-    Ok(crate::rng::Xoshiro256pp::from_state(state))
 }
 
 #[cfg(test)]
@@ -265,26 +281,42 @@ mod tests {
 
     #[test]
     fn corrupt_states_are_rejected_not_panicked() {
-        let space = IdSpace::new(1 << 10).unwrap();
-        // Cluster start outside the universe.
-        let bad = GeneratorState::Cluster {
-            start: 1 << 20,
-            generated: 0,
-        };
-        assert!(restore(space, &bad).is_err());
-        // Random drawn past the universe.
-        let bad = GeneratorState::Random {
-            seed: 1,
-            drawn: (1 << 10) + 1,
-        };
-        assert!(restore(space, &bad).is_err());
-        // Bins bin size out of range.
-        let bad = GeneratorState::Bins {
-            k: 1 << 20,
-            seed: 1,
-            generated: 0,
-        };
-        assert!(restore(space, &bad).is_err());
+        use GeneratorState::*;
+        let m = IdSpace::new(1 << 10).unwrap();
+        let m14 = IdSpace::with_bits(14).unwrap();
+        #[rustfmt::skip]
+        let bad = [
+            (m, Random { seed: 1, generated: (1 << 10) + 1 }),
+            (m, Cluster { seed: 1, generated: (1 << 10) + 1 }),
+            (m, Bins { k: 1 << 20, seed: 1, generated: 0 }),
+            (m, Bins { k: 0, seed: 1, generated: 0 }),
+            (m, Bins { k: 16, seed: 1, generated: u128::MAX }),
+            (m, ClusterStar { growth: 1, seed: 1, generated: 0 }),
+            // Cluster★'s 1024th ID needs a run of 2^10 beside its
+            // earlier runs, which never fits in m = 2^10.
+            (m, ClusterStar { growth: 2, seed: 1, generated: 1 << 10 }),
+            (m, BinsStar { chunks: 0, seed: 1, generated: 0 }),
+            (m, BinsStar { chunks: 9, seed: 1, generated: 0 }),
+            // 7 chunks of 2^6 fit in 2^10 and serve 2^7 − 1 IDs.
+            (m, BinsStar { chunks: 7, seed: 1, generated: 1 << 7 }),
+            (m14, SessionCounter { session_bits: 0, counter_bits: 14, seed: 1, generated: 0 }),
+            (m14, SessionCounter { session_bits: 10, counter_bits: 6, seed: 1, generated: 0 }),
+            (m14, SessionCounter { session_bits: 10, counter_bits: 4, seed: 1, generated: (1 << 14) + 1 }),
+        ];
+        for (space, state) in bad {
+            assert!(restore(space, &state).is_err(), "{state:?} restored");
+        }
+        // The largest counts the walks reach still restore.
+        #[rustfmt::skip]
+        let good = [
+            (m, Random { seed: 1, generated: 1 << 10 }),
+            (m, Cluster { seed: 1, generated: 1 << 10 }),
+            (m, BinsStar { chunks: 7, seed: 1, generated: (1 << 7) - 1 }),
+            (m14, SessionCounter { session_bits: 10, counter_bits: 4, seed: 1, generated: 1 << 14 }),
+        ];
+        for (space, state) in good {
+            assert!(restore(space, &state).is_ok(), "{state:?} refused");
+        }
     }
 
     #[test]

@@ -72,16 +72,36 @@ impl Footprint<'_> {
 
 /// One running instance of an ID-generation algorithm.
 ///
-/// Instances are sequential state machines: each [`next_id`] call reveals
-/// the next element of the instance's random permutation of `[m]`.
+/// Instances are sequential state machines: each call reveals the next
+/// elements of the instance's random permutation of `[m]`. The one
+/// required emission method is [`next_ids`]; [`next_id`] and the
+/// default [`skip`] are that same walk, one ID at a time or with its
+/// arcs dropped.
 ///
+/// [`next_ids`]: IdGenerator::next_ids
 /// [`next_id`]: IdGenerator::next_id
+/// [`skip`]: IdGenerator::skip
 pub trait IdGenerator: Send {
     /// The universe this instance draws from.
     fn space(&self) -> IdSpace;
 
-    /// Produces the next ID.
-    fn next_id(&mut self) -> Result<Id, GeneratorError>;
+    /// Produces the next `count` IDs as a *bulk lease*: the emitted IDs
+    /// are pushed to `sink` as arcs, in emission order.
+    ///
+    /// Arc-structured algorithms emit one arc per touched run or bin,
+    /// `O(1)` amortized per *run* instead of per ID, which is what lets
+    /// a service front-end lease thousands of IDs per request at
+    /// interval-push cost; Random-like ones emit one single-ID arc per
+    /// ID. On exhaustion mid-batch the arcs already emitted stay
+    /// delivered and the error is returned.
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError>;
+
+    /// Produces the next ID: a one-ID [`next_ids`](Self::next_ids).
+    fn next_id(&mut self) -> Result<Id, GeneratorError> {
+        let mut id = Id(0);
+        self.next_ids(1, &mut |arc| id = arc.start)?;
+        Ok(id)
+    }
 
     /// Number of IDs produced so far.
     fn generated(&self) -> u128;
@@ -89,10 +109,11 @@ pub trait IdGenerator: Send {
     /// The exact set of IDs produced so far.
     ///
     /// Takes `&mut self` because arc-structured generators keep their
-    /// footprint *lazy*: [`next_id`](Self::next_id) only bumps counters,
-    /// and the emitted prefix of the open run is folded into the interval
-    /// set here, on demand. Between calls the set always reflects every ID
-    /// emitted so far; the call is amortized O(1) per emitted run.
+    /// footprint *lazy*: [`next_ids`](Self::next_ids) only bumps
+    /// counters, and the emitted prefix of the open run is folded into
+    /// the interval set here, on demand. Between calls the set always
+    /// reflects every ID emitted so far; the call is amortized O(1) per
+    /// emitted run.
     fn footprint(&mut self) -> Footprint<'_>;
 
     /// Returns the instance to its freshly-constructed state under a new
@@ -107,47 +128,15 @@ pub trait IdGenerator: Send {
     /// the differential property tests.
     fn reset(&mut self, seed: u64);
 
-    /// Produces the next `count` IDs as a *bulk lease*: the emitted IDs
-    /// are pushed to `sink` as arcs, in emission order, covering exactly
-    /// the IDs that `count` consecutive [`next_id`](Self::next_id) calls
-    /// would have returned (and leaving the instance in the identical
-    /// post-state — same footprint, same continuation, same errors).
-    ///
-    /// The default implementation calls `next_id` `count` times and emits
-    /// one single-ID arc per call. Arc-structured algorithms override it
-    /// to emit one arc per touched run/bin — `O(1)` amortized per *run*
-    /// instead of per ID — which is what lets a service front-end lease
-    /// thousands of IDs per request at interval-push cost. On exhaustion
-    /// mid-batch the arcs already emitted stay delivered and the error is
-    /// returned, exactly like the scalar loop.
-    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
-        let space = self.space();
-        for _ in 0..count {
-            let id = self.next_id()?;
-            sink(Arc::point(space, id));
-        }
-        Ok(())
-    }
-
-    /// Whether [`next_ids`](Self::next_ids) is sublinear in `count` for
-    /// this algorithm (true for the arc-structured algorithms, whose
-    /// leases cost `O(runs touched)`, false for Random-like ones).
-    fn supports_bulk_lease(&self) -> bool {
-        false
-    }
-
-    /// Advances the instance by `count` IDs without materializing them.
-    ///
-    /// Semantically identical to calling [`next_id`](Self::next_id) `count`
-    /// times and discarding the results; the footprint afterwards reflects
-    /// all skipped IDs. Algorithms with arc structure override this with an
-    /// `O(arcs)` implementation, which is what lets worst-case experiments
-    /// reach demands far beyond materializable scale.
+    /// Advances the instance by `count` IDs without materializing them:
+    /// [`next_ids`](Self::next_ids) with its arcs dropped, so the
+    /// footprint afterwards reflects all skipped IDs. Random and Bins(k)
+    /// override it with an O(1) counter bump; the arc-structured
+    /// algorithms walk their runs or bins, `O(arcs)`, which is what lets
+    /// worst-case experiments reach demands far beyond materializable
+    /// scale.
     fn skip(&mut self, count: u128) -> Result<(), GeneratorError> {
-        for _ in 0..count {
-            self.next_id()?;
-        }
-        Ok(())
+        self.next_ids(count, &mut |_| {})
     }
 
     /// Captures a serializable snapshot for exact resume after a restart
@@ -187,26 +176,44 @@ impl fmt::Debug for dyn Algorithm {
 mod tests {
     use super::*;
 
+    /// Emits `0, 1, 2, …` one ID at a time; only `next_ids` is written.
     struct Fake {
         space: IdSpace,
         next: u128,
         emitted: Vec<Id>,
     }
 
+    impl Fake {
+        fn new(m: u128) -> Fake {
+            Fake {
+                space: IdSpace::new(m).unwrap(),
+                next: 0,
+                emitted: Vec::new(),
+            }
+        }
+    }
+
     impl IdGenerator for Fake {
         fn space(&self) -> IdSpace {
             self.space
         }
-        fn next_id(&mut self) -> Result<Id, GeneratorError> {
-            if self.next >= self.space.size() {
-                return Err(GeneratorError::Exhausted {
-                    generated: self.next,
-                });
+        fn next_ids(
+            &mut self,
+            count: u128,
+            sink: &mut dyn FnMut(Arc),
+        ) -> Result<(), GeneratorError> {
+            for _ in 0..count {
+                if self.next >= self.space.size() {
+                    return Err(GeneratorError::Exhausted {
+                        generated: self.next,
+                    });
+                }
+                let id = Id(self.next);
+                self.next += 1;
+                self.emitted.push(id);
+                sink(Arc::point(self.space, id));
             }
-            let id = Id(self.next);
-            self.next += 1;
-            self.emitted.push(id);
-            Ok(id)
+            Ok(())
         }
         fn generated(&self) -> u128 {
             self.next
@@ -222,11 +229,7 @@ mod tests {
 
     #[test]
     fn default_skip_materializes() {
-        let mut g = Fake {
-            space: IdSpace::new(10).unwrap(),
-            next: 0,
-            emitted: Vec::new(),
-        };
+        let mut g = Fake::new(10);
         g.skip(4).unwrap();
         assert_eq!(g.generated(), 4);
         assert_eq!(g.footprint().measure(), 4);
@@ -234,41 +237,31 @@ mod tests {
 
     #[test]
     fn default_skip_propagates_exhaustion() {
-        let mut g = Fake {
-            space: IdSpace::new(3).unwrap(),
-            next: 0,
-            emitted: Vec::new(),
-        };
+        let mut g = Fake::new(3);
         let err = g.skip(5).unwrap_err();
         assert_eq!(err, GeneratorError::Exhausted { generated: 3 });
     }
 
     #[test]
-    fn default_next_ids_emits_point_arcs() {
-        let mut g = Fake {
-            space: IdSpace::new(10).unwrap(),
-            next: 0,
-            emitted: Vec::new(),
-        };
+    fn provided_next_id_is_a_one_id_lease() {
+        let mut g = Fake::new(10);
         let mut arcs = Vec::new();
-        g.next_ids(4, &mut |a| arcs.push(a)).unwrap();
-        assert_eq!(arcs.len(), 4, "one point arc per ID");
-        assert!(arcs.iter().all(|a| a.len == 1));
-        assert_eq!(g.generated(), 4);
-        assert!(!g.supports_bulk_lease());
+        g.next_ids(2, &mut |a| arcs.push(a)).unwrap();
+        let ids: Vec<Id> = (0..3).map(|_| g.next_id().unwrap()).collect();
+        assert_eq!(
+            arcs,
+            [Arc::point(g.space, Id(0)), Arc::point(g.space, Id(1))]
+        );
+        assert_eq!(ids, [Id(2), Id(3), Id(4)], "next_id continues the walk");
+        assert_eq!(g.generated(), 5);
     }
 
     #[test]
-    fn default_next_ids_propagates_exhaustion_after_partial_batch() {
-        let mut g = Fake {
-            space: IdSpace::new(3).unwrap(),
-            next: 0,
-            emitted: Vec::new(),
-        };
-        let mut arcs = Vec::new();
-        let err = g.next_ids(5, &mut |a| arcs.push(a)).unwrap_err();
+    fn provided_next_id_propagates_exhaustion() {
+        let mut g = Fake::new(3);
+        g.skip(3).unwrap();
+        let err = g.next_id().unwrap_err();
         assert_eq!(err, GeneratorError::Exhausted { generated: 3 });
-        assert_eq!(arcs.len(), 3, "partial batch stays delivered");
     }
 
     #[test]

@@ -16,6 +16,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A monotonic counter. Cloning the `Arc` handle shares the cell.
+///
+/// The total saturates at `u64::MAX` rather than wrapping, so it never
+/// goes backwards.
 #[derive(Debug, Default)]
 pub struct Counter {
     value: AtomicU64,
@@ -27,9 +30,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`, saturating at `u64::MAX`.
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        // Detect-and-pin, as `AtomicHistogram`'s sum does, instead of a
+        // CAS loop on the hot path: an add that wraps stores the maximum
+        // back, so a reader can see a wrapped total only in between.
+        if self.value.fetch_add(n, Ordering::Relaxed) > u64::MAX - n {
+            self.value.store(u64::MAX, Ordering::Relaxed);
+        }
     }
 
     /// Current total.
@@ -641,6 +649,17 @@ mod tests {
         g.set(7);
         g.add(-3);
         assert_eq!(r.gauge("uuidp_inflight").get(), 4);
+    }
+
+    #[test]
+    fn counters_saturate_instead_of_wrapping() {
+        let c = Registry::new().counter("uuidp_ids_issued_total");
+        for _ in 0..3 {
+            c.add(1 << 63);
+        }
+        assert_eq!(c.get(), u64::MAX, "three 2^63 adds pin at the top");
+        c.inc();
+        assert_eq!(c.get(), u64::MAX, "a saturated counter stays put");
     }
 
     #[test]

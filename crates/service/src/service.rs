@@ -1342,6 +1342,19 @@ mod tests {
     }
 
     #[test]
+    fn the_issued_counter_saturates_past_u64_max() {
+        // Each lease's add is clamped to u64::MAX; the running total must
+        // saturate too, or three 2^63-ID leases would wrap it to 2^63.
+        let service = IdService::start(config(AlgorithmKind::Cluster, 100));
+        for _ in 0..3 {
+            assert_eq!(service.lease(1, 1 << 63).granted, 1 << 63);
+        }
+        let issued = service.registry().counter("uuidp_ids_issued_total").get();
+        drop(service.shutdown());
+        assert_eq!(issued, u64::MAX);
+    }
+
+    #[test]
     fn leases_match_direct_generator_streams() {
         let cfg = config(AlgorithmKind::ClusterStar, 32);
         let space = cfg.space;
@@ -1807,26 +1820,45 @@ mod tests {
     #[test]
     #[should_panic(expected = "unsupported snapshot version 1")]
     fn a_version_1_snapshot_log_refuses_boot() {
-        // Version 1 records held Random's whole shuffle state; nothing
-        // reads them, so a state dir written by that format must not
-        // boot as if its tenants were new.
-        let dir = temp_state_dir("v1-boot");
-        let mut cfg = config(AlgorithmKind::Random, 20);
-        cfg.durability = Some(DurabilityConfig::new(&dir));
-        let service = IdService::start(cfg.clone());
-        service.lease(3, 10);
-        drop(service.shutdown());
-        // Tenant 3's one entry, in shard 1's log (3 % 2), re-stamped as
-        // version 1 under a valid checksum.
-        let log = dir.join("shard-1").join("snapshots.log");
-        let mut bytes = std::fs::read(&log).unwrap();
-        let record = &mut bytes[24..];
-        record[8..12].copy_from_slice(&1u32.to_le_bytes());
-        let end = record.len() - 8;
-        let sum = uuidp_core::codec::fnv1a(&record[..end]);
-        record[end..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&log, bytes).unwrap();
-        let _ = IdService::start(cfg);
+        // Version 1 records held Random's whole shuffle state, and
+        // version 2 records the runs, bins or sessions Cluster★, Bins★
+        // and SessionCounter had opened. Nothing reads either, so a state
+        // dir written in those formats must not boot as if its tenants
+        // were new. Version 2 must refuse boot here; version 1 then
+        // panics the test.
+        for version in [2u32, 1] {
+            let dir = temp_state_dir(&format!("v{version}-boot"));
+            let mut cfg = config(AlgorithmKind::Random, 20);
+            cfg.durability = Some(DurabilityConfig::new(&dir));
+            let service = IdService::start(cfg.clone());
+            service.lease(3, 10);
+            drop(service.shutdown());
+            // Tenant 3's one entry, in shard 1's log (3 % 2), re-stamped
+            // as `version` under a valid checksum.
+            let log = dir.join("shard-1").join("snapshots.log");
+            let mut bytes = std::fs::read(&log).unwrap();
+            let record = &mut bytes[24..];
+            record[8..12].copy_from_slice(&version.to_le_bytes());
+            let end = record.len() - 8;
+            let sum = uuidp_core::codec::fnv1a(&record[..end]);
+            record[end..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&log, bytes).unwrap();
+            if version == 1 {
+                let _ = IdService::start(cfg);
+            } else {
+                let boot = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    IdService::start(cfg)
+                }));
+                let message = boot
+                    .err()
+                    .and_then(|panic| panic.downcast::<String>().ok())
+                    .expect("a version 2 log must refuse boot");
+                assert!(
+                    message.contains("unsupported snapshot version 2"),
+                    "{message}"
+                );
+            }
+        }
     }
 
     #[test]

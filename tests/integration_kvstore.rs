@@ -2,7 +2,7 @@
 //! collisions do.
 
 use uuidp_core::id::{Id, IdSpace};
-use uuidp_core::interval::IntervalSet;
+use uuidp_core::interval::{Arc, IntervalSet};
 use uuidp_core::rng::SeedTree;
 use uuidp_core::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 use uuidp_kvstore::cluster::Deployment;
@@ -40,16 +40,19 @@ impl IdGenerator for ConstantGen {
     fn space(&self) -> IdSpace {
         self.space
     }
-    fn next_id(&mut self) -> Result<Id, GeneratorError> {
-        if self.next >= self.space.size() {
-            return Err(GeneratorError::Exhausted {
-                generated: self.next,
-            });
+    fn next_ids(&mut self, count: u128, sink: &mut dyn FnMut(Arc)) -> Result<(), GeneratorError> {
+        for _ in 0..count {
+            if self.next >= self.space.size() {
+                return Err(GeneratorError::Exhausted {
+                    generated: self.next,
+                });
+            }
+            let id = Id(self.next);
+            self.next += 1;
+            self.emitted.insert_point(id);
+            sink(Arc::point(self.space, id));
         }
-        let id = Id(self.next);
-        self.next += 1;
-        self.emitted.insert_point(id);
-        Ok(id)
+        Ok(())
     }
     fn generated(&self) -> u128 {
         self.next
