@@ -11,6 +11,7 @@ use uuidp_adversary::schedule::TrafficMix;
 use uuidp_analysis::exact::{cluster_union_bounds, random_exact};
 use uuidp_analysis::planning::{self, Scheme};
 use uuidp_analysis::theory;
+use uuidp_core::algorithms::AlgorithmKind;
 use uuidp_core::diagram::render_captioned;
 use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{SplitMix64, Xoshiro256pp};
@@ -24,7 +25,7 @@ use uuidp_service::protocol::{render_lease, Command};
 use uuidp_service::service::{check_tenant, IdService, ServiceConfig, ServiceReport, TENANT_BITS};
 use uuidp_service::stress::{run_stress, run_stress_remote, StressConfig, StressReport};
 
-use crate::spec::{parse_algorithm, parse_algorithm_kind, IdFormat, ParseError};
+use crate::spec::{parse_algorithm_kind, IdFormat, ParseError};
 
 /// Options for `uuidp generate`.
 #[derive(Debug, Clone)]
@@ -45,7 +46,7 @@ pub struct GenerateOpts {
 pub fn generate(opts: &GenerateOpts) -> Result<String, ParseError> {
     let space =
         IdSpace::with_bits(opts.bits).map_err(|e| ParseError(format!("bad --bits: {e}")))?;
-    let alg = parse_algorithm(&opts.algorithm, space)?;
+    let alg = parse_algorithm_kind(&opts.algorithm, space)?.build(space);
     let seed = opts.seed.unwrap_or_else(entropy_seed);
     let mut gen = alg.spawn(seed);
     let mut out = String::new();
@@ -88,9 +89,15 @@ pub fn simulate(opts: &SimulateOpts) -> Result<String, ParseError> {
     if opts.instances < 2 {
         return Err(ParseError("need at least 2 instances to collide".into()));
     }
+    if opts.per_instance == 0 {
+        return Err(ParseError(
+            "need at least 1 ID per instance to collide".into(),
+        ));
+    }
     let space =
         IdSpace::with_bits(opts.bits).map_err(|e| ParseError(format!("bad --bits: {e}")))?;
-    let alg = parse_algorithm(&opts.algorithm, space)?;
+    let kind = parse_algorithm_kind(&opts.algorithm, space)?;
+    let alg = kind.build(space);
     let profile = DemandProfile::uniform(opts.instances, opts.per_instance);
     let (est, diag) = estimate_oblivious(
         alg.as_ref(),
@@ -98,13 +105,12 @@ pub fn simulate(opts: &SimulateOpts) -> Result<String, ParseError> {
         TrialConfig::new(opts.trials.max(1), opts.seed),
     );
     let m = space.size();
-    let prediction = match opts.algorithm.to_ascii_lowercase().as_str() {
-        "random" => Some(("exact (Cor. 3)", random_exact(&profile, m))),
-        "cluster" => Some(("union bound (Thm. 1)", cluster_union_bounds(&profile, m).1)),
-        s if s.starts_with("bins:") => Some(("theta (Thm. 2)", {
-            let k: u128 = s[5..].parse().unwrap_or(1);
-            theory::bins(&profile, k, m)
-        })),
+    let prediction = match kind {
+        AlgorithmKind::Random => Some(("exact (Cor. 3)", random_exact(&profile, m))),
+        AlgorithmKind::Cluster => {
+            Some(("union bound (Thm. 1)", cluster_union_bounds(&profile, m).1))
+        }
+        AlgorithmKind::Bins { k } => Some(("theta (Thm. 2)", theory::bins(&profile, k, m))),
         _ => None,
     };
     let mut out = format!(
@@ -188,7 +194,7 @@ pub fn diagram(opts: &DiagramOpts) -> Result<String, ParseError> {
         return Err(ParseError("diagrams are for m ≤ 2^14".into()));
     }
     let space = IdSpace::new(opts.m).map_err(|e| ParseError(format!("bad -m: {e}")))?;
-    let alg = parse_algorithm(&opts.algorithm, space)?;
+    let alg = parse_algorithm_kind(&opts.algorithm, space)?.build(space);
     let seed = match opts.seed {
         Some(s) => s,
         None => (0..1000)
@@ -709,7 +715,7 @@ pub fn fleet(opts: &FleetOpts) -> Result<String, ParseError> {
 
 fn fleet_phases(
     opts: &FleetOpts,
-    kind: uuidp_core::algorithms::AlgorithmKind,
+    kind: AlgorithmKind,
     space: IdSpace,
     placement: TrafficMix,
     state_root: &std::path::Path,
@@ -1069,7 +1075,7 @@ pub fn doctor() -> Result<String, ParseError> {
     let space = IdSpace::with_bits(32).expect("32-bit space");
     let mut report = String::from("self-check over m = 2^32:\n");
     for spec in ["random", "cluster", "bins:1024", "cluster*", "bins*"] {
-        let alg = parse_algorithm(spec, space)?;
+        let alg = parse_algorithm_kind(spec, space)?.build(space);
         let mut gen = alg.spawn(0xD0C);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..1000 {
@@ -1088,7 +1094,7 @@ pub fn doctor() -> Result<String, ParseError> {
     // A tiny statistical check: two Cluster instances on a small universe
     // should collide at roughly the predicted rate.
     let small = IdSpace::new(1 << 16).expect("small space");
-    let alg = parse_algorithm("cluster", small)?;
+    let alg = AlgorithmKind::Cluster.build(small);
     let profile = DemandProfile::uniform(2, 64);
     let (est, _) = estimate_oblivious(alg.as_ref(), &profile, TrialConfig::new(20_000, 0xD0C));
     let exact = (64 + 64 - 1) as f64 / (1u128 << 16) as f64;
@@ -1173,6 +1179,24 @@ mod tests {
         assert!(out.contains("measured"));
         assert!(out.contains("prediction"));
         assert!(out.contains("Thm. 1"));
+    }
+
+    #[test]
+    fn simulate_rejects_profiles_that_cannot_collide() {
+        // One instance, or instances that draw nothing, is a typed
+        // error before any trial runs.
+        for (instances, per_instance) in [(1, 64), (2, 0)] {
+            let opts = SimulateOpts {
+                algorithm: "cluster".into(),
+                bits: 16,
+                instances,
+                per_instance,
+                trials: 10,
+                seed: 7,
+            };
+            let err = simulate(&opts).unwrap_err();
+            assert!(err.0.starts_with("need at least"), "{err}");
+        }
     }
 
     #[test]

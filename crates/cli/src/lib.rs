@@ -15,4 +15,4 @@
 pub mod commands;
 pub mod spec;
 
-pub use spec::{parse_algorithm, IdFormat, ParseError};
+pub use spec::{parse_algorithm_kind, IdFormat, ParseError};

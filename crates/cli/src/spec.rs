@@ -12,14 +12,16 @@
 //! | `bins*` / `bins-star` | Bins★ (paper chunk formula) |
 //! | `bins*:maxfit` | Bins★ (max-fit chunks) |
 //! | `session:S,C` | SessionCounter with S session bits, C counter bits |
+//!
+//! [`parse_algorithm_kind`] is the one parser: it reads a spec into an
+//! [`AlgorithmKind`] once and checks it against the universe with
+//! [`AlgorithmKind::check`], so every command builds a checked kind and
+//! a bad spec is a [`ParseError`], never a constructor's panic.
 
 use std::fmt;
 
-use uuidp_core::algorithms::{
-    AlgorithmKind, Bins, BinsStar, ChunkRule, Cluster, ClusterStar, Random, SessionCounter,
-};
+use uuidp_core::algorithms::AlgorithmKind;
 use uuidp_core::id::{Id, IdSpace};
-use uuidp_core::traits::Algorithm;
 
 /// A parse failure with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,107 +35,53 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses an algorithm spec against a universe.
-pub fn parse_algorithm(spec: &str, space: IdSpace) -> Result<Box<dyn Algorithm>, ParseError> {
+/// Parses an algorithm spec into the [`AlgorithmKind`] it names and
+/// checks its parameters against `space`.
+pub fn parse_algorithm_kind(spec: &str, space: IdSpace) -> Result<AlgorithmKind, ParseError> {
     let lower = spec.to_ascii_lowercase();
     let (head, arg) = match lower.split_once(':') {
         Some((h, a)) => (h, Some(a)),
         None => (lower.as_str(), None),
     };
-    match (head, arg) {
-        ("random", None) => Ok(Box::new(Random::new(space))),
-        ("cluster", None) => Ok(Box::new(Cluster::new(space))),
-        ("bins", Some(k)) => {
-            let k: u128 = k
-                .parse()
-                .map_err(|_| ParseError(format!("bad bin size in `{spec}`")))?;
-            if k < 1 || k > space.size() {
-                return Err(ParseError(format!(
-                    "bin size {k} out of range 1..={}",
-                    space.size()
-                )));
-            }
-            Ok(Box::new(Bins::new(space, k)))
-        }
-        ("bins", None) => Err(ParseError("bins needs a size: bins:K".into())),
-        ("cluster*" | "cluster-star", None) => Ok(Box::new(ClusterStar::new(space))),
-        ("cluster*" | "cluster-star", Some(g)) => {
-            let g: u32 = g
-                .parse()
-                .map_err(|_| ParseError(format!("bad growth factor in `{spec}`")))?;
-            if g < 2 {
-                return Err(ParseError("growth factor must be at least 2".into()));
-            }
-            Ok(Box::new(ClusterStar::with_growth(space, g)))
-        }
-        ("bins*" | "bins-star", None) => Ok(Box::new(BinsStar::new(space))),
-        ("bins*" | "bins-star", Some("maxfit")) => {
-            Ok(Box::new(BinsStar::with_rule(space, ChunkRule::MaxFit)))
-        }
+    let kind = match (head, arg) {
+        ("random", None) => AlgorithmKind::Random,
+        ("cluster", None) => AlgorithmKind::Cluster,
+        ("bins", Some(k)) => AlgorithmKind::Bins {
+            k: number(k, "bin size", spec)?,
+        },
+        ("bins", None) => return Err(ParseError("bins needs a size: bins:K".into())),
+        ("cluster*" | "cluster-star", None) => AlgorithmKind::ClusterStar,
+        ("cluster*" | "cluster-star", Some(g)) => AlgorithmKind::ClusterStarGrowth {
+            growth: number(g, "growth factor", spec)?,
+        },
+        ("bins*" | "bins-star", None) => AlgorithmKind::BinsStar,
+        ("bins*" | "bins-star", Some("maxfit")) => AlgorithmKind::BinsStarMaxFit,
         ("bins*" | "bins-star", Some(other)) => {
-            Err(ParseError(format!("unknown bins* variant `{other}`")))
+            return Err(ParseError(format!("unknown bins* variant `{other}`")))
         }
         ("session", Some(sc)) => {
             let (s, c) = sc
                 .split_once(',')
                 .ok_or_else(|| ParseError("session needs S,C bit counts".into()))?;
-            let s: u32 = s
-                .parse()
-                .map_err(|_| ParseError("bad session bits".into()))?;
-            let c: u32 = c
-                .parse()
-                .map_err(|_| ParseError("bad counter bits".into()))?;
-            let alg = SessionCounter::new(s, c);
-            if alg.space() != space {
-                return Err(ParseError(format!(
-                    "session:{s},{c} implies m = 2^{}, but --bits gave {}",
-                    s + c,
-                    space
-                )));
+            AlgorithmKind::SessionCounter {
+                session_bits: number(s, "session bits", spec)?,
+                counter_bits: number(c, "counter bits", spec)?,
             }
-            Ok(Box::new(alg))
         }
-        _ => Err(ParseError(format!(
-            "unknown algorithm `{spec}` (try random, cluster, bins:K, cluster*, bins*, session:S,C)"
-        ))),
-    }
+        _ => {
+            return Err(ParseError(format!(
+                "unknown algorithm `{spec}` (try random, cluster, bins:K, cluster*, bins*, session:S,C)"
+            )))
+        }
+    };
+    kind.check(space).map_err(ParseError)?;
+    Ok(kind)
 }
 
-/// Parses an algorithm spec into the serializable [`AlgorithmKind`]
-/// registry form the service layer is configured with. Accepts the same
-/// specs as [`parse_algorithm`] (including the `cluster*:G` growth
-/// ablation) and validates against `space` by building once.
-pub fn parse_algorithm_kind(spec: &str, space: IdSpace) -> Result<AlgorithmKind, ParseError> {
-    // Validate the spec (ranges, bit layouts) through the factory parser.
-    parse_algorithm(spec, space)?;
-    let lower = spec.to_ascii_lowercase();
-    let (head, arg) = match lower.split_once(':') {
-        Some((h, a)) => (h, Some(a)),
-        None => (lower.as_str(), None),
-    };
-    match (head, arg) {
-        ("random", None) => Ok(AlgorithmKind::Random),
-        ("cluster", None) => Ok(AlgorithmKind::Cluster),
-        ("bins", Some(k)) => Ok(AlgorithmKind::Bins {
-            k: k.parse().expect("validated above"),
-        }),
-        ("cluster*" | "cluster-star", None) => Ok(AlgorithmKind::ClusterStar),
-        ("cluster*" | "cluster-star", Some(g)) => Ok(AlgorithmKind::ClusterStarGrowth {
-            growth: g.parse().expect("validated above"),
-        }),
-        ("bins*" | "bins-star", None) => Ok(AlgorithmKind::BinsStar),
-        ("bins*" | "bins-star", Some("maxfit")) => Ok(AlgorithmKind::BinsStarMaxFit),
-        ("session", Some(sc)) => {
-            let (s, c) = sc.split_once(',').expect("validated above");
-            Ok(AlgorithmKind::SessionCounter {
-                session_bits: s.parse().expect("validated above"),
-                counter_bits: c.parse().expect("validated above"),
-            })
-        }
-        _ => Err(ParseError(format!(
-            "`{spec}` has no registry form usable by the service"
-        ))),
-    }
+/// Parses the number `text`, a `what` in `spec`.
+fn number<T: std::str::FromStr>(text: &str, what: &str, spec: &str) -> Result<T, ParseError> {
+    text.parse()
+        .map_err(|_| ParseError(format!("bad {what} in `{spec}`")))
 }
 
 /// Output encodings for generated IDs.
@@ -185,6 +133,7 @@ impl IdFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use uuidp_core::interval::IntervalSet;
 
     fn space() -> IdSpace {
         IdSpace::with_bits(24).unwrap()
@@ -192,73 +141,206 @@ mod tests {
 
     #[test]
     fn parses_the_whole_menu() {
-        for spec in [
-            "random",
-            "cluster",
-            "bins:64",
-            "cluster*",
-            "cluster-star",
-            "cluster*:4",
-            "bins*",
-            "bins-star",
-            "bins*:maxfit",
+        use AlgorithmKind::*;
+        for (spec, kind) in [
+            ("random", Random),
+            ("cluster", Cluster),
+            ("bins:64", Bins { k: 64 }),
+            ("cluster*", ClusterStar),
+            ("cluster-star", ClusterStar),
+            ("cluster*:4", ClusterStarGrowth { growth: 4 }),
+            ("cluster-star:8", ClusterStarGrowth { growth: 8 }),
+            ("bins*", BinsStar),
+            ("bins-star", BinsStar),
+            ("bins*:maxfit", BinsStarMaxFit),
+            (
+                "session:14,10",
+                SessionCounter {
+                    session_bits: 14,
+                    counter_bits: 10,
+                },
+            ),
         ] {
-            assert!(parse_algorithm(spec, space()).is_ok(), "{spec}");
+            assert_eq!(parse_algorithm_kind(spec, space()), Ok(kind), "{spec}");
         }
-        assert!(parse_algorithm("session:14,10", space()).is_ok());
     }
 
     #[test]
     fn parse_errors_are_descriptive() {
-        let err = parse_algorithm("bogus", space()).unwrap_err();
+        let err = parse_algorithm_kind("bogus", space()).unwrap_err();
         assert!(err.0.contains("unknown algorithm"));
-        let err = parse_algorithm("bins:0", space()).unwrap_err();
+        let err = parse_algorithm_kind("bins:0", space()).unwrap_err();
         assert!(err.0.contains("out of range"));
-        let err = parse_algorithm("bins", space()).unwrap_err();
+        let err = parse_algorithm_kind("bins", space()).unwrap_err();
         assert!(err.0.contains("bins:K"));
-        let err = parse_algorithm("session:14,12", space()).unwrap_err();
+        let err = parse_algorithm_kind("session:14,12", space()).unwrap_err();
         assert!(err.0.contains("implies m"));
-        let err = parse_algorithm("cluster*:1", space()).unwrap_err();
+        let err = parse_algorithm_kind("session:4294967295,1", space()).unwrap_err();
+        assert!(err.0.contains("exceeds 127 bits"), "{err}");
+        let err = parse_algorithm_kind("cluster*:1", space()).unwrap_err();
         assert!(err.0.contains("at least 2"));
     }
 
     #[test]
     fn registry_specs_round_trip_through_algorithm_kind() {
         // Every servable spec parses to a registry entry whose factory
-        // carries the same name as the direct parser's — so `uuidp
-        // serve`/`stress` can select every ablation, growth included
-        // (the previously missing ROADMAP entry).
-        for spec in [
-            "random",
-            "cluster",
-            "bins:64",
-            "cluster*",
-            "cluster*:4",
-            "cluster-star:8",
-            "bins*",
-            "bins*:maxfit",
+        // carries the spec's name, so `uuidp serve`/`stress` can select
+        // every ablation, growth included.
+        for (spec, name) in [
+            ("random", "random"),
+            ("cluster", "cluster"),
+            ("bins:64", "bins(64)"),
+            ("cluster*", "cluster*"),
+            ("cluster*:2", "cluster*"),
+            ("cluster*:4", "cluster*(x4)"),
+            ("cluster-star:8", "cluster*(x8)"),
+            ("bins*", "bins*"),
+            ("bins*:maxfit", "bins*"),
         ] {
             let kind = parse_algorithm_kind(spec, space()).unwrap();
-            assert_eq!(
-                kind.build(space()).name(),
-                parse_algorithm(spec, space()).unwrap().name(),
-                "{spec}"
-            );
+            assert_eq!(kind.build(space()).name(), name, "{spec}");
         }
-        assert_eq!(
-            parse_algorithm_kind("cluster*:4", space()).unwrap(),
-            AlgorithmKind::ClusterStarGrowth { growth: 4 }
-        );
-        // Invalid growth factors are still rejected up front.
-        assert!(parse_algorithm_kind("cluster*:1", space()).is_err());
     }
 
     #[test]
     fn names_round_trip_sensibly() {
-        let alg = parse_algorithm("bins:64", space()).unwrap();
+        let alg = parse_algorithm_kind("bins:64", space())
+            .unwrap()
+            .build(space());
         assert_eq!(alg.name(), "bins(64)");
-        let alg = parse_algorithm("cluster*:4", space()).unwrap();
+        let alg = parse_algorithm_kind("cluster*:4", space())
+            .unwrap()
+            .build(space());
         assert_eq!(alg.name(), "cluster*(x4)");
+    }
+
+    /// Leases 64 IDs for each of tenants 0..3 from a durable service
+    /// running `spec` over `dir`, and returns them.
+    fn durable_run(spec: &str, dir: &std::path::Path) -> IntervalSet {
+        use uuidp_service::service::{DurabilityConfig, IdService, ServiceConfig};
+        let space = IdSpace::with_bits(48).unwrap();
+        let mut config = ServiceConfig::new(parse_algorithm_kind(spec, space).unwrap(), space);
+        config.durability = Some(DurabilityConfig::new(dir));
+        let service = IdService::start(config);
+        let mut issued = IntervalSet::new(space);
+        for tenant in 0..3 {
+            let reply = service.lease(tenant, 64);
+            assert_eq!((reply.granted, reply.error), (64, None), "{spec}");
+            reply.arcs.iter().for_each(|&arc| issued.insert(arc));
+        }
+        drop(service.shutdown());
+        issued
+    }
+
+    #[test]
+    fn spec_table_parses_builds_reboots_and_refuses() {
+        use crate::commands::{fleet, generate, stress, FleetOpts, GenerateOpts, StressOpts};
+        // The specs of the table above and of `uuidp --help`; every
+        // one is snapshot-capable.
+        const SPECS: [&str; 11] = [
+            "random",
+            "cluster",
+            "bins:16",
+            "cluster*",
+            "cluster-star",
+            "cluster*:2",
+            "cluster*:3",
+            "bins*",
+            "bins-star",
+            "bins*:maxfit",
+            "session:40,8",
+        ];
+        let space = IdSpace::with_bits(48).unwrap();
+        let dir = |tag: &str| {
+            let dir =
+                std::env::temp_dir().join(format!("uuidp-spec-table-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        };
+        for spec in SPECS {
+            let alg = parse_algorithm_kind(spec, space).unwrap().build(space);
+            assert!(alg.spawn(1).next_id().is_ok(), "{spec}");
+            // A second boot with the same spec recovers the state dir
+            // and continues past everything the first one issued.
+            let dir = dir(spec);
+            let first = durable_run(spec, &dir);
+            let second = durable_run(spec, &dir);
+            assert!(
+                !first.intersects_set(&second),
+                "{spec} re-issued after reboot"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // Cluster★ with growth 2 is Cluster★: either spelling boots the
+        // other's state dir.
+        for (writer, reader) in [("cluster*:2", "cluster*"), ("cluster*", "cluster*:2")] {
+            let dir = dir("growth-2");
+            let first = durable_run(writer, &dir);
+            assert!(
+                !first.intersects_set(&durable_run(reader, &dir)),
+                "{writer} → {reader}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        // The two Bins★ chunk rules are different kinds.
+        let bins_star = dir("bins-star-rules");
+        durable_run("bins*", &bins_star);
+        let boot = std::panic::catch_unwind(|| durable_run("bins*:maxfit", &bins_star));
+        let message = boot
+            .err()
+            .and_then(|panic| panic.downcast::<String>().ok())
+            .expect("a bins* state dir must refuse a bins*:maxfit boot");
+        assert!(
+            message.contains("incompatible with configured"),
+            "{message}"
+        );
+        let _ = std::fs::remove_dir_all(&bins_star);
+
+        // Each malformed spec is a ParseError from every command that
+        // takes one, before anything runs.
+        for (spec, bits) in [
+            ("session:0,8", 8),
+            ("session:8,0", 8),
+            ("session:100,100", 8),
+            ("bins*", 0),
+            ("session:0,48", 48),
+            ("session:48,0", 48),
+            ("session:4294967295,1", 48),
+            ("bins:0", 48),
+            ("cluster*:1", 48),
+            ("bins*:foo", 48),
+            ("bins", 48),
+            ("session:8", 48),
+        ] {
+            let generated = generate(&GenerateOpts {
+                algorithm: spec.into(),
+                bits,
+                count: 1,
+                seed: Some(1),
+                format: IdFormat::Dec,
+            });
+            let stressed = stress(&StressOpts {
+                bits,
+                ..StressOpts::trials_small(spec)
+            });
+            let fleeted = fleet(&FleetOpts {
+                bits,
+                ..FleetOpts::trials_small(spec)
+            });
+            let expected = parse_algorithm_kind(spec, IdSpace::with_bits(bits).unwrap());
+            assert!(expected.is_err(), "{spec} over 2^{bits} parsed");
+            for (command, result) in [
+                ("generate", generated),
+                ("stress", stressed),
+                ("fleet", fleeted),
+            ] {
+                assert_eq!(
+                    result.err(),
+                    expected.clone().err(),
+                    "{command} {spec} over 2^{bits}"
+                );
+            }
+        }
     }
 
     #[test]

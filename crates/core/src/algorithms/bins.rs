@@ -16,6 +16,7 @@
 //! of the bins, so the stream's `g`-th ID is a function of `g` alone: the
 //! state is the seed and the number of IDs emitted, and `skip` is O(1).
 
+use super::AlgorithmKind;
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::permute::KeyedPermutation;
@@ -181,8 +182,8 @@ impl IdGenerator for BinsGenerator {
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        Some(GeneratorState::Bins {
-            k: self.k,
+        Some(GeneratorState {
+            kind: AlgorithmKind::Bins { k: self.k },
             seed: self.seed,
             generated: self.generated,
         })

@@ -22,6 +22,7 @@
 //! exhausted (the analysis only covers demand below `m / log m`); we report
 //! [`GeneratorError::Exhausted`].
 
+use super::AlgorithmKind;
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::{uniform_below, Xoshiro256pp};
@@ -79,15 +80,11 @@ impl BinsStarGeometry {
                 c
             }
         };
-        Self::with_chunks(space, chunks).expect("chunk layout must fit in the universe")
-    }
-
-    /// The layout of `chunks` chunks over `space`, if it fits.
-    pub(crate) fn with_chunks(space: IdSpace, chunks: u32) -> Option<Self> {
-        (chunks >= 1 && fits(chunks, space.size())).then(|| BinsStarGeometry {
+        assert!(fits(chunks, m), "chunk layout must fit in the universe");
+        BinsStarGeometry {
             chunks,
             chunk_size: 1u128 << (chunks - 1),
-        })
+        }
     }
 
     /// First ID of chunk `i` (1-based).
@@ -122,7 +119,7 @@ fn fits(c: u32, m: u128) -> bool {
 #[derive(Debug, Clone)]
 pub struct BinsStar {
     space: IdSpace,
-    geometry: BinsStarGeometry,
+    rule: ChunkRule,
 }
 
 impl BinsStar {
@@ -133,15 +130,7 @@ impl BinsStar {
 
     /// Bins★ over `space` with an explicit chunk rule.
     pub fn with_rule(space: IdSpace, rule: ChunkRule) -> Self {
-        BinsStar {
-            space,
-            geometry: BinsStarGeometry::compute(space, rule),
-        }
-    }
-
-    /// The layout in use.
-    pub fn geometry(&self) -> BinsStarGeometry {
-        self.geometry
+        BinsStar { space, rule }
     }
 }
 
@@ -155,11 +144,7 @@ impl Algorithm for BinsStar {
     }
 
     fn spawn(&self, seed: u64) -> Box<dyn IdGenerator> {
-        Box::new(BinsStarGenerator::with_geometry(
-            self.space,
-            self.geometry,
-            seed,
-        ))
+        Box::new(BinsStarGenerator::with_rule(self.space, self.rule, seed))
     }
 }
 
@@ -172,6 +157,7 @@ impl Algorithm for BinsStar {
 #[derive(Debug)]
 pub struct BinsStarGenerator {
     space: IdSpace,
+    rule: ChunkRule,
     geometry: BinsStarGeometry,
     seed: u64,
     rng: Xoshiro256pp,
@@ -188,18 +174,15 @@ pub struct BinsStarGenerator {
 impl BinsStarGenerator {
     /// A fresh instance over `space` (paper chunk formula), seeded.
     pub fn new(space: IdSpace, seed: u64) -> Self {
-        Self::with_geometry(
-            space,
-            BinsStarGeometry::compute(space, ChunkRule::PaperFormula),
-            seed,
-        )
+        Self::with_rule(space, ChunkRule::PaperFormula, seed)
     }
 
-    /// A fresh instance with an explicit layout.
-    pub fn with_geometry(space: IdSpace, geometry: BinsStarGeometry, seed: u64) -> Self {
+    /// A fresh instance with an explicit chunk rule.
+    pub fn with_rule(space: IdSpace, rule: ChunkRule, seed: u64) -> Self {
         BinsStarGenerator {
             space,
-            geometry,
+            rule,
+            geometry: BinsStarGeometry::compute(space, rule),
             seed,
             rng: Xoshiro256pp::new(seed),
             next_chunk: 1,
@@ -303,8 +286,11 @@ impl IdGenerator for BinsStarGenerator {
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        Some(GeneratorState::BinsStar {
-            chunks: self.geometry.chunks,
+        Some(GeneratorState {
+            kind: match self.rule {
+                ChunkRule::PaperFormula => AlgorithmKind::BinsStar,
+                ChunkRule::MaxFit => AlgorithmKind::BinsStarMaxFit,
+            },
             seed: self.seed,
             generated: self.generated,
         })

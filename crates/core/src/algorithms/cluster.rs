@@ -12,6 +12,7 @@
 //! The emitted set is a single arc, so [`skip`](IdGenerator::skip) is O(1):
 //! worst-case experiments can push `d` to 2⁴⁰ and beyond.
 
+use super::AlgorithmKind;
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::{uniform_below, Xoshiro256pp};
@@ -145,7 +146,8 @@ impl IdGenerator for ClusterGenerator {
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        Some(GeneratorState::Cluster {
+        Some(GeneratorState {
+            kind: AlgorithmKind::Cluster,
             seed: self.seed,
             generated: self.generated,
         })

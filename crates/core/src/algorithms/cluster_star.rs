@@ -24,6 +24,7 @@
 //! runs of size at most `m / (2 log m)`). We surface the out-of-space
 //! condition as [`GeneratorError::Exhausted`].
 
+use super::AlgorithmKind;
 use crate::id::IdSpace;
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::Xoshiro256pp;
@@ -248,8 +249,11 @@ impl IdGenerator for ClusterStarGenerator {
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        Some(GeneratorState::ClusterStar {
-            growth: self.growth,
+        Some(GeneratorState {
+            kind: match self.growth {
+                2 => AlgorithmKind::ClusterStar,
+                growth => AlgorithmKind::ClusterStarGrowth { growth },
+            },
             seed: self.seed,
             generated: self.generated,
         })

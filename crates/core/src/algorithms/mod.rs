@@ -3,8 +3,10 @@
 //! Five algorithms from the paper — [`Random`], [`Cluster`], [`Bins`],
 //! [`ClusterStar`], [`BinsStar`] — plus the Lemma 24 witness
 //! [`SetAside`] and two practical comparators, [`Snowflake`] and
-//! [`SessionCounter`]. [`AlgorithmKind`] is the data-driven registry that
-//! experiments, benches, and CLIs use to name and instantiate them.
+//! [`SessionCounter`]. [`AlgorithmKind`] is the one description of an
+//! algorithm: experiments, benches, CLIs and snapshots name and
+//! instantiate them by it, and [`AlgorithmKind::check`] is the one check
+//! of its parameters against a universe.
 
 pub mod bins;
 pub mod bins_star;
@@ -24,6 +26,8 @@ pub use rocksdb_session::{SessionCounter, SessionCounterGenerator};
 pub use set_aside::{SetAside, SetAsideGenerator};
 pub use snowflake::{Snowflake, SnowflakeConfig, SnowflakeGenerator};
 
+use serde::{Deserialize, Serialize};
+
 use crate::id::IdSpace;
 use crate::traits::Algorithm;
 
@@ -31,7 +35,7 @@ use crate::traits::Algorithm;
 ///
 /// Experiments are parameterized by `(AlgorithmKind, IdSpace)` pairs;
 /// [`AlgorithmKind::build`] turns the pair into a live factory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AlgorithmKind {
     /// Uniform permutation of `[m]` (the GUID random part).
     Random,
@@ -73,49 +77,70 @@ pub enum AlgorithmKind {
 }
 
 impl AlgorithmKind {
+    /// Checks every parameter against `space`: bin sizes in `[m]`, a
+    /// growth factor of at least 2, a Bins★ universe of at least 2 IDs,
+    /// a SetAside head space that fits, and bit layouts whose fields are
+    /// nonzero and add up to `log₂ m`. [`build`](Self::build) panics with
+    /// its message; the CLI and [`restore`](crate::state::restore) return
+    /// it, so no outside input reaches a constructor's asserts.
+    pub fn check(&self, space: IdSpace) -> Result<(), String> {
+        let m = space.size();
+        let (valid, problem) = match *self {
+            Self::Random | Self::Cluster | Self::ClusterStar => return Ok(()),
+            Self::Bins { k } => (
+                k >= 1 && k <= m,
+                format!("bin size {k} out of range 1..={m}"),
+            ),
+            Self::ClusterStarGrowth { growth } => (
+                growth >= 2,
+                format!("growth factor {growth} must be at least 2"),
+            ),
+            Self::BinsStar | Self::BinsStarMaxFit => {
+                (m >= 2, "Bins* requires a universe of at least 2 IDs".into())
+            }
+            Self::SetAside { i, j } => (
+                i >= 1 && i <= j && j - i < m && m - (j - i) >= i,
+                format!("SetAside({i}, {j}) needs 1 <= i <= j and i <= m - (j - i), got {space}"),
+            ),
+            Self::Snowflake(cfg) if cfg.requests_per_tick == 0 => {
+                (false, "Snowflake requests_per_tick must be > 0".into())
+            }
+            Self::Snowflake(cfg) => {
+                let fields = [cfg.timestamp_bits, cfg.worker_bits, cfg.sequence_bits];
+                return layout("Snowflake", &fields, space);
+            }
+            Self::SessionCounter {
+                session_bits,
+                counter_bits,
+            } => return layout("SessionCounter", &[session_bits, counter_bits], space),
+        };
+        valid.then_some(()).ok_or(problem)
+    }
+
     /// Instantiates the algorithm over `space`.
     ///
     /// # Panics
     ///
-    /// Panics if the parameters are invalid for `space` (e.g. `k > m`), or
-    /// if a bit-layout algorithm is paired with a mismatched universe.
+    /// Panics with [`check`](Self::check)'s message if the parameters are
+    /// invalid for `space`.
     pub fn build(&self, space: IdSpace) -> Box<dyn Algorithm> {
-        match self {
-            AlgorithmKind::Random => Box::new(Random::new(space)),
-            AlgorithmKind::Cluster => Box::new(Cluster::new(space)),
-            AlgorithmKind::Bins { k } => Box::new(Bins::new(space, *k)),
-            AlgorithmKind::ClusterStar => Box::new(ClusterStar::new(space)),
-            AlgorithmKind::ClusterStarGrowth { growth } => {
-                Box::new(ClusterStar::with_growth(space, *growth))
-            }
-            AlgorithmKind::BinsStar => Box::new(BinsStar::new(space)),
-            AlgorithmKind::BinsStarMaxFit => {
-                Box::new(BinsStar::with_rule(space, ChunkRule::MaxFit))
-            }
-            AlgorithmKind::SetAside { i, j } => Box::new(SetAside::new(space, *i, *j)),
-            AlgorithmKind::Snowflake(cfg) => {
-                let alg = Snowflake::new(*cfg);
-                assert_eq!(
-                    alg.space(),
-                    space,
-                    "Snowflake layout implies m = 2^{}, got {space}",
-                    cfg.total_bits()
-                );
-                Box::new(alg)
-            }
-            AlgorithmKind::SessionCounter {
+        if let Err(e) = self.check(space) {
+            panic!("{e}");
+        }
+        match *self {
+            Self::Random => Box::new(Random::new(space)),
+            Self::Cluster => Box::new(Cluster::new(space)),
+            Self::Bins { k } => Box::new(Bins::new(space, k)),
+            Self::ClusterStar => Box::new(ClusterStar::new(space)),
+            Self::ClusterStarGrowth { growth } => Box::new(ClusterStar::with_growth(space, growth)),
+            Self::BinsStar => Box::new(BinsStar::new(space)),
+            Self::BinsStarMaxFit => Box::new(BinsStar::with_rule(space, ChunkRule::MaxFit)),
+            Self::SetAside { i, j } => Box::new(SetAside::new(space, i, j)),
+            Self::Snowflake(cfg) => Box::new(Snowflake::new(cfg)),
+            Self::SessionCounter {
                 session_bits,
                 counter_bits,
-            } => {
-                let alg = SessionCounter::new(*session_bits, *counter_bits);
-                assert_eq!(
-                    alg.space(),
-                    space,
-                    "SessionCounter layout implies m = 2^{}, got {space}",
-                    session_bits + counter_bits
-                );
-                Box::new(alg)
-            }
+            } => Box::new(SessionCounter::new(session_bits, counter_bits)),
         }
     }
 
@@ -129,6 +154,22 @@ impl AlgorithmKind {
             AlgorithmKind::ClusterStar,
             AlgorithmKind::BinsStar,
         ]
+    }
+}
+
+/// Checks that a bit layout's fields are each nonzero and add up to
+/// `space`'s width.
+fn layout(name: &str, fields: &[u32], space: IdSpace) -> Result<(), String> {
+    if fields.contains(&0) {
+        return Err(format!("{name} layout {fields:?} has a zero-width field"));
+    }
+    let bits = fields.iter().try_fold(0u32, |sum, &f| sum.checked_add(f));
+    match bits.filter(|&bits| bits <= 127) {
+        None => Err(format!("{name} layout {fields:?} exceeds 127 bits")),
+        Some(bits) if space.size() != 1 << bits => {
+            Err(format!("{name} layout implies m = 2^{bits}, got {space}"))
+        }
+        Some(_) => Ok(()),
     }
 }
 

@@ -14,6 +14,7 @@
 //! of IDs drawn, a draw costs the same at any `m` up to 2¹²⁷ and any
 //! demand, and `skip` is O(1).
 
+use super::AlgorithmKind;
 use crate::id::{Id, IdSpace};
 use crate::interval::Arc;
 use crate::permute::KeyedPermutation;
@@ -117,7 +118,8 @@ impl IdGenerator for RandomGenerator {
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        Some(GeneratorState::Random {
+        Some(GeneratorState {
+            kind: AlgorithmKind::Random,
             seed: self.seed,
             generated: self.drawn,
         })

@@ -24,6 +24,7 @@
 
 use std::collections::HashSet;
 
+use super::AlgorithmKind;
 use crate::id::{Id, IdSpace};
 use crate::interval::{Arc, IntervalSet};
 use crate::rng::{uniform_below, Xoshiro256pp};
@@ -82,18 +83,22 @@ impl Algorithm for SessionCounter {
 }
 
 /// One store instance assigning session-counter IDs.
+///
+/// The footprint is lazy, so the walk (and `skip`, restore and recovery
+/// with it) costs O(1) per session: [`IdGenerator::footprint`] folds the
+/// sessions closed since its last call, in sorted order.
 #[derive(Debug)]
 pub struct SessionCounterGenerator {
     space: IdSpace,
+    session_bits: u32,
     counter_bits: u32,
-    sessions_total: u128,
     seed: u64,
     rng: Xoshiro256pp,
     used_sessions: HashSet<u128>,
     current_session: Option<u128>,
     counter: u128,
-    /// Counter position of the open session already folded into `emitted`.
-    flushed: u128,
+    /// Sessions closed since `footprint` last folded them.
+    closed: Vec<u128>,
     generated: u128,
     emitted: IntervalSet,
 }
@@ -104,28 +109,16 @@ impl SessionCounterGenerator {
         let space = IdSpace::with_bits(session_bits + counter_bits).expect("checked width");
         SessionCounterGenerator {
             space,
+            session_bits,
             counter_bits,
-            sessions_total: 1u128 << session_bits,
             seed,
             rng: Xoshiro256pp::new(seed),
             used_sessions: HashSet::new(),
             current_session: None,
             counter: 0,
-            flushed: 0,
+            closed: Vec::new(),
             generated: 0,
             emitted: IntervalSet::new(space),
-        }
-    }
-
-    /// Folds the open session's unflushed ID range into `emitted`.
-    fn flush(&mut self) {
-        if let Some(session) = self.current_session {
-            if self.counter > self.flushed {
-                let first = (session << self.counter_bits) | self.flushed;
-                self.emitted
-                    .insert(Arc::new(self.space, Id(first), self.counter - self.flushed));
-                self.flushed = self.counter;
-            }
         }
     }
 
@@ -134,29 +127,23 @@ impl SessionCounterGenerator {
         self.current_session
     }
 
-    /// The session-prefix width in bits (for snapshots).
-    fn session_bits(&self) -> u32 {
-        128 - self.sessions_total.leading_zeros() - 1
-    }
-
     fn counter_capacity(&self) -> u128 {
         1u128 << self.counter_bits
     }
 
     fn open_session(&mut self) -> Result<u128, GeneratorError> {
-        if self.used_sessions.len() as u128 >= self.sessions_total {
+        let sessions = 1u128 << self.session_bits;
+        if self.used_sessions.len() as u128 >= sessions {
             return Err(GeneratorError::Exhausted {
                 generated: self.generated,
             });
         }
         // Redraw on reuse; terminates fast while sessions are sparse.
         loop {
-            let s = uniform_below(&mut self.rng, self.sessions_total);
+            let s = uniform_below(&mut self.rng, sessions);
             if self.used_sessions.insert(s) {
-                self.flush(); // retire the exhausted session's range
-                self.current_session = Some(s);
+                self.closed.extend(self.current_session.replace(s));
                 self.counter = 0;
-                self.flushed = 0;
                 return Ok(s);
             }
         }
@@ -195,7 +182,16 @@ impl IdGenerator for SessionCounterGenerator {
     }
 
     fn footprint(&mut self) -> Footprint<'_> {
-        self.flush();
+        let (space, bits, full) = (self.space, self.counter_bits, self.counter_capacity());
+        let prefix = |session: u128, len| Arc::new(space, Id(session << bits), len);
+        self.closed.sort_unstable();
+        for &session in &self.closed {
+            self.emitted.insert(prefix(session, full));
+        }
+        self.closed.clear();
+        if let Some(session) = self.current_session.filter(|_| self.counter > 0) {
+            self.emitted.insert(prefix(session, self.counter));
+        }
         Footprint::Arcs(&self.emitted)
     }
 
@@ -213,15 +209,17 @@ impl IdGenerator for SessionCounterGenerator {
         self.used_sessions.clear();
         self.current_session = None;
         self.counter = 0;
-        self.flushed = 0;
+        self.closed.clear();
         self.generated = 0;
         self.emitted.clear();
     }
 
     fn snapshot(&self) -> Option<GeneratorState> {
-        Some(GeneratorState::SessionCounter {
-            session_bits: self.session_bits(),
-            counter_bits: self.counter_bits,
+        Some(GeneratorState {
+            kind: AlgorithmKind::SessionCounter {
+                session_bits: self.session_bits,
+                counter_bits: self.counter_bits,
+            },
             seed: self.seed,
             generated: self.generated,
         })

@@ -20,13 +20,15 @@
 //! and repeated ticks can even repeat IDs after timestamp wrap-around. It
 //! exists here as the practical comparator for experiment E13.
 
+use serde::{Deserialize, Serialize};
+
 use crate::id::{Id, IdSpace};
 use crate::interval::Arc;
 use crate::rng::{uniform_below, Xoshiro256pp};
 use crate::traits::{Algorithm, Footprint, GeneratorError, IdGenerator};
 
 /// Bit layout and fault model for [`Snowflake`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SnowflakeConfig {
     /// Bits for the timestamp field (most significant).
     pub timestamp_bits: u32,

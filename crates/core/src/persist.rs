@@ -35,24 +35,38 @@
 //! it the collision exposure) and exact resume (which is only safe if
 //! nothing was emitted after the snapshot).
 //!
-//! ## Record format (version 3)
+//! ## Record format (version 4)
 //!
 //! ```text
-//! magic    8 bytes   "UUIDSNP1"-independent tag: b"UUIDSNAP"
-//! version  u32 LE    3
+//! magic    8 bytes   b"UUIDSNAP"
+//! version  u32 LE    4
 //! length   u64 LE    payload byte count
-//! payload  ...       seq, epoch, reservation, universe, GeneratorState
+//! payload  ...       seq, epoch, reservation, universe, kind, seed, count
 //! checksum u64 LE    FNV-1a over magic + version + length + payload
 //! ```
 //!
-//! All integers are little-endian; variable-length sequences carry a
-//! `u64` count prefix (the shared [`codec`](crate::codec) vocabulary —
-//! the same primitives the `uuidp-client` wire frames are built from).
-//! Any corruption (truncation, bit flips, unknown versions) is reported
-//! as a typed [`PersistError`], never a panic. Every record has a
-//! constant size, since a generator's state is its parameters, seed
-//! and count (see [`crate::state`]), so a save costs the same after any
-//! number of IDs.
+//! All integers are little-endian (the shared [`codec`](crate::codec)
+//! vocabulary of the `uuidp-client` wire frames). A record holds a
+//! [`GeneratorState`]: a kind, a seed and a count (see [`crate::state`]),
+//! so its size, and a save's cost, never grow with demand. The kind is
+//! one tag byte per snapshot-capable [`AlgorithmKind`], then its
+//! parameters:
+//!
+//! | tag | kind | parameters | record bytes |
+//! |-----|------|------------|--------------|
+//! | 0 | `Random` | — | 97 |
+//! | 1 | `Cluster` | — | 97 |
+//! | 2 | `Bins { k }` | `k` u128 | 113 |
+//! | 3 | `ClusterStar` | — | 97 |
+//! | 4 | `ClusterStarGrowth { growth }` | `growth` u32 | 101 |
+//! | 5 | `BinsStar` | — | 97 |
+//! | 6 | `BinsStarMaxFit` | — | 97 |
+//! | 7 | `SessionCounter { session_bits, counter_bits }` | two u32 | 105 |
+//!
+//! SetAside and Snowflake have no tag: encoding one is a typed error.
+//! Any corruption (truncation, bit flips, unknown tags or versions) is a
+//! typed [`PersistError`], never a panic. Versions 1–3 are not read: such
+//! a record is [`PersistError::UnsupportedVersion`].
 //!
 //! ## Log format
 //!
@@ -86,6 +100,7 @@ use std::fs;
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
+use crate::algorithms::AlgorithmKind;
 use crate::codec::{fnv1a, put_u128, put_u32, put_u64, CodecError, Cursor};
 use crate::id::IdSpace;
 use crate::state::{restore, GeneratorState, StateError};
@@ -95,7 +110,7 @@ use crate::traits::IdGenerator;
 pub const MAGIC: [u8; 8] = *b"UUIDSNAP";
 
 /// Current on-disk format version.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// The log file in a store's directory.
 const LOG_FILE: &str = "snapshots.log";
@@ -149,7 +164,8 @@ pub enum PersistError {
     Truncated,
     /// The payload decoded but described an impossible record.
     Corrupt(String),
-    /// The decoded state failed generator-level validation.
+    /// The state failed generator-level validation, or its kind has no
+    /// snapshot support.
     State(StateError),
     /// A log entry failed its header checksum or its record failed to
     /// decode; `offset` is the entry's byte position in the log.
@@ -197,99 +213,72 @@ impl From<CodecError> for PersistError {
     }
 }
 
-/// Writes the state's tag and parameters, then its seed and count.
-fn encode_state(out: &mut Vec<u8>, state: &GeneratorState) {
-    let (seed, generated) = match *state {
-        GeneratorState::Random { seed, generated } => {
-            out.push(0);
-            (seed, generated)
-        }
-        GeneratorState::Cluster { seed, generated } => {
-            out.push(1);
-            (seed, generated)
-        }
-        GeneratorState::Bins { k, seed, generated } => {
+/// Writes the state's kind as its tag and parameters, then its seed and
+/// count.
+fn encode_state(out: &mut Vec<u8>, state: &GeneratorState) -> Result<(), PersistError> {
+    match state.kind {
+        AlgorithmKind::Random => out.push(0),
+        AlgorithmKind::Cluster => out.push(1),
+        AlgorithmKind::Bins { k } => {
             out.push(2);
             put_u128(out, k);
-            (seed, generated)
         }
-        GeneratorState::ClusterStar {
-            growth,
-            seed,
-            generated,
-        } => {
-            out.push(3);
-            put_u32(out, growth);
-            (seed, generated)
-        }
-        GeneratorState::BinsStar {
-            chunks,
-            seed,
-            generated,
-        } => {
+        AlgorithmKind::ClusterStar => out.push(3),
+        AlgorithmKind::ClusterStarGrowth { growth } => {
             out.push(4);
-            put_u32(out, chunks);
-            (seed, generated)
+            put_u32(out, growth);
         }
-        GeneratorState::SessionCounter {
+        AlgorithmKind::BinsStar => out.push(5),
+        AlgorithmKind::BinsStarMaxFit => out.push(6),
+        AlgorithmKind::SessionCounter {
             session_bits,
             counter_bits,
-            seed,
-            generated,
         } => {
-            out.push(5);
+            out.push(7);
             put_u32(out, session_bits);
             put_u32(out, counter_bits);
-            (seed, generated)
         }
-    };
-    put_u64(out, seed);
-    put_u128(out, generated);
+        AlgorithmKind::SetAside { .. } | AlgorithmKind::Snowflake(_) => {
+            let error = format!("{:?} has no snapshot support", state.kind);
+            return Err(PersistError::State(StateError(error)));
+        }
+    }
+    put_u64(out, state.seed);
+    put_u128(out, state.generated);
+    Ok(())
 }
 
 fn decode_state(c: &mut Cursor<'_>) -> Result<GeneratorState, PersistError> {
-    Ok(match c.u8()? {
-        0 => GeneratorState::Random {
-            seed: c.u64()?,
-            generated: c.u128()?,
-        },
-        1 => GeneratorState::Cluster {
-            seed: c.u64()?,
-            generated: c.u128()?,
-        },
-        2 => GeneratorState::Bins {
-            k: c.u128()?,
-            seed: c.u64()?,
-            generated: c.u128()?,
-        },
-        3 => GeneratorState::ClusterStar {
-            growth: c.u32()?,
-            seed: c.u64()?,
-            generated: c.u128()?,
-        },
-        4 => GeneratorState::BinsStar {
-            chunks: c.u32()?,
-            seed: c.u64()?,
-            generated: c.u128()?,
-        },
-        5 => GeneratorState::SessionCounter {
+    let kind = match c.u8()? {
+        0 => AlgorithmKind::Random,
+        1 => AlgorithmKind::Cluster,
+        2 => AlgorithmKind::Bins { k: c.u128()? },
+        3 => AlgorithmKind::ClusterStar,
+        4 => AlgorithmKind::ClusterStarGrowth { growth: c.u32()? },
+        5 => AlgorithmKind::BinsStar,
+        6 => AlgorithmKind::BinsStarMaxFit,
+        7 => AlgorithmKind::SessionCounter {
             session_bits: c.u32()?,
             counter_bits: c.u32()?,
-            seed: c.u64()?,
-            generated: c.u128()?,
         },
         t => return Err(PersistError::Corrupt(format!("unknown state tag {t}"))),
+    };
+    Ok(GeneratorState {
+        kind,
+        seed: c.u64()?,
+        generated: c.u128()?,
     })
 }
 
-/// Serializes `record` into the versioned, checksummed record format.
-pub fn encode_record(record: &SnapshotRecord) -> Vec<u8> {
+/// Serializes `record` into the versioned, checksummed record format;
+/// a [`PersistError::State`] if its kind has no snapshot support.
+pub fn encode_record(record: &SnapshotRecord) -> Result<Vec<u8>, PersistError> {
     let mut payload = Vec::with_capacity(128);
     put_u64(&mut payload, record.seq);
     put_u32(&mut payload, record.epoch);
     put_u128(&mut payload, record.reservation);
     put_u128(&mut payload, record.space.size());
-    encode_state(&mut payload, &record.state);
+    encode_state(&mut payload, &record.state)?;
 
     let mut out = Vec::with_capacity(payload.len() + 28);
     out.extend_from_slice(&MAGIC);
@@ -298,7 +287,7 @@ pub fn encode_record(record: &SnapshotRecord) -> Vec<u8> {
     out.extend_from_slice(&payload);
     let checksum = fnv1a(&out);
     put_u64(&mut out, checksum);
-    out
+    Ok(out)
 }
 
 /// Parses bytes produced by [`encode_record`], validating magic,
@@ -372,15 +361,15 @@ pub fn recover(record: &SnapshotRecord) -> Result<Box<dyn IdGenerator>, PersistE
 // ---------------------------------------------------------------------
 
 /// Encodes `record` as one log entry for `tenant`.
-fn encode_entry(tenant: u64, record: &SnapshotRecord) -> Vec<u8> {
-    let body = encode_record(record);
+fn encode_entry(tenant: u64, record: &SnapshotRecord) -> Result<Vec<u8>, PersistError> {
+    let body = encode_record(record)?;
     let mut entry = Vec::with_capacity(ENTRY_HEADER + body.len());
     put_u64(&mut entry, tenant);
     put_u64(&mut entry, body.len() as u64);
     let check = fnv1a(&entry);
     put_u64(&mut entry, check);
     entry.extend_from_slice(&body);
-    entry
+    Ok(entry)
 }
 
 /// The record inside a log entry.
@@ -528,7 +517,7 @@ impl SnapshotStore {
     /// fsynced with sync on. A failed append is cut back off the log,
     /// so a later save never lands behind a partial entry.
     pub fn save(&self, tenant: u64, record: &SnapshotRecord) -> Result<(), PersistError> {
-        let entry = encode_entry(tenant, record);
+        let entry = encode_entry(tenant, record)?;
         let mut log = self.log.borrow_mut();
         let log = &mut *log;
         let file = match log.file.take() {
@@ -603,22 +592,25 @@ mod tests {
         dir
     }
 
+    /// Every snapshot-capable kind, over 2^16.
     fn sample_kinds() -> Vec<(AlgorithmKind, IdSpace)> {
         let space = IdSpace::new(1 << 16).unwrap();
-        vec![
-            (AlgorithmKind::Random, space),
-            (AlgorithmKind::Cluster, space),
-            (AlgorithmKind::Bins { k: 16 }, space),
-            (AlgorithmKind::ClusterStar, space),
-            (AlgorithmKind::BinsStar, space),
-            (
-                AlgorithmKind::SessionCounter {
-                    session_bits: 10,
-                    counter_bits: 6,
-                },
-                IdSpace::with_bits(16).unwrap(),
-            ),
+        [
+            AlgorithmKind::Random,
+            AlgorithmKind::Cluster,
+            AlgorithmKind::Bins { k: 16 },
+            AlgorithmKind::ClusterStar,
+            AlgorithmKind::ClusterStarGrowth { growth: 3 },
+            AlgorithmKind::BinsStar,
+            AlgorithmKind::BinsStarMaxFit,
+            AlgorithmKind::SessionCounter {
+                session_bits: 10,
+                counter_bits: 6,
+            },
         ]
+        .into_iter()
+        .map(|kind| (kind, space))
+        .collect()
     }
 
     fn record_for(kind: &AlgorithmKind, space: IdSpace, emitted: u128) -> SnapshotRecord {
@@ -640,23 +632,42 @@ mod tests {
     fn every_algorithm_state_round_trips_through_the_codec() {
         for (kind, space) in sample_kinds() {
             let record = record_for(&kind, space, 37);
-            let decoded =
-                decode_record(&encode_record(&record)).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+            assert_eq!(record.state.kind, kind, "a snapshot reports its kind");
+            let decoded = decode_record(&encode_record(&record).unwrap())
+                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
             assert_eq!(decoded, record, "{kind:?}");
         }
+        // A kind without snapshot support has no tag: a typed error, on
+        // its own and through a store.
+        let mut record = record_for(&AlgorithmKind::Cluster, IdSpace::new(1 << 16).unwrap(), 1);
+        record.state.kind = AlgorithmKind::SetAside { i: 4, j: 20 };
+        assert!(matches!(
+            encode_record(&record),
+            Err(PersistError::State(_))
+        ));
+        let dir = temp_dir("no-tag");
+        let store = SnapshotStore::open(&dir).unwrap();
+        assert!(matches!(
+            store.save(1, &record),
+            Err(PersistError::State(_))
+        ));
+        assert_eq!(store.tenants().unwrap(), Vec::<u64>::new());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn random_and_bins_records_have_a_constant_size() {
-        // Every snapshot-capable algorithm's record is its parameters,
-        // seed and count, so its size does not grow with demand.
+        // Every snapshot-capable algorithm's record is its kind, seed
+        // and count, so its size does not grow with demand.
         let space = IdSpace::with_bits(48).unwrap();
         for (kind, bytes) in [
             (AlgorithmKind::Random, 97),
             (AlgorithmKind::Cluster, 97),
             (AlgorithmKind::Bins { k: 16 }, 113),
-            (AlgorithmKind::ClusterStar, 101),
-            (AlgorithmKind::BinsStar, 101),
+            (AlgorithmKind::ClusterStar, 97),
+            (AlgorithmKind::ClusterStarGrowth { growth: 3 }, 101),
+            (AlgorithmKind::BinsStar, 97),
+            (AlgorithmKind::BinsStarMaxFit, 97),
             (
                 AlgorithmKind::SessionCounter {
                     session_bits: 40,
@@ -668,7 +679,7 @@ mod tests {
             for emitted in [0, 1 << 10, 1 << 16, 1 << 20] {
                 let record = record_for(&kind, space, emitted);
                 assert_eq!(
-                    encode_record(&record).len(),
+                    encode_record(&record).unwrap().len(),
                     bytes,
                     "{kind:?} after {emitted} IDs"
                 );
@@ -678,10 +689,11 @@ mod tests {
 
     #[test]
     fn a_version_1_log_is_a_typed_error() {
-        // Version 1 (Random's shuffle state) and version 2 (the runs,
-        // bins and sessions Cluster★, Bins★ and SessionCounter opened)
-        // are not read: each re-stamped log is a typed error.
-        for version in [1u32, 2] {
+        // Version 1 (Random's shuffle state), version 2 (the runs, bins
+        // and sessions Cluster★, Bins★ and SessionCounter opened) and
+        // version 3 (per-state parameters, Bins★'s chunk count among
+        // them) are not read: each re-stamped log is a typed error.
+        for version in [1u32, 2, 3] {
             let dir = temp_dir(&format!("v{version}"));
             let space = IdSpace::new(1 << 12).unwrap();
             let store = SnapshotStore::open(&dir).unwrap();
@@ -691,7 +703,7 @@ mod tests {
             drop(store);
             // The entry's record re-stamped as `version` under a valid
             // checksum: a log written before the format went to
-            // version 3.
+            // version 4.
             let log = dir.join(LOG_FILE);
             let mut image = fs::read(&log).unwrap();
             let record = &mut image[ENTRY_HEADER..];
@@ -846,11 +858,11 @@ mod tests {
                 record.seq = i;
                 let tenant = i % 8;
                 store.save(tenant, &record).unwrap();
-                largest = largest.max(encode_entry(tenant, &record).len() as u64);
+                largest = largest.max(encode_entry(tenant, &record).unwrap().len() as u64);
                 newest.insert(tenant, record);
                 let live: u64 = newest
                     .iter()
-                    .map(|(&t, r)| encode_entry(t, r).len() as u64)
+                    .map(|(&t, r)| encode_entry(t, r).unwrap().len() as u64)
                     .sum();
                 let len = fs::metadata(dir.join(LOG_FILE)).unwrap().len();
                 assert!(
@@ -893,7 +905,7 @@ mod tests {
     fn corruption_is_detected_not_panicked() {
         let space = IdSpace::new(1 << 12).unwrap();
         let record = record_for(&AlgorithmKind::BinsStar, space, 20);
-        let good = encode_record(&record);
+        let good = encode_record(&record).unwrap();
 
         // Every single-byte flip must fail loudly (magic, version,
         // length, payload, or checksum — never a silent wrong decode).
@@ -923,7 +935,7 @@ mod tests {
     #[test]
     fn unknown_versions_are_rejected_by_number() {
         let space = IdSpace::new(1 << 10).unwrap();
-        let mut bytes = encode_record(&record_for(&AlgorithmKind::Cluster, space, 1));
+        let mut bytes = encode_record(&record_for(&AlgorithmKind::Cluster, space, 1)).unwrap();
         bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
         // Re-stamp the checksum so the version check itself is hit.
         let end = bytes.len() - 8;

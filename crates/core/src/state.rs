@@ -14,10 +14,11 @@
 //!
 //! [`GeneratorState`] is a plain serde-serializable value capturing
 //! everything a generator needs to continue exactly where it stopped:
-//! the algorithm's parameters, the seed, and the number of IDs it has
-//! generated, so every snapshot has a constant size. An instance is a
-//! seeded walk along one permutation of `[m]`, so [`restore`] spawns
-//! the same instance and walks it forward by that count with
+//! the [`AlgorithmKind`] it was built from, its seed, and the number of
+//! IDs it has generated, so every snapshot has a constant size. An
+//! instance is a seeded walk along one permutation of `[m]`, so
+//! [`restore`] checks the kind against the universe, builds it, spawns
+//! the instance and walks it forward by that count with
 //! [`skip`](IdGenerator::skip): O(1) for Random, Cluster and Bins(k),
 //! O(runs, bins or sessions opened) for Cluster★, Bins★ and
 //! SessionCounter.
@@ -33,6 +34,7 @@
 //!
 //! // ... process crashes; the snapshot was persisted earlier ...
 //! let snapshot = gen.snapshot().expect("cluster supports snapshots");
+//! assert_eq!(snapshot.kind, AlgorithmKind::Cluster);
 //! let mut resumed = restore(space, &snapshot).unwrap();
 //! assert_eq!(resumed.next_id().unwrap(), gen.next_id().unwrap());
 //! # let _ = a;
@@ -40,71 +42,23 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::algorithms::{
-    BinsGenerator, BinsStarGenerator, BinsStarGeometry, ClusterGenerator, ClusterStarGenerator,
-    RandomGenerator, SessionCounterGenerator,
-};
+use crate::algorithms::AlgorithmKind;
 use crate::id::IdSpace;
 use crate::traits::IdGenerator;
 
-/// A serializable snapshot of a running generator: its algorithm's
-/// parameters, its seed, and how many IDs it has generated.
+/// A serializable snapshot of a running generator: the algorithm it was
+/// built from, its seed, and how many IDs it has generated.
 ///
 /// Produced by [`IdGenerator::snapshot`]; consumed by [`restore`].
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GeneratorState {
-    /// Random.
-    Random {
-        /// Seed of the keyed permutation of `[m]`.
-        seed: u64,
-        /// IDs emitted so far.
-        generated: u128,
-    },
-    /// Cluster.
-    Cluster {
-        /// Seed the random start is drawn from.
-        seed: u64,
-        /// IDs emitted so far.
-        generated: u128,
-    },
-    /// Bins(k).
-    Bins {
-        /// Bin size.
-        k: u128,
-        /// Seed of the keyed permutation of the bins.
-        seed: u64,
-        /// IDs emitted so far.
-        generated: u128,
-    },
-    /// Cluster★.
-    ClusterStar {
-        /// Run growth factor.
-        growth: u32,
-        /// Seed of the run placements.
-        seed: u64,
-        /// IDs emitted so far.
-        generated: u128,
-    },
-    /// Bins★.
-    BinsStar {
-        /// Chunk count C.
-        chunks: u32,
-        /// Seed of the bin choices.
-        seed: u64,
-        /// IDs emitted so far.
-        generated: u128,
-    },
-    /// SessionCounter.
-    SessionCounter {
-        /// Session-prefix width.
-        session_bits: u32,
-        /// Counter width.
-        counter_bits: u32,
-        /// Seed of the session draws.
-        seed: u64,
-        /// IDs emitted so far.
-        generated: u128,
-    },
+pub struct GeneratorState {
+    /// The algorithm, with its parameters. Cluster★ with growth 2
+    /// reports [`AlgorithmKind::ClusterStar`], however it was spelled.
+    pub kind: AlgorithmKind,
+    /// The instance's seed.
+    pub seed: u64,
+    /// IDs emitted so far.
+    pub generated: u128,
 }
 
 /// Error restoring a [`GeneratorState`].
@@ -119,73 +73,29 @@ impl std::fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// Rebuilds a live generator from a snapshot over `space`: spawns the
-/// instance the parameters and seed describe, then walks it forward by
-/// `generated` IDs.
+/// Rebuilds a live generator from a snapshot over `space`: checks the
+/// kind against `space`, builds it, spawns the instance the seed
+/// describes, then walks it forward by `generated` IDs.
 ///
 /// Validation is defensive — snapshots typically come back from disk —
-/// so parameters out of range for `space`, and a count the walk cannot
-/// reach, return [`StateError`] instead of panicking.
+/// so parameters out of range for `space` (the
+/// [`check`](AlgorithmKind::check) behind every build), a kind without
+/// snapshot support, and a count the walk cannot reach return
+/// [`StateError`] instead of panicking.
 pub fn restore(space: IdSpace, state: &GeneratorState) -> Result<Box<dyn IdGenerator>, StateError> {
-    let m = space.size();
-    let (mut generator, generated): (Box<dyn IdGenerator>, u128) = match *state {
-        GeneratorState::Random { seed, generated } => {
-            (Box::new(RandomGenerator::new(space, seed)), generated)
-        }
-        GeneratorState::Cluster { seed, generated } => {
-            (Box::new(ClusterGenerator::new(space, seed)), generated)
-        }
-        GeneratorState::Bins { k, seed, generated } => {
-            check(k >= 1 && k <= m, "bin size out of range")?;
-            (Box::new(BinsGenerator::new(space, k, seed)), generated)
-        }
-        GeneratorState::ClusterStar {
-            growth,
-            seed,
-            generated,
-        } => {
-            check(growth >= 2, "growth factor below 2")?;
-            let g = ClusterStarGenerator::with_growth(space, growth, seed);
-            (Box::new(g), generated)
-        }
-        GeneratorState::BinsStar {
-            chunks,
-            seed,
-            generated,
-        } => {
-            let geometry = BinsStarGeometry::with_chunks(space, chunks)
-                .ok_or_else(|| StateError("chunk layout does not fit the universe".into()))?;
-            let g = BinsStarGenerator::with_geometry(space, geometry, seed);
-            (Box::new(g), generated)
-        }
-        GeneratorState::SessionCounter {
-            session_bits,
-            counter_bits,
-            seed,
-            generated,
-        } => {
-            let bits = session_bits.saturating_add(counter_bits);
-            check(
-                session_bits > 0 && counter_bits > 0 && bits <= 127 && m == 1 << bits,
-                "bit layout inconsistent with the universe",
-            )?;
-            let g = SessionCounterGenerator::new(session_bits, counter_bits, seed);
-            (Box::new(g), generated)
-        }
-    };
-    check(generated <= m, "generated exceeds the universe")?;
+    let (kind, generated) = (&state.kind, state.generated);
+    kind.check(space).map_err(StateError)?;
+    if generated > space.size() {
+        return Err(StateError("generated exceeds the universe".into()));
+    }
+    let mut generator = kind.build(space).spawn(state.seed);
+    if generator.snapshot().is_none() {
+        return Err(StateError(format!("{kind:?} has no snapshot support")));
+    }
     generator
         .skip(generated)
         .map_err(|e| StateError(format!("the walk cannot reach {generated} IDs: {e}")))?;
     Ok(generator)
-}
-
-fn check(cond: bool, msg: &str) -> Result<(), StateError> {
-    if cond {
-        Ok(())
-    } else {
-        Err(StateError(msg.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -281,27 +191,48 @@ mod tests {
 
     #[test]
     fn corrupt_states_are_rejected_not_panicked() {
-        use GeneratorState::*;
+        use AlgorithmKind::*;
+        let state = |kind, generated| GeneratorState {
+            kind,
+            seed: 1,
+            generated,
+        };
+        let session = |session_bits, counter_bits| SessionCounter {
+            session_bits,
+            counter_bits,
+        };
         let m = IdSpace::new(1 << 10).unwrap();
         let m14 = IdSpace::with_bits(14).unwrap();
+        let snowflake = crate::algorithms::SnowflakeConfig {
+            timestamp_bits: 4,
+            worker_bits: 3,
+            sequence_bits: 3,
+            requests_per_tick: 4,
+            max_skew_ticks: 0,
+        };
         #[rustfmt::skip]
         let bad = [
-            (m, Random { seed: 1, generated: (1 << 10) + 1 }),
-            (m, Cluster { seed: 1, generated: (1 << 10) + 1 }),
-            (m, Bins { k: 1 << 20, seed: 1, generated: 0 }),
-            (m, Bins { k: 0, seed: 1, generated: 0 }),
-            (m, Bins { k: 16, seed: 1, generated: u128::MAX }),
-            (m, ClusterStar { growth: 1, seed: 1, generated: 0 }),
+            (m, state(Random, (1 << 10) + 1)),
+            (m, state(Cluster, (1 << 10) + 1)),
+            (m, state(Bins { k: 1 << 20 }, 0)),
+            (m, state(Bins { k: 0 }, 0)),
+            (m, state(Bins { k: 16 }, u128::MAX)),
+            (m, state(ClusterStarGrowth { growth: 1 }, 0)),
             // Cluster★'s 1024th ID needs a run of 2^10 beside its
             // earlier runs, which never fits in m = 2^10.
-            (m, ClusterStar { growth: 2, seed: 1, generated: 1 << 10 }),
-            (m, BinsStar { chunks: 0, seed: 1, generated: 0 }),
-            (m, BinsStar { chunks: 9, seed: 1, generated: 0 }),
-            // 7 chunks of 2^6 fit in 2^10 and serve 2^7 − 1 IDs.
-            (m, BinsStar { chunks: 7, seed: 1, generated: 1 << 7 }),
-            (m14, SessionCounter { session_bits: 0, counter_bits: 14, seed: 1, generated: 0 }),
-            (m14, SessionCounter { session_bits: 10, counter_bits: 6, seed: 1, generated: 0 }),
-            (m14, SessionCounter { session_bits: 10, counter_bits: 4, seed: 1, generated: (1 << 14) + 1 }),
+            (m, state(ClusterStar, 1 << 10)),
+            // The paper's rule opens 7 chunks of 2^6 in 2^10, which
+            // serve 2^7 − 1 IDs.
+            (m, state(BinsStar, 1 << 7)),
+            (IdSpace::new(1).unwrap(), state(BinsStar, 0)),
+            (m14, state(session(0, 14), 0)),
+            (m14, state(session(14, 0), 0)),
+            (m14, state(session(10, 6), 0)),
+            (m14, state(session(u32::MAX, 1), 0)),
+            (m14, state(session(10, 4), (1 << 14) + 1)),
+            // Valid parameters, but no snapshot support.
+            (m, state(SetAside { i: 4, j: 20 }, 0)),
+            (m, state(Snowflake(snowflake), 0)),
         ];
         for (space, state) in bad {
             assert!(restore(space, &state).is_err(), "{state:?} restored");
@@ -309,10 +240,12 @@ mod tests {
         // The largest counts the walks reach still restore.
         #[rustfmt::skip]
         let good = [
-            (m, Random { seed: 1, generated: 1 << 10 }),
-            (m, Cluster { seed: 1, generated: 1 << 10 }),
-            (m, BinsStar { chunks: 7, seed: 1, generated: (1 << 7) - 1 }),
-            (m14, SessionCounter { session_bits: 10, counter_bits: 4, seed: 1, generated: 1 << 14 }),
+            (m, state(Random, 1 << 10)),
+            (m, state(Cluster, 1 << 10)),
+            (m, state(BinsStar, (1 << 7) - 1)),
+            // The max-fit rule opens 8 chunks of 2^7 in 2^10.
+            (m, state(BinsStarMaxFit, (1 << 8) - 1)),
+            (m14, state(session(10, 4), 1 << 14)),
         ];
         for (space, state) in good {
             assert!(restore(space, &state).is_ok(), "{state:?} refused");

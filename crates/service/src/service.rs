@@ -391,17 +391,16 @@ impl IdService {
         assert!(config.shards >= 1, "at least one shard");
         let mut stores = match &config.durability {
             Some(durability) => {
-                assert!(
-                    config
-                        .kind
-                        .build(config.space)
-                        .spawn(0)
-                        .snapshot()
-                        .is_some(),
-                    "durability requires a snapshot-capable algorithm, got {:?}",
-                    config.kind
-                );
-                open_shard_stores(&config, durability)
+                // The kind this configuration's snapshots report, which
+                // every record in the state dir must carry.
+                let probe = config.kind.build(config.space).spawn(0).snapshot();
+                let kind = probe.map(|state| state.kind).unwrap_or_else(|| {
+                    panic!(
+                        "durability requires a snapshot-capable algorithm, got {:?}",
+                        config.kind
+                    )
+                });
+                open_shard_stores(&config, &kind, durability)
             }
             None => Vec::new(),
         }
@@ -730,8 +729,10 @@ impl IdService {
 /// per shard, store `i` for shard `i` (`shard-<i>/`).
 ///
 /// Every log in the directory is read, including logs left by a run
-/// with another shard count, and every record is validated against the
-/// configured universe and algorithm. When a tenant's owner log lacks
+/// with another shard count, and every record must carry the configured
+/// universe and `kind`, the kind the configured algorithm's own
+/// snapshots report (so `cluster*:2` and `cluster*` share records, and
+/// `bins*` and `bins*:maxfit` do not). When a tenant's owner log lacks
 /// its highest-`seq` record, boot appends that record there, so each
 /// worker recovers its tenants from its own store. No log is deleted.
 ///
@@ -741,7 +742,11 @@ impl IdService {
 /// per-tenant `tenant-*.snap` file from the older one-file-per-tenant
 /// layout (booting over one as if the directory were empty would
 /// re-issue its IDs).
-fn open_shard_stores(config: &ServiceConfig, durability: &DurabilityConfig) -> Vec<SnapshotStore> {
+fn open_shard_stores(
+    config: &ServiceConfig,
+    kind: &AlgorithmKind,
+    durability: &DurabilityConfig,
+) -> Vec<SnapshotStore> {
     let dir = &durability.dir;
     let open = |path: PathBuf| {
         SnapshotStore::with_sync(&path, durability.sync).unwrap_or_else(|e| {
@@ -786,10 +791,10 @@ fn open_shard_stores(config: &ServiceConfig, durability: &DurabilityConfig) -> V
                 record.space, config.space
             );
             assert!(
-                snapshot_matches_kind(&config.kind, &record.state),
+                record.state.kind == *kind,
                 "snapshot store {dir:?} holds {:?} state for tenant \
                  {tenant}, incompatible with configured {:?}",
-                record.state,
+                record.state.kind,
                 config.kind
             );
             if newest.get(&tenant).is_none_or(|held| held.seq < record.seq) {
@@ -814,39 +819,6 @@ fn open_shard_stores(config: &ServiceConfig, durability: &DurabilityConfig) -> V
         }
     }
     stores
-}
-
-/// Whether a persisted state could have been produced by an instance of
-/// `kind` — the boot-time guard against pointing a service at another
-/// deployment's state directory. Parameterized kinds must match their
-/// parameters exactly (a Bins(16) record is not a Bins(64) record).
-fn snapshot_matches_kind(kind: &AlgorithmKind, state: &uuidp_core::state::GeneratorState) -> bool {
-    use uuidp_core::state::GeneratorState as S;
-    match (kind, state) {
-        (AlgorithmKind::Random, S::Random { .. }) => true,
-        (AlgorithmKind::Cluster, S::Cluster { .. }) => true,
-        (AlgorithmKind::Bins { k }, S::Bins { k: stored, .. }) => k == stored,
-        // Plain ClusterStar doubles; the ablation entry carries its factor.
-        (AlgorithmKind::ClusterStar, S::ClusterStar { growth, .. }) => *growth == 2,
-        (AlgorithmKind::ClusterStarGrowth { growth }, S::ClusterStar { growth: stored, .. }) => {
-            growth == stored
-        }
-        // Both Bins★ chunk rules share one state shape (chunks/chunk_size
-        // are stored per record).
-        (AlgorithmKind::BinsStar | AlgorithmKind::BinsStarMaxFit, S::BinsStar { .. }) => true,
-        (
-            AlgorithmKind::SessionCounter {
-                session_bits,
-                counter_bits,
-            },
-            S::SessionCounter {
-                session_bits: stored_s,
-                counter_bits: stored_c,
-                ..
-            },
-        ) => session_bits == stored_s && counter_bits == stored_c,
-        _ => false,
-    }
 }
 
 fn owner_key(tenant: u64, epoch: u32) -> u64 {
@@ -1621,9 +1593,15 @@ mod tests {
         for (kind, sync) in [
             AlgorithmKind::Cluster,
             AlgorithmKind::ClusterStar,
+            AlgorithmKind::ClusterStarGrowth { growth: 3 },
             AlgorithmKind::BinsStar,
+            AlgorithmKind::BinsStarMaxFit,
             AlgorithmKind::Bins { k: 64 },
             AlgorithmKind::Random,
+            AlgorithmKind::SessionCounter {
+                session_bits: 12,
+                counter_bits: 8,
+            },
         ]
         .into_iter()
         .flat_map(|kind| [(kind.clone(), false), (kind, true)])
@@ -1820,13 +1798,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "unsupported snapshot version 1")]
     fn a_version_1_snapshot_log_refuses_boot() {
-        // Version 1 records held Random's whole shuffle state, and
-        // version 2 records the runs, bins or sessions Cluster★, Bins★
-        // and SessionCounter had opened. Nothing reads either, so a state
-        // dir written in those formats must not boot as if its tenants
-        // were new. Version 2 must refuse boot here; version 1 then
-        // panics the test.
-        for version in [2u32, 1] {
+        // Version 1 records held Random's whole shuffle state, version 2
+        // records the runs, bins or sessions Cluster★, Bins★ and
+        // SessionCounter had opened, and version 3 records per-state
+        // parameters. Nothing reads them, so a state dir written in
+        // those formats must not boot as if its tenants were new.
+        // Versions 3 and 2 must refuse boot here; version 1 then panics
+        // the test.
+        for version in [3u32, 2, 1] {
             let dir = temp_state_dir(&format!("v{version}-boot"));
             let mut cfg = config(AlgorithmKind::Random, 20);
             cfg.durability = Some(DurabilityConfig::new(&dir));
@@ -1852,9 +1831,9 @@ mod tests {
                 let message = boot
                     .err()
                     .and_then(|panic| panic.downcast::<String>().ok())
-                    .expect("a version 2 log must refuse boot");
+                    .expect("a version 2 or 3 log must refuse boot");
                 assert!(
-                    message.contains("unsupported snapshot version 2"),
+                    message.contains(&format!("unsupported snapshot version {version}")),
                     "{message}"
                 );
             }

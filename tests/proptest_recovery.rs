@@ -22,9 +22,10 @@ use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
 use uuidp::core::persist::{recover, SnapshotRecord, SnapshotStore};
 
-/// The five paper algorithms plus the RocksDB-shaped SessionCounter,
-/// over universes small enough to stress structure but big enough that
-/// ~1k-ID workloads never exhaust.
+/// The five paper algorithms, the Cluster★ growth and Bins★ max-fit
+/// ablations, and the RocksDB-shaped SessionCounter (every kind with a
+/// snapshot record), over universes small enough to stress structure
+/// but big enough that ~1k-ID workloads never exhaust.
 fn suite() -> Vec<(AlgorithmKind, IdSpace)> {
     let space = IdSpace::new(1 << 16).unwrap();
     vec![
@@ -32,7 +33,9 @@ fn suite() -> Vec<(AlgorithmKind, IdSpace)> {
         (AlgorithmKind::Cluster, space),
         (AlgorithmKind::Bins { k: 16 }, space),
         (AlgorithmKind::ClusterStar, space),
+        (AlgorithmKind::ClusterStarGrowth { growth: 3 }, space),
         (AlgorithmKind::BinsStar, space),
+        (AlgorithmKind::BinsStarMaxFit, space),
         (
             AlgorithmKind::SessionCounter {
                 session_bits: 10,
@@ -62,7 +65,9 @@ proptest! {
             "uuidp-proptest-recovery-{}",
             std::process::id()
         ));
-        let store = SnapshotStore::open(&store_dir).unwrap();
+        let stores = [false, true].map(|sync| {
+            SnapshotStore::with_sync(store_dir.join(format!("sync-{sync}")), sync).unwrap()
+        });
 
         for (tenant, (kind, space)) in suite().into_iter().enumerate() {
             let alg = kind.build(space);
@@ -84,12 +89,16 @@ proptest! {
                 pre_crash.insert(gen.next_id().unwrap().value());
             }
 
-            // Round-trip the record through disk before recovering.
-            store.save(tenant as u64, &record).unwrap();
-            let loaded = store.load(tenant as u64).unwrap().expect("just saved");
-            prop_assert_eq!(&loaded, &record, "{:?}: store round-trip", kind);
+            // Round-trip the record through a store with sync off and
+            // one with sync on before recovering.
+            let mut loaded = Vec::new();
+            for store in &stores {
+                store.save(tenant as u64, &record).unwrap();
+                loaded.push(store.load(tenant as u64).unwrap().expect("just saved"));
+            }
+            prop_assert_eq!(&loaded, &[record.clone(), record], "{:?}: store round-trip", kind);
 
-            let mut recovered = recover(&loaded).unwrap();
+            let mut recovered = recover(&loaded[1]).unwrap();
             prop_assert_eq!(
                 recovered.generated(),
                 pre + reservation,
