@@ -161,6 +161,12 @@ pub fn plan(opts: &PlanOpts) -> Result<String, ParseError> {
     if !(opts.budget > 0.0 && opts.budget < 1.0) {
         return Err(ParseError("budget must be in (0, 1)".into()));
     }
+    if opts.instances == 0 {
+        return Err(ParseError("--instances must be at least 1".into()));
+    }
+    if !(1..=192).contains(&opts.bits) {
+        return Err(ParseError("--bits must be in 1..=192".into()));
+    }
     let d = planning::safe_demand(scheme, opts.budget, opts.instances, opts.bits);
     let advantage = planning::cluster_advantage(opts.budget, opts.instances, opts.bits);
     Ok(format!(
@@ -826,7 +832,7 @@ impl TopNode {
         TopNode {
             label: addr.to_string(),
             session: Session::new(addr, space, options, RetryPolicy::none()),
-            series: uuidp_obs::TimeSeries::new(1, windows.max(2)),
+            series: uuidp_obs::TimeSeries::new(windows.max(2)),
             alerts: uuidp_obs::BurnRateAlerts::new(vec![uuidp_obs::AlertRule::availability()]),
             last: None,
         }
@@ -1214,6 +1220,26 @@ mod tests {
             ..opts
         })
         .is_err());
+    }
+
+    #[test]
+    fn plan_refuses_a_fleet_or_width_out_of_range() {
+        // `planning` asserts these ranges; the CLI must refuse them as
+        // typed errors first, not panic.
+        for (instances, bits, expected) in [
+            (0, 64, "--instances"),
+            (1024, 0, "--bits"),
+            (1024, 300, "--bits"),
+        ] {
+            let err = plan(&PlanOpts {
+                scheme: "cluster".into(),
+                budget: 0.5,
+                instances,
+                bits,
+            })
+            .unwrap_err();
+            assert!(err.0.contains(expected), "{instances} x {bits}: {}", err.0);
+        }
     }
 
     #[test]

@@ -418,7 +418,8 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
 /// A directory holding one append-only log of snapshot records (see
 /// the module's log format). Each save appends one entry to the open
 /// log with one `write`; the store keeps every tenant's newest entry in
-/// memory, so loads never touch the disk.
+/// memory, so [`records`](SnapshotStore::records), its one read, never
+/// touches the disk. A service reads it once, at boot.
 ///
 /// Opening a store creates nothing on disk: the first save creates the
 /// directory and the log. A log has one writer, the store that holds it
@@ -563,20 +564,14 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Loads `tenant`'s newest record, `Ok(None)` if none was ever
-    /// saved.
-    pub fn load(&self, tenant: u64) -> Result<Option<SnapshotRecord>, PersistError> {
+    /// Each tenant's newest record, keyed by tenant.
+    pub fn records(&self) -> Result<BTreeMap<u64, SnapshotRecord>, PersistError> {
         self.log
             .borrow()
             .latest
-            .get(&tenant)
-            .map(|entry| entry_record(entry))
-            .transpose()
-    }
-
-    /// Tenants with a saved record, in ascending order.
-    pub fn tenants(&self) -> Result<Vec<u64>, PersistError> {
-        Ok(self.log.borrow().latest.keys().copied().collect())
+            .iter()
+            .map(|(&tenant, entry)| Ok((tenant, entry_record(entry)?)))
+            .collect()
     }
 }
 
@@ -651,7 +646,7 @@ mod tests {
             store.save(1, &record),
             Err(PersistError::State(_))
         ));
-        assert_eq!(store.tenants().unwrap(), Vec::<u64>::new());
+        assert!(store.records().unwrap().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -733,16 +728,21 @@ mod tests {
         let store = SnapshotStore::open(&dir).unwrap();
         let space = IdSpace::new(1 << 12).unwrap();
         let record = record_for(&AlgorithmKind::Cluster, space, 5);
-        assert_eq!(store.load(3).unwrap(), None);
+        assert!(store.records().unwrap().is_empty());
         store.save(3, &record).unwrap();
         store.save(9, &record).unwrap();
-        assert_eq!(store.load(3).unwrap(), Some(record.clone()));
-        assert_eq!(store.tenants().unwrap(), vec![3, 9]);
+        assert_eq!(
+            store.records().unwrap(),
+            BTreeMap::from([(3, record.clone()), (9, record.clone())])
+        );
         // Overwrite wins; no temp files linger.
         let mut newer = record.clone();
         newer.seq = 8;
         store.save(3, &newer).unwrap();
-        assert_eq!(store.load(3).unwrap().unwrap().seq, 8);
+        assert_eq!(
+            store.records().unwrap(),
+            BTreeMap::from([(3, newer), (9, record)])
+        );
         assert!(fs::read_dir(&dir).unwrap().all(|e| !e
             .unwrap()
             .file_name()
@@ -781,23 +781,9 @@ mod tests {
         for cut in 0..=image.len() {
             fs::write(&log, &image[..cut]).unwrap();
             let whole = ends.iter().filter(|&&end| end <= cut).count();
-            let mut expected = BTreeMap::new();
-            for (tenant, record) in &saves[..whole] {
-                expected.insert(*tenant, record);
-            }
+            let expected: BTreeMap<u64, SnapshotRecord> = saves[..whole].iter().cloned().collect();
             let store = SnapshotStore::open(&dir).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-            assert_eq!(
-                store.tenants().unwrap(),
-                expected.keys().copied().collect::<Vec<_>>(),
-                "cut at {cut}"
-            );
-            for (tenant, record) in &expected {
-                assert_eq!(
-                    store.load(*tenant).unwrap().as_ref(),
-                    Some(*record),
-                    "cut at {cut}"
-                );
-            }
+            assert_eq!(store.records().unwrap(), expected, "cut at {cut}");
             let kept = whole.checked_sub(1).map_or(0, |last| ends[last]);
             assert_eq!(
                 fs::metadata(&log).unwrap().len() as usize,
@@ -811,8 +797,10 @@ mod tests {
         store.save(9, &saves[2].1).unwrap();
         drop(store);
         let store = SnapshotStore::open(&dir).unwrap();
-        assert_eq!(store.load(3).unwrap().as_ref(), Some(&saves[0].1));
-        assert_eq!(store.load(9).unwrap().as_ref(), Some(&saves[2].1));
+        assert_eq!(
+            store.records().unwrap(),
+            BTreeMap::from([(3, saves[0].1.clone()), (9, saves[2].1.clone())])
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -874,13 +862,11 @@ mod tests {
                     // tenant's newest record.
                     compactions += 1;
                     let reopened = SnapshotStore::open(&dir).unwrap();
-                    for (tenant, record) in &newest {
-                        assert_eq!(
-                            reopened.load(*tenant).unwrap().as_ref(),
-                            Some(record),
-                            "sync {sync}: compaction at save {i} lost tenant {tenant}'s newest"
-                        );
-                    }
+                    assert_eq!(
+                        reopened.records().unwrap(),
+                        newest,
+                        "sync {sync}: compaction at save {i} lost a tenant's newest"
+                    );
                 }
                 last_len = len;
             }
@@ -889,14 +875,8 @@ mod tests {
             // A crash mid-compaction leaves a temp file; open ignores it.
             fs::write(dir.join(COMPACT_FILE), b"torn compaction").unwrap();
             let store = SnapshotStore::open(&dir).unwrap();
-            assert_eq!(store.tenants().unwrap(), (0..8).collect::<Vec<_>>());
-            for (tenant, record) in &newest {
-                assert_eq!(
-                    store.load(*tenant).unwrap().as_ref(),
-                    Some(record),
-                    "sync {sync}"
-                );
-            }
+            assert_eq!(newest.len(), 8);
+            assert_eq!(store.records().unwrap(), newest, "sync {sync}");
             let _ = fs::remove_dir_all(&dir);
         }
     }

@@ -153,9 +153,9 @@ impl Fleet {
     }
 
     /// Boots a fresh incarnation of a crashed node on a new ephemeral
-    /// port. Boot replays the shard logs in the node's state directory,
-    /// and each tenant is rebuilt on first use from its newest
-    /// write-ahead record — restored and advanced past the abandoned
+    /// port. Boot replays the shard logs in the node's state directory
+    /// and, before the node serves anything, restores every tenant from
+    /// its newest write-ahead record, advanced past the abandoned
     /// reservation window.
     pub fn restart(&mut self, index: usize) -> io::Result<SocketAddr> {
         assert!(

@@ -121,7 +121,7 @@ impl FleetSeries {
             let series = self
                 .per_node
                 .entry((node, *incarnation))
-                .or_insert_with(|| TimeSeries::new(1, SERIES_CAPACITY));
+                .or_insert_with(|| TimeSeries::new(SERIES_CAPACITY));
             series.ingest(tick, snap);
             if let Some(window) = series.window_at(tick) {
                 cluster.merge(window);

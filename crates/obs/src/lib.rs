@@ -23,11 +23,12 @@
 //!
 //! PR 9 grows the snapshot layer into a monitoring system:
 //!
-//! * **[`TimeSeries`]** — a constant-memory ring of fixed-width
-//!   [`Window`]s fed from registry snapshots: per-window counter
-//!   deltas (with counter-reset detection, so restarts dip rather
-//!   than go negative), gauge last-values, and delta histograms, all
-//!   merging order-invariantly into cluster series.
+//! * **[`TimeSeries`]** — a constant-memory ring of [`Window`]s, one
+//!   per caller-supplied window index, fed from registry snapshots:
+//!   per-window counter deltas (with counter-reset detection, so
+//!   restarts dip rather than go negative), gauge last-values, and
+//!   delta histograms, all merging order-invariantly into cluster
+//!   series.
 //! * **[`BurnRateAlerts`]** — deterministic multi-window burn-rate
 //!   evaluation ([`AlertRule`] fast/slow lookback pairs) whose
 //!   [`AlertTransition`]s export as a metric family and stamp into
@@ -35,9 +36,8 @@
 //! * **[`TailSampler`]** — bounded worst-K lease sampling whose
 //!   retained corr ids get full timelines fetched over the wire.
 //!
-//! Export surfaces: [`Snapshot::render_prometheus`] (text exposition,
-//! served by the v2 metrics frame and the `uuidp serve` stdin REPL)
-//! and [`Snapshot::render_json`] (a JSON object of the same families).
+//! Export surface: [`Snapshot::render_prometheus`] (text exposition,
+//! served by the v2 metrics frame and the `uuidp serve` stdin REPL).
 //! [`parse_exposition`] reads the text form back for monotonicity
 //! checks in smoke tests; [`Snapshot::parse_prometheus`] reconstructs
 //! a *typed* snapshot (histogram buckets included) for time-series

@@ -568,40 +568,6 @@ impl Snapshot {
         }
         Snapshot { metrics }
     }
-
-    /// JSON object rendering: counters/gauges as numbers, histograms as
-    /// `{count, sum_ns, max_ns, p50_ns, p99_ns, p999_ns}`.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = write!(out, "\"{name}\":{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = write!(out, "\"{name}\":{v}");
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "\"{name}\":{{\"count\":{},\"sum_ns\":{},\"max_ns\":{},\
-                         \"p50_ns\":{:.1},\"p99_ns\":{:.1},\"p999_ns\":{:.1}}}",
-                        h.count(),
-                        h.sum_ns(),
-                        h.max_ns(),
-                        h.quantile_ns(0.50),
-                        h.quantile_ns(0.99),
-                        h.quantile_ns(0.999),
-                    );
-                }
-            }
-        }
-        out.push('}');
-        out
-    }
 }
 
 /// Parses a [`Snapshot::render_prometheus`] exposition back into
@@ -738,19 +704,6 @@ mod tests {
         assert_eq!(parsed["uuidp_lease_latency_ns_count"], 2.0);
         assert_eq!(parsed["uuidp_lease_latency_ns_sum"], 100_100.0);
         assert_eq!(parsed["uuidp_lease_latency_ns_bucket_le"], 2.0);
-    }
-
-    #[test]
-    fn json_rendering_is_an_object_with_quantiles() {
-        let r = Registry::new();
-        r.counter("a_total").inc();
-        let h = r.histogram("b_ns");
-        h.record_ns(1000);
-        let json = r.snapshot().render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"a_total\":1"), "{json}");
-        assert!(json.contains("\"count\":1"), "{json}");
-        assert!(json.contains("\"p99_ns\""), "{json}");
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Constant-memory windowed time-series over registry snapshots.
 //!
-//! A [`TimeSeries`] slices a monotonically advancing clock (real
-//! nanoseconds, or any deterministic tick supplied by the caller) into
-//! fixed-width windows and keeps a bounded ring of the most recent
-//! ones. Each ingested [`Snapshot`] is diffed against the previous
-//! sample:
+//! A [`TimeSeries`] keeps a bounded ring of the most recent windows,
+//! each named by a window index the caller supplies (a poll, a scrape
+//! or a request tick). Each ingested [`Snapshot`] is diffed against
+//! the previous sample:
 //!
 //! * **counters** store per-window *deltas* — a sample that goes
 //!   backwards is a counter reset (the process restarted with a fresh
@@ -26,11 +25,11 @@ use std::collections::{BTreeMap, VecDeque};
 
 use crate::registry::{Histogram, MetricValue, Snapshot};
 
-/// One fixed-width window of counter deltas, gauge last-values, and
-/// delta histograms.
+/// One window of counter deltas, gauge last-values, and delta
+/// histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Window {
-    /// Window number: `at_ns / width_ns` of every sample inside it.
+    /// The window index every sample inside it was ingested at.
     pub index: u64,
     /// Per-family counter increments observed during the window.
     pub counters: BTreeMap<String, u64>,
@@ -86,14 +85,14 @@ impl Window {
     }
 }
 
-/// Bounded ring of fixed-width windows fed from registry snapshots.
+/// Bounded ring of windows fed from registry snapshots.
 ///
-/// The series never reads a clock: callers pass `at_ns`, which may be
-/// real time (`uuidp top`) or a deterministic request tick (fleet
-/// runs), keeping same-seed runs bit-identical.
+/// The series never reads a clock: callers pass each sample's window
+/// index, a poll count (`uuidp top`, the stress scraper) or a
+/// deterministic request tick (fleet runs), keeping same-seed runs
+/// bit-identical.
 #[derive(Debug)]
 pub struct TimeSeries {
-    width_ns: u64,
     capacity: usize,
     windows: VecDeque<Window>,
     /// Previous absolute sample per family, for delta computation.
@@ -102,11 +101,9 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// A series of `capacity` windows, each `width_ns` ticks wide.
-    /// Both are clamped to at least 1.
-    pub fn new(width_ns: u64, capacity: usize) -> TimeSeries {
+    /// A series of `capacity` windows, clamped to at least 1.
+    pub fn new(capacity: usize) -> TimeSeries {
         TimeSeries {
-            width_ns: width_ns.max(1),
             capacity: capacity.max(1),
             windows: VecDeque::new(),
             last: BTreeMap::new(),
@@ -114,22 +111,16 @@ impl TimeSeries {
         }
     }
 
-    /// Window width in ticks (nanoseconds or request counts).
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
-    }
-
     /// Total counter resets detected over the series' lifetime.
     pub fn resets_total(&self) -> u64 {
         self.resets_total
     }
 
-    /// Ingests one absolute snapshot observed at `at_ns`. Multiple
-    /// snapshots landing in the same window accumulate their deltas;
-    /// out-of-order samples (older window than the newest) are
-    /// ignored rather than smeared into the wrong window.
-    pub fn ingest(&mut self, at_ns: u64, snap: &Snapshot) {
-        let index = at_ns / self.width_ns;
+    /// Ingests one absolute snapshot into window `index`. Snapshots
+    /// ingested at one index accumulate their deltas; out-of-order
+    /// samples (an older index than the newest window's) are ignored
+    /// rather than smeared into the wrong window.
+    pub fn ingest(&mut self, index: u64, snap: &Snapshot) {
         if let Some(newest) = self.windows.back() {
             if index < newest.index {
                 return;
@@ -216,9 +207,8 @@ impl TimeSeries {
         self.windows.is_empty()
     }
 
-    /// Counter rate (increments per tick) averaged over the most
-    /// recent `lookback` retained windows. With `width_ns` in real
-    /// nanoseconds this is events/ns; multiply by 1e9 for events/s.
+    /// Counter increments per window, averaged over the most recent
+    /// `lookback` retained windows.
     pub fn rate(&self, name: &str, lookback: usize) -> f64 {
         let lookback = lookback.max(1).min(self.windows.len());
         if lookback == 0 {
@@ -231,7 +221,7 @@ impl TimeSeries {
             .take(lookback)
             .map(|w| w.counter(name))
             .sum();
-        total as f64 / (lookback as u64 * self.width_ns) as f64
+        total as f64 / lookback as f64
     }
 
     /// The `q`-quantile of `name`'s samples over the most recent
@@ -301,10 +291,10 @@ mod tests {
 
     #[test]
     fn deltas_accumulate_within_a_window_and_split_across_windows() {
-        let mut ts = TimeSeries::new(100, 8);
+        let mut ts = TimeSeries::new(8);
         ts.ingest(0, &snap(10, 3, &[50]));
-        ts.ingest(40, &snap(25, 5, &[50, 60]));
-        ts.ingest(150, &snap(40, 2, &[50, 60, 70]));
+        ts.ingest(0, &snap(25, 5, &[50, 60]));
+        ts.ingest(1, &snap(40, 2, &[50, 60, 70]));
         assert_eq!(ts.len(), 2);
         let w0 = ts.window_at(0).unwrap();
         assert_eq!(w0.counter("uuidp_leases_total"), 25, "10 + (25-10)");
@@ -318,10 +308,10 @@ mod tests {
 
     #[test]
     fn counter_reset_dips_but_never_goes_negative() {
-        let mut ts = TimeSeries::new(10, 8);
+        let mut ts = TimeSeries::new(8);
         ts.ingest(0, &snap(100, 0, &[1, 2, 3]));
         // Restart: counters come back smaller than the previous sample.
-        ts.ingest(10, &snap(7, 0, &[9]));
+        ts.ingest(1, &snap(7, 0, &[9]));
         let w1 = ts.window_at(1).unwrap();
         assert_eq!(w1.counter("uuidp_leases_total"), 7, "fresh-from-zero");
         assert_eq!(w1.histogram("uuidp_lease_latency_ns").unwrap().count(), 1);
@@ -331,7 +321,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_drops_oldest() {
-        let mut ts = TimeSeries::new(1, 4);
+        let mut ts = TimeSeries::new(4);
         for i in 0..10u64 {
             ts.ingest(i, &snap(i * 10, 0, &[]));
         }
@@ -342,11 +332,11 @@ mod tests {
 
     #[test]
     fn merge_is_commutative() {
-        let mut ts = TimeSeries::new(10, 8);
+        let mut ts = TimeSeries::new(8);
         ts.ingest(0, &snap(5, 1, &[100]));
-        ts.ingest(5, &snap(11, 2, &[100, 200]));
+        ts.ingest(0, &snap(11, 2, &[100, 200]));
         let a = ts.latest().unwrap().clone();
-        let mut ts2 = TimeSeries::new(10, 8);
+        let mut ts2 = TimeSeries::new(8);
         ts2.ingest(0, &snap(30, 4, &[400]));
         let b = ts2.latest().unwrap().clone();
         let mut ab = a.clone();
@@ -360,7 +350,7 @@ mod tests {
 
     #[test]
     fn sparkline_scales_to_visible_max() {
-        let mut ts = TimeSeries::new(1, 8);
+        let mut ts = TimeSeries::new(8);
         let mut total = 0u64;
         for (i, d) in [0u64, 1, 4, 8].iter().enumerate() {
             total += d;
@@ -387,7 +377,7 @@ mod tests {
             panic!("histogram lost in round trip");
         };
         assert_eq!(ph.count(), 2);
-        let mut ts = TimeSeries::new(10, 4);
+        let mut ts = TimeSeries::new(4);
         ts.ingest(0, &parsed);
         assert_eq!(ts.latest().unwrap().counter("uuidp_leases_total"), 42);
     }

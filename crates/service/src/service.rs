@@ -383,13 +383,13 @@ impl IdService {
     ///
     /// Panics if `config.durability` is set but the chosen algorithm
     /// has no snapshot support (SetAside, Snowflake), or if the state
-    /// directory cannot be read or holds a damaged or foreign record
-    /// (see `open_shard_stores`) — corruption must surface as a boot
-    /// error, not a mid-traffic worker panic that would wedge a whole
-    /// shard.
+    /// directory cannot be read or holds a damaged or foreign record,
+    /// or one that does not restore (see `recover_shards`) — corruption
+    /// must surface as a boot error, not a mid-traffic worker panic
+    /// that would wedge a whole shard.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.shards >= 1, "at least one shard");
-        let mut stores = match &config.durability {
+        let mut recovered = match &config.durability {
             Some(durability) => {
                 // The kind this configuration's snapshots report, which
                 // every record in the state dir must carry.
@@ -400,7 +400,7 @@ impl IdService {
                         config.kind
                     )
                 });
-                open_shard_stores(&config, &kind, durability)
+                recover_shards(&config, &kind, durability)
             }
             None => Vec::new(),
         }
@@ -441,11 +441,21 @@ impl IdService {
             shard_txs.push(tx);
             let cfg = config.clone();
             let taps = audit_txs.clone();
-            let persists = std::sync::Arc::clone(&persists);
+            let (store, tenants) = recovered.next().unzip();
+            let durability = config
+                .durability
+                .as_ref()
+                .zip(store)
+                .map(|(d, store)| Durability {
+                    store,
+                    reservation: d.reservation,
+                    persists: std::sync::Arc::clone(&persists),
+                    halt_after: d.halt_after_persists,
+                });
+            let tenants = tenants.unwrap_or_default();
             let obs = WorkerObs::new(&registry, std::sync::Arc::clone(&trace));
-            let store = stores.next();
             workers.push(std::thread::spawn(move || {
-                worker_loop(cfg, rx, taps, plan, store, persists, obs)
+                worker_loop(cfg, rx, taps, plan, durability, tenants, obs)
             }));
         }
         // The service keeps its own tap clones for summary probes; they
@@ -605,7 +615,8 @@ impl IdService {
     }
 
     /// Persists every durable tenant's *current* state as an
-    /// exact-resume checkpoint (reservation 0) and blocks until done.
+    /// exact-resume checkpoint (reservation 0) and blocks until done,
+    /// tenants boot recovered and nothing has leased since included.
     /// A restart after a clean `checkpoint` resumes every stream with
     /// zero leaked IDs; without one, recovery abandons each tenant's
     /// open reservation window instead. No-op when durability is off.
@@ -725,33 +736,37 @@ impl IdService {
     }
 }
 
-/// Opens the shard logs under `durability.dir` and returns one store
-/// per shard, store `i` for shard `i` (`shard-<i>/`).
+/// The service's one recovery point. Opens the shard logs under
+/// `durability.dir` and returns, for each shard `i`, its own log
+/// (`shard-<i>/`) and the tenants it owns, restored from the state dir.
 ///
 /// Every log in the directory is read, including logs left by a run
 /// with another shard count, and every record must carry the configured
 /// universe and `kind`, the kind the configured algorithm's own
 /// snapshots report (so `cluster*:2` and `cluster*` share records, and
-/// `bins*` and `bins*:maxfit` do not). When a tenant's owner log lacks
-/// its highest-`seq` record, boot appends that record there, so each
-/// worker recovers its tenants from its own store. No log is deleted.
+/// `bins*` and `bins*:maxfit` do not). Each tenant's highest-`seq`
+/// record, in whichever log holds it, is rebuilt with
+/// [`persist::recover`], and shard `tenant % shards` gets the restored
+/// slot, frontier at its count. Nothing is copied between logs and no
+/// log is deleted: the next boot again takes the highest `seq`.
 ///
 /// # Panics
 ///
-/// On an unreadable log, a damaged entry, a foreign record, or a
-/// per-tenant `tenant-*.snap` file from the older one-file-per-tenant
-/// layout (booting over one as if the directory were empty would
-/// re-issue its IDs).
-fn open_shard_stores(
+/// On an unreadable log, a damaged entry, a foreign record, a record
+/// that does not restore, or a per-tenant `tenant-*.snap` file from the
+/// older one-file-per-tenant layout (booting over one as if the
+/// directory were empty would re-issue its IDs).
+fn recover_shards(
     config: &ServiceConfig,
     kind: &AlgorithmKind,
     durability: &DurabilityConfig,
-) -> Vec<SnapshotStore> {
+) -> Vec<(SnapshotStore, HashMap<u64, TenantSlot>)> {
     let dir = &durability.dir;
+    let damaged = |path: &std::path::Path, e: persist::PersistError| -> ! {
+        panic!("refusing to start over a damaged snapshot store: {path:?}: {e}")
+    };
     let open = |path: PathBuf| {
-        SnapshotStore::with_sync(&path, durability.sync).unwrap_or_else(|e| {
-            panic!("refusing to start over a damaged snapshot store: {path:?}: {e}")
-        })
+        SnapshotStore::with_sync(&path, durability.sync).unwrap_or_else(|e| damaged(&path, e))
     };
     let mut found: BTreeMap<usize, SnapshotStore> = BTreeMap::new();
     match std::fs::read_dir(dir) {
@@ -776,10 +791,8 @@ fn open_shard_stores(
     }
     let mut newest: BTreeMap<u64, SnapshotRecord> = BTreeMap::new();
     for store in found.values() {
-        for tenant in store.tenants().expect("in-memory tenant list") {
-            let Some(record) = store.load(tenant).expect("open decoded every entry") else {
-                continue;
-            };
+        let records = store.records().unwrap_or_else(|e| damaged(store.dir(), e));
+        for (tenant, record) in records {
             // A record from a different universe or algorithm means the
             // state dir belongs to another deployment: recovering it
             // would emit IDs outside this service's space (wedging the
@@ -802,23 +815,30 @@ fn open_shard_stores(
             }
         }
     }
-    let stores: Vec<SnapshotStore> = (0..config.shards)
+    let mut shards: Vec<(SnapshotStore, HashMap<u64, TenantSlot>)> = (0..config.shards)
         .map(|shard| {
-            found
+            let store = found
                 .remove(&shard)
-                .unwrap_or_else(|| open(dir.join(format!("shard-{shard}"))))
+                .unwrap_or_else(|| open(dir.join(format!("shard-{shard}"))));
+            (store, HashMap::new())
         })
         .collect();
     for (tenant, record) in newest {
-        let owner = &stores[(tenant % config.shards as u64) as usize];
-        let held = owner.load(tenant).ok().flatten().map(|held| held.seq);
-        if held < Some(record.seq) {
-            owner.save(tenant, &record).unwrap_or_else(|e| {
-                panic!("re-homing tenant {tenant} into {:?}: {e}", owner.dir())
-            });
-        }
+        let generator = persist::recover(&record).unwrap_or_else(|e| {
+            panic!("refusing to start over tenant {tenant}'s record in {dir:?}: {e}")
+        });
+        let slot = TenantSlot {
+            frontier: generator.generated(),
+            generator,
+            lease: Lease::new(config.space),
+            epoch: record.epoch,
+            seq: record.seq,
+        };
+        shards[(tenant % config.shards as u64) as usize]
+            .1
+            .insert(tenant, slot);
     }
-    stores
+    shards
 }
 
 fn owner_key(tenant: u64, epoch: u32) -> u64 {
@@ -951,39 +971,22 @@ impl Durability {
     }
 }
 
-/// Finds or creates the slot for `tenant`: recovered from the snapshot
-/// store when a record exists (continuing the persisted stream past its
-/// abandoned reservation window), freshly seeded otherwise.
+/// Finds the slot for `tenant`, seeding a fresh epoch-0 one for a
+/// tenant this shard has not seen: boot already handed the shard every
+/// tenant it recovered.
 fn slot_for<'a>(
     config: &ServiceConfig,
     roots: &SeedTree,
     tenants: &'a mut HashMap<u64, TenantSlot>,
     algorithm: &dyn uuidp_core::traits::Algorithm,
-    durability: Option<&Durability>,
     tenant: u64,
 ) -> &'a mut TenantSlot {
-    tenants.entry(tenant).or_insert_with(|| {
-        let recovered = durability.and_then(|d| {
-            let record = d
-                .store
-                .load(tenant)
-                .expect("unreadable tenant snapshot (corrupt store?)")?;
-            let generator = persist::recover(&record).expect("recover tenant snapshot");
-            Some(TenantSlot {
-                frontier: generator.generated(),
-                generator,
-                lease: Lease::new(config.space),
-                epoch: record.epoch,
-                seq: record.seq,
-            })
-        });
-        recovered.unwrap_or_else(|| TenantSlot {
-            generator: algorithm.spawn(tenant_seed(roots, config, tenant, 0)),
-            lease: Lease::new(config.space),
-            epoch: 0,
-            frontier: 0,
-            seq: 0,
-        })
+    tenants.entry(tenant).or_insert_with(|| TenantSlot {
+        generator: algorithm.spawn(tenant_seed(roots, config, tenant, 0)),
+        lease: Lease::new(config.space),
+        epoch: 0,
+        frontier: 0,
+        seq: 0,
     })
 }
 
@@ -992,24 +995,13 @@ fn worker_loop(
     rx: Receiver<ShardMsg>,
     taps: Vec<SyncSender<AuditMsg>>,
     plan: StripePlan,
-    store: Option<SnapshotStore>,
-    persists: std::sync::Arc<AtomicU64>,
+    durability: Option<Durability>,
+    mut tenants: HashMap<u64, TenantSlot>,
     obs: WorkerObs,
 ) -> WorkerStats {
     let algorithm = config.kind.build(config.space);
     let roots = SeedTree::new(config.master_seed);
-    let mut tenants: HashMap<u64, TenantSlot> = HashMap::new();
     let mut stats = WorkerStats::default();
-    let durability = config
-        .durability
-        .as_ref()
-        .zip(store)
-        .map(|(d, store)| Durability {
-            store,
-            reservation: d.reservation,
-            persists,
-            halt_after: d.halt_after_persists,
-        });
     let mut tap = AuditTap {
         batches: vec![Vec::new(); taps.len()],
         taps,
@@ -1082,23 +1074,6 @@ fn worker_loop(
                 );
             }
             ShardMsg::Reset { tenant } => {
-                // A tenant recovered from disk has no slot until its
-                // first lease; the reset must still move it past its
-                // record into a new epoch.
-                if !tenants.contains_key(&tenant)
-                    && durability
-                        .as_ref()
-                        .is_some_and(|d| matches!(d.store.load(tenant), Ok(Some(_))))
-                {
-                    slot_for(
-                        &config,
-                        &roots,
-                        &mut tenants,
-                        algorithm.as_ref(),
-                        durability.as_ref(),
-                        tenant,
-                    );
-                }
                 if let Some(slot) = tenants.get_mut(&tenant) {
                     slot.epoch += 1;
                     slot.generator
@@ -1162,7 +1137,7 @@ fn serve(
     want_arcs: bool,
 ) -> (u128, Option<GeneratorError>, Option<Vec<Arc>>, bool) {
     let t0 = clock::monotonic_ns();
-    let slot = slot_for(config, roots, tenants, algorithm, durability, tenant);
+    let slot = slot_for(config, roots, tenants, algorithm, tenant);
     let mut halted = false;
     if let Some(d) = durability {
         // Saturating: the protocol accepts arbitrary u128 counts, and a
@@ -1718,8 +1693,8 @@ mod tests {
 
     #[test]
     fn reset_after_restart_opens_a_new_epoch() {
-        // A recovered tenant has no in-memory slot until its first
-        // lease; a reset sent before that must still open epoch 1.
+        // Boot restores every recovered tenant's slot, so a reset sent
+        // before the tenant's first lease still opens epoch 1.
         let dir = temp_state_dir("reset-after-restart");
         let mut cfg = config(AlgorithmKind::Cluster, 24);
         cfg.shards = 1;
@@ -1793,6 +1768,42 @@ mod tests {
         bytes[mid] ^= 0x41;
         std::fs::write(&log, bytes).unwrap();
         let _ = IdService::start(cfg);
+    }
+
+    #[test]
+    fn a_record_that_does_not_restore_refuses_boot() {
+        // A checksummed Cluster★ record whose count is the whole
+        // universe, past what any seed's walk reaches. Boot restores
+        // every tenant, so it must refuse to start, not boot and then
+        // panic shard 1 at tenant 3's first lease.
+        let dir = temp_state_dir("unrestorable");
+        let mut cfg = config(AlgorithmKind::ClusterStar, 10); // m = 2^10
+        cfg.durability = Some(DurabilityConfig::new(&dir));
+        let record = SnapshotRecord {
+            seq: 1,
+            epoch: 0,
+            reservation: 0,
+            space: cfg.space,
+            state: uuidp_core::state::GeneratorState {
+                kind: AlgorithmKind::ClusterStar,
+                seed: 7,
+                generated: 1 << 10,
+            },
+        };
+        SnapshotStore::open(dir.join("shard-1"))
+            .unwrap()
+            .save(3, &record)
+            .unwrap();
+        let boot = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| IdService::start(cfg)));
+        let message = boot
+            .err()
+            .and_then(|panic| panic.downcast::<String>().ok())
+            .expect("an unrestorable record must refuse boot");
+        assert!(
+            message.contains("tenant 3") && message.contains("cannot reach"),
+            "{message}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -149,7 +149,7 @@ pub struct MetricsReport {
 fn spawn_wire_scraper(addr: SocketAddr, space: IdSpace) -> JoinHandle<(u64, TimeSeries)> {
     std::thread::spawn(move || {
         let mut scrapes = 0u64;
-        let mut series = TimeSeries::new(1, 64);
+        let mut series = TimeSeries::new(64);
         let mut last: std::collections::BTreeMap<String, f64> = Default::default();
         let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
         let Ok(client) = Client::connect_with(addr, space, options) else {

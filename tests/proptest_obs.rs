@@ -188,7 +188,7 @@ proptest! {
         // pins the clamp's *accounting*, not just its sign).
         let restart_at: Vec<usize> =
             restarts.iter().map(|&r| r as usize % deltas.len()).collect();
-        let mut series = TimeSeries::new(1, deltas.len() + 1);
+        let mut series = TimeSeries::new(deltas.len() + 1);
         let mut cumulative = 0u64;
         let mut prev_sample = 0u64;
         let mut expected = Vec::with_capacity(deltas.len());

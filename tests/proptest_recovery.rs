@@ -13,14 +13,20 @@
 //!
 //! with the record round-tripped through the on-disk store so the
 //! codec, checksums, and atomic-replace path are all under test.
+//!
+//! One level up, random restart scripts drive a durable `IdService`
+//! through leases, resets, checkpoints and crash-restarts under shifting
+//! shard counts: boot restores every tenant, and no tenant may ever
+//! receive an ID twice.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
 use uuidp::core::persist::{recover, SnapshotRecord, SnapshotStore};
+use uuidp::service::service::{DurabilityConfig, IdService, ServiceConfig};
 
 /// The five paper algorithms, the Cluster★ growth and Bins★ max-fit
 /// ablations, and the RocksDB-shaped SessionCounter (every kind with a
@@ -94,7 +100,7 @@ proptest! {
             let mut loaded = Vec::new();
             for store in &stores {
                 store.save(tenant as u64, &record).unwrap();
-                loaded.push(store.load(tenant as u64).unwrap().expect("just saved"));
+                loaded.push(store.records().unwrap()[&(tenant as u64)].clone());
             }
             prop_assert_eq!(&loaded, &[record.clone(), record], "{:?}: store round-trip", kind);
 
@@ -156,5 +162,74 @@ fn recovery_past_capacity_is_exhausted_for_every_algorithm() {
             recovered.next_id().is_err(),
             "{kind:?}: over-reserved recovery must exhaust, not reuse"
         );
+    }
+}
+
+// Each script step is `(op, tenant, count, shards)`: ops 0–3 lease
+// `count` IDs, 4 resets the tenant, 5 checkpoints, and 6–7
+// crash-restart (shut down without a checkpoint, then boot with
+// `shards` shards). A shard count change leaves a tenant's newest
+// record in a log its new shard does not own, and a reset can land
+// before a recovered tenant's first lease.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn restart_scripts_never_reissue_an_id(
+        first_shards in 1usize..=3,
+        reservation in 1u128..100,
+        script in prop::collection::vec((0u8..8, 0u64..5, 1u128..120, 1usize..=3), 1..40),
+    ) {
+        let space = IdSpace::with_bits(64).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "uuidp-proptest-restart-{}",
+            std::process::id()
+        ));
+        for kind in [AlgorithmKind::Cluster, AlgorithmKind::ClusterStar, AlgorithmKind::Random] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let boot = |shards: usize| {
+                let mut config = ServiceConfig::new(kind.clone(), space);
+                config.shards = shards;
+                config.durability = Some(DurabilityConfig {
+                    dir: dir.clone(),
+                    reservation,
+                    sync: false,
+                    halt_after_persists: None,
+                });
+                IdService::start(config)
+            };
+            let mut service = boot(first_shards);
+            let mut received: HashMap<u64, HashSet<u128>> = HashMap::new();
+            for (step, &(op, tenant, count, shards)) in script.iter().enumerate() {
+                match op {
+                    0..=3 => {
+                        let reply = service.lease(tenant, count);
+                        prop_assert_eq!(reply.granted, count, "{:?}: step {} short grant", kind, step);
+                        let ids = received.entry(tenant).or_default();
+                        for arc in &reply.arcs {
+                            for i in 0..arc.len {
+                                let id = arc.nth(space, i);
+                                prop_assert!(
+                                    ids.insert(id.value()),
+                                    "{:?}: step {}: tenant {} received {} again",
+                                    kind,
+                                    step,
+                                    tenant,
+                                    id
+                                );
+                            }
+                        }
+                    }
+                    4 => service.reset_tenant(tenant),
+                    5 => service.checkpoint(),
+                    _ => {
+                        drop(service.shutdown());
+                        service = boot(shards);
+                    }
+                }
+            }
+            drop(service.shutdown());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
