@@ -55,6 +55,17 @@ impl TrafficMix {
             )),
         }
     }
+
+    /// The most IDs one lease of this mix asks for, given the batch
+    /// size `count`: Flood's hot tenant leases 4×, the hunter single
+    /// IDs.
+    pub fn largest_lease(self, count: u128) -> u128 {
+        match self {
+            TrafficMix::Uniform | TrafficMix::Skewed => count,
+            TrafficMix::Flood => count.saturating_mul(4),
+            TrafficMix::Hunter => 1,
+        }
+    }
 }
 
 impl fmt::Display for TrafficMix {
@@ -157,7 +168,9 @@ impl Scheduler {
                 let tenant = cdf.partition_point(|&c| c < u).min(cdf.len() - 1);
                 Some((tenant as u64, self.count))
             }
-            Kind::Flood if submitted % 4 != 3 => Some((0, self.count.saturating_mul(4))),
+            Kind::Flood if submitted % 4 != 3 => {
+                Some((0, TrafficMix::Flood.largest_lease(self.count)))
+            }
             // Consecutive cold requests visit consecutive cold tenants.
             Kind::Flood => {
                 let cold = self.tenants.max(2) - 1;
@@ -278,6 +291,27 @@ mod tests {
         }
         let mut huge = Scheduler::new(TrafficMix::Flood, 2, 1, u128::MAX, space, 1);
         assert_eq!(huge.next(0), Some((0, u128::MAX)), "hot batch saturates");
+    }
+
+    #[test]
+    fn largest_lease_is_the_largest_count_each_mix_schedules() {
+        let space = IdSpace::with_bits(24).unwrap();
+        for mix in [
+            TrafficMix::Uniform,
+            TrafficMix::Skewed,
+            TrafficMix::Flood,
+            TrafficMix::Hunter,
+        ] {
+            let mut s = Scheduler::new(mix, 4, 40, 10, space, 5);
+            let mut largest = 0;
+            let mut submitted = 0u64;
+            while let Some((tenant, count)) = s.next(submitted) {
+                largest = largest.max(count);
+                s.observe(tenant, Id(submitted as u128 * 17));
+                submitted += 1;
+            }
+            assert_eq!(largest, mix.largest_lease(10), "{mix}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use uuidp_core::id::IdSpace;
 use uuidp_core::rng::{SplitMix64, Xoshiro256pp};
 use uuidp_sim::montecarlo::{estimate_oblivious, TrialConfig};
 
+use uuidp_client::frame::MAX_LEASE_COUNT;
 use uuidp_client::{ClientOptions, RetryPolicy, Session};
 use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
 use uuidp_netchaos::ChaosSpec;
@@ -481,6 +482,9 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
                 .into(),
         ));
     }
+    if opts.remote {
+        check_wire_count(mix, opts.count)?;
+    }
     let mut cfg = StressConfig::new(
         service,
         tenant_count(opts.tenants)?,
@@ -531,6 +535,20 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
         "",
     )?);
     Ok(out)
+}
+
+/// Refuses a `--count` whose largest lease over the wire is above
+/// [`MAX_LEASE_COUNT`]: the larger of the mix's largest lease and the
+/// twin phase's `count`-ID leases.
+fn check_wire_count(mix: TrafficMix, count: u128) -> Result<(), ParseError> {
+    let largest = mix.largest_lease(count).max(count);
+    if largest > MAX_LEASE_COUNT {
+        return Err(ParseError(format!(
+            "--count {count} asks for leases of {largest} IDs under the {mix} mix, \
+             above the wire's cap of {MAX_LEASE_COUNT} IDs per lease"
+        )));
+    }
+    Ok(())
 }
 
 /// `--tenants`, at least 1 and at most 2^[`TENANT_BITS`] (tenant ids
@@ -649,9 +667,10 @@ pub struct FleetOpts {
     pub chaos: Option<String>,
     /// Seed for the per-node chaos fault schedules.
     pub chaos_seed: u64,
-    /// Scrape every node's metric registry over the wire mid-run and
-    /// at the end, asserting required families stay present and
-    /// monotone per stable incarnation.
+    /// Scrape every node's metric registry over the wire once per
+    /// time-series window and once at the end; a scrape without a
+    /// required family, or a counter that goes backwards on one node
+    /// incarnation, fails the run.
     pub scrape: bool,
 }
 
@@ -695,6 +714,7 @@ pub fn fleet(opts: &FleetOpts) -> Result<String, ParseError> {
             "--kill-every must be at least 1 (omit the flag to disable chaos)".into(),
         ));
     }
+    check_wire_count(placement, opts.count)?;
     // The ephemeral root must be unique per *invocation*, not just per
     // (pid, seed): concurrent runs in one process (e.g. the test
     // harness) would otherwise share and then delete each other's
@@ -1605,6 +1625,36 @@ mod tests {
         };
         let err = stress(&opts).unwrap_err();
         assert!(err.0.contains("--remote"), "{}", err.0);
+    }
+
+    #[test]
+    fn wire_runs_refuse_leases_above_the_cap() {
+        let stress_with = |algorithm: &str, mix: &str, count: u128| StressOpts {
+            remote: true,
+            mix: mix.into(),
+            count,
+            ..StressOpts::trials_small(algorithm)
+        };
+        for opts in [
+            stress_with("random", "uniform", 600_000),
+            stress_with("cluster", "uniform", 600_000),
+            stress_with("cluster", "flood", 200_000),
+            // The twin phase leases `--count` whatever the mix.
+            stress_with("cluster", "hunter", MAX_LEASE_COUNT + 1),
+        ] {
+            let err = stress(&opts).unwrap_err();
+            assert!(err.0.contains("cap of 524286"), "{}", err.0);
+        }
+        let opts = FleetOpts {
+            count: 600_000,
+            ..FleetOpts::trials_small("cluster")
+        };
+        let err = fleet(&opts).unwrap_err();
+        assert!(err.0.contains("cap of 524286"), "{}", err.0);
+        // The cap itself fits, under flood too.
+        assert!(check_wire_count(TrafficMix::Uniform, MAX_LEASE_COUNT).is_ok());
+        assert!(check_wire_count(TrafficMix::Flood, MAX_LEASE_COUNT / 4).is_ok());
+        assert!(check_wire_count(TrafficMix::Flood, MAX_LEASE_COUNT / 4 + 1).is_err());
     }
 
     #[test]

@@ -82,7 +82,7 @@ fn print_usage() {
          \x20                [--audit-stripes N=8] [--audit-threads N=1] [--seed N] [--kill-every K (chaos restarts)]\n\
          \x20                [--reservation N=256] [--state-dir DIR] [--trials-small]\n\
          \x20                [--chaos SPEC (per-node fault proxies)] [--chaos-seed N=0]\n\
-         \x20                [--scrape (scrape every node's registry mid-run and at the end;\n\
+         \x20                [--scrape (scrape every node's registry once per window and at the end;\n\
          \x20                 also aggregates windowed time-series + burn-rate alerts into the report)]\n\
          \x20 uuidp top      --connect ADDR[,ADDR...] [--bits N=48]\n\
          \x20                [--interval-ms N=1000] [--windows N=60 (history ring)]\n\

@@ -399,8 +399,8 @@ impl Client {
 
     /// A live metrics scrape: the server's observability registry as a
     /// Prometheus-style text exposition (the same families the stdin
-    /// REPL's `metrics` command renders). Parse scalars back out with
-    /// `uuidp_obs::parse_exposition`.
+    /// REPL's `metrics` command renders). Read it back into a typed
+    /// snapshot with `uuidp_obs::Snapshot::parse_prometheus`.
     pub fn metrics(&self) -> io::Result<String> {
         match self.request(FrameBody::MetricsReq)? {
             FrameBody::MetricsResp { text } => Ok(text),
@@ -434,26 +434,6 @@ impl Client {
                 "expected summary-resp, got {} frame",
                 other.name()
             ))),
-        }
-    }
-
-    /// Kills the server abruptly — the remote crash lever. No summary
-    /// comes back; success is the connection dying under us. What
-    /// survives on the server is whatever its durability layer
-    /// persisted write-ahead.
-    pub fn halt(self) -> io::Result<()> {
-        let (_corr, rx) = self.register()?;
-        // HaltReq itself is uncorrelated (there is no reply to route);
-        // the registered id just parks us until the demux observes the
-        // connection die.
-        self.send(0, &FrameBody::HaltReq)?;
-        match rx.recv() {
-            Err(_) => Ok(()), // severed, as intended
-            Ok(Ok(other)) => Err(proto_err(format!(
-                "halt expected silence, got {} frame",
-                other.name()
-            ))),
-            Ok(Err(message)) => Err(proto_err(format!("server error: {message}"))),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! | 0 | `Hello` | c→s | protocol version (u32), universe size (u128) |
 //! | 1 | `HelloOk` | s→c | negotiated version (u32), universe size (u128) |
 //! | 2 | `Error` | s→c | message (string); `corr = 0` is connection-fatal |
-//! | 3 | `LeaseReq` | c→s | tenant (u64), count (u128) |
+//! | 3 | `LeaseReq` | c→s | tenant (u64), count (u128, at most [`MAX_LEASE_COUNT`]) |
 //! | 4 | `LeaseResp` | s→c | tenant, granted, arcs (pair seq), error (opt string) |
 //! | 5 | `ResetReq` | c→s | tenant (u64) |
 //! | 6 | `ResetResp` | s→c | tenant (u64) |
@@ -27,11 +27,13 @@
 //! | 9 | `SummaryReq` | c→s | — |
 //! | 10 | `SummaryResp` | s→c | the 15 [`Summary`] fields (f64s as bit patterns) |
 //! | 11 | `ShutdownReq` | c→s | — (reply is a `SummaryResp`, then close) |
-//! | 12 | `HaltReq` | c→s | — (no reply: the server dies abruptly) |
 //! | 13 | `MetricsReq` | c→s | — |
 //! | 14 | `MetricsResp` | s→c | Prometheus-style text exposition (string) |
 //! | 15 | `TimelineReq` | c→s | correlation id to look up (u64) |
 //! | 16 | `TimelineResp` | s→c | rendered span timeline (string; empty = not retained) |
+//!
+//! Kind 12 is retired (it was a remote halt) and decodes as an unknown
+//! kind.
 //!
 //! The correlation id is what buys multiplexing: requests carry a
 //! client-chosen `corr`, replies echo it, and nothing requires replies
@@ -61,13 +63,19 @@ pub const MAGIC: [u8; 4] = [0x00, b'U', b'P', b'2'];
 /// The protocol version this codec speaks.
 pub const VERSION: u32 = 2;
 
-/// Maximum payload bytes a frame may carry. A lease for the whole
-/// 2¹²⁸ universe is a few dozen bytes when it lands in runs, but the
-/// Random algorithm fragments a lease into one 32-byte arc per ID, so
-/// the cap admits ~500k-arc replies; servers turn anything larger into
-/// a typed error rather than an undecodable frame, and decoders reject
-/// over-cap lengths before allocating.
+/// Maximum payload bytes a frame may carry; decoders reject over-cap
+/// lengths before allocating. A lease reply is a few dozen bytes when
+/// its IDs land in runs, but the Random algorithm fragments a lease
+/// into one 32-byte arc per ID, which is why the lease size is capped
+/// at [`MAX_LEASE_COUNT`].
 pub const MAX_PAYLOAD: u32 = 1 << 24;
+
+/// Most IDs one `LeaseReq` may ask for: 524,286. A reply carries at
+/// most one 32-byte arc per granted ID beside under 64 bytes of fixed
+/// fields, so a lease of at most this many IDs always fits one
+/// [`MAX_PAYLOAD`] frame. Servers refuse a larger request with a typed
+/// error before issuing anything.
+pub const MAX_LEASE_COUNT: u128 = (MAX_PAYLOAD as u128 - 64) / 32;
 
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 4 + 1 + 8 + 4;
@@ -146,9 +154,6 @@ pub enum FrameBody {
     SummaryResp(Summary),
     /// Stop the whole service; the reply is a `SummaryResp`.
     ShutdownReq,
-    /// Kill the server abruptly (crash fiction): no reply, the
-    /// connection is severed.
-    HaltReq,
     /// Ask for a metrics-registry scrape.
     MetricsReq,
     /// A metrics scrape: the Prometheus-style text exposition.
@@ -186,7 +191,6 @@ impl FrameBody {
             FrameBody::SummaryReq => 9,
             FrameBody::SummaryResp(_) => 10,
             FrameBody::ShutdownReq => 11,
-            FrameBody::HaltReq => 12,
             FrameBody::MetricsReq => 13,
             FrameBody::MetricsResp { .. } => 14,
             FrameBody::TimelineReq { .. } => 15,
@@ -209,7 +213,6 @@ impl FrameBody {
             FrameBody::SummaryReq => "summary-req",
             FrameBody::SummaryResp(_) => "summary-resp",
             FrameBody::ShutdownReq => "shutdown-req",
-            FrameBody::HaltReq => "halt-req",
             FrameBody::MetricsReq => "metrics-req",
             FrameBody::MetricsResp { .. } => "metrics-resp",
             FrameBody::TimelineReq { .. } => "timeline-req",
@@ -334,7 +337,6 @@ fn encode_payload(out: &mut Vec<u8>, body: &FrameBody) {
         | FrameBody::DrainResp
         | FrameBody::SummaryReq
         | FrameBody::ShutdownReq
-        | FrameBody::HaltReq
         | FrameBody::MetricsReq => {}
     }
 }
@@ -368,7 +370,6 @@ fn decode_payload(kind: u8, payload: &[u8]) -> Result<FrameBody, FrameError> {
         9 => FrameBody::SummaryReq,
         10 => FrameBody::SummaryResp(decode_summary(&mut c)?),
         11 => FrameBody::ShutdownReq,
-        12 => FrameBody::HaltReq,
         13 => FrameBody::MetricsReq,
         14 => FrameBody::MetricsResp { text: c.str()? },
         15 => FrameBody::TimelineReq { corr: c.u64()? },
@@ -537,7 +538,6 @@ mod tests {
                 audit_threads: 3,
             }),
             FrameBody::ShutdownReq,
-            FrameBody::HaltReq,
             FrameBody::MetricsReq,
             FrameBody::MetricsResp {
                 text: "# TYPE uuidp_leases_total counter\nuuidp_leases_total 5\n".into(),
@@ -617,6 +617,17 @@ mod tests {
         assert_eq!(decode_frame(b"lease 1 10\n"), Err(FrameError::BadMagic));
         // And a NUL lead byte is (so far) a valid v2 prefix.
         assert_eq!(decode_frame(&[0x00]), Ok(None));
+    }
+
+    #[test]
+    fn the_retired_halt_kind_decodes_as_unknown() {
+        let mut bytes = MAGIC.to_vec();
+        put_u8(&mut bytes, 12);
+        put_u64(&mut bytes, 1);
+        put_u32(&mut bytes, 0);
+        let checksum = fnv1a(&bytes);
+        put_u64(&mut bytes, checksum);
+        assert_eq!(decode_frame(&bytes), Err(FrameError::UnknownKind(12)));
     }
 
     #[test]

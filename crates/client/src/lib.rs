@@ -27,7 +27,7 @@
 //!   for it. `N` worker threads need one connection, not `N`.
 //! * Typed surface: [`Client::lease`] → [`Lease`], [`Client::summary`] /
 //!   [`Client::shutdown`] → [`Summary`], plus [`Client::reset`],
-//!   [`Client::drain`], and [`Client::halt`] (the remote crash lever).
+//!   [`Client::drain`], [`Client::metrics`] and [`Client::timeline`].
 //! * Failure handling: every error a call returns classifies as
 //!   retry-safe, lease-in-doubt or fatal ([`classify`]). A [`Session`]
 //!   is the one retry loop over a `Client` — dial, attempt, classify,

@@ -3,7 +3,6 @@
 //! crash-restarting nodes along the way, and aggregate everything into
 //! one [`FleetReport`].
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
@@ -19,8 +18,7 @@ use uuidp_core::rng::{uniform_below, Xoshiro256pp};
 use uuidp_netchaos::{
     schedule_fingerprint, ChaosProxy, ChaosReport, ChaosSpec, FaultCounts, FINGERPRINT_CONNS,
 };
-use uuidp_obs::families::REQUIRED as REQUIRED_FAMILIES;
-use uuidp_obs::{parse_exposition, AlertTransition, Snapshot, Stage};
+use uuidp_obs::{families, AlertTransition, Snapshot, Stage};
 use uuidp_service::service::{
     AuditReport, AuditThreadReport, ServiceConfig, ServiceReport, TENANT_BITS,
 };
@@ -47,23 +45,22 @@ fn attach_node_obs(fleet: &Fleet, proxy: &ChaosProxy, index: usize) {
     }
 }
 
-/// One direct (proxy-bypassing) exposition scrape of node `index`,
-/// asserting every required family is present.
-fn scrape_node(fleet: &Fleet, index: usize, space: IdSpace) -> io::Result<BTreeMap<String, f64>> {
-    let families = parse_exposition(&Client::connect(fleet.addr(index), space)?.metrics()?);
-    for family in REQUIRED_FAMILIES {
-        assert!(
-            families.contains_key(*family),
-            "node {index} scrape is missing required family `{family}`"
-        );
+/// One direct (proxy-bypassing) scrape of node `index`, read into a
+/// typed [`Snapshot`]. `Ok(None)` is a scrape that failed at the
+/// socket, which degrades the node for its window; a scrape that lacks
+/// a required family is an error that ends the run.
+fn scrape_node(fleet: &Fleet, index: usize, space: IdSpace) -> io::Result<Option<Snapshot>> {
+    let Ok(text) = Client::connect(fleet.addr(index), space).and_then(|c| c.metrics()) else {
+        return Ok(None);
+    };
+    let snap = Snapshot::parse_prometheus(&text);
+    let missing = families::missing(&snap);
+    if !missing.is_empty() {
+        return Err(io::Error::other(format!(
+            "node {index} scrape is missing required families {missing:?}"
+        )));
     }
-    Ok(families)
-}
-
-/// One direct typed scrape of node `index` for time-series ingestion.
-fn scrape_node_snapshot(fleet: &Fleet, index: usize, space: IdSpace) -> io::Result<Snapshot> {
-    let text = Client::connect(fleet.addr(index), space)?.metrics()?;
-    Ok(Snapshot::parse_prometheus(&text))
+    Ok(Some(snap))
 }
 
 /// One fleet-series aggregation tick: scrape every node (a failed
@@ -73,6 +70,9 @@ fn scrape_node_snapshot(fleet: &Fleet, index: usize, space: IdSpace) -> io::Resu
 /// `uuidp_alerts_firing` and its trace ring is stamped with a
 /// [`Stage::Alert`] event, so a crash's flight-recorder dump carries
 /// the alert history that preceded it.
+///
+/// The run's one monotonicity check rides here: a counter that went
+/// backwards on one `(node, incarnation)` series is an error.
 fn series_tick(
     fleet: &Fleet,
     series: &mut FleetSeries,
@@ -80,15 +80,20 @@ fn series_tick(
     tick: u64,
     bad: u64,
     total: u64,
-) -> Vec<AlertTransition> {
-    let scrapes: Vec<Option<(u32, Snapshot)>> = (0..fleet.node_count())
-        .map(|i| {
-            scrape_node_snapshot(fleet, i, space)
-                .ok()
-                .map(|snap| (fleet.nodes()[i].incarnation(), snap))
-        })
-        .collect();
+) -> io::Result<()> {
+    let mut scrapes = Vec::with_capacity(fleet.node_count());
+    for i in 0..fleet.node_count() {
+        let scrape = scrape_node(fleet, i, space)?;
+        scrapes.push(scrape.map(|snap| (fleet.nodes()[i].incarnation(), snap)));
+    }
     let fired = series.tick(tick, &scrapes, bad, total);
+    for (&(node, incarnation), s) in series.series() {
+        if s.resets_total() > 0 {
+            return Err(io::Error::other(format!(
+                "node {node} incarnation {incarnation}: a counter went backwards by window {tick}"
+            )));
+        }
+    }
     let firing = series.firing_rules().len() as i64;
     for node in fleet.nodes() {
         let (Some(registry), Some(trace)) = (node.registry(), node.trace()) else {
@@ -104,7 +109,7 @@ fn series_tick(
             trace.record(0, 0, Stage::Alert, t.detail, tick);
         }
     }
-    fired
+    Ok(())
 }
 
 /// Configuration of one fleet run.
@@ -138,10 +143,11 @@ pub struct FleetConfig {
     pub chaos_seed: u64,
     /// Write-ahead reservation window for node durability.
     pub reservation: u128,
-    /// Scrape every node's metric registry over the wire — once at the
-    /// halfway mark and once after the last drain — asserting the
-    /// required families are present and `_total`/`_count` families
-    /// never move backwards on a stable incarnation.
+    /// Scrape every node's metric registry over the wire — once per
+    /// time-series window and once more before the nodes shut down.
+    /// Every scrape must carry the required families, and no counter
+    /// may go backwards on one node incarnation at any window: either
+    /// failure ends the run with an error.
     pub scrape: bool,
     /// Root directory for per-node durable state.
     pub state_dir: PathBuf,
@@ -248,9 +254,6 @@ pub struct FleetSeriesReport {
     /// restarted node's counters start over under a fresh key, so the
     /// cluster rate dips but never goes negative.
     pub incarnation_series: usize,
-    /// In-place counter resets the clamp absorbed (expected 0 — the
-    /// incarnation keying catches restarts first).
-    pub resets: u64,
     /// FNV-1a over every merged cluster window's deterministic counter
     /// families ([`crate::series::CLUSTER_FAMILIES`]): two same-seed
     /// runs print the same pin.
@@ -267,14 +270,11 @@ pub struct FleetSeriesReport {
 /// Per-node wire scrapes of the fleet's metric registries.
 #[derive(Debug, Clone)]
 pub struct FleetMetricsReport {
-    /// Mid-run scrapes that completed (one per node, taken while the
-    /// load loop paused at the halfway mark).
-    pub mid_scrapes: usize,
-    /// End-of-run exposition families per node, flattened by
-    /// [`parse_exposition`]. These are the *final incarnation's*
-    /// registries: a crash-restart boots a fresh registry, so on
-    /// restarted nodes the totals cover post-recovery traffic only.
-    pub per_node: Vec<BTreeMap<String, f64>>,
+    /// Each node's end-of-run scrape. These are the *final
+    /// incarnation's* registries: a crash-restart boots a fresh
+    /// registry, so on restarted nodes the totals cover post-recovery
+    /// traffic only.
+    pub per_node: Vec<Snapshot>,
 }
 
 impl FleetReport {
@@ -322,13 +322,12 @@ impl FleetReport {
             let issued: f64 = metrics
                 .per_node
                 .iter()
-                .filter_map(|f| f.get("uuidp_ids_issued_total"))
+                .filter_map(|f| f.scalar("uuidp_ids_issued_total"))
                 .sum();
             let _ = writeln!(
                 out,
-                "metrics:      {} nodes scraped ({} mid-run), {} IDs on final-incarnation registries",
+                "metrics:      {} nodes scraped, {} IDs on final-incarnation registries",
                 metrics.per_node.len(),
-                metrics.mid_scrapes,
                 issued,
             );
         }
@@ -336,11 +335,10 @@ impl FleetReport {
             let _ = writeln!(
                 out,
                 "series:       {} windows × {} requests, {} node-incarnation series, \
-                 {} resets, cluster fingerprint {:016x}",
+                 cluster fingerprint {:016x}",
                 series.windows,
                 series.width_requests,
                 series.incarnation_series,
-                series.resets,
                 series.cluster_fingerprint,
             );
             if series.scrape_errors > 0 {
@@ -461,10 +459,6 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
 
     let started_ns = clock::monotonic_ns();
     let mut submitted = 0u64;
-    // Mid-run scrape state: `(incarnation, families)` per node, taken
-    // while the load loop pauses at the halfway mark.
-    let mid_scrape_at = config.requests / 2;
-    let mut mid: Vec<(u32, BTreeMap<String, f64>)> = Vec::new();
     // Time-series aggregation ticks by *request count*, not wall clock:
     // a seeded rerun crosses every window boundary at the same request,
     // so the cluster fingerprint and alert sequence replay exactly.
@@ -475,14 +469,6 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
     let mut ticked_bad = 0u64;
     let mut ticked_submitted = 0u64;
     while submitted < config.requests {
-        if config.scrape && submitted == mid_scrape_at && mid.is_empty() {
-            for i in 0..config.nodes {
-                mid.push((
-                    fleet.nodes()[i].incarnation(),
-                    scrape_node(fleet, i, space)?,
-                ));
-            }
-        }
         if let Some(k) = config.kill_every {
             if submitted > 0 && submitted.is_multiple_of(k) {
                 let victim = uniform_below(&mut chaos_rng, config.nodes as u128) as usize;
@@ -531,7 +517,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
                     ticks,
                     bad - ticked_bad,
                     submitted - ticked_submitted,
-                );
+                )?;
                 ticked_bad = bad;
                 ticked_submitted = submitted;
                 ticks += 1;
@@ -552,7 +538,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
                 ticks,
                 bad - ticked_bad,
                 submitted - ticked_submitted,
-            );
+            )?;
         }
     }
     let elapsed = Duration::from_nanos(clock::monotonic_ns().saturating_sub(started_ns));
@@ -566,32 +552,17 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         proxy.set_passthrough(true);
         router.set_addr(i, proxy.addr());
     }
-    // Final scrape, before the nodes drain: every `_total`/`_count`
-    // family must be at or above its mid-run reading — unless the node
-    // crash-restarted in between, which lawfully resets its registry.
+    // Final scrape, before the nodes drain: each node's final
+    // incarnation's registry, checked like every window's scrape.
     let metrics = if config.scrape {
-        let mut scraped = Vec::with_capacity(config.nodes);
-        for i in 0..config.nodes {
-            let families = scrape_node(fleet, i, space)?;
-            if let Some((incarnation, earlier)) = mid.get(i) {
-                if *incarnation == fleet.nodes()[i].incarnation() {
-                    for (name, value) in earlier {
-                        if name.ends_with("_total") || name.ends_with("_count") {
-                            let now = families.get(name).copied().unwrap_or(-1.0);
-                            assert!(
-                                now >= *value,
-                                "node {i} family `{name}` went backwards: {value} -> {now}"
-                            );
-                        }
-                    }
-                }
-            }
-            scraped.push(families);
-        }
-        Some(FleetMetricsReport {
-            mid_scrapes: mid.len(),
-            per_node: scraped,
-        })
+        let per_node = (0..config.nodes)
+            .map(|i| {
+                scrape_node(fleet, i, space)?.ok_or_else(|| {
+                    io::Error::other(format!("node {i} did not answer its final scrape"))
+                })
+            })
+            .collect::<io::Result<_>>()?;
+        Some(FleetMetricsReport { per_node })
     } else {
         None
     };
@@ -645,7 +616,6 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         windows: s.ticks(),
         width_requests: s.width_requests(),
         incarnation_series: s.incarnation_series(),
-        resets: s.resets(),
         cluster_fingerprint: s.fingerprint(),
         scrape_errors: s.scrape_errors(),
         transitions: s.transitions().to_vec(),
@@ -855,16 +825,15 @@ mod tests {
         let report = run_fleet(cfg).unwrap();
         let metrics = report.metrics.as_ref().expect("scrape report");
         assert_eq!(metrics.per_node.len(), 3);
-        assert_eq!(
-            metrics.mid_scrapes, 3,
-            "the halfway scrape must cover every node"
-        );
+        for snap in &metrics.per_node {
+            assert_eq!(families::missing(snap), Vec::<&str>::new());
+        }
         // No restarts, so the final-incarnation registries cover the
         // whole run: their summed counter equals the router's count.
         let issued: f64 = metrics
             .per_node
             .iter()
-            .map(|f| f["uuidp_ids_issued_total"])
+            .map(|f| f.scalar("uuidp_ids_issued_total").unwrap())
             .sum();
         assert_eq!(
             issued, report.issued_ids as f64,
@@ -885,8 +854,7 @@ mod tests {
         let metrics = report.metrics.as_ref().expect("scrape report");
         for (i, families) in metrics.per_node.iter().enumerate() {
             let conns = families
-                .get("uuidp_netchaos_connections_total")
-                .copied()
+                .scalar("uuidp_netchaos_connections_total")
                 .unwrap_or(0.0);
             assert!(conns > 0.0, "node {i}'s registry never saw its proxy");
         }
@@ -896,7 +864,7 @@ mod tests {
         let scraped: f64 = metrics
             .per_node
             .iter()
-            .map(|f| f["uuidp_netchaos_connections_total"])
+            .map(|f| f.scalar("uuidp_netchaos_connections_total").unwrap())
             .sum();
         assert!(scraped <= chaos.injected.connections as f64);
         let _ = std::fs::remove_dir_all(&dir);
@@ -935,10 +903,9 @@ mod tests {
         assert!(!lines(series_a).is_empty(), "no alert ever transitioned");
         assert_eq!(lines(series_a), lines(series_b));
         // Kills landed, so restarted nodes opened fresh incarnation
-        // series — and the reset clamp never had to fire.
+        // series (a counter reset on any one of them fails the run).
         assert!(a.restarts > 0);
         assert!(series_a.incarnation_series > 3);
-        assert_eq!(series_a.resets, 0);
         assert_eq!(series_a.windows, 16);
         let text = a.render();
         assert!(text.contains("cluster fingerprint"), "{text}");

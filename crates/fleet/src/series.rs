@@ -6,9 +6,10 @@
 //! ingested into a per-`(node, incarnation)` [`TimeSeries`]: a
 //! crash-restart boots a fresh registry *and* a fresh incarnation, so
 //! its counters restart under a new series key and the cluster rate
-//! dips instead of going negative. The [`TimeSeries`] reset clamp is
-//! the belt to this suspender — an in-place counter regression (same
-//! incarnation) is absorbed as a fresh-from-zero delta.
+//! dips instead of going negative. An in-place counter regression (same
+//! incarnation) is therefore a fault, not a restart: its series counts
+//! it as a reset ([`FleetSeries::resets`]), and the fleet runner fails
+//! the run on any.
 //!
 //! Per tick the node windows are merged into one cluster [`Window`],
 //! and the deterministic counter families ([`CLUSTER_FAMILIES`]) are
@@ -164,8 +165,8 @@ impl FleetSeries {
         &self.per_node
     }
 
-    /// In-place counter regressions absorbed by the reset clamp, summed
-    /// over every series (incarnation keying should keep this at zero).
+    /// In-place counter regressions, summed over every series. Restarts
+    /// open fresh series, so on a healthy fleet this stays zero.
     pub fn resets(&self) -> u64 {
         self.per_node.values().map(|s| s.resets_total()).sum()
     }
@@ -256,6 +257,28 @@ mod tests {
         // a dip, never a negative (u64 could not even express one — the
         // clamp and the keying are what keep the arithmetic honest).
         assert_eq!(ids, vec![100, 100, 30]);
+    }
+
+    #[test]
+    fn a_counter_that_drops_on_one_incarnation_is_a_reset() {
+        let mut series = FleetSeries::new(32);
+        series.tick(
+            0,
+            &[Some((0, snap(10, 100, 0))), Some((0, snap(5, 50, 0)))],
+            0,
+            8,
+        );
+        assert_eq!(series.resets(), 0);
+        // Node 1's counters fall back while its incarnation stays put.
+        series.tick(
+            1,
+            &[Some((0, snap(20, 200, 0))), Some((0, snap(6, 40, 0)))],
+            0,
+            8,
+        );
+        assert_eq!(series.resets(), 1, "only node 1's issued counter dropped");
+        assert_eq!(series.series()[&(0, 0)].resets_total(), 0);
+        assert_eq!(series.series()[&(1, 0)].resets_total(), 1);
     }
 
     #[test]

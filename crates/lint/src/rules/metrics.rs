@@ -1,16 +1,16 @@
 //! `metrics-family`: every `uuidp_*` family literal in non-test code
 //! must correspond to a registration site (`registry.counter(..)` /
-//! `.gauge(..)` / `.histogram(..)`), and the registered set must cover
-//! the canonical required list (`obs::families::REQUIRED`).
+//! `.gauge(..)` / `.histogram(..)`), and every name on the canonical
+//! required list (`obs::families::REQUIRED`) must itself be registered.
 //!
 //! This kills two drift modes at once: a typo'd family name in a
 //! scrape assertion or dashboard query (used but never registered),
 //! and a required family whose registration was refactored away (the
 //! scrape would only catch it at runtime, on the right code path).
 //!
-//! Histogram registrations also cover their exposition-derived
-//! families (`_count`, `_sum`, `_bucket_le`), the way the registry
-//! renders them.
+//! A histogram registration also covers the `_count` and `_sum`
+//! samples the registry renders under it, for a literal that names one;
+//! the required list names the histogram itself.
 
 use std::collections::BTreeSet;
 
@@ -21,8 +21,9 @@ use crate::source::RustFile;
 /// The registry methods that register (or re-attach to) a family.
 const REGISTER_METHODS: &[&str] = &["counter", "gauge", "histogram"];
 
-/// Suffixes a histogram family fans out into in the exposition.
-const HISTOGRAM_SUFFIXES: &[&str] = &["_count", "_sum", "_bucket_le"];
+/// Unlabelled samples a histogram family fans out into in the
+/// exposition.
+const HISTOGRAM_SUFFIXES: &[&str] = &["_count", "_sum"];
 
 /// One family literal occurrence.
 #[derive(Debug, Clone)]
@@ -124,7 +125,7 @@ pub fn finalize(
     }
     if let Some(required_file) = required_file {
         for req in required {
-            if !covered(req) {
+            if !registered.contains(req.as_str()) {
                 out.push(Diagnostic {
                     file: required_file.to_string(),
                     line: 1,
@@ -177,5 +178,20 @@ mod tests {
         );
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("uuidp_missing_total"));
+    }
+
+    #[test]
+    fn required_names_the_registered_histogram_not_a_sample() {
+        let u = uses("fn f(r: &Registry) { r.histogram(\"uuidp_lat_ns\"); }");
+        let required = ["uuidp_lat_ns".into(), "uuidp_lat_ns_count".into()];
+        let d = finalize(&u, &required, Some("crates/obs/src/families.rs"));
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("uuidp_lat_ns_count"));
+        // A collapsed bucket key is no exposition sample name.
+        let u = uses(
+            "fn f(r: &Registry) { r.histogram(\"uuidp_lat_ns\"); \
+             assert(m.contains(\"uuidp_lat_ns_bucket_le\")); }",
+        );
+        assert_eq!(finalize(&u, &[], None).len(), 1);
     }
 }

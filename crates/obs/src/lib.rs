@@ -38,10 +38,12 @@
 //!
 //! Export surface: [`Snapshot::render_prometheus`] (text exposition,
 //! served by the v2 metrics frame and the `uuidp serve` stdin REPL).
-//! [`parse_exposition`] reads the text form back for monotonicity
-//! checks in smoke tests; [`Snapshot::parse_prometheus`] reconstructs
-//! a *typed* snapshot (histogram buckets included) for time-series
-//! ingestion by `uuidp top` and the fleet aggregator.
+//! [`Snapshot::parse_prometheus`] is the one reader of a scrape: it
+//! rebuilds a *typed* snapshot (histogram buckets included), which
+//! [`families::missing`] checks for the required families and a
+//! [`TimeSeries`] ingests — `uuidp top`, the stress scrape sidecar and
+//! the fleet runner all read scrapes this way, and the series' reset
+//! count is their monotonicity check.
 //!
 //! Determinism note: nothing in this crate reads a clock. Histogram
 //! *values* are timing and therefore vary run-to-run, but every
@@ -62,9 +64,7 @@ pub mod trace;
 
 pub use alert::{AlertRule, AlertState, AlertTransition, BurnRateAlerts};
 pub use flight::dump_flight;
-pub use registry::{
-    parse_exposition, AtomicHistogram, Counter, Gauge, Histogram, MetricValue, Registry, Snapshot,
-};
+pub use registry::{AtomicHistogram, Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
 pub use tail::{SlowLease, TailSampler};
 pub use timeseries::{TimeSeries, Window};
 pub use trace::{Stage, TraceEvent, TraceRecorder};

@@ -570,35 +570,6 @@ impl Snapshot {
     }
 }
 
-/// Parses a [`Snapshot::render_prometheus`] exposition back into
-/// name → value samples (histogram series appear under their suffixed
-/// sample names, e.g. `foo_count`). Unparseable lines are skipped —
-/// this is a smoke-test convenience, not a full Prometheus parser.
-pub fn parse_exposition(text: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((name, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<f64>() else {
-            continue;
-        };
-        // Collapse a `{le="…"}` label set into the bare series name so
-        // lookups stay simple; later buckets overwrite earlier ones,
-        // leaving the +Inf (total) sample.
-        let name = match name.split_once('{') {
-            Some((base, _)) => format!("{base}_le"),
-            None => name.to_string(),
-        };
-        out.insert(name, value);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,12 +669,16 @@ mod tests {
         let text = r.snapshot().render_prometheus();
         assert!(text.contains("# TYPE uuidp_leases_total counter"), "{text}");
         assert!(text.contains("uuidp_leases_total 42"), "{text}");
-        let parsed = parse_exposition(&text);
-        assert_eq!(parsed["uuidp_leases_total"], 42.0);
-        assert_eq!(parsed["uuidp_nodes_up"], 3.0);
-        assert_eq!(parsed["uuidp_lease_latency_ns_count"], 2.0);
-        assert_eq!(parsed["uuidp_lease_latency_ns_sum"], 100_100.0);
-        assert_eq!(parsed["uuidp_lease_latency_ns_bucket_le"], 2.0);
+        let parsed = Snapshot::parse_prometheus(&text);
+        assert_eq!(parsed.scalar("uuidp_leases_total"), Some(42.0));
+        assert_eq!(parsed.scalar("uuidp_nodes_up"), Some(3.0));
+        assert_eq!(parsed.scalar("uuidp_lease_latency_ns"), Some(2.0));
+        let Some(MetricValue::Histogram(parsed_h)) = parsed.metrics.get("uuidp_lease_latency_ns")
+        else {
+            panic!("the histogram must parse back as one: {text}");
+        };
+        assert_eq!(parsed_h.sum_ns(), 100_100);
+        assert_eq!(parsed_h.buckets(), h.snapshot().buckets());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!                 │  else gets one `error:` text line, then close
 //!                 │  complete frames, dispatched by kind:
 //!                 ├── lease/reset ──► shard worker (tenant % shards)
-//!                 └── drain/summary/shutdown/halt ──► control thread
+//!                 └── drain/summary/shutdown ──► control thread
 //!                        reply frames are *queued* back to the reactor
 //!                        (by the shard itself for a lease) and flushed
 //!                        with vectored writes on write readiness,
@@ -37,13 +37,16 @@
 //!
 //! Shutdown is graceful and client-initiated: the summary frame is
 //! projected from the final [`ServiceReport`] by [`wire_summary`].
-//! [`TcpServer::halt`] remains the in-process crash lever, and the v2
-//! `halt` frame is its remote twin; both discard the report and sever
-//! every connection mid-command. The durability layer's
+//! [`TcpServer::halt`] is the crash lever: it severs every connection
+//! mid-command, and no client sees a report. The durability layer's
 //! `halt_after_persists` hook arrives here too: a lease reply flagged
 //! `halted` makes the server die *instead of replying* — a crash
 //! dropped exactly between the write-ahead persist and the reply, which
 //! no external kill can aim that precisely.
+//!
+//! A lease asks for at most [`frame::MAX_LEASE_COUNT`] IDs: the reactor
+//! refuses a larger one with a typed error before any shard sees it, so
+//! every reply fits one frame.
 //!
 //! Clients live in `uuidp_client`: [`Client`](uuidp_client::Client) is
 //! the one remote caller type, from the stress driver and fleet router
@@ -152,8 +155,8 @@ impl ServerState {
 
 /// Kills the server from inside: stop accepting, tear the service down,
 /// sever every live connection mid-command, and wake the accept loop.
-/// This is the shared crash fiction behind [`TcpServer::halt`], the v2
-/// `halt` frame, and the `halt_after_persists` hook — clients see an
+/// This is the shared crash fiction behind [`TcpServer::halt`] and the
+/// `halt_after_persists` hook — clients see an
 /// abrupt EOF, and what survives is only what the durability layer
 /// persisted write-ahead. The service's report goes only to an
 /// in-process caller ([`TcpServer::halt`]); `None` means a shutdown or
@@ -234,7 +237,8 @@ impl TcpServer {
         });
         let (report_tx, report_rx) = sync_channel::<ServiceReport>(1);
 
-        // The v2 control lane (drain / summary / shutdown / halt).
+        // The v2 control lane (drain / summary / shutdown, and the
+        // halt-after-persists crash).
         // Unbounded, so a shard handing it a halted lease never waits.
         let (ctrl_tx, ctrl_rx) = channel::<CtrlJob>();
         let control = {
@@ -435,10 +439,7 @@ impl V2Conn {
     /// mid-exchange.
     pub(crate) fn answer_lease(&self, corr: u64, reply: &LeaseReply, trace: &TraceRecorder) {
         if reply.halted {
-            self.control(CtrlJob::Halt {
-                reason: "halt-after-persists",
-                focus_corr: Some(corr),
-            });
+            self.control(CtrlJob::Halt { corr });
             return;
         }
         let _ = self.send(corr, &lease_resp(reply));
@@ -471,33 +472,16 @@ pub(crate) enum CtrlJob {
         conn: Arc<V2Conn>,
         corr: u64,
     },
-    /// Crash the node ([`crash_server`]), naming the crash path and the
-    /// in-flight request it cut off, if any.
+    /// Crash the node ([`crash_server`]) for the `halt_after_persists`
+    /// hook, focused on the lease `corr` it cut off.
     Halt {
-        reason: &'static str,
-        focus_corr: Option<u64>,
+        corr: u64,
     },
 }
 
-/// Arcs that fit one v2 lease-reply frame: the fixed fields plus 32
-/// bytes per arc must stay under [`frame::MAX_PAYLOAD`], or the encoder
-/// would emit a frame the peer must reject as corrupt.
-const MAX_REPLY_ARCS: usize = (frame::MAX_PAYLOAD as usize - 64) / 32;
-
+/// The reply frame for a served lease. It fits one frame: arcs ≤
+/// granted ≤ the request's count ≤ [`frame::MAX_LEASE_COUNT`].
 fn lease_resp(reply: &LeaseReply) -> FrameBody {
-    // A grant fragmented into more arcs than one frame can carry (only
-    // the Random algorithm's point-per-ID leases get near this) must
-    // become a *typed* error the client can read — never an over-cap
-    // frame that kills the connection as a framing violation.
-    if reply.arcs.len() > MAX_REPLY_ARCS {
-        return FrameBody::Error {
-            message: format!(
-                "lease fragmented into {} arcs, more than one v2 frame carries \
-                 (max {MAX_REPLY_ARCS}); request fewer IDs per lease",
-                reply.arcs.len()
-            ),
-        };
-    }
     FrameBody::LeaseResp {
         tenant: reply.tenant,
         granted: reply.granted,
@@ -568,9 +552,14 @@ fn control_worker(
                     None => state.refuse(&conn, corr),
                 }
             }
-            CtrlJob::Halt { reason, focus_corr } => {
+            CtrlJob::Halt { corr } => {
                 // Over the wire a crash discards the report.
-                drop(crash_server(&state, local_addr, reason, focus_corr));
+                drop(crash_server(
+                    &state,
+                    local_addr,
+                    "halt-after-persists",
+                    Some(corr),
+                ));
                 return;
             }
         }
@@ -650,6 +639,16 @@ pub(crate) fn dispatch_frame(
                 shared.send_error(corr, message);
                 return Disposition::Keep;
             }
+            if count > frame::MAX_LEASE_COUNT {
+                shared.send_error(
+                    corr,
+                    format!(
+                        "lease of {count} IDs is above the v2 cap of {} IDs per lease",
+                        frame::MAX_LEASE_COUNT
+                    ),
+                );
+                return Disposition::Keep;
+            }
             state.trace.record(
                 corr,
                 tenant,
@@ -724,13 +723,6 @@ pub(crate) fn dispatch_frame(
             });
             Disposition::Keep
         }
-        FrameBody::HaltReq => {
-            shared.control(CtrlJob::Halt {
-                reason: "halt",
-                focus_corr: None,
-            });
-            Disposition::Keep
-        }
         other => sever_with(
             0,
             format!("unexpected {} frame from a client", other.name()),
@@ -745,6 +737,7 @@ mod tests {
     use std::io::{Read, Write};
     use uuidp_client::{Client, ClientOptions};
     use uuidp_core::algorithms::AlgorithmKind;
+    use uuidp_obs::{families, Snapshot};
 
     fn server(bits: u32) -> (TcpServer, IdSpace) {
         let space = IdSpace::with_bits(bits).unwrap();
@@ -1045,24 +1038,6 @@ mod tests {
     }
 
     #[test]
-    fn remote_halt_is_the_crash_lever_over_the_wire() {
-        let (server, space) = server(36);
-        let addr = server.local_addr();
-        let client = Client::connect(addr, space).unwrap();
-        assert_eq!(client.lease(0, 25).unwrap().granted, 25);
-        let watcher = Client::connect(addr, space).unwrap();
-        client.halt().unwrap();
-        // Siblings are severed, no summary anywhere, and join() has no
-        // report to hand back — exactly like an in-process halt.
-        let err = watcher.lease(0, 1).unwrap_err();
-        assert!(
-            is_severed(&err),
-            "remote halt should sever siblings, got {err:?}"
-        );
-        assert!(server.join().is_none(), "halt must not produce a report");
-    }
-
-    #[test]
     fn sibling_connections_are_unblocked_by_shutdown() {
         let (server, space) = server(36);
         let addr = server.local_addr();
@@ -1080,31 +1055,25 @@ mod tests {
     }
 
     #[test]
-    fn oversized_lease_replies_become_typed_errors_not_corrupt_frames() {
-        let space = IdSpace::with_bits(64).unwrap();
-        let arc = uuidp_core::interval::Arc::new(space, uuidp_core::id::Id(0), 1);
-        let huge = LeaseReply {
-            tenant: 1,
-            arcs: vec![arc; MAX_REPLY_ARCS + 1],
-            granted: (MAX_REPLY_ARCS + 1) as u128,
-            error: None,
-            halted: false,
-        };
-        match lease_resp(&huge) {
-            FrameBody::Error { message } => assert!(message.contains("arcs"), "{message}"),
-            other => panic!("expected an error frame, got {}", other.name()),
-        }
-        // A heavily fragmented but frame-sized reply still encodes to a
-        // decodable frame.
-        let ok = LeaseReply {
-            tenant: 1,
-            arcs: vec![arc; 10_000],
-            granted: 10_000,
-            error: None,
-            halted: false,
-        };
-        let bytes = frame::encode_frame(3, &lease_resp(&ok));
-        assert!(frame::decode_frame(&bytes).unwrap().is_some());
+    fn over_cap_leases_are_refused_before_any_id_is_issued() {
+        // Random leases one arc per ID, the widest reply there is.
+        let space = IdSpace::with_bits(24).unwrap();
+        let config = ServiceConfig::new(AlgorithmKind::Random, space);
+        let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        let err = client.lease(0, frame::MAX_LEASE_COUNT + 1).unwrap_err();
+        assert!(err.to_string().contains("above the v2 cap"), "{err}");
+        // The refusal answers one request: the connection keeps serving,
+        // and a lease at the cap crosses in one frame, one arc per ID.
+        let lease = client.lease(0, frame::MAX_LEASE_COUNT).unwrap();
+        assert_eq!(lease.granted, frame::MAX_LEASE_COUNT);
+        assert_eq!(lease.arcs.len() as u128, frame::MAX_LEASE_COUNT);
+        assert_eq!(
+            client.shutdown().unwrap().issued_ids,
+            frame::MAX_LEASE_COUNT,
+            "the refused lease must issue nothing"
+        );
+        server.join().unwrap();
     }
 
     #[test]
@@ -1127,26 +1096,37 @@ mod tests {
     }
 
     #[test]
+    fn a_bound_server_registers_every_required_family() {
+        let (server, space) = server(40);
+        assert_eq!(
+            families::missing(&server.registry().snapshot()),
+            Vec::<&str>::new()
+        );
+        Client::connect(server.local_addr(), space)
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
     fn metrics_scrape_works_over_the_wire() {
         let (server, space) = server(40);
         let client = Client::connect(server.local_addr(), space).unwrap();
         assert_eq!(client.lease(2, 64).unwrap().granted, 64);
         let text = client.metrics().unwrap();
-        let families = uuidp_obs::parse_exposition(&text);
+        let snap = Snapshot::parse_prometheus(&text);
+        assert_eq!(snap.scalar("uuidp_ids_issued_total"), Some(64.0), "{text}");
+        assert_eq!(snap.scalar("uuidp_leases_total"), Some(1.0));
         assert_eq!(
-            families.get("uuidp_ids_issued_total"),
-            Some(&64.0),
-            "{text}"
-        );
-        assert_eq!(families.get("uuidp_leases_total"), Some(&1.0));
-        assert!(
-            families.contains_key("uuidp_lease_latency_ns_count"),
-            "histogram family missing from scrape:\n{text}"
+            families::missing(&snap),
+            Vec::<&str>::new(),
+            "required family missing from scrape:\n{text}"
         );
         // Scrapes are monotone: more work, bigger counters.
         assert_eq!(client.lease(2, 36).unwrap().granted, 36);
-        let again = uuidp_obs::parse_exposition(&client.metrics().unwrap());
-        assert_eq!(again.get("uuidp_ids_issued_total"), Some(&100.0));
+        let again = Snapshot::parse_prometheus(&client.metrics().unwrap());
+        assert_eq!(again.scalar("uuidp_ids_issued_total"), Some(100.0));
         client.shutdown().unwrap();
         server.join().unwrap();
     }

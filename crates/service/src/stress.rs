@@ -53,7 +53,7 @@ use uuidp_client::{
     Client, ClientOptions, FaultCounters, RetryPolicy, Session, Summary, CHAOS_TIMEOUT,
 };
 use uuidp_netchaos::{schedule_fingerprint, ChaosProxy, ChaosReport, ChaosSpec, FINGERPRINT_CONNS};
-use uuidp_obs::{SlowLease, Snapshot, TailSampler, TimeSeries};
+use uuidp_obs::{families, SlowLease, Snapshot, TailSampler, TimeSeries};
 
 use crate::net::TcpServer;
 use crate::service::{AuditReport, IdService, ServiceConfig, ServiceReport};
@@ -114,11 +114,6 @@ impl StressConfig {
     }
 }
 
-/// Metric families every scrape of a live service must expose. The
-/// canonical list lives with the registry ([`uuidp_obs::families`]);
-/// this re-export keeps the stress driver's old path working.
-pub use uuidp_obs::families::REQUIRED as REQUIRED_FAMILIES;
-
 /// What the scrape sidecar (and the final server-side snapshot)
 /// observed during a `scrape`-enabled remote run.
 #[derive(Debug, Clone)]
@@ -132,56 +127,45 @@ pub struct MetricsReport {
     /// Peak per-window `uuidp_ids_issued_total` delta across the
     /// retained windows: the hottest scrape-to-scrape issue burst.
     pub peak_ids_per_window: u64,
-    /// Final authoritative family values, read from the server-side
-    /// registry after the run — flattened the way
-    /// [`uuidp_obs::parse_exposition`] flattens an exposition.
-    pub families: std::collections::BTreeMap<String, f64>,
+    /// Final authoritative family values: the server-side registry's
+    /// snapshot after the run.
+    pub families: Snapshot,
 }
 
 /// The scrape sidecar: one dedicated connection hammering `metrics`
-/// while the run is live. Every scrape asserts the [`REQUIRED_FAMILIES`]
-/// are present and that no counter family went backwards — the
-/// monotonicity half of the export-surface contract — and is ingested
-/// into a bounded [`TimeSeries`] ring (one window per scrape), so the
-/// report can describe the run's shape over time, not just its end
-/// state. Ends (returning the scrape count and the ring) when the
-/// shutdown severs its connection.
+/// while the run is live. Every scrape is parsed into a typed
+/// [`Snapshot`], must name every [`families::REQUIRED`] family, and is
+/// ingested into a bounded [`TimeSeries`] ring (one window per scrape)
+/// whose reset count must stay 0: no counter or histogram goes
+/// backwards on one server. The ring also lets the report describe the
+/// run's shape over time, not just its end state. Ends (returning the
+/// scrape count and the ring) when the shutdown severs its connection.
 fn spawn_wire_scraper(addr: SocketAddr, space: IdSpace) -> JoinHandle<(u64, TimeSeries)> {
     std::thread::spawn(move || {
         let mut scrapes = 0u64;
         let mut series = TimeSeries::new(64);
-        let mut last: std::collections::BTreeMap<String, f64> = Default::default();
         let options = ClientOptions::bounded(Some(CHAOS_TIMEOUT));
         let Ok(client) = Client::connect_with(addr, space, options) else {
             return (0, series); // raced the shutdown before the first scrape
         };
-        loop {
-            let text = match client.metrics() {
-                Ok(t) => t,
-                Err(_) => return (scrapes, series), // severed: the run is over
-            };
-            let families = uuidp_obs::parse_exposition(&text);
-            for name in REQUIRED_FAMILIES {
-                assert!(
-                    families.contains_key(*name),
-                    "scrape missing required family {name}:\n{text}"
-                );
-            }
-            for (name, value) in &families {
-                if name.ends_with("_total") || name.ends_with("_count") {
-                    if let Some(prev) = last.get(name) {
-                        assert!(
-                            value >= prev,
-                            "metric family {name} went backwards across scrapes: {prev} -> {value}"
-                        );
-                    }
-                }
-            }
-            last = families;
-            series.ingest(scrapes, &Snapshot::parse_prometheus(&text));
+        // Scrapes until the shutdown severs the connection.
+        while let Ok(text) = client.metrics() {
+            let snap = Snapshot::parse_prometheus(&text);
+            let missing = families::missing(&snap);
+            assert!(
+                missing.is_empty(),
+                "scrape missing required families {missing:?}:\n{text}"
+            );
+            series.ingest(scrapes, &snap);
+            assert_eq!(
+                series.resets_total(),
+                0,
+                "a metric family went backwards across scrapes:\n{text}"
+            );
             scrapes += 1;
             std::thread::sleep(Duration::from_millis(2));
         }
+        (scrapes, series)
     })
 }
 
@@ -667,7 +651,7 @@ impl StressReport {
             out.push_str(&format!(
                 "metrics:     {} live scrapes, {} families exported\n",
                 metrics.scrapes,
-                metrics.families.len()
+                metrics.families.metrics.len()
             ));
             if metrics.windows > 0 {
                 out.push_str(&format!(
@@ -708,7 +692,7 @@ impl StressReport {
     pub fn chaos_mirror_agrees(&self) -> Option<bool> {
         let chaos = self.chaos.as_ref()?;
         let metrics = self.metrics.as_ref()?;
-        let of = |name: &str| metrics.families.get(name).copied().unwrap_or(-1.0);
+        let of = |name: &str| metrics.families.scalar(name).unwrap_or(-1.0);
         let i = &chaos.injected;
         Some(
             of("uuidp_netchaos_connections_total") == i.connections as f64
@@ -753,7 +737,7 @@ pub fn run_stress_remote(config: StressConfig) -> io::Result<StressReport> {
                     .map(|w| w.counter("uuidp_ids_issued_total"))
                     .max()
                     .unwrap_or(0),
-                families: uuidp_obs::parse_exposition(&registry.snapshot().render_prometheus()),
+                families: registry.snapshot(),
             }
         })
     };
@@ -1068,16 +1052,16 @@ mod tests {
         // The final server-side registry agrees exactly with the wire
         // summary the run reported.
         assert_eq!(
-            metrics.families.get("uuidp_ids_issued_total"),
-            Some(&(report.issued_ids as f64)),
+            metrics.families.scalar("uuidp_ids_issued_total"),
+            Some(report.issued_ids as f64),
         );
         assert_eq!(
-            metrics.families.get("uuidp_leases_total"),
-            Some(&(report.requests as f64)),
+            metrics.families.scalar("uuidp_leases_total"),
+            Some(report.requests as f64),
         );
         assert_eq!(
-            metrics.families.get("uuidp_audit_records_total"),
-            Some(&(report.audit.records as f64)),
+            metrics.families.scalar("uuidp_audit_records_total"),
+            Some(report.audit.records as f64),
         );
         let rendered = report.render();
         assert!(rendered.contains("live scrapes"), "{rendered}");

@@ -22,7 +22,7 @@ use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::clock;
 use uuidp::core::id::IdSpace;
 use uuidp::netchaos::{ChaosProxy, ChaosSpec};
-use uuidp::obs::{parse_exposition, Stage};
+use uuidp::obs::{Snapshot, Stage};
 use uuidp::service::net::TcpServer;
 use uuidp::service::service::{DurabilityConfig, IdService, ServiceConfig};
 
@@ -65,17 +65,18 @@ fn every_connection_scrapes_the_same_registry() {
     for tenant in 0..4u64 {
         assert_eq!(first.lease(tenant, 32).unwrap().granted, 32);
     }
-    let from_first = parse_exposition(&first.metrics().unwrap());
-    assert_eq!(from_first["uuidp_leases_total"], 4.0);
-    assert_eq!(from_first["uuidp_ids_issued_total"], 128.0);
+    let from_first = Snapshot::parse_prometheus(&first.metrics().unwrap());
+    assert_eq!(from_first.scalar("uuidp_leases_total"), Some(4.0));
+    assert_eq!(from_first.scalar("uuidp_ids_issued_total"), Some(128.0));
 
     let second = Client::connect(addr, space).unwrap();
     assert_eq!(second.lease(9, 16).unwrap().granted, 16);
-    let from_second = parse_exposition(&second.metrics().unwrap());
-    assert_eq!(from_second["uuidp_leases_total"], 5.0);
-    assert_eq!(from_second["uuidp_ids_issued_total"], 144.0);
-    assert!(
-        from_second.contains_key("uuidp_lease_latency_ns_count"),
+    let from_second = Snapshot::parse_prometheus(&second.metrics().unwrap());
+    assert_eq!(from_second.scalar("uuidp_leases_total"), Some(5.0));
+    assert_eq!(from_second.scalar("uuidp_ids_issued_total"), Some(144.0));
+    assert_eq!(
+        from_second.scalar("uuidp_lease_latency_ns"),
+        Some(5.0),
         "histogram families must export"
     );
 

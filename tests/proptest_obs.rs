@@ -6,9 +6,10 @@
 //!   samples, land on bit-identical buckets, counts, sums, and maxima.
 //!   This is what makes per-shard recording legal: the exported totals
 //!   cannot depend on thread scheduling.
-//! * **Exposition round-trips** — every scalar a snapshot renders is
-//!   recovered exactly by `parse_exposition`, so scrapers see the
-//!   registry's true values, not an approximation.
+//! * **Exposition round-trips** — every scalar and histogram bucket a
+//!   snapshot renders is recovered exactly by
+//!   `Snapshot::parse_prometheus`, so scrapers see the registry's true
+//!   values, not an approximation.
 //! * **Window merge is order- and interleaving-invariant** — cluster
 //!   assembly over per-node windows cannot depend on scrape order.
 //! * **Counter resets never produce a negative rate** — a restarted
@@ -18,9 +19,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use uuidp::obs::{
-    parse_exposition, Histogram, MetricValue, Registry, Snapshot, TimeSeries, Window,
-};
+use uuidp::obs::{Histogram, MetricValue, Registry, Snapshot, TimeSeries, Window};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -111,17 +110,21 @@ proptest! {
         }
 
         let snapshot = registry.snapshot();
-        let families = parse_exposition(&snapshot.render_prometheus());
+        let parsed = Snapshot::parse_prometheus(&snapshot.render_prometheus());
         for (i, &n) in counts.iter().enumerate() {
-            prop_assert_eq!(families[&format!("uuidp_test_c{i}_total")], n as f64);
+            prop_assert_eq!(
+                parsed.scalar(&format!("uuidp_test_c{i}_total")),
+                Some(n as f64)
+            );
         }
-        prop_assert_eq!(families["uuidp_test_depth"], gauge as f64);
-        prop_assert_eq!(
-            families["uuidp_test_latency_ns_count"],
-            latencies.len() as f64
-        );
+        prop_assert_eq!(parsed.scalar("uuidp_test_depth"), Some(gauge as f64));
+        let Some(MetricValue::Histogram(h)) = parsed.metrics.get("uuidp_test_latency_ns") else {
+            panic!("the histogram must parse back as one");
+        };
+        prop_assert_eq!(h.count(), latencies.len() as u64);
         let sum: u128 = latencies.iter().map(|&n| n as u128).sum();
-        prop_assert_eq!(families["uuidp_test_latency_ns_sum"], sum as f64);
+        prop_assert_eq!(h.sum_ns(), sum);
+        prop_assert_eq!(h.buckets(), hist.snapshot().buckets());
     }
 
     #[test]
