@@ -20,11 +20,12 @@ use uuidp_sim::montecarlo::{estimate_oblivious, TrialConfig};
 use uuidp_client::frame::MAX_LEASE_COUNT;
 use uuidp_client::{ClientOptions, RetryPolicy, Session};
 use uuidp_fleet::run::{run_fleet, FleetConfig, FleetReport};
+use uuidp_fleet::stress::run_stress_remote;
 use uuidp_netchaos::ChaosSpec;
 use uuidp_service::net::{ServerOptions, TcpServer};
 use uuidp_service::protocol::{render_lease, Command};
 use uuidp_service::service::{check_tenant, IdService, ServiceConfig, ServiceReport, TENANT_BITS};
-use uuidp_service::stress::{run_stress, run_stress_remote, StressConfig, StressReport};
+use uuidp_service::stress::{run_stress, StressConfig, StressReport};
 
 use crate::spec::{parse_algorithm_kind, IdFormat, ParseError};
 
@@ -387,20 +388,21 @@ pub struct StressOpts {
     /// Replay over a loopback TCP server through the real socket client
     /// instead of in-process channels.
     pub remote: bool,
-    /// Client-side pool width for `--remote` runs: worker threads
-    /// multiplexing one persistent connection all run.
+    /// Lease threads of the one-node fleet a `--remote` run drives,
+    /// each serving the tenants `t % remote_workers`: they share one
+    /// persistent connection, or dial one each under chaos.
     pub remote_workers: usize,
     /// Chaos spec for `--remote` runs: a deterministic fault-injecting
-    /// proxy sits between the client pool and the server (see
+    /// proxy sits between the lease threads and the node (see
     /// `uuidp_netchaos::ChaosSpec` for the grammar, e.g.
     /// `small` or `heavy,latency_us:200`).
     pub chaos: Option<String>,
     /// Seed for the chaos fault schedule; the same seed reproduces the
     /// identical schedule bit for bit.
     pub chaos_seed: u64,
-    /// Run a live metrics scraper beside the load (`--remote` only): a
-    /// dedicated connection scrapes the registry throughout the run,
-    /// asserting required families stay present and monotone.
+    /// Scrape the node's registry once per time-series window
+    /// (`--remote` only); a scrape without a required family, or a
+    /// counter that goes backwards, fails the run.
     pub scrape: bool,
 }
 
@@ -446,13 +448,18 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
 
     // Both the main phase and the injected-collision validation phase go
     // through the selected transport, so `--remote` exercises the whole
-    // socket path end to end.
-    let run = |cfg: StressConfig| -> Result<StressReport, ParseError> {
-        if opts.remote {
-            run_stress_remote(cfg).map_err(|e| ParseError(format!("remote stress: {e}")))
-        } else {
-            Ok(run_stress(cfg))
+    // socket path end to end: a one-node fleet with `--remote-workers`
+    // lease threads.
+    let run = |cfg: StressConfig, chaos: Option<ChaosSpec>| -> Result<StressReport, ParseError> {
+        if !opts.remote {
+            return Ok(run_stress(cfg));
         }
+        let mut wire = FleetConfig::one_node(cfg);
+        wire.workers = opts.remote_workers;
+        wire.chaos = chaos;
+        wire.chaos_seed = opts.chaos_seed;
+        wire.scrape = opts.scrape;
+        run_stress_remote(wire).map_err(|e| ParseError(format!("remote stress: {e}")))
     };
 
     if opts.remote_workers == 0 {
@@ -492,24 +499,20 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
         opts.count,
     );
     cfg.mix = mix;
-    cfg.remote_workers = opts.remote_workers;
-    cfg.chaos = chaos;
-    cfg.chaos_seed = opts.chaos_seed;
-    cfg.scrape = opts.scrape;
     let mut transport = if !opts.remote {
         String::new()
-    } else if cfg.remote_workers > 1 && cfg.chaos.is_none() {
+    } else if opts.remote_workers > 1 && chaos.is_none() {
         format!(
             " (loopback TCP transport, {} workers multiplexing one connection)",
-            cfg.remote_workers
+            opts.remote_workers
         )
     } else {
         " (loopback TCP transport)".into()
     };
-    if let Some(spec) = &cfg.chaos {
+    if let Some(spec) = &chaos {
         transport.push_str(&format!(" [chaos `{spec}` seed {:#x}]", opts.chaos_seed));
     }
-    let main = run(cfg.clone())?;
+    let main = run(cfg.clone(), chaos)?;
     let mut out = format!(
         "# stress: {} over m = 2^{}{}\n\n{}",
         opts.algorithm,
@@ -521,13 +524,12 @@ pub fn stress(opts: &StressOpts) -> Result<String, ParseError> {
     let gate = TwinGate::new(cfg.tenants, cfg.requests, cfg.count);
     let mut check = cfg;
     check.mix = TrafficMix::Uniform;
+    (check.tenants, check.requests, check.count) = (TwinGate::TENANTS, gate.requests(), gate.count);
+    check.service.seed_alias = Some((0, 1));
     // The twin-stream count is exact only on a clean network: a dropped
     // or truncated request would shorten one twin's stream and turn the
     // gate into noise, so validation always runs chaos-free.
-    check.chaos = None;
-    (check.tenants, check.requests, check.count) = (TwinGate::TENANTS, gate.requests(), gate.count);
-    check.service.seed_alias = Some((0, 1));
-    let injected = run(check)?;
+    let injected = run(check, None)?;
     out.push_str(&gate.check(
         "audit validation (injected same-seed twin tenants)",
         injected.audit.counts.duplicate_ids,
@@ -656,10 +658,11 @@ pub struct FleetOpts {
     pub seed: u64,
     /// Chaos mode: crash-restart a random node every K requests.
     pub kill_every: Option<u64>,
-    /// Write-ahead reservation window per persist.
+    /// Write-ahead reservation window per persist (with `kill_every`).
     pub reservation: u128,
-    /// Durable state root; a per-run temp directory (cleaned up
-    /// afterwards) when unset.
+    /// Durable state root for `kill_every` runs; a per-run temp
+    /// directory (cleaned up afterwards) when unset. Without
+    /// `kill_every` the nodes keep no state, and setting it is refused.
     pub state_dir: Option<String>,
     /// Chaos spec: every node gets its own deterministic fault-injecting
     /// proxy derived from `--chaos-seed` (see `uuidp_netchaos::ChaosSpec`
@@ -712,6 +715,12 @@ pub fn fleet(opts: &FleetOpts) -> Result<String, ParseError> {
     if opts.kill_every == Some(0) {
         return Err(ParseError(
             "--kill-every must be at least 1 (omit the flag to disable chaos)".into(),
+        ));
+    }
+    if opts.state_dir.is_some() && opts.kill_every.is_none() {
+        return Err(ParseError(
+            "--state-dir only applies with --kill-every (a fleet that never restarts keeps no state)"
+                .into(),
         ));
     }
     check_wire_count(placement, opts.count)?;
@@ -1618,6 +1627,17 @@ mod tests {
     }
 
     #[test]
+    fn fleet_rejects_a_state_dir_without_kill_every() {
+        let opts = FleetOpts {
+            state_dir: Some("/nonexistent/uuidp-state".into()),
+            ..FleetOpts::trials_small("cluster")
+        };
+        let err = fleet(&opts).unwrap_err();
+        assert!(err.0.contains("--state-dir"), "{}", err.0);
+        assert!(err.0.contains("--kill-every"), "{}", err.0);
+    }
+
+    #[test]
     fn stress_rejects_pool_without_remote() {
         let opts = StressOpts {
             remote_workers: 4,
@@ -1643,14 +1663,14 @@ mod tests {
             stress_with("cluster", "hunter", MAX_LEASE_COUNT + 1),
         ] {
             let err = stress(&opts).unwrap_err();
-            assert!(err.0.contains("cap of 524286"), "{}", err.0);
+            assert!(err.0.contains("cap of 524284"), "{}", err.0);
         }
         let opts = FleetOpts {
             count: 600_000,
             ..FleetOpts::trials_small("cluster")
         };
         let err = fleet(&opts).unwrap_err();
-        assert!(err.0.contains("cap of 524286"), "{}", err.0);
+        assert!(err.0.contains("cap of 524284"), "{}", err.0);
         // The cap itself fits, under flood too.
         assert!(check_wire_count(TrafficMix::Uniform, MAX_LEASE_COUNT).is_ok());
         assert!(check_wire_count(TrafficMix::Flood, MAX_LEASE_COUNT / 4).is_ok());

@@ -74,13 +74,15 @@ fn print_usage() {
          \x20 uuidp stress   --algorithm SPEC [--bits N=48] [--shards N=2] [--tenants N=8] [--requests N=20000]\n\
          \x20                [--count N=256] [--mix uniform|skewed|flood|hunter] [--audit-stripes N=16]\n\
          \x20                [--audit-threads N=1] [--seed N] [--trials-small] [--remote (loopback TCP transport)]\n\
-         \x20                [--remote-workers N=1 (pool width, multiplexing one connection)]\n\
+         \x20                [--remote-workers N=1 (lease threads of the one-node fleet --remote runs:\n\
+         \x20                 one connection shared, or one each under --chaos)]\n\
          \x20                [--chaos SPEC (fault-injecting proxy; needs --remote)] [--chaos-seed N=0]\n\
-         \x20                [--scrape (live metrics scraper beside the load; needs --remote)]\n\
+         \x20                [--scrape (scrape the node once per window; needs --remote)]\n\
          \x20 uuidp fleet    --algorithm SPEC [--bits N=48] [--nodes N=3] [--tenants N=6] [--requests N=5000]\n\
          \x20                [--count N=128] [--placement uniform|skewed|flood|hunter (alias --mix)] [--shards N=2]\n\
          \x20                [--audit-stripes N=8] [--audit-threads N=1] [--seed N] [--kill-every K (chaos restarts)]\n\
-         \x20                [--reservation N=256] [--state-dir DIR] [--trials-small]\n\
+         \x20                [--reservation N=256] [--state-dir DIR] (both apply with --kill-every;\n\
+         \x20                 nodes keep no state without it) [--trials-small]\n\
          \x20                [--chaos SPEC (per-node fault proxies)] [--chaos-seed N=0]\n\
          \x20                [--scrape (scrape every node's registry once per window and at the end;\n\
          \x20                 also aggregates windowed time-series + burn-rate alerts into the report)]\n\

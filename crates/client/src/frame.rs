@@ -70,12 +70,16 @@ pub const VERSION: u32 = 2;
 /// at [`MAX_LEASE_COUNT`].
 pub const MAX_PAYLOAD: u32 = 1 << 24;
 
-/// Most IDs one `LeaseReq` may ask for: 524,286. A reply carries at
-/// most one 32-byte arc per granted ID beside under 64 bytes of fixed
-/// fields, so a lease of at most this many IDs always fits one
-/// [`MAX_PAYLOAD`] frame. Servers refuse a larger request with a typed
-/// error before issuing anything.
-pub const MAX_LEASE_COUNT: u128 = (MAX_PAYLOAD as u128 - 64) / 32;
+/// Most IDs one `LeaseReq` may ask for: 524,284. A `LeaseResp` carries
+/// at most one 32-byte arc per granted ID, and beside the arcs at most
+/// 120 bytes: 41 bytes of fixed fields (tenant 8, granted 16, arc count
+/// 8, error flag 1, error length 8) and the longest error text, the 79
+/// bytes of `instance exhausted after generating N IDs` at
+/// `N = u128::MAX`. With a 128-byte reserve, a lease of at most this
+/// many IDs always fits one [`MAX_PAYLOAD`] frame, short grant or not.
+/// Servers refuse a larger request with a typed error before issuing
+/// anything.
+pub const MAX_LEASE_COUNT: u128 = (MAX_PAYLOAD as u128 - 128) / 32;
 
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 4 + 1 + 8 + 4;
@@ -638,5 +642,35 @@ mod tests {
             decode_frame(&bytes),
             Err(FrameError::Oversized(_))
         ));
+    }
+
+    #[test]
+    fn the_largest_lease_replies_fit_one_frame() {
+        // A short grant's error text takes the room of the arc it did
+        // not grant; the longest such text is the exhaustion message at
+        // u128::MAX generated IDs.
+        let worst_error = format!("instance exhausted after generating {} IDs", u128::MAX);
+        assert_eq!(worst_error.len(), 79);
+        let arcs = |n: u128| (0..n).map(|i| (2 * i, 1)).collect::<Vec<_>>();
+        let short = FrameBody::LeaseResp {
+            tenant: u64::MAX,
+            granted: MAX_LEASE_COUNT - 1,
+            arcs: arcs(MAX_LEASE_COUNT - 1),
+            error: Some(worst_error),
+        };
+        let full = FrameBody::LeaseResp {
+            tenant: u64::MAX,
+            granted: MAX_LEASE_COUNT,
+            arcs: arcs(MAX_LEASE_COUNT),
+            error: None,
+        };
+        for body in [short, full] {
+            let bytes = encode_frame(u64::MAX, &body);
+            let payload = bytes.len() - HEADER_LEN - TRAILER_LEN;
+            assert!(payload <= MAX_PAYLOAD as usize, "{payload} bytes");
+            let (frame, used) = decode_frame(&bytes).unwrap().expect("one whole frame");
+            assert_eq!(used, bytes.len());
+            assert_eq!(frame.body, body);
+        }
     }
 }

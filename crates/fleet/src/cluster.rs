@@ -2,14 +2,15 @@
 //!
 //! A [`Fleet`] owns `N` independent [`TcpServer`] nodes, each a full
 //! `uuidp-service` instance (its own worker shards, audit pipeline, and
-//! TCP front-end on an ephemeral loopback port) with its own durable
-//! state directory under the fleet's root. Nodes share nothing at
-//! runtime — the only cross-node artifact is the *seed convention*:
-//! every node uses the same master seed, so a tenant's ID stream
-//! depends only on its tenant number, never on which node serves it.
-//! That is what lets the global audit pin bit-identical totals across
-//! node counts (tenants are pinned to nodes, so no tenant is ever
-//! served by two nodes in one run).
+//! TCP front-end on an ephemeral loopback port). Durable nodes keep
+//! their state under the fleet's root, one directory per node; volatile
+//! nodes keep none and cannot restart. Nodes share nothing at runtime —
+//! the only cross-node artifact is the *seed convention*: every node
+//! uses the same master seed, so a tenant's ID stream depends only on
+//! its tenant number, never on which node serves it. That is what lets
+//! the global audit pin bit-identical totals across node counts
+//! (tenants are pinned to nodes, so no tenant is ever served by two
+//! nodes in one run).
 //!
 //! [`Fleet::crash`] is the chaos lever: it pulls the node down via
 //! [`TcpServer::halt`] and **discards** the node's in-memory state —
@@ -27,10 +28,9 @@ use uuidp_obs::{Registry, TraceRecorder};
 use uuidp_service::net::TcpServer;
 use uuidp_service::service::{DurabilityConfig, ServiceConfig, ServiceReport};
 
-/// One node of the fleet: a service + TCP front-end with durable state.
+/// One node of the fleet: a service + TCP front-end.
 pub struct FleetNode {
     index: usize,
-    dir: PathBuf,
     addr: SocketAddr,
     server: Option<TcpServer>,
     incarnation: u32,
@@ -57,11 +57,6 @@ impl FleetNode {
         self.server.is_some()
     }
 
-    /// The node's durable state directory.
-    pub fn state_dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The live incarnation's metric registry, if the node is up.
     /// Crash-restarts boot a fresh registry: in-memory counters die in
     /// the power cut with everything else, so handles must be re-taken
@@ -80,35 +75,47 @@ impl FleetNode {
 /// A running fleet of loopback nodes.
 pub struct Fleet {
     template: ServiceConfig,
-    reservation: u128,
+    /// The state root and write-ahead reservation window of durable
+    /// nodes; `None` for volatile ones.
+    durable: Option<(PathBuf, u128)>,
     nodes: Vec<FleetNode>,
 }
 
 impl Fleet {
-    /// Boots `nodes ≥ 1` nodes from the shared `template`
-    /// configuration, each with durable state under
-    /// `state_dir/node-<i>` and the given write-ahead reservation
-    /// window. Any `durability` already present on the template is
-    /// replaced by the per-node configuration.
+    /// Boots `nodes ≥ 1` durable nodes from the shared `template`
+    /// configuration, each with its state under `state_dir/node-<i>`
+    /// and the given write-ahead reservation window. Any `durability`
+    /// already present on the template is replaced by the per-node
+    /// configuration.
     pub fn launch(
         template: ServiceConfig,
         nodes: usize,
         state_dir: &Path,
         reservation: u128,
     ) -> io::Result<Fleet> {
+        Fleet::boot(template, nodes, Some((state_dir, reservation)))
+    }
+
+    /// Boots `nodes ≥ 1` nodes from `template`: durable ones as
+    /// [`Fleet::launch`] does when `durable` names a state root and a
+    /// reservation window, volatile ones (no state, no restarts) when
+    /// it is `None`.
+    pub(crate) fn boot(
+        template: ServiceConfig,
+        nodes: usize,
+        durable: Option<(&Path, u128)>,
+    ) -> io::Result<Fleet> {
         assert!(nodes >= 1, "a fleet needs at least one node");
         let mut fleet = Fleet {
             template,
-            reservation,
+            durable: durable.map(|(dir, reservation)| (dir.to_path_buf(), reservation)),
             nodes: Vec::with_capacity(nodes),
         };
         for index in 0..nodes {
-            let dir = state_dir.join(format!("node-{index}"));
-            let server = TcpServer::bind("127.0.0.1:0", fleet.node_config(&dir))?;
+            let server = TcpServer::bind("127.0.0.1:0", fleet.node_config(index))?;
             fleet.nodes.push(FleetNode {
                 index,
                 addr: server.local_addr(),
-                dir,
                 server: Some(server),
                 incarnation: 0,
             });
@@ -116,14 +123,17 @@ impl Fleet {
         Ok(fleet)
     }
 
-    fn node_config(&self, dir: &Path) -> ServiceConfig {
+    fn node_config(&self, index: usize) -> ServiceConfig {
         let mut config = self.template.clone();
-        config.durability = Some(DurabilityConfig {
-            dir: dir.to_path_buf(),
-            reservation: self.reservation,
-            sync: false,
-            halt_after_persists: None,
-        });
+        config.durability = self
+            .durable
+            .as_ref()
+            .map(|(dir, reservation)| DurabilityConfig {
+                dir: dir.join(format!("node-{index}")),
+                reservation: *reservation,
+                sync: false,
+                halt_after_persists: None,
+            });
         config
     }
 
@@ -152,17 +162,23 @@ impl Fleet {
         node.server.take().and_then(TcpServer::halt)
     }
 
-    /// Boots a fresh incarnation of a crashed node on a new ephemeral
-    /// port. Boot replays the shard logs in the node's state directory
-    /// and, before the node serves anything, restores every tenant from
-    /// its newest write-ahead record, advanced past the abandoned
-    /// reservation window.
+    /// Boots a fresh incarnation of a crashed durable node on a new
+    /// ephemeral port. Boot replays the shard logs in the node's state
+    /// directory and, before the node serves anything, restores every
+    /// tenant from its newest write-ahead record, advanced past the
+    /// abandoned reservation window. Only durable nodes restart: with
+    /// no records a volatile node's tenants would start over and
+    /// re-issue their IDs.
     pub fn restart(&mut self, index: usize) -> io::Result<SocketAddr> {
         assert!(
             self.nodes[index].server.is_none(),
             "node {index} is still up; crash it first"
         );
-        let server = TcpServer::bind("127.0.0.1:0", self.node_config(&self.nodes[index].dir))?;
+        assert!(
+            self.durable.is_some(),
+            "node {index} is volatile; a restart would re-issue its IDs"
+        );
+        let server = TcpServer::bind("127.0.0.1:0", self.node_config(index))?;
         let node = &mut self.nodes[index];
         node.addr = server.local_addr();
         node.server = Some(server);

@@ -3,13 +3,17 @@
 //! The [`Router`] plays two roles at once:
 //!
 //! * **Placement + transport** — every tenant is pinned to one node
-//!   (`tenant % nodes`), and the router keeps **one [`Session`] per
-//!   node**: one persistent connection for the whole run, redialed
-//!   only after a failure or a crash-restart, with the session's retry
-//!   loop and failure streak behind every request and the node's
-//!   health. The pinning is what makes the whole fleet deterministic:
-//!   a tenant's stream is a function of its seed alone, and no tenant
-//!   is ever served by two nodes, so changing the node count only
+//!   (`tenant % nodes`) and leases on one *lane* (`tenant % lanes`). A
+//!   lane holds one [`Session`] per node, so each of the runner's
+//!   workers has sessions of its own, with the session's retry loop and
+//!   failure streak behind every request and the node's health. On a
+//!   clean network every lane shares one connection per node
+//!   ([`Router::connect`] clones one session, and clones share their
+//!   client); behind a chaos proxy each lane dials its own
+//!   ([`Router::set_addr`]), so a severed connection stalls one lane
+//!   only. The pinning is what makes the whole fleet deterministic: a
+//!   tenant's stream is a function of its seed alone, and no tenant is
+//!   ever served by two nodes, so changing the node or lane count only
 //!   re-partitions the same set of per-tenant streams.
 //! * **Global collision audit** — per-node audits die with their node
 //!   and, worse, can never see a duplicate that spans two nodes (the
@@ -30,6 +34,13 @@
 //! *exactly* the IDs a tenant re-emitted across its own restarts —
 //! the quantity chaos mode hard-fails on (see [`crate::run`]).
 //!
+//! The lanes share one ledger: both audits, the issued, lease and error
+//! counts, the latency histogram and a worst-K [`TailSampler`]. The
+//! audits' duplicate counts are interleaving-invariant, so the lanes
+//! may record in any order. A lane is meant for one thread at a time,
+//! so its lock is uncontended, and [`Router::lease`] runs on the
+//! caller's thread.
+//!
 //! Which tenant leases next is not the router's decision: the runner
 //! walks `uuidp_adversary::schedule::Scheduler` and routes each step
 //! here, so the adaptive hunter plays across nodes.
@@ -37,6 +48,7 @@
 use std::fmt;
 use std::io;
 use std::net::SocketAddr;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use uuidp_core::clock;
@@ -44,7 +56,7 @@ use uuidp_core::clock;
 use uuidp_client::{ClientOptions, FaultCounters, ProtoVersion, RetryPolicy, Session};
 use uuidp_core::id::IdSpace;
 use uuidp_core::interval::Arc;
-use uuidp_obs::Histogram;
+use uuidp_obs::{Histogram, SlowLease, TailSampler};
 use uuidp_service::service::TENANT_BITS;
 use uuidp_sim::audit::{AuditCounts, LeaseAudit};
 
@@ -61,8 +73,8 @@ pub fn owner_key(tenant: u64, incarnation: u32) -> u64 {
     ((incarnation as u64) << TENANT_BITS) | tenant
 }
 
-/// A node's health as the router sees it, read off the node session's
-/// failure streak.
+/// A node's health as the router sees it, read off the node sessions'
+/// failure streaks.
 ///
 /// `Healthy → Suspect` on the first failed attempt, `Suspect → Down`
 /// after [`DOWN_AFTER`] consecutive failed attempts, and any state
@@ -95,23 +107,31 @@ impl fmt::Display for NodeHealth {
 /// Consecutive failures that demote a suspect node to down.
 pub const DOWN_AFTER: u32 = 3;
 
-/// The router's view of one node: its session (none until an address
-/// is known) and the incarnation its leases audit under.
-#[derive(Default)]
-struct NodeLink {
-    session: Option<Session>,
-    incarnation: u32,
+/// Worst leases the ledger keeps, with the correlation ids their span
+/// timelines are fetched back by.
+const TAIL_SAMPLES: usize = 4;
+
+/// One lane: a session slot per node, empty until an address is known.
+type Lane = Vec<Option<Session>>;
+
+/// Lane `lane`'s retry schedule: `policy` with its own jitter seed, so
+/// the lanes' backoffs stay seed-determined but do not move in step.
+/// Lane 0 keeps `policy`'s seed.
+fn lane_policy(policy: RetryPolicy, lane: usize) -> RetryPolicy {
+    RetryPolicy {
+        seed: policy.seed ^ (lane as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ..policy
+    }
 }
 
-/// The tenant-affine fleet router (see the module docs).
-pub struct Router {
-    space: IdSpace,
-    links: Vec<NodeLink>,
-    policy: RetryPolicy,
-    dial_timeout: Option<Duration>,
+/// What the lanes share: the global audits and the lease accounting.
+struct Ledger {
+    /// Each node's incarnation, the tag its leases audit under.
+    incarnations: Vec<u32>,
     /// The ledgers of sessions replaced by `connect` / `set_addr`.
     retired: FaultCounters,
     latency: Histogram,
+    tail: TailSampler,
     audit: LeaseAudit,
     audit_by_tenant: LeaseAudit,
     issued: u128,
@@ -119,12 +139,21 @@ pub struct Router {
     errors: u64,
 }
 
+/// The tenant-affine fleet router (see the module docs).
+pub struct Router {
+    space: IdSpace,
+    nodes: usize,
+    policy: RetryPolicy,
+    dial_timeout: Option<Duration>,
+    lanes: Vec<Mutex<Lane>>,
+    ledger: Mutex<Ledger>,
+}
+
 impl Router {
-    /// A router for `nodes` nodes over `space`, auditing globally with
-    /// `audit_stripes` stripes, holding one multiplexed v2 connection
-    /// per node. The fourth parameter has a single possible value; it
-    /// is kept only because the out-of-workspace benchmark
-    /// (`perfbench/`) still passes it.
+    /// A router for `nodes` nodes over `space` with one lane, auditing
+    /// globally with `audit_stripes` stripes. The fourth parameter has
+    /// a single possible value; it is kept only because the
+    /// out-of-workspace benchmark (`perfbench/`) still passes it.
     pub fn new(
         space: IdSpace,
         nodes: usize,
@@ -134,31 +163,50 @@ impl Router {
         assert!(nodes >= 1, "at least one node");
         Router {
             space,
-            links: (0..nodes).map(|_| NodeLink::default()).collect(),
+            nodes,
             policy: RetryPolicy::none(),
             dial_timeout: None,
-            retired: FaultCounters::default(),
-            latency: Histogram::new(),
-            audit: LeaseAudit::new(space, audit_stripes),
-            audit_by_tenant: LeaseAudit::new(space, audit_stripes),
-            issued: 0,
-            leases: 0,
-            errors: 0,
+            lanes: vec![Mutex::new(vec![None; nodes])],
+            ledger: Mutex::new(Ledger {
+                incarnations: vec![0; nodes],
+                retired: FaultCounters::default(),
+                latency: Histogram::new(),
+                tail: TailSampler::new(TAIL_SAMPLES, 0),
+                audit: LeaseAudit::new(space, audit_stripes),
+                audit_by_tenant: LeaseAudit::new(space, audit_stripes),
+                issued: 0,
+                leases: 0,
+                errors: 0,
+            }),
         }
+    }
+
+    /// Sets the lane count (`lanes ≥ 1`): tenant `t` leases on lane
+    /// `t % lanes`. Call it before the first `connect` or `set_addr`,
+    /// like [`Router::set_retry_policy`]; it empties every lane.
+    pub(crate) fn set_lanes(&mut self, lanes: usize) {
+        assert!(lanes >= 1, "at least one lane");
+        self.lanes = (0..lanes)
+            .map(|_| Mutex::new(vec![None; self.nodes]))
+            .collect();
     }
 
     /// The node pinned to `tenant`.
     pub fn node_of(&self, tenant: u64) -> usize {
-        (tenant % self.links.len() as u64) as usize
+        (tenant % self.nodes as u64) as usize
     }
 
-    /// Installs the retry schedule for node failures. The default is
-    /// [`RetryPolicy::none`] — fail fast, the right behavior when the
-    /// network is supposed to be clean and an error means a bug.
+    /// Installs the retry schedule for node failures, each lane with its
+    /// own jitter seed. The default is [`RetryPolicy::none`] — fail
+    /// fast, the right behavior when the network is supposed to be
+    /// clean and an error means a bug.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.policy = policy;
-        for session in self.links.iter_mut().filter_map(|l| l.session.as_mut()) {
-            session.set_policy(policy);
+        for (l, lane) in self.lanes.iter_mut().enumerate() {
+            let lane = lane.get_mut().expect("router lane");
+            for session in lane.iter_mut().flatten() {
+                session.set_policy(lane_policy(policy, l));
+            }
         }
     }
 
@@ -166,68 +214,105 @@ impl Router {
     /// this whenever a chaos proxy sits on the path.
     pub fn set_dial_timeout(&mut self, timeout: Option<Duration>) {
         self.dial_timeout = timeout;
-        for session in self.links.iter_mut().filter_map(|l| l.session.as_mut()) {
-            session.set_options(ClientOptions::bounded(timeout));
+        for lane in &mut self.lanes {
+            let lane = lane.get_mut().expect("router lane");
+            for session in lane.iter_mut().flatten() {
+                session.set_options(ClientOptions::bounded(timeout));
+            }
         }
     }
 
-    /// Installs `session` as node `index`'s, keeping the replaced
-    /// session's ledger.
-    fn install(&mut self, index: usize, session: Session) {
-        if let Some(old) = self.links[index].session.replace(session) {
-            self.retired.merge(&old.faults());
+    /// Installs `session(lane)` as node `index`'s session on every lane,
+    /// keeping the replaced sessions' ledgers.
+    fn install(&self, index: usize, session: impl Fn(usize) -> Session) {
+        let mut retired = FaultCounters::default();
+        for (l, lane) in self.lanes.iter().enumerate() {
+            let old = lane.lock().expect("router lane")[index].replace(session(l));
+            if let Some(old) = old {
+                retired.merge(&old.faults());
+            }
         }
+        self.ledger
+            .lock()
+            .expect("router ledger")
+            .retired
+            .merge(&retired);
     }
 
-    /// Opens (or replaces) the persistent connection to node `index`.
-    pub fn connect(&mut self, index: usize, addr: SocketAddr) -> io::Result<()> {
+    /// Opens (or replaces) the persistent connection to node `index`,
+    /// shared by every lane.
+    pub fn connect(&self, index: usize, addr: SocketAddr) -> io::Result<()> {
         let options = ClientOptions::bounded(self.dial_timeout);
         let session = Session::connect(addr, self.space, options, self.policy)?;
-        self.install(index, session);
+        self.install(index, |l| {
+            let mut lane = session.clone();
+            lane.set_policy(lane_policy(self.policy, l));
+            lane
+        });
         Ok(())
     }
 
     /// Records node `index`'s address without dialing: the first
-    /// request routed there probes it. This is how a router starts
-    /// against a chaotic network, where even the first dial may be
-    /// inside a partition window.
-    pub fn set_addr(&mut self, index: usize, addr: SocketAddr) {
+    /// request each lane routes there dials its own connection. This is
+    /// how a router starts against a chaotic network, where even the
+    /// first dial may be inside a partition window.
+    pub fn set_addr(&self, index: usize, addr: SocketAddr) {
         let options = ClientOptions::bounded(self.dial_timeout);
-        let session = Session::new(addr, self.space, options, self.policy);
-        self.install(index, session);
+        self.install(index, |l| {
+            Session::new(addr, self.space, options, lane_policy(self.policy, l))
+        });
+    }
+
+    /// Bumps node `index`'s incarnation: its tenants audit under the
+    /// next one from here on, so any overlap with their pre-crash
+    /// material counts.
+    fn bump_incarnation(&self, index: usize) {
+        self.ledger.lock().expect("router ledger").incarnations[index] += 1;
     }
 
     /// Reconnects to a crash-restarted node: fresh connection, and all
     /// the node's tenants audit under the next incarnation from here
-    /// on (so any overlap with their pre-crash material counts).
-    pub fn reconnect_after_crash(&mut self, index: usize, addr: SocketAddr) -> io::Result<()> {
-        self.links[index].incarnation += 1;
+    /// on.
+    pub fn reconnect_after_crash(&self, index: usize, addr: SocketAddr) -> io::Result<()> {
+        self.bump_incarnation(index);
         self.connect(index, addr)
     }
 
     /// The crash acknowledgement for proxied topologies, where the
     /// node's *proxy* address is stable across the restart: bumps the
-    /// incarnation and drops the (dead) connection — dropping a
-    /// client fails its pending waiters with a typed broken-connection
-    /// error, so in-flight work is drained, never stranded. The next
-    /// request to the node redials through the stored address.
-    pub fn mark_restarted(&mut self, index: usize) {
-        let link = &mut self.links[index];
-        link.incarnation += 1;
-        if let Some(session) = link.session.as_mut() {
-            session.disconnect();
+    /// incarnation and drops every lane's (dead) connection — dropping
+    /// a client fails its pending waiters with a typed
+    /// broken-connection error, so in-flight work is drained, never
+    /// stranded. The next request to the node redials through the
+    /// stored address.
+    pub fn mark_restarted(&self, index: usize) {
+        self.bump_incarnation(index);
+        for lane in &self.lanes {
+            if let Some(session) = lane.lock().expect("router lane")[index].as_mut() {
+                session.disconnect();
+            }
         }
     }
 
     /// The incarnation the router currently attributes to node `index`.
     pub fn incarnation(&self, index: usize) -> u32 {
-        self.links[index].incarnation
+        self.ledger.lock().expect("router ledger").incarnations[index]
     }
 
-    /// Node `index`'s health as of the last request routed to it.
+    /// Node `index`'s health as of the last request routed to it: the
+    /// longest failure streak among its lanes' sessions.
     pub fn health(&self, index: usize) -> NodeHealth {
-        let session = self.links[index].session.as_ref();
-        match session.map_or(0, Session::failure_streak) {
+        let streak = self
+            .lanes
+            .iter()
+            .filter_map(|lane| {
+                lane.lock().expect("router lane")[index]
+                    .as_ref()
+                    .map(Session::failure_streak)
+            })
+            .max()
+            .unwrap_or(0);
+        match streak {
             0 => NodeHealth::Healthy,
             streak if streak < DOWN_AFTER => NodeHealth::Suspect,
             _ => NodeHealth::Down,
@@ -237,23 +322,36 @@ impl Router {
     /// The per-fault-class ledger of everything the node sessions
     /// absorbed (all-zero under a clean network).
     pub fn fault_counters(&self) -> FaultCounters {
-        let mut faults = self.retired;
-        for session in self.links.iter().filter_map(|l| l.session.as_ref()) {
-            faults.merge(&session.faults());
+        let mut faults = self.ledger.lock().expect("router ledger").retired;
+        for lane in &self.lanes {
+            for session in lane.lock().expect("router lane").iter().flatten() {
+                faults.merge(&session.faults());
+            }
         }
         faults
     }
 
     /// Client-side lease latency through this router (includes retry
     /// and backoff time — the latency a caller actually experienced).
-    pub fn latency(&self) -> &Histogram {
-        &self.latency
+    pub fn latency(&self) -> Histogram {
+        self.ledger.lock().expect("router ledger").latency.clone()
     }
 
-    /// Routes one lease to the tenant's node over the persistent
-    /// connection and records the granted arcs in both global audits.
+    /// The slowest leases routed so far, worst first, with their
+    /// correlation ids and nodes (timelines not yet fetched).
+    pub(crate) fn slow_leases(&self) -> Vec<SlowLease> {
+        self.ledger
+            .lock()
+            .expect("router ledger")
+            .tail
+            .worst()
+            .to_vec()
+    }
+
+    /// Routes one lease to the tenant's node over the tenant's lane and
+    /// records the granted arcs in both global audits.
     ///
-    /// Failures are classified and retried by the node's [`Session`]
+    /// Failures are classified and retried by the lane's [`Session`]
     /// under the installed [`RetryPolicy`] — always against the
     /// tenant's *own* node. There is no cross-node failover, by design:
     /// every node derives the same per-tenant streams from the shared
@@ -261,74 +359,84 @@ impl Router {
     /// manufacture the exact duplicates this whole system exists to
     /// prevent. A lost reply means the granted IDs leak; a retry gets
     /// fresh ones (leak-not-duplicate, pinned by the global audit).
-    pub fn lease(&mut self, tenant: u64, count: u128) -> io::Result<Vec<Arc>> {
+    pub fn lease(&self, tenant: u64, count: u128) -> io::Result<Vec<Arc>> {
         let node = self.node_of(tenant);
+        let lane = (tenant % self.lanes.len() as u64) as usize;
         let started_ns = clock::monotonic_ns();
-        let session = self.links[node].session.as_mut().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::NotConnected,
-                format!("router has no address for node {node}"),
-            )
-        })?;
-        let lease = session.call(|c| c.lease(tenant, count))?;
-        self.latency.record(Duration::from_nanos(
-            clock::monotonic_ns().saturating_sub(started_ns),
-        ));
-        self.leases += 1;
-        self.issued += lease.granted;
-        self.errors += lease.error.is_some() as u64;
-        let owner = owner_key(tenant, self.links[node].incarnation);
+        let (lease, corr) = {
+            let mut lane = self.lanes[lane].lock().expect("router lane");
+            let session = lane[node].as_mut().ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::NotConnected,
+                    format!("router has no address for node {node}"),
+                )
+            })?;
+            session.call(|c| c.lease_with_corr(tenant, count))?
+        };
+        let latency_ns = clock::monotonic_ns().saturating_sub(started_ns);
+        let mut ledger = self.ledger.lock().expect("router ledger");
+        ledger.latency.record_ns(latency_ns);
+        ledger.tail.offer(corr, tenant, node, latency_ns);
+        ledger.leases += 1;
+        ledger.issued += lease.granted;
+        ledger.errors += lease.error.is_some() as u64;
+        let owner = owner_key(tenant, ledger.incarnations[node]);
         for &arc in &lease.arcs {
-            self.audit.record(owner, arc);
-            self.audit_by_tenant.record(tenant, arc);
+            ledger.audit.record(owner, arc);
+            ledger.audit_by_tenant.record(tenant, arc);
         }
         Ok(lease.arcs)
     }
 
     /// Total IDs issued through this router.
     pub fn issued(&self) -> u128 {
-        self.issued
+        self.ledger.lock().expect("router ledger").issued
     }
 
     /// Leases routed.
     pub fn leases(&self) -> u64 {
-        self.leases
+        self.ledger.lock().expect("router ledger").leases
     }
 
     /// Leases whose grant fell short (generator exhaustion).
     pub fn errors(&self) -> u64 {
-        self.errors
+        self.ledger.lock().expect("router ledger").errors
     }
 
     /// The incarnation-keyed global audit counters (restart-aware).
     pub fn global_counts(&self) -> AuditCounts {
-        self.audit.counts()
+        self.ledger.lock().expect("router ledger").audit.counts()
     }
 
     /// The tenant-keyed global audit counters (restart-blind: genuine
     /// cross-tenant duplicates only).
     pub fn cross_tenant_counts(&self) -> AuditCounts {
-        self.audit_by_tenant.counts()
+        self.ledger
+            .lock()
+            .expect("router ledger")
+            .audit_by_tenant
+            .counts()
     }
 
     /// IDs a tenant re-emitted across its own restarts — the recovery
     /// failure metric, provably `global − cross_tenant` (the owner
     /// refinement argument in the module docs).
     pub fn recovered_duplicate_ids(&self) -> u128 {
-        self.audit.counts().duplicate_ids - self.audit_by_tenant.counts().duplicate_ids
+        let ledger = self.ledger.lock().expect("router ledger");
+        ledger.audit.counts().duplicate_ids - ledger.audit_by_tenant.counts().duplicate_ids
     }
 
-    /// Sends `shutdown` over node `index`'s connection. The node's own
-    /// summary frame is dropped — the caller collects the richer
+    /// Sends `shutdown` over node `index`'s lane-0 session. The node's
+    /// own summary frame is dropped — the caller collects the richer
     /// server-side report via
     /// [`Fleet::join_node`](crate::cluster::Fleet::join_node).
     ///
-    /// Like [`Router::lease`], the shutdown runs in the node's session,
-    /// so it survives a poisoned connection: on failure a fresh
-    /// connection is dialed (up to the retry budget) and the run's
-    /// accounting is never lost to a fault scheduled mid-teardown.
-    pub fn shutdown_node(&mut self, index: usize) -> io::Result<()> {
-        match self.links[index].session.as_mut() {
+    /// Like [`Router::lease`], the shutdown runs in a node session, so
+    /// it survives a poisoned connection: on failure a fresh connection
+    /// is dialed (up to the retry budget) and the run's accounting is
+    /// never lost to a fault scheduled mid-teardown.
+    pub fn shutdown_node(&self, index: usize) -> io::Result<()> {
+        match self.lanes[0].lock().expect("router lane")[index].as_mut() {
             None => Ok(()), // never connected, nothing to shut down
             Some(session) => session.call(|c| c.clone().shutdown()).map(drop),
         }

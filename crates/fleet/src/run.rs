@@ -2,10 +2,22 @@
 //! schedule (the [`Scheduler`] the stress driver walks too), optionally
 //! crash-restarting nodes along the way, and aggregate everything into
 //! one [`FleetReport`].
+//!
+//! The runner walks the schedule on its own thread and hands each
+//! oblivious step to one of `workers` tenant-pinned threads (tenant `t`
+//! to worker `t % workers`, which leases on router lane `t % workers`),
+//! without waiting for the reply; the hunter's steps lease on the
+//! runner's thread, because each move waits for its arcs. Before each
+//! crash-restart, each time-series window and the teardown the runner
+//! waits for every worker to finish what it was handed, so kill points,
+//! window contents, alerts and fingerprints are functions of the request
+//! count, whatever the worker count.
 
 use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::thread::Scope;
 use std::time::Duration;
 
 use uuidp_core::clock;
@@ -18,7 +30,7 @@ use uuidp_core::rng::{uniform_below, Xoshiro256pp};
 use uuidp_netchaos::{
     schedule_fingerprint, ChaosProxy, ChaosReport, ChaosSpec, FaultCounts, FINGERPRINT_CONNS,
 };
-use uuidp_obs::{families, AlertTransition, Snapshot, Stage};
+use uuidp_obs::{families, render_slow_leases, AlertTransition, SlowLease, Snapshot, Stage};
 use uuidp_service::service::{
     AuditReport, AuditThreadReport, ServiceConfig, ServiceReport, TENANT_BITS,
 };
@@ -112,6 +124,95 @@ fn series_tick(
     Ok(())
 }
 
+/// One step handed to a worker.
+enum Job {
+    /// A lease whose reply only the router's ledger needs.
+    Lease(u64, u128),
+    /// Answers, once every earlier job is served, with the worker's
+    /// first lease error since the previous barrier.
+    Barrier(SyncSender<Option<io::Error>>),
+}
+
+/// The runner's `workers` tenant-pinned lease threads (see the module
+/// docs), each serving its queue in order through the shared router.
+struct Workers {
+    jobs: Vec<SyncSender<Job>>,
+}
+
+/// A worker thread ended early; only a panic does that, which the
+/// enclosing scope re-raises.
+fn worker_exited() -> io::Error {
+    io::Error::other("a fleet worker exited")
+}
+
+impl Workers {
+    /// Spawns `workers ≥ 1` threads in `scope`. With `abandon`, a lease
+    /// whose retry budget ran out is dropped (its session counted it);
+    /// without, it fails the run at the next barrier.
+    fn spawn<'scope, 'env>(
+        scope: &'scope Scope<'scope, 'env>,
+        router: &'env Router,
+        workers: usize,
+        abandon: bool,
+    ) -> Workers {
+        let jobs = (0..workers)
+            .map(|_| {
+                let (tx, rx) = sync_channel::<Job>(1024);
+                scope.spawn(move || {
+                    let mut failed = None;
+                    for job in rx {
+                        match job {
+                            Job::Lease(tenant, count) => {
+                                if let Err(e) = router.lease(tenant, count) {
+                                    if !abandon {
+                                        failed.get_or_insert(e);
+                                    }
+                                }
+                            }
+                            Job::Barrier(done) => {
+                                let _ = done.send(failed.take());
+                            }
+                        }
+                    }
+                });
+                tx
+            })
+            .collect();
+        Workers { jobs }
+    }
+
+    /// Hands `tenant`'s lease to its worker without waiting for it.
+    fn lease(&self, tenant: u64, count: u128) -> io::Result<()> {
+        let worker = &self.jobs[(tenant % self.jobs.len() as u64) as usize];
+        worker
+            .send(Job::Lease(tenant, count))
+            .map_err(|_| worker_exited())
+    }
+
+    /// Waits until every worker has served every job handed to it, and
+    /// returns the first lease error since the previous barrier.
+    fn barrier(&self) -> io::Result<()> {
+        let answers = self
+            .jobs
+            .iter()
+            .map(|worker| {
+                let (done, answer) = sync_channel(1);
+                worker
+                    .send(Job::Barrier(done))
+                    .map_err(|_| worker_exited())?;
+                Ok(answer)
+            })
+            .collect::<io::Result<Vec<Receiver<_>>>>()?;
+        let mut result = Ok(());
+        for answer in answers {
+            if let Some(e) = answer.recv().map_err(|_| worker_exited())? {
+                result = result.and(Err(e));
+            }
+        }
+        result
+    }
+}
+
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -119,7 +220,7 @@ pub struct FleetConfig {
     /// audit pipeline, master seed, fault injection); its
     /// `audit_stripes` also stripe the router's global audits.
     /// `durability` is managed by the fleet — per node, under
-    /// `state_dir`.
+    /// `state_dir`, and only with `kill_every`.
     pub service: ServiceConfig,
     /// Number of nodes.
     pub nodes: usize,
@@ -132,7 +233,13 @@ pub struct FleetConfig {
     /// The request schedule's mix; tenants are node-pinned, so this is
     /// also the cross-node placement.
     pub placement: TrafficMix,
-    /// Chaos mode: crash-restart a random node every `K` requests.
+    /// Lease threads (`≥ 1`), each serving the tenants `t % workers`
+    /// on a router lane of its own. Clean runs share one connection
+    /// per node across them; under chaos each dials its own.
+    pub workers: usize,
+    /// Chaos mode: crash-restart a random node every `K` requests. Only
+    /// such runs make their nodes durable; without it they keep no
+    /// state.
     pub kill_every: Option<u64>,
     /// Adversarial-network mode: when set, every node gets a
     /// [`ChaosProxy`] built from this spec in front of it, the router
@@ -141,7 +248,8 @@ pub struct FleetConfig {
     pub chaos: Option<ChaosSpec>,
     /// Seed for the proxies' fault schedules and the retry jitter.
     pub chaos_seed: u64,
-    /// Write-ahead reservation window for node durability.
+    /// Write-ahead reservation window for node durability (used with
+    /// `kill_every`).
     pub reservation: u128,
     /// Scrape every node's metric registry over the wire — once per
     /// time-series window and once more before the nodes shut down.
@@ -149,13 +257,14 @@ pub struct FleetConfig {
     /// may go backwards on one node incarnation at any window: either
     /// failure ends the run with an error.
     pub scrape: bool,
-    /// Root directory for per-node durable state.
+    /// Root directory for per-node durable state (used with
+    /// `kill_every`).
     pub state_dir: PathBuf,
 }
 
 impl FleetConfig {
-    /// A fleet of `nodes` nodes over `service`, with durable state
-    /// under `state_dir` and modest defaults.
+    /// A fleet of `nodes` nodes over `service`, with durable state (if
+    /// any) under `state_dir` and modest defaults.
     pub fn new(service: ServiceConfig, nodes: usize, state_dir: impl Into<PathBuf>) -> Self {
         FleetConfig {
             service,
@@ -164,6 +273,7 @@ impl FleetConfig {
             requests: 1000,
             count: 64,
             placement: TrafficMix::Uniform,
+            workers: 1,
             kill_every: None,
             chaos: None,
             chaos_seed: 0,
@@ -171,6 +281,28 @@ impl FleetConfig {
             scrape: false,
             state_dir: state_dir.into(),
         }
+    }
+
+    /// Refuses, as an [`io::ErrorKind::InvalidInput`] error, a config
+    /// no run can honor.
+    fn check(&self) -> io::Result<()> {
+        let refusal = if self.nodes == 0 {
+            "a fleet needs at least one node".to_string()
+        } else if self.workers == 0 {
+            "a fleet needs at least one worker".to_string()
+        } else if self.tenants > 1 << TENANT_BITS {
+            format!(
+                "{} tenants is above 2^{TENANT_BITS}, too wide for incarnation tagging",
+                self.tenants
+            )
+        } else if self.kill_every == Some(0) {
+            // A zero interval would silently disable chaos while the
+            // report still advertises it.
+            "kill_every must be at least 1 (None disables restarts)".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(io::Error::new(io::ErrorKind::InvalidInput, refusal))
     }
 }
 
@@ -201,7 +333,7 @@ pub struct FleetReport {
     pub issued_ids: u128,
     /// Leases whose grant fell short.
     pub errors: u64,
-    /// Wall clock from first request to last drain.
+    /// Wall clock from first request to the last lease served.
     pub elapsed: Duration,
     /// Aggregate issue rate through the fleet front door.
     pub ids_per_sec: f64,
@@ -216,7 +348,7 @@ pub struct FleetReport {
     pub faults: FaultCounters,
     /// The adversarial-network stamp, when proxies were interposed.
     pub chaos: Option<ChaosReport>,
-    /// Per-node wire scrapes of the metric registries, when enabled.
+    /// Per-node registry snapshots, when scraping was enabled.
     pub metrics: Option<FleetMetricsReport>,
     /// Windowed time-series aggregation and burn-rate alert history,
     /// when scraping was enabled.
@@ -239,6 +371,9 @@ pub struct FleetReport {
     pub merged_nodes: AuditReport,
     /// Per-node breakdown.
     pub per_node: Vec<NodeReport>,
+    /// The slowest leases through the router, worst first, with the
+    /// span timelines their nodes still held before shutdown.
+    pub slow: Vec<SlowLease>,
 }
 
 /// The fleet's windowed time-series aggregation, summarized.
@@ -258,6 +393,9 @@ pub struct FleetSeriesReport {
     /// families ([`crate::series::CLUSTER_FAMILIES`]): two same-seed
     /// runs print the same pin.
     pub cluster_fingerprint: u64,
+    /// The largest `uuidp_ids_issued_total` delta of any retained
+    /// cluster window: the hottest window's issue burst.
+    pub peak_ids_per_window: u64,
     /// Scrapes that failed and degraded their node's series for the
     /// tick (also exported as `uuidp_fleet_scrape_errors_total`).
     pub scrape_errors: u64,
@@ -267,11 +405,12 @@ pub struct FleetSeriesReport {
     pub firing: Vec<&'static str>,
 }
 
-/// Per-node wire scrapes of the fleet's metric registries.
+/// Per-node snapshots of the fleet's metric registries.
 #[derive(Debug, Clone)]
 pub struct FleetMetricsReport {
-    /// Each node's end-of-run scrape. These are the *final
-    /// incarnation's* registries: a crash-restart boots a fresh
+    /// Each node's registry snapshot, taken after the node shut down,
+    /// so it holds every count the shutdown settled. These are the
+    /// *final incarnation's* registries: a crash-restart boots a fresh
     /// registry, so on restarted nodes the totals cover post-recovery
     /// traffic only.
     pub per_node: Vec<Snapshot>,
@@ -368,33 +507,27 @@ impl FleetReport {
             out.push_str(&self.faults.render_slo(self.requests));
             out.push('\n');
         }
+        out.push_str(&render_slow_leases(&self.slow));
         out
     }
 }
 
-/// Runs one fleet scenario end to end: launch `nodes` durable nodes,
-/// route `requests` leases per the request schedule (crash-restarting
+/// Runs one fleet scenario end to end: launch `nodes` nodes (durable
+/// ones only with `kill_every`), route `requests` leases per the
+/// request schedule through `workers` lease threads (crash-restarting
 /// victims if chaos is on), then shut every node down gracefully and
-/// merge the accounting. On any mid-run error the surviving nodes are
-/// torn down before the error propagates — no leaked accept threads or
-/// listeners in long-lived embedders.
+/// merge the accounting. A config no run can honor is refused with an
+/// [`io::ErrorKind::InvalidInput`] error before any node boots. On any
+/// mid-run error the surviving nodes are torn down before the error
+/// propagates — no leaked accept threads or listeners in long-lived
+/// embedders.
 pub fn run_fleet(config: FleetConfig) -> io::Result<FleetReport> {
-    assert!(
-        config.tenants <= 1 << TENANT_BITS,
-        "tenant space too wide for incarnation tagging"
-    );
-    // A zero interval would silently disable chaos while the report
-    // still advertises it — reject instead of misleading.
-    assert!(
-        config.kill_every != Some(0),
-        "kill_every must be at least 1 (None disables chaos)"
-    );
-    let mut fleet = Fleet::launch(
-        config.service.clone(),
-        config.nodes,
-        &config.state_dir,
-        config.reservation,
-    )?;
+    config.check()?;
+    // A run that never crashes a node needs no state.
+    let durable = config
+        .kill_every
+        .map(|_| (config.state_dir.as_path(), config.reservation));
+    let mut fleet = Fleet::boot(config.service.clone(), config.nodes, durable)?;
     let result = drive_fleet(&mut fleet, &config);
     if result.is_err() {
         fleet.teardown();
@@ -412,6 +545,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         config.service.audit_stripes,
         ProtoVersion::V2,
     );
+    router.set_lanes(config.workers);
     // Adversarial-network mode: one deterministic proxy per node, the
     // router dials the proxies, and failures are retried (same node —
     // tenant affinity is what keeps retries duplicate-free).
@@ -456,6 +590,10 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
     // choices stay independently reproducible.
     let mut chaos_rng = Xoshiro256pp::new(config.service.master_seed ^ 0xC4A0_5EED);
     let mut restarts = 0u32;
+    // Under chaos an exhausted retry budget abandons the request
+    // (counted against the SLO) instead of failing the run; on a
+    // supposedly clean network it is a real bug.
+    let abandon = config.chaos.is_some();
 
     let started_ns = clock::monotonic_ns();
     let mut submitted = 0u64;
@@ -464,83 +602,86 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
     // so the cluster fingerprint and alert sequence replay exactly.
     let mut series = config.scrape.then(|| FleetSeries::new(config.requests));
     let width = series.as_ref().map_or(u64::MAX, |s| s.width_requests());
-    let mut next_tick_at = width;
-    let mut ticks = 0u64;
-    let mut ticked_bad = 0u64;
-    let mut ticked_submitted = 0u64;
-    while submitted < config.requests {
-        if let Some(k) = config.kill_every {
-            if submitted > 0 && submitted.is_multiple_of(k) {
-                let victim = uniform_below(&mut chaos_rng, config.nodes as u128) as usize;
-                let addr = fleet.crash_restart(victim)?;
-                match proxies.get(victim) {
-                    // The proxy's listen address is stable: point it at
-                    // the successor and let the next request reconnect.
-                    Some(proxy) => {
-                        proxy.retarget(addr);
-                        attach_node_obs(fleet, proxy, victim);
-                        router.mark_restarted(victim);
-                    }
-                    None => router.reconnect_after_crash(victim, addr)?,
-                }
-                restarts += 1;
+    // One aggregation tick over the window since the previous one; a
+    // no-op when nothing was submitted since. "Bad" for the
+    // availability burn is a request the router gave up on: an
+    // exhausted retry budget (the only way a submission fails to land
+    // under chaos), or a short grant.
+    let mut tick = {
+        let router = &router;
+        let (mut ticks, mut ticked_bad, mut ticked_submitted) = (0u64, 0u64, 0u64);
+        move |series: &mut FleetSeries, fleet: &Fleet, submitted: u64| {
+            if submitted == ticked_submitted {
+                return Ok(());
             }
-        }
-        let Some((tenant, count)) = scheduler.next(submitted) else {
-            break;
-        };
-        match router.lease(tenant, count) {
-            Ok(arcs) => {
-                if let Some(arc) = arcs.first() {
-                    scheduler.observe(tenant, arc.start);
-                }
-            }
-            // Under chaos an exhausted retry budget abandons the
-            // request (counted against the SLO) instead of failing the
-            // run; on a supposedly clean network it is a real bug.
-            Err(e) if config.chaos.is_some() => {
-                let _ = e;
-            }
-            Err(e) => return Err(e),
-        }
-        submitted += 1;
-        if let Some(s) = series.as_mut() {
-            if submitted >= next_tick_at || submitted == config.requests {
-                // "Bad" for the availability burn is a request the
-                // router gave up on: an exhausted retry budget (the
-                // only way a submission fails to land under chaos).
-                let bad = router.fault_counters().exhausted + router.errors();
-                series_tick(
-                    fleet,
-                    s,
-                    space,
-                    ticks,
-                    bad - ticked_bad,
-                    submitted - ticked_submitted,
-                )?;
-                ticked_bad = bad;
-                ticked_submitted = submitted;
-                ticks += 1;
-                next_tick_at = submitted + width;
-            }
-        }
-    }
-    // An early scheduler exit (e.g. an exhausted hunter budget) can
-    // leave a partial window unticked — flush it so the series covers
-    // every submission.
-    if let Some(s) = series.as_mut() {
-        if submitted > ticked_submitted {
             let bad = router.fault_counters().exhausted + router.errors();
             series_tick(
                 fleet,
-                s,
+                series,
                 space,
                 ticks,
                 bad - ticked_bad,
                 submitted - ticked_submitted,
             )?;
+            (ticks, ticked_bad, ticked_submitted) = (ticks + 1, bad, submitted);
+            io::Result::Ok(())
         }
-    }
+    };
+    std::thread::scope(|scope| {
+        let workers = Workers::spawn(scope, &router, config.workers, abandon);
+        while submitted < config.requests {
+            if let Some(k) = config.kill_every {
+                if submitted > 0 && submitted.is_multiple_of(k) {
+                    workers.barrier()?;
+                    let victim = uniform_below(&mut chaos_rng, config.nodes as u128) as usize;
+                    let addr = fleet.crash_restart(victim)?;
+                    match proxies.get(victim) {
+                        // The proxy's listen address is stable: point it
+                        // at the successor and let the next request
+                        // reconnect.
+                        Some(proxy) => {
+                            proxy.retarget(addr);
+                            attach_node_obs(fleet, proxy, victim);
+                            router.mark_restarted(victim);
+                        }
+                        None => router.reconnect_after_crash(victim, addr)?,
+                    }
+                    restarts += 1;
+                }
+            }
+            let Some((tenant, count)) = scheduler.next(submitted) else {
+                break;
+            };
+            if config.placement == TrafficMix::Hunter {
+                match router.lease(tenant, count) {
+                    Ok(arcs) => {
+                        if let Some(arc) = arcs.first() {
+                            scheduler.observe(tenant, arc.start);
+                        }
+                    }
+                    Err(_) if abandon => {}
+                    Err(e) => return Err(e),
+                }
+            } else {
+                workers.lease(tenant, count)?;
+            }
+            submitted += 1;
+            if let Some(s) = series.as_mut() {
+                if submitted.is_multiple_of(width) || submitted == config.requests {
+                    workers.barrier()?;
+                    tick(s, fleet, submitted)?;
+                }
+            }
+        }
+        workers.barrier()?;
+        // An early scheduler exit (e.g. an exhausted hunter budget) can
+        // leave a partial window unticked — flush it so the series
+        // covers every submission.
+        match series.as_mut() {
+            Some(s) => tick(s, fleet, submitted),
+            None => Ok(()),
+        }
+    })?;
     let elapsed = Duration::from_nanos(clock::monotonic_ns().saturating_sub(started_ns));
 
     // Graceful teardown: every surviving node drains and reports. The
@@ -552,28 +693,38 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         proxy.set_passthrough(true);
         router.set_addr(i, proxy.addr());
     }
-    // Final scrape, before the nodes drain: each node's final
-    // incarnation's registry, checked like every window's scrape.
-    let metrics = if config.scrape {
-        let per_node = (0..config.nodes)
-            .map(|i| {
-                scrape_node(fleet, i, space)?.ok_or_else(|| {
-                    io::Error::other(format!("node {i} did not answer its final scrape"))
-                })
-            })
-            .collect::<io::Result<_>>()?;
-        Some(FleetMetricsReport { per_node })
-    } else {
-        None
-    };
+    // Final wire scrape, before the nodes drain: checked like every
+    // window's scrape.
+    if config.scrape {
+        for i in 0..config.nodes {
+            scrape_node(fleet, i, space)?.ok_or_else(|| {
+                io::Error::other(format!("node {i} did not answer its final scrape"))
+            })?;
+        }
+    }
+    // The worst leases' span timelines, fetched straight from their
+    // nodes while the trace rings still hold them.
+    let mut slow = router.slow_leases();
+    for lease in &mut slow {
+        if let Ok(text) =
+            Client::connect(fleet.addr(lease.node), space).and_then(|c| c.timeline(lease.corr))
+        {
+            lease.timeline = text;
+        }
+    }
     let mut per_node = Vec::with_capacity(config.nodes);
+    let mut snapshots = Vec::new();
     for i in 0..config.nodes {
+        let registry = fleet.nodes()[i].registry();
         router.shutdown_node(i)?;
         // An error (not a panic) so run_fleet's teardown still reaps
         // the remaining nodes.
         let report = fleet.join_node(i).ok_or_else(|| {
             io::Error::other(format!("node {i} exited without a shutdown report"))
         })?;
+        if config.scrape {
+            snapshots.extend(registry.map(|r| r.snapshot()));
+        }
         per_node.push(NodeReport {
             node: i,
             restarts: fleet.nodes()[i].incarnation(),
@@ -617,10 +768,17 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         width_requests: s.width_requests(),
         incarnation_series: s.incarnation_series(),
         cluster_fingerprint: s.fingerprint(),
+        peak_ids_per_window: s
+            .cluster_windows()
+            .iter()
+            .map(|w| w.counter("uuidp_ids_issued_total"))
+            .max()
+            .unwrap_or(0),
         scrape_errors: s.scrape_errors(),
         transitions: s.transitions().to_vec(),
         firing: s.firing_rules(),
     });
+    let latency = router.latency();
     Ok(FleetReport {
         nodes: config.nodes,
         placement: config.placement,
@@ -629,12 +787,14 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         errors: router.errors(),
         elapsed,
         ids_per_sec: issued_ids as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: router.latency().quantile_ns(0.50) / 1e3,
-        p99_us: router.latency().quantile_ns(0.99) / 1e3,
-        p999_us: router.latency().quantile_ns(0.999) / 1e3,
+        p50_us: latency.quantile_ns(0.50) / 1e3,
+        p99_us: latency.quantile_ns(0.99) / 1e3,
+        p999_us: latency.quantile_ns(0.999) / 1e3,
         faults: router.fault_counters(),
         chaos,
-        metrics,
+        metrics: config.scrape.then_some(FleetMetricsReport {
+            per_node: snapshots,
+        }),
         series,
         restarts,
         global,
@@ -642,6 +802,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
         recovered_duplicate_ids: router.recovered_duplicate_ids(),
         merged_nodes,
         per_node,
+        slow,
     })
 }
 
@@ -925,6 +1086,53 @@ mod tests {
             "a recovered node re-emitted a pre-crash ID"
         );
         assert_eq!(report.global.recorded_ids, report.issued_ids);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn configs_no_run_can_honor_are_refused_before_any_node_boots() {
+        let spoilers: [fn(&mut FleetConfig); 4] = [
+            |c| c.nodes = 0,
+            |c| c.workers = 0,
+            |c| c.tenants = (1 << TENANT_BITS) + 1,
+            |c| c.kill_every = Some(0),
+        ];
+        for (case, spoil) in spoilers.into_iter().enumerate() {
+            let mut cfg = base(AlgorithmKind::Cluster, 40, 2, "refused");
+            cfg.kill_every = Some(10);
+            spoil(&mut cfg);
+            let dir = cfg.state_dir.clone();
+            let err = run_fleet(cfg)
+                .err()
+                .unwrap_or_else(|| panic!("case {case}: ran"));
+            assert_eq!(
+                err.kind(),
+                io::ErrorKind::InvalidInput,
+                "case {case}: {err}"
+            );
+            assert!(!dir.exists(), "case {case}: a node booted");
+        }
+    }
+
+    #[test]
+    fn only_runs_that_restart_nodes_keep_state() {
+        let cfg = base(AlgorithmKind::Cluster, 40, 2, "volatile");
+        let dir = cfg.state_dir.clone();
+        run_fleet(cfg).unwrap();
+        assert!(!dir.exists(), "a run without restarts wrote state");
+
+        let mut cfg = base(AlgorithmKind::Cluster, 40, 2, "durable");
+        cfg.kill_every = Some(100);
+        let dir = cfg.state_dir.clone();
+        assert!(run_fleet(cfg).unwrap().restarts > 0);
+        for node in 0..2 {
+            let shards = std::fs::read_dir(dir.join(format!("node-{node}")))
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .filter(|path| path.join("snapshots.log").is_file())
+                .count();
+            assert!(shards > 0, "node {node} keeps no shard log");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

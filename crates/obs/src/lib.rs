@@ -34,7 +34,8 @@
 //!   [`AlertTransition`]s export as a metric family and stamp into
 //!   the trace ring ([`Stage::Alert`]).
 //! * **[`TailSampler`]** — bounded worst-K lease sampling whose
-//!   retained corr ids get full timelines fetched over the wire.
+//!   retained corr ids get full timelines fetched over the wire, printed
+//!   by [`render_slow_leases`].
 //!
 //! Export surface: [`Snapshot::render_prometheus`] (text exposition,
 //! served by the v2 metrics frame and the `uuidp serve` stdin REPL).
@@ -65,6 +66,6 @@ pub mod trace;
 pub use alert::{AlertRule, AlertState, AlertTransition, BurnRateAlerts};
 pub use flight::dump_flight;
 pub use registry::{AtomicHistogram, Counter, Gauge, Histogram, MetricValue, Registry, Snapshot};
-pub use tail::{SlowLease, TailSampler};
+pub use tail::{render_slow_leases, SlowLease, TailSampler};
 pub use timeseries::{TimeSeries, Window};
 pub use trace::{Stage, TraceEvent, TraceRecorder};

@@ -10,7 +10,7 @@
 //! span events over the wire (`TimelineReq`, protocol v2) and attaches
 //! the assembled client→demux→persist→reply timeline to the sample, so
 //! stress and fleet reports can print end-to-end stories for the worst
-//! offenders instead of a bare p999 number.
+//! offenders instead of a bare p999 number ([`render_slow_leases`]).
 
 /// One sampled slow lease, with its fetched timeline once assembled.
 #[derive(Debug, Clone)]
@@ -74,34 +74,38 @@ impl TailSampler {
         true
     }
 
-    /// Folds another sampler's retained set into this one.
-    pub fn merge(&mut self, other: &TailSampler) {
-        for s in &other.worst {
-            if self.worst.len() == self.cap
-                && s.latency_ns <= self.worst.last().map(|w| w.latency_ns).unwrap_or(0)
-            {
-                continue;
-            }
-            let at = self.worst.partition_point(|w| w.latency_ns >= s.latency_ns);
-            self.worst.insert(at, s.clone());
-            self.worst.truncate(self.cap);
-        }
-    }
-
     /// Retained samples, worst first.
     pub fn worst(&self) -> &[SlowLease] {
         &self.worst
-    }
-
-    /// Mutable access for the post-run timeline-fetch pass.
-    pub fn worst_mut(&mut self) -> &mut [SlowLease] {
-        &mut self.worst
     }
 
     /// True when nothing cleared the threshold.
     pub fn is_empty(&self) -> bool {
         self.worst.is_empty()
     }
+}
+
+/// The `slow leases:` block of a stress or fleet report: the three
+/// worst of `slow`, each with its indented timeline. Empty when `slow`
+/// is.
+pub fn render_slow_leases(slow: &[SlowLease]) -> String {
+    if slow.is_empty() {
+        return String::new();
+    }
+    let mut out = String::from("slow leases:\n");
+    for lease in slow.iter().take(3) {
+        out.push_str(&format!(
+            "  {:.3} ms corr={} tenant={} node={}\n",
+            lease.latency_ns as f64 / 1e6,
+            lease.corr,
+            lease.tenant,
+            lease.node,
+        ));
+        for line in lease.timeline.lines() {
+            out.push_str(&format!("    {line}\n"));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -127,15 +131,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_keeps_global_worst() {
-        let mut a = TailSampler::new(2, 0);
-        a.offer(1, 0, 0, 100);
-        a.offer(2, 0, 0, 300);
-        let mut b = TailSampler::new(2, 0);
-        b.offer(3, 0, 1, 200);
-        b.offer(4, 0, 1, 400);
-        a.merge(&b);
-        let corrs: Vec<u64> = a.worst().iter().map(|s| s.corr).collect();
-        assert_eq!(corrs, vec![4, 2]);
+    fn slow_lease_block_lists_the_three_worst_with_timelines() {
+        assert_eq!(render_slow_leases(&[]), "");
+        let mut t = TailSampler::new(4, 0);
+        for corr in 1..=4 {
+            t.offer(corr, 9, 1, corr * 1_000_000);
+        }
+        let mut slow = t.worst().to_vec();
+        slow[0].timeline = "span corr=4\nreply-sent".into();
+        let text = render_slow_leases(&slow);
+        assert!(text.starts_with("slow leases:\n  4.000 ms corr=4 tenant=9 node=1\n"));
+        assert!(text.contains("    span corr=4\n    reply-sent\n"), "{text}");
+        assert!(
+            text.contains("corr=2") && !text.contains("corr=1 "),
+            "{text}"
+        );
     }
 }

@@ -33,14 +33,15 @@
 //! * [`stress`] — [`stress::run_stress`]: replays the deterministic
 //!   request schedule of `uuidp_adversary::schedule` (uniform,
 //!   Zipf-skewed, flood, and the adaptive RunHunter playing through the
-//!   front door) and reports throughput, p50/p99 issue latency, and
-//!   audit lag. The driver is transport-generic
-//!   ([`stress::StressTarget`]); [`stress::run_stress_remote`] replays
-//!   the same schedule through a loopback TCP server and must reproduce
-//!   the in-process audit totals exactly.
+//!   front door) against an in-process service and reports throughput,
+//!   p50/p99 issue latency, and audit lag in the
+//!   [`stress::StressReport`] layout. Over the wire the same schedule is
+//!   a one-node fleet run (`uuidp_fleet::stress::run_stress_remote`),
+//!   printed in the same layout, and must reproduce the in-process audit
+//!   totals exactly.
 //!
 //! The CLI surfaces this as `uuidp serve` (stdin, or `--listen` for
-//! TCP) and `uuidp stress` (`--remote` for the socket path); the
+//! TCP) and `uuidp stress` (`--remote` for the one-node fleet); the
 //! repository benchmark (`perfbench/`) measures its lease path end to
 //! end and per layer.
 //!
@@ -64,7 +65,5 @@ pub mod prelude {
     pub use crate::service::{
         AuditReport, AuditThreadReport, IdService, LeaseReply, ServiceConfig, ServiceReport,
     };
-    pub use crate::stress::{
-        run_stress, run_stress_remote, StressConfig, StressReport, StressTarget,
-    };
+    pub use crate::stress::{run_stress, StressConfig, StressReport};
 }

@@ -1,8 +1,8 @@
 //! Integration tests pinning the fleet layer's headline guarantees:
 //!
 //! * the **global** collision audit's totals are bit-identical for
-//!   every `(nodes, shards, audit_threads)` combination on the same
-//!   seed and schedule (property-tested, with same-seed twins injected
+//!   every `(nodes, shards, audit_threads, workers)` combination on the
+//!   same seed and schedule (property-tested, with same-seed twins injected
 //!   so the duplicate counter is live, and a tiny universe so organic
 //!   cross-tenant duplicates occur too);
 //! * a **chaos** run (random crash-restarts mid-stress) with injected
@@ -35,6 +35,7 @@ fn replay(
     nodes: usize,
     shards: usize,
     audit_threads: usize,
+    workers: usize,
     tenants: u64,
     requests: u64,
     count: u128,
@@ -53,6 +54,7 @@ fn replay(
     cfg.requests = requests;
     cfg.count = count;
     cfg.placement = TrafficMix::Skewed;
+    cfg.workers = workers;
     let report = run_fleet(cfg).expect("fleet run");
     let _ = std::fs::remove_dir_all(&dir);
     (
@@ -77,22 +79,25 @@ proptest! {
         for &nodes in &[1usize, 2, 3] {
             for &shards in &[1usize, 3] {
                 for &threads in &[1usize, 2] {
-                    let tag = format!("grid-{nodes}-{shards}-{threads}");
-                    let got = replay(
-                        seed, nodes, shards, threads, tenants, requests, count, &tag,
-                    );
-                    prop_assert!(got.1 > 0, "twins must collide");
-                    prop_assert_eq!(
-                        got.1, got.2,
-                        "without restarts the two owner keyings agree"
-                    );
-                    match &reference {
-                        None => reference = Some(got),
-                        Some(r) => prop_assert_eq!(
-                            *r, got,
-                            "nodes={} shards={} audit_threads={} changed the global audit",
-                            nodes, shards, threads
-                        ),
+                    for &workers in &[1usize, 3] {
+                        let tag = format!("grid-{nodes}-{shards}-{threads}-{workers}");
+                        let got = replay(
+                            seed, nodes, shards, threads, workers, tenants, requests, count,
+                            &tag,
+                        );
+                        prop_assert!(got.1 > 0, "twins must collide");
+                        prop_assert_eq!(
+                            got.1, got.2,
+                            "without restarts the two owner keyings agree"
+                        );
+                        match &reference {
+                            None => reference = Some(got),
+                            Some(r) => prop_assert_eq!(
+                                *r, got,
+                                "nodes={} shards={} audit_threads={} workers={} changed the global audit",
+                                nodes, shards, threads, workers
+                            ),
+                        }
                     }
                 }
             }
@@ -223,5 +228,49 @@ fn stress_and_fleet_replay_one_schedule() {
             ),
             "{mix}: stress and fleet replayed different schedules"
         );
+    }
+}
+
+#[test]
+fn worker_count_leaves_fleet_totals_unchanged() {
+    // Tenants are pinned to workers and to nodes, so the lease threads
+    // only change who carries each tenant's in-order stream: every
+    // worker count must give the same totals. Each kill run is compared
+    // with the one-worker kill run, not with the clean run: recovery
+    // skips a restarted twin's reservation window, which shifts its
+    // stream.
+    let run = |workers: usize, kill: Option<u64>| {
+        let mut service =
+            ServiceConfig::new(AlgorithmKind::ClusterStar, IdSpace::with_bits(40).unwrap());
+        service.master_seed = 0x3E55;
+        service.seed_alias = Some((0, 1));
+        let dir = state_dir(&format!("workers-{workers}-{kill:?}"));
+        let mut cfg = FleetConfig::new(service, 3, &dir);
+        cfg.tenants = 6;
+        cfg.requests = 240;
+        cfg.count = 32;
+        cfg.workers = workers;
+        cfg.kill_every = kill;
+        cfg.reservation = 64;
+        let report = run_fleet(cfg).expect("fleet run");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report.recovered_duplicate_ids, 0, "{workers} workers");
+        (
+            report.issued_ids,
+            report.cross_tenant_duplicate_ids,
+            report.recovered_duplicate_ids,
+            report.restarts,
+        )
+    };
+    for kill in [None, Some(40)] {
+        let reference = run(1, kill);
+        assert!(reference.1 > 0, "twins must collide");
+        for workers in 2..=4 {
+            assert_eq!(
+                run(workers, kill),
+                reference,
+                "{workers} workers changed the totals (kill every {kill:?})"
+            );
+        }
     }
 }

@@ -7,16 +7,19 @@
 //!   exercised, not just zero);
 //! * injected duplicates survive the stripe-routing fan-out — the
 //!   parallel pipeline has zero false negatives;
-//! * the loopback TCP transport reproduces the in-process audit totals
-//!   exactly for the same seed and mix (the stress driver differential).
+//! * the loopback TCP transport (a one-node fleet run) reproduces the
+//!   in-process audit totals exactly for the same seed and mix, for
+//!   every worker count (the stress driver differential).
 
 use proptest::prelude::*;
 
 use uuidp::adversary::schedule::TrafficMix;
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::IdSpace;
+use uuidp::fleet::run::FleetConfig;
+use uuidp::fleet::stress::run_stress_remote;
 use uuidp::service::service::{IdService, ServiceConfig};
-use uuidp::service::stress::{run_stress, run_stress_remote, StressConfig};
+use uuidp::service::stress::{run_stress, StressConfig};
 
 /// Replays `script` (tenant, count, reset?) against a fresh service and
 /// returns the interleaving-invariant totals.
@@ -145,7 +148,7 @@ fn remote_stress_reproduces_in_process_audit_totals() {
         let mut cfg = StressConfig::new(service, 6, 240, 32);
         cfg.mix = mix;
         let local = run_stress(cfg.clone());
-        let remote = run_stress_remote(cfg).expect("loopback stress");
+        let remote = run_stress_remote(FleetConfig::one_node(cfg)).expect("loopback stress");
         assert!(
             local.audit.counts.collided(),
             "{mix}: twins must collide locally"
@@ -161,7 +164,7 @@ fn remote_stress_reproduces_in_process_audit_totals() {
 proptest! {
     // Remote runs are whole client/server lifecycles, so a handful of
     // random scenarios is the budget; each one sweeps the full
-    // {client pool width} × {shards, audit_threads} grid.
+    // {lease workers} × {shards, audit_threads} grid.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
@@ -185,8 +188,9 @@ proptest! {
                     service.seed_alias = Some((0, tenants - 1));
                     let mut cfg = StressConfig::new(service, tenants, 120, count);
                     cfg.mix = TrafficMix::Skewed;
-                    cfg.remote_workers = workers;
-                    let report = run_stress_remote(cfg).expect("loopback stress");
+                    let mut wire = FleetConfig::one_node(cfg);
+                    wire.workers = workers;
+                    let report = run_stress_remote(wire).expect("loopback stress");
                     prop_assert!(
                         report.audit.counts.duplicate_ids > 0,
                         "twins must collide"
@@ -215,7 +219,7 @@ fn remote_hunter_mix_observes_real_arcs_over_the_wire() {
     service.shards = 2;
     let mut cfg = StressConfig::new(service, 4, 150, 1);
     cfg.mix = TrafficMix::Hunter;
-    let report = run_stress_remote(cfg).expect("loopback stress");
+    let report = run_stress_remote(FleetConfig::one_node(cfg)).expect("loopback stress");
     assert!(report.requests >= 4, "probe phase never ran");
     assert_eq!(report.issued_ids, report.requests as u128);
     assert_eq!(report.audit.counts.recorded_ids, report.issued_ids);
