@@ -71,10 +71,17 @@ enum Pending {
     Dead(String),
 }
 
+/// The correlation id the next request of any [`Client`] in this
+/// process travels under. One sequence for the process, not one per
+/// connection, so the connections that lease from one node (router
+/// lanes that dial their own, reconnects) never reuse an id there, and
+/// the node's trace spans, keyed by id, each hold one lease. `Relaxed`
+/// suffices: the counter publishes no other data.
+static NEXT_CORR: AtomicU64 = AtomicU64::new(1);
+
 struct Inner {
     writer: Mutex<TcpStream>,
     pending: Mutex<Pending>,
-    next_corr: AtomicU64,
     space: IdSpace,
     request_timeout: Option<Duration>,
 }
@@ -207,7 +214,6 @@ impl Client {
         let inner = StdArc::new(Inner {
             writer: Mutex::new(stream.try_clone()?),
             pending: Mutex::new(Pending::Live(HashMap::new())),
-            next_corr: AtomicU64::new(1),
             space,
             request_timeout: options.request_timeout,
         });
@@ -226,7 +232,7 @@ impl Client {
     /// Registers a fresh correlation id and its reply slot. Fails fast
     /// if the connection already died.
     fn register(&self) -> io::Result<(u64, std::sync::mpsc::Receiver<Reply>)> {
-        let corr = self.handle.inner.next_corr.fetch_add(1, Ordering::Relaxed);
+        let corr = NEXT_CORR.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = sync_channel(1);
         let _order = lockorder::track("client.pending");
         match &mut *self.handle.inner.pending.lock().expect("pending lock") {

@@ -1150,6 +1150,33 @@ mod tests {
     }
 
     #[test]
+    fn two_clients_on_one_node_never_share_a_corr_id() {
+        // The node keys trace spans by corr id alone, so two connections
+        // that each numbered their requests from 1 would merge their
+        // first leases into one span.
+        let (server, space) = server(40);
+        let a = Client::connect(server.local_addr(), space).unwrap();
+        let b = Client::connect(server.local_addr(), space).unwrap();
+        let (_, corr_a) = a.lease_with_corr(3, 16).unwrap();
+        let (_, corr_b) = b.lease_with_corr(4, 16).unwrap();
+        assert_ne!(corr_a, corr_b);
+        for (client, corr, tenant) in [(&a, corr_a, 3), (&b, corr_b, 4)] {
+            let span = client.timeline(corr).unwrap();
+            assert!(span.contains("worker-emit"), "{span}");
+            let events: Vec<&str> = span.lines().skip(1).collect();
+            assert!(
+                events
+                    .iter()
+                    .all(|e| e.contains(&format!(" tenant={tenant} "))),
+                "{span}"
+            );
+        }
+        drop(b);
+        a.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
     fn disabled_metrics_surface_reports_typed_errors() {
         let space = IdSpace::with_bits(40).unwrap();
         let config = ServiceConfig::new(AlgorithmKind::Cluster, space);

@@ -26,11 +26,13 @@
 //!   stripe subset `{s : s ≡ t (mod audit_threads)}` of the audit's
 //!   universe partition behind its own bounded channel; the worker cuts
 //!   each lease with the shared [`StripePlan`] and routes every piece to
-//!   the thread owning its stripe. Because the audit's headline counter
+//!   the thread owning its stripe. An audit thread records the records
+//!   queued behind the one it woke for as one batch
+//!   ([`LeaseAudit::record_batch`]). Because the audit's headline counter
 //!   is order-invariant *within* a stripe and stripes are disjoint
 //!   *across* threads, the merged totals are bit-identical for every
-//!   `(shards, audit_stripes, audit_threads)` combination (see
-//!   [`uuidp_sim::audit`]).
+//!   `(shards, audit_stripes, audit_threads)` combination and batching
+//!   (see [`uuidp_sim::audit`]).
 //! * **Determinism**: tenant `t`'s generator is seeded from the master
 //!   seed tree independently of the shard layout, and shard channels are
 //!   FIFO — so for a fixed request script the per-tenant ID streams (and
@@ -228,24 +230,27 @@ enum ShardMsg {
     Stats { reply: SyncSender<WorkerStats> },
 }
 
+/// One routed batch of audit material: the pieces of one lease that
+/// fall in the stripes owned by a single audit thread, pre-cut by the
+/// shared [`StripePlan`] so the audit records them with no further
+/// routing.
+struct AuditRecord {
+    owner: u64,
+    /// Non-wrapping `[lo, hi)` segments, each inside one owned stripe.
+    segments: Vec<(u128, u128)>,
+    /// [`clock::monotonic_ns`] stamp taken at the worker's tap, so the
+    /// audit thread's lag reading shares every other telemetry
+    /// timestamp's epoch.
+    sent_ns: u64,
+    /// Wire correlation id of the lease that produced this batch (0 =
+    /// in-process traffic), for trace spans.
+    corr: u64,
+}
+
 /// One message into an audit pipeline thread.
 enum AuditMsg {
-    /// One routed batch of audit material: the pieces of one lease that
-    /// fall in the stripes owned by a single audit thread, pre-cut by
-    /// the shared [`StripePlan`] so the audit records them with no
-    /// further routing.
-    Record {
-        owner: u64,
-        /// Non-wrapping `[lo, hi)` segments, each inside one owned stripe.
-        segments: Vec<(u128, u128)>,
-        /// [`clock::monotonic_ns`] stamp taken at the worker's tap, so
-        /// the audit thread's lag reading shares every other telemetry
-        /// timestamp's epoch.
-        sent_ns: u64,
-        /// Wire correlation id of the lease that produced this batch
-        /// (0 = in-process traffic), for trace spans.
-        corr: u64,
-    },
+    /// One lease's pieces in this thread's stripes.
+    Record(AuditRecord),
     /// Reply with a snapshot of this thread's counters so far. Because
     /// the channel is FIFO, a probe enqueued after a set of records
     /// observes all of them.
@@ -424,6 +429,7 @@ impl IdService {
             let obs = AuditObs {
                 records: registry.counter("uuidp_audit_records_total"),
                 duplicate_ids: registry.gauge("uuidp_audit_duplicate_ids"),
+                segments: registry.gauge("uuidp_audit_segments"),
                 trace: std::sync::Arc::clone(&trace),
             };
             audit.push(std::thread::spawn(move || {
@@ -886,6 +892,7 @@ impl WorkerObs {
 struct AuditObs {
     records: std::sync::Arc<Counter>,
     duplicate_ids: std::sync::Arc<Gauge>,
+    segments: std::sync::Arc<Gauge>,
     trace: std::sync::Arc<TraceRecorder>,
 }
 
@@ -914,12 +921,12 @@ impl AuditTap {
             if batch.is_empty() {
                 continue;
             }
-            let _ = self.taps[t].send(AuditMsg::Record {
+            let _ = self.taps[t].send(AuditMsg::Record(AuditRecord {
                 owner,
                 segments: std::mem::take(batch),
                 sent_ns,
                 corr,
-            });
+            }));
         }
     }
 }
@@ -1196,10 +1203,23 @@ fn serve(
     (granted, error, arcs, halted)
 }
 
+/// Most pieces one audit batch takes: an audit thread drains the
+/// records queued behind the first one until their pieces reach this,
+/// which bounds the batch's sort buffer (48 bytes a piece). A record
+/// with more pieces than this, as a Random lease of more IDs has, is
+/// recorded alone, and its sort buffer is as large as it.
+const AUDIT_BATCH_PIECES: usize = 1 << 13;
+
 /// One audit pipeline thread. It allocates the full stripe array (empty
 /// stripes are a few machine words each) but only ever receives pieces
 /// of the stripes it owns, so the per-thread working sets stay disjoint
 /// and the merged counters are interleaving-invariant.
+///
+/// Each pass takes one message and, behind a record, the records already
+/// queued (up to [`AUDIT_BATCH_PIECES`] pieces, never past a probe), and
+/// records them with one [`LeaseAudit::record_batch`]; a probe is
+/// answered after the records queued before it. Lag, the record counter,
+/// the duplicate gauge and the `audit-record` stamp stay per message.
 fn audit_loop(
     space: IdSpace,
     stripes: usize,
@@ -1220,51 +1240,70 @@ fn audit_loop(
         },
         records,
     };
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            AuditMsg::Record {
-                owner,
-                segments,
-                sent_ns,
-                corr,
-            } => {
-                let lag = Duration::from_nanos(clock::monotonic_ns().saturating_sub(sent_ns));
+    let mut batch: Vec<AuditRecord> = Vec::new();
+    let mut dups: Vec<u128> = Vec::new();
+    while let Ok(first) = rx.recv() {
+        let (mut next, mut pieces, mut probe) = (Some(first), 0, None);
+        while let Some(msg) = next.take() {
+            match msg {
+                AuditMsg::Record(record) => {
+                    pieces += record.segments.len();
+                    batch.push(record);
+                    if pieces < AUDIT_BATCH_PIECES {
+                        next = rx.try_recv().ok();
+                    }
+                }
+                AuditMsg::Probe { reply } => probe = Some(reply),
+            }
+        }
+        if !batch.is_empty() {
+            let now = clock::monotonic_ns();
+            for record in &batch {
+                let lag = Duration::from_nanos(now.saturating_sub(record.sent_ns));
                 max_lag = max_lag.max(lag);
                 lag_sum_ns += lag.as_nanos();
-                records += 1;
-                let dups: u128 = segments
-                    .into_iter()
-                    .map(|(lo, hi)| audit.record_clipped(owner, lo, hi))
-                    .sum();
-                obs.records.inc();
-                if dups > 0 {
-                    // The gauge is a cross-thread sum of each thread's
-                    // stripe-subset total; move it by this batch's delta.
-                    obs.duplicate_ids.add(dups.min(i64::MAX as u128) as i64);
+            }
+            records += batch.len() as u64;
+            let messages: Vec<(u64, &[(u128, u128)])> = batch
+                .iter()
+                .map(|r| (r.owner, r.segments.as_slice()))
+                .collect();
+            dups.clear();
+            dups.resize(batch.len(), 0);
+            let held = audit.segments();
+            audit.record_batch(&messages, &mut dups);
+            // Both gauges are cross-thread sums of each thread's
+            // stripe-subset totals; move them by this batch's deltas.
+            obs.segments.add(audit.segments() as i64 - held as i64);
+            obs.records.add(batch.len() as u64);
+            for (record, &dup) in batch.iter().zip(&dups) {
+                if dup > 0 {
+                    obs.duplicate_ids.add(dup.min(i64::MAX as u128) as i64);
                     obs.trace.record(
-                        corr,
-                        owner,
+                        record.corr,
+                        record.owner,
                         Stage::AuditRecord,
                         "duplicate",
                         clock::monotonic_ns(),
                     );
-                } else if corr != 0 && obs.trace.sampled(corr) {
+                } else if record.corr != 0 && obs.trace.sampled(record.corr) {
                     // Clean audit legs stamp only for wire corrs, like
                     // the worker-emit stamp: a corr-0 "clean" is ring
                     // spam. Duplicates above always record — they are
                     // exactly what the ring is for.
                     obs.trace.record(
-                        corr,
-                        owner,
+                        record.corr,
+                        record.owner,
                         Stage::AuditRecord,
                         "clean",
                         clock::monotonic_ns(),
                     );
                 }
             }
-            AuditMsg::Probe { reply } => {
-                let _ = reply.send(report(&audit, max_lag, lag_sum_ns, records));
-            }
+            batch.clear();
+        }
+        if let Some(reply) = probe {
+            let _ = reply.send(report(&audit, max_lag, lag_sum_ns, records));
         }
     }
     report(&audit, max_lag, lag_sum_ns, records)
@@ -1412,6 +1451,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_drained_backlog_matches_a_sequential_replay() {
+        // The test thread leases without waiting for the audit, so the
+        // audit threads find records queued and record them in batches.
+        // Random over 2^16 makes birthday collisions certain.
+        let mut reference = None;
+        for threads in [1usize, 2, 5] {
+            let mut cfg = config(AlgorithmKind::Random, 16);
+            cfg.shards = 3;
+            cfg.audit_threads = threads;
+            let space = cfg.space;
+            let service = IdService::start(cfg);
+            let leases: Vec<(u64, Vec<Arc>)> = (0..2000u64)
+                .map(|r| (r % 16, service.lease(r % 16, 64).arcs))
+                .collect();
+            let report = service.summary();
+            // A probe is answered after every record queued before it, so
+            // no batch drained behind it was left out.
+            assert_eq!(report.audit.counts.recorded_ids, report.issued_ids);
+            assert_eq!(report.issued_ids, 2000 * 64);
+            let mut replay = LeaseAudit::new(space, 16);
+            for (tenant, arcs) in &leases {
+                for &arc in arcs {
+                    replay.record(owner_key(*tenant, 0), arc);
+                }
+            }
+            let duplicate_ids = report.audit.counts.duplicate_ids;
+            assert!(duplicate_ids > 0, "2^16 universe must collide");
+            assert_eq!(
+                duplicate_ids,
+                replay.counts().duplicate_ids,
+                "{threads} audit threads"
+            );
+            match reference {
+                None => reference = Some(duplicate_ids),
+                Some(r) => assert_eq!(r, duplicate_ids, "{threads} audit threads"),
+            }
+            drop(service.shutdown());
+        }
+    }
+
+    #[test]
+    fn the_segment_gauge_counts_what_the_audit_holds() {
+        // Random over 2^64: every ID is its own segment, so the gauge,
+        // moved by each batch's delta on two threads, must sum to the
+        // IDs issued.
+        let mut cfg = config(AlgorithmKind::Random, 64);
+        cfg.audit_threads = 2;
+        let service = IdService::start(cfg);
+        for r in 0..200u64 {
+            service.issue(r % 8, 64);
+        }
+        let report = service.summary();
+        let gauge = service.registry().gauge("uuidp_audit_segments");
+        assert_eq!(report.issued_ids, 200 * 64);
+        assert_eq!(gauge.get() as u128, report.issued_ids);
+        drop(service.shutdown());
+
+        // One Cluster tenant's run grows its one segment in place.
+        let service = IdService::start(config(AlgorithmKind::Cluster, 48));
+        let gauge = service.registry().gauge("uuidp_audit_segments");
+        service.issue(0, 100);
+        service.summary();
+        let first = gauge.get();
+        for _ in 0..500 {
+            service.issue(0, 100);
+        }
+        let report = service.summary();
+        assert_eq!(report.audit.counts.recorded_ids, 501 * 100);
+        assert_eq!((first, gauge.get()), (1, 1));
+        drop(service.shutdown());
     }
 
     #[test]
