@@ -1,29 +1,39 @@
 //! The multiplexing v2 client (see the crate docs for the picture):
-//! a shared writer handle plus one reader demux thread per connection,
-//! with replies routed to callers by correlation id.
+//! one connection shared by every clone, and no thread of its own.
+//!
+//! Replies reach their callers by the Leader/Followers pattern over one
+//! request table keyed by correlation id. A caller that has sent its
+//! frame reads the socket itself when no other caller is reading (it
+//! *leads*). The leader puts each reply it reads for another caller in
+//! that caller's slot and wakes only that caller; on its own reply it
+//! passes the read role to one caller still waiting and returns. Every
+//! other caller sleeps until its slot holds a reply, the read role, or
+//! the connection's death. So a lone caller reads its own reply, and no
+//! lease crosses a client-side thread boundary.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc as StdArc, Mutex};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
+use uuidp_core::clock;
 use uuidp_core::id::{Id, IdSpace};
 use uuidp_core::interval::Arc;
 use uuidp_core::lockorder;
 
 use crate::error::{broken, ErrorClass};
-use crate::frame::{read_frame, write_frame, FrameBody, VERSION};
+use crate::frame::{decode_frame, read_frame, write_frame, Frame, FrameBody, FrameError, VERSION};
 use crate::{Lease, Summary};
 
 /// Connection-shaping knobs for [`Client::connect_with`].
 ///
-/// The defaults reproduce the historical behavior on the request path
-/// (block until the demux answers) but bound the *handshake*: a peer
-/// that accepts the TCP connection and then never speaks can stall the
-/// dial, and nothing legitimate takes the server 10 s to say hello.
+/// The defaults wait for each reply as long as it takes but bound the
+/// *handshake*: a peer that accepts the TCP connection and then never
+/// speaks can stall the dial, and nothing legitimate takes the server
+/// 10 s to say hello.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientOptions {
     /// Bound on establishing the TCP connection (`None` = OS default).
@@ -60,16 +70,9 @@ impl ClientOptions {
     }
 }
 
-/// A reply as the demux delivers it: the typed body, or the text of a
+/// A reply as a reader delivers it: the typed body, or the text of a
 /// correlated server `Error` frame.
 type Reply = Result<FrameBody, String>;
-
-/// Either the live map of waiting requests, or the reason the
-/// connection died (every later request fails fast with it).
-enum Pending {
-    Live(HashMap<u64, SyncSender<Reply>>),
-    Dead(String),
-}
 
 /// The correlation id the next request of any [`Client`] in this
 /// process travels under. One sequence for the process, not one per
@@ -79,62 +82,375 @@ enum Pending {
 /// suffices: the counter publishes no other data.
 static NEXT_CORR: AtomicU64 = AtomicU64::new(1);
 
+/// The read half's first buffer size; it doubles while one frame
+/// outgrows it.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// A drained read buffer larger than this shrinks back to
+/// [`READ_CHUNK`], so one large reply (a metrics text) does not pin
+/// its allocation for the connection's life.
+const MAX_RETAINED: usize = 256 * 1024;
+
+/// One request waiting for its reply.
+struct Waiter {
+    /// The caller's thread once it waits; `None` while it is still
+    /// writing its frame.
+    thread: Option<Thread>,
+    /// The reply, once a reader has put it here.
+    reply: Option<Reply>,
+    /// The previous reader passed the read role to this caller.
+    lead: bool,
+}
+
+impl Waiter {
+    /// Wakes the caller if it already sleeps; a caller still writing its
+    /// frame finds the change when it starts to wait.
+    fn wake(&self) {
+        if let Some(thread) = &self.thread {
+            thread.unpark();
+        }
+    }
+}
+
+/// Who waits, who reads, and whether the connection lives.
+#[derive(Default)]
+struct Table {
+    waiting: HashMap<u64, Waiter>,
+    /// A caller reads the socket, or has been passed the role and not
+    /// yet taken it.
+    reading: bool,
+    /// Why the connection died; every later request fails fast with it.
+    dead: Option<String>,
+}
+
+impl Table {
+    /// Passes the read role to one caller still waiting for its reply
+    /// and wakes only that one, or frees the role when nobody waits.
+    fn pass_read_role(&mut self) {
+        let next = self
+            .waiting
+            .values_mut()
+            .find(|w| w.thread.is_some() && w.reply.is_none());
+        match next {
+            Some(next) => {
+                next.lead = true;
+                next.wake();
+            }
+            None => self.reading = false,
+        }
+    }
+
+    /// Drops `corr`'s slot, passing on the read role if the slot held
+    /// it and the connection still lives.
+    fn leave(&mut self, corr: u64) {
+        let held_role = self.waiting.remove(&corr).is_some_and(|w| w.lead);
+        if held_role && self.dead.is_none() {
+            self.pass_read_role();
+        }
+    }
+
+    /// The error a waiter sees once the connection is dead: its frame
+    /// went out, so the server may have processed it.
+    fn in_doubt(&self) -> io::Error {
+        let reason = self.dead.as_deref().unwrap_or("connection closed");
+        broken(reason, ErrorClass::LeaseInDoubt)
+    }
+}
+
+/// Bytes read off the socket and not yet decoded, `buf[start..end]`.
+/// It outlives each reader, so a read cut short by `request_timeout`
+/// leaves its partial frame here for the next reader.
+struct ReadHalf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadHalf {
+    fn new() -> ReadHalf {
+        ReadHalf {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Decodes the next whole buffered frame, if there is one.
+    fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
+        let pending = self.buf.get(self.start..self.end).unwrap_or_default();
+        Ok(decode_frame(pending)?.map(|(frame, used)| {
+            self.start += used;
+            frame
+        }))
+    }
+
+    /// Moves the undecoded tail to the front (once per read, never per
+    /// frame) and makes room behind it for at least one more byte.
+    fn make_room(&mut self) {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+            if self.buf.len() > MAX_RETAINED {
+                self.buf = vec![0; READ_CHUNK];
+            }
+        } else if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.end == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+    }
+}
+
+/// One read off the socket into `half` — the leader's blocking call,
+/// made while it holds the read half.
+fn read_socket(mut stream: &TcpStream, half: &mut ReadHalf) -> io::Result<usize> {
+    half.make_room();
+    let n = stream.read(&mut half.buf[half.end..])?;
+    half.end += n;
+    Ok(n)
+}
+
+/// What ended a leader's read loop.
+enum Led {
+    Reply(Reply),
+    TimedOut(Duration),
+    Dead,
+}
+
 struct Inner {
-    writer: Mutex<TcpStream>,
-    pending: Mutex<Pending>,
+    /// The connection. Reads and writes go through `&TcpStream`, each
+    /// under its own role lock below, so [`Inner::die`] can shut the
+    /// socket down while a reader or a writer is blocked on it.
+    stream: TcpStream,
+    /// Held across one whole frame write.
+    writer: Mutex<()>,
+    /// Held by the leader while it reads; the buffer outlives it.
+    reader: Mutex<ReadHalf>,
+    table: Mutex<Table>,
     space: IdSpace,
     request_timeout: Option<Duration>,
 }
 
 impl Inner {
-    /// Marks the connection dead and wakes every waiting request (their
-    /// reply senders are dropped with the map).
+    /// Marks the connection dead, shuts the socket down (a blocked
+    /// reader or writer returns at once) and wakes every waiter, which
+    /// fails lease-in-doubt unless its reply is already in its slot.
     fn die(&self, reason: String) {
-        let _order = lockorder::track("client.pending");
-        let mut pending = self.pending.lock().expect("pending lock");
-        if matches!(*pending, Pending::Live(_)) {
-            *pending = Pending::Dead(reason);
-        }
+        let _ = self.stream.shutdown(Shutdown::Both);
+        let _order = lockorder::track("client.table");
+        let mut table = self.table.lock().expect("client table");
+        table.dead.get_or_insert(reason);
+        table.waiting.values().for_each(Waiter::wake);
     }
-}
 
-/// The user-facing ownership layer: the reader thread holds its own
-/// `Arc<Inner>`, so `Inner`'s refcount alone can never tell when the
-/// *callers* are gone — this wrapper can. When the last [`Client`]
-/// clone drops, the socket is shut down, which unblocks the reader and
-/// lets the whole connection wind down (the server sees EOF).
-struct Handle {
-    inner: StdArc<Inner>,
-}
+    /// Registers `corr`'s slot. Fails fast, retry-safe, if the
+    /// connection already died: the request never left.
+    fn register(&self, corr: u64) -> io::Result<()> {
+        let _order = lockorder::track("client.table");
+        let mut table = self.table.lock().expect("client table");
+        if let Some(reason) = &table.dead {
+            return Err(broken(reason.clone(), ErrorClass::RetrySafe));
+        }
+        table.waiting.insert(
+            corr,
+            Waiter {
+                thread: None,
+                reply: None,
+                lead: false,
+            },
+        );
+        Ok(())
+    }
 
-impl Drop for Handle {
-    fn drop(&mut self) {
-        {
-            let _order = lockorder::track("client.writer");
-            if let Ok(writer) = self.inner.writer.lock() {
-                let _ = writer.shutdown(std::net::Shutdown::Both);
+    /// Writes one request frame (whole frame, one `write_all`, under
+    /// the writer lock — frames from concurrent clones never interleave
+    /// mid-frame).
+    fn send(&self, corr: u64, body: &FrameBody) -> io::Result<()> {
+        let result = {
+            let _writer = self.writer.lock().expect("client writer");
+            // lint:allow(lock-blocking): holding the writer lock across this one write_all is the mechanism that keeps concurrent clones' frames from interleaving mid-frame; no other lock is ever taken while it is held
+            write_frame(&mut &self.stream, corr, body)
+        };
+        result.map_err(|e| {
+            self.die(format!("write failed: {e}"));
+            let _order = lockorder::track("client.table");
+            self.table.lock().expect("client table").leave(corr);
+            // A failed `write_all` means the frame went out torn at
+            // best; the server's checksum discards it unprocessed.
+            broken(format!("write failed: {e}"), ErrorClass::RetrySafe)
+        })
+    }
+
+    /// Waits for `corr`'s reply: sleeps while another caller reads, and
+    /// reads the socket itself when the read role is free or passed to
+    /// it.
+    fn wait(&self, corr: u64) -> io::Result<Reply> {
+        let deadline = self.request_timeout.map(|bound| {
+            let ns = u64::try_from(bound.as_nanos()).unwrap_or(u64::MAX);
+            (bound, clock::monotonic_ns().saturating_add(ns))
+        });
+        loop {
+            let leads = {
+                let _order = lockorder::track("client.table");
+                let mut guard = self.table.lock().expect("client table");
+                let table = &mut *guard;
+                let slot = table.waiting.get_mut(&corr).expect("a waiter's slot");
+                if let Some(reply) = slot.reply.take() {
+                    table.waiting.remove(&corr);
+                    return Ok(reply);
+                }
+                if table.dead.is_some() {
+                    table.waiting.remove(&corr);
+                    return Err(table.in_doubt());
+                }
+                let now = clock::monotonic_ns();
+                if let Some((bound, _)) = deadline.filter(|&(_, at)| now >= at) {
+                    table.leave(corr);
+                    return Err(timed_out(bound));
+                }
+                if slot.lead || !table.reading {
+                    slot.lead = false;
+                    table.reading = true;
+                    true
+                } else {
+                    slot.thread.get_or_insert_with(thread::current);
+                    false
+                }
+            };
+            if leads {
+                return self.lead(corr, deadline);
+            }
+            match deadline {
+                None => thread::park(),
+                Some((_, at)) => thread::park_timeout(Duration::from_nanos(
+                    at.saturating_sub(clock::monotonic_ns()),
+                )),
             }
         }
-        self.inner.die("client dropped".into());
     }
+
+    /// The leader's loop: reads until `corr`'s own reply arrives,
+    /// delivering every other reply it decodes to its waiter, then
+    /// passes the read role on.
+    fn lead(&self, corr: u64, deadline: Option<(Duration, u64)>) -> io::Result<Reply> {
+        let _order = lockorder::track("client.reader");
+        let mut half = self.reader.lock().expect("client reader");
+        let led = loop {
+            match self.deliver(&mut half, corr) {
+                Ok(Some(reply)) => break Led::Reply(reply),
+                Ok(None) => {}
+                Err(reason) => {
+                    self.die(reason);
+                    break Led::Dead;
+                }
+            }
+            if let Some((bound, at)) = deadline {
+                let now = clock::monotonic_ns();
+                if now >= at {
+                    break Led::TimedOut(bound);
+                }
+                if let Err(e) = self
+                    .stream
+                    .set_read_timeout(Some(Duration::from_nanos(at - now)))
+                {
+                    self.die(e.to_string());
+                    break Led::Dead;
+                }
+            }
+            // lint:allow(lock-blocking): the leader blocks on the socket holding the read half by design — that lock is the read role itself, followers sleep on the table and never take it, and `die` shuts the socket down without it
+            match read_socket(&self.stream, &mut half) {
+                Ok(0) => {
+                    self.die("server closed the connection".into());
+                    break Led::Dead;
+                }
+                Ok(_) => {}
+                // A signal, or the read timeout set to this leader's
+                // deadline: the loop checks the deadline again.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted
+                            | io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                    ) => {}
+                Err(e) => {
+                    self.die(e.to_string());
+                    break Led::Dead;
+                }
+            }
+        };
+        let _order = lockorder::track("client.table");
+        let mut table = self.table.lock().expect("client table");
+        table.waiting.remove(&corr);
+        let result = match led {
+            Led::Reply(reply) => Ok(reply),
+            Led::TimedOut(bound) => Err(timed_out(bound)),
+            Led::Dead => return Err(table.in_doubt()),
+        };
+        if table.dead.is_none() {
+            table.pass_read_role();
+        }
+        result
+    }
+
+    /// Decodes every whole frame in `half`: returns `corr`'s own reply
+    /// if it was among them, puts each other reply in its waiter's slot
+    /// and wakes that waiter, and drops replies nobody waits for any
+    /// more (timed-out requests). `Err` is the connection's death
+    /// reason: a corrupt stream or an uncorrelated (connection-level)
+    /// frame.
+    fn deliver(&self, half: &mut ReadHalf, corr: u64) -> Result<Option<Reply>, String> {
+        let mut own = None;
+        while let Some(frame) = half.next_frame().map_err(|e| e.to_string())? {
+            let reply = match frame.body {
+                FrameBody::Error { message } if frame.corr != 0 => Err(message),
+                FrameBody::Error { message } => return Err(message),
+                other if frame.corr == 0 => {
+                    return Err(format!("unexpected uncorrelated {} frame", other.name()))
+                }
+                body => Ok(body),
+            };
+            if frame.corr == corr {
+                own = Some(reply);
+                continue;
+            }
+            let _order = lockorder::track("client.table");
+            let mut table = self.table.lock().expect("client table");
+            if let Some(waiter) = table.waiting.get_mut(&frame.corr) {
+                waiter.reply = Some(reply);
+                waiter.wake();
+            }
+        }
+        Ok(own)
+    }
+}
+
+/// The request left the building, the reply never arrived in time: the
+/// server may have processed it.
+fn timed_out(bound: Duration) -> io::Error {
+    broken(
+        format!("request timed out after {bound:?}"),
+        ErrorClass::LeaseInDoubt,
+    )
 }
 
 /// A connection to a v2-speaking `TcpServer`, shared by cloning.
 ///
 /// Every method is `&self` and thread-safe: clones (and threads) issue
 /// requests concurrently over the one underlying connection, each
-/// parked on its own correlation id until the reader demux thread
-/// delivers its reply. Dropping the last clone closes the connection
-/// (the server sees EOF).
+/// waiting on its own correlation id while one of them reads the
+/// socket for all (see the module docs). Dropping the last clone
+/// closes the connection (the server sees EOF).
 #[derive(Clone)]
 pub struct Client {
-    handle: StdArc<Handle>,
+    inner: StdArc<Inner>,
 }
 
 impl std::fmt::Debug for Client {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Client")
-            .field("space", &self.handle.inner.space)
+            .field("space", &self.inner.space)
             .finish_non_exhaustive()
     }
 }
@@ -211,72 +527,25 @@ impl Client {
                 )))
             }
         }
-        let inner = StdArc::new(Inner {
-            writer: Mutex::new(stream.try_clone()?),
-            pending: Mutex::new(Pending::Live(HashMap::new())),
-            space,
-            request_timeout: options.request_timeout,
-        });
-        let reader_inner = StdArc::clone(&inner);
-        std::thread::spawn(move || reader_demux(stream, reader_inner));
         Ok(Client {
-            handle: StdArc::new(Handle { inner }),
+            inner: StdArc::new(Inner {
+                stream,
+                writer: Mutex::new(()),
+                reader: Mutex::new(ReadHalf::new()),
+                table: Mutex::new(Table::default()),
+                space,
+                request_timeout: options.request_timeout,
+            }),
         })
     }
 
     /// The universe this client types arcs over.
     pub fn space(&self) -> IdSpace {
-        self.handle.inner.space
+        self.inner.space
     }
 
-    /// Registers a fresh correlation id and its reply slot. Fails fast
-    /// if the connection already died.
-    fn register(&self) -> io::Result<(u64, std::sync::mpsc::Receiver<Reply>)> {
-        let corr = NEXT_CORR.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = sync_channel(1);
-        let _order = lockorder::track("client.pending");
-        match &mut *self.handle.inner.pending.lock().expect("pending lock") {
-            Pending::Live(map) => {
-                map.insert(corr, tx);
-            }
-            // Dead before the request ever left: plainly retry-safe.
-            Pending::Dead(reason) => return Err(broken(reason.clone(), ErrorClass::RetrySafe)),
-        }
-        Ok((corr, rx))
-    }
-
-    /// Forgets a registered correlation id (timed-out request): any
-    /// late reply is dropped on the floor by the demux.
-    fn unregister(&self, corr: u64) {
-        let _order = lockorder::track("client.pending");
-        if let Pending::Live(map) = &mut *self.handle.inner.pending.lock().expect("pending lock") {
-            map.remove(&corr);
-        }
-    }
-
-    /// Writes one request frame (whole frame, one `write_all`, under
-    /// the writer lock — frames from concurrent clones never interleave
-    /// mid-frame).
-    fn send(&self, corr: u64, body: &FrameBody) -> io::Result<()> {
-        let result = {
-            let _order = lockorder::track("client.writer");
-            let mut writer = self.handle.inner.writer.lock().expect("writer lock");
-            // lint:allow(lock-blocking): holding the writer lock across this one write_all is the mechanism that keeps concurrent clones' frames from interleaving mid-frame; the reader demux never takes this lock
-            write_frame(&mut *writer, corr, body)
-        };
-        match result {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.handle.inner.die(format!("write failed: {e}"));
-                // A failed `write_all` means the frame went out torn at
-                // best; the server's checksum discards it unprocessed.
-                Err(broken(format!("write failed: {e}"), ErrorClass::RetrySafe))
-            }
-        }
-    }
-
-    /// One multiplexed round trip: register, send, park until the demux
-    /// delivers this correlation id's reply.
+    /// One multiplexed round trip: register, send, wait for this
+    /// correlation id's reply.
     fn request(&self, body: FrameBody) -> io::Result<FrameBody> {
         self.request_with_corr(body).map(|(body, _)| body)
     }
@@ -285,39 +554,12 @@ impl Client {
     /// request traveled under — the handle tail-latency samplers keep
     /// so a slow lease's span can be fetched back later.
     fn request_with_corr(&self, body: FrameBody) -> io::Result<(FrameBody, u64)> {
-        let (corr, rx) = self.register()?;
-        self.send(corr, &body)?;
-        let received = match self.handle.inner.request_timeout {
-            None => rx.recv().map_err(|_| None),
-            Some(bound) => match rx.recv_timeout(bound) {
-                Ok(reply) => Ok(reply),
-                Err(RecvTimeoutError::Disconnected) => Err(None),
-                Err(RecvTimeoutError::Timeout) => {
-                    self.unregister(corr);
-                    Err(Some(bound))
-                }
-            },
-        };
-        match received {
-            Ok(Ok(reply)) => Ok((reply, corr)),
-            Ok(Err(message)) => Err(proto_err(format!("server error: {message}"))),
-            // The request left the building, the reply never arrived:
-            // whether it timed out or the reader died (EOF, sever,
-            // corrupt stream), the server may have processed it.
-            Err(Some(bound)) => Err(broken(
-                format!("request timed out after {bound:?}"),
-                ErrorClass::LeaseInDoubt,
-            )),
-            Err(None) => {
-                let reason = {
-                    let _order = lockorder::track("client.pending");
-                    match &*self.handle.inner.pending.lock().expect("pending lock") {
-                        Pending::Dead(reason) => reason.clone(),
-                        Pending::Live(_) => "reply channel dropped".into(),
-                    }
-                };
-                Err(broken(reason, ErrorClass::LeaseInDoubt))
-            }
+        let corr = NEXT_CORR.fetch_add(1, Ordering::Relaxed);
+        self.inner.register(corr)?;
+        self.inner.send(corr, &body)?;
+        match self.inner.wait(corr)? {
+            Ok(reply) => Ok((reply, corr)),
+            Err(message) => Err(proto_err(format!("server error: {message}"))),
         }
     }
 
@@ -338,7 +580,7 @@ impl Client {
                 arcs,
                 error,
             } => {
-                let space = self.handle.inner.space;
+                let space = self.inner.space;
                 let mut typed = Vec::with_capacity(arcs.len());
                 for (start, len) in arcs {
                     // Validate before constructing: `Arc::new` asserts,
@@ -450,7 +692,7 @@ fn handshake(
     stream: &mut TcpStream,
     space: IdSpace,
     timeout: Option<Duration>,
-) -> io::Result<crate::frame::Frame> {
+) -> io::Result<Frame> {
     // Frames are small and latency-bound; never batch them behind
     // Nagle (pairs with the server-side set_nodelay).
     stream.set_nodelay(true)?;
@@ -462,69 +704,13 @@ fn handshake(
             space: space.size(),
         },
     )?;
-    // The handshake is the one synchronous read on the caller's
-    // thread; after it, the reader demux owns the read half. A
-    // stalled accept/hello must not hang the caller forever, so
-    // the read is bounded while the handshake lasts.
+    // The handshake reads exactly one frame, before any request
+    // exists; after it, each read is made by whichever caller leads,
+    // bounded by `request_timeout`. A stalled accept/hello must not
+    // hang the caller forever, so this read is bounded while the
+    // handshake lasts.
     stream.set_read_timeout(timeout)?;
     let hello = read_frame(stream)?;
     stream.set_read_timeout(None)?;
     Ok(hello)
-}
-
-/// The reader demux: decodes frames off the read half and hands each to
-/// the request that registered its correlation id. Runs until EOF or a
-/// fatal stream error, then wakes everyone with the reason.
-fn reader_demux(stream: TcpStream, inner: StdArc<Inner>) {
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame_reason(&mut reader) {
-            Ok(frame) => {
-                if frame.corr == 0 {
-                    // Connection-level error (or stray chatter): fatal.
-                    let reason = match frame.body {
-                        FrameBody::Error { message } => message,
-                        other => format!("unexpected uncorrelated {} frame", other.name()),
-                    };
-                    inner.die(reason);
-                    return;
-                }
-                // Scoped so the guard is gone before the reply send: a
-                // match-scrutinee temporary would live across the send,
-                // and the waiter being woken may touch `pending` itself.
-                let slot = {
-                    let _order = lockorder::track("client.pending");
-                    let mut pending = inner.pending.lock().expect("pending lock");
-                    match &mut *pending {
-                        Pending::Live(map) => map.remove(&frame.corr),
-                        Pending::Dead(_) => return,
-                    }
-                };
-                if let Some(tx) = slot {
-                    let reply = match frame.body {
-                        FrameBody::Error { message } => Err(message),
-                        body => Ok(body),
-                    };
-                    let _ = tx.send(reply);
-                }
-                // No waiter: a reply for a request the caller gave up
-                // on — dropped on the floor by design.
-            }
-            Err(reason) => {
-                inner.die(reason);
-                return;
-            }
-        }
-    }
-}
-
-/// [`read_frame`] with the error folded to the demux's reason string.
-fn read_frame_reason(r: &mut impl Read) -> Result<crate::frame::Frame, String> {
-    read_frame(r).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            "server closed the connection".into()
-        } else {
-            e.to_string()
-        }
-    })
 }

@@ -16,6 +16,12 @@
 //! * the two ends disagree about the protocol itself → **fatal**,
 //!   retrying the same bytes cannot help.
 //!
+//! When a connection dies, every request waiting on it fails
+//! lease-in-doubt at once, and every later request on it fails fast,
+//! retry-safe. A connection that dies while no request is in flight is
+//! found by the next request's own read: its frame went out, so it is
+//! lease-in-doubt, unless its write already failed (retry-safe).
+//!
 //! [`BrokenConnection`] carries that classification inside an
 //! `io::Error` (downcast via [`broken_connection`]), so every existing
 //! `io::Result` surface stays intact while chaos-aware callers can
@@ -33,11 +39,16 @@ use uuidp_core::rng::SplitMix64;
 /// How a failed request relates to server-side effects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorClass {
-    /// The request cannot have been processed; retry freely.
+    /// The request cannot have been processed; retry freely. The dial
+    /// or handshake failed, the frame's write failed, or the connection
+    /// was already known dead when the request was made.
     RetrySafe,
     /// The request may have been processed and the reply lost. A lease
     /// retried after this must be treated as *fresh* (the abandoned
     /// grant leaks server-side); never re-derive IDs from the original.
+    /// This includes the first request on a connection that died while
+    /// idle: nothing reads an idle connection, so that request's own
+    /// read, after its write went out, is what finds the death.
     LeaseInDoubt,
     /// Protocol-level disagreement; retrying the same request is
     /// pointless.
@@ -59,7 +70,8 @@ impl std::fmt::Display for ErrorClass {
 /// processed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrokenConnection {
-    /// Human-readable cause (demux death reason, write error, timeout).
+    /// Human-readable cause (the connection's death reason, a write
+    /// error, a timeout).
     pub reason: String,
     /// Retry classification for the request that observed this error.
     pub class: ErrorClass,

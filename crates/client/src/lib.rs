@@ -8,23 +8,28 @@
 //! many threads and tenants at once.
 //!
 //! ```text
-//!   threads          Client (Clone)                    server
-//!  ────────┐     ┌──────────────────┐
-//!   lease ─┼──►  │ writer (mutex)   │ ──frames──►  negotiated v2 conn
-//!   drain ─┤     │ pending: corr→tx │
-//!   lease ─┘     └──────────────────┘
-//!                  ▲        reader demux thread
-//!                  └─── replies routed by correlation id ◄──frames──
+//!   threads            Client (Clone)                    server
+//!  ────────┐     ┌────────────────────────┐
+//!   lease ─┼──►  │ writer (mutex)         │ ──frames──►  negotiated v2 conn
+//!   drain ─┤     │ table: corr → slot     │
+//!   lease ─┘     │ read half (the leader) │ ◄──frames──
+//!                └────────────────────────┘
+//!     one waiting caller leads: it reads the socket, puts each other
+//!     caller's reply in that caller's slot, and on its own reply passes
+//!     the read half to one caller still waiting
 //! ```
 //!
-//! * [`Client::connect`] dials the server, performs the version
+//! * [`Client::connect`] dials the server and performs the version
 //!   handshake (`Hello`/`HelloOk` — the server also validates that
-//!   client and server agree on the ID universe), and spawns the reader.
+//!   client and server agree on the ID universe). It starts no thread.
 //! * [`Client`] is `Clone + Send + Sync`: clones share one connection.
-//!   Each request registers a correlation id, writes one frame under
-//!   the writer lock, and parks on its own reply channel; the reader
-//!   demux thread routes every incoming frame to the request that asked
-//!   for it. `N` worker threads need one connection, not `N`.
+//!   Each request registers a correlation id in the request table and
+//!   writes one frame under the writer lock. Then its caller reads the
+//!   socket itself if no other caller is reading (leader/follower
+//!   reads), or sleeps until the reader puts its reply in its slot or
+//!   passes it the read half. A lone caller reads its own reply, so its
+//!   lease crosses no client-side thread boundary. `N` worker threads
+//!   need one connection, not `N`.
 //! * Typed surface: [`Client::lease`] → [`Lease`], [`Client::summary`] /
 //!   [`Client::shutdown`] → [`Summary`], plus [`Client::reset`],
 //!   [`Client::drain`], [`Client::metrics`] and [`Client::timeline`].

@@ -111,6 +111,9 @@ pub const DOWN_AFTER: u32 = 3;
 /// timelines are fetched back by.
 const TAIL_SAMPLES: usize = 4;
 
+/// A lease the tail sampler admitted: its correlation id and its node.
+pub(crate) type Admitted = (u64, usize);
+
 /// One lane: a session slot per node, empty until an address is known.
 type Lane = Vec<Option<Session>>;
 
@@ -280,11 +283,11 @@ impl Router {
 
     /// The crash acknowledgement for proxied topologies, where the
     /// node's *proxy* address is stable across the restart: bumps the
-    /// incarnation and drops every lane's (dead) connection — dropping
-    /// a client fails its pending waiters with a typed
-    /// broken-connection error, so in-flight work is drained, never
-    /// stranded. The next request to the node redials through the
-    /// stored address.
+    /// incarnation and drops every lane's (dead) connection. The runner
+    /// calls it between barriers, with no lease in flight; a caller
+    /// still waiting on a dead connection would find the death itself,
+    /// by reading the socket, and fail lease-in-doubt. The next request
+    /// to the node redials through the stored address.
     pub fn mark_restarted(&self, index: usize) {
         self.bump_incarnation(index);
         for lane in &self.lanes {
@@ -338,7 +341,7 @@ impl Router {
     }
 
     /// The slowest leases routed so far, worst first, with their
-    /// correlation ids and nodes (timelines not yet fetched).
+    /// correlation ids, nodes and the timelines fetched so far.
     pub(crate) fn slow_leases(&self) -> Vec<SlowLease> {
         self.ledger
             .lock()
@@ -360,6 +363,18 @@ impl Router {
     /// prevent. A lost reply means the granted IDs leak; a retry gets
     /// fresh ones (leak-not-duplicate, pinned by the global audit).
     pub fn lease(&self, tenant: u64, count: u128) -> io::Result<Vec<Arc>> {
+        self.lease_sampled(tenant, count).map(|(arcs, _)| arcs)
+    }
+
+    /// [`Router::lease`], also returning the lease's correlation id and
+    /// node when the tail sampler admitted it, so the caller can fetch
+    /// its span while the node's trace ring still holds it
+    /// ([`Router::set_timeline`]).
+    pub(crate) fn lease_sampled(
+        &self,
+        tenant: u64,
+        count: u128,
+    ) -> io::Result<(Vec<Arc>, Option<Admitted>)> {
         let node = self.node_of(tenant);
         let lane = (tenant % self.lanes.len() as u64) as usize;
         let started_ns = clock::monotonic_ns();
@@ -376,7 +391,7 @@ impl Router {
         let latency_ns = clock::monotonic_ns().saturating_sub(started_ns);
         let mut ledger = self.ledger.lock().expect("router ledger");
         ledger.latency.record_ns(latency_ns);
-        ledger.tail.offer(corr, tenant, node, latency_ns);
+        let admitted = ledger.tail.offer(corr, tenant, node, latency_ns);
         ledger.leases += 1;
         ledger.issued += lease.granted;
         ledger.errors += lease.error.is_some() as u64;
@@ -385,7 +400,17 @@ impl Router {
             ledger.audit.record(owner, arc);
             ledger.audit_by_tenant.record(tenant, arc);
         }
-        Ok(lease.arcs)
+        Ok((lease.arcs, admitted.then_some((corr, node))))
+    }
+
+    /// Attaches a fetched span timeline to the slow lease `corr`, if
+    /// the tail sampler still retains it.
+    pub(crate) fn set_timeline(&self, corr: u64, timeline: String) {
+        self.ledger
+            .lock()
+            .expect("router ledger")
+            .tail
+            .set_timeline(corr, timeline);
     }
 
     /// Total IDs issued through this router.

@@ -15,8 +15,10 @@
 
 use std::fmt::Write as _;
 use std::io;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Mutex;
 use std::thread::Scope;
 use std::time::Duration;
 
@@ -26,6 +28,7 @@ use uuidp_adversary::schedule::{Scheduler, TrafficMix};
 use uuidp_client::{Client, FaultCounters, ProtoVersion, RetryPolicy, CHAOS_TIMEOUT};
 use uuidp_core::codec::fnv1a;
 use uuidp_core::id::IdSpace;
+use uuidp_core::interval::Arc;
 use uuidp_core::rng::{uniform_below, Xoshiro256pp};
 use uuidp_netchaos::{
     schedule_fingerprint, ChaosProxy, ChaosReport, ChaosSpec, FaultCounts, FINGERPRINT_CONNS,
@@ -133,6 +136,39 @@ enum Job {
     Barrier(SyncSender<Option<io::Error>>),
 }
 
+/// Each node's own address, for the span fetches of [`lease_traced`]:
+/// not its chaos proxy's, so a fetch draws no faults. The runner
+/// updates a node's entry at its crash-restart, while every worker
+/// waits at a barrier.
+type NodeAddrs = Mutex<Vec<SocketAddr>>;
+
+/// The runner's one lease call: routes the lease and, when the router's
+/// tail sampler admits it, fetches its span timeline from the node
+/// straight away. A node's trace ring keeps only each recording
+/// thread's last events, so a span left until teardown is gone on any
+/// run longer than a few hundred leases.
+fn lease_traced(
+    router: &Router,
+    nodes: &NodeAddrs,
+    space: IdSpace,
+    tenant: u64,
+    count: u128,
+) -> io::Result<Vec<Arc>> {
+    let (arcs, admitted) = router.lease_sampled(tenant, count)?;
+    if let Some((corr, node)) = admitted {
+        let addr = nodes.lock().expect("node addresses")[node];
+        if let Ok(text) = fetch_timeline(addr, space, corr) {
+            router.set_timeline(corr, text);
+        }
+    }
+    Ok(arcs)
+}
+
+/// One span timeline, over a fresh connection to the node at `addr`.
+fn fetch_timeline(addr: SocketAddr, space: IdSpace, corr: u64) -> io::Result<String> {
+    Client::connect(addr, space)?.timeline(corr)
+}
+
 /// The runner's `workers` tenant-pinned lease threads (see the module
 /// docs), each serving its queue in order through the shared router.
 struct Workers {
@@ -152,6 +188,8 @@ impl Workers {
     fn spawn<'scope, 'env>(
         scope: &'scope Scope<'scope, 'env>,
         router: &'env Router,
+        nodes: &'env NodeAddrs,
+        space: IdSpace,
         workers: usize,
         abandon: bool,
     ) -> Workers {
@@ -163,7 +201,7 @@ impl Workers {
                     for job in rx {
                         match job {
                             Job::Lease(tenant, count) => {
-                                if let Err(e) = router.lease(tenant, count) {
+                                if let Err(e) = lease_traced(router, nodes, space, tenant, count) {
                                     if !abandon {
                                         failed.get_or_insert(e);
                                     }
@@ -371,8 +409,9 @@ pub struct FleetReport {
     pub merged_nodes: AuditReport,
     /// Per-node breakdown.
     pub per_node: Vec<NodeReport>,
-    /// The slowest leases through the router, worst first, with the
-    /// span timelines their nodes still held before shutdown.
+    /// The slowest leases through the router, worst first, with their
+    /// span timelines, fetched from their nodes as each was admitted
+    /// (and again before shutdown, kept where that held more events).
     pub slow: Vec<SlowLease>,
 }
 
@@ -627,14 +666,16 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
             io::Result::Ok(())
         }
     };
+    let nodes: NodeAddrs = Mutex::new((0..config.nodes).map(|i| fleet.addr(i)).collect());
     std::thread::scope(|scope| {
-        let workers = Workers::spawn(scope, &router, config.workers, abandon);
+        let workers = Workers::spawn(scope, &router, &nodes, space, config.workers, abandon);
         while submitted < config.requests {
             if let Some(k) = config.kill_every {
                 if submitted > 0 && submitted.is_multiple_of(k) {
                     workers.barrier()?;
                     let victim = uniform_below(&mut chaos_rng, config.nodes as u128) as usize;
                     let addr = fleet.crash_restart(victim)?;
+                    nodes.lock().expect("node addresses")[victim] = addr;
                     match proxies.get(victim) {
                         // The proxy's listen address is stable: point it
                         // at the successor and let the next request
@@ -653,7 +694,7 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
                 break;
             };
             if config.placement == TrafficMix::Hunter {
-                match router.lease(tenant, count) {
+                match lease_traced(&router, &nodes, space, tenant, count) {
                     Ok(arcs) => {
                         if let Some(arc) = arcs.first() {
                             scheduler.observe(tenant, arc.start);
@@ -702,14 +743,15 @@ fn drive_fleet(fleet: &mut Fleet, config: &FleetConfig) -> io::Result<FleetRepor
             })?;
         }
     }
-    // The worst leases' span timelines, fetched straight from their
-    // nodes while the trace rings still hold them.
+    // The worst leases' spans were fetched as each was admitted. A
+    // fetch now replaces one only where it holds more events: the
+    // audit-record stamp can land after the reply.
     let mut slow = router.slow_leases();
     for lease in &mut slow {
-        if let Ok(text) =
-            Client::connect(fleet.addr(lease.node), space).and_then(|c| c.timeline(lease.corr))
-        {
-            lease.timeline = text;
+        if let Ok(text) = fetch_timeline(fleet.addr(lease.node), space, lease.corr) {
+            if text.lines().count() > lease.timeline.lines().count() {
+                lease.timeline = text;
+            }
         }
     }
     let mut per_node = Vec::with_capacity(config.nodes);

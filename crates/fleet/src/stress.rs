@@ -166,6 +166,29 @@ mod tests {
     }
 
     #[test]
+    fn every_slow_lease_of_a_long_run_keeps_its_timeline() {
+        // 2,400 leases stamp about four span events each, far more than
+        // the node's trace ring keeps per recording thread, so a span
+        // left until teardown would be gone: each slow lease's span is
+        // fetched when the tail sampler admits it.
+        let mut cfg = base(AlgorithmKind::Cluster, 48);
+        cfg.requests = 2_400;
+        let report = run_stress_remote(wire(cfg, 4)).expect("long stress run");
+        assert_eq!(report.requests, 2_400);
+        assert!(!report.slow.is_empty(), "no slow lease was sampled");
+        for lease in &report.slow {
+            assert!(
+                lease
+                    .timeline
+                    .starts_with(&format!("span corr={}\n", lease.corr)),
+                "slow lease corr={} has no timeline: {:?}",
+                lease.corr,
+                lease.timeline
+            );
+        }
+    }
+
+    #[test]
     fn chaos_run_degrades_gracefully_and_never_duplicates() {
         // The tentpole invariant: under partitions, torn frames, and
         // corrupted replies, the retrying driver completes the run with

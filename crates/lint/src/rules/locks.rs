@@ -45,9 +45,10 @@ const BLOCKING: &[&str] = &[
 ];
 
 /// This workspace's own blocking wrappers, called as free functions
-/// (`write_frame(&mut *w, ..)`), which a method-only list would see
-/// straight through.
-const BLOCKING_WRAPPERS: &[&str] = &["write_frame", "read_frame"];
+/// (`write_frame(&mut *w, ..)`, the client's `read_socket(&stream, ..)`
+/// read into its reassembly buffer), which a method-only list would
+/// see straight through.
+const BLOCKING_WRAPPERS: &[&str] = &["write_frame", "read_frame", "read_socket"];
 
 /// One live guard.
 #[derive(Debug)]

@@ -108,6 +108,25 @@ fn lock_blocking_pair() {
 }
 
 #[test]
+fn lock_blocking_wrapper_pair() {
+    let bad = analyze_rust(
+        Config::bare(),
+        "crates/x/src/lib.rs",
+        include_str!("fixtures/lock_blocking_wrapper_bad.rs"),
+    );
+    assert_exactly_one(&bad, Rule::LockBlocking);
+    assert!(bad.diagnostics[0].message.contains("read_socket"));
+    assert!(bad.diagnostics[0].message.contains("self.buf"));
+
+    let ok = analyze_rust(
+        Config::bare(),
+        "crates/x/src/lib.rs",
+        include_str!("fixtures/lock_blocking_wrapper_ok.rs"),
+    );
+    assert_clean(&ok);
+}
+
+#[test]
 fn lock_cycle_pair() {
     let bad = analyze_rust(
         Config::bare(),

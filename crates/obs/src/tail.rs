@@ -6,11 +6,13 @@
 //! the current K-th worst are kept — O(K) memory, no allocation for
 //! the common (fast) case beyond the retained set.
 //!
-//! After the run, the driver asks each sampled lease's node for its
-//! span events over the wire (`TimelineReq`, protocol v2) and attaches
-//! the assembled client→demux→persist→reply timeline to the sample, so
-//! stress and fleet reports can print end-to-end stories for the worst
-//! offenders instead of a bare p999 number ([`render_slow_leases`]).
+//! When `offer` admits a lease, the driver asks the lease's node for
+//! its span events over the wire (`TimelineReq`, protocol v2) straight
+//! away, while the node's trace ring still holds them, and attaches the
+//! assembled client→demux→persist→reply timeline to the sample
+//! ([`TailSampler::set_timeline`]), so stress and fleet reports can
+//! print end-to-end stories for the worst offenders instead of a bare
+//! p999 number ([`render_slow_leases`]).
 
 /// One sampled slow lease, with its fetched timeline once assembled.
 #[derive(Debug, Clone)]
@@ -24,8 +26,9 @@ pub struct SlowLease {
     pub node: usize,
     /// Client-observed end-to-end latency.
     pub latency_ns: u64,
-    /// Rendered span timeline, filled in post-run by a `TimelineReq`
-    /// fetch; empty until then (or when the ring evicted the span).
+    /// Rendered span timeline, filled in by a `TimelineReq` fetch once
+    /// the sample is admitted; empty until then (or when the node's
+    /// ring no longer held the span).
     pub timeline: String,
 }
 
@@ -74,6 +77,14 @@ impl TailSampler {
         true
     }
 
+    /// Attaches `timeline` to the retained sample `corr`; a no-op once
+    /// worse leases have evicted it.
+    pub fn set_timeline(&mut self, corr: u64, timeline: String) {
+        if let Some(sample) = self.worst.iter_mut().find(|s| s.corr == corr) {
+            sample.timeline = timeline;
+        }
+    }
+
     /// Retained samples, worst first.
     pub fn worst(&self) -> &[SlowLease] {
         &self.worst
@@ -120,6 +131,24 @@ mod tests {
         }
         let kept: Vec<(u64, u64)> = t.worst().iter().map(|s| (s.corr, s.latency_ns)).collect();
         assert_eq!(kept, vec![(4, 900), (2, 500), (5, 60)]);
+    }
+
+    #[test]
+    fn timelines_attach_to_retained_samples_only() {
+        let mut t = TailSampler::new(2, 0);
+        t.offer(1, 7, 0, 100);
+        t.offer(2, 7, 0, 200);
+        t.set_timeline(1, "span corr=1".into());
+        t.offer(3, 7, 0, 300);
+        // corr 1 was evicted: attaching to it changes nothing.
+        t.set_timeline(1, "span corr=1 again".into());
+        t.set_timeline(3, "span corr=3".into());
+        let kept: Vec<(u64, &str)> = t
+            .worst()
+            .iter()
+            .map(|s| (s.corr, s.timeline.as_str()))
+            .collect();
+        assert_eq!(kept, vec![(3, "span corr=3"), (2, "")]);
     }
 
     #[test]

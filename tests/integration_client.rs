@@ -14,14 +14,22 @@
 //!   `summary` without stopping the service;
 //! * **the session's retry ledger** — a `Session` spends exactly its
 //!   budget on a dead server, never retries a fatal reply, and counts a
-//!   redial only once it has been connected before.
+//!   redial only once it has been connected before;
+//! * **leader/follower reads** — callers sharing one connection read
+//!   the socket for each other: every reply reaches the caller that
+//!   asked for it, a caller whose reply never comes times out without
+//!   stranding the others, and a read cut short by the timeout leaves
+//!   its partial frame for the next reader.
 
 use std::collections::HashSet;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use uuidp::client::frame::{encode_frame, read_frame, write_frame, FrameBody, VERSION};
-use uuidp::client::{broken, Client, ClientOptions, ErrorClass, RetryPolicy, Session};
+use uuidp::client::frame::{encode_frame, read_frame, write_frame, Frame, FrameBody, VERSION};
+use uuidp::client::{broken, classify, Client, ClientOptions, ErrorClass, RetryPolicy, Session};
 use uuidp::core::algorithms::AlgorithmKind;
 use uuidp::core::id::{Id, IdSpace};
 use uuidp::core::rng::{SeedDomain, SeedTree};
@@ -323,4 +331,213 @@ fn session_counts_a_redial_after_success_as_one_reconnect() {
     assert_eq!(session.failure_streak(), 0);
     session.call(|c| c.clone().shutdown()).unwrap();
     server.join().unwrap();
+}
+
+#[test]
+fn eight_callers_on_one_connection_each_get_their_own_lease() {
+    // Eight threads share one connection, so the read role changes
+    // hands constantly: 500 leases each over 64 tenants, counts 1–64.
+    // Every reply must reach the caller that asked for it, in full, and
+    // the run must finish — a lost wake-up shows as a failure here,
+    // not as a hung test.
+    const THREADS: u64 = 8;
+    const LEASES: u64 = 500;
+    let space = IdSpace::with_bits(64).unwrap();
+    let config = ServiceConfig::new(AlgorithmKind::ClusterStar, space);
+    let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+    let client = Client::connect(server.local_addr(), space).unwrap();
+    let (done, finished) = channel();
+    let callers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let client = client.clone();
+            let done = done.clone();
+            std::thread::spawn(move || {
+                let mut issued = 0u128;
+                for i in 0..LEASES {
+                    let tenant = (i * THREADS + t) % 64;
+                    let count = ((i * 37 + t * 11) % 64 + 1) as u128;
+                    let lease = client.lease(tenant, count).expect("lease");
+                    assert_eq!(lease.tenant, tenant, "another caller's reply");
+                    assert_eq!(lease.granted, count);
+                    assert_eq!(lease.arcs.iter().map(|a| a.len).sum::<u128>(), count);
+                    assert!(lease.error.is_none(), "{:?}", lease.error);
+                    issued += count;
+                }
+                done.send(issued).unwrap();
+            })
+        })
+        .collect();
+    drop(done);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut issued = 0u128;
+    for _ in 0..THREADS {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match finished.recv_timeout(left) {
+            Ok(ids) => issued += ids,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("a caller is still waiting after 30 s: a lost wake-up")
+            }
+            // A caller panicked: joining surfaces its message.
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    for caller in callers {
+        caller.join().expect("no caller may fail");
+    }
+    client.drain().unwrap();
+    let summary = client.summary().unwrap();
+    assert_eq!(summary.issued_ids, issued);
+    assert_eq!(summary.leases, THREADS * LEASES);
+    assert_eq!(summary.duplicate_ids, 0);
+    client.shutdown().unwrap();
+    server.join().unwrap();
+}
+
+/// The bound on every reply in the stub tests below.
+const STUB_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// A one-connection stub server: it answers the handshake, then runs
+/// `script` on the connection.
+fn stub_server(script: impl FnOnce(TcpStream) + Send + 'static) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let stub = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut conn).unwrap();
+        let FrameBody::Hello { space, .. } = hello.body else {
+            panic!("expected hello");
+        };
+        let hello_ok = FrameBody::HelloOk {
+            version: VERSION,
+            space,
+        };
+        write_frame(&mut conn, hello.corr, &hello_ok).unwrap();
+        script(conn);
+    });
+    (addr, stub)
+}
+
+/// A client whose every reply is bounded by [`STUB_TIMEOUT`].
+fn stub_client(addr: SocketAddr) -> Client {
+    let options = ClientOptions {
+        request_timeout: Some(STUB_TIMEOUT),
+        ..ClientOptions::default()
+    };
+    Client::connect_with(addr, IdSpace::with_bits(24).unwrap(), options).unwrap()
+}
+
+/// The stub's grant of `count` IDs to `tenant`.
+fn stub_grant(tenant: u64, count: u128) -> FrameBody {
+    FrameBody::LeaseResp {
+        tenant,
+        granted: count,
+        arcs: vec![(tenant as u128 * 1000, count)],
+        error: None,
+    }
+}
+
+/// The tenant a lease request names.
+fn tenant_of(frame: &Frame) -> u64 {
+    match frame.body {
+        FrameBody::LeaseReq { tenant, .. } => tenant,
+        ref other => panic!("expected a lease request, got {other:?}"),
+    }
+}
+
+/// Asserts `result` is a timed-out lease: lease-in-doubt, after about
+/// [`STUB_TIMEOUT`].
+fn assert_timed_out<T: std::fmt::Debug>(result: std::io::Result<T>, took: Duration) {
+    let err = result.expect_err("the stub never answers this lease");
+    assert_eq!(classify(&err), ErrorClass::LeaseInDoubt, "{err}");
+    assert!(err.to_string().contains("timed out"), "{err}");
+    assert!(
+        took >= STUB_TIMEOUT && took < STUB_TIMEOUT * 10,
+        "timed out after {took:?}"
+    );
+}
+
+#[test]
+fn an_unanswered_caller_times_out_without_stranding_the_answered_one() {
+    // Caller A (tenant 1) is never answered; caller B (tenant 2) is,
+    // once both requests are in. Whichever of the two reads the socket,
+    // B gets its reply and A fails lease-in-doubt after its bound.
+    for a_leads in [true, false] {
+        let (first_in, first_arrived) = channel();
+        let (addr, stub) = stub_server(move |mut conn| {
+            let first = read_frame(&mut conn).unwrap();
+            first_in.send(()).unwrap();
+            let second = read_frame(&mut conn).unwrap();
+            let b = if tenant_of(&first) == 2 {
+                first
+            } else {
+                second
+            };
+            assert_eq!(tenant_of(&b), 2);
+            write_frame(&mut conn, b.corr, &stub_grant(2, 5)).unwrap();
+            // Hold the connection open until the client hangs up.
+            while read_frame(&mut conn).is_ok() {}
+        });
+        let client = stub_client(addr);
+        let caller = |tenant: u64| {
+            let client = client.clone();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let result = client.lease(tenant, 5);
+                (result, started.elapsed())
+            })
+        };
+        let (first, second) = if a_leads { (1, 2) } else { (2, 1) };
+        let first = caller(first);
+        first_arrived.recv().unwrap();
+        // The first caller is reading the socket by now; the second
+        // waits behind it.
+        std::thread::sleep(Duration::from_millis(50));
+        let second = caller(second);
+        let (a, b) = if a_leads {
+            (first.join().unwrap(), second.join().unwrap())
+        } else {
+            let b = first.join().unwrap();
+            (second.join().unwrap(), b)
+        };
+        let lease =
+            b.0.unwrap_or_else(|e| panic!("a_leads={a_leads}: B lost its reply: {e}"));
+        assert_eq!((lease.tenant, lease.granted), (2, 5));
+        assert_timed_out(a.0, a.1);
+        drop(client);
+        stub.join().unwrap();
+    }
+}
+
+#[test]
+fn a_timed_out_read_leaves_its_partial_frame_for_the_next_reader() {
+    // The stub sends half of A's reply, waits until A has timed out,
+    // then sends the rest followed by B's reply. B decodes its own
+    // reply only if the bytes A read before timing out were kept; A's
+    // late reply is dropped, and the connection stays in step.
+    let (addr, stub) = stub_server(|mut conn| {
+        let a = read_frame(&mut conn).unwrap();
+        assert_eq!(tenant_of(&a), 1);
+        let a_reply = encode_frame(a.corr, &stub_grant(1, 5));
+        let (head, tail) = a_reply.split_at(a_reply.len() / 2);
+        std::io::Write::write_all(&mut conn, head).unwrap();
+        // B asks only once A has timed out.
+        let b = read_frame(&mut conn).unwrap();
+        assert_eq!(tenant_of(&b), 2);
+        let mut rest = tail.to_vec();
+        rest.extend_from_slice(&encode_frame(b.corr, &stub_grant(2, 7)));
+        std::io::Write::write_all(&mut conn, &rest).unwrap();
+        let c = read_frame(&mut conn).unwrap();
+        write_frame(&mut conn, c.corr, &stub_grant(tenant_of(&c), 9)).unwrap();
+        while read_frame(&mut conn).is_ok() {}
+    });
+    let client = stub_client(addr);
+    let started = Instant::now();
+    let a = client.lease(1, 5);
+    assert_timed_out(a, started.elapsed());
+    let b = client.lease(2, 7).expect("B's reply follows A's late one");
+    assert_eq!((b.tenant, b.granted), (2, 7));
+    let c = client.lease(3, 9).expect("the connection is still in step");
+    assert_eq!((c.tenant, c.granted), (3, 9));
+    drop(client);
+    stub.join().unwrap();
 }
