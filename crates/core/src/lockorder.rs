@@ -34,24 +34,29 @@ use std::panic::Location;
 mod imp {
     use std::cell::RefCell;
     use std::collections::{BTreeMap, BTreeSet};
+    use std::panic::Location;
     use std::sync::Mutex;
 
-    /// Global acquired-while-holding graph: `edges[from]` is the set of
+    /// An acquisition site: the `track` call's location, static for the
+    /// life of the process, so recording one allocates nothing.
+    type Site = &'static Location<'static>;
+
+    /// An acquired-while-holding graph: `edges[from]` is the set of
     /// `(to, from_site, to_site)` orderings observed so far.
-    #[allow(clippy::type_complexity)]
-    static EDGES: Mutex<
-        BTreeMap<&'static str, BTreeSet<(&'static str, &'static str, &'static str)>>,
-    > = Mutex::new(BTreeMap::new());
+    type Edges = BTreeMap<&'static str, BTreeSet<(&'static str, Site, Site)>>;
+
+    /// The process's global graph.
+    static EDGES: Mutex<Edges> = Mutex::new(BTreeMap::new());
 
     thread_local! {
         /// The labels (and sites) of locks this thread currently holds,
         /// outermost first.
-        static HELD: RefCell<Vec<(&'static str, &'static str)>> = const { RefCell::new(Vec::new()) };
+        static HELD: RefCell<Vec<(&'static str, Site)>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Records `label` acquired at `site` while everything on this
     /// thread's stack is held; panics if the new edges close a cycle.
-    pub fn acquire(label: &'static str, site: &'static str) {
+    pub fn acquire(label: &'static str, site: Site) {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(outer, outer_site)) = held.last() {
@@ -60,23 +65,34 @@ mod imp {
                     // while this guard is held, and a poisoned graph
                     // must not cascade into every later acquisition.
                     let mut edges = EDGES.lock().unwrap_or_else(|e| e.into_inner());
-                    edges
+                    // An edge seen before closed no cycle then, and the
+                    // graph has only grown since by edges that were each
+                    // checked as they landed: only a new one can close
+                    // a cycle.
+                    let new = edges
                         .entry(outer)
                         .or_default()
                         .insert((label, outer_site, site));
-                    if let Some(path) = find_path(&edges, label, outer) {
+                    if let Some(path) = new.then(|| find_path(&edges, label, outer)).flatten() {
                         // `outer -> label` just landed, and `label ->
                         // ... -> outer` already existed: name both ends.
                         panic!(
-                            "lock-order cycle: `{outer}` (held, acquired at {outer_site}) \
-                             then `{label}` (at {site}), but the reverse order \
-                             {path} was already observed elsewhere"
+                            "lock-order cycle: `{outer}` (held, acquired at {}) \
+                             then `{label}` (at {}), but the reverse order \
+                             {path} was already observed elsewhere",
+                            at(outer_site),
+                            at(site)
                         );
                     }
                 }
             }
             held.push((label, site));
         });
+    }
+
+    /// A site as `file:line`.
+    fn at(site: Site) -> String {
+        format!("{}:{}", site.file(), site.line())
     }
 
     /// Pops `label` off this thread's stack (out-of-order drops are
@@ -92,11 +108,7 @@ mod imp {
 
     /// DFS: is `to` reachable from `from` in the edge graph? Returns a
     /// rendered `a -> b -> c` path for the panic message.
-    fn find_path(
-        edges: &BTreeMap<&'static str, BTreeSet<(&'static str, &'static str, &'static str)>>,
-        from: &'static str,
-        to: &'static str,
-    ) -> Option<String> {
+    fn find_path(edges: &Edges, from: &'static str, to: &'static str) -> Option<String> {
         let mut stack = vec![(from, vec![from])];
         let mut seen = BTreeSet::new();
         while let Some((node, path)) = stack.pop() {
@@ -150,11 +162,7 @@ pub fn track(label: &'static str) -> Tracked {
     let location = Location::caller();
     #[cfg(debug_assertions)]
     {
-        // Leak one site string per call site: the set of call sites is
-        // static, so this is bounded for the life of the process.
-        let site: &'static str =
-            Box::leak(format!("{}:{}", location.file(), location.line()).into_boxed_str());
-        imp::acquire(label, site);
+        imp::acquire(label, location);
         Tracked { label }
     }
     #[cfg(not(debug_assertions))]

@@ -1,7 +1,7 @@
 //! Fleet topology: booting, crashing, and restarting loopback nodes.
 //!
 //! A [`Fleet`] owns `N` independent [`TcpServer`] nodes, each a full
-//! `uuidp-service` instance (its own worker shards, audit pipeline, and
+//! `uuidp-service` instance (its own shards, reactors, audit pipeline, and
 //! TCP front-end on an ephemeral loopback port). Durable nodes keep
 //! their state under the fleet's root, one directory per node; volatile
 //! nodes keep none and cannot restart. Nodes share nothing at runtime —

@@ -2,8 +2,8 @@
 //! lifecycle events, keyed by the v2 wire correlation id.
 //!
 //! Every layer stamps the stages it owns — client send, netchaos proxy
-//! connection, server demux, worker persist/emit, audit record, reply
-//! sent, client receive — and [`TraceRecorder::timeline`] reassembles
+//! connection, server demux, worker persist/emit, reply sent, audit
+//! record, client receive — and [`TraceRecorder::timeline`] reassembles
 //! one correlation id's events into a printable causal timeline.
 //! Recording is a shard lock (per-thread, so uncontended in steady
 //! state) and a ring write; details are `&'static str` so the hot path
@@ -25,16 +25,18 @@ pub enum Stage {
     ClientSend,
     /// A netchaos proxy accepted the carrying connection.
     ProxyConn,
-    /// Server demux thread decoded the frame and routed it.
+    /// A server reactor decoded the frame and began serving it.
     ServerDemux,
-    /// Worker persisted the write-ahead record (pre-reply durability).
+    /// The serving thread persisted the write-ahead record (pre-reply
+    /// durability).
     WorkerPersist,
-    /// Worker emitted the lease arcs.
+    /// The serving thread emitted the lease arcs.
     WorkerEmit,
-    /// Audit tap recorded the emission.
-    AuditRecord,
-    /// Server wrote the reply frame.
+    /// The server queued the reply frame on its connection.
     ReplySent,
+    /// An audit thread recorded the emission, which the serving thread
+    /// tees to it after queueing the reply.
+    AuditRecord,
     /// Client matched the reply to its pending request.
     ClientRecv,
     /// A burn-rate alert rule changed state (corr 0, run-level) —
@@ -51,8 +53,8 @@ impl Stage {
             Stage::ServerDemux => "server-demux",
             Stage::WorkerPersist => "worker-persist",
             Stage::WorkerEmit => "worker-emit",
-            Stage::AuditRecord => "audit-record",
             Stage::ReplySent => "reply-sent",
+            Stage::AuditRecord => "audit-record",
             Stage::ClientRecv => "client-recv",
             Stage::Alert => "alert",
         }

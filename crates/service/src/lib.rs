@@ -7,14 +7,15 @@
 //! traffic. It is the deployment-shaped layer over the PR 1 engine
 //! primitives:
 //!
-//! * [`service`] — [`service::IdService`]: shard-per-worker issuing over
-//!   bounded channels. Each shard owns its tenants' recycled
-//!   [`IdGenerator`]s and serves **bulk leases** — one
+//! * [`service`] — [`service::IdService`]: run-to-completion issuing.
+//!   Each shard is a lock over its tenants' recycled [`IdGenerator`]s,
+//!   and a lease is served on the thread that asks for it as a **bulk
+//!   lease** — one
 //!   [`next_ids`](uuidp_core::traits::IdGenerator::next_ids) call emits a
 //!   whole run of IDs as `O(1)` amortized interval pushes (Cluster and
-//!   the arc-structured algorithms lease thousands of IDs per arc), so
-//!   aggregate throughput is bounded by channel hops, not by per-ID
-//!   work. Every lease is routed, stripe by stripe, into a **pool of
+//!   the arc-structured algorithms lease thousands of IDs per arc), with
+//!   no thread hop between the caller and its shard. Every lease is
+//!   routed, stripe by stripe, into a **pool of
 //!   audit threads**, each owning a disjoint subset of the striped
 //!   *symbolic* [`LeaseAudit`](uuidp_sim::audit::LeaseAudit) — flagging
 //!   cross-tenant duplicates and silent aliasing online with
@@ -26,10 +27,10 @@
 //!   a service report onto the v2 summary frame.
 //! * [`net`] — [`net::TcpServer`]: the TCP front-end, speaking **wire
 //!   protocol v2 only** to `uuidp_client::Client` callers, with no
-//!   per-connection thread at all — an epoll reactor owns every
-//!   connection and hands each lease straight to its tenant's shard,
-//!   which queues the reply frame back on the reactor under the
-//!   request's correlation id.
+//!   per-connection thread at all — one epoll reactor per shard owns the
+//!   connections handed to it, serves each lease itself under its
+//!   tenant's shard lock, and queues the reply frame on the connection
+//!   under the request's correlation id.
 //! * [`stress`] — [`stress::run_stress`]: replays the deterministic
 //!   request schedule of `uuidp_adversary::schedule` (uniform,
 //!   Zipf-skewed, flood, and the adaptive RunHunter playing through the

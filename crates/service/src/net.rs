@@ -5,35 +5,38 @@
 //! per-connection thread at all:
 //!
 //! ```text
-//!   accept ──► reactor thread (epoll; owns every conn)
-//!                 │  first byte must be 0x00 (the v2 magic); anything
-//!                 │  else gets one `error:` text line, then close
-//!                 │  complete frames, dispatched by kind:
-//!                 ├── lease/reset ──► shard worker (tenant % shards)
-//!                 └── drain/summary/shutdown ──► control thread
-//!                        reply frames are *queued* back to the reactor
-//!                        (by the shard itself for a lease) and flushed
-//!                        with vectored writes on write readiness,
-//!                        correlation ids intact
+//!   accept ──► reactor threads, one per shard (epoll; each owns the
+//!              │  connections it was handed, spread round-robin)
+//!              │  first byte must be 0x00 (the v2 magic); anything
+//!              │  else gets one `error:` text line, then close
+//!              │  complete frames, dispatched by kind:
+//!              ├── lease/reset: served right here, under the tenant's
+//!              │   shard lock; the reply joins the connection's queue
+//!              └── drain/summary/shutdown ──► control thread
+//!                     (its replies come back through the reactor's
+//!                     command channel)
+//!              reply queues are flushed with vectored writes at the
+//!              end of each pass, correlation ids intact
 //! ```
 //!
 //! However many connections are open, the front-end runs one reactor
-//! thread and one control thread beside the service's own shards. The
-//! reactor ([`crate::reactor`]) takes readiness from epoll (raw
-//! syscalls, see [`crate::sys`]), so an idle server costs ~zero CPU
-//! regardless of connection count. A lease goes straight from the
-//! reactor to its tenant's shard, and the shard queues the reply frame
-//! on the reactor: two thread handoffs per wire lease. Shard queues are
-//! FIFO, so each tenant's requests stay in order end to end (the
-//! determinism the differential tests pin), while different tenants'
-//! requests from one multiplexed connection are served concurrently.
-//! Drain/summary/shutdown run on the control thread behind the
-//! service's own shard barrier, which covers every lease the reactor
-//! dispatched before them, so they mean "everything submitted before
-//! me". Shards never block on a slow peer: replies queue on the owning
-//! connection inside the reactor, and a peer that stops reading is
-//! eventually severed (backpressure by disconnect, not by stalling a
-//! shared thread).
+//! thread per service shard and one control thread, beside the
+//! service's audit threads. A reactor ([`crate::reactor`]) takes
+//! readiness from epoll (raw syscalls, see [`crate::sys`]), so an idle
+//! server costs ~zero CPU regardless of connection count. It serves a
+//! lease to completion on its own thread: it locks the tenant's shard,
+//! issues, encodes the reply onto the connection's queue and flushes it
+//! in the same pass, with no thread handoff. Each lease locks its own
+//! tenant's shard whichever reactor read it, so connections on
+//! different reactors are served concurrently, and a connection's
+//! frames are served in the order they arrived (the determinism the
+//! differential tests pin). Drain/summary/shutdown run on the control
+//! thread behind the service's lock sweep over the shards, which covers
+//! every lease the reactor served before it passed them on, so they
+//! mean "everything submitted before me". The reactor never blocks on a
+//! slow peer: replies queue on the owning connection, and a peer that
+//! stops reading is eventually severed (backpressure by disconnect, not
+//! by stalling a shared thread).
 //!
 //! Shutdown is graceful and client-initiated: the summary frame is
 //! projected from the final [`ServiceReport`] by [`wire_summary`].
@@ -67,8 +70,8 @@ use uuidp_core::lockorder;
 use uuidp_obs::{Registry, Stage, TraceRecorder};
 
 use crate::protocol::wire_summary;
-use crate::reactor::{Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
-use crate::service::{check_tenant, IdService, LeaseReply, ServiceConfig, ServiceReport};
+use crate::reactor::{Outbox, Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
+use crate::service::{check_tenant, IdService, Served, ServiceConfig, ServiceReport};
 
 /// Front-end options, beyond the service's own configuration.
 #[derive(Debug, Clone)]
@@ -92,12 +95,14 @@ pub(crate) struct ServerState {
     pub(crate) service: RwLock<Option<IdService>>,
     /// Set before the accept loop is woken for the last time.
     pub(crate) stopping: AtomicBool,
-    /// Set by [`crash_server`] before it takes the service: a crashed
-    /// node answers nothing more, not even "shutting down".
+    /// Set once the node starts to crash — by the wire lease that trips
+    /// `halt_after_persists`, under its shard's lock, or by
+    /// [`crash_server`] before it takes the service: a crashing node
+    /// serves and answers nothing more, not even "shutting down".
     crashed: AtomicBool,
-    /// Live connections: counted up when the reactor adopts a socket
-    /// and down when it disposes of one, so churning clients leave no
-    /// trace. The reactor owns and severs the sockets themselves.
+    /// Live connections: counted up when a reactor adopts a socket and
+    /// down when it disposes of one, so churning clients leave no
+    /// trace. The reactors own and sever the sockets themselves.
     pub(crate) live: AtomicUsize,
     /// Connection id source.
     pub(crate) next_conn: AtomicU64,
@@ -112,9 +117,9 @@ pub(crate) struct ServerState {
     pub(crate) trace: Arc<TraceRecorder>,
     /// Whether scrapes are served (see [`ServerOptions::metrics`]).
     pub(crate) metrics: bool,
-    /// Command surface into the reactor thread (stop paths use it to
-    /// bring the reactor down with the sockets).
-    pub(crate) reactor: ReactorHandle,
+    /// Command surfaces into the reactor threads (stop paths use them to
+    /// bring the reactors down with the sockets).
+    reactors: Vec<ReactorHandle>,
 }
 
 impl ServerState {
@@ -136,19 +141,29 @@ impl ServerState {
     }
 
     /// Runs `f` on the service under its read lock; `None` once a stop
-    /// path has taken the service.
+    /// path has taken the service or the node has started to crash.
     fn with_service<R>(&self, f: impl FnOnce(&IdService) -> R) -> Option<R> {
+        if self.crashed.load(Ordering::SeqCst) {
+            return None;
+        }
         let _order = lockorder::track("server.service");
         let service = self.service.read().expect("service lock");
         service.as_ref().map(f)
     }
 
-    /// Answers a request that found the service taken: the typed
-    /// "shutting down" error after a graceful shutdown, and nothing
-    /// after a crash, whose connections are about to be severed.
-    fn refuse(&self, conn: &V2Conn, corr: u64) {
-        if !self.crashed.load(Ordering::SeqCst) {
-            conn.send_error(corr, "shutting down");
+    /// The answer to a request that found no service: the typed
+    /// "shutting down" error after a graceful shutdown, and none once
+    /// the node is crashing, whose connections are about to be severed.
+    fn refusal(&self) -> Option<FrameBody> {
+        (!self.crashed.load(Ordering::SeqCst)).then(|| FrameBody::Error {
+            message: "shutting down".into(),
+        })
+    }
+
+    /// Stops every reactor, severing every connection.
+    fn stop_reactors(&self) {
+        for reactor in &self.reactors {
+            reactor.stop();
         }
     }
 }
@@ -182,8 +197,8 @@ fn crash_server(
         service.dump_flight(reason, focus_corr);
         service.shutdown()
     });
-    // The reactor owns every socket: stopping it severs them all.
-    state.reactor.stop();
+    // The reactors own every socket: stopping them severs them all.
+    state.stop_reactors();
     let _ = TcpStream::connect(local_addr);
     report
 }
@@ -192,7 +207,7 @@ fn crash_server(
 pub struct TcpServer {
     local_addr: SocketAddr,
     accept: JoinHandle<()>,
-    reactor: JoinHandle<()>,
+    reactors: Vec<JoinHandle<()>>,
     control: JoinHandle<()>,
     report_rx: Receiver<ServiceReport>,
     state: Arc<ServerState>,
@@ -201,9 +216,10 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), boots
     /// the service, and starts accepting connections with default
-    /// [`ServerOptions`] (scrapes served). Beside the service's shard
-    /// and audit threads, the server runs three: accept, reactor and
-    /// control.
+    /// [`ServerOptions`] (scrapes served). Beside the service's audit
+    /// threads, the server runs an accept thread, one reactor per shard
+    /// and a control thread: five threads with the default two shards
+    /// and one audit thread.
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<TcpServer> {
         TcpServer::bind_with(addr, config, ServerOptions::default())
     }
@@ -216,9 +232,15 @@ impl TcpServer {
     ) -> io::Result<TcpServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let poller = Poller::new()?;
-        let (cmd_tx, cmd_rx) = channel::<ReactorCmd>();
-        let reactor_handle = ReactorHandle::new(cmd_tx, poller.waker());
+        // One reactor per shard, each over its own epoll instance.
+        let mut seeds = Vec::with_capacity(config.shards);
+        let mut handles = Vec::with_capacity(config.shards);
+        for _ in 0..config.shards {
+            let poller = Poller::new()?;
+            let (cmd_tx, cmd_rx) = channel::<ReactorCmd>();
+            handles.push(ReactorHandle::new(cmd_tx, poller.waker()));
+            seeds.push((poller, cmd_rx));
+        }
         let space = config.space;
         let service = IdService::start(config);
         let registry = service.registry();
@@ -233,36 +255,43 @@ impl TcpServer {
             registry,
             trace,
             metrics: options.metrics,
-            reactor: reactor_handle.clone(),
+            reactors: handles.clone(),
         });
         let (report_tx, report_rx) = sync_channel::<ServiceReport>(1);
 
         // The v2 control lane (drain / summary / shutdown, and the
         // halt-after-persists crash).
-        // Unbounded, so a shard handing it a halted lease never waits.
+        // Unbounded, so a reactor handing it a job never waits.
         let (ctrl_tx, ctrl_rx) = channel::<CtrlJob>();
         let control = {
             let state = Arc::clone(&state);
             std::thread::spawn(move || control_worker(state, ctrl_rx, report_tx, local_addr))
         };
-        // The reactor: checks every new connection's first byte and owns
-        // all connection I/O.
-        let reactor = {
-            let seed = ReactorSeed {
-                state: Arc::clone(&state),
-                poller,
-                cmd_rx,
-                handle: reactor_handle.clone(),
-                ctrl_tx,
-            };
-            // Built on this thread so its metric families are registered
-            // before `bind_with` returns — a scraper that races the
-            // reactor's first pass still sees `uuidp_net_wakeups_total`.
-            let reactor = Reactor::new(seed);
-            std::thread::spawn(move || reactor.run())
-        };
+        // The reactors: each checks its new connections' first byte and
+        // owns all their I/O.
+        let reactors = seeds
+            .into_iter()
+            .zip(&handles)
+            .map(|((poller, cmd_rx), handle)| {
+                let seed = ReactorSeed {
+                    state: Arc::clone(&state),
+                    poller,
+                    cmd_rx,
+                    handle: handle.clone(),
+                    ctrl_tx: ctrl_tx.clone(),
+                };
+                // Built on this thread so its metric families are
+                // registered before `bind_with` returns — a scraper that
+                // races the reactor's first pass still sees
+                // `uuidp_net_wakeups_total`.
+                let reactor = Reactor::new(seed);
+                std::thread::spawn(move || reactor.run())
+            })
+            .collect();
+        drop(ctrl_tx);
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || {
+            let mut adopted = 0usize;
             for stream in listener.incoming() {
                 if accept_state.stopping.load(Ordering::SeqCst) {
                     break;
@@ -280,11 +309,14 @@ impl TcpServer {
                 // One reply frame per request: Nagle + delayed ACK would
                 // add ~40ms to every round trip on loopback.
                 let _ = stream.set_nodelay(true);
-                // The reactor reads and writes every socket nonblocking.
+                // The reactors read and write every socket nonblocking.
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                if !reactor_handle.adopt(stream) {
+                // Round-robin: connections spread evenly over reactors.
+                let reactor = &handles[adopted % handles.len()];
+                adopted += 1;
+                if !reactor.adopt(stream) {
                     break; // reactor is gone; the server is coming down
                 }
             }
@@ -292,7 +324,7 @@ impl TcpServer {
         Ok(TcpServer {
             local_addr,
             accept,
-            reactor,
+            reactors,
             control,
             report_rx,
             state,
@@ -324,7 +356,7 @@ impl TcpServer {
         Arc::clone(&self.state.trace)
     }
 
-    /// The reactor's readiness backend, always `"epoll"` (bench
+    /// The reactors' readiness backend, always `"epoll"` (bench
     /// provenance records it).
     pub fn net_backend(&self) -> &'static str {
         "epoll"
@@ -332,7 +364,9 @@ impl TcpServer {
 
     fn join_threads(self) -> Receiver<ServiceReport> {
         let _ = self.accept.join();
-        let _ = self.reactor.join();
+        for reactor in self.reactors {
+            let _ = reactor.join();
+        }
         let _ = self.control.join();
         self.report_rx
     }
@@ -366,15 +400,15 @@ impl TcpServer {
 }
 
 // ---------------------------------------------------------------------
-// The serving machinery: shards + control, fed by the reactor.
+// The serving machinery: the reactors' dispatch, and the control lane.
 // ---------------------------------------------------------------------
 
 /// The shared half of one v2 connection: its registry id, a handle to
-/// the reactor that owns the socket, and the server's control lane. A
-/// send *queues* the encoded frame on the connection's reply queue — it
-/// never touches the socket and never blocks, so a slow peer
-/// backpressures only its own queue (severed at the reactor's cap), not
-/// the shard that served it.
+/// the reactor that owns the socket, and the server's control lane. The
+/// control lane answers through it: a send *queues* the encoded frame
+/// on the connection's reply queue — it never touches the socket and
+/// never blocks, so a slow peer backpressures only its own queue
+/// (severed at the reactor's cap), not the control thread.
 pub(crate) struct V2Conn {
     conn_id: u64,
     reactor: ReactorHandle,
@@ -390,10 +424,9 @@ impl V2Conn {
         }
     }
 
-    /// Queues one whole reply frame (flushed by the reactor on write
-    /// readiness). Frames are queued whole, so replies from different
-    /// shards never interleave mid-frame. Errs only when the reactor is
-    /// already gone.
+    /// Queues one whole reply frame through the owning reactor's command
+    /// channel (flushed by the reactor on its next pass). Errs only when
+    /// the reactor is already gone.
     pub(crate) fn send(&self, corr: u64, body: &FrameBody) -> io::Result<()> {
         self.reactor
             .reply(self.conn_id, frame::encode_frame(corr, body), None)
@@ -420,36 +453,6 @@ impl V2Conn {
                 "reply flush timed out",
             )),
         }
-    }
-
-    pub(crate) fn send_error(&self, corr: u64, message: impl Into<String>) {
-        let _ = self.send(
-            corr,
-            &FrameBody::Error {
-                message: message.into(),
-            },
-        );
-    }
-
-    /// Answers a wire lease, on the shard that served it. A lease that
-    /// tripped the `halt_after_persists` hook is not answered: the
-    /// crash goes to the control lane instead, because tearing the
-    /// service down joins the shards and so cannot run on one. The
-    /// flight dump stays focused on the lease that was cut off
-    /// mid-exchange.
-    pub(crate) fn answer_lease(&self, corr: u64, reply: &LeaseReply, trace: &TraceRecorder) {
-        if reply.halted {
-            self.control(CtrlJob::Halt { corr });
-            return;
-        }
-        let _ = self.send(corr, &lease_resp(reply));
-        trace.record(
-            corr,
-            reply.tenant,
-            Stage::ReplySent,
-            "lease-resp",
-            clock::monotonic_ns(),
-        );
     }
 
     /// Hands one job to the control lane.
@@ -481,52 +484,56 @@ pub(crate) enum CtrlJob {
 
 /// The reply frame for a served lease. It fits one frame: arcs ≤
 /// granted ≤ the request's count ≤ [`frame::MAX_LEASE_COUNT`].
-fn lease_resp(reply: &LeaseReply) -> FrameBody {
+fn lease_resp(lease: &Served<'_>) -> FrameBody {
     FrameBody::LeaseResp {
-        tenant: reply.tenant,
-        granted: reply.granted,
-        arcs: reply
+        tenant: lease.tenant,
+        granted: lease.granted,
+        arcs: lease
             .arcs
             .iter()
             .map(|a| (a.start.value(), a.len))
             .collect(),
-        error: reply.error.as_ref().map(|e| e.to_string()),
+        error: lease.error.as_ref().map(|e| e.to_string()),
     }
 }
 
 /// The control lane: drain/summary, graceful shutdown, and the crash
-/// lever. The service's shard barrier (inside `drain`, `summary` and
-/// `shutdown`) covers every lease the reactor dispatched before the
-/// control frame: the reactor queues a lease on its shard before it
-/// passes any later frame here, shard queues are FIFO, and a shard
-/// queues each lease's reply before it acks a later barrier. One
-/// thread, so these serializing operations never overlap.
+/// lever. Every lease a reactor read before a control frame was served,
+/// and its reply queued, before the reactor passed the frame here; the
+/// service's lock sweep (inside `drain` and `summary`) then waits out
+/// leases still in flight on other reactors. One thread, so these
+/// serializing operations never overlap.
 fn control_worker(
     state: Arc<ServerState>,
     rx: Receiver<CtrlJob>,
     report_tx: SyncSender<ServiceReport>,
     local_addr: SocketAddr,
 ) {
+    let refuse = |conn: &V2Conn, corr| {
+        if let Some(body) = state.refusal() {
+            let _ = conn.send(corr, &body);
+        }
+    };
     while let Ok(job) = rx.recv() {
         match job {
             CtrlJob::Drain { conn, corr } => {
                 if state.with_service(IdService::drain).is_some() {
                     let _ = conn.send(corr, &FrameBody::DrainResp);
                 } else {
-                    state.refuse(&conn, corr);
+                    refuse(&conn, corr);
                 }
             }
             CtrlJob::Summary { conn, corr } => match state.with_service(IdService::summary) {
                 Some(report) => {
                     let _ = conn.send(corr, &FrameBody::SummaryResp(wire_summary(&report)));
                 }
-                None => state.refuse(&conn, corr),
+                None => refuse(&conn, corr),
             },
             CtrlJob::Shutdown { conn, corr } => {
                 state.stopping.store(true, Ordering::SeqCst);
-                // Take the service (the write lock waits out a reactor
-                // mid-dispatch); its shutdown serves and answers every
-                // lease its shards already hold before it joins them.
+                // Take the service: the write lock waits out every
+                // reactor mid-lease, so the report covers each lease a
+                // reactor has answered.
                 let service = {
                     let _order = lockorder::track("server.service");
                     state.service.write().expect("service lock").take()
@@ -545,11 +552,11 @@ fn control_worker(
                         );
                         let _ = report_tx.send(report);
                         // Sever sibling connections, unblock the accept loop.
-                        state.reactor.stop();
+                        state.stop_reactors();
                         let _ = TcpStream::connect(local_addr);
                         return;
                     }
-                    None => state.refuse(&conn, corr),
+                    None => refuse(&conn, corr),
                 }
             }
             CtrlJob::Halt { corr } => {
@@ -571,26 +578,29 @@ fn control_worker(
 pub(crate) enum Disposition {
     /// Keep serving the connection.
     Keep,
-    /// Sever it — after best-effort delivery of `farewell` (correlation
-    /// id + message, encoded into a fatal error frame by the reactor),
-    /// so protocol violations still get their diagnostic before EOF.
-    /// Queued replies are forfeit.
-    Sever {
-        /// The farewell error to write, if any.
-        farewell: Option<(u64, String)>,
-    },
+    /// Sever it — after best-effort delivery of this message in a fatal
+    /// connection-level error frame (corr 0), so protocol violations
+    /// still get their diagnostic before EOF. Queued replies are forfeit.
+    Sever(String),
 }
 
-fn sever_with(corr: u64, message: String) -> Disposition {
-    Disposition::Sever {
-        farewell: Some((corr, message)),
-    }
+/// Queues one reply frame on the connection being pumped.
+fn reply(out: &mut Outbox, corr: u64, body: &FrameBody) {
+    out.push(frame::encode_frame(corr, body));
 }
 
-/// Routes one decoded frame (called from the reactor's pump).
+fn reply_error(out: &mut Outbox, corr: u64, message: impl Into<String>) {
+    let message = message.into();
+    reply(out, corr, &FrameBody::Error { message });
+}
+
+/// Serves one decoded frame (called from the reactor's pump): leases,
+/// resets and scrapes here, on the reactor thread, their replies onto
+/// `out`; drain, summary and shutdown on the control lane.
 pub(crate) fn dispatch_frame(
     shared: &Arc<V2Conn>,
     hello_done: &mut bool,
+    out: &mut Outbox,
     f: frame::Frame,
     state: &ServerState,
 ) -> Disposition {
@@ -600,47 +610,43 @@ pub(crate) fn dispatch_frame(
         return match f.body {
             FrameBody::Hello { version, space } => {
                 if version != frame::VERSION {
-                    sever_with(
-                        0,
-                        format!(
-                            "unsupported protocol version {version} (this server speaks {})",
-                            frame::VERSION
-                        ),
-                    )
+                    Disposition::Sever(format!(
+                        "unsupported protocol version {version} (this server speaks {})",
+                        frame::VERSION
+                    ))
                 } else if space != state.space.size() {
-                    sever_with(
-                        0,
-                        format!(
-                            "universe mismatch: server is {}, client asked for {space}",
-                            state.space.size()
-                        ),
-                    )
+                    Disposition::Sever(format!(
+                        "universe mismatch: server is {}, client asked for {space}",
+                        state.space.size()
+                    ))
                 } else {
                     *hello_done = true;
-                    match shared.send(
-                        0,
-                        &FrameBody::HelloOk {
-                            version: frame::VERSION,
-                            space: state.space.size(),
-                        },
-                    ) {
-                        Ok(()) => Disposition::Keep,
-                        Err(_) => Disposition::Sever { farewell: None },
-                    }
+                    let hello_ok = FrameBody::HelloOk {
+                        version: frame::VERSION,
+                        space: state.space.size(),
+                    };
+                    reply(out, 0, &hello_ok);
+                    Disposition::Keep
                 }
             }
-            other => sever_with(0, format!("expected hello, got {} frame", other.name())),
+            other => Disposition::Sever(format!("expected hello, got {} frame", other.name())),
         };
     }
     let corr = f.corr;
+    let refuse = |out: &mut Outbox| {
+        if let Some(body) = state.refusal() {
+            reply(out, corr, &body);
+        }
+    };
     match f.body {
         FrameBody::LeaseReq { tenant, count } => {
             if let Err(message) = check_tenant(tenant) {
-                shared.send_error(corr, message);
+                reply_error(out, corr, message);
                 return Disposition::Keep;
             }
             if count > frame::MAX_LEASE_COUNT {
-                shared.send_error(
+                reply_error(
+                    out,
                     corr,
                     format!(
                         "lease of {count} IDs is above the v2 cap of {} IDs per lease",
@@ -656,49 +662,71 @@ pub(crate) fn dispatch_frame(
                 "lease-req",
                 clock::monotonic_ns(),
             );
-            // The shard answers the connection itself; a full shard queue
-            // blocks the reactor here until that shard catches up.
-            let queued =
-                state.with_service(|s| s.lease_wire(tenant, count, corr, Arc::clone(shared)));
-            if queued.is_none() {
-                state.refuse(shared, corr);
+            // Served here, under the tenant's shard lock; the reply is
+            // queued before the lease's audit tee.
+            let halted = state.with_service(|service| {
+                service.lease_with(tenant, count, corr, |lease| {
+                    if lease.halted {
+                        // The node dies instead of answering. Flagged
+                        // before this shard's lock is released, so no
+                        // reactor answers a later wire lease.
+                        state.crashed.store(true, Ordering::SeqCst);
+                        return true;
+                    }
+                    reply(out, corr, &lease_resp(&lease));
+                    state.trace.record(
+                        corr,
+                        tenant,
+                        Stage::ReplySent,
+                        "lease-resp",
+                        clock::monotonic_ns(),
+                    );
+                    false
+                })
+            });
+            match halted {
+                // Tearing the service down waits out this reactor's read
+                // guard, so the crash runs on the control lane, its
+                // flight dump focused on the lease it cut off.
+                Some(true) => shared.control(CtrlJob::Halt { corr }),
+                Some(false) => {}
+                None => refuse(out),
             }
             Disposition::Keep
         }
         FrameBody::MetricsReq => {
-            // Rendered inline on the reactor thread: a scrape reads the
-            // registry lock-free and must never queue behind leases.
+            // A scrape reads the registry lock-free and never waits on a
+            // shard.
             if state.metrics {
                 let text = state.registry.snapshot().render_prometheus();
-                let _ = shared.send(corr, &FrameBody::MetricsResp { text });
+                reply(out, corr, &FrameBody::MetricsResp { text });
             } else {
-                shared.send_error(corr, "metrics are disabled on this listener");
+                reply_error(out, corr, "metrics are disabled on this listener");
             }
             Disposition::Keep
         }
         FrameBody::TimelineReq { corr: wanted } => {
-            // Same inline discipline as a metrics scrape: assembling a
-            // span reads the trace ring, never the service, so it must
-            // not queue behind leases. An evicted/unsampled span is an
-            // empty timeline, not an error — the tail sampler treats
-            // it as "story lost to the ring".
+            // Same discipline as a metrics scrape: assembling a span
+            // reads the trace ring, never the service. An
+            // evicted/unsampled span is an empty timeline, not an error
+            // — the tail sampler treats it as "story lost to the ring".
             if state.metrics {
                 let text = state.trace.timeline(wanted);
-                let _ = shared.send(corr, &FrameBody::TimelineResp { text });
+                reply(out, corr, &FrameBody::TimelineResp { text });
             } else {
-                shared.send_error(corr, "metrics are disabled on this listener");
+                reply_error(out, corr, "metrics are disabled on this listener");
             }
             Disposition::Keep
         }
         FrameBody::ResetReq { tenant } => {
-            // The reply follows the enqueue; the shard's FIFO queue puts
-            // the reset behind the tenant's earlier leases.
+            // Served here too, so it lands after every earlier lease of
+            // the tenant this connection sent.
             if let Err(message) = check_tenant(tenant) {
-                shared.send_error(corr, message);
+                reply_error(out, corr, message);
             } else if state.with_service(|s| s.reset_tenant(tenant)).is_some() {
-                let _ = shared.send(corr, &FrameBody::ResetResp { tenant });
+                reply(out, corr, &FrameBody::ResetResp { tenant });
             } else {
-                state.refuse(shared, corr);
+                refuse(out);
             }
             Disposition::Keep
         }
@@ -723,10 +751,7 @@ pub(crate) fn dispatch_frame(
             });
             Disposition::Keep
         }
-        other => sever_with(
-            0,
-            format!("unexpected {} frame from a client", other.name()),
-        ),
+        other => Disposition::Sever(format!("unexpected {} frame from a client", other.name())),
     }
 }
 
@@ -1380,6 +1405,81 @@ mod tests {
             .unwrap()
             .shutdown()
             .unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_lease_costs_one_reactor_pass() {
+        // The pass that reads a lease serves it and flushes its reply,
+        // so sequential leases wake their reactor once each; a reply
+        // queued back from another thread would cost a second pass.
+        let (server, space) = server(40);
+        let wakeups = server.registry().counter("uuidp_net_wakeups_total");
+        let before = wakeups.get();
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        for _ in 0..500 {
+            assert_eq!(client.lease(7, 16).unwrap().granted, 16);
+        }
+        let grew = wakeups.get() - before;
+        assert!(grew <= 500 + 16, "500 leases took {grew} reactor passes");
+        client.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn lease_timelines_stamp_every_server_stage_before_the_audit() {
+        // A lease is stamped worker-emit before its audit tee and
+        // reply-sent before it too, so no timeline can list the audit
+        // leg above the stages that precede it.
+        let (server, space) = server(40);
+        let client = Client::connect(server.local_addr(), space).unwrap();
+        let corrs: Vec<u64> = (0..1000u64)
+            .map(|i| {
+                let (lease, corr) = client
+                    .lease_with_corr(i % 16, 1 + u128::from(i % 64))
+                    .unwrap();
+                assert!(lease.error.is_none());
+                corr
+            })
+            .collect();
+        // A summary is answered after the audit has recorded, and so
+        // stamped, every lease before it.
+        client.drain().unwrap();
+        client.summary().unwrap();
+        let mut checked = 0;
+        for corr in corrs {
+            let span = client.timeline(corr).unwrap();
+            if !span.contains("server-demux") {
+                continue; // the ring has moved past this lease
+            }
+            let events: Vec<(u64, &str)> = span
+                .lines()
+                .skip(1)
+                .map(|line| {
+                    let mut fields = line.trim().trim_start_matches('+').split_whitespace();
+                    let offset = fields
+                        .next()
+                        .unwrap()
+                        .trim_end_matches("ns")
+                        .parse()
+                        .unwrap();
+                    (offset, fields.next().unwrap())
+                })
+                .collect();
+            assert!(
+                events.windows(2).all(|w| w[0].0 <= w[1].0),
+                "offsets decrease:\n{span}"
+            );
+            let at = |stage: &str| events.iter().position(|&(_, s)| s == stage);
+            let audit = at("audit-record").unwrap_or_else(|| panic!("no audit leg:\n{span}"));
+            for stage in ["server-demux", "worker-emit", "reply-sent"] {
+                let before = at(stage).is_some_and(|i| i < audit);
+                assert!(before, "{stage} missing or after audit-record:\n{span}");
+            }
+            checked += 1;
+        }
+        assert!(checked >= 50, "only {checked} whole spans left in the ring");
+        client.shutdown().unwrap();
         server.join().unwrap();
     }
 

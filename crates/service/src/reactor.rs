@@ -1,34 +1,40 @@
 //! The readiness-driven I/O core.
 //!
-//! One reactor thread owns **all** connection state (the single-
-//! actor ownership shape of holochain's `kitsune_p2p` event loops):
-//! sockets, reassembly buffers, and per-connection reply queues all
-//! live here, and every other thread talks to the reactor exclusively
-//! through `ReactorCmd` messages — the accept loop adopts new
-//! connections, shard workers and the control lane queue reply frames,
-//! stop paths send `ReactorCmd::Stop`. No locks guard connection
-//! state because nothing else can reach it.
+//! A bound server runs one reactor thread per service shard, and the
+//! accept thread spreads connections over them. Each reactor owns
+//! **all** state of its connections (the single-actor ownership shape
+//! of holochain's `kitsune_p2p` event loops): sockets, reassembly
+//! buffers, and per-connection reply queues all live on its thread. It
+//! serves what it reads to completion: a lease or a reset runs on the
+//! reactor thread under its tenant's shard lock, whichever reactor read
+//! it, and the encoded reply goes straight onto the connection's queue.
+//! Other threads reach a reactor only through `ReactorCmd` messages —
+//! the accept loop adopts new connections, the control lane queues its
+//! replies, stop paths send `ReactorCmd::Stop`. No locks guard
+//! connection state because nothing else can reach it.
 //!
 //! Readiness comes from level-triggered `epoll_wait` via the
 //! raw-syscall [`crate::sys`] module, with an `eventfd` waker so
 //! command senders can interrupt an indefinite block. An idle server —
 //! however many thousands of connections it holds — makes **zero**
-//! wakeups until a socket or command stirs. A non-Linux target would
-//! need its own `Poller` behind the same registration and wait
-//! surface.
+//! wakeups until a socket or command stirs, and a lease costs at most
+//! one pass: the pass that reads it serves it and flushes its reply. A
+//! non-Linux target would need its own `Poller` behind the same
+//! registration and wait surface.
 //!
 //! Reads are capped per connection per pass (bytes *and* dispatched
 //! frames), so a firehosing peer cannot starve its siblings: leftover
 //! socket bytes re-report under level-triggered readiness, and
 //! leftover *decoded-but-buffered* frames park the connection in the
 //! reactor's backlog, which is pumped again on the next pass with a
-//! zero timeout. Replies never block a shard worker: they queue on the
-//! owning connection and are flushed with **vectored writes** on write
-//! readiness, so a batch of replies to one multiplexing client retires
-//! in one syscall (`uuidp_net_replies_per_syscall` histograms exactly
-//! that ratio). A peer that stops reading accumulates queued replies
-//! until `MAX_OUT_QUEUE` and is then severed — queued-reply
-//! backpressure replaces the old lock-held spin/sleep send.
+//! zero timeout. Replies never block the reactor on a peer: they queue
+//! on the owning connection and are flushed with **vectored writes** at
+//! the end of the pass and on write readiness, so a batch of replies to
+//! one multiplexing client retires in one syscall
+//! (`uuidp_net_replies_per_syscall` histograms exactly that ratio). A
+//! peer that stops reading accumulates queued replies until
+//! `MAX_OUT_QUEUE` and is then severed — queued-reply backpressure
+//! replaces the old lock-held spin/sleep send.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
@@ -77,9 +83,10 @@ impl Waker {
 pub(crate) enum ReactorCmd {
     /// A freshly accepted (nonblocking, nodelay) socket to own.
     Adopt(TcpStream),
-    /// One encoded frame to queue on `conn_id`'s reply queue. `done`
-    /// (used by the shutdown path) is signalled when the frame has
-    /// fully reached the socket — or with an error if it cannot.
+    /// One encoded frame from the control lane to queue on `conn_id`'s
+    /// reply queue. `done` (used by the shutdown path) is signalled
+    /// when the frame has fully reached the socket — or with an error
+    /// if it cannot.
     Reply {
         conn_id: u64,
         bytes: Vec<u8>,
@@ -109,7 +116,7 @@ impl ReactorHandle {
         ok
     }
 
-    /// Queues one encoded reply frame for `conn_id`.
+    /// Queues one encoded reply frame for `conn_id` from another thread.
     pub(crate) fn reply(
         &self,
         conn_id: u64,
@@ -209,6 +216,27 @@ struct OutFrame {
     done: Option<SyncSender<io::Result<()>>>,
 }
 
+/// One connection's reply frames awaiting a vectored flush. Frames are
+/// queued whole, so replies never interleave mid-frame.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    frames: VecDeque<OutFrame>,
+    /// Unwritten bytes across `frames`.
+    bytes: usize,
+}
+
+impl Outbox {
+    /// Queues one encoded frame, made on the reactor thread itself.
+    pub(crate) fn push(&mut self, bytes: Vec<u8>) {
+        self.push_acked(bytes, None);
+    }
+
+    fn push_acked(&mut self, bytes: Vec<u8>, done: Option<SyncSender<io::Result<()>>>) {
+        self.bytes += bytes.len();
+        self.frames.push_back(OutFrame { bytes, at: 0, done });
+    }
+}
+
 /// One connection, as the reactor owns it.
 struct NetConn {
     stream: TcpStream,
@@ -216,8 +244,7 @@ struct NetConn {
     /// Reassembly buffer; `None` while nothing is pending (the buffer
     /// lives in the pool between partial frames).
     rbuf: Option<ReadBuf>,
-    out: VecDeque<OutFrame>,
-    out_bytes: usize,
+    out: Outbox,
     /// First byte seen and found to be the v2 magic.
     magic_seen: bool,
     hello_done: bool,
@@ -263,7 +290,7 @@ pub(crate) struct Reactor {
     /// Connections holding complete-but-undispatched frames (hit the
     /// per-pass frame cap); pumped again next pass with a 0 timeout.
     backlog: Vec<u64>,
-    /// Connections with replies queued this pass, to flush.
+    /// Connections with replies queued since their last flush.
     dirty: Vec<u64>,
     pool: BufPool,
     scratch: Vec<u8>,
@@ -334,12 +361,9 @@ impl Reactor {
                     self.pump(conn_id);
                 }
             }
-            // Replies dispatched above (hello-ok, metrics, errors) and
-            // anything shards answered meanwhile.
-            if self.drain_cmds() {
-                break;
-            }
-            // Flush: write-ready connections, then freshly dirty ones.
+            // Flush: write-ready connections, then the ones the pump or
+            // the control lane queued replies on. A stop seen only at the
+            // next pass leaves this pass's replies written first.
             for ev in &events {
                 if ev.writable {
                     self.flush(ev.token);
@@ -392,8 +416,7 @@ impl Reactor {
                 stream,
                 shared,
                 rbuf: None,
-                out: VecDeque::new(),
-                out_bytes: 0,
+                out: Outbox::default(),
                 magic_seen: false,
                 hello_done: false,
                 write_interest: false,
@@ -403,6 +426,7 @@ impl Reactor {
         );
     }
 
+    /// Queues a control-lane reply on `conn_id`.
     fn queue_reply(
         &mut self,
         conn_id: u64,
@@ -417,17 +441,26 @@ impl Reactor {
             }
             return;
         };
-        conn.out_bytes += bytes.len();
-        self.out_queue.add(bytes.len() as i64);
-        conn.out.push_back(OutFrame { bytes, at: 0, done });
-        if conn.out_bytes > MAX_OUT_QUEUE {
+        let added = bytes.len();
+        conn.out.push_acked(bytes, done);
+        self.queued(conn_id, added);
+    }
+
+    /// Accounts `added` bytes just queued on `conn_id`: marks it for the
+    /// pass's flush, or severs it past the out-queue cap.
+    fn queued(&mut self, conn_id: u64, added: usize) {
+        let Some(conn) = self.conns.get_mut(&conn_id) else {
+            return;
+        };
+        self.out_queue.add(added as i64);
+        if conn.out.bytes > MAX_OUT_QUEUE {
             self.severed.inc();
             // The peer stopped reading long ago: backpressure by sever,
-            // not by blocking a worker thread.
+            // not by blocking the reactor.
             self.remove(conn_id);
             return;
         }
-        if !conn.dirty {
+        if added > 0 && !conn.dirty {
             conn.dirty = true;
             self.dirty.push(conn_id);
         }
@@ -438,17 +471,23 @@ impl Reactor {
             return;
         };
         conn.pumped_pass = self.pass;
-        match self.pump_inner(&mut conn) {
+        let before = conn.out.bytes;
+        let fate = self.pump_inner(&mut conn);
+        let added = conn.out.bytes - before;
+        match fate {
             Fate::Keep { backlog } => {
                 if backlog {
                     self.backlog.push(conn_id);
                 }
                 self.conns.insert(conn_id, conn);
+                self.queued(conn_id, added);
             }
             Fate::Remove { farewell } => {
                 // A farewell frame means the reactor is severing the
                 // connection over a violation; a bare removal is the
-                // peer's own EOF and does not count as a sever.
+                // peer's own EOF and does not count as a sever. Replies
+                // the pump queued are forfeit with the rest.
+                self.out_queue.add(added as i64);
                 if let Some(bytes) = farewell {
                     self.severed.inc();
                     write_farewell(&conn.stream, &bytes);
@@ -502,12 +541,18 @@ impl Reactor {
                     Ok(Some((f, used))) => {
                         rbuf.consume(used);
                         frames += 1;
-                        match dispatch_frame(&conn.shared, &mut conn.hello_done, f, &self.state) {
+                        let disposition = dispatch_frame(
+                            &conn.shared,
+                            &mut conn.hello_done,
+                            &mut conn.out,
+                            f,
+                            &self.state,
+                        );
+                        match disposition {
                             Disposition::Keep => {}
-                            Disposition::Sever { farewell } => {
+                            Disposition::Sever(message) => {
                                 return Fate::Remove {
-                                    farewell: farewell
-                                        .map(|(corr, message)| error_frame(corr, &message)),
+                                    farewell: Some(error_frame(0, &message)),
                                 };
                             }
                         }
@@ -547,10 +592,11 @@ impl Reactor {
             let Some(conn) = self.conns.get_mut(&conn_id) else {
                 return;
             };
-            while !conn.out.is_empty() {
+            let out = &mut conn.out;
+            while !out.frames.is_empty() {
                 let mut iovs: Vec<io::IoSlice<'_>> =
-                    Vec::with_capacity(conn.out.len().min(MAX_IOV));
-                for (i, frame) in conn.out.iter().take(MAX_IOV).enumerate() {
+                    Vec::with_capacity(out.frames.len().min(MAX_IOV));
+                for (i, frame) in out.frames.iter().take(MAX_IOV).enumerate() {
                     let at = if i == 0 { frame.at } else { 0 };
                     iovs.push(io::IoSlice::new(&frame.bytes[at..]));
                 }
@@ -560,15 +606,15 @@ impl Reactor {
                         break;
                     }
                     Ok(mut n) => {
-                        conn.out_bytes -= n;
+                        out.bytes -= n;
                         self.out_queue.add(-(n as i64));
                         let mut retired = 0u64;
                         while n > 0 {
-                            let front = conn.out.front_mut().expect("retiring written bytes");
+                            let front = out.frames.front_mut().expect("retiring written bytes");
                             let left = front.bytes.len() - front.at;
                             if n >= left {
                                 n -= left;
-                                if let Some(done) = conn.out.pop_front().and_then(|f| f.done) {
+                                if let Some(done) = out.frames.pop_front().and_then(|f| f.done) {
                                     let _ = done.send(Ok(()));
                                 }
                                 retired += 1;
@@ -602,7 +648,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
-        let want = !conn.out.is_empty();
+        let want = !conn.out.frames.is_empty();
         if want != conn.write_interest {
             conn.write_interest = want;
             self.poller.set_writable(&conn.stream, conn_id, want);
@@ -617,11 +663,11 @@ impl Reactor {
     }
 
     fn dispose(&mut self, conn: NetConn) {
-        self.out_queue.add(-(conn.out_bytes as i64));
+        self.out_queue.add(-(conn.out.bytes as i64));
         self.poller.deregister(&conn.stream);
         self.state.deregister();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        for frame in conn.out {
+        for frame in conn.out.frames {
             if let Some(done) = frame.done {
                 let _ = done.send(Err(io::ErrorKind::BrokenPipe.into()));
             }

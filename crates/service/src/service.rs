@@ -1,22 +1,23 @@
 //! The sharded batch-leasing ID service.
 //!
 //! ```text
-//!             Request { tenant, count }
-//!   front-end ──────────────────────────► shard (tenant % shards)
-//!                bounded SPSC channel          │  owns the tenant's
-//!                                              │  recycled generator
-//!                                              ▼
-//!                                     lease = next_ids(count)   O(arcs)
-//!                                      │                │
-//!                     reply (arcs) ◄───┘                └───► audit tap
-//!                                                 bounded channel (arcs)
-//!                                                            ▼
-//!                                              LeaseAudit (striped, symbolic)
+//!   the caller's thread: IdService::lease / issue, or the reactor
+//!   that read a wire lease
+//!        │  locks shard tenant % shards
+//!        ▼
+//!   shard: the tenant's recycled generator, write-ahead log, accounting
+//!        │  lease = next_ids(count)   O(arcs)
+//!        ├──► answer: the reply copy, or the encoded wire reply
+//!        └──► audit tap ── bounded channel (arcs) ──► LeaseAudit
+//!                                                     (striped, symbolic)
 //! ```
 //!
-//! * **Shard-per-worker**: every tenant is pinned to one worker thread
-//!   (`tenant % shards`), so a tenant's generator is single-threaded and
-//!   needs no lock; cross-tenant parallelism comes from the shard fan-out.
+//! * **Run to completion**: every tenant is pinned to one shard
+//!   (`tenant % shards`), a lock over its tenants' generators, its
+//!   write-ahead log, its audit tap and its accounting. A lease, issue,
+//!   reset or checkpoint locks the shard on the thread that asked for
+//!   it and is served there, with no thread hop; different shards'
+//!   tenants are served in parallel.
 //! * **Bulk leases**: a request for `count` IDs is served by one
 //!   [`IdGenerator::next_ids`] call — `O(touched runs)` interval pushes,
 //!   not `count` scalar calls — buffered in a recycled
@@ -24,7 +25,7 @@
 //! * **Online audit**: every lease's arcs are tee'd into a pool of
 //!   [`LeaseAudit`] pipeline threads. Each audit thread owns the disjoint
 //!   stripe subset `{s : s ≡ t (mod audit_threads)}` of the audit's
-//!   universe partition behind its own bounded channel; the worker cuts
+//!   universe partition behind its own bounded channel; the shard cuts
 //!   each lease with the shared [`StripePlan`] and routes every piece to
 //!   the thread owning its stripe. An audit thread records the records
 //!   queued behind the one it woke for as one batch
@@ -34,9 +35,11 @@
 //!   `(shards, audit_stripes, audit_threads)` combination and batching
 //!   (see [`uuidp_sim::audit`]).
 //! * **Determinism**: tenant `t`'s generator is seeded from the master
-//!   seed tree independently of the shard layout, and shard channels are
-//!   FIFO — so for a fixed request script the per-tenant ID streams (and
-//!   the audit totals) are bit-identical under any `shards` value.
+//!   seed tree independently of the shard layout, and a tenant's
+//!   requests are served in the order its shard's lock admits them —
+//!   for one caller per tenant, the order it made them — so for a fixed
+//!   request script the per-tenant ID streams (and the audit totals)
+//!   are bit-identical under any `shards` value.
 //!
 //! [`IdGenerator::next_ids`]: uuidp_core::traits::IdGenerator::next_ids
 
@@ -44,6 +47,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -52,15 +56,14 @@ use uuidp_core::clock;
 use uuidp_core::id::IdSpace;
 use uuidp_core::interval::Arc;
 use uuidp_core::lease::Lease;
+use uuidp_core::lockorder;
 use uuidp_core::persist::{self, SnapshotRecord, SnapshotStore};
 use uuidp_core::rng::{SeedDomain, SeedTree};
-use uuidp_core::traits::{GeneratorError, IdGenerator};
+use uuidp_core::traits::{Algorithm, GeneratorError, IdGenerator};
 use uuidp_obs::{AtomicHistogram, Counter, Gauge, Histogram, Registry, Stage, TraceRecorder};
 use uuidp_sim::audit::{AuditCounts, LeaseAudit, StripePlan};
 
-use crate::net::V2Conn;
-
-/// Depth of each bounded shard request and audit channel.
+/// Depth of each bounded audit channel.
 const QUEUE_DEPTH: usize = 1024;
 
 /// Events the service-wide trace recorder retains (split across its
@@ -87,7 +90,7 @@ pub fn check_tenant(tenant: u64) -> Result<(), String> {
 /// Durable-state configuration: where tenant snapshots live and how
 /// wide the write-ahead reservation window is.
 ///
-/// With durability enabled every worker persists a tenant's
+/// With durability enabled every shard persists a tenant's
 /// [`SnapshotRecord`] *before* emitting any ID past the tenant's
 /// current reservation frontier, and a tenant whose snapshot exists on
 /// startup is rebuilt with [`uuidp_core::persist::recover`] — restored
@@ -137,7 +140,10 @@ pub struct ServiceConfig {
     pub kind: AlgorithmKind,
     /// The ID universe.
     pub space: IdSpace,
-    /// Worker shards (threads); tenants are pinned by `tenant % shards`.
+    /// Shards: tenants are pinned by `tenant % shards`, and each shard
+    /// is one lock over its tenants' state, so leases of different
+    /// shards' tenants run in parallel on their callers' threads. A
+    /// `TcpServer` runs one reactor thread per shard.
     pub shards: usize,
     /// Stripes of the audit's universe partition.
     pub audit_stripes: usize,
@@ -197,37 +203,20 @@ pub struct LeaseReply {
     pub halted: bool,
 }
 
-/// Where a shard sends a served lease.
-enum LeaseTo {
-    /// An in-process caller, blocked on the channel's other end.
-    Caller(SyncSender<LeaseReply>),
-    /// A wire connection: the shard encodes the reply frame and queues
-    /// it on the reactor itself (see [`V2Conn::answer_lease`]).
-    Wire(std::sync::Arc<V2Conn>),
-}
-
-enum ShardMsg {
-    /// Serve a lease and send it to `to`. `corr` is the wire
-    /// correlation id for trace spans (0 = uncorrelated/in-process).
-    Lease {
-        tenant: u64,
-        count: u128,
-        corr: u64,
-        to: LeaseTo,
-    },
-    /// Serve a lease, fire-and-forget (stress traffic).
-    Issue { tenant: u64, count: u128 },
-    /// Recycle the tenant's generator into a fresh epoch via `reset`.
-    Reset { tenant: u64 },
-    /// Persist every durable tenant at its *current* state (reservation
-    /// 0 — an exact-resume checkpoint), then reply.
-    Checkpoint { done: SyncSender<()> },
-    /// Reply once every prior message on this shard is processed.
-    Barrier { done: SyncSender<()> },
-    /// Reply with a copy of this shard's running accounting. Doubles as
-    /// a barrier: the snapshot covers every prior message, and every
-    /// audit record for those messages has already been routed.
-    Stats { reply: SyncSender<WorkerStats> },
+/// One served lease, lent to its caller's `answer` under the shard
+/// lock (see [`IdService::lease_with`]). Its arcs live in the tenant's
+/// recycled buffer, so an answer copies only what it keeps.
+pub(crate) struct Served<'a> {
+    /// The requesting tenant.
+    pub(crate) tenant: u64,
+    /// Granted arcs in emission order.
+    pub(crate) arcs: &'a [Arc],
+    /// Total IDs granted.
+    pub(crate) granted: u128,
+    /// The generator error, if the grant fell short of the request.
+    pub(crate) error: Option<GeneratorError>,
+    /// See [`LeaseReply::halted`].
+    pub(crate) halted: bool,
 }
 
 /// One routed batch of audit material: the pieces of one lease that
@@ -238,7 +227,7 @@ struct AuditRecord {
     owner: u64,
     /// Non-wrapping `[lo, hi)` segments, each inside one owned stripe.
     segments: Vec<(u128, u128)>,
-    /// [`clock::monotonic_ns`] stamp taken at the worker's tap, so the
+    /// [`clock::monotonic_ns`] stamp taken at the shard's tap, so the
     /// audit thread's lag reading shares every other telemetry
     /// timestamp's epoch.
     sent_ns: u64,
@@ -336,7 +325,8 @@ pub struct ServiceReport {
     pub leases: u64,
     /// Leases that ended in a generator error (exhaustion).
     pub errors: u64,
-    /// Per-lease issue cost (measured at the worker, fill + audit tap).
+    /// Per-lease issue cost (measured on the serving thread: fill,
+    /// write-ahead persist and audit tap, without the reply).
     pub latency: Histogram,
     /// The audit pipeline's findings.
     pub audit: AuditReport,
@@ -355,34 +345,65 @@ struct TenantSlot {
     seq: u64,
 }
 
-#[derive(Default, Clone)]
-struct WorkerStats {
+/// One shard's running accounting.
+#[derive(Default)]
+struct ShardStats {
     issued_ids: u128,
     leases: u64,
     errors: u64,
     latency: Histogram,
 }
 
-/// A running service: worker shards + audit pipeline behind channels.
+impl ShardStats {
+    fn add(&mut self, other: &ShardStats) {
+        self.issued_ids += other.issued_ids;
+        self.leases += other.leases;
+        self.errors += other.errors;
+        self.latency.merge(&other.latency);
+    }
+
+    fn report(self, audit: AuditReport, started_ns: u64) -> ServiceReport {
+        ServiceReport {
+            issued_ids: self.issued_ids,
+            leases: self.leases,
+            errors: self.errors,
+            latency: self.latency,
+            audit,
+            uptime: Duration::from_nanos(clock::monotonic_ns().saturating_sub(started_ns)),
+        }
+    }
+}
+
+/// One shard: everything a lease of its tenants reads and writes, behind
+/// the shard's lock.
+struct Shard {
+    tenants: HashMap<u64, TenantSlot>,
+    tap: AuditTap,
+    durability: Option<Durability>,
+    stats: ShardStats,
+}
+
+/// A running service: lock-guarded shards, served on their callers'
+/// threads, and the audit pipeline behind channels.
 pub struct IdService {
-    space: IdSpace,
-    shard_txs: Vec<SyncSender<ShardMsg>>,
-    workers: Vec<JoinHandle<WorkerStats>>,
-    /// Probe taps into the audit pipeline (the workers hold the record
-    /// taps); dropped at shutdown so the audit threads can exit.
+    config: ServiceConfig,
+    algorithm: Box<dyn Algorithm>,
+    roots: SeedTree,
+    shards: Vec<Mutex<Shard>>,
+    obs: LeaseObs,
+    /// Probe taps into the audit pipeline (the shards hold the record
+    /// taps); dropped at shutdown, with the shards, so the audit threads
+    /// can exit.
     audit_txs: Vec<SyncSender<AuditMsg>>,
     audit: Vec<JoinHandle<AuditThreadReport>>,
     /// [`clock::monotonic_ns`] stamp at construction, for uptime.
     started_ns: u64,
     registry: std::sync::Arc<Registry>,
     trace: std::sync::Arc<TraceRecorder>,
-    /// Where flight-recorder dumps land (the durability state dir);
-    /// `None` disables crash/duplicate dumps.
-    flight_dir: Option<PathBuf>,
 }
 
 impl IdService {
-    /// Boots the worker shards and the audit pipeline pool.
+    /// Builds the shards and boots the audit pipeline pool.
     ///
     /// # Panics
     ///
@@ -390,8 +411,8 @@ impl IdService {
     /// has no snapshot support (SetAside, Snowflake), or if the state
     /// directory cannot be read or holds a damaged or foreign record,
     /// or one that does not restore (see `recover_shards`) — corruption
-    /// must surface as a boot error, not a mid-traffic worker panic
-    /// that would wedge a whole shard.
+    /// must surface as a boot error, not a mid-traffic panic under a
+    /// shard's lock that would wedge the whole shard.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.shards >= 1, "at least one shard");
         let mut recovered = match &config.durability {
@@ -440,43 +461,43 @@ impl IdService {
         // One write-ahead persist counter across all shards drives the
         // `halt_after_persists` crash-injection hook.
         let persists = std::sync::Arc::new(AtomicU64::new(0));
-        let mut shard_txs = Vec::with_capacity(config.shards);
-        let mut workers = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (tx, rx) = sync_channel::<ShardMsg>(QUEUE_DEPTH);
-            shard_txs.push(tx);
-            let cfg = config.clone();
-            let taps = audit_txs.clone();
-            let (store, tenants) = recovered.next().unzip();
-            let durability = config
-                .durability
-                .as_ref()
-                .zip(store)
-                .map(|(d, store)| Durability {
-                    store,
-                    reservation: d.reservation,
-                    persists: std::sync::Arc::clone(&persists),
-                    halt_after: d.halt_after_persists,
-                });
-            let tenants = tenants.unwrap_or_default();
-            let obs = WorkerObs::new(&registry, std::sync::Arc::clone(&trace));
-            workers.push(std::thread::spawn(move || {
-                worker_loop(cfg, rx, taps, plan, durability, tenants, obs)
-            }));
-        }
-        // The service keeps its own tap clones for summary probes; they
-        // are dropped at shutdown, after the workers', so the audit
-        // threads exit exactly when both record and probe taps are gone.
+        let shards = (0..config.shards)
+            .map(|_| {
+                let (store, tenants) = recovered.next().unzip();
+                let durability =
+                    config
+                        .durability
+                        .as_ref()
+                        .zip(store)
+                        .map(|(d, store)| Durability {
+                            store,
+                            reservation: d.reservation,
+                            persists: std::sync::Arc::clone(&persists),
+                            halt_after: d.halt_after_persists,
+                        });
+                Mutex::new(Shard {
+                    tenants: tenants.unwrap_or_default(),
+                    tap: AuditTap {
+                        taps: audit_txs.clone(),
+                        plan,
+                        batches: vec![Vec::new(); audit_threads],
+                    },
+                    durability,
+                    stats: ShardStats::default(),
+                })
+            })
+            .collect();
         IdService {
-            space: config.space,
-            shard_txs,
-            workers,
+            algorithm: config.kind.build(config.space),
+            roots: SeedTree::new(config.master_seed),
+            obs: LeaseObs::new(&registry, std::sync::Arc::clone(&trace)),
+            config,
+            shards,
             audit_txs,
             audit,
             started_ns: clock::monotonic_ns(),
             registry,
             trace,
-            flight_dir: config.durability.as_ref().map(|d| d.dir.clone()),
         }
     }
 
@@ -495,7 +516,7 @@ impl IdService {
 
     /// Where this service's flight-recorder dumps land, if anywhere.
     pub fn flight_dir(&self) -> Option<&PathBuf> {
-        self.flight_dir.as_ref()
+        self.config.durability.as_ref().map(|d| &d.dir)
     }
 
     /// Dumps a flight-recorder file (registry snapshot + recent trace
@@ -504,7 +525,7 @@ impl IdService {
     /// state dir or the write failed (a postmortem aid must never take
     /// the service down with it).
     pub fn dump_flight(&self, reason: &str, focus_corr: Option<u64>) -> Option<PathBuf> {
-        let dir = self.flight_dir.as_ref()?;
+        let dir = self.flight_dir()?;
         uuidp_obs::dump_flight(
             dir,
             reason,
@@ -517,12 +538,12 @@ impl IdService {
 
     /// The service's ID universe.
     pub fn space(&self) -> IdSpace {
-        self.space
+        self.config.space
     }
 
-    /// Number of worker shards.
+    /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shard_txs.len()
+        self.shards.len()
     }
 
     /// Number of audit pipeline threads (after stripe-count clamping).
@@ -530,50 +551,67 @@ impl IdService {
         self.audit.len()
     }
 
-    fn shard_of(&self, tenant: u64) -> &SyncSender<ShardMsg> {
+    /// Runs `f` on `tenant`'s shard under the shard's lock, on the
+    /// calling thread. The lock is held across everything a lease does,
+    /// the write-ahead save and the audit tap's sends included: that is
+    /// what orders a tenant's leases, its persists and its audit records
+    /// alike, and what puts a [`summary`](IdService::summary)'s audit
+    /// probes behind every record its accounting counted.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `tenant < 2^`[`TENANT_BITS`], and on a shard whose
+    /// lock a panicking lease poisoned.
+    fn with_shard<R>(&self, tenant: u64, f: impl FnOnce(&mut Shard) -> R) -> R {
         if let Err(e) = check_tenant(tenant) {
             panic!("{e}");
         }
-        &self.shard_txs[(tenant % self.shard_txs.len() as u64) as usize]
+        let shard = &self.shards[(tenant % self.shards.len() as u64) as usize];
+        let _order = lockorder::track("service.shard");
+        let mut shard = shard.lock().expect("shard lock");
+        f(&mut shard)
     }
 
-    /// Synchronously leases `count` IDs for `tenant`.
+    /// Locks each shard in turn and runs `visit` on it: every lease that
+    /// held a shard's lock before the sweep reached it is done.
+    fn sweep(&self, mut visit: impl FnMut(&mut Shard)) {
+        for shard in &self.shards {
+            let _order = lockorder::track("service.shard");
+            visit(&mut shard.lock().expect("shard lock"));
+        }
+    }
+
+    /// Synchronously leases `count` IDs for `tenant`, on the calling
+    /// thread.
     ///
     /// # Panics
     ///
     /// Panics unless `tenant < 2^`[`TENANT_BITS`].
     pub fn lease(&self, tenant: u64, count: u128) -> LeaseReply {
-        let (reply, rx) = sync_channel(1);
-        self.shard_of(tenant)
-            .send(ShardMsg::Lease {
-                tenant,
-                count,
-                corr: 0,
-                to: LeaseTo::Caller(reply),
-            })
-            .expect("shard alive");
-        rx.recv().expect("shard replies")
+        self.lease_with(tenant, count, 0, |served| LeaseReply {
+            tenant,
+            arcs: served.arcs.to_vec(),
+            granted: served.granted,
+            error: served.error,
+            halted: served.halted,
+        })
     }
 
-    /// Queues a wire lease on its tenant's shard and returns at once:
-    /// the shard answers `conn` itself, under `corr`, so the worker and
-    /// audit trace events join the request's span. Blocks only while
-    /// the shard's queue is full.
-    pub(crate) fn lease_wire(
+    /// Serves one lease on the calling thread and hands it to `answer`
+    /// under the tenant's shard lock: after the `worker-emit` stamp and
+    /// before the audit tee, so a wire answer's `reply-sent` stamp
+    /// precedes every `audit-record` of the lease. `corr` is the wire
+    /// correlation id the lease's trace events join (0 = in-process).
+    pub(crate) fn lease_with<R>(
         &self,
         tenant: u64,
         count: u128,
         corr: u64,
-        conn: std::sync::Arc<V2Conn>,
-    ) {
-        self.shard_of(tenant)
-            .send(ShardMsg::Lease {
-                tenant,
-                count,
-                corr,
-                to: LeaseTo::Wire(conn),
-            })
-            .expect("shard alive");
+        answer: impl FnOnce(Served<'_>) -> R,
+    ) -> R {
+        self.with_shard(tenant, |shard| {
+            self.serve(shard, tenant, count, corr, answer)
+        })
     }
 
     /// Fire-and-forget lease (stress traffic): the IDs are issued,
@@ -583,9 +621,7 @@ impl IdService {
     ///
     /// Panics unless `tenant < 2^`[`TENANT_BITS`].
     pub fn issue(&self, tenant: u64, count: u128) {
-        self.shard_of(tenant)
-            .send(ShardMsg::Issue { tenant, count })
-            .expect("shard alive");
+        self.lease_with(tenant, count, 0, |_| ())
     }
 
     /// Recycles `tenant`'s generator into a fresh epoch (allocation-free
@@ -598,26 +634,20 @@ impl IdService {
     ///
     /// [`IdGenerator::reset`]: uuidp_core::traits::IdGenerator::reset
     pub fn reset_tenant(&self, tenant: u64) {
-        self.shard_of(tenant)
-            .send(ShardMsg::Reset { tenant })
-            .expect("shard alive");
-    }
-
-    /// Sends one `make(done)` message to every shard, then waits for
-    /// all acks (fan-out first so shards work in parallel).
-    fn shard_barrier(&self, make: impl Fn(SyncSender<()>) -> ShardMsg) {
-        let barriers: Vec<Receiver<()>> = self
-            .shard_txs
-            .iter()
-            .map(|tx| {
-                let (done, rx) = sync_channel(1);
-                tx.send(make(done)).expect("shard alive");
-                rx
-            })
-            .collect();
-        for rx in barriers {
-            rx.recv().expect("shard alive");
-        }
+        self.with_shard(tenant, |shard| {
+            if let Some(slot) = shard.tenants.get_mut(&tenant) {
+                slot.epoch += 1;
+                slot.generator.reset(self.tenant_seed(tenant, slot.epoch));
+                slot.lease.clear();
+                // A reset opens a new permutation; persist it before
+                // anything from the new epoch can be emitted, or a crash
+                // would recover the pre-reset stream while post-reset
+                // IDs are already in the wild.
+                if let Some(d) = &shard.durability {
+                    d.persist(self.config.space, tenant, slot, 0);
+                }
+            }
+        })
     }
 
     /// Persists every durable tenant's *current* state as an
@@ -627,47 +657,35 @@ impl IdService {
     /// zero leaked IDs; without one, recovery abandons each tenant's
     /// open reservation window instead. No-op when durability is off.
     pub fn checkpoint(&self) {
-        self.shard_barrier(|done| ShardMsg::Checkpoint { done });
+        self.sweep(|shard| {
+            if let Some(d) = &shard.durability {
+                for (&tenant, slot) in shard.tenants.iter_mut() {
+                    d.persist(self.config.space, tenant, slot, 0);
+                }
+            }
+        });
     }
 
-    /// Blocks until every shard has processed all previously submitted
-    /// requests (the audit pipeline may still be draining).
+    /// Blocks until every lease in flight on another thread when the
+    /// call began is served (the audit pipeline may still be draining).
+    /// A caller's own requests are served before they return.
     pub fn drain(&self) {
-        self.shard_barrier(|done| ShardMsg::Barrier { done });
+        self.sweep(|_| {});
     }
 
     /// A live snapshot of the service's accounting — the same shape as
     /// the shutdown report, without stopping anything.
     ///
-    /// The snapshot is *consistent*: the `Stats` round trip to every
-    /// shard is itself a barrier (each shard answers after serving all
-    /// prior requests and routing their audit records), and only then
-    /// are the audit threads probed — FIFO channels put each probe
-    /// behind every record those leases produced. So for a quiesced
-    /// service, `recorded_ids` equals `issued_ids` exactly; under live
-    /// traffic the snapshot covers at least everything submitted before
-    /// the call.
+    /// The snapshot is *consistent*: one sweep over the shards' locks
+    /// reads their accounting, and each lease routes its audit records
+    /// under the same lock that counts it, so only then are the audit
+    /// threads probed — FIFO channels put each probe behind every record
+    /// those leases produced. So for a quiesced service, `recorded_ids`
+    /// equals `issued_ids` exactly; under live traffic the snapshot
+    /// covers at least everything served before the call.
     pub fn summary(&self) -> ServiceReport {
-        let stats: Vec<Receiver<WorkerStats>> = self
-            .shard_txs
-            .iter()
-            .map(|tx| {
-                let (reply, rx) = sync_channel(1);
-                tx.send(ShardMsg::Stats { reply }).expect("shard alive");
-                rx
-            })
-            .collect();
-        let mut issued_ids = 0u128;
-        let mut leases = 0u64;
-        let mut errors = 0u64;
-        let mut latency = Histogram::new();
-        for rx in stats {
-            let s = rx.recv().expect("shard alive");
-            issued_ids += s.issued_ids;
-            leases += s.leases;
-            errors += s.errors;
-            latency.merge(&s.latency);
-        }
+        let mut stats = ShardStats::default();
+        self.sweep(|shard| stats.add(&shard.stats));
         let probes: Vec<Receiver<AuditThreadReport>> = self
             .audit_txs
             .iter()
@@ -683,32 +701,18 @@ impl IdService {
                 .map(|rx| rx.recv().expect("audit alive"))
                 .collect(),
         );
-        ServiceReport {
-            issued_ids,
-            leases,
-            errors,
-            latency,
-            audit,
-            uptime: Duration::from_nanos(clock::monotonic_ns().saturating_sub(self.started_ns)),
-        }
+        stats.report(audit, self.started_ns)
     }
 
-    /// Stops the service: closes the request channels, joins the workers
-    /// and the audit pipeline, and aggregates their accounting.
+    /// Stops the service: drops the shards (and with them the audit
+    /// record taps), joins the audit pipeline, and aggregates the
+    /// accounting.
     pub fn shutdown(self) -> ServiceReport {
-        drop(self.shard_txs);
-        let mut issued_ids = 0u128;
-        let mut leases = 0u64;
-        let mut errors = 0u64;
-        let mut latency = Histogram::new();
-        for handle in self.workers {
-            let stats = handle.join().expect("worker panicked");
-            issued_ids += stats.issued_ids;
-            leases += stats.leases;
-            errors += stats.errors;
-            latency.merge(&stats.latency);
+        let mut stats = ShardStats::default();
+        for shard in self.shards {
+            stats.add(&shard.into_inner().expect("shard lock").stats);
         }
-        // The workers' record taps are gone; dropping the probe taps
+        // The shards' record taps are gone; dropping the probe taps
         // lets the audit threads run dry and exit.
         drop(self.audit_txs);
         let audit = AuditReport::merge(
@@ -721,9 +725,9 @@ impl IdService {
         // flight recorder exists for: dump before the evidence dies
         // with the process.
         if audit.counts.duplicate_ids > 0 {
-            if let Some(dir) = &self.flight_dir {
+            if let Some(d) = &self.config.durability {
                 let _ = uuidp_obs::dump_flight(
-                    dir,
+                    &d.dir,
                     "audit-duplicate",
                     &self.registry.snapshot(),
                     &self.trace,
@@ -731,14 +735,115 @@ impl IdService {
                 );
             }
         }
-        ServiceReport {
-            issued_ids,
-            leases,
-            errors,
-            latency,
-            audit,
-            uptime: Duration::from_nanos(clock::monotonic_ns().saturating_sub(self.started_ns)),
+        stats.report(audit, self.started_ns)
+    }
+
+    fn tenant_seed(&self, tenant: u64, epoch: u32) -> u64 {
+        // Fault injection: the twin draws the victim's seed material.
+        let effective = match self.config.seed_alias {
+            Some((victim, twin)) if tenant == twin => victim,
+            _ => tenant,
+        };
+        self.roots
+            .trial(epoch as u64)
+            .seed(SeedDomain::Instance(effective))
+    }
+
+    /// Serves one lease under `shard`'s lock: fill from the tenant's
+    /// recycled generator (a fresh epoch-0 one for a tenant the shard
+    /// has not seen; boot already handed the shard every tenant it
+    /// recovered), hand it to `answer`, route the lease's stripe pieces
+    /// to the audit threads that own them, and account it.
+    ///
+    /// With durability on, the write-ahead rule runs first: if this lease
+    /// would emit past the tenant's reservation frontier, a fresh record is
+    /// persisted *before* any ID leaves the generator. [`Served::halted`]
+    /// is the crash-injection hook: it means this lease's write-ahead
+    /// persist was the configured `halt_after_persists`-th one, and the
+    /// node should now die *without replying* — note that the fill still
+    /// runs first, so the "possibly in the wild" IDs recovery must skip
+    /// really were emitted.
+    fn serve<R>(
+        &self,
+        shard: &mut Shard,
+        tenant: u64,
+        count: u128,
+        corr: u64,
+        answer: impl FnOnce(Served<'_>) -> R,
+    ) -> R {
+        let t0 = clock::monotonic_ns();
+        let slot = shard.tenants.entry(tenant).or_insert_with(|| TenantSlot {
+            generator: self.algorithm.spawn(self.tenant_seed(tenant, 0)),
+            lease: Lease::new(self.config.space),
+            epoch: 0,
+            frontier: 0,
+            seq: 0,
+        });
+        let obs = &self.obs;
+        let mut halted = false;
+        if let Some(d) = &shard.durability {
+            // Saturating: the protocol accepts arbitrary u128 counts, and a
+            // wrapped sum here would skip exactly the persist the recovery
+            // guarantee depends on.
+            if slot.generator.generated().saturating_add(count) > slot.frontier {
+                d.persist(self.config.space, tenant, slot, count.max(d.reservation));
+                halted = d.note_write_ahead();
+                obs.persists.inc();
+                obs.trace.record(
+                    corr,
+                    tenant,
+                    Stage::WorkerPersist,
+                    if halted {
+                        "write-ahead (halt hook)"
+                    } else {
+                        "write-ahead"
+                    },
+                    clock::monotonic_ns(),
+                );
+            }
         }
+        let error = slot.lease.fill(slot.generator.as_mut(), count).err();
+        let granted = slot.lease.granted();
+        let failed = error.is_some();
+        let emitted = clock::monotonic_ns();
+        // Per-lease happy-path stamps only for real (wire) correlation
+        // ids: corr-0 emissions cannot join a span — they'd collapse into
+        // one shared timeline — so recording them only evicts the events
+        // the flight recorder exists to keep (persists, duplicates,
+        // connection milestones). Stamped before the audit tee, so no
+        // `audit-record` can precede it.
+        if corr != 0 && obs.trace.sampled(corr) {
+            obs.trace
+                .record(corr, tenant, Stage::WorkerEmit, "lease", emitted);
+        }
+        let answer = answer(Served {
+            tenant,
+            arcs: slot.lease.arcs(),
+            granted,
+            error,
+            halted,
+        });
+        // The answer (reply copy or wire encoding) is off the
+        // issue-latency clock.
+        let answered = clock::monotonic_ns();
+        if granted > 0 {
+            shard
+                .tap
+                .send(owner_key(tenant, slot.epoch), slot.lease.arcs(), corr);
+        }
+        let issue_ns = emitted.saturating_sub(t0) + clock::monotonic_ns().saturating_sub(answered);
+        let stats = &mut shard.stats;
+        stats.latency.record(Duration::from_nanos(issue_ns));
+        stats.issued_ids += granted;
+        stats.leases += 1;
+        stats.errors += failed as u64;
+        obs.latency.record_ns(issue_ns);
+        obs.leases.inc();
+        obs.issued.add(granted.min(u64::MAX as u128) as u64);
+        if failed {
+            obs.errors.inc();
+        }
+        answer
     }
 }
 
@@ -851,22 +956,11 @@ fn owner_key(tenant: u64, epoch: u32) -> u64 {
     ((epoch as u64) << TENANT_BITS) | tenant
 }
 
-fn tenant_seed(roots: &SeedTree, config: &ServiceConfig, tenant: u64, epoch: u32) -> u64 {
-    // Fault injection: the twin draws the victim's seed material.
-    let effective = match config.seed_alias {
-        Some((victim, twin)) if tenant == twin => victim,
-        _ => tenant,
-    };
-    roots
-        .trial(epoch as u64)
-        .seed(SeedDomain::Instance(effective))
-}
-
-/// One worker's shared metric/trace handles: registered once at
+/// The lease path's shared metric/trace handles: registered once at
 /// startup, bumped with relaxed atomics on the hot path. Every counter
 /// here is a pure fold of the request script (never of timing), so
 /// same-seed twin runs reproduce them bit-identically.
-struct WorkerObs {
+struct LeaseObs {
     leases: std::sync::Arc<Counter>,
     issued: std::sync::Arc<Counter>,
     errors: std::sync::Arc<Counter>,
@@ -875,9 +969,9 @@ struct WorkerObs {
     trace: std::sync::Arc<TraceRecorder>,
 }
 
-impl WorkerObs {
-    fn new(registry: &Registry, trace: std::sync::Arc<TraceRecorder>) -> WorkerObs {
-        WorkerObs {
+impl LeaseObs {
+    fn new(registry: &Registry, trace: std::sync::Arc<TraceRecorder>) -> LeaseObs {
+        LeaseObs {
             leases: registry.counter("uuidp_leases_total"),
             issued: registry.counter("uuidp_ids_issued_total"),
             errors: registry.counter("uuidp_lease_errors_total"),
@@ -897,7 +991,7 @@ struct AuditObs {
 }
 
 /// One shard's routing state: the audit taps plus the shared stripe
-/// geometry and a reusable per-thread segment batch buffer.
+/// geometry and a reusable per-shard segment batch buffer.
 struct AuditTap {
     taps: Vec<SyncSender<AuditMsg>>,
     plan: StripePlan,
@@ -976,231 +1070,6 @@ impl Durability {
         let n = self.persists.fetch_add(1, Ordering::SeqCst) + 1;
         self.halt_after == Some(n)
     }
-}
-
-/// Finds the slot for `tenant`, seeding a fresh epoch-0 one for a
-/// tenant this shard has not seen: boot already handed the shard every
-/// tenant it recovered.
-fn slot_for<'a>(
-    config: &ServiceConfig,
-    roots: &SeedTree,
-    tenants: &'a mut HashMap<u64, TenantSlot>,
-    algorithm: &dyn uuidp_core::traits::Algorithm,
-    tenant: u64,
-) -> &'a mut TenantSlot {
-    tenants.entry(tenant).or_insert_with(|| TenantSlot {
-        generator: algorithm.spawn(tenant_seed(roots, config, tenant, 0)),
-        lease: Lease::new(config.space),
-        epoch: 0,
-        frontier: 0,
-        seq: 0,
-    })
-}
-
-fn worker_loop(
-    config: ServiceConfig,
-    rx: Receiver<ShardMsg>,
-    taps: Vec<SyncSender<AuditMsg>>,
-    plan: StripePlan,
-    durability: Option<Durability>,
-    mut tenants: HashMap<u64, TenantSlot>,
-    obs: WorkerObs,
-) -> WorkerStats {
-    let algorithm = config.kind.build(config.space);
-    let roots = SeedTree::new(config.master_seed);
-    let mut stats = WorkerStats::default();
-    let mut tap = AuditTap {
-        batches: vec![Vec::new(); taps.len()],
-        taps,
-        plan,
-    };
-
-    // Set once a wire lease trips the halt hook. The node is dying on
-    // the control lane (see `V2Conn::answer_lease`), and the crash cut
-    // the connection off at that lease: this shard serves and answers
-    // no wire lease queued behind it.
-    let mut wire_halted = false;
-
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            ShardMsg::Lease {
-                tenant,
-                count,
-                corr,
-                to,
-            } => {
-                if wire_halted && matches!(to, LeaseTo::Wire(_)) {
-                    continue;
-                }
-                let (granted, error, arcs, halted) = serve(
-                    &config,
-                    &roots,
-                    &mut tenants,
-                    algorithm.as_ref(),
-                    durability.as_ref(),
-                    tenant,
-                    count,
-                    corr,
-                    &mut tap,
-                    &mut stats,
-                    &obs,
-                    true,
-                );
-                // Client delivery is off the issue-latency clock.
-                let reply = LeaseReply {
-                    tenant,
-                    arcs: arcs.unwrap_or_default(),
-                    granted,
-                    error,
-                    halted,
-                };
-                match to {
-                    LeaseTo::Caller(tx) => {
-                        let _ = tx.send(reply);
-                    }
-                    LeaseTo::Wire(conn) => {
-                        wire_halted = halted;
-                        conn.answer_lease(corr, &reply, &obs.trace);
-                    }
-                }
-            }
-            ShardMsg::Issue { tenant, count } => {
-                serve(
-                    &config,
-                    &roots,
-                    &mut tenants,
-                    algorithm.as_ref(),
-                    durability.as_ref(),
-                    tenant,
-                    count,
-                    0,
-                    &mut tap,
-                    &mut stats,
-                    &obs,
-                    false,
-                );
-            }
-            ShardMsg::Reset { tenant } => {
-                if let Some(slot) = tenants.get_mut(&tenant) {
-                    slot.epoch += 1;
-                    slot.generator
-                        .reset(tenant_seed(&roots, &config, tenant, slot.epoch));
-                    slot.lease.clear();
-                    // A reset opens a new permutation; persist it before
-                    // anything from the new epoch can be emitted, or a
-                    // crash would recover the pre-reset stream while
-                    // post-reset IDs are already in the wild.
-                    if let Some(d) = &durability {
-                        d.persist(config.space, tenant, slot, 0);
-                    }
-                }
-            }
-            ShardMsg::Checkpoint { done } => {
-                if let Some(d) = &durability {
-                    for (&tenant, slot) in tenants.iter_mut() {
-                        d.persist(config.space, tenant, slot, 0);
-                    }
-                }
-                let _ = done.send(());
-            }
-            ShardMsg::Barrier { done } => {
-                let _ = done.send(());
-            }
-            ShardMsg::Stats { reply } => {
-                let _ = reply.send(stats.clone());
-            }
-        }
-    }
-    stats
-}
-
-/// Serves one lease on a worker: fill from the tenant's recycled
-/// generator, route the lease's stripe pieces to the audit threads that
-/// own them, account latency. A reply copy of the arcs is built only
-/// when `want_arcs` is set (the synchronous lease path) — the
-/// fire-and-forget path allocates nothing beyond the audit batches.
-///
-/// With durability on, the write-ahead rule runs first: if this lease
-/// would emit past the tenant's reservation frontier, a fresh record is
-/// persisted *before* any ID leaves the generator. The returned flag is
-/// the crash-injection hook: `true` means this lease's write-ahead
-/// persist was the configured `halt_after_persists`-th one, and the
-/// node should now die *without replying* — note that the fill still
-/// runs first, so the "possibly in the wild" IDs recovery must skip
-/// really were emitted.
-#[allow(clippy::too_many_arguments)]
-fn serve(
-    config: &ServiceConfig,
-    roots: &SeedTree,
-    tenants: &mut HashMap<u64, TenantSlot>,
-    algorithm: &dyn uuidp_core::traits::Algorithm,
-    durability: Option<&Durability>,
-    tenant: u64,
-    count: u128,
-    corr: u64,
-    tap: &mut AuditTap,
-    stats: &mut WorkerStats,
-    obs: &WorkerObs,
-    want_arcs: bool,
-) -> (u128, Option<GeneratorError>, Option<Vec<Arc>>, bool) {
-    let t0 = clock::monotonic_ns();
-    let slot = slot_for(config, roots, tenants, algorithm, tenant);
-    let mut halted = false;
-    if let Some(d) = durability {
-        // Saturating: the protocol accepts arbitrary u128 counts, and a
-        // wrapped sum here would skip exactly the persist the recovery
-        // guarantee depends on.
-        if slot.generator.generated().saturating_add(count) > slot.frontier {
-            d.persist(config.space, tenant, slot, count.max(d.reservation));
-            halted = d.note_write_ahead();
-            obs.persists.inc();
-            obs.trace.record(
-                corr,
-                tenant,
-                Stage::WorkerPersist,
-                if halted {
-                    "write-ahead (halt hook)"
-                } else {
-                    "write-ahead"
-                },
-                clock::monotonic_ns(),
-            );
-        }
-    }
-    let error = slot.lease.fill(slot.generator.as_mut(), count).err();
-    let granted = slot.lease.granted();
-    if granted > 0 {
-        tap.send(owner_key(tenant, slot.epoch), slot.lease.arcs(), corr);
-    }
-    // Per-lease happy-path stamps only for real (wire) correlation
-    // ids: corr-0 emissions cannot join a span — they'd collapse into
-    // one shared timeline — so recording them only evicts the events
-    // the flight recorder exists to keep (persists, duplicates,
-    // connection milestones). Skipping them also keeps the batched
-    // in-process issue path off the clock and the ring entirely.
-    if corr != 0 && obs.trace.sampled(corr) {
-        obs.trace.record(
-            corr,
-            tenant,
-            Stage::WorkerEmit,
-            "lease",
-            clock::monotonic_ns(),
-        );
-    }
-    let issue_ns = clock::monotonic_ns().saturating_sub(t0);
-    stats.latency.record(Duration::from_nanos(issue_ns));
-    stats.issued_ids += granted;
-    stats.leases += 1;
-    stats.errors += error.is_some() as u64;
-    obs.latency.record_ns(issue_ns);
-    obs.leases.inc();
-    obs.issued.add(granted.min(u64::MAX as u128) as u64);
-    if error.is_some() {
-        obs.errors.inc();
-    }
-    // The client copy is off the issue-latency clock.
-    let arcs = want_arcs.then(|| slot.lease.arcs().to_vec());
-    (granted, error, arcs, halted)
 }
 
 /// Most pieces one audit batch takes: an audit thread drains the
@@ -1865,8 +1734,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "damaged snapshot store")]
     fn corrupt_snapshot_records_fail_at_boot_not_mid_traffic() {
-        // A bad record must stop the service from booting — not panic a
-        // shard worker at first-lease time and wedge the whole shard.
+        // A bad record must stop the service from booting — not panic
+        // under a shard's lock at first-lease time and wedge the shard.
         let dir = temp_state_dir("corrupt-boot");
         let mut cfg = config(AlgorithmKind::Cluster, 20);
         cfg.durability = Some(DurabilityConfig::new(&dir));

@@ -9,15 +9,27 @@
 //!   parallel pipeline has zero false negatives;
 //! * the loopback TCP transport (a one-node fleet run) reproduces the
 //!   in-process audit totals exactly for the same seed and mix, for
-//!   every worker count (the stress driver differential).
+//!   every worker count (the stress driver differential);
+//! * leases run to completion on the threads that receive them, under
+//!   shard locks: concurrent in-process callers, and connections spread
+//!   over several reactors, each lease their tenants' direct generator
+//!   streams, and the service counts every lease and ID.
+
+use std::collections::HashMap;
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use uuidp::adversary::schedule::TrafficMix;
+use uuidp::client::Client;
 use uuidp::core::algorithms::AlgorithmKind;
-use uuidp::core::id::IdSpace;
+use uuidp::core::id::{Id, IdSpace};
+use uuidp::core::interval::Arc;
+use uuidp::core::rng::{SeedDomain, SeedTree};
 use uuidp::fleet::run::FleetConfig;
 use uuidp::fleet::stress::run_stress_remote;
+use uuidp::service::net::TcpServer;
 use uuidp::service::service::{IdService, ServiceConfig};
 use uuidp::service::stress::{run_stress, StressConfig};
 
@@ -297,4 +309,143 @@ fn idle_v2_connections_cost_near_zero_wakeups() {
     let summary = ctl.shutdown().unwrap();
     assert_eq!(summary.issued_ids, 256);
     server.join().unwrap();
+}
+
+/// Runs `body` on a thread of its own and fails the test if it has not
+/// finished within 30 s, instead of hanging.
+fn within_30s<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("did not finish within 30 s"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("the body panicked"))
+        }
+    }
+}
+
+/// The test script of caller `k` of `callers`: `leases` leases of 1–64
+/// IDs over its own tenants (`t ≡ k mod callers`, 64 tenants in all).
+fn script(k: u64, callers: u64, leases: u64) -> impl Iterator<Item = (u64, u128)> {
+    (0..leases).map(move |i| {
+        let tenant = k + callers * (i % (64 / callers));
+        (tenant, u128::from(1 + (i * 13 + k * 7) % 64))
+    })
+}
+
+/// Appends `arcs`' IDs to `tenant`'s stream.
+fn extend(streams: &mut HashMap<u64, Vec<Id>>, space: IdSpace, tenant: u64, arcs: &[Arc]) {
+    let ids = arcs
+        .iter()
+        .flat_map(|a| (0..a.len).map(move |i| a.nth(space, i)));
+    streams.entry(tenant).or_default().extend(ids);
+}
+
+/// Checks that each of the 64 tenants' leased IDs, in lease order, are
+/// its direct generator stream, and returns how many IDs that is.
+fn assert_direct_streams(config: &ServiceConfig, streams: &HashMap<u64, Vec<Id>>) -> u128 {
+    assert_eq!(streams.len(), 64);
+    let alg = config.kind.build(config.space);
+    let roots = SeedTree::new(config.master_seed);
+    let mut issued = 0u128;
+    for (tenant, stream) in streams {
+        let mut direct = alg.spawn(roots.trial(0).seed(SeedDomain::Instance(*tenant)));
+        for (i, id) in stream.iter().enumerate() {
+            assert_eq!(*id, direct.next_id().unwrap(), "tenant {tenant} id {i}");
+        }
+        issued += stream.len() as u128;
+    }
+    issued
+}
+
+#[test]
+fn concurrent_in_process_callers_lease_their_tenants_direct_streams() {
+    // Eight threads call `IdService::lease` on their own threads, each
+    // over its own eight tenants, so all eight take every shard's lock.
+    const CALLERS: u64 = 8;
+    const LEASES: u64 = 500;
+    let mut config =
+        ServiceConfig::new(AlgorithmKind::ClusterStar, IdSpace::with_bits(48).unwrap());
+    config.shards = 3;
+    let start = config.clone();
+    let (streams, report) = within_30s(move || {
+        let service = IdService::start(start);
+        let streams: HashMap<u64, Vec<Id>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|k| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let mut streams = HashMap::new();
+                        for (tenant, count) in script(k, CALLERS, LEASES) {
+                            let reply = service.lease(tenant, count);
+                            assert_eq!(reply.granted, count, "tenant {tenant}");
+                            extend(&mut streams, service.space(), tenant, &reply.arcs);
+                        }
+                        streams
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|caller| caller.join().expect("caller panicked"))
+                .collect()
+        });
+        let report = service.summary();
+        drop(service.shutdown());
+        (streams, report)
+    });
+    let issued = assert_direct_streams(&config, &streams);
+    assert_eq!(report.leases, CALLERS * LEASES);
+    assert_eq!(report.issued_ids, issued);
+    assert_eq!(report.audit.counts.recorded_ids, issued);
+    assert_eq!(report.audit.counts.duplicate_ids, 0);
+}
+
+#[test]
+fn connections_over_several_reactors_lease_their_tenants_direct_streams() {
+    // Four connections to a server with three shards, so three
+    // reactors, each connection over its own 16 tenants: every shard's
+    // tenants are served from several reactors at once.
+    const CLIENTS: u64 = 4;
+    const LEASES: u64 = 1000;
+    let space = IdSpace::with_bits(48).unwrap();
+    let mut config = ServiceConfig::new(AlgorithmKind::ClusterStar, space);
+    config.shards = 3;
+    let bind = config.clone();
+    let (streams, summary) = within_30s(move || {
+        let server = TcpServer::bind("127.0.0.1:0", bind).unwrap();
+        let addr = server.local_addr();
+        let callers: Vec<_> = (0..CLIENTS)
+            .map(|k| {
+                let client = Client::connect(addr, space).unwrap();
+                std::thread::spawn(move || {
+                    let mut streams = HashMap::new();
+                    for (tenant, count) in script(k, CLIENTS, LEASES) {
+                        let lease = client.lease(tenant, count).unwrap();
+                        assert_eq!(lease.granted, count, "tenant {tenant}");
+                        extend(&mut streams, space, tenant, &lease.arcs);
+                    }
+                    streams
+                })
+            })
+            .collect();
+        let streams: HashMap<u64, Vec<Id>> = callers
+            .into_iter()
+            .flat_map(|caller| caller.join().expect("caller panicked"))
+            .collect();
+        let closer = Client::connect(addr, space).unwrap();
+        closer.drain().unwrap();
+        let summary = closer.summary().unwrap();
+        closer.shutdown().unwrap();
+        server.join().unwrap();
+        (streams, summary)
+    });
+    let issued = assert_direct_streams(&config, &streams);
+    assert_eq!(summary.leases, CLIENTS * LEASES);
+    assert_eq!(summary.issued_ids, issued);
+    assert_eq!(summary.recorded_ids, issued);
+    assert_eq!(summary.duplicate_ids, 0);
 }
