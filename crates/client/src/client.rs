@@ -634,7 +634,9 @@ impl Client {
     }
 
     /// A live service summary: totals as of every request processed so
-    /// far, without stopping anything.
+    /// far, without stopping anything. The server's reactor that reads
+    /// it waits until the audit has recorded those requests, so other
+    /// connections on that reactor wait with it.
     pub fn summary(&self) -> io::Result<Summary> {
         match self.request(FrameBody::SummaryReq)? {
             FrameBody::SummaryResp(summary) => Ok(summary),

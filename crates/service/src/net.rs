@@ -9,43 +9,48 @@
 //!              │  connections it was handed, spread round-robin)
 //!              │  first byte must be 0x00 (the v2 magic); anything
 //!              │  else gets one `error:` text line, then close
-//!              │  complete frames, dispatched by kind:
-//!              ├── lease/reset: served right here, under the tenant's
-//!              │   shard lock; the reply joins the connection's queue
-//!              └── drain/summary/shutdown ──► control thread
-//!                     (its replies come back through the reactor's
-//!                     command channel)
-//!              reply queues are flushed with vectored writes at the
-//!              end of each pass, correlation ids intact
+//!              │  complete frames, each served right here:
+//!              ├── lease/reset: under the tenant's shard lock
+//!              ├── drain/summary: one lock sweep over the shards
+//!              └── shutdown: takes the service, writes out the
+//!                  requester's queue (summary last), stops every reactor
+//!              replies join the connection's queue and are flushed with
+//!              vectored writes at the end of each pass, correlation ids
+//!              intact
 //! ```
 //!
-//! However many connections are open, the front-end runs one reactor
-//! thread per service shard and one control thread, beside the
+//! However many connections are open, the front-end runs an accept
+//! thread and one reactor thread per service shard, beside the
 //! service's audit threads. A reactor ([`crate::reactor`]) takes
 //! readiness from epoll (raw syscalls, see [`crate::sys`]), so an idle
-//! server costs ~zero CPU regardless of connection count. It serves a
-//! lease to completion on its own thread: it locks the tenant's shard,
-//! issues, encodes the reply onto the connection's queue and flushes it
-//! in the same pass, with no thread handoff. Each lease locks its own
-//! tenant's shard whichever reactor read it, so connections on
-//! different reactors are served concurrently, and a connection's
-//! frames are served in the order they arrived (the determinism the
-//! differential tests pin). Drain/summary/shutdown run on the control
-//! thread behind the service's lock sweep over the shards, which covers
-//! every lease the reactor served before it passed them on, so they
-//! mean "everything submitted before me". The reactor never blocks on a
-//! slow peer: replies queue on the owning connection, and a peer that
-//! stops reading is eventually severed (backpressure by disconnect, not
-//! by stalling a shared thread).
+//! server costs ~zero CPU regardless of connection count. It serves
+//! every frame it reads to completion on its own thread, with no thread
+//! handoff: a lease locks the tenant's shard, issues, and encodes the
+//! reply onto the connection's queue, flushed in the same pass. Each
+//! lease locks its own tenant's shard whichever reactor read it, so
+//! connections on different reactors are served concurrently, and a
+//! connection's frames are served in the order they arrived (the
+//! determinism the differential tests pin). Drain and summary are the
+//! service's lock sweep over the shards, which waits out every lease in
+//! flight on another reactor, so they mean "everything submitted before
+//! me"; a summary then holds its reactor until the audit has recorded
+//! those leases. Until a shutdown, the reactor never blocks on a slow
+//! peer: replies queue on the owning connection, and a peer that stops
+//! reading is eventually severed (backpressure by disconnect, not by
+//! stalling a shared thread).
 //!
-//! Shutdown is graceful and client-initiated: the summary frame is
-//! projected from the final [`ServiceReport`] by [`wire_summary`].
-//! [`TcpServer::halt`] is the crash lever: it severs every connection
-//! mid-command, and no client sees a report. The durability layer's
-//! `halt_after_persists` hook arrives here too: a lease reply flagged
-//! `halted` makes the server die *instead of replying* — a crash
-//! dropped exactly between the write-ahead persist and the reply, which
-//! no external kill can aim that precisely.
+//! Shutdown is graceful and client-initiated: the reactor that reads it
+//! takes the service and queues the summary frame, projected from the
+//! final [`ServiceReport`] by [`wire_summary`]. It then writes out the
+//! requester's queue, blocking for at most 5 s, so that the summary
+//! reaches the socket before every reactor stops and every connection
+//! is cut. [`TcpServer::halt`] is the crash lever: it severs
+//! every connection mid-command, and no client sees a report. The
+//! durability layer's `halt_after_persists` hook arrives here too: a
+//! lease flagged `halted` makes the reactor that served it crash the
+//! node *instead of replying* — a crash dropped exactly between the
+//! write-ahead persist and the reply, which no external kill can aim
+//! that precisely.
 //!
 //! A lease asks for at most [`frame::MAX_LEASE_COUNT`] IDs: the reactor
 //! refuses a larger one with a typed error before any shard sees it, so
@@ -58,10 +63,9 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, RwLock};
+use std::sync::mpsc::channel;
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use uuidp_client::frame::{self, FrameBody};
 use uuidp_core::clock;
@@ -70,7 +74,7 @@ use uuidp_core::lockorder;
 use uuidp_obs::{Registry, Stage, TraceRecorder};
 
 use crate::protocol::wire_summary;
-use crate::reactor::{Outbox, Poller, Reactor, ReactorCmd, ReactorHandle, ReactorSeed};
+use crate::reactor::{Outbox, Poller, Reactor, ReactorCmd, ReactorHandle};
 use crate::service::{check_tenant, IdService, Served, ServiceConfig, ServiceReport};
 
 /// Front-end options, beyond the service's own configuration.
@@ -93,6 +97,8 @@ impl Default for ServerOptions {
 pub(crate) struct ServerState {
     /// The service; taken (→ `None`) by whichever connection shuts down.
     pub(crate) service: RwLock<Option<IdService>>,
+    /// The graceful shutdown's report, left here for [`TcpServer::join`].
+    report: Mutex<Option<ServiceReport>>,
     /// Set before the accept loop is woken for the last time.
     pub(crate) stopping: AtomicBool,
     /// Set once the node starts to crash — by the wire lease that trips
@@ -117,8 +123,10 @@ pub(crate) struct ServerState {
     pub(crate) trace: Arc<TraceRecorder>,
     /// Whether scrapes are served (see [`ServerOptions::metrics`]).
     pub(crate) metrics: bool,
-    /// Command surfaces into the reactor threads (stop paths use them to
-    /// bring the reactors down with the sockets).
+    /// The bound address, dialled once by a stop to wake the accept loop.
+    local_addr: SocketAddr,
+    /// Command surfaces into the reactor threads: the accept loop hands
+    /// them connections, and stop paths bring them down with the sockets.
     reactors: Vec<ReactorHandle>,
 }
 
@@ -151,6 +159,15 @@ impl ServerState {
         service.as_ref().map(f)
     }
 
+    /// Takes the service for a stop path; `None` if another stop took it
+    /// first. The write lock waits out every reactor mid-request, so the
+    /// service's report covers each lease a reactor has answered. The
+    /// caller must hold no read guard of its own.
+    fn take_service(&self) -> Option<IdService> {
+        let _order = lockorder::track("server.service");
+        self.service.write().expect("service lock").take()
+    }
+
     /// The answer to a request that found no service: the typed
     /// "shutting down" error after a graceful shutdown, and none once
     /// the node is crashing, whose connections are about to be severed.
@@ -160,11 +177,14 @@ impl ServerState {
         })
     }
 
-    /// Stops every reactor, severing every connection.
-    fn stop_reactors(&self) {
+    /// Stops every reactor, severing every connection, and wakes the
+    /// accept loop to see `stopping` and exit.
+    pub(crate) fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
         for reactor in &self.reactors {
             reactor.stop();
         }
+        let _ = TcpStream::connect(self.local_addr);
     }
 }
 
@@ -183,33 +203,24 @@ impl ServerState {
 /// post-mortem can see the causal timeline that led into the crash.
 fn crash_server(
     state: &ServerState,
-    local_addr: SocketAddr,
     reason: &str,
     focus_corr: Option<u64>,
 ) -> Option<ServiceReport> {
     state.crashed.store(true, Ordering::SeqCst);
     state.stopping.store(true, Ordering::SeqCst);
-    let service = {
-        let _order = lockorder::track("server.service");
-        state.service.write().expect("service lock").take()
-    };
-    let report = service.map(|service| {
+    let report = state.take_service().map(|service| {
         service.dump_flight(reason, focus_corr);
         service.shutdown()
     });
     // The reactors own every socket: stopping them severs them all.
-    state.stop_reactors();
-    let _ = TcpStream::connect(local_addr);
+    state.stop();
     report
 }
 
 /// A running TCP front-end over one [`IdService`].
 pub struct TcpServer {
-    local_addr: SocketAddr,
     accept: JoinHandle<()>,
     reactors: Vec<JoinHandle<()>>,
-    control: JoinHandle<()>,
-    report_rx: Receiver<ServiceReport>,
     state: Arc<ServerState>,
 }
 
@@ -217,9 +228,9 @@ impl TcpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), boots
     /// the service, and starts accepting connections with default
     /// [`ServerOptions`] (scrapes served). Beside the service's audit
-    /// threads, the server runs an accept thread, one reactor per shard
-    /// and a control thread: five threads with the default two shards
-    /// and one audit thread.
+    /// threads, the server runs an accept thread and one reactor per
+    /// shard: four threads with the default two shards and one audit
+    /// thread.
     pub fn bind(addr: &str, config: ServiceConfig) -> io::Result<TcpServer> {
         TcpServer::bind_with(addr, config, ServerOptions::default())
     }
@@ -247,6 +258,7 @@ impl TcpServer {
         let trace = service.trace();
         let state = Arc::new(ServerState {
             service: RwLock::new(Some(service)),
+            report: Mutex::new(None),
             stopping: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -255,85 +267,70 @@ impl TcpServer {
             registry,
             trace,
             metrics: options.metrics,
-            reactors: handles.clone(),
+            local_addr,
+            reactors: handles,
         });
-        let (report_tx, report_rx) = sync_channel::<ServiceReport>(1);
-
-        // The v2 control lane (drain / summary / shutdown, and the
-        // halt-after-persists crash).
-        // Unbounded, so a reactor handing it a job never waits.
-        let (ctrl_tx, ctrl_rx) = channel::<CtrlJob>();
-        let control = {
-            let state = Arc::clone(&state);
-            std::thread::spawn(move || control_worker(state, ctrl_rx, report_tx, local_addr))
-        };
-        // The reactors: each checks its new connections' first byte and
-        // owns all their I/O.
+        // The reactors: each checks its new connections' first byte,
+        // owns all their I/O and serves every frame they send.
         let reactors = seeds
             .into_iter()
-            .zip(&handles)
-            .map(|((poller, cmd_rx), handle)| {
-                let seed = ReactorSeed {
-                    state: Arc::clone(&state),
-                    poller,
-                    cmd_rx,
-                    handle: handle.clone(),
-                    ctrl_tx: ctrl_tx.clone(),
-                };
+            .enumerate()
+            .map(|(i, (poller, cmd_rx))| {
                 // Built on this thread so its metric families are
                 // registered before `bind_with` returns — a scraper that
                 // races the reactor's first pass still sees
                 // `uuidp_net_wakeups_total`.
-                let reactor = Reactor::new(seed);
-                std::thread::spawn(move || reactor.run())
+                let reactor = Reactor::new(Arc::clone(&state), poller, cmd_rx);
+                std::thread::Builder::new()
+                    .name(format!("uuidp-react-{i}"))
+                    .spawn(move || reactor.run())
             })
-            .collect();
-        drop(ctrl_tx);
+            .collect::<io::Result<_>>()?;
         let accept_state = Arc::clone(&state);
-        let accept = std::thread::spawn(move || {
-            let mut adopted = 0usize;
-            for stream in listener.incoming() {
-                if accept_state.stopping.load(Ordering::SeqCst) {
-                    break;
-                }
-                let stream = match stream {
-                    Ok(stream) => stream,
-                    Err(_) => {
-                        // EMFILE/ENFILE or a transient accept failure:
-                        // retrying instantly pegs a core without
-                        // freeing the fds the retry needs.
-                        std::thread::sleep(std::time::Duration::from_millis(10));
+        let accept = std::thread::Builder::new()
+            .name("uuidp-accept".into())
+            .spawn(move || {
+                let handles = &accept_state.reactors;
+                let mut adopted = 0usize;
+                for stream in listener.incoming() {
+                    if accept_state.stopping.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let stream = match stream {
+                        Ok(stream) => stream,
+                        Err(_) => {
+                            // EMFILE/ENFILE or a transient accept failure:
+                            // retrying instantly pegs a core without
+                            // freeing the fds the retry needs.
+                            std::thread::sleep(std::time::Duration::from_millis(10));
+                            continue;
+                        }
+                    };
+                    // One reply frame per request: Nagle + delayed ACK
+                    // would add ~40ms to every round trip on loopback.
+                    let _ = stream.set_nodelay(true);
+                    // The reactors read and write every socket nonblocking.
+                    if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
-                };
-                // One reply frame per request: Nagle + delayed ACK would
-                // add ~40ms to every round trip on loopback.
-                let _ = stream.set_nodelay(true);
-                // The reactors read and write every socket nonblocking.
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
+                    // Round-robin: connections spread evenly over reactors.
+                    let reactor = &handles[adopted % handles.len()];
+                    adopted += 1;
+                    if !reactor.adopt(stream) {
+                        break; // reactor is gone; the server is coming down
+                    }
                 }
-                // Round-robin: connections spread evenly over reactors.
-                let reactor = &handles[adopted % handles.len()];
-                adopted += 1;
-                if !reactor.adopt(stream) {
-                    break; // reactor is gone; the server is coming down
-                }
-            }
-        });
+            })?;
         Ok(TcpServer {
-            local_addr,
             accept,
             reactors,
-            control,
-            report_rx,
             state,
         })
     }
 
     /// The bound address (with the real port when bound to port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.state.local_addr
     }
 
     /// Currently live connections — departed clients are uncounted by
@@ -362,20 +359,15 @@ impl TcpServer {
         "epoll"
     }
 
-    fn join_threads(self) -> Receiver<ServiceReport> {
-        let _ = self.accept.join();
-        for reactor in self.reactors {
-            let _ = reactor.join();
-        }
-        let _ = self.control.join();
-        self.report_rx
-    }
-
     /// Blocks until a client issues `shutdown`, then returns the server-side [`ServiceReport`] (`None` only if
     /// the accept loop died without a shutdown, which a well-formed run
     /// never does).
     pub fn join(self) -> Option<ServiceReport> {
-        self.join_threads().try_recv().ok()
+        let _ = self.accept.join();
+        for reactor in self.reactors {
+            let _ = reactor.join();
+        }
+        self.state.report.lock().expect("report lock").take()
     }
 
     /// Server-side stop, no client involved: severs every live
@@ -393,94 +385,15 @@ impl TcpServer {
         // A halt is a staged crash: it leaves the post-mortem (last
         // trace events + registry snapshot) in the state dir, the same
         // evidence a real power cut would be diagnosed from.
-        let report = crash_server(&self.state, self.local_addr, "halt", None);
-        let report_rx = self.join_threads();
-        report.or_else(|| report_rx.try_recv().ok())
+        let report = crash_server(&self.state, "halt", None);
+        let shut_down = self.join();
+        report.or(shut_down)
     }
 }
 
 // ---------------------------------------------------------------------
-// The serving machinery: the reactors' dispatch, and the control lane.
+// The serving machinery: the reactors' dispatch.
 // ---------------------------------------------------------------------
-
-/// The shared half of one v2 connection: its registry id, a handle to
-/// the reactor that owns the socket, and the server's control lane. The
-/// control lane answers through it: a send *queues* the encoded frame
-/// on the connection's reply queue — it never touches the socket and
-/// never blocks, so a slow peer backpressures only its own queue
-/// (severed at the reactor's cap), not the control thread.
-pub(crate) struct V2Conn {
-    conn_id: u64,
-    reactor: ReactorHandle,
-    ctrl: Sender<CtrlJob>,
-}
-
-impl V2Conn {
-    pub(crate) fn new(conn_id: u64, reactor: ReactorHandle, ctrl: Sender<CtrlJob>) -> V2Conn {
-        V2Conn {
-            conn_id,
-            reactor,
-            ctrl,
-        }
-    }
-
-    /// Queues one whole reply frame through the owning reactor's command
-    /// channel (flushed by the reactor on its next pass). Errs only when
-    /// the reactor is already gone.
-    pub(crate) fn send(&self, corr: u64, body: &FrameBody) -> io::Result<()> {
-        self.reactor
-            .reply(self.conn_id, frame::encode_frame(corr, body), None)
-    }
-
-    /// Like [`send`](V2Conn::send), but blocks (bounded by `timeout`)
-    /// until the frame has fully reached the socket. The shutdown path
-    /// uses this for its final summary: sockets are severed right
-    /// after, and an unflushed summary would turn the graceful protocol
-    /// exit into a broken pipe.
-    pub(crate) fn send_flushed(
-        &self,
-        corr: u64,
-        body: &FrameBody,
-        timeout: Duration,
-    ) -> io::Result<()> {
-        let (done, rx) = sync_channel::<io::Result<()>>(1);
-        self.reactor
-            .reply(self.conn_id, frame::encode_frame(corr, body), Some(done))?;
-        match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(_) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "reply flush timed out",
-            )),
-        }
-    }
-
-    /// Hands one job to the control lane.
-    fn control(&self, job: CtrlJob) {
-        let _ = self.ctrl.send(job);
-    }
-}
-
-/// Work routed to the control lane.
-pub(crate) enum CtrlJob {
-    Drain {
-        conn: Arc<V2Conn>,
-        corr: u64,
-    },
-    Summary {
-        conn: Arc<V2Conn>,
-        corr: u64,
-    },
-    Shutdown {
-        conn: Arc<V2Conn>,
-        corr: u64,
-    },
-    /// Crash the node ([`crash_server`]) for the `halt_after_persists`
-    /// hook, focused on the lease `corr` it cut off.
-    Halt {
-        corr: u64,
-    },
-}
 
 /// The reply frame for a served lease. It fits one frame: arcs ≤
 /// granted ≤ the request's count ≤ [`frame::MAX_LEASE_COUNT`].
@@ -497,82 +410,6 @@ fn lease_resp(lease: &Served<'_>) -> FrameBody {
     }
 }
 
-/// The control lane: drain/summary, graceful shutdown, and the crash
-/// lever. Every lease a reactor read before a control frame was served,
-/// and its reply queued, before the reactor passed the frame here; the
-/// service's lock sweep (inside `drain` and `summary`) then waits out
-/// leases still in flight on other reactors. One thread, so these
-/// serializing operations never overlap.
-fn control_worker(
-    state: Arc<ServerState>,
-    rx: Receiver<CtrlJob>,
-    report_tx: SyncSender<ServiceReport>,
-    local_addr: SocketAddr,
-) {
-    let refuse = |conn: &V2Conn, corr| {
-        if let Some(body) = state.refusal() {
-            let _ = conn.send(corr, &body);
-        }
-    };
-    while let Ok(job) = rx.recv() {
-        match job {
-            CtrlJob::Drain { conn, corr } => {
-                if state.with_service(IdService::drain).is_some() {
-                    let _ = conn.send(corr, &FrameBody::DrainResp);
-                } else {
-                    refuse(&conn, corr);
-                }
-            }
-            CtrlJob::Summary { conn, corr } => match state.with_service(IdService::summary) {
-                Some(report) => {
-                    let _ = conn.send(corr, &FrameBody::SummaryResp(wire_summary(&report)));
-                }
-                None => refuse(&conn, corr),
-            },
-            CtrlJob::Shutdown { conn, corr } => {
-                state.stopping.store(true, Ordering::SeqCst);
-                // Take the service: the write lock waits out every
-                // reactor mid-lease, so the report covers each lease a
-                // reactor has answered.
-                let service = {
-                    let _order = lockorder::track("server.service");
-                    state.service.write().expect("service lock").take()
-                };
-                match service {
-                    Some(service) => {
-                        let report = service.shutdown();
-                        // Wait for the summary to actually reach the
-                        // socket: stopping the reactor is about to cut
-                        // every connection, and the requester must read
-                        // its final summary before the FIN.
-                        let _ = conn.send_flushed(
-                            corr,
-                            &FrameBody::SummaryResp(wire_summary(&report)),
-                            Duration::from_secs(5),
-                        );
-                        let _ = report_tx.send(report);
-                        // Sever sibling connections, unblock the accept loop.
-                        state.stop_reactors();
-                        let _ = TcpStream::connect(local_addr);
-                        return;
-                    }
-                    None => refuse(&conn, corr),
-                }
-            }
-            CtrlJob::Halt { corr } => {
-                // Over the wire a crash discards the report.
-                drop(crash_server(
-                    &state,
-                    local_addr,
-                    "halt-after-persists",
-                    Some(corr),
-                ));
-                return;
-            }
-        }
-    }
-}
-
 /// What [`dispatch_frame`] decided about the connection that sent the
 /// frame.
 pub(crate) enum Disposition {
@@ -582,6 +419,9 @@ pub(crate) enum Disposition {
     /// connection-level error frame (corr 0), so protocol violations
     /// still get their diagnostic before EOF. Queued replies are forfeit.
     Sever(String),
+    /// The frame shut the service down: write out the connection's
+    /// queue, the summary last, close it, then stop every reactor.
+    Shutdown,
 }
 
 /// Queues one reply frame on the connection being pumped.
@@ -594,11 +434,9 @@ fn reply_error(out: &mut Outbox, corr: u64, message: impl Into<String>) {
     reply(out, corr, &FrameBody::Error { message });
 }
 
-/// Serves one decoded frame (called from the reactor's pump): leases,
-/// resets and scrapes here, on the reactor thread, their replies onto
-/// `out`; drain, summary and shutdown on the control lane.
+/// Serves one decoded frame (called from the reactor's pump) on the
+/// reactor thread, its reply onto `out`.
 pub(crate) fn dispatch_frame(
-    shared: &Arc<V2Conn>,
     hello_done: &mut bool,
     out: &mut Outbox,
     f: frame::Frame,
@@ -685,10 +523,11 @@ pub(crate) fn dispatch_frame(
                 })
             });
             match halted {
-                // Tearing the service down waits out this reactor's read
-                // guard, so the crash runs on the control lane, its
-                // flight dump focused on the lease it cut off.
-                Some(true) => shared.control(CtrlJob::Halt { corr }),
+                // Tearing the service down waits out every read guard,
+                // so the crash runs here, once this lease's guard is
+                // released, its flight dump focused on the lease it cut
+                // off.
+                Some(true) => drop(crash_server(state, "halt-after-persists", Some(corr))),
                 Some(false) => {}
                 None => refuse(out),
             }
@@ -730,26 +569,34 @@ pub(crate) fn dispatch_frame(
             }
             Disposition::Keep
         }
+        // Drain and summary sweep the shards' locks, which waits out
+        // every lease in flight on another reactor; this connection's
+        // earlier leases were served before the frame was read.
         FrameBody::DrainReq => {
-            shared.control(CtrlJob::Drain {
-                conn: Arc::clone(shared),
-                corr,
-            });
+            if state.with_service(IdService::drain).is_some() {
+                reply(out, corr, &FrameBody::DrainResp);
+            } else {
+                refuse(out);
+            }
             Disposition::Keep
         }
         FrameBody::SummaryReq => {
-            shared.control(CtrlJob::Summary {
-                conn: Arc::clone(shared),
-                corr,
-            });
+            match state.with_service(IdService::summary) {
+                Some(report) => reply(out, corr, &FrameBody::SummaryResp(wire_summary(&report))),
+                None => refuse(out),
+            }
             Disposition::Keep
         }
         FrameBody::ShutdownReq => {
-            shared.control(CtrlJob::Shutdown {
-                conn: Arc::clone(shared),
-                corr,
-            });
-            Disposition::Keep
+            state.stopping.store(true, Ordering::SeqCst);
+            let Some(service) = state.take_service() else {
+                refuse(out);
+                return Disposition::Keep;
+            };
+            let report = service.shutdown();
+            reply(out, corr, &FrameBody::SummaryResp(wire_summary(&report)));
+            *state.report.lock().expect("report lock") = Some(report);
+            Disposition::Shutdown
         }
         other => Disposition::Sever(format!("unexpected {} frame from a client", other.name())),
     }
@@ -760,6 +607,7 @@ mod tests {
     use super::*;
     use crate::service::TENANT_BITS;
     use std::io::{Read, Write};
+    use std::time::Duration;
     use uuidp_client::{Client, ClientOptions};
     use uuidp_core::algorithms::AlgorithmKind;
     use uuidp_obs::{families, Snapshot};
@@ -1345,11 +1193,13 @@ mod tests {
     #[test]
     fn a_pipelined_drain_covers_every_earlier_lease() {
         // Drain and summary barrier the shards, not the connection: the
-        // reactor queues each lease on its shard before it hands a later
-        // frame to the control lane, shard queues are FIFO, and a shard
-        // queues each reply before it acks a later barrier. So a drain
-        // pipelined behind leases is answered after all of them, and
-        // the summary behind it covers every one.
+        // reactor serves a connection's frames in arrival order, so it
+        // has served each lease and queued its reply before it reads the
+        // drain behind them, and the drain's sweep over the shard locks
+        // waits out leases still in flight on the other reactors. So a
+        // drain pipelined behind leases is answered after all of them,
+        // and the summary behind it, which waits for the audit, covers
+        // every one.
         const LEASES: u64 = 120;
         let space = IdSpace::with_bits(40).unwrap();
         let mut config = ServiceConfig::new(AlgorithmKind::Cluster, space);
@@ -1406,6 +1256,63 @@ mod tests {
             .shutdown()
             .unwrap();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_shutdown_behind_a_reply_backlog_still_delivers_its_summary() {
+        // Random leases one 32-byte arc per ID, so 16 leases of 2^15 IDs
+        // queue about 16 MiB of replies, more than the loopback socket
+        // buffers hold. The shutdown behind them must write that whole
+        // queue out, its summary last, before the stop cuts the socket,
+        // although the peer starts reading only 1.5 s later.
+        const LEASES: u64 = 16;
+        const COUNT: u128 = 1 << 15;
+        let space = IdSpace::with_bits(64).unwrap();
+        let config = ServiceConfig::new(AlgorithmKind::Random, space);
+        let server = TcpServer::bind("127.0.0.1:0", config).unwrap();
+        let mut stream = raw_v2_conn(server.local_addr(), space);
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut batch = Vec::new();
+        for corr in 1..=LEASES {
+            batch.extend_from_slice(&frame::encode_frame(
+                corr,
+                &FrameBody::LeaseReq {
+                    tenant: corr,
+                    count: COUNT,
+                },
+            ));
+        }
+        batch.extend_from_slice(&frame::encode_frame(LEASES + 1, &FrameBody::ShutdownReq));
+        stream.write_all(&batch).unwrap();
+        std::thread::sleep(Duration::from_millis(1500));
+        for _ in 0..LEASES {
+            let reply = frame::read_frame(&mut stream).unwrap();
+            assert!(
+                matches!(
+                    reply.body,
+                    FrameBody::LeaseResp {
+                        granted: COUNT,
+                        error: None,
+                        ..
+                    }
+                ),
+                "corr {}: {}",
+                reply.corr,
+                reply.body.name()
+            );
+        }
+        let last = frame::read_frame(&mut stream).unwrap();
+        match last.body {
+            FrameBody::SummaryResp(summary) => {
+                assert_eq!(summary.issued_ids, u128::from(LEASES) * COUNT)
+            }
+            other => panic!("expected the summary, got a {} frame", other.name()),
+        }
+        let end = frame::read_frame(&mut stream).unwrap_err();
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof, "{end:?}");
+        assert!(server.join().is_some());
     }
 
     #[test]

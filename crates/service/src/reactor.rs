@@ -5,13 +5,14 @@
 //! **all** state of its connections (the single-actor ownership shape
 //! of holochain's `kitsune_p2p` event loops): sockets, reassembly
 //! buffers, and per-connection reply queues all live on its thread. It
-//! serves what it reads to completion: a lease or a reset runs on the
-//! reactor thread under its tenant's shard lock, whichever reactor read
-//! it, and the encoded reply goes straight onto the connection's queue.
-//! Other threads reach a reactor only through `ReactorCmd` messages —
-//! the accept loop adopts new connections, the control lane queues its
-//! replies, stop paths send `ReactorCmd::Stop`. No locks guard
-//! connection state because nothing else can reach it.
+//! serves every frame it reads to completion: a lease or a reset runs
+//! on the reactor thread under its tenant's shard lock, whichever
+//! reactor read it, a drain or a summary sweeps the shards' locks from
+//! here, and the encoded reply goes straight onto the connection's
+//! queue. Other threads reach a reactor only through `ReactorCmd`
+//! messages — the accept loop adopts new connections, stop paths send
+//! `ReactorCmd::Stop`. No locks guard connection state because nothing
+//! else can reach it.
 //!
 //! Readiness comes from level-triggered `epoll_wait` via the
 //! raw-syscall [`crate::sys`] module, with an `eventfd` waker so
@@ -34,20 +35,24 @@
 //! (`uuidp_net_replies_per_syscall` histograms exactly that ratio). A
 //! peer that stops reading accumulates queued replies until
 //! `MAX_OUT_QUEUE` and is then severed — queued-reply backpressure
-//! replaces the old lock-held spin/sleep send.
+//! replaces the old lock-held spin/sleep send. The one blocking write is
+//! a shutdown's: its reactor writes out the requester's queue, the
+//! summary last, for at most `WRITE_OUT_NS`, and only then stops every
+//! reactor.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use uuidp_client::frame;
+use uuidp_core::clock;
 use uuidp_obs::{AtomicHistogram, Counter, Gauge};
 
-use crate::net::{dispatch_frame, CtrlJob, Disposition, ServerState, V2Conn};
+use crate::net::{dispatch_frame, Disposition, ServerState};
 use crate::reassembly::{BufPool, ReadBuf};
 use crate::sys;
 
@@ -59,6 +64,9 @@ const FRAME_CAP: usize = 128;
 const MAX_OUT_QUEUE: usize = 64 * 1024 * 1024;
 /// Reply buffers coalesced into one vectored write.
 const MAX_IOV: usize = 64;
+/// How long a shutdown's reactor may block writing out the requester's
+/// queue before it stops every reactor regardless.
+const WRITE_OUT_NS: u64 = 5_000_000_000;
 /// The one line a connection whose first byte is not the v2 magic gets
 /// before the reactor closes it.
 const NOT_V2: &[u8] = b"error: this server speaks only protocol v2 (binary frames, \
@@ -83,21 +91,11 @@ impl Waker {
 pub(crate) enum ReactorCmd {
     /// A freshly accepted (nonblocking, nodelay) socket to own.
     Adopt(TcpStream),
-    /// One encoded frame from the control lane to queue on `conn_id`'s
-    /// reply queue. `done` (used by the shutdown path) is signalled
-    /// when the frame has fully reached the socket — or with an error
-    /// if it cannot.
-    Reply {
-        conn_id: u64,
-        bytes: Vec<u8>,
-        done: Option<SyncSender<io::Result<()>>>,
-    },
     /// Drop everything and exit (the stop paths' abrupt sever).
     Stop,
 }
 
-/// A cloneable handle over the reactor's command channel + waker.
-#[derive(Clone)]
+/// A handle over the reactor's command channel + waker.
 pub(crate) struct ReactorHandle {
     tx: Sender<ReactorCmd>,
     waker: Arc<Waker>,
@@ -114,24 +112,6 @@ impl ReactorHandle {
         let ok = self.tx.send(ReactorCmd::Adopt(stream)).is_ok();
         self.waker.wake();
         ok
-    }
-
-    /// Queues one encoded reply frame for `conn_id` from another thread.
-    pub(crate) fn reply(
-        &self,
-        conn_id: u64,
-        bytes: Vec<u8>,
-        done: Option<SyncSender<io::Result<()>>>,
-    ) -> io::Result<()> {
-        self.tx
-            .send(ReactorCmd::Reply {
-                conn_id,
-                bytes,
-                done,
-            })
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "reactor is gone"))?;
-        self.waker.wake();
-        Ok(())
     }
 
     /// Tells the reactor to drop everything and exit.
@@ -209,11 +189,10 @@ impl Poller {
     }
 }
 
-/// One queued reply frame (plus the flush ack the shutdown path uses).
+/// One queued reply frame.
 struct OutFrame {
     bytes: Vec<u8>,
     at: usize,
-    done: Option<SyncSender<io::Result<()>>>,
 }
 
 /// One connection's reply frames awaiting a vectored flush. Frames are
@@ -226,21 +205,16 @@ pub(crate) struct Outbox {
 }
 
 impl Outbox {
-    /// Queues one encoded frame, made on the reactor thread itself.
+    /// Queues one encoded frame.
     pub(crate) fn push(&mut self, bytes: Vec<u8>) {
-        self.push_acked(bytes, None);
-    }
-
-    fn push_acked(&mut self, bytes: Vec<u8>, done: Option<SyncSender<io::Result<()>>>) {
         self.bytes += bytes.len();
-        self.frames.push_back(OutFrame { bytes, at: 0, done });
+        self.frames.push_back(OutFrame { bytes, at: 0 });
     }
 }
 
 /// One connection, as the reactor owns it.
 struct NetConn {
     stream: TcpStream,
-    shared: Arc<V2Conn>,
     /// Reassembly buffer; `None` while nothing is pending (the buffer
     /// lives in the pool between partial frames).
     rbuf: Option<ReadBuf>,
@@ -268,15 +242,9 @@ enum Fate {
     Remove {
         farewell: Option<Vec<u8>>,
     },
-}
-
-/// Everything `bind_with` wires into the reactor thread.
-pub(crate) struct ReactorSeed {
-    pub state: Arc<ServerState>,
-    pub poller: Poller,
-    pub cmd_rx: Receiver<ReactorCmd>,
-    pub handle: ReactorHandle,
-    pub ctrl_tx: Sender<CtrlJob>,
+    /// The connection shut the service down (see
+    /// [`Disposition::Shutdown`]).
+    Shutdown,
 }
 
 /// The reactor: see the module docs for the full shape.
@@ -284,8 +252,6 @@ pub(crate) struct Reactor {
     state: Arc<ServerState>,
     poller: Poller,
     cmd_rx: Receiver<ReactorCmd>,
-    handle: ReactorHandle,
-    ctrl_tx: Sender<CtrlJob>,
     conns: HashMap<u64, NetConn>,
     /// Connections holding complete-but-undispatched frames (hit the
     /// per-pass frame cap); pumped again next pass with a 0 timeout.
@@ -305,18 +271,20 @@ pub(crate) struct Reactor {
 }
 
 impl Reactor {
-    pub(crate) fn new(seed: ReactorSeed) -> Reactor {
-        let registry = &seed.state.registry;
+    pub(crate) fn new(
+        state: Arc<ServerState>,
+        poller: Poller,
+        cmd_rx: Receiver<ReactorCmd>,
+    ) -> Reactor {
+        let registry = &state.registry;
         let wakeups = registry.counter("uuidp_net_wakeups_total");
         let replies_per_syscall = registry.histogram("uuidp_net_replies_per_syscall");
         let out_queue = registry.gauge("uuidp_net_out_queue_bytes");
         let severed = registry.counter("uuidp_net_severed_total");
         Reactor {
-            state: seed.state,
-            poller: seed.poller,
-            cmd_rx: seed.cmd_rx,
-            handle: seed.handle,
-            ctrl_tx: seed.ctrl_tx,
+            state,
+            poller,
+            cmd_rx,
             conns: HashMap::new(),
             backlog: Vec::new(),
             dirty: Vec::new(),
@@ -361,9 +329,9 @@ impl Reactor {
                     self.pump(conn_id);
                 }
             }
-            // Flush: write-ready connections, then the ones the pump or
-            // the control lane queued replies on. A stop seen only at the
-            // next pass leaves this pass's replies written first.
+            // Flush: write-ready connections, then the ones the pump
+            // queued replies on. A stop seen only at the next pass leaves
+            // this pass's replies written first.
             for ev in &events {
                 if ev.writable {
                     self.flush(ev.token);
@@ -386,11 +354,6 @@ impl Reactor {
         while let Ok(cmd) = self.cmd_rx.try_recv() {
             match cmd {
                 ReactorCmd::Adopt(stream) => self.adopt(stream),
-                ReactorCmd::Reply {
-                    conn_id,
-                    bytes,
-                    done,
-                } => self.queue_reply(conn_id, bytes, done),
                 ReactorCmd::Stop => stop = true,
             }
         }
@@ -405,16 +368,10 @@ impl Reactor {
             self.state.deregister();
             return;
         }
-        let shared = Arc::new(V2Conn::new(
-            conn_id,
-            self.handle.clone(),
-            self.ctrl_tx.clone(),
-        ));
         self.conns.insert(
             conn_id,
             NetConn {
                 stream,
-                shared,
                 rbuf: None,
                 out: Outbox::default(),
                 magic_seen: false,
@@ -424,26 +381,6 @@ impl Reactor {
                 dirty: false,
             },
         );
-    }
-
-    /// Queues a control-lane reply on `conn_id`.
-    fn queue_reply(
-        &mut self,
-        conn_id: u64,
-        bytes: Vec<u8>,
-        done: Option<SyncSender<io::Result<()>>>,
-    ) {
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            // The connection died before its reply was written — the
-            // same race a crash mid-reply produces.
-            if let Some(done) = done {
-                let _ = done.send(Err(io::ErrorKind::BrokenPipe.into()));
-            }
-            return;
-        };
-        let added = bytes.len();
-        conn.out.push_acked(bytes, done);
-        self.queued(conn_id, added);
     }
 
     /// Accounts `added` bytes just queued on `conn_id`: marks it for the
@@ -494,6 +431,15 @@ impl Reactor {
                 }
                 self.dispose(conn);
             }
+            Fate::Shutdown => {
+                // The requester reads its whole queue, the summary last,
+                // before the stop cuts every socket.
+                self.conns.insert(conn_id, conn);
+                self.queued(conn_id, added);
+                self.write_out(conn_id);
+                self.remove(conn_id);
+                self.state.stop();
+            }
         }
     }
 
@@ -541,13 +487,8 @@ impl Reactor {
                     Ok(Some((f, used))) => {
                         rbuf.consume(used);
                         frames += 1;
-                        let disposition = dispatch_frame(
-                            &conn.shared,
-                            &mut conn.hello_done,
-                            &mut conn.out,
-                            f,
-                            &self.state,
-                        );
+                        let disposition =
+                            dispatch_frame(&mut conn.hello_done, &mut conn.out, f, &self.state);
                         match disposition {
                             Disposition::Keep => {}
                             Disposition::Sever(message) => {
@@ -555,6 +496,7 @@ impl Reactor {
                                     farewell: Some(error_frame(0, &message)),
                                 };
                             }
+                            Disposition::Shutdown => return Fate::Shutdown,
                         }
                     }
                     Err(e) => {
@@ -614,9 +556,7 @@ impl Reactor {
                             let left = front.bytes.len() - front.at;
                             if n >= left {
                                 n -= left;
-                                if let Some(done) = out.frames.pop_front().and_then(|f| f.done) {
-                                    let _ = done.send(Ok(()));
-                                }
+                                out.frames.pop_front();
                                 retired += 1;
                             } else {
                                 front.at += n;
@@ -655,6 +595,22 @@ impl Reactor {
         }
     }
 
+    /// Flushes `conn_id`'s whole reply queue, retrying every millisecond
+    /// while the socket is full, for at most [`WRITE_OUT_NS`] in all.
+    fn write_out(&mut self, conn_id: u64) {
+        let deadline = clock::monotonic_ns().saturating_add(WRITE_OUT_NS);
+        loop {
+            self.flush(conn_id);
+            let Some(conn) = self.conns.get(&conn_id) else {
+                return; // severed: the peer is gone
+            };
+            if conn.out.frames.is_empty() || clock::monotonic_ns() >= deadline {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// Removes and disposes one connection.
     fn remove(&mut self, conn_id: u64) {
         if let Some(conn) = self.conns.remove(&conn_id) {
@@ -667,18 +623,13 @@ impl Reactor {
         self.poller.deregister(&conn.stream);
         self.state.deregister();
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        for frame in conn.out.frames {
-            if let Some(done) = frame.done {
-                let _ = done.send(Err(io::ErrorKind::BrokenPipe.into()));
-            }
-        }
         if let Some(rbuf) = conn.rbuf {
             self.pool.put(rbuf);
         }
     }
 
-    /// The abrupt exit every stop path funnels into: pending flush acks
-    /// fail and every connection is severed.
+    /// The abrupt exit every stop path funnels into: every connection is
+    /// severed.
     fn finish(mut self) {
         let conns: Vec<NetConn> = self.conns.drain().map(|(_, c)| c).collect();
         for conn in conns {

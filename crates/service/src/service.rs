@@ -412,7 +412,8 @@ impl IdService {
     /// directory cannot be read or holds a damaged or foreign record,
     /// or one that does not restore (see `recover_shards`) — corruption
     /// must surface as a boot error, not a mid-traffic panic under a
-    /// shard's lock that would wedge the whole shard.
+    /// shard's lock that would wedge the whole shard. Also panics if the
+    /// OS refuses to start an audit thread.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.shards >= 1, "at least one shard");
         let mut recovered = match &config.durability {
@@ -442,7 +443,7 @@ impl IdService {
         let audit_threads = config.audit_threads.clamp(1, plan.stripe_count());
         let mut audit_txs = Vec::with_capacity(audit_threads);
         let mut audit = Vec::with_capacity(audit_threads);
-        for _ in 0..audit_threads {
+        for t in 0..audit_threads {
             let (tx, rx) = sync_channel::<AuditMsg>(QUEUE_DEPTH);
             audit_txs.push(tx);
             let space = config.space;
@@ -453,9 +454,12 @@ impl IdService {
                 segments: registry.gauge("uuidp_audit_segments"),
                 trace: std::sync::Arc::clone(&trace),
             };
-            audit.push(std::thread::spawn(move || {
-                audit_loop(space, stripes, rx, obs)
-            }));
+            audit.push(
+                std::thread::Builder::new()
+                    .name(format!("uuidp-audit-{t}"))
+                    .spawn(move || audit_loop(space, stripes, rx, obs))
+                    .expect("spawn audit thread"),
+            );
         }
 
         // One write-ahead persist counter across all shards drives the

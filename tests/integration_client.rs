@@ -120,9 +120,11 @@ fn crash_between_persist_and_reply_never_reissues_an_id() {
 #[test]
 fn pipelined_leases_past_the_halt_hook_get_no_reply() {
     // The crash above, pipelined: ten leases in one write, the third of
-    // which trips the hook. The node dies instead of answering it, and
-    // no lease queued behind it is answered either, even though they
-    // already sit in the shard's queue when the crash begins.
+    // which trips the hook. The one reactor reads all ten in one pass.
+    // It answers the first two, marks the node crashing while it serves
+    // the third and crashes the node instead of answering it; the seven
+    // behind it find a crashing node and get no reply. The pass flushes
+    // the two replies it queued, and the stop then severs the socket.
     let dir = temp_dir("pipelined-halt");
     let space = IdSpace::with_bits(24).unwrap();
     let mut cfg = ServiceConfig::new(AlgorithmKind::Cluster, space);
