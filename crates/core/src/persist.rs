@@ -68,36 +68,36 @@
 //! typed [`PersistError`], never a panic. Versions 1–3 are not read: such
 //! a record is [`PersistError::UnsupportedVersion`].
 //!
-//! ## Log format
+//! ## Slot file
 //!
-//! A [`SnapshotStore`] is one append-only file, `snapshots.log`, of
-//! entries that each wrap one encoded record:
+//! A [`SnapshotStore`] is one file, `snapshots.slots`, of 256-byte
+//! slots, one per tenant in the order of their first saves. A slot holds
+//! one entry wrapping the tenant's newest record, zero-padded:
 //!
 //! ```text
 //! tenant   u64 LE    the record's tenant
-//! length   u64 LE    body byte count
+//! length   u64 LE    record byte count
 //! check    u64 LE    FNV-1a over tenant + length
-//! body     ...       the record, encoded as above
+//! record   ...       the record, encoded as above
+//! padding  ...       zeros to the slot's end
 //! ```
 //!
-//! Every byte is under a checksum: the header under `check`, the body
-//! under its own. Opening the store replays the log, and the last entry
-//! per tenant wins. A log that ends inside an entry (a header cut short,
-//! or a valid header whose body is short) was torn by a crash
-//! mid-append: it is truncated to its last whole entry. Any other
-//! damage, a header checksum mismatch or a body that fails to decode,
-//! is a [`PersistError::Damaged`] naming the entry's byte offset, so a
-//! bit flip never silently drops the entries after it.
-//!
-//! Once the log outgrows both 64 KiB and four times its live entries
-//! (each tenant's newest), it is compacted: the live entries are
-//! written to `snapshots.log.tmp`, which is renamed over the log. A temp
-//! file left by a crash mid-compaction is never read.
+//! Every byte is under a check: the header under `check`, the record
+//! under its own checksum, the padding by being zero. A save rewrites
+//! its tenant's slot in place; a tenant's first save appends a slot. An
+//! all-zero slot holds nothing (a crash can leave a file's length on
+//! disk before its data), and neither does a cut-short last slot (a
+//! first save that never completed). Any other slot that fails to
+//! decode, and a tenant's second slot, is a [`PersistError::Damaged`]
+//! naming the slot's byte offset, so a bit flip is never read as an
+//! empty slot. A 256-byte slot never straddles a 512-byte sector or a
+//! page, so a process kill cannot tear a save.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Read as _, Write as _};
+use std::io;
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 
 use crate::algorithms::AlgorithmKind;
@@ -112,25 +112,18 @@ pub const MAGIC: [u8; 8] = *b"UUIDSNAP";
 /// Current on-disk format version.
 pub const VERSION: u32 = 4;
 
-/// The log file in a store's directory.
+/// The slot file in a store's directory.
+const SLOT_FILE: &str = "snapshots.slots";
+
+/// The append-only log of the older layout: a directory holding one
+/// refuses to open.
 const LOG_FILE: &str = "snapshots.log";
 
-/// Where compaction writes the live entries before renaming them over
-/// the log.
-const COMPACT_FILE: &str = "snapshots.log.tmp";
+/// Bytes per slot.
+const SLOT: usize = 256;
 
-/// Header bytes under the header checksum: tenant and body length.
+/// Header bytes under the header checksum: tenant and record length.
 const ENTRY_FIELDS: usize = 16;
-
-/// A log entry's header: its fields plus their checksum.
-const ENTRY_HEADER: usize = ENTRY_FIELDS + 8;
-
-/// The log is never compacted below this size ...
-const COMPACT_MIN_BYTES: u64 = 64 * 1024;
-
-/// ... and is compacted once it exceeds this multiple of its live
-/// entries.
-const COMPACT_RATIO: u64 = 4;
 
 /// A persisted generator snapshot plus its write-ahead reservation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,10 +160,10 @@ pub enum PersistError {
     /// The state failed generator-level validation, or its kind has no
     /// snapshot support.
     State(StateError),
-    /// A log entry failed its header checksum or its record failed to
-    /// decode; `offset` is the entry's byte position in the log.
+    /// A slot failed to decode, or repeated a tenant's slot; `offset` is
+    /// the slot's byte position in its file.
     Damaged {
-        /// Byte offset of the damaged entry.
+        /// Byte offset of the damaged slot.
         offset: u64,
         /// What was wrong with it.
         error: Box<PersistError>,
@@ -190,7 +183,7 @@ impl std::fmt::Display for PersistError {
             PersistError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
             PersistError::State(e) => write!(f, "snapshot state rejected: {e}"),
             PersistError::Damaged { offset, error } => {
-                write!(f, "snapshot log entry at byte {offset}: {error}")
+                write!(f, "snapshot slot at byte {offset}: {error}")
             }
         }
     }
@@ -357,140 +350,145 @@ pub fn recover(record: &SnapshotRecord) -> Result<Box<dyn IdGenerator>, PersistE
 }
 
 // ---------------------------------------------------------------------
-// Append-only log store
+// Slot file store
 // ---------------------------------------------------------------------
 
-/// Encodes `record` as one log entry for `tenant`.
-fn encode_entry(tenant: u64, record: &SnapshotRecord) -> Result<Vec<u8>, PersistError> {
+/// Encodes `record` as `tenant`'s slot: its entry, zero-padded.
+fn encode_slot(tenant: u64, record: &SnapshotRecord) -> Result<Vec<u8>, PersistError> {
     let body = encode_record(record)?;
-    let mut entry = Vec::with_capacity(ENTRY_HEADER + body.len());
-    put_u64(&mut entry, tenant);
-    put_u64(&mut entry, body.len() as u64);
-    let check = fnv1a(&entry);
-    put_u64(&mut entry, check);
-    entry.extend_from_slice(&body);
-    Ok(entry)
+    let mut slot = Vec::with_capacity(SLOT);
+    put_u64(&mut slot, tenant);
+    put_u64(&mut slot, body.len() as u64);
+    let check = fnv1a(&slot);
+    put_u64(&mut slot, check);
+    slot.extend_from_slice(&body);
+    if slot.len() > SLOT {
+        let error = format!("a {}-byte entry overflows its slot", slot.len());
+        return Err(PersistError::Corrupt(error));
+    }
+    slot.resize(SLOT, 0);
+    Ok(slot)
 }
 
-/// The record inside a log entry.
-fn entry_record(entry: &[u8]) -> Result<SnapshotRecord, PersistError> {
-    decode_record(entry.get(ENTRY_HEADER..).unwrap_or_default())
+/// Decodes a slot's tenant and record; the bytes past the record must
+/// be zero.
+fn decode_slot(slot: &[u8]) -> Result<(u64, SnapshotRecord), PersistError> {
+    let mut c = Cursor::new(slot);
+    let fields = c.take(ENTRY_FIELDS)?;
+    if fnv1a(fields) != c.u64()? {
+        return Err(PersistError::ChecksumMismatch);
+    }
+    let mut fields = Cursor::new(fields);
+    let tenant = fields.u64()?;
+    let len = usize::try_from(fields.u64()?).map_err(|_| PersistError::Truncated)?;
+    let record = decode_record(c.take(len)?)?;
+    let padding = slot.get(c.position()..).unwrap_or_default();
+    if padding.iter().any(|&b| b != 0) {
+        return Err(PersistError::Corrupt("non-zero padding".into()));
+    }
+    Ok((tenant, record))
 }
 
-/// Replays a log image into `latest`, the last entry per tenant
-/// winning, and returns the byte length of its whole entries: anything
-/// past that is a torn tail.
-fn replay(bytes: &[u8], latest: &mut BTreeMap<u64, Vec<u8>>) -> Result<usize, PersistError> {
-    let mut at = 0;
-    while let Some(rest) = bytes.get(at..).filter(|rest| rest.len() >= ENTRY_HEADER) {
+/// Decodes a slot file image into each tenant's slot index and record,
+/// skipping all-zero slots and a cut-short last slot.
+fn scan(image: &[u8]) -> Result<BTreeMap<u64, (u64, SnapshotRecord)>, PersistError> {
+    let mut tenants = BTreeMap::new();
+    for (index, slot) in (0u64..).zip(image.chunks_exact(SLOT)) {
+        if slot.iter().all(|&b| b == 0) {
+            continue;
+        }
         let damaged = |error| PersistError::Damaged {
-            offset: at as u64,
+            offset: index * SLOT as u64,
             error: Box::new(error),
         };
-        let mut header = Cursor::new(rest);
-        let fields = header.take(ENTRY_FIELDS)?;
-        if fnv1a(fields) != header.u64()? {
-            return Err(damaged(PersistError::ChecksumMismatch));
+        let (tenant, record) = decode_slot(slot).map_err(damaged)?;
+        if tenants.insert(tenant, (index, record)).is_some() {
+            let error = format!("a second slot for tenant {tenant}");
+            return Err(damaged(PersistError::Corrupt(error)));
         }
-        let mut fields = Cursor::new(fields);
-        let tenant = fields.u64()?;
-        let body_len = fields.u64()?;
-        let Some(entry) = usize::try_from(body_len)
-            .ok()
-            .and_then(|len| len.checked_add(ENTRY_HEADER))
-            .and_then(|end| rest.get(..end))
-        else {
-            break;
-        };
-        entry_record(entry).map_err(damaged)?;
-        latest.insert(tenant, entry.to_vec());
-        at += entry.len();
     }
-    Ok(at)
+    Ok(tenants)
 }
 
-/// Fsyncs a directory, making a file's creation or rename in it
-/// durable.
-fn sync_dir(dir: &Path) -> io::Result<()> {
-    fs::File::open(dir)?.sync_all()
+/// The bytes of the slot file at `path`; none before a first save
+/// creates it.
+fn read_image(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
 }
 
-/// A directory holding one append-only log of snapshot records (see
-/// the module's log format). Each save appends one entry to the open
-/// log with one `write`; the store keeps every tenant's newest entry in
-/// memory, so [`records`](SnapshotStore::records), its one read, never
-/// touches the disk. A service reads it once, at boot.
+/// A directory holding one slot file of snapshot records (see the
+/// module's slot format). A save is one positional `write` of its
+/// tenant's slot to the file kept open; the store keeps only each
+/// tenant's slot index in memory. [`records`](SnapshotStore::records),
+/// its one read, reads the file. A service reads it once, at boot.
 ///
 /// Opening a store creates nothing on disk: the first save creates the
-/// directory and the log. A log has one writer, the store that holds it
-/// open.
+/// directory and the file. A file has one writer, the store that holds
+/// it open.
 ///
-/// By default appends are *not* fsynced: an append that returned is in
-/// the OS's page cache, which covers every crash the OS survives
-/// (process kills, the fleet chaos harness), and write-ahead records
-/// are on the issue path. Deployments that must survive power loss
-/// should enable [`with_sync`](SnapshotStore::with_sync).
+/// By default saves are *not* fsynced: a save that returned is in the
+/// OS's page cache, which covers every crash the OS survives (process
+/// kills, the fleet chaos harness), and write-ahead records are on the
+/// issue path. Deployments that must survive power loss should enable
+/// [`with_sync`](SnapshotStore::with_sync).
 #[derive(Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
     sync: bool,
-    log: RefCell<Log>,
+    slots: RefCell<Slots>,
 }
 
-/// A store's mutable state: the open log and its in-memory index.
-#[derive(Debug, Default)]
-struct Log {
-    /// The log, open for appending; `None` until the first save.
+/// A store's mutable state: the open file and where each tenant's slot
+/// lies in it.
+#[derive(Debug)]
+struct Slots {
+    /// The slot file, open for writing; `None` until the first save.
     file: Option<fs::File>,
-    /// The log's length in bytes.
-    len: u64,
-    /// Each tenant's newest entry, exactly as compaction rewrites it.
-    latest: BTreeMap<u64, Vec<u8>>,
-    /// Total bytes of the entries in `latest`.
-    live: u64,
+    /// Each tenant's slot index.
+    index: BTreeMap<u64, u64>,
+    /// The slot a new tenant's first save takes: the file's whole
+    /// slots, so a cut-short last slot is reused.
+    next: u64,
 }
 
 impl SnapshotStore {
-    /// Opens the store rooted at `dir`, replaying its log if one
+    /// Opens the store rooted at `dir`, reading its slot file if one
     /// exists.
     pub fn open(dir: impl Into<PathBuf>) -> Result<SnapshotStore, PersistError> {
         SnapshotStore::with_sync(dir, false)
     }
 
-    /// Opens the store, choosing whether every save fsyncs its entry
+    /// Opens the store, choosing whether every save fsyncs its slot
     /// (power-loss durability at per-record `fdatasync` cost).
     ///
-    /// A torn tail is truncated to the log's last whole entry; any
-    /// other damage is a [`PersistError::Damaged`].
+    /// A slot that fails to decode is a [`PersistError::Damaged`]. A
+    /// directory that still holds a `snapshots.log` from the older
+    /// append-only layout is an error naming it: this store does not
+    /// read it, and opening past it would reissue its tenants' IDs.
     pub fn with_sync(dir: impl Into<PathBuf>, sync: bool) -> Result<SnapshotStore, PersistError> {
         let dir = dir.into();
-        let mut log = Log::default();
-        match fs::OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(dir.join(LOG_FILE))
-        {
-            Ok(mut file) => {
-                let mut bytes = Vec::new();
-                file.read_to_end(&mut bytes)?;
-                let whole = replay(&bytes, &mut log.latest)?;
-                if whole < bytes.len() {
-                    file.set_len(whole as u64)?;
-                    if sync {
-                        file.sync_data()?;
-                    }
-                }
-                log.len = whole as u64;
-                log.live = log.latest.values().map(|e| e.len() as u64).sum();
-                log.file = Some(file);
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
+        let log = dir.join(LOG_FILE);
+        if log.try_exists()? {
+            let error = format!("{log:?} holds an append-only snapshot log, which is not read");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, error).into());
         }
+        let image = read_image(&dir.join(SLOT_FILE))?;
+        let index = scan(&image)?
+            .into_iter()
+            .map(|(tenant, (index, _))| (tenant, index))
+            .collect();
+        let slots = Slots {
+            file: None,
+            index,
+            next: (image.len() / SLOT) as u64,
+        };
         Ok(SnapshotStore {
             dir,
             sync,
-            log: RefCell::new(log),
+            slots: RefCell::new(slots),
         })
     }
 
@@ -499,79 +497,52 @@ impl SnapshotStore {
         &self.dir
     }
 
-    /// Opens the log for appending, creating the directory and the log
-    /// if needed. With sync on, the directory is fsynced, so the log's
-    /// name (or a compaction's rename) is durable before any append.
-    fn open_log(&self) -> io::Result<fs::File> {
+    /// Opens the slot file for writing, creating the directory and the
+    /// file if needed. With sync on, the directory is fsynced, so the
+    /// file's name is durable before any save returns.
+    fn open_file(&self) -> io::Result<fs::File> {
         fs::create_dir_all(&self.dir)?;
         let file = fs::OpenOptions::new()
+            .write(true)
             .create(true)
-            .append(true)
-            .open(self.dir.join(LOG_FILE))?;
+            .truncate(false)
+            .open(self.dir.join(SLOT_FILE))?;
         if self.sync {
-            sync_dir(&self.dir)?;
+            fs::File::open(&self.dir)?.sync_all()?;
         }
         Ok(file)
     }
 
-    /// Makes `record` `tenant`'s newest record: one appended entry,
-    /// fsynced with sync on. A failed append is cut back off the log,
-    /// so a later save never lands behind a partial entry.
+    /// Makes `record` `tenant`'s newest record: one positional write of
+    /// the tenant's slot, fsynced with sync on. A tenant's first save
+    /// takes the next slot, extending the file by one slot.
     pub fn save(&self, tenant: u64, record: &SnapshotRecord) -> Result<(), PersistError> {
-        let entry = encode_entry(tenant, record)?;
-        let mut log = self.log.borrow_mut();
-        let log = &mut *log;
-        let file = match log.file.take() {
-            Some(file) => log.file.insert(file),
-            None => log.file.insert(self.open_log()?),
+        let slot = encode_slot(tenant, record)?;
+        let mut slots = self.slots.borrow_mut();
+        let slots = &mut *slots;
+        let file = match &mut slots.file {
+            Some(file) => file,
+            none => none.insert(self.open_file()?),
         };
-        if let Err(e) = file.write_all(&entry) {
-            let _ = file.set_len(log.len);
-            return Err(e.into());
+        let index = slots.index.get(&tenant).copied().unwrap_or(slots.next);
+        file.write_all_at(&slot, index * SLOT as u64)?;
+        if index == slots.next {
+            slots.index.insert(tenant, index);
+            slots.next += 1;
         }
-        let added = entry.len() as u64;
-        log.len += added;
         if self.sync {
             file.sync_data()?;
         }
-        log.live += added;
-        if let Some(old) = log.latest.insert(tenant, entry) {
-            log.live -= old.len() as u64;
-        }
-        if log.len > COMPACT_MIN_BYTES.max(COMPACT_RATIO.saturating_mul(log.live)) {
-            self.compact(log)?;
-        }
-        Ok(())
-    }
-
-    /// Rewrites the log as its live entries: a temp file, fsynced with
-    /// sync on, renamed over the log, which is then reopened.
-    fn compact(&self, log: &mut Log) -> Result<(), PersistError> {
-        let tmp = self.dir.join(COMPACT_FILE);
-        let mut image = Vec::with_capacity(log.live as usize);
-        for entry in log.latest.values() {
-            image.extend_from_slice(entry);
-        }
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(&image)?;
-        if self.sync {
-            file.sync_data()?;
-        }
-        fs::rename(&tmp, self.dir.join(LOG_FILE))?;
-        log.file = None;
-        log.len = log.live;
-        log.file = Some(self.open_log()?);
         Ok(())
     }
 
     /// Each tenant's newest record, keyed by tenant.
     pub fn records(&self) -> Result<BTreeMap<u64, SnapshotRecord>, PersistError> {
-        self.log
-            .borrow()
-            .latest
-            .iter()
-            .map(|(&tenant, entry)| Ok((tenant, entry_record(entry)?)))
-            .collect()
+        let image = read_image(&self.dir.join(SLOT_FILE))?;
+        Ok(scan(&image)?
+            .into_iter()
+            .map(|(tenant, (_, record))| (tenant, record))
+            .collect())
     }
 }
 
@@ -683,11 +654,24 @@ mod tests {
     }
 
     #[test]
+    fn every_snapshot_kind_fits_one_slot() {
+        // Record sizes do not depend on the universe or the count (see
+        // the constant-size test): the largest, Bins(k)'s 113 bytes,
+        // plus the 24-byte header leaves padding to spare.
+        for (kind, space) in sample_kinds() {
+            let record = record_for(&kind, space, 37);
+            let slot = encode_slot(u64::MAX, &record).unwrap();
+            assert_eq!(slot.len(), SLOT, "{kind:?}");
+            assert_eq!(decode_slot(&slot).unwrap(), (u64::MAX, record), "{kind:?}");
+        }
+    }
+
+    #[test]
     fn a_version_1_log_is_a_typed_error() {
         // Version 1 (Random's shuffle state), version 2 (the runs, bins
         // and sessions Cluster★, Bins★ and SessionCounter opened) and
         // version 3 (per-state parameters, Bins★'s chunk count among
-        // them) are not read: each re-stamped log is a typed error.
+        // them) are not read: each re-stamped slot is a typed error.
         for version in [1u32, 2, 3] {
             let dir = temp_dir(&format!("v{version}"));
             let space = IdSpace::new(1 << 12).unwrap();
@@ -696,17 +680,18 @@ mod tests {
                 .save(3, &record_for(&AlgorithmKind::Random, space, 5))
                 .unwrap();
             drop(store);
-            // The entry's record re-stamped as `version` under a valid
-            // checksum: a log written before the format went to
-            // version 4.
-            let log = dir.join(LOG_FILE);
-            let mut image = fs::read(&log).unwrap();
-            let record = &mut image[ENTRY_HEADER..];
+            // The slot's record, bounded by its length field, re-stamped
+            // as `version` under a valid checksum: a record written
+            // before the format went to version 4.
+            let path = dir.join(SLOT_FILE);
+            let mut image = fs::read(&path).unwrap();
+            let len = u64::from_le_bytes(image[8..16].try_into().unwrap()) as usize;
+            let record = &mut image[ENTRY_FIELDS + 8..ENTRY_FIELDS + 8 + len];
             record[8..12].copy_from_slice(&version.to_le_bytes());
             let end = record.len() - 8;
             let sum = fnv1a(&record[..end]);
             record[end..].copy_from_slice(&sum.to_le_bytes());
-            fs::write(&log, &image).unwrap();
+            fs::write(&path, &image).unwrap();
             let err = SnapshotStore::open(&dir).unwrap_err();
             assert!(
                 matches!(&err, PersistError::Damaged { offset: 0, error }
@@ -726,6 +711,7 @@ mod tests {
     fn store_saves_loads_and_lists_atomically() {
         let dir = temp_dir("store");
         let store = SnapshotStore::open(&dir).unwrap();
+        assert!(!dir.exists(), "opening a store creates nothing");
         let space = IdSpace::new(1 << 12).unwrap();
         let record = record_for(&AlgorithmKind::Cluster, space, 5);
         assert!(store.records().unwrap().is_empty());
@@ -735,7 +721,8 @@ mod tests {
             store.records().unwrap(),
             BTreeMap::from([(3, record.clone()), (9, record.clone())])
         );
-        // Overwrite wins; no temp files linger.
+        // Overwrite wins, in place: the directory holds one two-slot
+        // file.
         let mut newer = record.clone();
         newer.seq = 8;
         store.save(3, &newer).unwrap();
@@ -743,87 +730,113 @@ mod tests {
             store.records().unwrap(),
             BTreeMap::from([(3, newer), (9, record)])
         );
-        assert!(fs::read_dir(&dir).unwrap().all(|e| !e
+        let names: Vec<_> = fs::read_dir(&dir)
             .unwrap()
-            .file_name()
-            .to_str()
-            .unwrap()
-            .ends_with(".tmp")));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Saves three entries for two tenants (tenant 3 twice) into a fresh
-    /// store at `dir`. Returns the log image, the saves in order, and
-    /// each entry's end offset.
-    fn three_entry_log(dir: &Path) -> (Vec<u8>, Vec<(u64, SnapshotRecord)>, Vec<usize>) {
-        let space = IdSpace::new(1 << 12).unwrap();
-        let mut newer = record_for(&AlgorithmKind::ClusterStar, space, 30);
-        newer.seq = 8;
-        let saves = vec![
-            (3, record_for(&AlgorithmKind::ClusterStar, space, 5)),
-            (9, record_for(&AlgorithmKind::ClusterStar, space, 11)),
-            (3, newer),
-        ];
-        let store = SnapshotStore::open(dir).unwrap();
-        let mut ends = Vec::new();
-        for (tenant, record) in &saves {
-            store.save(*tenant, record).unwrap();
-            ends.push(fs::metadata(dir.join(LOG_FILE)).unwrap().len() as usize);
-        }
-        (fs::read(dir.join(LOG_FILE)).unwrap(), saves, ends)
-    }
-
-    #[test]
-    fn a_torn_tail_is_trimmed_to_the_last_whole_entry() {
-        let dir = temp_dir("torn");
-        let (image, saves, ends) = three_entry_log(&dir);
-        let log = dir.join(LOG_FILE);
-        for cut in 0..=image.len() {
-            fs::write(&log, &image[..cut]).unwrap();
-            let whole = ends.iter().filter(|&&end| end <= cut).count();
-            let expected: BTreeMap<u64, SnapshotRecord> = saves[..whole].iter().cloned().collect();
-            let store = SnapshotStore::open(&dir).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
-            assert_eq!(store.records().unwrap(), expected, "cut at {cut}");
-            let kept = whole.checked_sub(1).map_or(0, |last| ends[last]);
-            assert_eq!(
-                fs::metadata(&log).unwrap().len() as usize,
-                kept,
-                "cut at {cut}: torn tail left in place"
-            );
-        }
-        // A save after a trimmed torn tail reopens cleanly.
-        fs::write(&log, &image[..ends[1] + 5]).unwrap();
-        let store = SnapshotStore::open(&dir).unwrap();
-        store.save(9, &saves[2].1).unwrap();
-        drop(store);
-        let store = SnapshotStore::open(&dir).unwrap();
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [SLOT_FILE]);
         assert_eq!(
-            store.records().unwrap(),
-            BTreeMap::from([(3, saves[0].1.clone()), (9, saves[2].1.clone())])
+            fs::metadata(dir.join(SLOT_FILE)).unwrap().len(),
+            2 * SLOT as u64
         );
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Saves four records for three tenants (tenant 3 twice) into a
+    /// fresh store at `dir`. Returns the file image and each slot's
+    /// tenant and newest record, in slot order.
+    fn three_slot_file(dir: &Path) -> (Vec<u8>, Vec<(u64, SnapshotRecord)>) {
+        let space = IdSpace::new(1 << 12).unwrap();
+        let mut newer = record_for(&AlgorithmKind::ClusterStar, space, 30);
+        newer.seq = 8;
+        let store = SnapshotStore::open(dir).unwrap();
+        for (tenant, record) in [
+            (3, record_for(&AlgorithmKind::ClusterStar, space, 5)),
+            (9, record_for(&AlgorithmKind::ClusterStar, space, 11)),
+            (3, newer.clone()),
+            (5, record_for(&AlgorithmKind::Bins { k: 16 }, space, 2)),
+        ] {
+            store.save(tenant, &record).unwrap();
+        }
+        let slots = vec![
+            (3, newer),
+            (9, record_for(&AlgorithmKind::ClusterStar, space, 11)),
+            (5, record_for(&AlgorithmKind::Bins { k: 16 }, space, 2)),
+        ];
+        let image = fs::read(dir.join(SLOT_FILE)).unwrap();
+        assert_eq!(image.len(), slots.len() * SLOT);
+        (image, slots)
+    }
+
     #[test]
-    fn every_byte_flip_in_the_log_is_a_typed_error() {
-        // Mirrors `corruption_is_detected_not_panicked` one level up:
-        // no flip, in a header or a body, of the last entry or an
-        // earlier one, may open as a torn tail or a clean log.
+    fn a_cut_file_keeps_its_whole_slots_and_reuses_the_cut_one() {
+        // A cut is a first save that never completed: opening keeps the
+        // whole slots before it, and the next new tenant takes the cut
+        // slot.
+        let dir = temp_dir("cut");
+        let (image, slots) = three_slot_file(&dir);
+        let path = dir.join(SLOT_FILE);
+        let newcomer = record_for(&AlgorithmKind::Cluster, IdSpace::new(1 << 12).unwrap(), 3);
+        for cut in 0..=image.len() {
+            fs::write(&path, &image[..cut]).unwrap();
+            let whole = cut / SLOT;
+            let mut expected: BTreeMap<u64, SnapshotRecord> =
+                slots[..whole].iter().cloned().collect();
+            let store = SnapshotStore::open(&dir).unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(store.records().unwrap(), expected, "cut at {cut}");
+            store.save(7, &newcomer).unwrap();
+            assert_eq!(
+                fs::metadata(&path).unwrap().len(),
+                ((whole + 1) * SLOT) as u64,
+                "cut at {cut}: the new tenant did not take the cut slot"
+            );
+            expected.insert(7, newcomer.clone());
+            let reopened = SnapshotStore::open(&dir).unwrap();
+            assert_eq!(reopened.records().unwrap(), expected, "cut at {cut}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_zero_tail_opens_with_every_tenant() {
+        // A crash can leave a file's length on disk before its data: a
+        // tail of zeros, which holds no slot. A new tenant's slot goes
+        // past it.
+        let dir = temp_dir("zero-tail");
+        let (image, slots) = three_slot_file(&dir);
+        let path = dir.join(SLOT_FILE);
+        let all: BTreeMap<u64, SnapshotRecord> = slots.into_iter().collect();
+        let newcomer = record_for(&AlgorithmKind::Cluster, IdSpace::new(1 << 12).unwrap(), 3);
+        for zeros in [1, 23, 24, 100, 256, 4096 + 7] {
+            let mut tailed = image.clone();
+            tailed.resize(image.len() + zeros, 0);
+            fs::write(&path, &tailed).unwrap();
+            let store =
+                SnapshotStore::open(&dir).unwrap_or_else(|e| panic!("{zeros} zero bytes: {e}"));
+            assert_eq!(store.records().unwrap(), all, "{zeros} zero bytes");
+            store.save(7, &newcomer).unwrap();
+            let mut expected = all.clone();
+            expected.insert(7, newcomer.clone());
+            let reopened = SnapshotStore::open(&dir).unwrap();
+            assert_eq!(reopened.records().unwrap(), expected, "{zeros} zero bytes");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_byte_flip_in_the_slot_file_is_a_typed_error() {
+        // Mirrors `corruption_is_detected_not_panicked` one level up: no
+        // flip, in a header, a record or the padding, of any slot, may
+        // open as an empty slot or a clean file.
         let dir = temp_dir("flip");
-        let (image, _, ends) = three_entry_log(&dir);
+        let (image, _) = three_slot_file(&dir);
         for i in 0..image.len() {
             let mut bad = image.clone();
             bad[i] ^= 0x41;
-            fs::write(dir.join(LOG_FILE), &bad).unwrap();
-            let start = ends
-                .iter()
-                .filter(|&&end| end <= i)
-                .max()
-                .copied()
-                .unwrap_or(0);
+            fs::write(dir.join(SLOT_FILE), &bad).unwrap();
             match SnapshotStore::open(&dir) {
                 Err(PersistError::Damaged { offset, .. }) => {
-                    assert_eq!(offset, start as u64, "flip at byte {i}")
+                    assert_eq!(offset, (i / SLOT * SLOT) as u64, "flip at byte {i}")
                 }
                 other => panic!("flip at byte {i} gave {other:?}"),
             }
@@ -832,48 +845,48 @@ mod tests {
     }
 
     #[test]
-    fn compaction_bounds_the_log_and_keeps_each_tenants_newest_record() {
+    fn a_second_slot_for_one_tenant_is_damaged() {
+        let dir = temp_dir("second-slot");
+        let (mut image, _) = three_slot_file(&dir);
+        // Tenant 3's slot copied over tenant 9's.
+        image.copy_within(..SLOT, SLOT);
+        fs::write(dir.join(SLOT_FILE), &image).unwrap();
+        let err = SnapshotStore::open(&dir).unwrap_err();
+        assert!(
+            matches!(err, PersistError::Damaged { offset, .. } if offset == SLOT as u64),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string().contains("second slot for tenant 3"),
+            "{err}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rewrites_in_place_keep_one_slot_per_tenant_with_its_newest_record() {
         let space = IdSpace::new(1 << 16).unwrap();
         for sync in [false, true] {
-            let dir = temp_dir(&format!("compact-{sync}"));
+            let dir = temp_dir(&format!("rewrite-{sync}"));
             let store = SnapshotStore::with_sync(&dir, sync).unwrap();
             let mut newest = BTreeMap::new();
-            let mut largest = 0;
-            let mut compactions = 0;
-            let mut last_len = 0;
-            for i in 0..5_000u64 {
+            for i in 0..2_000u64 {
                 let mut record = record_for(&AlgorithmKind::Cluster, space, (i % 97) as u128);
                 record.seq = i;
-                let tenant = i % 8;
-                store.save(tenant, &record).unwrap();
-                largest = largest.max(encode_entry(tenant, &record).unwrap().len() as u64);
-                newest.insert(tenant, record);
-                let live: u64 = newest
-                    .iter()
-                    .map(|(&t, r)| encode_entry(t, r).unwrap().len() as u64)
-                    .sum();
-                let len = fs::metadata(dir.join(LOG_FILE)).unwrap().len();
-                assert!(
-                    len <= COMPACT_MIN_BYTES.max(COMPACT_RATIO * live) + largest,
-                    "sync {sync}: save {i} left a {len}-byte log over {live} live bytes"
+                store.save(i % 8, &record).unwrap();
+                newest.insert(i % 8, record);
+                let len = fs::metadata(dir.join(SLOT_FILE)).unwrap().len();
+                assert_eq!(
+                    len,
+                    (newest.len() * SLOT) as u64,
+                    "sync {sync}: save {i} left a {len}-byte file"
                 );
-                if len < last_len {
-                    // Just compacted: the log alone must hold every
-                    // tenant's newest record.
-                    compactions += 1;
+                if i % 250 == 249 {
                     let reopened = SnapshotStore::open(&dir).unwrap();
-                    assert_eq!(
-                        reopened.records().unwrap(),
-                        newest,
-                        "sync {sync}: compaction at save {i} lost a tenant's newest"
-                    );
+                    assert_eq!(reopened.records().unwrap(), newest, "sync {sync}: save {i}");
                 }
-                last_len = len;
             }
-            assert!(compactions > 0, "sync {sync}: never compacted");
             drop(store);
-            // A crash mid-compaction leaves a temp file; open ignores it.
-            fs::write(dir.join(COMPACT_FILE), b"torn compaction").unwrap();
             let store = SnapshotStore::open(&dir).unwrap();
             assert_eq!(newest.len(), 8);
             assert_eq!(store.records().unwrap(), newest, "sync {sync}");

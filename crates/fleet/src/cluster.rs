@@ -163,8 +163,8 @@ impl Fleet {
     }
 
     /// Boots a fresh incarnation of a crashed durable node on a new
-    /// ephemeral port. Boot replays the shard logs in the node's state
-    /// directory and, before the node serves anything, restores every
+    /// ephemeral port. Boot reads the shard slot files in the node's
+    /// state directory and, before the node serves anything, restores every
     /// tenant from its newest write-ahead record, advanced past the
     /// abandoned reservation window. Only durable nodes restart: with
     /// no records a volatile node's tenants would start over and
@@ -238,7 +238,7 @@ mod tests {
         assert!(addrs.windows(2).all(|w| w[0] != w[1]), "ports must differ");
         assert!(fleet.nodes().iter().all(|n| n.is_up()));
         // Serving creates the per-node snapshot layout: tenant 7 lives
-        // in shard 1 of 2 (7 % 2), which appends to its own log.
+        // in shard 1 of 2 (7 % 2), which writes its own slot file.
         let space = IdSpace::with_bits(40).unwrap();
         let client = Client::connect(fleet.addr(1), space).unwrap();
         assert_eq!(client.lease(7, 10).unwrap().granted, 10);
@@ -246,7 +246,7 @@ mod tests {
         assert!(dir
             .join("node-1")
             .join("shard-1")
-            .join("snapshots.log")
+            .join("snapshots.slots")
             .is_file());
         fleet.teardown();
         let _ = std::fs::remove_dir_all(&dir);

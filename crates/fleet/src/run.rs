@@ -1171,7 +1171,7 @@ mod tests {
             let shards = std::fs::read_dir(dir.join(format!("node-{node}")))
                 .unwrap()
                 .map(|entry| entry.unwrap().path())
-                .filter(|path| path.join("snapshots.log").is_file())
+                .filter(|path| path.join("snapshots.slots").is_file())
                 .count();
             assert!(shards > 0, "node {node} keeps no shard log");
         }

@@ -5,7 +5,7 @@
 //!   that read a wire lease
 //!        │  locks shard tenant % shards
 //!        ▼
-//!   shard: the tenant's recycled generator, write-ahead log, accounting
+//!   shard: the tenant's recycled generator, snapshot slot, accounting
 //!        │  lease = next_ids(count)   O(arcs)
 //!        ├──► answer: the reply copy, or the encoded wire reply
 //!        └──► audit tap ── bounded channel (arcs) ──► LeaseAudit
@@ -14,9 +14,9 @@
 //!
 //! * **Run to completion**: every tenant is pinned to one shard
 //!   (`tenant % shards`), a lock over its tenants' generators, its
-//!   write-ahead log, its audit tap and its accounting. A lease, issue,
-//!   reset or checkpoint locks the shard on the thread that asked for
-//!   it and is served there, with no thread hop; different shards'
+//!   write-ahead slot file, its audit tap and its accounting. A lease,
+//!   issue, reset or checkpoint locks the shard on the thread that asked
+//!   for it and is served there, with no thread hop; different shards'
 //!   tenants are served in parallel.
 //! * **Bulk leases**: a request for `count` IDs is served by one
 //!   [`IdGenerator::next_ids`] call — `O(touched runs)` interval pushes,
@@ -100,16 +100,17 @@ pub fn check_tenant(tenant: u64) -> Result<(), String> {
 /// IDs per tenant per crash.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// State directory: shard `i` appends its tenants' records to its
-    /// own log under `dir/shard-<i>/`, so every log has one writer.
+    /// State directory: shard `i` writes its tenants' records to its
+    /// own slot file under `dir/shard-<i>/`, so every file has one
+    /// writer.
     pub dir: PathBuf,
     /// Minimum reservation window per persist. Each persist reserves
     /// `max(reservation, lease count)` IDs; larger windows persist less
     /// often but leak more IDs per crash.
     pub reservation: u128,
-    /// Fsync every appended record before the lease that wrote it
+    /// Fsync every written record before the lease that wrote it
     /// emits (power-loss durability; process-crash safety needs only
-    /// the append to reach the OS).
+    /// the write to reach the OS).
     pub sync: bool,
     /// Crash-injection test hook: when the `N`th write-ahead persist
     /// (counted across all shards) lands, the lease that triggered it
@@ -851,26 +852,26 @@ impl IdService {
     }
 }
 
-/// The service's one recovery point. Opens the shard logs under
-/// `durability.dir` and returns, for each shard `i`, its own log
+/// The service's one recovery point. Opens the shard stores under
+/// `durability.dir` and returns, for each shard `i`, its own store
 /// (`shard-<i>/`) and the tenants it owns, restored from the state dir.
 ///
-/// Every log in the directory is read, including logs left by a run
+/// Every store in the directory is read, including stores left by a run
 /// with another shard count, and every record must carry the configured
 /// universe and `kind`, the kind the configured algorithm's own
 /// snapshots report (so `cluster*:2` and `cluster*` share records, and
 /// `bins*` and `bins*:maxfit` do not). Each tenant's highest-`seq`
-/// record, in whichever log holds it, is rebuilt with
+/// record, in whichever store holds it, is rebuilt with
 /// [`persist::recover`], and shard `tenant % shards` gets the restored
-/// slot, frontier at its count. Nothing is copied between logs and no
-/// log is deleted: the next boot again takes the highest `seq`.
+/// slot, frontier at its count. Nothing is copied between stores and no
+/// record is deleted: the next boot again takes the highest `seq`.
 ///
 /// # Panics
 ///
-/// On an unreadable log, a damaged entry, a foreign record, a record
-/// that does not restore, or a per-tenant `tenant-*.snap` file from the
-/// older one-file-per-tenant layout (booting over one as if the
-/// directory were empty would re-issue its IDs).
+/// On an unreadable store, a damaged slot, a foreign record, a record
+/// that does not restore, or a file of an older layout: a per-tenant
+/// `tenant-*.snap` or a shard's `snapshots.log` (booting over one as if
+/// the directory were empty would re-issue its IDs).
 fn recover_shards(
     config: &ServiceConfig,
     kind: &AlgorithmKind,
@@ -893,7 +894,7 @@ fn recover_shards(
                     !(name.starts_with("tenant-") && name.ends_with(".snap")),
                     "refusing to start over {:?}: a per-tenant snapshot from the \
                      one-file-per-tenant layout, which this service does not read \
-                     (it keeps one log per shard under shard-<i>/)",
+                     (it keeps one slot file per shard under shard-<i>/)",
                     dir.join(&*name)
                 );
                 if let Some(shard) = name.strip_prefix("shard-").and_then(|i| i.parse().ok()) {
@@ -1029,7 +1030,7 @@ impl AuditTap {
     }
 }
 
-/// One shard's durability state: the shard's own snapshot log plus the
+/// One shard's durability state: the shard's own snapshot store plus the
 /// configured minimum reservation window and the cross-shard
 /// write-ahead persist counter behind the crash-injection hook.
 struct Durability {
@@ -1746,8 +1747,8 @@ mod tests {
         let service = IdService::start(cfg.clone());
         service.lease(3, 10);
         drop(service.shutdown());
-        // Tenant 3 lives in shard 1's log (3 % 2); damage its record.
-        let log = dir.join("shard-1").join("snapshots.log");
+        // Tenant 3 lives in shard 1's file (3 % 2); damage its slot.
+        let log = dir.join("shard-1").join("snapshots.slots");
         let mut bytes = std::fs::read(&log).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x41;
@@ -1808,11 +1809,13 @@ mod tests {
             let service = IdService::start(cfg.clone());
             service.lease(3, 10);
             drop(service.shutdown());
-            // Tenant 3's one entry, in shard 1's log (3 % 2), re-stamped
-            // as `version` under a valid checksum.
-            let log = dir.join("shard-1").join("snapshots.log");
+            // Tenant 3's one record, in shard 1's file (3 % 2) and
+            // bounded by its length field, re-stamped as `version` under
+            // a valid checksum.
+            let log = dir.join("shard-1").join("snapshots.slots");
             let mut bytes = std::fs::read(&log).unwrap();
-            let record = &mut bytes[24..];
+            let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+            let record = &mut bytes[24..24 + len];
             record[8..12].copy_from_slice(&version.to_le_bytes());
             let end = record.len() - 8;
             let sum = uuidp_core::codec::fnv1a(&record[..end]);
@@ -1850,8 +1853,65 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "snapshots.log")]
+    fn a_shard_snapshot_log_refuses_boot() {
+        // A state dir in the append-only log layout must not boot as if
+        // it were empty: its tenants would re-issue their IDs.
+        let dir = temp_state_dir("log-layout");
+        std::fs::create_dir_all(dir.join("shard-1")).unwrap();
+        std::fs::write(dir.join("shard-1").join("snapshots.log"), b"an entry").unwrap();
+        let mut cfg = config(AlgorithmKind::Cluster, 20);
+        cfg.durability = Some(DurabilityConfig::new(&dir));
+        let _ = IdService::start(cfg);
+    }
+
+    #[test]
+    fn a_zero_tail_on_every_shard_file_still_boots() {
+        // A crash can leave a file's length on disk before its data: a
+        // tail of zeros past the last slot. Boot must recover every
+        // tenant from the slots before it, so none re-issues an ID.
+        for zeros in [23usize, 24, 100, 4096] {
+            let dir = temp_state_dir(&format!("zero-tail-{zeros}"));
+            let mut cfg = config(AlgorithmKind::Cluster, 20);
+            cfg.shards = 2;
+            cfg.durability = Some(DurabilityConfig {
+                dir: dir.clone(),
+                reservation: 64,
+                sync: false,
+                halt_after_persists: None,
+            });
+            let service = IdService::start(cfg.clone());
+            let mut issued: HashMap<u64, std::collections::HashSet<Id>> = HashMap::new();
+            for tenant in 0..6u64 {
+                issued
+                    .entry(tenant)
+                    .or_default()
+                    .extend(lease_ids(&service, tenant, 40));
+            }
+            drop(service.shutdown()); // no checkpoint
+            for shard in 0..2 {
+                let path = dir.join(format!("shard-{shard}")).join("snapshots.slots");
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes.resize(bytes.len() + zeros, 0);
+                std::fs::write(&path, bytes).unwrap();
+            }
+            let service = IdService::start(cfg);
+            for tenant in 0..6u64 {
+                for id in lease_ids(&service, tenant, 40) {
+                    assert!(
+                        issued.get_mut(&tenant).unwrap().insert(id),
+                        "{zeros} zero bytes: tenant {tenant} re-issued {id}"
+                    );
+                }
+            }
+            drop(service.shutdown());
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
     fn restarts_across_shard_counts_never_reissue() {
-        // A tenant's record stays in the log of the shard that wrote it;
+        // A tenant's record stays in the store of the shard that wrote it;
         // a restart with another shard count must still recover it.
         let dir = temp_state_dir("reshard");
         let mut issued: HashMap<u64, std::collections::HashSet<Id>> = HashMap::new();

@@ -12,7 +12,7 @@
 //!    instance count `n` does not grow),
 //!
 //! with the record round-tripped through the on-disk store so the
-//! codec, checksums, and atomic-replace path are all under test.
+//! codec, checksums, and in-place slot rewrite are all under test.
 //!
 //! One level up, random restart scripts drive a durable `IdService`
 //! through leases, resets, checkpoints and crash-restarts under shifting
@@ -169,7 +169,7 @@ fn recovery_past_capacity_is_exhausted_for_every_algorithm() {
 // `count` IDs, 4 resets the tenant, 5 checkpoints, and 6–7
 // crash-restart (shut down without a checkpoint, then boot with
 // `shards` shards). A shard count change leaves a tenant's newest
-// record in a log its new shard does not own, and a reset can land
+// record in a file its new shard does not own, and a reset can land
 // before a recovered tenant's first lease.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
